@@ -18,7 +18,6 @@ from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
 from .graph import (
-    BeliefVector,
     Laplacian,
     ScaledLaplacian,
     SpectralBasis,

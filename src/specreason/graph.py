@@ -7,10 +7,13 @@ scipy CSR and are treated as immutable once constructed.
 
 from __future__ import annotations
 
+import io
 import os
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,6 +22,8 @@ LAMBDA_SAFETY_MARGIN = 1.01
 DENSE_CAP = 2048
 _SIGN_TOL = 1e-12
 _TIE_TOL = 1e-9
+_MAX_NODES = 3_037_000_499  # largest n with n * n < 2**63: the pair key i * n + j stays exact
+_HASH_AFTER_DATA = re.compile(r"^[^\S\n]*[^#\s][^\n]*#", re.MULTILINE)
 
 VARIANTS = ("combinatorial", "normalized", "signed")
 GRAPH_KINDS = ("unsigned", "signed")
@@ -32,61 +37,78 @@ class EdgeListError(ValueError):
         self.line_no = line_no
 
 
+class InvalidEdgeError(ValueError):
+    """An edge breaks a graph rule. Carries its 0-based position in the input."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Graph:
-    """Undirected weighted graph with each edge stored once as (i, j, w), i < j."""
+    """Undirected weighted graph with each edge stored once as (i, j, w), i < j.
+
+    Built from (i, j, w) triples or from ``columns`` (three arrays), in any order and
+    orientation; kept as read-only arrays ``rows``, ``cols``, ``weights`` sorted by (i, j).
+    The first edge in input order that breaks a rule raises InvalidEdgeError, naming the
+    first it breaks of: no self-loop, endpoints in range, no repeated pair, a finite and
+    non-zero weight, and no negative weight unless the graph is signed.
+    """
 
     node_count: int
-    edges: tuple[tuple[int, int, float], ...]
-    kind: str = "unsigned"
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+    kind: str
 
-    def __post_init__(self):
-        if not isinstance(self.node_count, int) or self.node_count < 1:
-            raise ValueError("node_count must be a positive integer")
-        if self.kind not in GRAPH_KINDS:
-            raise ValueError(f"unknown graph kind {self.kind!r}")
-        canonical = []
-        seen = set()
-        for edge in self.edges:
-            i, j, w = int(edge[0]), int(edge[1]), float(edge[2])
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            if not (0 <= i < self.node_count and 0 <= j < self.node_count):
-                raise ValueError(f"edge ({i}, {j}) out of range for {self.node_count} nodes")
-            if i > j:
-                i, j = j, i
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
-            if not np.isfinite(w) or w == 0.0:
-                raise ValueError(f"edge ({i}, {j}) has non-finite or zero weight")
-            if self.kind == "unsigned" and w < 0.0:
-                raise ValueError(f"negative weight on edge ({i}, {j}) in an unsigned graph")
-            canonical.append((i, j, w))
-        canonical.sort()
-        object.__setattr__(self, "edges", tuple(canonical))
+    def __init__(self, node_count: int, edges=(), kind: str = "unsigned", *, columns=None):
+        if not isinstance(node_count, int) or not 1 <= node_count <= _MAX_NODES:
+            raise ValueError(f"node_count must be a positive integer, at most {_MAX_NODES}")
+        if kind not in GRAPH_KINDS:
+            raise ValueError(f"unknown graph kind {kind!r}")
+        i, j, w = columns if columns is not None else (tuple(zip(*edges)) or ((), (), ()))
+        (i, j), w = np.asarray((i, j), dtype=np.int64), np.asarray(w, dtype=float)
+        if i.ndim != 1 or i.shape != w.shape:
+            raise ValueError("edge columns must be one-dimensional and of equal length")
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        keys = lo * node_count + hi
+        order = np.argsort(keys, kind="stable")
+        repeat = np.zeros(i.size, dtype=bool)
+        repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+        rules = ((i == j, "self-loop at node {i}"),
+                 ((lo < 0) | (hi >= node_count), "edge ({i}, {j}) out of range for {n} nodes"),
+                 (repeat, "duplicate edge ({lo}, {hi})"),
+                 (~np.isfinite(w), "non-finite weight on edge ({lo}, {hi})"),
+                 (w == 0.0, "zero weight on edge ({lo}, {hi})"),
+                 ((w < 0.0) & (kind == "unsigned"),
+                  "negative weight on edge ({lo}, {hi}) in an unsigned graph"))
+        bad = np.logical_or.reduce([broken for broken, _ in rules])
+        if bad.any():
+            k = int(np.argmax(bad))
+            text = next(text for broken, text in rules if broken[k])
+            raise InvalidEdgeError(k, text.format(i=i[k], j=j[k], lo=lo[k], hi=hi[k], n=node_count))
+        rows, cols, weights = (_frozen_array(a[order], a.dtype) for a in (lo, hi, w))
+        vars(self).update(node_count=node_count, kind=kind, rows=rows, cols=cols, weights=weights)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple(zip(self.rows.tolist(), self.cols.tolist(), self.weights.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.rows.size
 
     def adjacency(self) -> sp.csr_array:
         """Full symmetric adjacency matrix."""
-        n = self.node_count
-        if not self.edges:
-            return sp.csr_array((n, n))
-        rows, cols, vals = [], [], []
-        for i, j, w in self.edges:
-            rows += [i, j]
-            cols += [j, i]
-            vals += [w, w]
-        return sp.csr_array((vals, (rows, cols)), shape=(n, n))
+        ends = (np.concatenate([self.rows, self.cols]), np.concatenate([self.cols, self.rows]))
+        return sp.csr_array((np.tile(self.weights, 2), ends), shape=(self.node_count,) * 2)
 
 
 @dataclass(frozen=True)
@@ -198,73 +220,60 @@ def load_graph(source, kind: str = "unsigned") -> Graph:
     The first significant line is "N M"; the next M significant lines are
     "i j w" with zero-based endpoints. Blank lines and lines starting with
     '#' are skipped. ``source`` is a filesystem path or an iterable of
-    lines. Errors report 1-based line numbers of the raw input.
+    lines. Errors report 1-based line numbers of the raw input; only input
+    that fails to load is read line by line, to find that line.
     """
     if isinstance(source, (str, Path, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            text = fh.read()
     else:
-        lines = list(source)
-
-    significant: list[tuple[int, str]] = []
-    for no, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        significant.append((no, stripped))
-
-    if not significant:
-        raise EdgeListError(len(lines) or 1, "missing header line")
-
-    head_no, head = significant[0]
-    parts = head.split()
-    if len(parts) != 2:
-        raise EdgeListError(head_no, f"header must be 'N M', got {head!r}")
+        text = "".join(line.rstrip("\n") + "\n" for line in source)
+    last_no = text.count("\n") + (not text.endswith("\n"))
+    stream = io.StringIO(text)
+    significant = ((no, stripped) for no, raw in enumerate(stream, start=1)
+                   if (stripped := raw.strip()) and not stripped.startswith("#"))
+    head_no, head = next(significant, (last_no, None))
+    if head is None:
+        raise EdgeListError(head_no, "missing header line")
     try:
-        n, m = int(parts[0]), int(parts[1])
+        n, m = map(int, head.split())
     except ValueError:
-        raise EdgeListError(head_no, f"header must hold two integers, got {head!r}") from None
-    if n < 1:
-        raise EdgeListError(head_no, f"node count must be positive, got {n}")
-    if m < 0:
-        raise EdgeListError(head_no, f"edge count must be nonnegative, got {m}")
-
-    body = significant[1:]
-    if len(body) < m:
-        raise EdgeListError(len(lines) or 1, f"expected {m} edge lines, found {len(body)}")
-    if len(body) > m:
-        raise EdgeListError(body[m][0], "trailing data after the declared edge count")
-
-    edges = []
-    seen = set()
-    for no, line in body:
-        fields = line.split()
-        if len(fields) != 3:
-            raise EdgeListError(no, f"edge line must be 'i j w', got {line!r}")
+        raise EdgeListError(head_no, f"header must be two integers 'N M', got {head!r}") from None
+    if n < 1 or m < 0:
+        raise EdgeListError(head_no, f"need N > 0 nodes and M >= 0 edges, got {head!r}")
+    # loadtxt converts a field as int() and float() do, or refuses it; it misreads some
+    # non-ASCII digits, masked here, and would take a "#" after data for a comment
+    body = text[stream.tell():].encode("ascii", "replace").decode("ascii")
+    if "#" not in body or not _HASH_AFTER_DATA.search(body):
         try:
-            i, j = int(fields[0]), int(fields[1])
-            w = float(fields[2])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no edge lines
+                columns = np.loadtxt(io.StringIO(body), comments="#", ndmin=1, unpack=True,
+                                     dtype=[("i", np.int64), ("j", np.int64), ("w", float)])
+            if columns[0].size == m:
+                return Graph(n, kind=kind, columns=columns)
         except ValueError:
-            raise EdgeListError(no, f"could not parse edge line {line!r}") from None
-        if i == j:
-            raise EdgeListError(no, f"self-loop at node {i}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise EdgeListError(no, f"edge ({i}, {j}) out of range for {n} nodes")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise EdgeListError(no, f"duplicate edge {key}")
-        seen.add(key)
-        if not np.isfinite(w):
-            raise EdgeListError(no, f"non-finite weight on edge {key}")
-        if w < 0 and kind != "signed":
-            raise EdgeListError(no, f"negative weight on edge {key} in an unsigned graph")
-        edges.append((i, j, w))
-
-    try:
-        return Graph(node_count=n, edges=tuple(edges), kind=kind)
-    except ValueError as exc:
-        # anything the per-line checks above cannot see
-        raise EdgeListError(head_no, str(exc)) from None
+            pass  # a malformed line or an invalid edge, found line by line below
+    lines = list(significant)
+    if len(lines) < m:
+        raise EdgeListError(last_no, f"expected {m} edge lines, found {len(lines)}")
+    if len(lines) > m:
+        raise EdgeListError(lines[m][0], "trailing data after the declared edge count")
+    edges = []
+    for no, line in lines:
+        try:  # an endpoint beyond int64 names no node
+            i, j, w = line.split()
+            edges.append((np.int64(int(i)), np.int64(int(j)), float(w)))
+        except (ValueError, OverflowError):
+            break
+    try:  # an invalid edge above the first malformed line comes first
+        graph = Graph(n, edges, kind)
+    except InvalidEdgeError as exc:
+        raise EdgeListError(lines[exc.index][0], str(exc)) from None
+    if len(edges) < m:
+        no, line = lines[len(edges)]
+        raise EdgeListError(no, f"could not parse edge line {line!r} as 'i j w'")
+    return graph
 
 
 def build_laplacian(g: Graph, variant: str = "combinatorial") -> Laplacian:
@@ -278,27 +287,18 @@ def build_laplacian(g: Graph, variant: str = "combinatorial") -> Laplacian:
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown Laplacian variant {variant!r}")
-    n = g.node_count
     adj = g.adjacency()
-    has_negative = any(w < 0 for _, _, w in g.edges)
-    if variant in ("combinatorial", "normalized") and has_negative:
+    if variant in ("combinatorial", "normalized") and np.any(g.weights < 0):
         raise ValueError(f"{variant} Laplacian requires nonnegative weights; use 'signed'")
-
-    if variant == "signed":
-        degree = np.abs(adj).sum(axis=1)
-        lap = sp.diags_array(degree, format="csr") - adj
-    elif variant == "combinatorial":
-        degree = adj.sum(axis=1)
-        lap = sp.diags_array(degree, format="csr") - adj
-    else:
-        degree = adj.sum(axis=1)
-        inv_sqrt = np.zeros(n)
+    degree = (np.abs(adj) if variant == "signed" else adj).sum(axis=1)
+    if variant == "normalized":
         positive = degree > 0
-        inv_sqrt[positive] = 1.0 / np.sqrt(degree[positive])
+        inv_sqrt = np.divide(1.0, np.sqrt(degree), out=np.zeros(g.node_count), where=positive)
         scaling = sp.diags_array(inv_sqrt, format="csr")
         eye = sp.diags_array(np.where(positive, 1.0, 0.0), format="csr")
         lap = eye - scaling @ adj @ scaling
-
+    else:
+        lap = sp.diags_array(degree, format="csr") - adj
     return Laplacian(matrix=sp.csr_array(lap), variant=variant, degree=np.asarray(degree, dtype=float))
 
 
@@ -311,10 +311,9 @@ class LambdaMaxEstimate(NamedTuple):
 
 def gershgorin_bound(lap: Laplacian) -> float:
     """Row-sum upper bound max_i (L_ii + sum_{j != i} |L_ij|) on the spectrum."""
-    mat = sp.csr_array(lap.matrix)
-    diag = mat.diagonal()
-    off = np.abs(mat).sum(axis=1) - np.abs(diag)
-    return float(np.max(diag + off)) if mat.shape[0] else 0.0
+    diag = lap.matrix.diagonal()
+    off = np.abs(lap.matrix).sum(axis=1) - np.abs(diag)
+    return float(np.max(diag + off)) if lap.node_count else 0.0
 
 
 def estimate_lambda_max(lap: Laplacian, tol: float = 1e-8, max_iters: int = 500,

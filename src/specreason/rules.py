@@ -369,15 +369,17 @@ def validate_proposal(proposal: Proposal, g: Graph, ruleset: RuleSet,
             return _reject("self-loop", f"({i}, {j})")
         if not (0 <= i < g.node_count and 0 <= j < g.node_count):
             return _reject("index-out-of-range", f"({i}, {j}) for {g.node_count} nodes")
-        key = (min(i, j), max(i, j))
-        if any((a, b) == key for a, b, _ in g.edges):
-            return _reject("duplicate-edge", f"({key[0]}, {key[1]})")
+        lo, hi = min(i, j), max(i, j)
+        start, stop = np.searchsorted(g.rows, [lo, lo + 1])  # g's edges are sorted by (i, j)
+        if hi in g.cols[start:stop]:
+            return _reject("duplicate-edge", f"({lo}, {hi})")
         if not np.isfinite(w) or w == 0.0:
             return _reject("bad-weight", repr(w))
         if g.kind == "unsigned" and w < 0:
             return _reject("negative-weight", repr(w))
         base = basis.lambda_max
-        candidate = Graph(node_count=g.node_count, edges=g.edges + ((i, j, w),), kind=g.kind)
+        candidate = Graph(g.node_count, kind=g.kind, columns=(
+            np.append(g.rows, i), np.append(g.cols, j), np.append(g.weights, w)))
         lap = build_laplacian(candidate, variant=cfg.variant)
         grown = float(np.linalg.eigvalsh(lap.matrix.toarray())[-1])
         if base > 1e-12 and grown > base * (1.0 + cfg.max_lambda_growth):

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
-from scipy.stats import rankdata
 
 from . import filters as ft
 from .analysis import (
@@ -41,7 +40,6 @@ from .rules import (
     HornClause,
     RuleBase,
     RuleSet,
-    aggregate_rules,
     forward_chain,
     mixture_response,
 )
@@ -65,8 +63,7 @@ def random_gnp(n: int, p: float, seed=0) -> Graph:
     rng = _as_rng(seed)
     rows, cols = np.triu_indices(n, k=1)
     keep = rng.random(rows.size) < p
-    edges = tuple((int(i), int(j), 1.0) for i, j in zip(rows[keep], cols[keep]))
-    return Graph(node_count=n, edges=edges)
+    return Graph(n, columns=(rows[keep], cols[keep], np.ones(np.count_nonzero(keep))))
 
 
 def random_gnm(n: int, m: int, seed=0) -> Graph:
@@ -75,21 +72,16 @@ def random_gnm(n: int, m: int, seed=0) -> Graph:
     if not 0 <= m <= max_edges:
         raise ValueError(f"cannot place {m} edges on {n} nodes")
     rng = _as_rng(seed)
-    chosen: dict = {}
-    while len(chosen) < m:
-        need = m - len(chosen)
+    keys = np.empty(0, dtype=np.int64)  # pair (i, j), i < j, as i * n + j, in draw order
+    while keys.size < m:
+        need = m - keys.size
         i = rng.integers(0, n, size=2 * need + 8)
         j = rng.integers(0, n, size=2 * need + 8)
-        for a, b in zip(i, j):
-            if a == b:
-                continue
-            key = (int(min(a, b)), int(max(a, b)))
-            if key not in chosen:
-                chosen[key] = True
-                if len(chosen) == m:
-                    break
-    edges = tuple((i, j, 1.0) for i, j in sorted(chosen))
-    return Graph(node_count=n, edges=edges)
+        drawn = (np.minimum(i, j) * n + np.maximum(i, j))[i != j]
+        _, first = np.unique(drawn, return_index=True)
+        fresh = np.sort(first[~np.isin(drawn[first], keys)])[:need]
+        keys = np.concatenate([keys, drawn[fresh]])
+    return Graph(n, columns=(keys // n, keys % n, np.ones(m)))
 
 
 def _connected_gnp(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -161,8 +153,7 @@ def gen_community_task(n: int = 200, communities: int = 2, intra_p: float = 0.08
     g = None
     for _ in range(10):
         keep = rng.random(rows.size) < prob
-        edges = tuple((int(i), int(j), 1.0) for i, j in zip(rows[keep], cols[keep]))
-        candidate = Graph(node_count=n, edges=edges)
+        candidate = Graph(n, columns=(rows[keep], cols[keep], np.ones(np.count_nonzero(keep))))
         n_comp, _ = connected_components(candidate.adjacency(), directed=False)
         if n_comp == 1:
             g = candidate
@@ -280,8 +271,7 @@ def save_task(instance: TaskInstance, path) -> None:
 
 def load_task(path) -> TaskInstance:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    graph = Graph(node_count=int(payload["graph"]["n"]),
-                  edges=tuple((int(i), int(j), float(w)) for i, j, w in payload["graph"]["edges"]),
+    graph = Graph(node_count=int(payload["graph"]["n"]), edges=payload["graph"]["edges"],
                   kind=payload["graph"].get("kind", "unsigned"))
     rulebase = None
     atom_map = None
@@ -307,8 +297,21 @@ def ranking_auc(scores, labels) -> float:
     neg = lab.size - pos
     if pos == 0 or neg == 0:
         raise ValueError("AUC needs both positive and negative examples")
-    ranks = rankdata(s)
+    ranks = _midranks(s)
     return float((ranks[lab].sum() - pos * (pos + 1) / 2.0) / (pos * neg))
+
+
+def _midranks(s: np.ndarray) -> np.ndarray:
+    """1-based ranks of s, ties sharing the mean of their ranks; all NaN if s holds a NaN."""
+    if np.isnan(s).any():
+        return np.full(s.size, np.nan)
+    order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], s.size]
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 @dataclass(frozen=True)

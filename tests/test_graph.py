@@ -1,10 +1,14 @@
 """Graph construction, Laplacian variants, and spectral plumbing."""
 
+import io
+import time
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from specreason import graph as gr
-from specreason.taskgen import random_gnp
+from specreason.taskgen import random_gnm, random_gnp
 
 
 def p2():
@@ -42,6 +46,27 @@ class TestGraph:
         a = g.adjacency().toarray()
         assert np.array_equal(a, a.T)
 
+    def test_first_bad_edge_in_input_order(self):
+        cases = [
+            (((0, 1, 1.0), (1, 0, 2.0), (0, 1, 3.0)), 1, r"duplicate edge \(0, 1\)"),
+            (((0, 1, 1.0), (1, 2, 0.0), (2, 2, 1.0)), 1, "zero weight"),
+            (((0, 1, float("nan")), (1, 1, 1.0)), 0, "non-finite"),
+            (((2, 1, 1.0), (0, 9, -1.0)), 1, r"edge \(0, 9\) out of range"),
+        ]
+        for edges, index, fragment in cases:
+            with pytest.raises(gr.InvalidEdgeError, match=fragment) as err:
+                gr.Graph(node_count=3, edges=edges)
+            assert err.value.index == index
+
+    def test_edge_arrays_sorted_and_read_only(self):
+        g = gr.Graph(node_count=4, edges=((2, 0, 1.0), (3, 1, 2.0), (0, 1, 0.5)))
+        assert g.rows.tolist() == [0, 0, 1] and g.cols.tolist() == [1, 2, 3]
+        assert g.weights.tolist() == [0.5, 1.0, 2.0]
+        with pytest.raises(ValueError):
+            g.rows[0] = 3
+        same = gr.Graph(4, columns=([0, 1, 2], [1, 3, 0], [0.5, 2.0, 1.0]))
+        assert same.edges == g.edges
+
 
 class TestLoadGraph:
     def test_round_trip(self, tmp_path):
@@ -63,6 +88,13 @@ class TestLoadGraph:
             ("2 1\n0 1 nope\n", 2, "could not parse"),
             ("2 1\n", None, "expected 1 edge"),
             ("not a header\n", 1, "header"),
+            ("# c\n\n2 1\n0 1 0\n", 4, "zero weight"),
+            ("2 1\n0 1 nan\n", 2, "non-finite"),
+            ("3 2\n0 1 1.0\n1 0 2.0\n", 3, "duplicate"),
+            ("# a\n\n3 3\n# b\n0 1 1.0\n\n  # c\n2 1 1.0\n\n1 1 1.0\n", 10, "self-loop"),
+            ("3 2\n0 1 1.0 # note\n1 2 1.0\n", 2, "could not parse"),
+            ("3 2\n0 2 0\n1 2 x\n", 2, "zero weight"),
+            ("3 2\n0 2 1\n1 2 x\n", 3, "could not parse"),
         ]
         for text, line_no, fragment in cases:
             path = write_edges(tmp_path, text)
@@ -80,6 +112,99 @@ class TestLoadGraph:
         path = write_edges(tmp_path, "2 1\n0 1 -2.0\n")
         g = gr.load_graph(path, kind="signed")
         assert g.edges == ((0, 1, -2.0),)
+
+    LITERALS = ["1", "+1", "-1", "01", "1_0", "0x10", "1.5", "1.", ".5", "1e3", "1E-3", "nan",
+                "-inf", "Infinity", "1e400", "1e-400", "1e", "--1", "1d0", "1,5", "\u0661",
+                "\u01fe", "9223372036854775807", "9223372036854775808",
+                "0.1000000000000000055511151231257827021181583404541015625",
+                "2.4703282292062328e-324"]
+
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_fields_convert_as_int_and_float_do(self, field):
+        convert = float if field == 2 else int
+        for literal in self.LITERALS:
+            fields = ["0", "2", "1.5"]
+            fields[field] = literal
+            line = " ".join(fields)
+            try:
+                expected = convert(literal)
+            except ValueError:
+                expected = None
+            # loadtxt, as load_graph runs it on ASCII text, may refuse a literal that
+            # int()/float() take, but never takes one they refuse, nor reads it otherwise
+            if literal.isascii():
+                try:
+                    row = np.loadtxt(io.StringIO(line), ndmin=1,
+                                     dtype=[("i", np.int64), ("j", np.int64), ("w", float)])[0]
+                except ValueError:
+                    row = None
+                if row is not None:
+                    assert expected is not None, literal
+                    np.testing.assert_array_equal(row[field], expected)
+            try:
+                reference = gr.Graph(5000, [(int(a), int(b), float(c)) for a, b, c in [line.split()]])
+            except (ValueError, OverflowError):
+                reference = None
+            try:
+                loaded = gr.load_graph(["5000 1", line])
+            except gr.EdgeListError:
+                loaded = None
+            assert (loaded is None) == (reference is None), literal
+            assert loaded is None or loaded.edges == reference.edges, literal
+
+    def test_matches_graph_from_triples(self, tmp_path):
+        rng = np.random.default_rng(2025)
+        for trial in range(20):
+            n = int(rng.integers(2, 60))
+            kind = ("unsigned", "signed")[trial % 2]
+            base = random_gnp(n, float(rng.uniform(0.05, 0.5)), seed=rng)
+            triples = []
+            for i, j, _ in base.edges:
+                w = float(rng.choice([1, 3])) if rng.random() < 0.3 else float(rng.uniform(0.1, 2))
+                if kind == "signed" and rng.random() < 0.5:
+                    w = -w
+                triples.append((j, i, w) if rng.random() < 0.5 else (i, j, w))
+            triples = [triples[k] for k in rng.permutation(len(triples))]
+            lines = ["# generated", "", f"{n} {len(triples)}"]
+            for i, j, w in triples:
+                lines += ["# edge", ""] if rng.random() < 0.1 else []
+                literal = str(int(w)) if w == int(w) else repr(w)
+                lines.append(f"{' ' * int(rng.integers(0, 3))}{i}\t{j} {literal}")
+            path = write_edges(tmp_path, "\n".join(lines) + "\n")
+            expected = gr.Graph(node_count=n, edges=tuple(triples), kind=kind)
+            for loaded in (gr.load_graph(path, kind=kind), gr.load_graph(lines, kind=kind)):
+                assert loaded.node_count == n and loaded.edges == expected.edges
+                for variant in (("signed",) if kind == "signed" else ("combinatorial", "normalized")):
+                    a = gr.build_laplacian(loaded, variant).matrix
+                    b = gr.build_laplacian(expected, variant).matrix
+                    for attr in ("indptr", "indices", "data"):
+                        assert np.array_equal(getattr(a, attr), getattr(b, attr))
+            # the adjacency equals the one assembled edge by edge from Python lists
+            rows, cols, vals = [], [], []
+            for i, j, w in expected.edges:
+                rows += [i, j]
+                cols += [j, i]
+                vals += [w, w]
+            reference = sp.csr_array((vals, (rows, cols)), shape=(n, n))
+            adj = expected.adjacency()
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(adj, attr), getattr(reference, attr))
+
+    def test_ingest_scales_linearly(self, tmp_path):
+        # criterion-05 style: doubling the edges should about double parse + Laplacian time
+        paths = {}
+        for edges in (50_000, 100_000):
+            g = random_gnm(edges // 2, edges, seed=5)
+            rows = "\n".join(f"{i} {j} 1" for i, j in zip(g.rows.tolist(), g.cols.tolist()))
+            paths[edges] = write_edges(tmp_path, f"{g.node_count} {edges}\n{rows}\n", f"g{edges}.txt")
+        best = dict.fromkeys(paths, float("inf"))
+        for _ in range(7):  # interleaved, so a slow spell of the host hits both sizes
+            for edges, path in paths.items():
+                start = time.perf_counter()
+                gr.build_laplacian(gr.load_graph(path))
+                best[edges] = min(best[edges], time.perf_counter() - start)
+        ratio = best[100_000] / best[50_000]
+        assert ratio <= 2.5, f"doubling the edges multiplied ingest time by {ratio:.2f}"
 
 
 class TestLaplacian:
