@@ -362,19 +362,3 @@ def cospectral_profile(eigenvalues, coeffs, points: int = 64) -> np.ndarray:
     np.add.at(profile, idx, c ** 2)
     return profile
 
-
-def robustness_drop(model, instances, perturb: PerturbConfig, eval_config=None) -> float:
-    """Accuracy drop, in percentage points, caused by a band perturbation.
-
-    Both passes use the task evaluator with identical seeds so the only
-    difference is the injected spectral noise.
-    """
-    from .taskgen import instance_accuracy  # deferred to keep imports acyclic
-
-    clean, perturbed = [], []
-    for inst in instances:
-        clean.append(instance_accuracy(model, inst, eval_config))
-        perturbed.append(instance_accuracy(model, inst, eval_config, perturb=perturb))
-    if not clean:
-        raise ValueError("no instances to score")
-    return float((np.mean(clean) - np.mean(perturbed)) * 100.0)

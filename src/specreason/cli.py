@@ -279,13 +279,11 @@ def cmd_attribute(args) -> None:
     model, extra_inputs = _load_model(args)
     basis = gr.eigendecompose(lap)
     x = _read_beliefs(args.beliefs)
-    y = np.asarray(ft.dense_filter_apply(basis, model if not isinstance(model, rl.RuleSet)
-                                         else rl.mixture_response(model), x), dtype=float)
+    y = np.asarray(tg.as_response(model, basis, x), dtype=float)
     partition = _partition_for(basis, args.bands)
     report = analysis.band_energy(basis, y, partition)
-    response = model if not isinstance(model, rl.RuleSet) else rl.mixture_response(model)
     top = basis.lambda_max if basis.lambda_max > 0 else 1.0
-    cert = analysis.robustness_certificate(response, top)
+    cert = analysis.robustness_certificate(model, top)
 
     # one row per instance: partition edges, then energies, fractions, bound
     header = ["instance"]

@@ -117,12 +117,10 @@ class Laplacian:
 
     matrix: sp.csr_array
     variant: str
-    degree: np.ndarray
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown Laplacian variant {self.variant!r}")
-        object.__setattr__(self, "degree", _frozen_array(self.degree))
 
     @property
     def node_count(self) -> int:
@@ -299,7 +297,7 @@ def build_laplacian(g: Graph, variant: str = "combinatorial") -> Laplacian:
         lap = eye - scaling @ adj @ scaling
     else:
         lap = sp.diags_array(degree, format="csr") - adj
-    return Laplacian(matrix=sp.csr_array(lap), variant=variant, degree=np.asarray(degree, dtype=float))
+    return Laplacian(matrix=sp.csr_array(lap), variant=variant)
 
 
 class LambdaMaxEstimate(NamedTuple):

@@ -17,10 +17,10 @@ from scipy.special import expit
 
 from . import filters as ft
 from .graph import (
+    DENSE_CAP,
     Graph,
     ScaledLaplacian,
     SpectralBasis,
-    _wrap_like,
     belief_values,
     build_laplacian,
 )
@@ -64,13 +64,15 @@ class RuleSet:
     def names(self) -> tuple[str, ...]:
         return tuple(t.name for t in self.templates)
 
+    def __call__(self, lam):
+        """The set's spectral response: its weighted mixture (see mixture_response) at lam."""
+        return mixture_response(self)(lam)
+
 
 def _apply_response(response, carrier, x, order: int):
     if isinstance(carrier, SpectralBasis):
         return ft.dense_filter_apply(carrier, response, x)
     if isinstance(carrier, ScaledLaplacian):
-        if isinstance(response, ft.ChebyshevFilter):
-            return ft.cheb_apply(response, carrier, x)
         fitted = ft.fit_chebyshev(response, order, carrier.lambda_max)
         return ft.cheb_apply(fitted, carrier, x)
     raise TypeError(f"carrier must be a SpectralBasis or ScaledLaplacian, got {type(carrier).__name__}")
@@ -87,15 +89,13 @@ def apply_rule(template: RuleTemplate, carrier, x, order: int = DEFAULT_SPARSE_O
 
 
 def aggregate_rules(ruleset: RuleSet, carrier, x, order: int = DEFAULT_SPARSE_ORDER):
-    """Weighted sum over templates: sum_r w_r Phi_r x, in stored order."""
-    if not ruleset.templates:
-        raise ValueError("cannot aggregate an empty rule set")
-    values = belief_values(x, expect_domain="vertex")
-    acc = np.zeros_like(values)
-    for template in ruleset.templates:
-        out = _apply_response(template.response, carrier, values, order)
-        acc = acc + template.weight * out
-    return _wrap_like(x, acc)
+    """Weighted sum over templates, sum_r w_r Phi_r x, as one filter.
+
+    Filtering is linear in the response, so the sum equals one pass with
+    mixture_response(ruleset): one exact filter on a basis carrier, or one
+    fit and one recurrence on a ScaledLaplacian, instead of one per template.
+    """
+    return _apply_response(mixture_response(ruleset), carrier, x, order)
 
 
 def mixture_response(ruleset: RuleSet):
@@ -361,8 +361,13 @@ def validate_proposal(proposal: Proposal, g: Graph, ruleset: RuleSet,
     graph kind, and must not grow lambda_max by more than the configured
     fraction. Rule proposals must carry a fresh name and keep their
     response magnitude under max_response across the spectrum range.
+    Raises ValueError when the config's variant is not the basis's, or for
+    an edge on a graph above DENSE_CAP nodes (a dense n x n eigensolve).
     """
     cfg = config or ValidationConfig()
+    if cfg.variant != basis.variant:
+        raise ValueError(f"validation variant {cfg.variant!r} does not match "
+                         f"the basis variant {basis.variant!r}")
     if proposal.kind == "edge":
         i, j, w = proposal.edge
         if i == j:
@@ -377,6 +382,9 @@ def validate_proposal(proposal: Proposal, g: Graph, ruleset: RuleSet,
             return _reject("bad-weight", repr(w))
         if g.kind == "unsigned" and w < 0:
             return _reject("negative-weight", repr(w))
+        if g.node_count > DENSE_CAP:
+            raise ValueError(
+                f"dense eigendecomposition refused for {g.node_count} > {DENSE_CAP} nodes")
         base = basis.lambda_max
         candidate = Graph(g.node_count, kind=g.kind, columns=(
             np.append(g.rows, i), np.append(g.cols, j), np.append(g.weights, w)))

@@ -26,7 +26,6 @@ from .analysis import (
     band_energy,
     default_three_band,
     proof_band_agreement,
-    robustness_drop,
     spectral_perturb,
 )
 from .graph import (
@@ -36,14 +35,8 @@ from .graph import (
     estimate_lambda_max,
     scale_laplacian,
 )
-from .rules import (
-    HornClause,
-    RuleBase,
-    RuleSet,
-    forward_chain,
-    mixture_response,
-)
-from .training import MoSEModel, gating_features, pooled_coefficients, mose_gate
+from .rules import HornClause, RuleBase, RuleSet, forward_chain
+from .training import MoSEModel, gated_filter, gating_features
 
 THREADS_ENV = "SNSR_THREADS"
 
@@ -349,25 +342,27 @@ def model_label(model) -> str:
     return type(model).__name__
 
 
-def _apply_model(model, basis, x, config: EvalConfig):
-    if isinstance(model, ft.ChebyshevFilter):
-        return ft.dense_filter_apply(basis, model, x)
-    if isinstance(model, ft.AnalyticResponse):
+def as_response(model, basis, x):
+    """Any model's response to beliefs x, filtered exactly through one eigenbasis.
+
+    Analytic responses, Chebyshev filters and rule sets (their mixture_response)
+    are functions of the eigenvalues; an expert mixture filters with the experts
+    pooled under the gate x opens; any other callable is called as model(basis, x).
+    """
+    if isinstance(model, (ft.AnalyticResponse, ft.ChebyshevFilter, RuleSet)):
         return ft.dense_filter_apply(basis, model, x)
     if isinstance(model, MoSEModel):
-        features = gating_features(basis, x)
-        alpha = mose_gate(model, features)
-        pooled = ft.ChebyshevFilter(theta=pooled_coefficients(model, alpha),
-                                    lambda_max=model.lambda_max)
-        return ft.dense_filter_apply(basis, pooled, x)
-    if isinstance(model, RuleSet):
-        return ft.dense_filter_apply(basis, mixture_response(model), x)
+        return ft.dense_filter_apply(basis, gated_filter(model, gating_features(basis, x)), x)
     if callable(model):
         return model(basis, x)
     raise TypeError(f"cannot evaluate a {type(model).__name__}")
 
 
-def _closure_f1(y: np.ndarray, inst: TaskInstance, threshold: float) -> float:
+def _score(y, inst: TaskInstance, threshold: float) -> float:
+    """Label accuracy of y > threshold, or the F1 of its Horn closure when symbolic."""
+    y = np.asarray(y, dtype=float)
+    if inst.rulebase is None:
+        return float(np.mean((y > threshold) == inst.labels))
     facts = {inst.atom_map[i] for i in range(len(y)) if y[i] > threshold}
     closure = forward_chain(inst.rulebase, facts)
     truth = {inst.atom_map[i] for i in range(len(y)) if inst.labels[i]}
@@ -381,19 +376,11 @@ def _closure_f1(y: np.ndarray, inst: TaskInstance, threshold: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def instance_accuracy(model, inst: TaskInstance, config: EvalConfig | None = None,
-                      perturb: PerturbConfig | None = None) -> float:
+def instance_accuracy(model, inst: TaskInstance, config: EvalConfig | None = None) -> float:
     """Score one instance: label accuracy, or closure F1 when symbolic."""
     cfg = config or EvalConfig()
     basis = eigendecompose(build_laplacian(inst.graph, cfg.variant))
-    x = inst.beliefs
-    if perturb is not None and perturb.magnitude > 0:
-        x = spectral_perturb(basis, x, perturb.band, perturb.magnitude,
-                             perturb.partition, perturb.seed)
-    y = np.asarray(_apply_model(model, basis, x, cfg), dtype=float)
-    if inst.rulebase is not None:
-        return _closure_f1(y, inst, cfg.threshold)
-    return float(np.mean((y > cfg.threshold) == inst.labels))
+    return _score(as_response(model, basis, inst.beliefs), inst, cfg.threshold)
 
 
 @dataclass(frozen=True)
@@ -433,46 +420,50 @@ def evaluate(model, instances, config: EvalConfig | None = None) -> EvalReport:
     of the model application alone, over latency_runs repeats per
     instance. Band columns attribute the output energy of every instance
     to the (shared-width) default three-band partition unless one is
-    supplied.
+    supplied. Robustness drop is the accuracy, in percentage points, lost
+    to cfg.perturb's noise. Each instance is eigendecomposed once.
     """
     cfg = config or EvalConfig()
     instances = list(instances)
     if not instances:
         raise ValueError("evaluation needs at least one instance")
 
-    threads = resolve_threads(cfg.threads)
-
-    def score(inst: TaskInstance) -> float:
-        return instance_accuracy(model, inst, cfg)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scores = list(pool.map(score, instances))
-    else:
-        scores = [score(inst) for inst in instances]
-    accuracy = float(np.mean(scores))
-
-    times = []
-    reports = []
-    agreement_pairs = []
-    n_bands = cfg.partition.n_bands if cfg.partition is not None else 3
-    energies = np.zeros(n_bands)
-    for inst in instances:
+    def run(inst: TaskInstance):
+        # one eigendecomposition gives the timed applications, the clean score,
+        # the score under cfg.perturb (None without one) and the clean band report
         basis = eigendecompose(build_laplacian(inst.graph, cfg.variant))
+        times = []
         for _ in range(max(1, cfg.latency_runs)):
             start = time.perf_counter()
-            y = _apply_model(model, basis, inst.beliefs, cfg)
+            y = as_response(model, basis, inst.beliefs)
             times.append(time.perf_counter() - start)
+        perturbed = None
+        noise = cfg.perturb
+        if noise is not None and noise.magnitude > 0:
+            x = spectral_perturb(basis, inst.beliefs, noise.band, noise.magnitude,
+                                 noise.partition, noise.seed)
+            perturbed = _score(as_response(model, basis, x), inst, cfg.threshold)
         part = cfg.partition if cfg.partition is not None else default_three_band(basis.lambda_max)
-        report = band_energy(basis, np.asarray(y, dtype=float), part)
-        reports.append(report)
+        return times, _score(y, inst, cfg.threshold), perturbed, band_energy(basis, y, part)
+
+    threads = resolve_threads(cfg.threads)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run, instances))
+    else:
+        results = [run(inst) for inst in instances]
+    times, scores, perturbed, reports = zip(*results)
+    accuracy = float(np.mean(scores))
+    latency_ms = float(np.median(np.concatenate(times)) * 1000.0)
+
+    energies = np.zeros(reports[0].partition.n_bands)
+    for report in reports:
         energies += report.energies
-        if inst.allowed_bands:
-            agreement_pairs.append((report, inst.allowed_bands))
-    latency_ms = float(np.median(times) * 1000.0)
     total = float(energies.sum())
     fractions = energies / total if total > 0 else np.zeros_like(energies)
 
+    agreement_pairs = [(report, inst.allowed_bands)
+                       for report, inst in zip(reports, instances) if inst.allowed_bands]
     if agreement_pairs and any(not r.degenerate for r, _ in agreement_pairs):
         agreement = proof_band_agreement(agreement_pairs)
     else:
@@ -480,7 +471,7 @@ def evaluate(model, instances, config: EvalConfig | None = None) -> EvalReport:
 
     drop = 0.0
     if cfg.perturb is not None and cfg.perturb.magnitude > 0:
-        drop = robustness_drop(model, instances, cfg.perturb, cfg)
+        drop = float((np.mean(scores) - np.mean(perturbed)) * 100.0)
 
     return EvalReport(model=model_label(model), instances=len(instances),
                       accuracy=accuracy, latency_ms=latency_ms,
@@ -495,13 +486,16 @@ def timing_sweep(kind: str = "edges", base_edges: int = 4000, base_order: int = 
 
     Returns (order, edges, median_seconds) per point. The recurrence is
     O(order * edges), so either doubling should roughly double the time.
+    Every point's operator is built first; the runs then go round-robin
+    across the points, so a slow spell of the host slows every point alike
+    instead of inflating one ratio.
     """
     if kind not in ("edges", "order"):
         raise ValueError(f"kind must be 'edges' or 'order', got {kind!r}")
     if doublings < 1 or runs < 3:
         raise ValueError("need at least one doubling and three runs")
     rng = np.random.default_rng(seed)
-    rows = []
+    points = []
     for step in range(doublings + 1):
         if kind == "edges":
             edges = base_edges * (2 ** step)
@@ -517,10 +511,12 @@ def timing_sweep(kind: str = "edges", base_edges: int = 4000, base_order: int = 
         f = ft.fit_chebyshev(ft.diffusion(1.0), order, estimate.value)
         x = rng.standard_normal(n)
         ft.cheb_apply(f, lt, x)  # warm the caches before timing
-        samples = []
-        for _ in range(runs):
+        points.append((order, edges, f, lt, x))
+    samples = [[] for _ in points]
+    for _ in range(runs):
+        for (_, _, f, lt, x), taken in zip(points, samples):
             start = time.perf_counter()
             ft.cheb_apply(f, lt, x)
-            samples.append(time.perf_counter() - start)
-        rows.append((order, edges, float(np.median(samples))))
-    return rows
+            taken.append(time.perf_counter() - start)
+    return [(order, edges, float(np.median(taken)))
+            for (order, edges, _, _, _), taken in zip(points, samples)]

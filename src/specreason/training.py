@@ -203,16 +203,20 @@ def pooled_coefficients(model: MoSEModel, alpha) -> np.ndarray:
     return pooled
 
 
+def gated_filter(model: MoSEModel, features) -> ft.ChebyshevFilter:
+    """The one filter the gate makes of the experts for these gating features."""
+    alpha = mose_gate(model, features)
+    return ft.ChebyshevFilter(theta=pooled_coefficients(model, alpha),
+                              lambda_max=model.lambda_max)
+
+
 def mose_apply(model: MoSEModel, lt: ScaledLaplacian, x, features):
     """Filter through the gate-pooled coefficients in one recurrence pass.
 
     Identical to summing alpha_b-weighted expert outputs because the
     output is linear in the coefficients.
     """
-    alpha = mose_gate(model, features)
-    pooled = ft.ChebyshevFilter(theta=pooled_coefficients(model, alpha),
-                                lambda_max=model.lambda_max)
-    return ft.cheb_apply(pooled, lt, x)
+    return ft.cheb_apply(gated_filter(model, features), lt, x)
 
 
 @dataclass(frozen=True)
@@ -262,67 +266,6 @@ def curriculum_mask(schedule: CurriculumSchedule | None, epoch: int, order: int)
     cap = schedule.cap_at(epoch)
     mask[np.arange(order + 1) > cap] = False
     return mask
-
-
-@dataclass(frozen=True)
-class AllocationConfig:
-    """Difficulty thresholds mapped onto filter order and expert count."""
-
-    min_order: int = 2
-    max_order: int = 16
-    max_experts: int = 4
-    thresholds: tuple[float, ...] = (0.1, 0.3, 0.6)
-
-    def __post_init__(self):
-        if self.min_order < 0 or self.max_order < self.min_order:
-            raise ValueError("need 0 <= min_order <= max_order")
-        if self.max_experts < 1:
-            raise ValueError("need at least one expert")
-        thresholds = tuple(float(t) for t in self.thresholds)
-        if not thresholds:
-            raise ValueError("need at least one threshold")
-        if any(t <= 0 or not np.isfinite(t) for t in thresholds):
-            raise ValueError("thresholds must be positive and finite")
-        if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-            raise ValueError("thresholds must increase strictly")
-        object.__setattr__(self, "thresholds", thresholds)
-
-
-def allocation_difficulty(f: ft.ChebyshevFilter, lt: ScaledLaplacian, x,
-                          probe_order: int | None = None) -> float:
-    """Relative residual between a short preview and one twice as long.
-
-    Signals that settle at low order score near zero; energy that only
-    appears with more coefficients pushes the score up.
-    """
-    k1 = probe_order if probe_order is not None else min(2, f.order)
-    if k1 < 0 or k1 > f.order:
-        raise ValueError(f"probe order {k1} outside 0..{f.order}")
-    k2 = min(2 * k1 if k1 > 0 else 1, f.order)
-    short = ft.ChebyshevFilter(theta=f.theta[: k1 + 1], lambda_max=f.lambda_max)
-    long = ft.ChebyshevFilter(theta=f.theta[: k2 + 1], lambda_max=f.lambda_max)
-    y1 = belief_values(ft.cheb_apply(short, lt, belief_values(x)))
-    y2 = belief_values(ft.cheb_apply(long, lt, belief_values(x)))
-    denom = float(np.linalg.norm(y2))
-    if denom <= 0.0:
-        return 0.0
-    return float(np.linalg.norm(y2 - y1) / denom)
-
-
-def dynamic_allocate(difficulty: float, config: AllocationConfig | None = None) -> tuple[int, int]:
-    """Map a difficulty score to (order, expert count), monotonically.
-
-    Crossing each threshold moves both budgets a proportional step from
-    their minimum toward their maximum.
-    """
-    cfg = config or AllocationConfig()
-    if not np.isfinite(difficulty) or difficulty < 0:
-        raise ValueError(f"difficulty must be nonnegative, got {difficulty}")
-    crossed = int(np.searchsorted(np.asarray(cfg.thresholds), difficulty, side="right"))
-    frac = crossed / len(cfg.thresholds)
-    order = int(round(cfg.min_order + frac * (cfg.max_order - cfg.min_order)))
-    experts = int(round(1 + frac * (cfg.max_experts - 1)))
-    return order, experts
 
 
 @dataclass(frozen=True)
@@ -464,6 +407,42 @@ def _require(condition: bool, message: str):
         raise ValueError(message)
 
 
+def _output_penalties(pw: PenaltyWeights, ctx: PenaltyContext, basis: SpectralBasis,
+                      partition: BandPartition, y: np.ndarray,
+                      g_y: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Raw proof and transfer penalties of one output, and g_y plus their weighted gradients."""
+    proof = transfer = 0.0
+    if pw.proof > 0:
+        proof, pen_grad = _proof_penalty_grad(basis, y, ctx.allowed_bands, partition)
+        g_y = g_y + pw.proof * pen_grad
+    if pw.transfer > 0:
+        yhat = basis.eigenvectors.T @ y
+        diff = yhat - ctx.transfer_reference
+        transfer = float(diff @ diff) / y.size
+        g_y = g_y + pw.transfer * (2.0 / y.size) * (basis.eigenvectors @ diff)
+    return proof, transfer, g_y
+
+
+def _record_epoch(history: list, epoch: int, pw: PenaltyWeights, means: np.ndarray,
+                  rc_total: float) -> None:
+    """Append one history row; means holds the per-example data term, proof and transfer."""
+    data_total, proof_total, transfer_total = (float(v) for v in means)
+    total = (data_total + pw.proof * proof_total
+             + pw.rule_consistency * rc_total + pw.transfer * transfer_total)
+    if not np.isfinite(total):
+        raise DivergenceError(epoch)
+    history.append((epoch, total, data_total, proof_total, rc_total, transfer_total))
+
+
+def _clipped(grad: np.ndarray, clip_norm: float | None) -> np.ndarray:
+    """grad scaled down to norm clip_norm when it is longer than that."""
+    if clip_norm is not None:
+        norm = float(np.linalg.norm(grad))
+        if norm > clip_norm:
+            grad = grad * (clip_norm / norm)
+    return grad
+
+
 def train(model, lt: ScaledLaplacian, data, loss: LossSpec,
           schedule: CurriculumSchedule | None = None,
           config: TrainConfig | None = None,
@@ -518,22 +497,12 @@ def train(model, lt: ScaledLaplacian, data, loss: LossSpec,
         f_cur = ft.ChebyshevFilter(theta=theta, lambda_max=lambda_max)
         g_theta = np.zeros(order + 1)
         g_lap = np.zeros_like(lap_dense) if cfg.learn_laplacian else None
-        data_total = 0.0
-        proof_total = 0.0
-        transfer_total = 0.0
+        sums = np.zeros(3)  # data term, proof and transfer penalties over the examples
         for example in data:
             y, trace = ft.cheb_apply(f_cur, lt_cur, example.x, keep_trace=True)
             value, g_y = _data_term(loss, y, example)
-            data_total += value
-            if pw.proof > 0:
-                pen, pen_grad = _proof_penalty_grad(basis_cur, y, ctx.allowed_bands, ctx.partition)
-                proof_total += pen
-                g_y = g_y + pw.proof * pen_grad
-            if pw.transfer > 0:
-                yhat = basis_cur.eigenvectors.T @ y
-                diff = yhat - ctx.transfer_reference
-                transfer_total += float(diff @ diff) / y.size
-                g_y = g_y + pw.transfer * (2.0 / y.size) * (basis_cur.eigenvectors @ diff)
+            proof, transfer, g_y = _output_penalties(pw, ctx, basis_cur, ctx.partition, y, g_y)
+            sums += (value, proof, transfer)
             g_theta += grad_theta(g_y, trace)
             if cfg.learn_laplacian:
                 g_scaled = grad_scaled_laplacian(g_y, theta, trace, lt_cur)
@@ -541,9 +510,6 @@ def train(model, lt: ScaledLaplacian, data, loss: LossSpec,
                 g_lap += (2.0 / lambda_max) * g_scaled
         count = len(data)
         g_theta /= count
-        data_total /= count
-        proof_total /= count
-        transfer_total /= count
         if cfg.learn_laplacian:
             g_lap /= count
 
@@ -555,25 +521,16 @@ def train(model, lt: ScaledLaplacian, data, loss: LossSpec,
                 g_lap += pw.rule_consistency * 2.0 * (
                     basis_cur.eigenvectors @ np.diag(diff) @ basis_cur.eigenvectors.T)
 
-        total = (data_total + pw.proof * proof_total
-                 + pw.rule_consistency * rc_total + pw.transfer * transfer_total)
-        if not np.isfinite(total):
-            raise DivergenceError(epoch)
-        history.append((epoch, total, data_total, proof_total, rc_total, transfer_total))
+        _record_epoch(history, epoch, pw, sums / count, rc_total)
 
-        g_theta = np.where(mask, g_theta, 0.0)
-        if cfg.clip_norm is not None:
-            norm = float(np.linalg.norm(g_theta))
-            if norm > cfg.clip_norm:
-                g_theta *= cfg.clip_norm / norm
+        g_theta = _clipped(np.where(mask, g_theta, 0.0), cfg.clip_norm)
         theta = theta - cfg.learning_rate * g_theta
         if not np.all(np.isfinite(theta)):
             raise DivergenceError(epoch)
 
         if cfg.learn_laplacian:
             lap_dense = project_laplacian(lap_dense - cfg.laplacian_lr * g_lap)
-            lap_cur = Laplacian(matrix=sp.csr_array(lap_dense), variant=lap_cur.variant,
-                                degree=np.diag(lap_dense))
+            lap_cur = Laplacian(matrix=sp.csr_array(lap_dense), variant=lap_cur.variant)
             if (epoch + 1) % cfg.lambda_refresh_every == 0:
                 estimate = estimate_lambda_max(lap_cur, seed=seed)
                 lambda_max = estimate.value
@@ -602,7 +559,7 @@ def _train_mose(model: MoSEModel, lt: ScaledLaplacian, data, loss: LossSpec,
     for epoch in range(cfg.epochs):
         g_thetas = [np.zeros_like(t) for t in thetas]
         g_weights = np.zeros_like(weights)
-        data_total = proof_total = transfer_total = 0.0
+        sums = np.zeros(3)  # data term, proof and transfer penalties over the examples
         cur = MoSEModel(experts=tuple(ft.ChebyshevFilter(theta=t, lambda_max=lambda_max)
                                       for t in thetas), gating_weights=weights)
         for example, f_vec in zip(data, features):
@@ -614,47 +571,23 @@ def _train_mose(model: MoSEModel, lt: ScaledLaplacian, data, loss: LossSpec,
             for a, out in zip(alpha, outs):
                 y = y + a * out
             value, g_y = _data_term(loss, y, example)
-            data_total += value
-            if pw.proof > 0:
-                pen, pen_grad = _proof_penalty_grad(ctx.basis, y, ctx.allowed_bands, part)
-                proof_total += pen
-                g_y = g_y + pw.proof * pen_grad
-            if pw.transfer > 0:
-                yhat = ctx.basis.eigenvectors.T @ y
-                diff = yhat - ctx.transfer_reference
-                transfer_total += float(diff @ diff) / y.size
-                g_y = g_y + pw.transfer * (2.0 / y.size) * (ctx.basis.eigenvectors @ diff)
+            proof, transfer, g_y = _output_penalties(pw, ctx, ctx.basis, part, y, g_y)
+            sums += (value, proof, transfer)
             for b, t in enumerate(thetas):
                 g_thetas[b] += alpha[b] * (basis_rows[: t.size] @ g_y)
             d_alpha = np.array([float(g_y @ out) for out in outs])
             d_logits = alpha * (d_alpha - float(alpha @ d_alpha))
             g_weights += np.outer(d_logits, f_vec)
         count = len(data)
-        data_total /= count
-        proof_total /= count
-        transfer_total /= count
         rc_total = (rule_consistency_penalty(ctx.basis, ctx.consistency_target)
                     if pw.rule_consistency > 0 else 0.0)
-        total = (data_total + pw.proof * proof_total
-                 + pw.rule_consistency * rc_total + pw.transfer * transfer_total)
-        if not np.isfinite(total):
-            raise DivergenceError(epoch)
-        history.append((epoch, total, data_total, proof_total, rc_total, transfer_total))
+        _record_epoch(history, epoch, pw, sums / count, rc_total)
 
         for b in range(len(thetas)):
             mask = curriculum_mask(schedule, epoch, thetas[b].size - 1)
-            grad = np.where(mask, g_thetas[b] / count, 0.0)
-            if cfg.clip_norm is not None:
-                norm = float(np.linalg.norm(grad))
-                if norm > cfg.clip_norm:
-                    grad *= cfg.clip_norm / norm
+            grad = _clipped(np.where(mask, g_thetas[b] / count, 0.0), cfg.clip_norm)
             thetas[b] = thetas[b] - cfg.learning_rate * grad
-        g_weights /= count
-        if cfg.clip_norm is not None:
-            norm = float(np.linalg.norm(g_weights))
-            if norm > cfg.clip_norm:
-                g_weights *= cfg.clip_norm / norm
-        weights = weights - cfg.learning_rate * g_weights
+        weights = weights - cfg.learning_rate * _clipped(g_weights / count, cfg.clip_norm)
         if not all(np.all(np.isfinite(t)) for t in thetas) or not np.all(np.isfinite(weights)):
             raise DivergenceError(epoch)
 

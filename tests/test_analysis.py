@@ -330,8 +330,8 @@ class TestRobustnessDrop:
                                            seed_fraction=0.1, noise=0.05, seed=s)
                      for s in range(4)]
         model = ft.diffusion(1.0)
-        low = an.robustness_drop(model, instances,
-                                 an.PerturbConfig(band=0, magnitude=3.0, seed=1))
-        high = an.robustness_drop(model, instances,
-                                  an.PerturbConfig(band=2, magnitude=3.0, seed=1))
+        low = tg.evaluate(model, instances, tg.EvalConfig(
+            perturb=an.PerturbConfig(band=0, magnitude=3.0, seed=1))).robustness_drop
+        high = tg.evaluate(model, instances, tg.EvalConfig(
+            perturb=an.PerturbConfig(band=2, magnitude=3.0, seed=1))).robustness_drop
         assert high <= low

@@ -1,0 +1,114 @@
+"""Outputs pinned by digest on fixed inputs, and the evaluator's decomposition count.
+
+Refactors of the evaluator, the rule mixture and the training loop must
+leave these bytes unchanged. eval.csv is compared without its wall-clock
+latency_ms column. The digests were taken on x86-64 with NumPy's bundled
+OpenBLAS; a different LAPACK may round eigenvectors differently in the
+last bits and would need them taken again.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from specreason import analysis as an
+from specreason import cli
+from specreason import filters as ft
+from specreason import graph as gr
+from specreason import rules as rl
+from specreason import taskgen as tg
+from specreason import training as tr
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def without_latency(csv_text: str) -> str:
+    rows = [line.split(",") for line in csv_text.splitlines()]
+    k = rows[0].index("latency_ms")
+    return "\n".join(",".join(c for i, c in enumerate(row) if i != k) for row in rows)
+
+
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    tg.save_task(tg.gen_community_task(n=60, intra_p=0.25, inter_p=0.02, seed=4), "sbm.json")
+    tg.save_task(tg.gen_chain_task(depth=3, branching=2, seed=5), "chain.json")
+    rl.save_templates(rl.RuleSet(templates=(
+        rl.RuleTemplate("spread", ft.diffusion(2.0), 0.7),
+        rl.RuleTemplate("edge", ft.highpass(1.0), 0.3),
+        rl.RuleTemplate("mid", ft.gaussian_bandpass(1.5, 0.5), 0.2))), "templates.json")
+    g = tg.random_gnm(12, 20, seed=0)
+    lines = [f"{g.node_count} {g.edge_count}"] + [f"{i} {j} {w}" for i, j, w in g.edges]
+    (tmp_path / "graph.txt").write_text("\n".join(lines) + "\n")
+    beliefs = np.random.default_rng(3).standard_normal(12)
+    (tmp_path / "beliefs.txt").write_text("\n".join(f"{v}" for v in beliefs) + "\n")
+    return tmp_path
+
+
+@pytest.mark.parametrize("model_args, expected", [
+    (["--response", "diffusion", "--tau", "2.0"], "e9930141d7041dd4"),
+    (["--rules", "templates.json"], "4e36d7d78d13c415"),
+])
+def test_eval_csv_pinned(inputs, model_args, expected):
+    argv = ["eval", "--tasks", "sbm.json", "chain.json", *model_args, "--perturb-band", "0",
+            "--perturb-magnitude", "1.5", "--latency-runs", "2", "--out-dir", "out"]
+    assert cli.main(argv) == 0
+    assert digest(without_latency((inputs / "out" / "eval.csv").read_text())) == expected
+
+
+def test_attribution_csv_pinned_with_rules(inputs):
+    argv = ["attribute", "--graph", "graph.txt", "--beliefs", "beliefs.txt",
+            "--rules", "templates.json", "--bands", "4", "--out-dir", "out"]
+    assert cli.main(argv) == 0
+    assert digest((inputs / "out" / "attribution.csv").read_text()) == "0f9aaec8f31ebbe3"
+
+
+def penalised_problem():
+    lap = gr.build_laplacian(tg.random_gnm(30, 70, seed=2))
+    lambda_max = gr.estimate_lambda_max(lap).value
+    lt = gr.scale_laplacian(lap, lambda_max)
+    basis = gr.eigendecompose(lap)
+    rng = np.random.default_rng(9)
+    teacher = ft.fit_chebyshev(ft.diffusion(1.0), 5, lambda_max)
+    data = [tr.TrainExample(x=x, target=np.asarray(ft.cheb_apply(teacher, lt, x)))
+            for x in rng.standard_normal((4, 30))]
+    context = tr.PenaltyContext(basis=basis, partition=an.default_three_band(basis.lambda_max),
+                                allowed_bands=(0,), transfer_reference=0.1 * rng.standard_normal(30))
+    loss = tr.LossSpec(penalties=tr.PenaltyWeights(proof=0.3, transfer=0.2))
+    return lambda_max, lt, data, context, loss
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("chebyshev", "fbf10050d4b2215b"),
+    ("mose", "13fb7733cc1afca4"),
+])
+def test_penalised_training_history_pinned(kind, expected):
+    lambda_max, lt, data, context, loss = penalised_problem()
+    student = ft.ChebyshevFilter(theta=np.zeros(6), lambda_max=lambda_max)
+    if kind == "mose":
+        student = tr.MoSEModel(experts=(student, ft.ChebyshevFilter(np.zeros(4), lambda_max)),
+                               gating_weights=np.full((2, 5), 0.01))
+    # a clip norm small enough that both loops clip some of their gradients
+    result = tr.train(student, lt, data, loss, config=tr.TrainConfig(epochs=25, clip_norm=0.3),
+                      context=context)
+    assert digest(tr.history_to_csv(result.history)) == expected
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_evaluate_decomposes_each_instance_once(monkeypatch, threads):
+    calls = []
+
+    def counted(lap, *args, **kwargs):
+        calls.append(lap.node_count)
+        return gr.eigendecompose(lap, *args, **kwargs)
+
+    monkeypatch.setattr(tg, "eigendecompose", counted)
+    instances = [tg.gen_community_task(n=40, intra_p=0.3, inter_p=0.03, seed=s) for s in range(3)]
+    instances.append(tg.gen_chain_task(depth=3, seed=1))
+    cfg = tg.EvalConfig(latency_runs=3, threads=threads,
+                        perturb=an.PerturbConfig(band=0, magnitude=1.0, seed=2))
+    tg.evaluate(ft.diffusion(1.0), instances, cfg)
+    assert sorted(calls) == sorted(inst.graph.node_count for inst in instances)

@@ -76,15 +76,23 @@ class TestApplyRules:
         assert np.linalg.norm(y - dense) <= 1e-6 * max(1.0, np.linalg.norm(dense))
 
     def test_aggregate_equals_mixture_filtering(self):
-        # vertex-domain sum of per-rule outputs == one pass with the mixture
+        # one pass with the mixture == vertex-domain sum of per-rule outputs
         g = random_gnp(14, 0.4, seed=7)
         lt, lmax = carrier(g)
+        basis = gr.eigendecompose(gr.build_laplacian(g))
         rs = two_rules()
         x = np.random.default_rng(1).standard_normal(14)
-        agg = np.asarray(rl.aggregate_rules(rs, lt, x, order=16))
-        mixed = np.asarray(ft.cheb_apply(
-            ft.fit_chebyshev(rl.mixture_response(rs), 16, lmax), lt, x))
-        assert np.allclose(agg, mixed, atol=1e-10)
+        for carried in (lt, basis):
+            agg = np.asarray(rl.aggregate_rules(rs, carried, x, order=16))
+            summed = sum(t.weight * np.asarray(rl.apply_rule(t, carried, x, order=16))
+                         for t in rs.templates)
+            assert np.allclose(agg, summed, atol=1e-10)
+
+    def test_rule_set_is_its_mixture_response(self):
+        rs = two_rules()
+        grid = np.linspace(0.0, 4.0, 9)
+        assert np.array_equal(ft.response_eval(rs, grid),
+                              ft.response_eval(rl.mixture_response(rs), grid))
 
 
 class TestProjectPredicates:
@@ -256,6 +264,20 @@ class TestProposals:
                          rule={"name": "gate", "weight": 0.5,
                                "kind": "gaussian_bandpass", "params": [1.0, 0.5]})
         assert rl.validate_proposal(ok, g, rs, basis).accepted
+
+    def test_variant_mismatch_raises(self):
+        g, rs, basis = self.context()
+        edge = rl.Proposal(kind="edge", edge=(0, 2, 0.5), rule=None, origin="llm")
+        with pytest.raises(ValueError, match="variant"):
+            rl.validate_proposal(edge, g, rs, basis, rl.ValidationConfig(variant="normalized"))
+
+    def test_edge_above_dense_cap_refused(self):
+        _, rs, basis = self.context()
+        n = gr.DENSE_CAP + 1
+        path = gr.Graph(n, columns=(np.arange(n - 1), np.arange(1, n), np.ones(n - 1)))
+        edge = rl.Proposal(kind="edge", edge=(0, n - 1, 1.0), rule=None, origin="llm")
+        with pytest.raises(ValueError, match="refused"):
+            rl.validate_proposal(edge, path, rs, basis)
 
     def test_accepted_edge_keeps_lambda_bound(self):
         # the acceptance predicate itself is the invariant: recompute and compare

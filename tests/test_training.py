@@ -234,28 +234,6 @@ class TestCurriculum:
             tr.CurriculumSchedule(stages=())
 
 
-class TestAllocation:
-    def test_frozen_map(self):
-        assert tr.dynamic_allocate(0.0) == (2, 1)
-        assert tr.dynamic_allocate(0.1) == (7, 2)
-        assert tr.dynamic_allocate(0.3) == (11, 3)
-        assert tr.dynamic_allocate(1.0) == (16, 4)
-
-    def test_monotone_in_difficulty(self):
-        grid = np.linspace(0.0, 1.0, 21)
-        orders = [tr.dynamic_allocate(float(d))[0] for d in grid]
-        experts = [tr.dynamic_allocate(float(d))[1] for d in grid]
-        assert all(b >= a for a, b in zip(orders, orders[1:]))
-        assert all(b >= a for a, b in zip(experts, experts[1:]))
-
-    def test_difficulty_in_unit_interval(self):
-        lap, lt, lmax = operator(n=12, seed=15)
-        f = ft.fit_chebyshev(ft.diffusion(1.0), 8, lmax)
-        x = np.random.default_rng(16).standard_normal(12)
-        d = tr.allocation_difficulty(f, lt, x)
-        assert 0.0 <= d <= 1.0
-
-
 def teacher_data(lt, lmax, order, count, seed):
     teacher = ft.fit_chebyshev(ft.diffusion(1.0), order, lmax)
     rng = np.random.default_rng(seed)
