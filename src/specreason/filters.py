@@ -228,6 +228,18 @@ def fit_grid_error(f: ChebyshevFilter, response, lambda_max: float | None = None
     return float(np.max(np.abs(response_eval(f, grid) - response_eval(response, grid))))
 
 
+def chebyshev_sum(theta, basis_vectors) -> np.ndarray:
+    """sum_k theta_k b_k, accumulated from k = 0 upwards.
+
+    The one place a filter output is formed from its recurrence vectors,
+    so that recomputing it from a kept trace gives the same bits.
+    """
+    acc = theta[0] * basis_vectors[0]
+    for k in range(1, len(theta)):
+        acc = acc + theta[k] * basis_vectors[k]
+    return acc
+
+
 def cheb_apply(f: ChebyshevFilter, lt: ScaledLaplacian, x, keep_trace: bool = False):
     """Apply the filter through the sparse three-term recurrence.
 
@@ -241,24 +253,15 @@ def cheb_apply(f: ChebyshevFilter, lt: ScaledLaplacian, x, keep_trace: bool = Fa
     values = belief_values(x, expect_domain="vertex")
     if values.size != lt.node_count:
         raise ValueError(f"belief length {values.size} does not match operator size {lt.node_count}")
-    theta = f.theta
     mat = lt.matrix
-    acc = theta[0] * values
     rows = [values]
-    b_prev = values
-    b_cur = None
     if f.order >= 1:
-        b_cur = mat @ values
-        acc = acc + theta[1] * b_cur
-        rows.append(b_cur)
-    for k in range(2, f.order + 1):
-        b_next = 2.0 * (mat @ b_cur) - b_prev
-        acc = acc + theta[k] * b_next
-        rows.append(b_next)
-        b_prev, b_cur = b_cur, b_next
-    y = _wrap_like(x, acc)
+        rows.append(mat @ values)
+    for _ in range(2, f.order + 1):
+        rows.append(2.0 * (mat @ rows[-1]) - rows[-2])
+    y = _wrap_like(x, chebyshev_sum(f.theta, rows))
     if keep_trace:
-        return y, RecurrenceTrace(basis_vectors=np.array(rows))
+        return y, RecurrenceTrace(basis_vectors=rows)
     return y
 
 

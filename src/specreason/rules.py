@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from . import filters as ft
 from .graph import (
@@ -159,6 +158,7 @@ def project_predicates(y, threshold: float = 0.0, mode: str = "hard",
     if mode == "soft" or temperature is not None:
         if temperature is None or not np.isfinite(temperature) or temperature <= 0:
             raise ValueError("soft projection requires a positive temperature")
+        from scipy.special import expit  # imported here: every CLI command would pay for it
         soft = expit(temperature * (values - threshold))
     return PredicateVector(hard=hard, soft=soft, threshold=float(threshold),
                            temperature=None if temperature is None else float(temperature))

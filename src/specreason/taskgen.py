@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from . import filters as ft
 from .analysis import (
@@ -77,11 +76,16 @@ def random_gnm(n: int, m: int, seed=0) -> Graph:
     return Graph(n, columns=(keys // n, keys % n, np.ones(m)))
 
 
+def _is_connected(g: Graph) -> bool:
+    # imported here: only the generators need it, and every CLI command would pay for it
+    from scipy.sparse.csgraph import connected_components
+    return connected_components(g.adjacency(), directed=False)[0] == 1
+
+
 def _connected_gnp(n: int, p: float, rng: np.random.Generator) -> Graph:
     for _ in range(10):
         g = random_gnp(n, p, rng)
-        n_comp, _ = connected_components(g.adjacency(), directed=False)
-        if n_comp == 1:
+        if _is_connected(g):
             return g
     raise RuntimeError("could not sample a connected graph in 10 tries")
 
@@ -147,8 +151,7 @@ def gen_community_task(n: int = 200, communities: int = 2, intra_p: float = 0.08
     for _ in range(10):
         keep = rng.random(rows.size) < prob
         candidate = Graph(n, columns=(rows[keep], cols[keep], np.ones(np.count_nonzero(keep))))
-        n_comp, _ = connected_components(candidate.adjacency(), directed=False)
-        if n_comp == 1:
+        if _is_connected(candidate):
             g = candidate
             break
     if g is None:

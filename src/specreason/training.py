@@ -5,6 +5,12 @@ gradients are exact reverse-mode through the same recurrence, reported in
 the symmetric subspace. Penalties steer where output energy is allowed to
 live, how the operator's spectrum should look, and how outputs should
 transfer across graphs.
+
+Cost: an example's recurrence trace b_0 .. b_K depends on the operator and
+the example, not on the coefficients. With a fixed operator, training runs
+one K-step recurrence per example, O(K |E|) each, and then O(K n) per
+example per epoch. With learn_laplacian the operator moves every epoch, so
+the recurrence reruns each epoch.
 """
 
 from __future__ import annotations
@@ -443,6 +449,17 @@ def _clipped(grad: np.ndarray, clip_norm: float | None) -> np.ndarray:
     return grad
 
 
+def _example_traces(order: int, lambda_max: float, lt: ScaledLaplacian,
+                    data) -> list[ft.RecurrenceTrace]:
+    """Each example's recurrence trace b_0 .. b_order on lt.
+
+    The trace depends on the operator and the example only, never on the
+    coefficients being trained, so one is built per example per operator.
+    """
+    probe = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=lambda_max)
+    return [ft.cheb_apply(probe, lt, ex.x, keep_trace=True)[1] for ex in data]
+
+
 def train(model, lt: ScaledLaplacian, data, loss: LossSpec,
           schedule: CurriculumSchedule | None = None,
           config: TrainConfig | None = None,
@@ -492,14 +509,16 @@ def train(model, lt: ScaledLaplacian, data, loss: LossSpec,
         basis_cur = eigendecompose(lap_cur)
 
     history = []
+    traces = None  # rebuilt only when the operator changes
     for epoch in range(cfg.epochs):
+        if traces is None:
+            traces = _example_traces(order, lambda_max, lt_cur, data)
         mask = curriculum_mask(schedule, epoch, order)
-        f_cur = ft.ChebyshevFilter(theta=theta, lambda_max=lambda_max)
         g_theta = np.zeros(order + 1)
         g_lap = np.zeros_like(lap_dense) if cfg.learn_laplacian else None
         sums = np.zeros(3)  # data term, proof and transfer penalties over the examples
-        for example in data:
-            y, trace = ft.cheb_apply(f_cur, lt_cur, example.x, keep_trace=True)
+        for example, trace in zip(data, traces):
+            y = ft.chebyshev_sum(theta, trace.basis_vectors)
             value, g_y = _data_term(loss, y, example)
             proof, transfer, g_y = _output_penalties(pw, ctx, basis_cur, ctx.partition, y, g_y)
             sums += (value, proof, transfer)
@@ -535,6 +554,7 @@ def train(model, lt: ScaledLaplacian, data, loss: LossSpec,
                 estimate = estimate_lambda_max(lap_cur, seed=seed)
                 lambda_max = estimate.value
             lt_cur = scale_laplacian(lap_cur, lambda_max)
+            traces = None
             if needs_basis:
                 basis_cur = eigendecompose(lap_cur)
 
@@ -553,7 +573,7 @@ def _train_mose(model: MoSEModel, lt: ScaledLaplacian, data, loss: LossSpec,
     lambda_max = model.lambda_max
     part = ctx.partition if ctx.partition is not None else default_three_band(ctx.basis.lambda_max)
     features = [gating_features(ctx.basis, ex.x, part) for ex in data]
-    probe = ft.ChebyshevFilter(theta=np.zeros(model.max_order + 1), lambda_max=lambda_max)
+    traces = _example_traces(model.max_order, lambda_max, lt, data)
 
     history = []
     for epoch in range(cfg.epochs):
@@ -562,8 +582,7 @@ def _train_mose(model: MoSEModel, lt: ScaledLaplacian, data, loss: LossSpec,
         sums = np.zeros(3)  # data term, proof and transfer penalties over the examples
         cur = MoSEModel(experts=tuple(ft.ChebyshevFilter(theta=t, lambda_max=lambda_max)
                                       for t in thetas), gating_weights=weights)
-        for example, f_vec in zip(data, features):
-            _, trace = ft.cheb_apply(probe, lt, example.x, keep_trace=True)
+        for example, f_vec, trace in zip(data, features, traces):
             basis_rows = trace.basis_vectors
             alpha = mose_gate(cur, f_vec)
             outs = [basis_rows[: t.size].T @ t for t in thetas]

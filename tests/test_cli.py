@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,3 +189,16 @@ class TestArgErrors:
     def test_no_command_is_an_error(self, workdir):
         with pytest.raises(SystemExit):
             run()
+
+
+def test_import_leaves_generator_only_scipy_modules_unloaded():
+    # every command pays for what importing the CLI loads; these two serve only
+    # the soft projection and the task generators
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, specreason.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.special', 'scipy.sparse.csgraph'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

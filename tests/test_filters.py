@@ -108,6 +108,8 @@ class TestChebApply:
         assert np.allclose(trace.basis_vectors[1], lt.matrix @ x, atol=1e-12)
         rebuilt = sum(t * b for t, b in zip(f.theta, trace.basis_vectors))
         assert np.allclose(rebuilt, np.asarray(y), atol=1e-12)
+        # training forms outputs from kept traces; they must carry the recurrence's bits
+        assert np.array_equal(ft.chebyshev_sum(f.theta, trace.basis_vectors), np.asarray(y))
 
     def test_order_zero(self):
         g = random_gnp(8, 0.5, seed=1)

@@ -8,6 +8,7 @@ last bits and would need them taken again.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,22 +79,33 @@ def penalised_problem():
     context = tr.PenaltyContext(basis=basis, partition=an.default_three_band(basis.lambda_max),
                                 allowed_bands=(0,), transfer_reference=0.1 * rng.standard_normal(30))
     loss = tr.LossSpec(penalties=tr.PenaltyWeights(proof=0.3, transfer=0.2))
-    return lambda_max, lt, data, context, loss
+    return lap, lt, data, context, loss
 
 
 @pytest.mark.parametrize("kind, expected", [
     ("chebyshev", "fbf10050d4b2215b"),
     ("mose", "13fb7733cc1afca4"),
+    ("learn_laplacian", "8c15c4461585c9d0"),
 ])
 def test_penalised_training_history_pinned(kind, expected):
-    lambda_max, lt, data, context, loss = penalised_problem()
+    lap, lt, data, context, loss = penalised_problem()
+    lambda_max = lt.lambda_max
     student = ft.ChebyshevFilter(theta=np.zeros(6), lambda_max=lambda_max)
+    # a clip norm small enough that both loops clip some of their gradients
+    config = tr.TrainConfig(epochs=25, clip_norm=0.3)
+    schedule = None
     if kind == "mose":
         student = tr.MoSEModel(experts=(student, ft.ChebyshevFilter(np.zeros(4), lambda_max)),
                                gating_weights=np.full((2, 5), 0.01))
-    # a clip norm small enough that both loops clip some of their gradients
-    result = tr.train(student, lt, data, loss, config=tr.TrainConfig(epochs=25, clip_norm=0.3),
-                      context=context)
+    if kind == "learn_laplacian":
+        # the operator moves every epoch and lambda_max is refreshed twice
+        config = tr.TrainConfig(epochs=12, clip_norm=0.3, learn_laplacian=True,
+                                laplacian_lr=0.02, lambda_refresh_every=5)
+        schedule = tr.CurriculumSchedule(stages=((0, 2), (4, 5)))
+        context = replace(context, consistency_target=0.9 * context.basis.eigenvalues)
+        loss = replace(loss, penalties=replace(loss.penalties, rule_consistency=0.05))
+    result = tr.train(student, lt, data, loss, schedule=schedule, config=config,
+                      context=context, laplacian=lap)
     assert digest(tr.history_to_csv(result.history)) == expected
 
 

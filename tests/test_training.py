@@ -348,6 +348,35 @@ class TestTrain:
         assert result.history[-1][1] < result.history[0][1] / 5
         assert isinstance(result.model, tr.MoSEModel)
 
+    @pytest.mark.parametrize("kind", ["chebyshev", "mose", "learn_laplacian"])
+    def test_recurrence_runs_once_per_example_per_operator(self, monkeypatch, kind):
+        lap, lt, lmax = operator(n=12, p=0.5, seed=40)
+        basis = gr.eigendecompose(lap)
+        _, data = teacher_data(lt, lmax, 4, 3, seed=41)
+        student = ft.ChebyshevFilter(theta=np.zeros(5), lambda_max=lmax)
+        if kind == "mose":
+            student = tr.MoSEModel(experts=(student, ft.ChebyshevFilter(np.zeros(3), lmax)),
+                                   gating_weights=np.zeros((2, 5)))
+        epochs = 7
+        cfg = tr.TrainConfig(epochs=epochs, learn_laplacian=kind == "learn_laplacian",
+                             lambda_refresh_every=3)
+        calls = []
+        cheb_apply = ft.cheb_apply
+
+        def counted(f, lt_arg, *args, **kwargs):
+            calls.append(lt_arg)
+            return cheb_apply(f, lt_arg, *args, **kwargs)
+
+        monkeypatch.setattr(ft, "cheb_apply", counted)
+        tr.train(student, lt, data, tr.LossSpec(), config=cfg,
+                 context=tr.PenaltyContext(basis=basis), laplacian=lap)
+        if kind == "learn_laplacian":
+            # the operator moves every epoch, so every epoch needs fresh traces
+            assert len(calls) == epochs * len(data)
+        else:
+            assert len(calls) == len(data)
+            assert all(op is lt for op in calls)
+
     def test_learn_laplacian_recovers_operator_direction(self):
         # teacher signal comes from a different graph; learned operator should
         # cut the loss well below the frozen-operator run
