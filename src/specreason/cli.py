@@ -116,9 +116,16 @@ def _load_model(args):
 
 def _load_operator(args):
     g = gr.load_graph(args.graph, kind=getattr(args, "graph_kind", "unsigned"))
-    lap = gr.build_laplacian(g, variant=args.variant)
-    estimate = gr.estimate_lambda_max(lap, seed=args.seed)
-    return g, lap, estimate
+    return g, gr.build_laplacian(g, variant=args.variant)
+
+
+def _lambda_max(lap: gr.Laplacian, seed: int) -> gr.LambdaMaxEstimate:
+    """The lambda_max bound; one that fell back is reported on stderr."""
+    estimate = gr.estimate_lambda_max(lap, seed=seed)
+    if not estimate.converged:
+        print(f"warning: lambda_max did not converge in {estimate.iterations} Lanczos steps; "
+              f"using the {estimate.method} bound {_fmt(estimate.value)}", file=sys.stderr)
+    return estimate
 
 
 def _partition_for(basis: gr.SpectralBasis, bands: int) -> analysis.BandPartition:
@@ -130,19 +137,22 @@ def _partition_for(basis: gr.SpectralBasis, bands: int) -> analysis.BandPartitio
 
 def cmd_fit(args) -> None:
     out = _out_dir(args)
-    _, lap, estimate = _load_operator(args)
+    _, lap = _load_operator(args)
+    estimate = _lambda_max(lap, args.seed)
     response = _response_from_args(args)
     fitted = ft.fit_chebyshev(response, args.order, estimate.value,
                               quadrature_nodes=args.quad_nodes)
     error = ft.fit_grid_error(fitted, response)
     _atomic_write(out / "filter.json", fitted.to_json() + "\n")
     _write_manifest(out, "fit", args, [args.graph])
-    print(f"fit order={args.order} lambda_max={_fmt(estimate.value)} grid_error={error:.3e}")
+    print(f"fit order={args.order} lambda_max={_fmt(estimate.value)} "
+          f"lambda_bound={estimate.method} grid_error={error:.3e}")
 
 
 def cmd_infer(args) -> None:
     out = _out_dir(args)
-    g, lap, estimate = _load_operator(args)
+    g, lap = _load_operator(args)
+    estimate = _lambda_max(lap, args.seed)
     f = ft.load_filter(args.filter)
     if abs(f.lambda_max - estimate.value) > 1e-6 * max(1.0, f.lambda_max):
         raise ValueError(
@@ -189,7 +199,8 @@ def cmd_train(args) -> None:
     examples = int(config.get("examples", 8))
 
     args.seed = seed
-    _, lap, estimate = _load_operator(args)
+    _, lap = _load_operator(args)
+    estimate = _lambda_max(lap, seed)
     lt = gr.scale_laplacian(lap, estimate.value)
 
     teacher_spec = config.get("teacher", {"kind": "diffusion", "params": [1.0]})
@@ -275,7 +286,7 @@ def cmd_eval(args) -> None:
 
 def cmd_attribute(args) -> None:
     out = _out_dir(args)
-    g, lap, _ = _load_operator(args)
+    _, lap = _load_operator(args)
     model, extra_inputs = _load_model(args)
     basis = gr.eigendecompose(lap)
     x = _read_beliefs(args.beliefs)
@@ -303,7 +314,7 @@ def cmd_attribute(args) -> None:
 
 def cmd_perturb(args) -> None:
     out = _out_dir(args)
-    g, lap, _ = _load_operator(args)
+    _, lap = _load_operator(args)
     basis = gr.eigendecompose(lap)
     x = _read_beliefs(args.beliefs)
     partition = _partition_for(basis, args.bands)

@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 LAMBDA_SAFETY_MARGIN = 1.01
+_LANCZOS_CHECK_EVERY = 5  # steps between Ritz-pair checks; each check costs O(k^3)
 DENSE_CAP = 2048
 _SIGN_TOL = 1e-12
 _TIE_TOL = 1e-9
@@ -305,6 +306,7 @@ class LambdaMaxEstimate(NamedTuple):
     iterations: int
     converged: bool
     degenerate: bool
+    method: str  # "lanczos" or "gershgorin": which bound gave the value
 
 
 def gershgorin_bound(lap: Laplacian) -> float:
@@ -314,42 +316,64 @@ def gershgorin_bound(lap: Laplacian) -> float:
     return float(np.max(diag + off)) if lap.node_count else 0.0
 
 
-def estimate_lambda_max(lap: Laplacian, tol: float = 1e-8, max_iters: int = 500,
+def estimate_lambda_max(lap: Laplacian, tol: float = 1e-8, max_iters: int = 100,
                         seed: int = 0) -> LambdaMaxEstimate:
-    """Power-iteration estimate of the largest eigenvalue, with safety margin.
+    """Upper bound on the largest eigenvalue from a Lanczos recurrence.
 
-    Starts from a perturbed all-ones vector, stops when the Rayleigh
-    quotient moves less than ``tol`` (relative), and inflates the result by
-    LAMBDA_SAFETY_MARGIN. Falls back to the Gershgorin bound when the
-    iteration fails to converge. A near-zero operator returns value 1.0
-    with the degenerate flag set so downstream rescaling stays finite.
+    Runs the three-term Lanczos recurrence from a seeded, perturbed all-ones
+    vector, holding three n-vectors: no reorthogonalisation, no stored basis.
+    Every _LANCZOS_CHECK_EVERY steps the top Ritz pair (theta, z) of the
+    tridiagonal T_k is taken; once its residual r = |beta_k z_k| is at most
+    ``tol * max(1, theta)``, the value is (theta + r) * LAMBDA_SAFETY_MARGIN,
+    since some eigenvalue lies within r of theta. A recurrence that does not
+    converge within ``max_iters`` steps returns the Zhou-Saad bound
+    theta + beta_k (Zhou & Saad, LAA 2011), or the Gershgorin bound when that
+    is smaller, with ``converged`` False and ``method`` naming the bound used.
+    Each check is a dense eigensolve of T_k, O(k^3), which keeps ``max_iters``
+    small. A numerically zero operator returns value 1.0 with the degenerate
+    flag set so downstream rescaling stays finite.
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     n = lap.node_count
     mat = lap.matrix
     rng = np.random.default_rng(seed)
     v = np.ones(n) + 0.01 * rng.standard_normal(n)
-    norm = np.linalg.norm(v)
-    v = v / norm
-    rayleigh = 0.0
-    for it in range(1, max_iters + 1):
+    v /= np.linalg.norm(v)
+    v_prev = np.zeros(n)
+    alphas, betas = [], []
+    beta = 0.0
+    for k in range(1, max_iters + 1):
         w = mat @ v
-        candidate = float(v @ w)
-        w_norm = np.linalg.norm(w)
-        if w_norm <= _SIGN_TOL:
-            # operator annihilates the iterate: spectrum is numerically zero
-            return LambdaMaxEstimate(value=1.0, iterations=it, converged=True, degenerate=True)
-        converged = it > 1 and abs(candidate - rayleigh) <= tol * max(1.0, abs(candidate))
-        rayleigh = candidate
-        v = w / w_norm
-        if converged:
-            value = rayleigh * LAMBDA_SAFETY_MARGIN
-            if value <= _SIGN_TOL:
-                return LambdaMaxEstimate(value=1.0, iterations=it, converged=True, degenerate=True)
-            return LambdaMaxEstimate(value=value, iterations=it, converged=True, degenerate=False)
-    bound = gershgorin_bound(lap)
-    if bound <= _SIGN_TOL:
-        return LambdaMaxEstimate(value=1.0, iterations=max_iters, converged=False, degenerate=True)
-    return LambdaMaxEstimate(value=bound, iterations=max_iters, converged=False, degenerate=False)
+        w -= beta * v_prev
+        alpha = float(v @ w)
+        w -= alpha * v
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        betas.append(beta)
+        # beta ~ 0: the Krylov space is invariant and its Ritz values are exact
+        invariant = beta <= _SIGN_TOL
+        if invariant or k % _LANCZOS_CHECK_EVERY == 0 or k == max_iters:
+            off = betas[:-1]
+            vals, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
+            theta = float(vals[-1])
+            residual = abs(beta * float(vecs[-1, -1]))
+            if invariant or residual <= tol * max(1.0, theta):
+                return _lambda_estimate((theta + residual) * LAMBDA_SAFETY_MARGIN, k, True,
+                                        "lanczos")
+        w /= beta
+        v_prev, v = v, w
+    gershgorin = gershgorin_bound(lap)
+    if theta + beta < gershgorin:
+        return _lambda_estimate(theta + beta, max_iters, False, "lanczos")
+    return _lambda_estimate(gershgorin, max_iters, False, "gershgorin")
+
+
+def _lambda_estimate(value: float, iterations: int, converged: bool,
+                     method: str) -> LambdaMaxEstimate:
+    degenerate = value <= _SIGN_TOL
+    return LambdaMaxEstimate(value=1.0 if degenerate else value, iterations=iterations,
+                             converged=converged, degenerate=degenerate, method=method)
 
 
 def scale_laplacian(lap: Laplacian, lambda_max: float) -> ScaledLaplacian:

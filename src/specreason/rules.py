@@ -361,8 +361,11 @@ def validate_proposal(proposal: Proposal, g: Graph, ruleset: RuleSet,
     graph kind, and must not grow lambda_max by more than the configured
     fraction. Rule proposals must carry a fresh name and keep their
     response magnitude under max_response across the spectrum range.
-    Raises ValueError when the config's variant is not the basis's, or for
-    an edge on a graph above DENSE_CAP nodes (a dense n x n eigensolve).
+    On the combinatorial and signed variants an edge of weight w raises
+    lambda_max by at most 2|w| (Weyl), so an edge within that bound is
+    accepted without an eigensolve; any other edge is checked with a dense
+    one. Raises ValueError when the config's variant is not the basis's, or
+    for an edge that needs the dense check on a graph above DENSE_CAP nodes.
     """
     cfg = config or ValidationConfig()
     if cfg.variant != basis.variant:
@@ -382,15 +385,21 @@ def validate_proposal(proposal: Proposal, g: Graph, ruleset: RuleSet,
             return _reject("bad-weight", repr(w))
         if g.kind == "unsigned" and w < 0:
             return _reject("negative-weight", repr(w))
+        base = basis.lambda_max
+        limit = base * (1.0 + cfg.max_lambda_growth)
+        # Weyl: here the edge adds a PSD rank-one term of norm 2|w| (a negative weight
+        # under the combinatorial variant goes on to build_laplacian, which refuses it)
+        rank_one = cfg.variant == "signed" or (cfg.variant == "combinatorial" and w > 0)
+        if rank_one and base + 2.0 * abs(w) <= limit:
+            return ValidationResult(accepted=True)
         if g.node_count > DENSE_CAP:
             raise ValueError(
                 f"dense eigendecomposition refused for {g.node_count} > {DENSE_CAP} nodes")
-        base = basis.lambda_max
         candidate = Graph(g.node_count, kind=g.kind, columns=(
             np.append(g.rows, i), np.append(g.cols, j), np.append(g.weights, w)))
         lap = build_laplacian(candidate, variant=cfg.variant)
         grown = float(np.linalg.eigvalsh(lap.matrix.toarray())[-1])
-        if base > 1e-12 and grown > base * (1.0 + cfg.max_lambda_growth):
+        if base > 1e-12 and grown > limit:
             return _reject("lambda-growth", f"{grown:.6g} > {base:.6g} * {1 + cfg.max_lambda_growth}")
         return ValidationResult(accepted=True)
 

@@ -42,13 +42,31 @@ class TestFit:
         code = run("fit", "--graph", "p2.txt", "--response", "diffusion",
                    "--tau", "1.0", "--order", "16", "--out-dir", "out")
         assert code == 0
-        line = capsys.readouterr().out.strip().splitlines()[-1]
+        captured = capsys.readouterr()
+        line = captured.out.strip().splitlines()[-1]
         assert line.startswith("fit order=16")
+        assert " lambda_bound=lanczos " in line and captured.err == ""
         grid_error = float(line.rsplit("grid_error=", 1)[1])
         assert grid_error <= 1e-6
         spec = json.loads((workdir / "out" / "filter.json").read_text())
         assert len(spec["theta"]) == 17
         assert spec["lambda_max"] == pytest.approx(2.02, abs=0.05)
+
+    def test_fallback_bound_reported(self, workdir, capsys):
+        # a long path's top eigenvalues crowd together: Lanczos stops unconverged
+        n = 3000
+        (workdir / "path.txt").write_text(
+            f"{n} {n - 1}\n" + "".join(f"{k} {k + 1} 1\n" for k in range(n - 1)))
+        (workdir / "x.txt").write_text("1\n" * n)
+        assert run("fit", "--graph", "path.txt", "--response", "diffusion", "--tau", "1",
+                   "--order", "8", "--out-dir", "fit") == 0
+        captured = capsys.readouterr()
+        assert " lambda_bound=gershgorin " in captured.out
+        warning = captured.err.splitlines()
+        assert len(warning) == 1 and warning[0].startswith("warning: lambda_max did not converge")
+        assert run("infer", "--graph", "path.txt", "--filter", "fit/filter.json",
+                   "--beliefs", "x.txt", "--out-dir", "out") == 0
+        assert capsys.readouterr().err.splitlines() == warning
 
     def test_missing_graph_reports_and_fails(self, workdir, capsys):
         code = run("fit", "--graph", "missing.txt", "--response", "identity",
@@ -189,6 +207,16 @@ class TestArgErrors:
     def test_no_command_is_an_error(self, workdir):
         with pytest.raises(SystemExit):
             run()
+
+
+def test_attribute_and_perturb_do_not_bound_lambda_max(workdir, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.gr, "estimate_lambda_max", lambda *a, **k: calls.append(a))
+    assert run("attribute", "--graph", "p2.txt", "--beliefs", "beliefs.txt",
+               "--response", "diffusion", "--tau", "1", "--out-dir", "attr") == 0
+    assert run("perturb", "--graph", "p2.txt", "--beliefs", "beliefs.txt", "--band", "0",
+               "--magnitude", "0.5", "--out-dir", "pert") == 0
+    assert calls == []
 
 
 def test_import_leaves_generator_only_scipy_modules_unloaded():

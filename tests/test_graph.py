@@ -264,13 +264,45 @@ class TestLambdaMax:
         assert est.converged and not est.degenerate
 
     def test_estimate_dominates_spectrum(self):
-        for seed in range(10):
-            g = random_gnp(24, 0.3, seed=seed)
-            lap = gr.build_laplacian(g)
-            est = gr.estimate_lambda_max(lap)
-            top = float(np.linalg.eigvalsh(lap.matrix.toarray())[-1])
-            assert est.value >= top - 1e-9
-            assert est.value <= gr.gershgorin_bound(lap) * 1.01 + 1e-12
+        # >= 600 seeded G(n, p) with edges in all three variants, signed ones with random
+        # signs, and G(26, 0.237) at seed 147, where power iteration returned 11.16 < 11.43
+        rng = np.random.default_rng(2024)
+        cases = [(26, 0.237, 147)] + [(int(rng.integers(4, 40)), float(rng.uniform(0.05, 0.7)),
+                                       seed) for seed in range(620)]
+        graphs = [(g, n, p, seed) for n, p, seed in cases
+                  if (g := random_gnp(n, p, seed=seed)).edge_count]
+        assert len(graphs) >= 600
+        for g, n, p, seed in graphs:
+            signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=g.edge_count)
+            signed = gr.Graph(n, kind="signed", columns=(g.rows, g.cols, g.weights * signs))
+            for graph, variant in ((g, "combinatorial"), (g, "normalized"), (signed, "signed")):
+                lap = gr.build_laplacian(graph, variant)
+                est = gr.estimate_lambda_max(lap)
+                top = float(np.linalg.eigvalsh(lap.matrix.toarray())[-1])
+                assert est.converged and est.method == "lanczos", (n, p, seed, variant)
+                assert est.value >= top - 1e-9, (n, p, seed, variant)
+                assert est.value <= gr.gershgorin_bound(lap) * 1.01 + 1e-12
+
+    def test_near_degenerate_top_converges_tightly(self):
+        # two disjoint stars, 400 and 399 leaves: lambda_max 401 and 400
+        centre, leaves = np.repeat([0, 401], [400, 399]), np.r_[1:401, 402:801]
+        g = gr.Graph(801, columns=(centre, leaves, np.ones(799)))
+        est = gr.estimate_lambda_max(gr.build_laplacian(g))
+        assert est.converged and est.method == "lanczos"
+        assert 401.0 <= est.value <= 401.0 * 1.02
+
+    def test_unconverged_path_falls_back_to_gershgorin(self):
+        n = 6000
+        path = gr.Graph(n, columns=(np.arange(n - 1), np.arange(1, n), np.ones(n - 1)))
+        est = gr.estimate_lambda_max(gr.build_laplacian(path))
+        assert not est.converged and est.method == "gershgorin"
+        assert est.value == 4.0 and type(est.value) is float
+
+    def test_sparse_graph_needs_few_steps(self):
+        lap = gr.build_laplacian(random_gnm(2000, 10_000, seed=1))
+        est = gr.estimate_lambda_max(lap, max_iters=500)
+        assert est.converged and est.iterations <= 100
+        assert type(est.value) is float
 
     def test_gershgorin_p2(self):
         assert gr.gershgorin_bound(gr.build_laplacian(p2())) == 2.0

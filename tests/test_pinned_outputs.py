@@ -83,9 +83,9 @@ def penalised_problem():
 
 
 @pytest.mark.parametrize("kind, expected", [
-    ("chebyshev", "fbf10050d4b2215b"),
-    ("mose", "13fb7733cc1afca4"),
-    ("learn_laplacian", "8c15c4461585c9d0"),
+    ("chebyshev", "ba80ada494cf53e2"),
+    ("mose", "812bf1db7c6cc9b3"),
+    ("learn_laplacian", "5b6b7fcbaa77ca0f"),
 ])
 def test_penalised_training_history_pinned(kind, expected):
     lap, lt, data, context, loss = penalised_problem()

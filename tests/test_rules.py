@@ -279,6 +279,40 @@ class TestProposals:
         with pytest.raises(ValueError, match="refused"):
             rl.validate_proposal(edge, path, rs, basis)
 
+    def test_weyl_shortcut_matches_dense_verdict(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        rng = np.random.default_rng(11)
+        shortcut = dense = 0
+        for seed in range(12):
+            base = random_gnp(12, 0.35, seed=seed)
+            kind, variant = (("signed", "signed") if seed % 2 else ("unsigned", "combinatorial"))
+            signs = rng.choice([-1.0, 1.0], size=base.edge_count) if kind == "signed" else 1.0
+            g = gr.Graph(12, kind=kind, columns=(base.rows, base.cols, base.weights * signs))
+            basis = gr.eigendecompose(gr.build_laplacian(g, variant))
+            cfg = rl.ValidationConfig(max_lambda_growth=0.25, variant=variant)
+            present = set(zip(g.rows.tolist(), g.cols.tolist()))
+            absent = [(i, j) for i in range(12) for j in range(i + 1, 12) if (i, j) not in present]
+            for i, j in absent:
+                w = float(rng.uniform(0.05, 3.0))
+                if kind == "signed":
+                    w *= rng.choice([-1.0, 1.0])
+                before = len(calls)
+                res = rl.validate_proposal(rl.Proposal(kind="edge", edge=(i, j, w), rule=None,
+                                                       origin="llm"), g, two_rules(), basis, cfg)
+                candidate = gr.Graph(12, kind=kind, columns=(
+                    np.append(g.rows, i), np.append(g.cols, j), np.append(g.weights, w)))
+                grown = eigvalsh(gr.build_laplacian(candidate, variant).matrix.toarray())[-1]
+                assert res.accepted == (grown <= basis.lambda_max * 1.25)
+                if basis.lambda_max + 2 * abs(w) <= basis.lambda_max * 1.25:
+                    assert len(calls) == before
+                    shortcut += 1
+                else:
+                    assert len(calls) == before + 1
+                    dense += 1
+        assert shortcut > 50 and dense > 50
+
     def test_accepted_edge_keeps_lambda_bound(self):
         # the acceptance predicate itself is the invariant: recompute and compare
         g, rs, basis = self.context()
