@@ -1,8 +1,9 @@
-"""Spectral diagnostics: band energy, uncertainty, robustness, transfer.
+"""Spectral diagnostics: band energy, robustness, perturbation, transfer.
 
 Everything here reads a belief vector through the eigenbasis and asks
-where its energy sits, how stable the filtered output is, and how well a
-signal carries over to another graph's spectrum.
+where its energy sits, how stable the filtered output is, how it moves
+under band-limited noise, and how well a signal carries over to another
+graph's spectrum.
 """
 
 from __future__ import annotations
@@ -10,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
 
 from . import filters as ft
-from .graph import Laplacian, SpectralBasis, _wrap_like, belief_values
+from .graph import SpectralBasis, belief_values
 
 CERT_SLACK = 1.05
 _COVER_TOL = 1e-9
@@ -90,7 +90,7 @@ def band_energy(basis: SpectralBasis, y, partition: BandPartition) -> BandReport
     Parseval makes the energies sum to ||y||^2. A zero signal yields the
     degenerate report with all-zero fractions.
     """
-    values = belief_values(y, expect_domain="vertex")
+    values = belief_values(y)
     if values.size != basis.node_count:
         raise ValueError(f"belief length {values.size} does not match basis size {basis.node_count}")
     if not partition.covers(basis.eigenvalues):
@@ -103,17 +103,6 @@ def band_energy(basis: SpectralBasis, y, partition: BandPartition) -> BandReport
     fractions = np.zeros_like(energies) if degenerate else energies / total
     return BandReport(partition=partition, energies=energies, fractions=fractions,
                       degenerate=degenerate)
-
-
-def dirichlet_energy(lap: Laplacian, y) -> float:
-    """Quadratic form y^T L y; tiny negative round-off is clamped to zero."""
-    values = belief_values(y, expect_domain="vertex")
-    if values.size != lap.node_count:
-        raise ValueError(f"belief length {values.size} does not match operator size {lap.node_count}")
-    value = float(values @ (lap.matrix @ values))
-    if value < 0 and value > -1e-9 * max(1.0, float(values @ values)):
-        return 0.0
-    return value
 
 
 def proof_band_agreement(pairs) -> float:
@@ -133,82 +122,6 @@ def proof_band_agreement(pairs) -> float:
     if not scores:
         raise ValueError("no non-degenerate reports to score")
     return float(np.mean(scores))
-
-
-def theta_response_variance(theta_var, eigenvalues, lambda_max: float) -> np.ndarray:
-    """Var[h(lam_i)] = sum_k var(theta_k) T_k(scaled lam_i)^2.
-
-    Treats coefficient noise as independent across k, which is exact for
-    a diagonal coefficient covariance.
-    """
-    var = np.asarray(theta_var, dtype=float)
-    if var.ndim != 1 or var.size < 1:
-        raise ValueError("theta_var must be a nonempty vector")
-    if np.any(var < 0) or not np.all(np.isfinite(var)):
-        raise ValueError("coefficient variances must be finite and nonnegative")
-    if not np.isfinite(lambda_max) or lambda_max <= 0:
-        raise ValueError(f"lambda_max must be positive, got {lambda_max}")
-    scaled = 2.0 * np.asarray(eigenvalues, dtype=float) / lambda_max - 1.0
-    vander = npcheb.chebvander(scaled, var.size - 1)
-    return (vander ** 2) @ var
-
-
-@dataclass(frozen=True)
-class SpectralCovariance:
-    """Output covariance U diag(d) U^T stored by its spectral diagonal.
-
-    ``variances`` holds the per-eigenvalue response variances Var[h(lam_i)];
-    ``diagonal_spectral`` is those variances already weighted by the
-    squared spectral coefficients of the input.
-    """
-
-    variances: np.ndarray
-    diagonal_spectral: np.ndarray
-    basis: SpectralBasis
-    vertex_matrix: np.ndarray | None = None
-
-    def __post_init__(self):
-        for name in ("variances", "diagonal_spectral"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if np.any(arr < 0):
-                raise ValueError(f"{name} must be nonnegative")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def total_variance(self) -> float:
-        return float(self.diagonal_spectral.sum())
-
-    def vertex_variances(self) -> np.ndarray:
-        """Marginal per-node variances diag(U diag(d) U^T) without materializing."""
-        return (self.basis.eigenvectors ** 2) @ self.diagonal_spectral
-
-
-def spectral_covariance(basis: SpectralBasis, variances, x,
-                        materialize: bool = False) -> SpectralCovariance:
-    """Weight per-eigenvalue response variances by the input's spectrum.
-
-    With independent per-mode noise the output covariance is
-    U diag(Var[h(lam_i)] xhat_i^2) U^T; the spectral diagonal is always
-    returned, the full vertex matrix only on request. Use
-    theta_response_variance to derive the variances from coefficient
-    noise.
-    """
-    var_h = np.asarray(variances, dtype=float)
-    if var_h.ndim != 1 or np.any(var_h < 0) or not np.all(np.isfinite(var_h)):
-        raise ValueError("variances must be a finite nonnegative vector")
-    values = belief_values(x, expect_domain="vertex")
-    if values.size != basis.node_count:
-        raise ValueError(f"belief length {values.size} does not match basis size {basis.node_count}")
-    if var_h.size != basis.node_count:
-        raise ValueError(f"variance length {var_h.size} does not match basis size {basis.node_count}")
-    xhat = basis.eigenvectors.T @ values
-    diagonal = var_h * xhat ** 2
-    matrix = None
-    if materialize:
-        matrix = basis.eigenvectors @ np.diag(diagonal) @ basis.eigenvectors.T
-    return SpectralCovariance(variances=var_h, diagonal_spectral=diagonal,
-                              basis=basis, vertex_matrix=matrix)
 
 
 @dataclass(frozen=True)
@@ -263,7 +176,6 @@ class PerturbConfig:
     band: int = 2
     magnitude: float = 0.0
     seed: int = 0
-    partition: BandPartition | None = None
 
 
 def spectral_perturb(basis: SpectralBasis, x, band: int, magnitude: float,
@@ -277,7 +189,7 @@ def spectral_perturb(basis: SpectralBasis, x, band: int, magnitude: float,
     """
     if magnitude < 0 or not np.isfinite(magnitude):
         raise ValueError(f"magnitude must be nonnegative, got {magnitude}")
-    values = belief_values(x, expect_domain="vertex")
+    values = belief_values(x)
     if values.size != basis.node_count:
         raise ValueError(f"belief length {values.size} does not match basis size {basis.node_count}")
     part = partition if partition is not None else default_three_band(basis.lambda_max)
@@ -289,7 +201,7 @@ def spectral_perturb(basis: SpectralBasis, x, band: int, magnitude: float,
     if not np.any(mask):
         raise ValueError(f"band {band} contains no eigenvalues; nothing to perturb")
     if magnitude == 0.0:
-        return _wrap_like(x, values.copy())
+        return values.copy()
     rng = np.random.default_rng(seed)
     noise = np.where(mask, rng.standard_normal(values.size), 0.0)
     norm = float(np.linalg.norm(noise))
@@ -297,43 +209,13 @@ def spectral_perturb(basis: SpectralBasis, x, band: int, magnitude: float,
         noise = np.where(mask, rng.standard_normal(values.size), 0.0)
         norm = float(np.linalg.norm(noise))
     delta_hat = (magnitude / norm) * noise
-    return _wrap_like(x, values + basis.eigenvectors @ delta_hat)
-
-
-def spectral_edit(basis: SpectralBasis, x, edits, partition: BandPartition | None = None):
-    """Multiply whole bands of x_hat by per-band gains.
-
-    ``edits`` maps band index to gain, as a dict or (band, gain) pairs;
-    listing a band twice is rejected rather than silently compounded.
-    """
-    values = belief_values(x, expect_domain="vertex")
-    if values.size != basis.node_count:
-        raise ValueError(f"belief length {values.size} does not match basis size {basis.node_count}")
-    part = partition if partition is not None else default_three_band(basis.lambda_max)
-    if not part.covers(basis.eigenvalues):
-        raise ValueError("partition does not cover the spectrum")
-    items = list(edits.items()) if isinstance(edits, dict) else [tuple(e) for e in edits]
-    seen = set()
-    gains = np.ones(basis.node_count)
-    bands = part.band_of(basis.eigenvalues)
-    for band, gain in items:
-        band = int(band)
-        if band in seen:
-            raise ValueError(f"band {band} edited twice")
-        seen.add(band)
-        if not 0 <= band < part.n_bands:
-            raise ValueError(f"band {band} outside partition with {part.n_bands} bands")
-        if not np.isfinite(gain):
-            raise ValueError(f"gain for band {band} must be finite")
-        gains[bands == band] = float(gain)
-    xhat = basis.eigenvectors.T @ values
-    return _wrap_like(x, basis.eigenvectors @ (gains * xhat))
+    return values + basis.eigenvectors @ delta_hat
 
 
 def cospectral_loss(a, b) -> float:
     """Squared distance between two spectral coefficient vectors."""
-    va = belief_values(a, expect_domain="spectral")
-    vb = belief_values(b, expect_domain="spectral")
+    va = belief_values(a)
+    vb = belief_values(b)
     if va.size != vb.size:
         raise ValueError(f"spectral vectors differ in length: {va.size} vs {vb.size}")
     diff = va - vb
@@ -348,7 +230,7 @@ def cospectral_profile(eigenvalues, coeffs, points: int = 64) -> np.ndarray:
     compared. A flat (zero) spectrum piles everything into bin zero.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    c = belief_values(coeffs, expect_domain="spectral")
+    c = belief_values(coeffs)
     if lam.size != c.size:
         raise ValueError("eigenvalues and coefficients must align")
     if points < 2:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -67,9 +68,12 @@ def _read_beliefs(path) -> np.ndarray:
             if not line or line.startswith("#"):
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError:
                 raise ValueError(f"{path}: line {no}: expected one float, got {line!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: line {no}: belief {line!r} is not finite")
+            values.append(value)
     if not values:
         raise ValueError(f"{path}: no belief values found")
     return np.asarray(values, dtype=float)

@@ -17,13 +17,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
-from .graph import (
-    Laplacian,
-    ScaledLaplacian,
-    SpectralBasis,
-    _wrap_like,
-    belief_values,
-)
+from .graph import Laplacian, ScaledLaplacian, SpectralBasis, belief_values
 
 ANALYTIC_KINDS = ("diffusion", "highpass", "gaussian_bandpass", "identity", "polynomial")
 _LAMBDA_MATCH_RTOL = 1e-9
@@ -167,10 +161,6 @@ class ChebyshevFilter:
                    lambda_max=float(payload["lambda_max"]))
 
 
-def save_filter(f: ChebyshevFilter, path) -> None:
-    Path(path).write_text(f.to_json() + "\n", encoding="utf-8")
-
-
 def load_filter(path) -> ChebyshevFilter:
     return ChebyshevFilter.from_json(Path(path).read_text(encoding="utf-8"))
 
@@ -250,7 +240,7 @@ def cheb_apply(f: ChebyshevFilter, lt: ScaledLaplacian, x, keep_trace: bool = Fa
     if abs(f.lambda_max - lt.lambda_max) > _LAMBDA_MATCH_RTOL * max(1.0, abs(f.lambda_max)):
         raise ValueError(
             f"filter lambda_max {f.lambda_max!r} does not match operator {lt.lambda_max!r}")
-    values = belief_values(x, expect_domain="vertex")
+    values = belief_values(x)
     if values.size != lt.node_count:
         raise ValueError(f"belief length {values.size} does not match operator size {lt.node_count}")
     mat = lt.matrix
@@ -259,7 +249,7 @@ def cheb_apply(f: ChebyshevFilter, lt: ScaledLaplacian, x, keep_trace: bool = Fa
         rows.append(mat @ values)
     for _ in range(2, f.order + 1):
         rows.append(2.0 * (mat @ rows[-1]) - rows[-2])
-    y = _wrap_like(x, chebyshev_sum(f.theta, rows))
+    y = chebyshev_sum(f.theta, rows)
     if keep_trace:
         return y, RecurrenceTrace(basis_vectors=rows)
     return y
@@ -267,12 +257,12 @@ def cheb_apply(f: ChebyshevFilter, lt: ScaledLaplacian, x, keep_trace: bool = Fa
 
 def dense_filter_apply(basis: SpectralBasis, response, x):
     """Exact functional calculus U h(Lambda) U^T x. Reference path only."""
-    values = belief_values(x, expect_domain="vertex")
+    values = belief_values(x)
     if values.size != basis.node_count:
         raise ValueError(f"belief length {values.size} does not match basis size {basis.node_count}")
     h = response_eval(response, basis.eigenvalues)
     coeffs = basis.eigenvectors.T @ values
-    return _wrap_like(x, basis.eigenvectors @ (h * coeffs))
+    return basis.eigenvectors @ (h * coeffs)
 
 
 def rational_apply(tau: float, lap: Laplacian, x, tol: float = 1e-10,
@@ -286,13 +276,13 @@ def rational_apply(tau: float, lap: Laplacian, x, tol: float = 1e-10,
     """
     if not np.isfinite(tau) or tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    b = belief_values(x, expect_domain="vertex")
+    b = belief_values(x)
     n = lap.node_count
     if b.size != n:
         raise ValueError(f"belief length {b.size} does not match operator size {n}")
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
-        return _wrap_like(x, np.zeros(n))
+        return np.zeros(n)
     if max_iters is None:
         max_iters = 10 * n
     mat = lap.matrix
@@ -320,4 +310,4 @@ def rational_apply(tau: float, lap: Laplacian, x, tol: float = 1e-10,
         raise SolverError(
             f"conjugate gradient stalled at relative residual {relative:.3e} after {iterations} iterations",
             residual=relative, iterations=iterations)
-    return _wrap_like(x, y)
+    return y

@@ -169,48 +169,12 @@ class SpectralBasis:
         return float(self.eigenvalues[-1])
 
 
-@dataclass(frozen=True)
-class BeliefVector:
-    """Real-valued beliefs, tagged with the domain they live in.
-
-    domain is "vertex" for node space and "spectral" for graph Fourier
-    coefficients. Values are finite and read-only.
-    """
-
-    values: np.ndarray
-    domain: str = "vertex"
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("belief values must be one-dimensional")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("belief values must be finite")
-        if self.domain not in ("vertex", "spectral"):
-            raise ValueError(f"unknown belief domain {self.domain!r}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def belief_values(x, expect_domain: str | None = None) -> np.ndarray:
-    """Array view of a belief vector or raw array, checking the domain tag."""
-    if isinstance(x, BeliefVector):
-        if expect_domain is not None and x.domain != expect_domain:
-            raise ValueError(f"expected a {expect_domain} belief vector, got {x.domain}")
-        return x.values
+def belief_values(x) -> np.ndarray:
+    """x as a one-dimensional float array."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ValueError("belief values must be one-dimensional")
     return arr
-
-
-def _wrap_like(template, values: np.ndarray, domain: str = "vertex"):
-    if isinstance(template, BeliefVector):
-        return BeliefVector(values, domain=domain)
-    return values
 
 
 def load_graph(source, kind: str = "unsigned") -> Graph:
@@ -326,9 +290,10 @@ def estimate_lambda_max(lap: Laplacian, tol: float = 1e-8, max_iters: int = 100,
     tridiagonal T_k is taken; once its residual r = |beta_k z_k| is at most
     ``tol * max(1, theta)``, the value is (theta + r) * LAMBDA_SAFETY_MARGIN,
     since some eigenvalue lies within r of theta. A recurrence that does not
-    converge within ``max_iters`` steps returns the Zhou-Saad bound
-    theta + beta_k (Zhou & Saad, LAA 2011), or the Gershgorin bound when that
-    is smaller, with ``converged`` False and ``method`` naming the bound used.
+    converge within ``max_iters`` steps returns the bound theta + beta_k of
+    Y. Zhou and R.-C. Li, "Bounding the spectrum of large Hermitian matrices",
+    LAA 435 (2011), or the Gershgorin bound when that is smaller, with
+    ``converged`` False and ``method`` naming the bound used.
     Each check is a dense eigensolve of T_k, O(k^3), which keeps ``max_iters``
     small. A numerically zero operator returns value 1.0 with the degenerate
     flag set so downstream rescaling stays finite.
@@ -425,24 +390,16 @@ def eigendecompose(lap: Laplacian, cap: int = DENSE_CAP) -> SpectralBasis:
     return SpectralBasis(eigenvalues=eigenvalues, eigenvectors=eigenvectors, variant=lap.variant)
 
 
-def gft(basis: SpectralBasis, x, direction: str = "forward"):
+def gft(basis: SpectralBasis, x, direction: str = "forward") -> np.ndarray:
     """Graph Fourier transform U^T x (forward) or U x (inverse).
 
-    Preserves the Euclidean norm since U is orthonormal. Domain tags on
-    BeliefVector inputs are enforced and flipped on output.
+    Preserves the Euclidean norm since U is orthonormal.
     """
-    if direction == "forward":
-        values = belief_values(x, expect_domain="vertex")
-        out_domain = "spectral"
-    elif direction == "inverse":
-        values = belief_values(x, expect_domain="spectral")
-        out_domain = "vertex"
-    else:
+    if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    values = belief_values(x)
     if values.size != basis.node_count:
         raise ValueError(f"belief length {values.size} does not match basis size {basis.node_count}")
     if direction == "forward":
-        result = basis.eigenvectors.T @ values
-    else:
-        result = basis.eigenvectors @ values
-    return _wrap_like(x, result, domain=out_domain)
+        return basis.eigenvectors.T @ values
+    return basis.eigenvectors @ values

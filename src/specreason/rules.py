@@ -2,8 +2,7 @@
 
 Soft rules are spectral responses weighted and summed into a mixture;
 hard rules are Horn clauses over a propositional atom set, chained to a
-least fixpoint. Proposals from an external generator are vetted here
-before they may touch the graph or the rule set.
+least fixpoint.
 """
 
 from __future__ import annotations
@@ -15,16 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import filters as ft
-from .graph import (
-    DENSE_CAP,
-    Graph,
-    ScaledLaplacian,
-    SpectralBasis,
-    belief_values,
-    build_laplacian,
-)
-
-DEFAULT_SPARSE_ORDER = 16
+from .graph import belief_values
 
 
 @dataclass(frozen=True)
@@ -66,35 +56,6 @@ class RuleSet:
     def __call__(self, lam):
         """The set's spectral response: its weighted mixture (see mixture_response) at lam."""
         return mixture_response(self)(lam)
-
-
-def _apply_response(response, carrier, x, order: int):
-    if isinstance(carrier, SpectralBasis):
-        return ft.dense_filter_apply(carrier, response, x)
-    if isinstance(carrier, ScaledLaplacian):
-        fitted = ft.fit_chebyshev(response, order, carrier.lambda_max)
-        return ft.cheb_apply(fitted, carrier, x)
-    raise TypeError(f"carrier must be a SpectralBasis or ScaledLaplacian, got {type(carrier).__name__}")
-
-
-def apply_rule(template: RuleTemplate, carrier, x, order: int = DEFAULT_SPARSE_ORDER):
-    """Apply a single unweighted template response through the carrier.
-
-    A SpectralBasis carrier uses exact functional calculus; a
-    ScaledLaplacian carrier fits the response at ``order`` and runs the
-    sparse recurrence.
-    """
-    return _apply_response(template.response, carrier, x, order)
-
-
-def aggregate_rules(ruleset: RuleSet, carrier, x, order: int = DEFAULT_SPARSE_ORDER):
-    """Weighted sum over templates, sum_r w_r Phi_r x, as one filter.
-
-    Filtering is linear in the response, so the sum equals one pass with
-    mixture_response(ruleset): one exact filter on a basis carrier, or one
-    fit and one recurrence on a ScaledLaplacian, instead of one per template.
-    """
-    return _apply_response(mixture_response(ruleset), carrier, x, order)
 
 
 def mixture_response(ruleset: RuleSet):
@@ -150,7 +111,7 @@ def project_predicates(y, threshold: float = 0.0, mode: str = "hard",
     """
     if mode not in ("hard", "soft"):
         raise ValueError(f"mode must be 'hard' or 'soft', got {mode!r}")
-    values = belief_values(y, expect_domain="vertex")
+    values = belief_values(y)
     if not np.isfinite(threshold):
         raise ValueError("threshold must be finite")
     hard = values > threshold
@@ -269,148 +230,3 @@ def load_templates(path) -> RuleSet:
     if not isinstance(payload, list):
         raise ValueError("template JSON must be a list")
     return RuleSet(templates=tuple(template_from_dict(p) for p in payload))
-
-
-class ProposalError(ValueError):
-    """Malformed proposal line. Carries the 1-based line number."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
-@dataclass(frozen=True)
-class Proposal:
-    """Candidate edit from an external generator: a new edge or rule."""
-
-    kind: str
-    edge: tuple[int, int, float] | None = None
-    rule: RuleTemplate | None = None
-    origin: str = ""
-
-    def __post_init__(self):
-        if self.kind == "edge":
-            if self.edge is None or self.rule is not None:
-                raise ValueError("edge proposal must carry exactly an edge")
-            i, j, w = self.edge
-            object.__setattr__(self, "edge", (int(i), int(j), float(w)))
-        elif self.kind == "rule":
-            if self.rule is None or self.edge is not None:
-                raise ValueError("rule proposal must carry exactly a rule")
-        else:
-            raise ValueError(f"proposal kind must be 'edge' or 'rule', got {self.kind!r}")
-
-
-def load_proposals(path) -> list[Proposal]:
-    """Read proposals from JSONL, one object per line; blanks skipped."""
-    proposals = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ProposalError(no, f"invalid JSON: {exc}") from None
-            try:
-                kind = payload["kind"]
-                origin = payload.get("origin", "")
-                if kind == "edge":
-                    i, j, w = payload["edge"]
-                    proposals.append(Proposal(kind="edge", edge=(int(i), int(j), float(w)),
-                                              origin=origin))
-                elif kind == "rule":
-                    proposals.append(Proposal(kind="rule", rule=template_from_dict(payload["rule"]),
-                                              origin=origin))
-                else:
-                    raise ValueError(f"unknown proposal kind {kind!r}")
-            except ProposalError:
-                raise
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ProposalError(no, str(exc)) from None
-    return proposals
-
-
-@dataclass(frozen=True)
-class ValidationConfig:
-    """Bounds a proposal must respect before it may be applied."""
-
-    max_lambda_growth: float = 0.25
-    max_response: float = 10.0
-    grid_points: int = 256
-    variant: str = "combinatorial"
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    accepted: bool
-    reason: str | None = None
-    detail: str = ""
-
-
-def _reject(reason: str, detail: str = "") -> ValidationResult:
-    return ValidationResult(accepted=False, reason=reason, detail=detail)
-
-
-def validate_proposal(proposal: Proposal, g: Graph, ruleset: RuleSet,
-                      basis: SpectralBasis, config: ValidationConfig | None = None) -> ValidationResult:
-    """Accept or reject a proposal against structural and spectral bounds.
-
-    Edge proposals must be new, well-formed, sign-consistent with the
-    graph kind, and must not grow lambda_max by more than the configured
-    fraction. Rule proposals must carry a fresh name and keep their
-    response magnitude under max_response across the spectrum range.
-    On the combinatorial and signed variants an edge of weight w raises
-    lambda_max by at most 2|w| (Weyl), so an edge within that bound is
-    accepted without an eigensolve; any other edge is checked with a dense
-    one. Raises ValueError when the config's variant is not the basis's, or
-    for an edge that needs the dense check on a graph above DENSE_CAP nodes.
-    """
-    cfg = config or ValidationConfig()
-    if cfg.variant != basis.variant:
-        raise ValueError(f"validation variant {cfg.variant!r} does not match "
-                         f"the basis variant {basis.variant!r}")
-    if proposal.kind == "edge":
-        i, j, w = proposal.edge
-        if i == j:
-            return _reject("self-loop", f"({i}, {j})")
-        if not (0 <= i < g.node_count and 0 <= j < g.node_count):
-            return _reject("index-out-of-range", f"({i}, {j}) for {g.node_count} nodes")
-        lo, hi = min(i, j), max(i, j)
-        start, stop = np.searchsorted(g.rows, [lo, lo + 1])  # g's edges are sorted by (i, j)
-        if hi in g.cols[start:stop]:
-            return _reject("duplicate-edge", f"({lo}, {hi})")
-        if not np.isfinite(w) or w == 0.0:
-            return _reject("bad-weight", repr(w))
-        if g.kind == "unsigned" and w < 0:
-            return _reject("negative-weight", repr(w))
-        base = basis.lambda_max
-        limit = base * (1.0 + cfg.max_lambda_growth)
-        # Weyl: here the edge adds a PSD rank-one term of norm 2|w| (a negative weight
-        # under the combinatorial variant goes on to build_laplacian, which refuses it)
-        rank_one = cfg.variant == "signed" or (cfg.variant == "combinatorial" and w > 0)
-        if rank_one and base + 2.0 * abs(w) <= limit:
-            return ValidationResult(accepted=True)
-        if g.node_count > DENSE_CAP:
-            raise ValueError(
-                f"dense eigendecomposition refused for {g.node_count} > {DENSE_CAP} nodes")
-        candidate = Graph(g.node_count, kind=g.kind, columns=(
-            np.append(g.rows, i), np.append(g.cols, j), np.append(g.weights, w)))
-        lap = build_laplacian(candidate, variant=cfg.variant)
-        grown = float(np.linalg.eigvalsh(lap.matrix.toarray())[-1])
-        if base > 1e-12 and grown > limit:
-            return _reject("lambda-growth", f"{grown:.6g} > {base:.6g} * {1 + cfg.max_lambda_growth}")
-        return ValidationResult(accepted=True)
-
-    template = proposal.rule
-    if isinstance(template, dict):
-        template = template_from_dict(template)
-    if template.name in ruleset.names():
-        return _reject("duplicate-name", template.name)
-    top = max(basis.lambda_max, 1e-12)
-    grid = np.linspace(0.0, top, cfg.grid_points)
-    magnitude = float(np.max(np.abs(ft.response_eval(template.response, grid))))
-    if magnitude > cfg.max_response:
-        return _reject("response-bound", f"sup |phi| = {magnitude:.6g} > {cfg.max_response}")
-    return ValidationResult(accepted=True)

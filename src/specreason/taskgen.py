@@ -9,7 +9,6 @@ parameters reproduce identical instances.
 from __future__ import annotations
 
 import json
-import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +19,6 @@ import numpy as np
 
 from . import filters as ft
 from .analysis import (
-    BandPartition,
     PerturbConfig,
     band_energy,
     default_three_band,
@@ -36,8 +34,6 @@ from .graph import (
 )
 from .rules import HornClause, RuleBase, RuleSet, forward_chain
 from .training import MoSEModel, gated_filter, gating_features
-
-THREADS_ENV = "SNSR_THREADS"
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -109,6 +105,9 @@ class TaskInstance:
         labels = np.array(self.labels, dtype=bool)
         if beliefs.shape != (self.graph.node_count,) or labels.shape != beliefs.shape:
             raise ValueError("beliefs and labels must cover every node exactly once")
+        bad = np.flatnonzero(~np.isfinite(beliefs))
+        if bad.size:
+            raise ValueError(f"belief of node {bad[0]} is not finite: {beliefs[bad[0]]}")
         beliefs.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "beliefs", beliefs)
@@ -318,18 +317,12 @@ class EvalConfig:
     variant: str = "combinatorial"
     latency_runs: int = 3
     perturb: PerturbConfig | None = None
-    partition: BandPartition | None = None
     threads: int | None = None
 
 
 def resolve_threads(requested: int | None = None) -> int:
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
+    """Worker threads for evaluate: the request, at least 1; 1 when none is made."""
+    return 1 if requested is None else max(1, int(requested))
 
 
 def model_label(model) -> str:
@@ -422,9 +415,9 @@ def evaluate(model, instances, config: EvalConfig | None = None) -> EvalReport:
     Accuracy is the mean instance score. Latency is the median wall time
     of the model application alone, over latency_runs repeats per
     instance. Band columns attribute the output energy of every instance
-    to the (shared-width) default three-band partition unless one is
-    supplied. Robustness drop is the accuracy, in percentage points, lost
-    to cfg.perturb's noise. Each instance is eigendecomposed once.
+    to its default three-band partition. Robustness drop is the accuracy,
+    in percentage points, lost to cfg.perturb's noise. Each instance is
+    eigendecomposed once.
     """
     cfg = config or EvalConfig()
     instances = list(instances)
@@ -444,9 +437,9 @@ def evaluate(model, instances, config: EvalConfig | None = None) -> EvalReport:
         noise = cfg.perturb
         if noise is not None and noise.magnitude > 0:
             x = spectral_perturb(basis, inst.beliefs, noise.band, noise.magnitude,
-                                 noise.partition, noise.seed)
+                                 seed=noise.seed)
             perturbed = _score(as_response(model, basis, x), inst, cfg.threshold)
-        part = cfg.partition if cfg.partition is not None else default_three_band(basis.lambda_max)
+        part = default_three_band(basis.lambda_max)
         return times, _score(y, inst, cfg.threshold), perturbed, band_energy(basis, y, part)
 
     threads = resolve_threads(cfg.threads)

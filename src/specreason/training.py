@@ -109,32 +109,24 @@ def rule_consistency_penalty(basis: SpectralBasis, target_spectrum) -> float:
 
 
 def proof_guided_penalty(basis: SpectralBasis, y, allowed_bands,
-                         partition: BandPartition) -> float:
-    """Fraction of output energy sitting in bands a proof disallows."""
-    report = band_energy(basis, y, partition)
-    if report.degenerate:
-        return 0.0
+                         partition: BandPartition) -> tuple[float, np.ndarray]:
+    """Fraction of y's energy in bands a proof disallows, and its gradient in y.
+
+    The penalty is (y^T P y) / (y^T y), P projecting onto the eigenvectors
+    whose eigenvalues fall outside the allowed bands; a zero y scores 0.
+    """
     allowed = sorted(set(int(b) for b in allowed_bands))
     if any(b < 0 or b >= partition.n_bands for b in allowed):
         raise ValueError(f"allowed bands {allowed} outside the partition")
-    return float(1.0 - report.fractions[allowed].sum())
-
-
-def _proof_penalty_grad(basis: SpectralBasis, y: np.ndarray, allowed_bands,
-                        partition: BandPartition) -> tuple[float, np.ndarray]:
-    # penalty = (y^T P y) / (y^T y) with P projecting onto disallowed eigenvectors
-    allowed = set(int(b) for b in allowed_bands)
-    bands = partition.band_of(basis.eigenvalues)
-    disallowed = np.array([b not in allowed for b in bands])
+    y = belief_values(y)
+    disallowed = ~np.isin(partition.band_of(basis.eigenvalues), allowed)
     yhat = basis.eigenvectors.T @ y
     total = float(yhat @ yhat)
     if total <= 0.0:
         return 0.0, np.zeros_like(y)
-    bad = float((yhat[disallowed] ** 2).sum()) if disallowed.any() else 0.0
-    penalty = bad / total
+    penalty = float((yhat[disallowed] ** 2).sum()) / total
     proj = basis.eigenvectors @ (np.where(disallowed, yhat, 0.0))
-    grad = (2.0 / total) * (proj - penalty * y)
-    return penalty, grad
+    return penalty, (2.0 / total) * (proj - penalty * y)
 
 
 def gating_features(basis: SpectralBasis, x, partition: BandPartition | None = None) -> np.ndarray:
@@ -365,7 +357,6 @@ class TrainResult:
     model: object
     history: tuple[tuple, ...]
     laplacian: Laplacian | None = None
-    operator: ScaledLaplacian | None = None
 
 
 HISTORY_COLUMNS = ("epoch", "total", "data_term", "proof_penalty",
@@ -419,7 +410,7 @@ def _output_penalties(pw: PenaltyWeights, ctx: PenaltyContext, basis: SpectralBa
     """Raw proof and transfer penalties of one output, and g_y plus their weighted gradients."""
     proof = transfer = 0.0
     if pw.proof > 0:
-        proof, pen_grad = _proof_penalty_grad(basis, y, ctx.allowed_bands, partition)
+        proof, pen_grad = proof_guided_penalty(basis, y, ctx.allowed_bands, partition)
         g_y = g_y + pw.proof * pen_grad
     if pw.transfer > 0:
         yhat = basis.eigenvectors.T @ y
@@ -482,6 +473,8 @@ def train(model, lt: ScaledLaplacian, data, loss: LossSpec,
     _require(pw.proof == 0 or (ctx.basis is not None and ctx.partition is not None
                                and len(ctx.allowed_bands) > 0),
              "proof penalty needs a basis, partition, and allowed bands")
+    _require(pw.proof == 0 or all(0 <= int(b) < ctx.partition.n_bands for b in ctx.allowed_bands),
+             f"allowed bands {list(ctx.allowed_bands)} outside the partition")
     _require(pw.rule_consistency == 0 or ctx.consistency_target is not None,
              "rule consistency penalty needs a target spectrum")
     _require(pw.transfer == 0 or (ctx.basis is not None and ctx.transfer_reference is not None),
@@ -560,8 +553,7 @@ def train(model, lt: ScaledLaplacian, data, loss: LossSpec,
 
     trained = ft.ChebyshevFilter(theta=theta, lambda_max=lambda_max)
     return TrainResult(model=trained, history=tuple(history),
-                       laplacian=lap_cur if cfg.learn_laplacian else laplacian,
-                       operator=lt_cur)
+                       laplacian=lap_cur if cfg.learn_laplacian else laplacian)
 
 
 def _train_mose(model: MoSEModel, lt: ScaledLaplacian, data, loss: LossSpec,
@@ -612,4 +604,4 @@ def _train_mose(model: MoSEModel, lt: ScaledLaplacian, data, loss: LossSpec,
 
     trained = MoSEModel(experts=tuple(ft.ChebyshevFilter(theta=t, lambda_max=lambda_max)
                                       for t in thetas), gating_weights=weights)
-    return TrainResult(model=trained, history=tuple(history), laplacian=None, operator=lt)
+    return TrainResult(model=trained, history=tuple(history), laplacian=None)

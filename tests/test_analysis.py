@@ -72,25 +72,6 @@ class TestBandEnergy:
             an.band_energy(basis, np.ones(2), an.BandPartition(edges=np.array([0.0, 1.0])))
 
 
-class TestDirichletEnergy:
-    def test_p2_alternating(self):
-        lap = gr.build_laplacian(gr.Graph(node_count=2, edges=((0, 1, 1.0),)))
-        assert an.dirichlet_energy(lap, np.array([1.0, -1.0])) == 4.0
-
-    def test_constant_is_zero(self):
-        lap = gr.build_laplacian(random_gnp(15, 0.4, seed=3))
-        assert an.dirichlet_energy(lap, np.ones(15)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_matches_spectral_form(self):
-        g = random_gnp(18, 0.3, seed=4)
-        lap = gr.build_laplacian(g)
-        basis = gr.eigendecompose(lap)
-        y = np.random.default_rng(5).standard_normal(18)
-        yhat = basis.eigenvectors.T @ y
-        spectral = float(basis.eigenvalues @ yhat ** 2)
-        assert an.dirichlet_energy(lap, y) == pytest.approx(spectral, rel=1e-10)
-
-
 class TestProofBandAgreement:
     def test_mean_allowed_fraction(self):
         basis = p2_basis()
@@ -114,65 +95,6 @@ class TestProofBandAgreement:
         report = an.band_energy(basis, np.ones(2), an.default_three_band(2.0))
         with pytest.raises(ValueError):
             an.proof_band_agreement([(report, (7,))])
-
-
-class TestSpectralCovariance:
-    def test_zero_variances_zero_covariance(self):
-        basis = random_basis(n=10, seed=6)
-        x = np.random.default_rng(7).standard_normal(10)
-        cov = an.spectral_covariance(basis, np.zeros(10), x, materialize=True)
-        assert np.max(np.abs(cov.vertex_matrix)) == 0.0
-        assert cov.total_variance == 0.0
-
-    def test_single_mode_outer_product(self):
-        basis = random_basis(n=8, seed=8)
-        u0 = basis.eigenvectors[:, 0]
-        variances = np.zeros(8)
-        variances[0] = 1.0
-        cov = an.spectral_covariance(basis, variances, u0, materialize=True)
-        xhat0 = float(basis.eigenvectors[:, 0] @ u0)
-        assert np.allclose(cov.vertex_matrix, np.outer(u0, u0) * xhat0 ** 2, atol=1e-12)
-
-    def test_trace_identity_and_psd(self):
-        rng = np.random.default_rng(9)
-        for seed in range(5):
-            basis = random_basis(n=12, seed=seed)
-            variances = np.abs(rng.standard_normal(12))
-            x = rng.standard_normal(12)
-            cov = an.spectral_covariance(basis, variances, x, materialize=True)
-            assert abs(np.trace(cov.vertex_matrix) - cov.total_variance) <= 1e-10
-            assert np.linalg.eigvalsh(cov.vertex_matrix).min() > -1e-12
-
-    def test_negative_variance_rejected(self):
-        basis = p2_basis()
-        with pytest.raises(ValueError):
-            an.spectral_covariance(basis, np.array([-1.0, 0.0]), np.ones(2))
-
-    def test_vertex_variances_match_materialized_diagonal(self):
-        basis = random_basis(n=10, seed=3)
-        variances = np.linspace(0.0, 1.0, 10)
-        x = np.random.default_rng(4).standard_normal(10)
-        cov = an.spectral_covariance(basis, variances, x, materialize=True)
-        assert np.allclose(cov.vertex_variances(), np.diag(cov.vertex_matrix), atol=1e-12)
-
-
-class TestThetaResponseVariance:
-    def test_constant_coefficient_noise(self):
-        # only theta_0 noisy: Var[h] = var_0 * T_0^2 = var_0 everywhere
-        out = an.theta_response_variance(np.array([0.25]), np.array([0.0, 1.0, 2.0]), 2.0)
-        assert out.tolist() == [0.25, 0.25, 0.25]
-
-    def test_t1_squared_profile(self):
-        # only theta_1 noisy: Var[h](lam) = T_1(2 lam / lmax - 1)^2
-        out = an.theta_response_variance(np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0]), 2.0)
-        assert np.allclose(out, [1.0, 0.0, 1.0], atol=1e-14)
-
-    def test_feeds_covariance(self):
-        basis = random_basis(n=10, seed=2)
-        var_h = an.theta_response_variance(np.array([0.1, 0.2, 0.3]),
-                                           basis.eigenvalues, basis.lambda_max)
-        cov = an.spectral_covariance(basis, var_h, np.ones(10))
-        assert np.all(cov.diagonal_spectral >= 0)
 
 
 class TestRobustnessCertificate:
@@ -243,44 +165,6 @@ class TestSpectralPerturb:
         c = np.asarray(an.spectral_perturb(basis, x, band=2, magnitude=1.0, seed=6))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
-
-
-class TestSpectralEdit:
-    def test_gain_two_quadruples_band_energy(self):
-        basis = random_basis(seed=16)
-        part = an.default_three_band(basis.lambda_max)
-        x = np.random.default_rng(17).standard_normal(20)
-        before = an.band_energy(basis, x, part)
-        out = np.asarray(an.spectral_edit(basis, x, {1: 2.0}, partition=part))
-        after = an.band_energy(basis, out, part)
-        assert after.energies[1] == pytest.approx(4.0 * before.energies[1], rel=1e-10)
-        assert after.energies[0] == pytest.approx(before.energies[0], rel=1e-10)
-        assert after.energies[2] == pytest.approx(before.energies[2], rel=1e-10)
-
-    def test_edits_compose_multiplicatively(self):
-        basis = random_basis(seed=18)
-        x = np.random.default_rng(19).standard_normal(20)
-        twice = an.spectral_edit(basis, np.asarray(an.spectral_edit(basis, x, {0: 2.0})),
-                                 {0: 3.0})
-        once = an.spectral_edit(basis, x, {0: 6.0})
-        assert np.allclose(np.asarray(twice), np.asarray(once), atol=1e-12)
-
-    def test_zero_gain_silences_band(self):
-        basis = random_basis(seed=20)
-        part = an.default_three_band(basis.lambda_max)
-        x = np.random.default_rng(21).standard_normal(20)
-        out = np.asarray(an.spectral_edit(basis, x, {2: 0.0}, partition=part))
-        assert an.band_energy(basis, out, part).energies[2] == pytest.approx(0.0, abs=1e-20)
-
-    def test_duplicate_band_rejected(self):
-        basis = p2_basis()
-        with pytest.raises(ValueError, match="twice"):
-            an.spectral_edit(basis, np.ones(2), [(0, 2.0), (0, 3.0)])
-
-    def test_non_finite_gain_rejected(self):
-        basis = p2_basis()
-        with pytest.raises(ValueError, match="finite"):
-            an.spectral_edit(basis, np.ones(2), {0: float("inf")})
 
 
 class TestCospectral:

@@ -144,6 +144,26 @@ class TestInfer:
         assert "lambda_max" in capsys.readouterr().err
 
 
+    def test_non_finite_belief_names_its_line(self, workdir, capsys):
+        filt = self.fit_filter()
+        (workdir / "nan.txt").write_text("1.0\nnan\n")
+        code = run("infer", "--graph", "p2.txt", "--filter", filt,
+                   "--beliefs", "nan.txt", "--out-dir", "out")
+        assert code == 1
+        assert "nan.txt: line 2: belief 'nan' is not finite" in capsys.readouterr().err
+        assert not (workdir / "out" / "predicates.csv").exists()
+
+
+class TestTrain:
+    def test_out_of_range_allowed_bands_rejected(self, workdir, capsys):
+        (workdir / "train.json").write_text(json.dumps(
+            {"order": 4, "epochs": 3, "penalties": {"proof": 0.5}, "allowed_bands": [7]}))
+        code = run("train", "--graph", "p2.txt", "--config", "train.json", "--out-dir", "out")
+        assert code == 1
+        assert "allowed bands [7] outside the partition" in capsys.readouterr().err
+        assert not (workdir / "out" / "history.csv").exists()
+
+
 class TestGen:
     def test_same_seed_byte_identical(self, workdir):
         run("gen", "--kind", "chain", "--depth", "4", "--seed", "3", "--out-dir", "a")

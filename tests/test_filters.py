@@ -124,7 +124,7 @@ class TestFilterJson:
         theta = np.random.default_rng(4).standard_normal(7)
         f = ft.ChebyshevFilter(theta=theta, lambda_max=2.7182818284590451)
         path = tmp_path / "f.json"
-        ft.save_filter(f, path)
+        path.write_text(f.to_json() + "\n", encoding="utf-8")
         g = ft.load_filter(path)
         assert np.array_equal(g.theta, f.theta)
         assert g.lambda_max == f.lambda_max

@@ -385,14 +385,6 @@ class TestGft:
         back = gr.gft(basis, xhat, direction="inverse")
         assert np.allclose(gr.belief_values(back), x, atol=1e-10)
 
-    def test_domains_tracked(self):
-        basis = gr.eigendecompose(gr.build_laplacian(p2()))
-        bv = gr.BeliefVector(values=np.array([1.0, 0.0]), domain="vertex")
-        xhat = gr.gft(basis, bv)
-        assert isinstance(xhat, gr.BeliefVector) and xhat.domain == "spectral"
-        with pytest.raises(ValueError, match="vertex"):
-            gr.gft(basis, xhat)  # already spectral
-
     def test_size_mismatch(self):
         basis = gr.eigendecompose(gr.build_laplacian(p2()))
         with pytest.raises(ValueError, match="does not match"):
@@ -405,20 +397,9 @@ class TestGft:
         assert abs(x @ x - xhat @ xhat) <= 1e-9 * (x @ x)
 
 
-class TestBeliefVector:
-    def test_frozen_and_readonly(self):
-        bv = gr.BeliefVector(values=np.array([1.0, 2.0]), domain="vertex")
-        with pytest.raises((ValueError, RuntimeError)):
-            bv.values[0] = 5.0
-
-    def test_bad_domain(self):
-        with pytest.raises(ValueError, match="domain"):
-            gr.BeliefVector(values=np.array([1.0]), domain="frequency")
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            gr.BeliefVector(values=np.array([np.nan]), domain="vertex")
-
+class TestBeliefValues:
     def test_plain_arrays_pass_through(self):
         out = gr.belief_values([1.0, 2.0])
         assert out.dtype == float and out.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError, match="one-dimensional"):
+            gr.belief_values([[1.0, 2.0]])

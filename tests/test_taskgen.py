@@ -1,6 +1,7 @@
 """Synthetic task generators, scoring, and the evaluation harness."""
 
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -64,6 +65,16 @@ class TestTaskInstance:
         with pytest.raises(ValueError, match="cover every node"):
             tg.TaskInstance(graph=g, beliefs=np.zeros(3), labels=np.ones(6, dtype=bool),
                             allowed_bands=(0,), kind="community", seed=0, params=())
+
+    def test_non_finite_belief_rejected(self, tmp_path):
+        inst = tg.gen_chain_task(depth=3, seed=0)
+        path = tmp_path / "task.json"
+        tg.save_task(inst, path)
+        payload = json.loads(path.read_text())
+        payload["beliefs"][2] = float("nan")  # json writes and reads NaN
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="node 2 is not finite"):
+            tg.load_task(path)
 
     def test_round_trip_through_disk(self, tmp_path):
         inst = tg.gen_community_task(n=20, intra_p=0.5, inter_p=0.05,
@@ -329,13 +340,6 @@ class TestThreads:
     def test_explicit_request_wins(self):
         assert tg.resolve_threads(3) == 3
         assert tg.resolve_threads(0) == 1
-
-    def test_env_var_consulted(self, monkeypatch):
-        monkeypatch.setenv("SNSR_THREADS", "4")
-        assert tg.resolve_threads() == 4
-        monkeypatch.setenv("SNSR_THREADS", "bogus")
-        assert tg.resolve_threads() == 1
-        monkeypatch.delenv("SNSR_THREADS")
         assert tg.resolve_threads() == 1
 
 

@@ -121,17 +121,34 @@ class TestPenalties:
         part = an.default_three_band(basis.lambda_max)
         y = np.random.default_rng(9).standard_normal(12)
         for bands in ((0,), (1,), (0, 1), (0, 1, 2)):
-            p = tr.proof_guided_penalty(basis, y, bands, part)
+            p, _ = tr.proof_guided_penalty(basis, y, bands, part)
             assert 0.0 <= p <= 1.0
-        assert tr.proof_guided_penalty(basis, y, (0, 1, 2), part) == pytest.approx(0.0, abs=1e-12)
+        p, grad = tr.proof_guided_penalty(basis, y, (0, 1, 2), part)
+        assert p == pytest.approx(0.0, abs=1e-12) and np.allclose(grad, 0.0, atol=1e-12)
+        with pytest.raises(ValueError, match="outside the partition"):
+            tr.proof_guided_penalty(basis, y, (3,), part)
 
     def test_proof_penalty_pure_band_signal(self):
         basis = gr.eigendecompose(gr.build_laplacian(
             gr.Graph(node_count=2, edges=((0, 1, 1.0),))))
         part = an.default_three_band(basis.lambda_max)
         constant = np.array([1.0, 1.0])  # pure low band
-        assert tr.proof_guided_penalty(basis, constant, (0,), part) == 0.0
-        assert tr.proof_guided_penalty(basis, constant, (2,), part) == 1.0
+        assert tr.proof_guided_penalty(basis, constant, (0,), part)[0] == 0.0
+        assert tr.proof_guided_penalty(basis, constant, (2,), part)[0] == 1.0
+
+    def test_proof_penalty_gradient_matches_differences(self):
+        lap, lt, lmax = operator(n=10, seed=3)
+        basis = gr.eigendecompose(lap)
+        part = an.default_three_band(basis.lambda_max)
+        y = np.random.default_rng(4).standard_normal(10)
+        _, grad = tr.proof_guided_penalty(basis, y, (0,), part)
+        h = 1e-6
+        for i in range(10):
+            step = np.zeros(10)
+            step[i] = h
+            up, _ = tr.proof_guided_penalty(basis, y + step, (0,), part)
+            down, _ = tr.proof_guided_penalty(basis, y - step, (0,), part)
+            assert grad[i] == pytest.approx((up - down) / (2 * h), abs=1e-8)
 
     def test_rule_consistency_frozen_case(self):
         basis = gr.eigendecompose(gr.build_laplacian(
