@@ -72,6 +72,29 @@ class TestBandEnergy:
             an.band_energy(basis, np.ones(2), an.BandPartition(edges=np.array([0.0, 1.0])))
 
 
+class TestDirichletEnergy:
+    """The quadratic form y^T L y of the kept Laplacian and its spectral form."""
+
+    def test_p2_alternating(self):
+        lap = gr.build_laplacian(gr.Graph(node_count=2, edges=((0, 1, 1.0),)))
+        y = np.array([1.0, -1.0])
+        assert float(y @ (lap.matrix @ y)) == 4.0
+
+    def test_constant_is_zero(self):
+        lap = gr.build_laplacian(random_gnp(15, 0.4, seed=3))
+        y = np.ones(15)
+        assert float(y @ (lap.matrix @ y)) == pytest.approx(0.0, abs=1e-12)
+
+    def test_matches_spectral_form(self):
+        g = random_gnp(18, 0.3, seed=4)
+        lap = gr.build_laplacian(g)
+        basis = gr.eigendecompose(lap)
+        y = np.random.default_rng(5).standard_normal(18)
+        yhat = gr.gft(basis, y)
+        spectral = float(basis.eigenvalues @ yhat ** 2)
+        assert float(y @ (lap.matrix @ y)) == pytest.approx(spectral, rel=1e-10)
+
+
 class TestProofBandAgreement:
     def test_mean_allowed_fraction(self):
         basis = p2_basis()
@@ -165,6 +188,42 @@ class TestSpectralPerturb:
         c = np.asarray(an.spectral_perturb(basis, x, band=2, magnitude=1.0, seed=6))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class TestSpectralEdit:
+    """Whole-band gains, applied as a piecewise response through dense_filter_apply."""
+
+    @staticmethod
+    def band_gains(part, gains):
+        table = np.array([gains.get(b, 1.0) for b in range(part.n_bands)])
+        return lambda lam: table[part.band_of(lam)]
+
+    def test_gain_two_quadruples_band_energy(self):
+        basis = random_basis(seed=16)
+        part = an.default_three_band(basis.lambda_max)
+        x = np.random.default_rng(17).standard_normal(20)
+        before = an.band_energy(basis, x, part)
+        out = ft.dense_filter_apply(basis, self.band_gains(part, {1: 2.0}), x)
+        after = an.band_energy(basis, out, part)
+        assert after.energies[1] == pytest.approx(4.0 * before.energies[1], rel=1e-10)
+        assert after.energies[0] == pytest.approx(before.energies[0], rel=1e-10)
+        assert after.energies[2] == pytest.approx(before.energies[2], rel=1e-10)
+
+    def test_edits_compose_multiplicatively(self):
+        basis = random_basis(seed=18)
+        part = an.default_three_band(basis.lambda_max)
+        x = np.random.default_rng(19).standard_normal(20)
+        once = ft.dense_filter_apply(basis, self.band_gains(part, {0: 2.0}), x)
+        twice = ft.dense_filter_apply(basis, self.band_gains(part, {0: 3.0}), once)
+        combined = ft.dense_filter_apply(basis, self.band_gains(part, {0: 6.0}), x)
+        assert np.allclose(twice, combined, atol=1e-12)
+
+    def test_zero_gain_silences_band(self):
+        basis = random_basis(seed=20)
+        part = an.default_three_band(basis.lambda_max)
+        x = np.random.default_rng(21).standard_normal(20)
+        out = ft.dense_filter_apply(basis, self.band_gains(part, {2: 0.0}), x)
+        assert an.band_energy(basis, out, part).energies[2] == pytest.approx(0.0, abs=1e-20)
 
 
 class TestCospectral:

@@ -390,6 +390,15 @@ class TestGft:
         with pytest.raises(ValueError, match="does not match"):
             gr.gft(basis, np.ones(3))
 
+    def test_domains_tracked(self):
+        # forward takes vertex values to spectral coefficients, inverse takes them back
+        basis = gr.eigendecompose(gr.build_laplacian(random_gnp(12, 0.4, seed=2)))
+        x = np.random.default_rng(3).standard_normal(12)
+        assert np.array_equal(gr.gft(basis, x), basis.eigenvectors.T @ x)
+        assert np.array_equal(gr.gft(basis, x, direction="inverse"), basis.eigenvectors @ x)
+        with pytest.raises(ValueError, match="'forward' or 'inverse'"):
+            gr.gft(basis, x, direction="spectral")
+
     def test_parseval(self):
         basis = gr.eigendecompose(gr.build_laplacian(random_gnp(20, 0.3, seed=8)))
         x = np.random.default_rng(1).standard_normal(20)
@@ -397,7 +406,7 @@ class TestGft:
         assert abs(x @ x - xhat @ xhat) <= 1e-9 * (x @ x)
 
 
-class TestBeliefValues:
+class TestBeliefVector:
     def test_plain_arrays_pass_through(self):
         out = gr.belief_values([1.0, 2.0])
         assert out.dtype == float and out.tolist() == [1.0, 2.0]
