@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -61,22 +63,44 @@ def _out_dir(args) -> Path:
 
 
 def _read_beliefs(path) -> np.ndarray:
-    values = []
     with open(path, "r", encoding="utf-8") as fh:
-        for no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise ValueError(f"{path}: line {no}: expected one float, got {line!r}") from None
-            if not math.isfinite(value):
-                raise ValueError(f"{path}: line {no}: belief {line!r} is not finite")
-            values.append(value)
+        text = fh.read()
+    values = gr.loadtxt_ascii(text, ndmin=2, dtype=float)
+    if values is not None and values.shape[1] == 1 and values.size and np.isfinite(values).all():
+        return values[:, 0]
+    return _belief_lines(path, text)
+
+
+def _belief_lines(path, text: str) -> np.ndarray:
+    """Beliefs read line by line, one float per line; names the first bad line."""
+    values = []
+    for no, raw in enumerate(io.StringIO(text), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            raise ValueError(f"{path}: line {no}: expected one float, got {line!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: line {no}: belief {line!r} is not finite")
+        values.append(value)
     if not values:
         raise ValueError(f"{path}: no belief values found")
     return np.asarray(values, dtype=float)
+
+
+def _predicates_text(y: np.ndarray, predicates: rl.PredicateVector) -> str:
+    """predicates.csv: one %-format over the columns interleaved, row by row."""
+    columns = [range(y.size), y.tolist()]
+    if predicates.soft is not None:
+        columns.append(predicates.soft.tolist())
+    columns.append(predicates.hard.tolist())
+    cells = [None] * (len(columns) * y.size)
+    for k, column in enumerate(columns):
+        cells[k::len(columns)] = column
+    row = "%d,%.17g,%.17g,%d\n" if predicates.soft is not None else "%d,%.17g,,%d\n"
+    return "node,belief,soft,hard\n" + row * y.size % tuple(cells)
 
 
 def _beliefs_text(values: np.ndarray) -> str:
@@ -123,13 +147,32 @@ def _load_operator(args):
     return g, gr.build_laplacian(g, variant=args.variant)
 
 
-def _lambda_max(lap: gr.Laplacian, seed: int) -> gr.LambdaMaxEstimate:
-    """The lambda_max bound; one that fell back is reported on stderr."""
-    estimate = gr.estimate_lambda_max(lap, seed=seed)
+def _lambda_max(lap: gr.Laplacian, seed: int,
+                stored: gr.LambdaMaxEstimate | None = None) -> gr.LambdaMaxEstimate:
+    """The lambda_max bound, estimated unless stored is given; one that fell back is
+    reported on stderr either way."""
+    estimate = stored if stored is not None else gr.estimate_lambda_max(lap, seed=seed)
     if not estimate.converged:
         print(f"warning: lambda_max did not converge in {estimate.iterations} Lanczos steps; "
               f"using the {estimate.method} bound {_fmt(estimate.value)}", file=sys.stderr)
     return estimate
+
+
+def _bound_record(g: gr.Graph, variant: str, estimate: gr.LambdaMaxEstimate) -> ft.BoundRecord:
+    return ft.BoundRecord(method=estimate.method, iterations=estimate.iterations,
+                          converged=estimate.converged, degenerate=estimate.degenerate,
+                          graph_sha256=gr.graph_sha256(g, variant, estimate.value))
+
+
+def _stored_estimate(f: ft.ChebyshevFilter, g: gr.Graph,
+                     variant: str) -> gr.LambdaMaxEstimate | None:
+    """The estimate f's lambda_max came from, if its record names this graph and variant."""
+    record = f.bound
+    if record is None or record.graph_sha256 != gr.graph_sha256(g, variant, f.lambda_max):
+        return None
+    return gr.LambdaMaxEstimate(value=f.lambda_max, iterations=record.iterations,
+                                converged=record.converged, degenerate=record.degenerate,
+                                method=record.method)
 
 
 def _partition_for(basis: gr.SpectralBasis, bands: int) -> analysis.BandPartition:
@@ -141,12 +184,13 @@ def _partition_for(basis: gr.SpectralBasis, bands: int) -> analysis.BandPartitio
 
 def cmd_fit(args) -> None:
     out = _out_dir(args)
-    _, lap = _load_operator(args)
+    g, lap = _load_operator(args)
     estimate = _lambda_max(lap, args.seed)
     response = _response_from_args(args)
     fitted = ft.fit_chebyshev(response, args.order, estimate.value,
                               quadrature_nodes=args.quad_nodes)
     error = ft.fit_grid_error(fitted, response)
+    fitted = replace(fitted, bound=_bound_record(g, args.variant, estimate))
     _atomic_write(out / "filter.json", fitted.to_json() + "\n")
     _write_manifest(out, "fit", args, [args.graph])
     print(f"fit order={args.order} lambda_max={_fmt(estimate.value)} "
@@ -156,33 +200,31 @@ def cmd_fit(args) -> None:
 def cmd_infer(args) -> None:
     out = _out_dir(args)
     g, lap = _load_operator(args)
-    estimate = _lambda_max(lap, args.seed)
     f = ft.load_filter(args.filter)
-    if abs(f.lambda_max - estimate.value) > 1e-6 * max(1.0, f.lambda_max):
-        raise ValueError(
-            f"filter lambda_max {f.lambda_max} does not match this graph's estimate "
-            f"{estimate.value}; refit the filter on this graph")
-    lt = gr.scale_laplacian(lap, f.lambda_max)
-    y = ft.cheb_apply(f, lt, _read_beliefs(args.beliefs))
-    predicates = rl.project_predicates(y, threshold=args.threshold, mode=args.mode,
-                                       temperature=args.temperature)
-
-    lines = ["node,belief,soft,hard"]
-    for i, value in enumerate(y):
-        soft = _fmt(predicates.soft[i]) if predicates.soft is not None else ""
-        lines.append(f"{i},{_fmt(value)},{soft},{int(predicates.hard[i])}")
-    _atomic_write(out / "predicates.csv", "\n".join(lines) + "\n")
-
     inputs = [args.graph, args.filter, args.beliefs]
+    rb = None
     if args.rulebase:
         rb = rl.load_rulebase(args.rulebase)
         if len(rb.atoms) != g.node_count:
             raise ValueError(
                 f"rulebase names {len(rb.atoms)} atoms but the graph has {g.node_count} nodes")
+        inputs.append(args.rulebase)
+    x = _read_beliefs(args.beliefs)
+    estimate = _lambda_max(lap, args.seed, _stored_estimate(f, g, args.variant))
+    if abs(f.lambda_max - estimate.value) > 1e-6 * max(1.0, f.lambda_max):
+        raise ValueError(
+            f"filter lambda_max {f.lambda_max} does not match this graph's estimate "
+            f"{estimate.value}; refit the filter on this graph")
+    lt = gr.scale_laplacian(lap, f.lambda_max)
+    y = ft.cheb_apply(f, lt, x)
+    predicates = rl.project_predicates(y, threshold=args.threshold, mode=args.mode,
+                                       temperature=args.temperature)
+    _atomic_write(out / "predicates.csv", _predicates_text(y, predicates))
+
+    if rb is not None:
         facts = {rb.atoms[i] for i in range(g.node_count) if predicates.hard[i]}
         closure = rl.forward_chain(rb, facts)
         _atomic_write(out / "closure.txt", "\n".join(sorted(closure)) + "\n")
-        inputs.append(args.rulebase)
 
     if g.node_count <= gr.DENSE_CAP:
         basis = gr.eigendecompose(lap)
@@ -203,11 +245,13 @@ def cmd_train(args) -> None:
     examples = int(config.get("examples", 8))
 
     args.seed = seed
-    _, lap = _load_operator(args)
+    g, lap = _load_operator(args)
     estimate = _lambda_max(lap, seed)
     lt = gr.scale_laplacian(lap, estimate.value)
 
     teacher_spec = config.get("teacher", {"kind": "diffusion", "params": [1.0]})
+    if "kind" not in teacher_spec:
+        raise ValueError(f"{args.config}: teacher is missing required key 'kind'")
     teacher_response = ft.AnalyticResponse(kind=teacher_spec["kind"],
                                            params=tuple(teacher_spec.get("params", ())))
     teacher = ft.fit_chebyshev(teacher_response, order, estimate.value)
@@ -244,7 +288,8 @@ def cmd_train(args) -> None:
     result = tr.train(student, lt, data, loss, schedule=schedule, config=train_cfg,
                       context=context, seed=seed)
 
-    _atomic_write(out / "filter.json", result.model.to_json() + "\n")
+    model = replace(result.model, bound=_bound_record(g, args.variant, estimate))
+    _atomic_write(out / "filter.json", model.to_json() + "\n")
     _atomic_write(out / "history.csv", tr.history_to_csv(result.history))
     _write_manifest(out, "train", args, [args.graph, args.config])
     first, last = result.history[0][1], result.history[-1][1]

@@ -10,8 +10,10 @@ slow reference implementation.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
@@ -114,17 +116,48 @@ def _format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
+class BoundRecord(NamedTuple):
+    """How a filter's lambda_max was bounded, and on which graph.
+
+    The first four fields are those of the LambdaMaxEstimate that gave the
+    bound; graph_sha256 is graph.graph_sha256 of the graph, variant and
+    lambda_max it was computed for.
+    """
+
+    method: str
+    iterations: int
+    converged: bool
+    degenerate: bool
+    graph_sha256: str
+
+    @classmethod
+    def from_dict(cls, payload) -> "BoundRecord":
+        if not isinstance(payload, dict) or set(payload) != set(cls._fields):
+            raise ValueError("filter bound record must hold exactly the keys "
+                             + ", ".join(cls._fields))
+        record = cls(**payload)
+        if (not isinstance(record.method, str)
+                or type(record.iterations) is not int or record.iterations < 0
+                or not isinstance(record.converged, bool) or not isinstance(record.degenerate, bool)
+                or not isinstance(record.graph_sha256, str)
+                or not re.fullmatch(r"[0-9a-f]{64}", record.graph_sha256)):
+            raise ValueError(f"malformed filter bound record {payload!r}")
+        return record
+
+
 @dataclass(frozen=True)
 class ChebyshevFilter:
     """Truncated Chebyshev series over the rescaled spectrum [-1, 1].
 
     theta holds K + 1 coefficients for T_0 .. T_K; lambda_max is the
     spectral bound the rescaling was built against and must match the
-    operator the filter is applied to.
+    operator the filter is applied to. bound, when present, records how
+    lambda_max was found and for which graph.
     """
 
     theta: np.ndarray
     lambda_max: float
+    bound: BoundRecord | None = None
 
     def __post_init__(self):
         theta = np.array(self.theta, dtype=float)
@@ -149,16 +182,20 @@ class ChebyshevFilter:
 
     def to_json(self) -> str:
         coeffs = ", ".join(_format_float(t) for t in self.theta)
-        return ('{"lambda_max": %s, "theta": [%s]}'
-                % (_format_float(self.lambda_max), coeffs))
+        bound = "" if self.bound is None else ', "bound": ' + json.dumps(self.bound._asdict())
+        return ('{"lambda_max": %s, "theta": [%s]%s}'
+                % (_format_float(self.lambda_max), coeffs, bound))
 
     @classmethod
     def from_json(cls, text: str) -> "ChebyshevFilter":
         payload = json.loads(text)
-        if not isinstance(payload, dict) or set(payload) != {"lambda_max", "theta"}:
-            raise ValueError("filter JSON must hold exactly the keys lambda_max and theta")
+        if not isinstance(payload, dict) or not (
+                {"lambda_max", "theta"} <= set(payload) <= {"lambda_max", "theta", "bound"}):
+            raise ValueError("filter JSON must hold exactly the keys lambda_max and theta, "
+                             "and may hold bound")
         return cls(theta=np.asarray(payload["theta"], dtype=float),
-                   lambda_max=float(payload["lambda_max"]))
+                   lambda_max=float(payload["lambda_max"]),
+                   bound=BoundRecord.from_dict(payload["bound"]) if "bound" in payload else None)
 
 
 def load_filter(path) -> ChebyshevFilter:

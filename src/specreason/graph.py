@@ -7,6 +7,7 @@ scipy CSR and are treated as immutable once constructed.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
 import re
@@ -177,6 +178,24 @@ def belief_values(x) -> np.ndarray:
     return arr
 
 
+def loadtxt_ascii(text: str, **kwargs):
+    """``np.loadtxt`` over ``text`` in one pass, or None where only a line-by-line read can tell.
+
+    loadtxt converts a field as int() and float() do, or refuses it; it misreads some
+    non-ASCII digits, masked here, and would take a "#" after data for a comment, so
+    text holding one returns None. So does any text loadtxt refuses.
+    """
+    body = text.encode("ascii", "replace").decode("ascii")
+    if "#" in body and _HASH_AFTER_DATA.search(body):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data lines
+            return np.loadtxt(io.StringIO(body), comments="#", **kwargs)
+    except ValueError:
+        return None
+
+
 def load_graph(source, kind: str = "unsigned") -> Graph:
     """Parse the plain edge-list format.
 
@@ -204,19 +223,13 @@ def load_graph(source, kind: str = "unsigned") -> Graph:
         raise EdgeListError(head_no, f"header must be two integers 'N M', got {head!r}") from None
     if n < 1 or m < 0:
         raise EdgeListError(head_no, f"need N > 0 nodes and M >= 0 edges, got {head!r}")
-    # loadtxt converts a field as int() and float() do, or refuses it; it misreads some
-    # non-ASCII digits, masked here, and would take a "#" after data for a comment
-    body = text[stream.tell():].encode("ascii", "replace").decode("ascii")
-    if "#" not in body or not _HASH_AFTER_DATA.search(body):
+    columns = loadtxt_ascii(text[stream.tell():], ndmin=1, unpack=True,
+                            dtype=[("i", np.int64), ("j", np.int64), ("w", float)])
+    if columns is not None and columns[0].size == m:
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no edge lines
-                columns = np.loadtxt(io.StringIO(body), comments="#", ndmin=1, unpack=True,
-                                     dtype=[("i", np.int64), ("j", np.int64), ("w", float)])
-            if columns[0].size == m:
-                return Graph(n, kind=kind, columns=columns)
-        except ValueError:
-            pass  # a malformed line or an invalid edge, found line by line below
+            return Graph(n, kind=kind, columns=columns)
+        except InvalidEdgeError:
+            pass  # an invalid edge, found line by line below
     lines = list(significant)
     if len(lines) < m:
         raise EdgeListError(last_no, f"expected {m} edge lines, found {len(lines)}")
@@ -263,6 +276,20 @@ def build_laplacian(g: Graph, variant: str = "combinatorial") -> Laplacian:
     else:
         lap = sp.diags_array(degree, format="csr") - adj
     return Laplacian(matrix=sp.csr_array(lap), variant=variant)
+
+
+def graph_sha256(g: Graph, variant: str, lambda_max: float) -> str:
+    """SHA-256 over a graph, a Laplacian variant and a lambda_max bound taken together.
+
+    Covers n, m, the graph kind, the variant, lambda_max as %.17g and the canonical
+    edge arrays as little-endian int64 and float64, so the digest is the same on
+    every platform and changes when any of them does.
+    """
+    head = f"{g.node_count} {g.edge_count} {g.kind} {variant} {format(float(lambda_max), '.17g')}\n"
+    digest = hashlib.sha256(head.encode("ascii"))
+    for values, dtype in ((g.rows, "<i8"), (g.cols, "<i8"), (g.weights, "<f8")):
+        digest.update(np.ascontiguousarray(values, dtype=dtype).data)
+    return digest.hexdigest()
 
 
 class LambdaMaxEstimate(NamedTuple):

@@ -203,7 +203,10 @@ def save_rulebase(rb: RuleBase, path) -> None:
 
 
 def load_rulebase(path) -> RuleBase:
-    return rulebase_from_json(Path(path).read_text(encoding="utf-8"))
+    try:
+        return rulebase_from_json(Path(path).read_text(encoding="utf-8"))
+    except KeyError as exc:
+        raise ValueError(f"{path}: clause is missing required key {exc.args[0]!r}") from None
 
 
 def template_to_dict(template: RuleTemplate) -> dict:
@@ -229,4 +232,7 @@ def load_templates(path) -> RuleSet:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, list):
         raise ValueError("template JSON must be a list")
-    return RuleSet(templates=tuple(template_from_dict(p) for p in payload))
+    try:
+        return RuleSet(templates=tuple(template_from_dict(p) for p in payload))
+    except KeyError as exc:
+        raise ValueError(f"{path}: template is missing required key {exc.args[0]!r}") from None

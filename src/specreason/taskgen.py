@@ -266,6 +266,13 @@ def save_task(instance: TaskInstance, path) -> None:
 
 def load_task(path) -> TaskInstance:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return _task_from_dict(payload)
+    except KeyError as exc:
+        raise ValueError(f"{path}: task is missing required key {exc.args[0]!r}") from None
+
+
+def _task_from_dict(payload: dict) -> TaskInstance:
     graph = Graph(node_count=int(payload["graph"]["n"]), edges=payload["graph"]["edges"],
                   kind=payload["graph"].get("kind", "unsigned"))
     rulebase = None

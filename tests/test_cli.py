@@ -2,15 +2,19 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from specreason import cli
+from specreason import filters as ft
+from specreason import graph as gr
 
 
 P2 = "2 1\n0 1 1.0\n"
@@ -144,6 +148,21 @@ class TestInfer:
         assert "lambda_max" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("rulebase, message", [
+        ({"atoms": ["n0"], "clauses": []}, "rulebase names 1 atoms but the graph has 2 nodes"),
+        ([{"name": "a", "kind": "identity", "params": []}], "rulebase JSON must hold atoms"),
+        ({"atoms": ["n0", "n1"], "clauses": [{"head": "n1"}]},
+         "rules.json: clause is missing required key 'body'"),
+    ])
+    def test_bad_rulebase_writes_nothing(self, workdir, capsys, rulebase, message):
+        filt = self.fit_filter()
+        (workdir / "rules.json").write_text(json.dumps(rulebase))
+        code = run("infer", "--graph", "p2.txt", "--filter", filt, "--beliefs", "beliefs.txt",
+                   "--rulebase", "rules.json", "--out-dir", "out")
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert list((workdir / "out").iterdir()) == []
+
     def test_non_finite_belief_names_its_line(self, workdir, capsys):
         filt = self.fit_filter()
         (workdir / "nan.txt").write_text("1.0\nnan\n")
@@ -162,6 +181,15 @@ class TestTrain:
         assert code == 1
         assert "allowed bands [7] outside the partition" in capsys.readouterr().err
         assert not (workdir / "out" / "history.csv").exists()
+
+
+    def test_teacher_without_kind_named(self, workdir, capsys):
+        (workdir / "train.json").write_text(json.dumps(
+            {"order": 4, "epochs": 3, "teacher": {"params": [1.0]}}))
+        code = run("train", "--graph", "p2.txt", "--config", "train.json", "--out-dir", "out")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: train.json: teacher is missing required key 'kind'" in err
 
 
 class TestGen:
@@ -218,6 +246,23 @@ class TestEval:
         assert int(rows[0]["instances"]) == 2
 
 
+    def test_template_without_params_named(self, workdir, capsys):
+        run("gen", "--kind", "chain", "--depth", "3", "--out-dir", "task")
+        (workdir / "t.json").write_text(json.dumps([{"name": "a", "kind": "diffusion"}]))
+        code = run("eval", "--tasks", "task/task.json", "--rules", "t.json", "--out-dir", "out")
+        assert code == 1
+        assert "error: t.json: template is missing required key 'params'" in capsys.readouterr().err
+
+    def test_task_without_beliefs_named(self, workdir, capsys):
+        run("gen", "--kind", "chain", "--depth", "3", "--out-dir", "task")
+        payload = json.loads((workdir / "task" / "task.json").read_text())
+        del payload["beliefs"]
+        (workdir / "task.json").write_text(json.dumps(payload))
+        code = run("eval", "--tasks", "task.json", "--response", "identity", "--out-dir", "out")
+        assert code == 1
+        assert "error: task.json: task is missing required key 'beliefs'" in capsys.readouterr().err
+
+
 class TestArgErrors:
     def test_unknown_command_exits_two(self, workdir):
         with pytest.raises(SystemExit) as exc:
@@ -250,3 +295,219 @@ def test_import_leaves_generator_only_scipy_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+STAR = "4 3\n0 1 1\n0 2 1\n0 3 1\n"  # combinatorial lambda_max 4, normalized 2
+
+
+def counted_estimates(monkeypatch):
+    calls = []
+    real = cli.gr.estimate_lambda_max
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.gr, "estimate_lambda_max", counted)
+    return calls
+
+
+def without_bound(filter_path, out_path):
+    """The filter as a two-key filter.json, as fit wrote it before the bound record."""
+    f = ft.load_filter(filter_path)
+    Path(out_path).write_text(replace(f, bound=None).to_json() + "\n")
+    return out_path
+
+
+class TestStoredBound:
+    @pytest.fixture
+    def star(self, workdir):
+        (workdir / "star.txt").write_text(STAR)
+        (workdir / "star_beliefs.txt").write_text("1\n0\n0\n-1\n")
+
+    def fit(self, graph="p2.txt", out="fitout"):
+        assert run("fit", "--graph", graph, "--response", "diffusion", "--tau", "1",
+                   "--order", "8", "--out-dir", out) == 0
+        return f"{out}/filter.json"
+
+    def infer(self, graph, filt, beliefs, out, *extra):
+        return run("infer", "--graph", graph, "--filter", filt, "--beliefs", beliefs,
+                   "--out-dir", out, *extra)
+
+    def test_fit_and_train_write_the_record(self, workdir):
+        self.fit()
+        (workdir / "train.json").write_text(json.dumps({"order": 4, "epochs": 3, "examples": 2}))
+        assert run("train", "--graph", "p2.txt", "--config", "train.json",
+                   "--out-dir", "trainout") == 0
+        digest = gr.graph_sha256(gr.load_graph("p2.txt"), "combinatorial",
+                                 ft.load_filter("fitout/filter.json").lambda_max)
+        for path in ("fitout/filter.json", "trainout/filter.json"):
+            bound = json.loads((workdir / path).read_text())["bound"]
+            assert bound == {"method": "lanczos", "iterations": bound["iterations"],
+                             "converged": True, "degenerate": False, "graph_sha256": digest}
+
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_matching_record_skips_the_estimate(self, workdir, monkeypatch, trained):
+        if trained:
+            (workdir / "train.json").write_text(json.dumps({"order": 4, "epochs": 3}))
+            assert run("train", "--graph", "p2.txt", "--config", "train.json",
+                       "--out-dir", "fitout") == 0
+            filt = "fitout/filter.json"
+        else:
+            filt = self.fit()
+        legacy = without_bound(filt, "legacy.json")
+        calls = counted_estimates(monkeypatch)
+        assert self.infer("p2.txt", filt, "beliefs.txt", "stored") == 0
+        assert calls == []
+        assert self.infer("p2.txt", legacy, "beliefs.txt", "estimated") == 0
+        assert len(calls) == 1
+        assert (workdir / "stored" / "predicates.csv").read_bytes() == \
+               (workdir / "estimated" / "predicates.csv").read_bytes()
+
+    @pytest.mark.parametrize("case", ["other graph", "other variant"])
+    def test_another_operator_is_estimated_and_refused(self, workdir, star, monkeypatch, capsys,
+                                                       case):
+        filt = self.fit("star.txt")
+        calls = counted_estimates(monkeypatch)
+        if case == "other graph":
+            code = self.infer("p2.txt", filt, "beliefs.txt", "out")
+        else:
+            code = self.infer("star.txt", filt, "star_beliefs.txt", "out",
+                              "--variant", "normalized")
+        assert code == 1 and len(calls) == 1
+        assert "does not match this graph's estimate" in capsys.readouterr().err
+        assert not (workdir / "out" / "predicates.csv").exists()
+
+    def test_lambda_max_edited_by_one_ulp_is_estimated(self, workdir, monkeypatch):
+        f = ft.load_filter(self.fit())
+        edited = replace(f, lambda_max=float(np.nextafter(f.lambda_max, np.inf)))
+        (workdir / "edited.json").write_text(edited.to_json() + "\n")
+        calls = counted_estimates(monkeypatch)
+        # one ulp is inside the tolerance the estimate is compared with, as before
+        assert self.infer("p2.txt", "edited.json", "beliefs.txt", "out") == 0
+        assert len(calls) == 1
+
+    def test_two_key_filter_still_serves_every_command(self, workdir):
+        filt = self.fit()
+        legacy = without_bound(filt, "legacy.json")
+        assert json.loads((workdir / legacy).read_text()).keys() == {"lambda_max", "theta"}
+        run("gen", "--kind", "chain", "--depth", "3", "--out-dir", "task")
+        for name, path in (("new", filt), ("old", legacy)):
+            assert self.infer("p2.txt", path, "beliefs.txt", f"infer_{name}") == 0
+            assert run("eval", "--tasks", "task/task.json", "--model-filter", path,
+                       "--latency-runs", "1", "--out-dir", f"eval_{name}") == 0
+            assert run("attribute", "--graph", "p2.txt", "--beliefs", "beliefs.txt",
+                       "--model-filter", path, "--out-dir", f"attr_{name}") == 0
+        for out, artefact in (("infer", "predicates.csv"), ("attr", "attribution.csv")):
+            assert (workdir / f"{out}_new" / artefact).read_bytes() == \
+                   (workdir / f"{out}_old" / artefact).read_bytes()
+        rows = [next(csv.DictReader((workdir / f"eval_{n}" / "eval.csv").read_text().splitlines()))
+                for n in ("new", "old")]
+        for row in rows:
+            del row["latency_ms"]
+        assert rows[0] == rows[1]
+
+
+def line_loop_beliefs(path):
+    """The belief reader as it was before the single loadtxt pass."""
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                value = float(line)
+            except ValueError:
+                raise ValueError(f"{path}: line {no}: expected one float, got {line!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: line {no}: belief {line!r} is not finite")
+            values.append(value)
+    if not values:
+        raise ValueError(f"{path}: no belief values found")
+    return np.asarray(values, dtype=float)
+
+
+def outcome(read, path):
+    try:
+        return "ok", read(path).tobytes()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def seeded_belief_text(rng, lines):
+    forms = (repr, "{:e}".format, "{:.3E}".format, "{:+.6g}".format, "{:.0f}".format)
+    out = []
+    for _ in range(lines):
+        pick = rng.integers(12)
+        if pick == 0:
+            body = rng.choice(["", "   ", "\t", "# a comment", "  #indented 1.0"])
+        elif pick == 1:
+            body = rng.choice(["-0.0", "+0", "0", ".5", "5.", "1e5", "-1E-5", "+2.5e+3"])
+        else:
+            value = rng.standard_normal() * 10.0 ** int(rng.integers(-300, 300))
+            body = forms[int(rng.integers(len(forms)))](value)
+        pad = rng.choice(["", " ", "\t", "  "], size=2)
+        out.append(f"{pad[0]}{body}{pad[1]}" + rng.choice(["\n", "\r\n"]))
+    return "".join(out)
+
+
+class TestBeliefParse:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_files_match_the_line_loop(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "x.txt"
+        path.write_bytes(seeded_belief_text(rng, int(rng.integers(1, 400))).encode())
+        expected = outcome(line_loop_beliefs, path)
+        assert expected[0] == "ok"
+        # the single pass reads it, not the line-by-line fallback
+        assert gr.loadtxt_ascii(path.read_text(encoding="utf-8"), ndmin=2, dtype=float) is not None
+        assert outcome(cli._read_beliefs, path) == expected
+
+    @pytest.mark.parametrize("text", [
+        "42", "  -0.0", "-0.0\r\n", "# lead\n\n3.5\n# tail", "1\r\n2\r\n\r\n",
+        "1\n\x0c\n2\n", "1\n\x1c2\x1d\n", "1\n\u2003 2\n", "\u0661\n", "1\n2\x00\n",
+        "1\n0x10\n", "1\nInfinity\n", "1\n-inf\n", "1\nnan\n", "1;2\n", "1\n1.0 # c\n",
+        "", "\n\n", "# only\n",
+    ])
+    def test_awkward_lines_match_the_line_loop(self, tmp_path, text):
+        path = tmp_path / "x.txt"
+        path.write_bytes(text.encode())
+        assert outcome(cli._read_beliefs, path) == outcome(line_loop_beliefs, path)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("1\ninf\n", "line 2: belief 'inf' is not finite"),
+        ("1\n1 2\n", "line 2: expected one float, got '1 2'"),
+        ("1 2\n3 4\n", "line 1: expected one float, got '1 2'"),
+        ("1 2\n", "line 1: expected one float, got '1 2'"),
+    ])
+    def test_bad_lines_named(self, tmp_path, text, expected):
+        path = tmp_path / "x.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=expected):
+            cli._read_beliefs(path)
+
+    def test_underscore_parses_as_float_does(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_text("1\n1_0\n")
+        assert cli._read_beliefs(path).tolist() == [1.0, float("1_0")]
+
+
+def row_by_row_predicates(y, predicates):
+    """predicates.csv as it was formatted before the single %-format."""
+    lines = ["node,belief,soft,hard"]
+    for i, value in enumerate(y):
+        soft = format(float(predicates.soft[i]), ".17g") if predicates.soft is not None else ""
+        lines.append(f"{i},{format(float(value), '.17g')},{soft},{int(predicates.hard[i])}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("y", [
+    np.array([0.5]), np.array([-0.0]),
+    np.array([-0.0, 0.0, 1e-310, 1e300, -3.0, 1 / 3, 0.1, -2.5e-7]),
+    np.random.default_rng(5).standard_normal(300) * 10.0 ** np.arange(-150, 150),
+])
+@pytest.mark.parametrize("mode, temperature", [("hard", None), ("soft", 2.5), ("hard", 0.5)])
+def test_predicates_text_matches_row_by_row(y, mode, temperature):
+    predicates = cli.rl.project_predicates(y, threshold=0.0, mode=mode, temperature=temperature)
+    assert cli._predicates_text(y, predicates) == row_by_row_predicates(y, predicates)

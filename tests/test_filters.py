@@ -1,5 +1,7 @@
 """Chebyshev fitting, the sparse recurrence, and the rational solver."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,10 @@ def operator(g, variant="combinatorial"):
     lap = gr.build_laplacian(g, variant)
     est = gr.estimate_lambda_max(lap)
     return lap, gr.scale_laplacian(lap, est.value), est.value
+
+
+BOUND = ft.BoundRecord(method="lanczos", iterations=40, converged=True, degenerate=False,
+                       graph_sha256="0123456789abcdef" * 4)
 
 
 class TestAnalyticResponses:
@@ -138,6 +144,34 @@ class TestFilterJson:
         path.write_text('{"lambda_max": 2.0}', encoding="utf-8")
         with pytest.raises(ValueError):
             ft.load_filter(path)
+
+    def test_json_without_bound_keeps_two_keys(self):
+        f = ft.ChebyshevFilter(theta=np.array([1.0, -0.25]), lambda_max=2.0)
+        assert f.to_json() == '{"lambda_max": 2, "theta": [1, -0.25]}'
+
+    def test_bound_record_round_trips(self):
+        f = ft.ChebyshevFilter(theta=np.array([0.5, 0.1]), lambda_max=3.25, bound=BOUND)
+        text = f.to_json()
+        assert text.startswith(
+            '{"lambda_max": 3.25, "theta": [0.5, 0.10000000000000001], "bound": {')
+        g = ft.ChebyshevFilter.from_json(text)
+        assert g.bound == BOUND and g.lambda_max == f.lambda_max
+        assert g.to_json() == text
+
+    @pytest.mark.parametrize("payload", [
+        {"lambda_max": 2.0, "theta": [1.0], "extra": 1},
+        {"lambda_max": 2.0, "theta": [1.0], "bound": None},
+        {"lambda_max": 2.0, "theta": [1.0], "bound": {**BOUND._asdict(), "seed": 0}},
+        {"lambda_max": 2.0, "theta": [1.0],
+         "bound": {k: v for k, v in BOUND._asdict().items() if k != "method"}},
+        {"lambda_max": 2.0, "theta": [1.0], "bound": {**BOUND._asdict(), "iterations": 6.0}},
+        {"lambda_max": 2.0, "theta": [1.0], "bound": {**BOUND._asdict(), "converged": 1}},
+        {"lambda_max": 2.0, "theta": [1.0], "bound": {**BOUND._asdict(), "graph_sha256": "ab"}},
+    ])
+    def test_rejects_other_keys_and_malformed_bound(self, payload):
+        with pytest.raises(ValueError):
+            ft.ChebyshevFilter.from_json(json.dumps(payload))
+
 
 
 class TestRationalApply:

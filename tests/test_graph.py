@@ -319,6 +319,29 @@ class TestLambdaMax:
         assert a.value == b.value and a.iterations == b.iterations
 
 
+class TestGraphSha256:
+    def test_canonical_edges_give_one_digest(self):
+        a = gr.Graph(node_count=4, edges=((0, 1, 1.0), (2, 1, 0.5), (3, 0, 2.0)))
+        b = gr.Graph(node_count=4, edges=((0, 3, 2.0), (1, 2, 0.5), (1, 0, 1.0)))
+        assert gr.graph_sha256(a, "combinatorial", 3.5) == gr.graph_sha256(b, "combinatorial", 3.5)
+
+    def test_each_part_changes_the_digest(self):
+        g = gr.Graph(node_count=4, edges=((0, 1, 1.0), (1, 2, 0.5)))
+        base = gr.graph_sha256(g, "combinatorial", 3.5)
+        others = [
+            gr.graph_sha256(gr.Graph(node_count=5, edges=g.edges), "combinatorial", 3.5),
+            gr.graph_sha256(gr.Graph(node_count=4, edges=g.edges, kind="signed"),
+                            "combinatorial", 3.5),
+            gr.graph_sha256(g, "normalized", 3.5),
+            gr.graph_sha256(g, "combinatorial", np.nextafter(3.5, 4.0)),
+            gr.graph_sha256(gr.Graph(node_count=4, edges=((0, 1, 1.0), (1, 2, 0.25))),
+                            "combinatorial", 3.5),
+            gr.graph_sha256(gr.Graph(node_count=4, edges=((0, 1, 1.0), (1, 3, 0.5))),
+                            "combinatorial", 3.5),
+        ]
+        assert len({base, *others}) == len(others) + 1
+
+
 class TestScaledLaplacian:
     def test_p2_scaled_at_two(self):
         lt = gr.scale_laplacian(gr.build_laplacian(p2()), 2.0)
