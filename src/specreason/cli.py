@@ -237,9 +237,39 @@ def cmd_infer(args) -> None:
     print(f"infer nodes={g.node_count} facts={int(predicates.hard.sum())}")
 
 
+_TRAIN_KEYS = ("order", "seed", "examples", "teacher", "penalties", "loss", "curriculum",
+               "allowed_bands", "learning_rate", "epochs", "clip_norm")
+_TRAIN_SECTION_KEYS = {"penalties": ("proof", "rule_consistency", "transfer"),
+                       "teacher": ("kind", "params")}
+
+
+def _train_config(path) -> dict:
+    """The train config at path; a key train does not read is refused, not ignored."""
+    config = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: the config must be a JSON object")
+    for key in config:
+        if key not in _TRAIN_KEYS:
+            raise ValueError(f"{path}: unknown key {key!r}; train reads {', '.join(_TRAIN_KEYS)}")
+    for section, keys in _TRAIN_SECTION_KEYS.items():
+        entries = config.get(section, {})
+        if not isinstance(entries, dict):
+            raise ValueError(f"{path}: {section!r} must be a JSON object")
+        for key in entries:
+            if key not in keys:
+                raise ValueError(f"{path}: unknown key {section}.{key}; "
+                                 f"{section} reads {', '.join(keys)}")
+    if config.get("loss", "mse") != "mse":
+        raise ValueError(f"{path}: unknown loss {config['loss']!r}; train fits the squared "
+                         f"error, 'mse'")
+    if "teacher" in config and "kind" not in config["teacher"]:
+        raise ValueError(f"{path}: teacher is missing required key 'kind'")
+    return config
+
+
 def cmd_train(args) -> None:
+    config = _train_config(args.config)
     out = _out_dir(args)
-    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     order = int(config.get("order", 8))
     seed = int(config.get("seed", args.seed))
     examples = int(config.get("examples", 8))
@@ -250,8 +280,6 @@ def cmd_train(args) -> None:
     lt = gr.scale_laplacian(lap, estimate.value)
 
     teacher_spec = config.get("teacher", {"kind": "diffusion", "params": [1.0]})
-    if "kind" not in teacher_spec:
-        raise ValueError(f"{args.config}: teacher is missing required key 'kind'")
     teacher_response = ft.AnalyticResponse(kind=teacher_spec["kind"],
                                            params=tuple(teacher_spec.get("params", ())))
     teacher = ft.fit_chebyshev(teacher_response, order, estimate.value)
@@ -262,18 +290,16 @@ def cmd_train(args) -> None:
         x = rng.standard_normal(lap.node_count)
         data.append(tr.TrainExample(x=x, target=np.asarray(ft.cheb_apply(teacher, lt, x))))
 
-    penalties = config.get("penalties", {})
-    loss = tr.LossSpec(kind=config.get("loss", "mse"),
-                       penalties=tr.PenaltyWeights(
-                           proof=float(penalties.get("proof", 0.0)),
-                           rule_consistency=float(penalties.get("rule_consistency", 0.0)),
-                           transfer=float(penalties.get("transfer", 0.0))))
+    weights = config.get("penalties", {})
+    penalties = tr.PenaltyWeights(proof=float(weights.get("proof", 0.0)),
+                                  rule_consistency=float(weights.get("rule_consistency", 0.0)),
+                                  transfer=float(weights.get("transfer", 0.0)))
     schedule = None
     if config.get("curriculum"):
         schedule = tr.CurriculumSchedule(stages=tuple((int(e), int(k))
                                                       for e, k in config["curriculum"]))
     context = None
-    if loss.penalties.proof > 0 or loss.penalties.transfer > 0:
+    if penalties.proof > 0 or penalties.transfer > 0:
         basis = gr.eigendecompose(lap)
         context = tr.PenaltyContext(
             basis=basis,
@@ -285,7 +311,7 @@ def cmd_train(args) -> None:
                                epochs=int(config.get("epochs", 100)),
                                clip_norm=config.get("clip_norm", 10.0))
     student = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=estimate.value)
-    result = tr.train(student, lt, data, loss, schedule=schedule, config=train_cfg,
+    result = tr.train(student, lt, data, penalties, schedule=schedule, config=train_cfg,
                       context=context, seed=seed)
 
     model = replace(result.model, bound=_bound_record(g, args.variant, estimate))

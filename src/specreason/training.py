@@ -1,10 +1,13 @@
 """Gradient-based training of spectral filters and gated expert mixtures.
 
-Coefficient gradients ride the Chebyshev recurrence trace; operator
-gradients are exact reverse-mode through the same recurrence, reported in
-the symmetric subspace. Penalties steer where output energy is allowed to
-live, how the operator's spectrum should look, and how outputs should
-transfer across graphs.
+One loop trains both. A filter enters it as a one-expert mixture, whose
+gate is 1 for every example, so its pooled coefficients are its own. The
+data term is the mean squared error to each example's target. Coefficient
+gradients ride the Chebyshev recurrence trace; operator gradients are
+exact reverse-mode through the same recurrence, reported in the symmetric
+subspace. Penalties steer where output energy is allowed to live, how the
+operator's spectrum should look, and how outputs should transfer across
+graphs.
 
 Cost: an example's recurrence trace b_0 .. b_K depends on the operator and
 the example, not on the coefficients. With a fixed operator, training runs
@@ -15,7 +18,7 @@ the recurrence reruns each epoch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -180,24 +183,31 @@ class MoSEModel:
 
 
 def mose_gate(model: MoSEModel, features) -> np.ndarray:
-    """Softmax gate alpha = softmax(W f); always a point on the simplex."""
+    """Softmax gate alpha = softmax(W f); always a point on the simplex.
+
+    features is one feature vector or a stack of them, one per row; the
+    gates come back in the same layout.
+    """
     f = np.asarray(features, dtype=float)
-    if f.shape != (len(GATING_FEATURES),):
+    if f.ndim > 2 or f.shape[-1:] != (len(GATING_FEATURES),):
         raise ValueError(f"features must have length {len(GATING_FEATURES)}")
-    logits = model.gating_weights @ f
-    logits = logits - logits.max()
+    logits = (model.gating_weights @ f.T).T
+    logits = logits - logits.max(axis=-1, keepdims=True)
     weights = np.exp(logits)
-    return weights / weights.sum()
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def pooled_coefficients(model: MoSEModel, alpha) -> np.ndarray:
-    """Gate-weighted coefficient pool: sum_b alpha_b theta_b, zero-padded."""
+    """Gate-weighted coefficient pool: sum_b alpha_b theta_b, zero-padded.
+
+    alpha is one gate or a stack of them, one per row, as mose_gate gives.
+    """
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (len(model.experts),):
+    if alpha.ndim > 2 or alpha.shape[-1:] != (len(model.experts),):
         raise ValueError("alpha must hold one weight per expert")
-    pooled = np.zeros(model.max_order + 1)
-    for a, expert in zip(alpha, model.experts):
-        pooled[: expert.theta.size] += a * expert.theta
+    pooled = np.zeros(alpha.shape[:-1] + (model.max_order + 1,))
+    for b, expert in enumerate(model.experts):
+        pooled[..., : expert.theta.size] += alpha[..., b, None] * expert.theta
     return pooled
 
 
@@ -274,51 +284,21 @@ class PenaltyWeights:
 
 
 @dataclass(frozen=True)
-class LossSpec:
-    """What the data term measures and which penalties ride along.
-
-    kind "mse" matches targets in vertex space; "logistic" scores soft
-    predicate projections against binary labels.
-    """
-
-    kind: str = "mse"
-    threshold: float = 0.0
-    temperature: float = 1.0
-    penalties: PenaltyWeights = field(default_factory=PenaltyWeights)
-
-    def __post_init__(self):
-        if self.kind not in ("mse", "logistic"):
-            raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.kind == "logistic" and self.temperature <= 0:
-            raise ValueError("logistic loss needs a positive temperature")
-
-
-@dataclass(frozen=True)
 class TrainExample:
-    """One graph signal with either a regression target or binary labels."""
+    """One graph signal and the output the model should give for it."""
 
     x: np.ndarray
-    target: np.ndarray | None = None
-    labels: np.ndarray | None = None
+    target: np.ndarray
 
     def __post_init__(self):
         x = np.array(self.x, dtype=float)
+        t = np.array(self.target, dtype=float)
+        if t.shape != x.shape:
+            raise ValueError("target must match x in shape")
         x.setflags(write=False)
+        t.setflags(write=False)
         object.__setattr__(self, "x", x)
-        if self.target is not None:
-            t = np.array(self.target, dtype=float)
-            if t.shape != x.shape:
-                raise ValueError("target must match x in shape")
-            t.setflags(write=False)
-            object.__setattr__(self, "target", t)
-        if self.labels is not None:
-            lab = np.array(self.labels, dtype=float)
-            if lab.shape != x.shape:
-                raise ValueError("labels must match x in shape")
-            if np.any((lab != 0) & (lab != 1)):
-                raise ValueError("labels must be binary")
-            lab.setflags(write=False)
-            object.__setattr__(self, "labels", lab)
+        object.__setattr__(self, "target", t)
 
 
 @dataclass(frozen=True)
@@ -373,30 +353,11 @@ def history_to_csv(history) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _data_term(loss: LossSpec, y: np.ndarray, example: TrainExample) -> tuple[float, np.ndarray]:
+def _data_term(y: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean squared error of y against the target, and its gradient in y."""
     n = y.size
-    if loss.kind == "mse":
-        if example.target is None:
-            raise ValueError("mse loss needs targets on every example")
-        diff = y - example.target
-        return float(diff @ diff) / n, (2.0 / n) * diff
-    if example.labels is None:
-        raise ValueError("logistic loss needs labels on every example")
-    z = loss.temperature * (y - loss.threshold)
-    p = np.clip(_sigmoid(z), 1e-12, 1.0 - 1e-12)
-    lab = example.labels
-    value = -float(np.mean(lab * np.log(p) + (1.0 - lab) * np.log(1.0 - p)))
-    grad = (loss.temperature / n) * (p - lab)
-    return value, grad
+    diff = y - target
+    return float(diff @ diff) / n, (2.0 / n) * diff
 
 
 def _require(condition: bool, message: str):
@@ -451,25 +412,34 @@ def _example_traces(order: int, lambda_max: float, lt: ScaledLaplacian,
     return [ft.cheb_apply(probe, lt, ex.x, keep_trace=True)[1] for ex in data]
 
 
-def train(model, lt: ScaledLaplacian, data, loss: LossSpec,
+def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = None,
           schedule: CurriculumSchedule | None = None,
           config: TrainConfig | None = None,
           context: PenaltyContext | None = None,
           laplacian: Laplacian | None = None,
           seed: int = 0) -> TrainResult:
-    """Full-batch gradient descent on a filter or expert mixture.
+    """Full-batch gradient descent on a filter or expert mixture, in one loop.
+
+    A filter trains as a one-expert mixture with all-zero gating features:
+    its gate is exactly 1, its pooled coefficients are exactly its theta,
+    and its gating weights get no gradient. Every epoch computes each
+    example's gate and pooled coefficients once; each example then forms
+    its output from its recurrence trace and the pooled coefficients, and
+    the coefficient gradient reaches expert b scaled by alpha_b. The data
+    term is the mean squared error to the examples' targets.
 
     Records one history row per epoch before the update; penalty columns
     hold raw (unweighted) values while the total applies the configured
-    weights. With learn_laplacian the dense operator is updated from the
-    exact recurrence gradient, reprojected onto valid Laplacians, and its
-    spectral bound re-estimated every lambda_refresh_every epochs.
+    weights. With learn_laplacian (filters only) the dense operator is
+    updated from the exact recurrence gradient, reprojected onto valid
+    Laplacians, and its spectral bound re-estimated every
+    lambda_refresh_every epochs.
     """
     cfg = config or TrainConfig()
     ctx = context or PenaltyContext()
+    pw = penalties or PenaltyWeights()
     data = list(data)
     _require(bool(data), "training needs at least one example")
-    pw = loss.penalties
     _require(pw.proof == 0 or (ctx.basis is not None and ctx.partition is not None
                                and len(ctx.allowed_bands) > 0),
              "proof penalty needs a basis, partition, and allowed bands")
@@ -484,15 +454,22 @@ def train(model, lt: ScaledLaplacian, data, loss: LossSpec,
     if isinstance(model, MoSEModel):
         _require(not cfg.learn_laplacian, "operator learning is not defined for mixtures")
         _require(ctx.basis is not None, "mixture training needs a basis for gating features")
-        return _train_mose(model, lt, data, loss, schedule, cfg, ctx)
-
-    if not isinstance(model, ft.ChebyshevFilter):
+        current = model
+        features = np.array([gating_features(ctx.basis, ex.x, ctx.partition) for ex in data])
+    elif isinstance(model, ft.ChebyshevFilter):
+        # a one-expert softmax gate is 1 whatever its weights and features
+        current = MoSEModel(experts=(model,), gating_weights=np.zeros((1, len(GATING_FEATURES))))
+        features = np.zeros((len(data), len(GATING_FEATURES)))
+    else:
         raise TypeError(f"cannot train a {type(model).__name__}")
     if cfg.learn_laplacian:
         _require(laplacian is not None, "operator learning needs the unscaled Laplacian")
 
-    theta = model.theta.copy()
-    order = model.order
+    # expert b owns the first sizes[b] columns of the zero-padded coefficient rows
+    sizes = [e.theta.size for e in current.experts]
+    order = current.max_order
+    owned = np.arange(order + 1) < np.array(sizes)[:, None]
+    gated = len(sizes) > 1
     lambda_max = lt.lambda_max
     lt_cur = lt
     lap_dense = laplacian.matrix.toarray() if cfg.learn_laplacian else None
@@ -506,22 +483,31 @@ def train(model, lt: ScaledLaplacian, data, loss: LossSpec,
     for epoch in range(cfg.epochs):
         if traces is None:
             traces = _example_traces(order, lambda_max, lt_cur, data)
-        mask = curriculum_mask(schedule, epoch, order)
-        g_theta = np.zeros(order + 1)
+        thetas = np.zeros((len(sizes), order + 1))
+        for row, expert in zip(thetas, current.experts):
+            row[: expert.theta.size] = expert.theta
+        alphas = mose_gate(current, features)
+        pooled = pooled_coefficients(current, alphas)
+        g_thetas = np.zeros_like(thetas)
+        g_weights = np.zeros_like(current.gating_weights)
         g_lap = np.zeros_like(lap_dense) if cfg.learn_laplacian else None
         sums = np.zeros(3)  # data term, proof and transfer penalties over the examples
-        for example, trace in zip(data, traces):
-            y = ft.chebyshev_sum(theta, trace.basis_vectors)
-            value, g_y = _data_term(loss, y, example)
+        for example, f_vec, alpha, coeffs, trace in zip(data, features, alphas, pooled, traces):
+            y = ft.chebyshev_sum(coeffs, trace.basis_vectors)
+            value, g_y = _data_term(y, example.target)
             proof, transfer, g_y = _output_penalties(pw, ctx, basis_cur, ctx.partition, y, g_y)
             sums += (value, proof, transfer)
-            g_theta += grad_theta(g_y, trace)
+            g = grad_theta(g_y, trace)
+            g_thetas += np.outer(alpha, g)
+            if gated:  # a one-expert gate is constant: no gradient, and no inf - inf on divergence
+                d_alpha = thetas @ g
+                g_weights += np.outer(alpha * (d_alpha - float(alpha @ d_alpha)), f_vec)
             if cfg.learn_laplacian:
-                g_scaled = grad_scaled_laplacian(g_y, theta, trace, lt_cur)
+                g_scaled = grad_scaled_laplacian(g_y, coeffs, trace, lt_cur)
                 # lambda_max is held out of the chain rule on purpose
                 g_lap += (2.0 / lambda_max) * g_scaled
         count = len(data)
-        g_theta /= count
+        g_thetas /= count
         if cfg.learn_laplacian:
             g_lap /= count
 
@@ -535,9 +521,13 @@ def train(model, lt: ScaledLaplacian, data, loss: LossSpec,
 
         _record_epoch(history, epoch, pw, sums / count, rc_total)
 
-        g_theta = _clipped(np.where(mask, g_theta, 0.0), cfg.clip_norm)
-        theta = theta - cfg.learning_rate * g_theta
-        if not np.all(np.isfinite(theta)):
+        mask = curriculum_mask(schedule, epoch, order) & owned
+        steps = np.array([_clipped(np.where(m, g, 0.0), cfg.clip_norm)
+                          for m, g in zip(mask, g_thetas)])
+        thetas = thetas - cfg.learning_rate * steps
+        g_weights = _clipped(g_weights / count, cfg.clip_norm)
+        weights = current.gating_weights - cfg.learning_rate * g_weights
+        if not np.all(np.isfinite(thetas)) or not np.all(np.isfinite(weights)):
             raise DivergenceError(epoch)
 
         if cfg.learn_laplacian:
@@ -550,58 +540,10 @@ def train(model, lt: ScaledLaplacian, data, loss: LossSpec,
             traces = None
             if needs_basis:
                 basis_cur = eigendecompose(lap_cur)
+        current = MoSEModel(experts=tuple(ft.ChebyshevFilter(theta=t[:size], lambda_max=lambda_max)
+                                          for t, size in zip(thetas, sizes)),
+                            gating_weights=weights)
 
-    trained = ft.ChebyshevFilter(theta=theta, lambda_max=lambda_max)
+    trained = current if isinstance(model, MoSEModel) else current.experts[0]
     return TrainResult(model=trained, history=tuple(history),
                        laplacian=lap_cur if cfg.learn_laplacian else laplacian)
-
-
-def _train_mose(model: MoSEModel, lt: ScaledLaplacian, data, loss: LossSpec,
-                schedule: CurriculumSchedule | None, cfg: TrainConfig,
-                ctx: PenaltyContext) -> TrainResult:
-    pw = loss.penalties
-    thetas = [e.theta.copy() for e in model.experts]
-    weights = model.gating_weights.copy()
-    lambda_max = model.lambda_max
-    part = ctx.partition if ctx.partition is not None else default_three_band(ctx.basis.lambda_max)
-    features = [gating_features(ctx.basis, ex.x, part) for ex in data]
-    traces = _example_traces(model.max_order, lambda_max, lt, data)
-
-    history = []
-    for epoch in range(cfg.epochs):
-        g_thetas = [np.zeros_like(t) for t in thetas]
-        g_weights = np.zeros_like(weights)
-        sums = np.zeros(3)  # data term, proof and transfer penalties over the examples
-        cur = MoSEModel(experts=tuple(ft.ChebyshevFilter(theta=t, lambda_max=lambda_max)
-                                      for t in thetas), gating_weights=weights)
-        for example, f_vec, trace in zip(data, features, traces):
-            basis_rows = trace.basis_vectors
-            alpha = mose_gate(cur, f_vec)
-            outs = [basis_rows[: t.size].T @ t for t in thetas]
-            y = np.zeros(example.x.size)
-            for a, out in zip(alpha, outs):
-                y = y + a * out
-            value, g_y = _data_term(loss, y, example)
-            proof, transfer, g_y = _output_penalties(pw, ctx, ctx.basis, part, y, g_y)
-            sums += (value, proof, transfer)
-            for b, t in enumerate(thetas):
-                g_thetas[b] += alpha[b] * (basis_rows[: t.size] @ g_y)
-            d_alpha = np.array([float(g_y @ out) for out in outs])
-            d_logits = alpha * (d_alpha - float(alpha @ d_alpha))
-            g_weights += np.outer(d_logits, f_vec)
-        count = len(data)
-        rc_total = (rule_consistency_penalty(ctx.basis, ctx.consistency_target)
-                    if pw.rule_consistency > 0 else 0.0)
-        _record_epoch(history, epoch, pw, sums / count, rc_total)
-
-        for b in range(len(thetas)):
-            mask = curriculum_mask(schedule, epoch, thetas[b].size - 1)
-            grad = _clipped(np.where(mask, g_thetas[b] / count, 0.0), cfg.clip_norm)
-            thetas[b] = thetas[b] - cfg.learning_rate * grad
-        weights = weights - cfg.learning_rate * _clipped(g_weights / count, cfg.clip_norm)
-        if not all(np.all(np.isfinite(t)) for t in thetas) or not np.all(np.isfinite(weights)):
-            raise DivergenceError(epoch)
-
-    trained = MoSEModel(experts=tuple(ft.ChebyshevFilter(theta=t, lambda_max=lambda_max)
-                                      for t in thetas), gating_weights=weights)
-    return TrainResult(model=trained, history=tuple(history), laplacian=None)

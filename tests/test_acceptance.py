@@ -324,7 +324,7 @@ def test_criterion_12_teacher_student_recovery():
     data = [tr.TrainExample(x=x, target=np.asarray(ft.dense_filter_apply(basis, teacher, x)))
             for x in rng.standard_normal((12, 16))]
     student = ft.ChebyshevFilter(theta=np.zeros(9), lambda_max=lmax)
-    result = tr.train(student, lt, data, tr.LossSpec(kind="mse"),
+    result = tr.train(student, lt, data, tr.PenaltyWeights(),
                       config=tr.TrainConfig(learning_rate=0.05, epochs=500))
     losses = [row[1] for row in result.history]
     resp_err = float(np.max(np.abs(ft.response_eval(result.model, basis.eigenvalues)

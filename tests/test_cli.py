@@ -191,6 +191,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "error: train.json: teacher is missing required key 'kind'" in err
 
+    @pytest.mark.parametrize("config, message", [
+        ({"order": 4, "epoch": 3}, "unknown key 'epoch'"),
+        ({"order": 4, "penalties": {"prof": 0.5}}, "unknown key penalties.prof"),
+        ({"order": 4, "teacher": {"kind": "diffusion", "tau": 2.0}}, "unknown key teacher.tau"),
+        ({"order": 4, "loss": "logistic"}, "unknown loss 'logistic'"),
+    ], ids=["top_level", "penalties", "teacher", "loss"])
+    def test_config_key_train_does_not_read_refused(self, workdir, capsys, config, message):
+        (workdir / "train.json").write_text(json.dumps(config))
+        # the graph does not exist: the config is refused before anything is loaded
+        code = run("train", "--graph", "missing.txt", "--config", "train.json", "--out-dir", "out")
+        assert code == 1
+        assert f"error: train.json: {message}" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
 
 class TestGen:
     def test_same_seed_byte_identical(self, workdir):

@@ -78,20 +78,20 @@ def penalised_problem():
             for x in rng.standard_normal((4, 30))]
     context = tr.PenaltyContext(basis=basis, partition=an.default_three_band(basis.lambda_max),
                                 allowed_bands=(0,), transfer_reference=0.1 * rng.standard_normal(30))
-    loss = tr.LossSpec(penalties=tr.PenaltyWeights(proof=0.3, transfer=0.2))
-    return lap, lt, data, context, loss
+    penalties = tr.PenaltyWeights(proof=0.3, transfer=0.2)
+    return lap, lt, data, context, penalties
 
 
 @pytest.mark.parametrize("kind, expected", [
     ("chebyshev", "ba80ada494cf53e2"),
-    ("mose", "812bf1db7c6cc9b3"),
+    ("mose", "5495b514d61f8c95"),
     ("learn_laplacian", "5b6b7fcbaa77ca0f"),
 ])
 def test_penalised_training_history_pinned(kind, expected):
-    lap, lt, data, context, loss = penalised_problem()
+    lap, lt, data, context, penalties = penalised_problem()
     lambda_max = lt.lambda_max
     student = ft.ChebyshevFilter(theta=np.zeros(6), lambda_max=lambda_max)
-    # a clip norm small enough that both loops clip some of their gradients
+    # a clip norm small enough that the filter and the mixture both clip some gradients
     config = tr.TrainConfig(epochs=25, clip_norm=0.3)
     schedule = None
     if kind == "mose":
@@ -103,10 +103,25 @@ def test_penalised_training_history_pinned(kind, expected):
                                 laplacian_lr=0.02, lambda_refresh_every=5)
         schedule = tr.CurriculumSchedule(stages=((0, 2), (4, 5)))
         context = replace(context, consistency_target=0.9 * context.basis.eigenvalues)
-        loss = replace(loss, penalties=replace(loss.penalties, rule_consistency=0.05))
-    result = tr.train(student, lt, data, loss, schedule=schedule, config=config,
+        penalties = replace(penalties, rule_consistency=0.05)
+    result = tr.train(student, lt, data, penalties, schedule=schedule, config=config,
                       context=context, laplacian=lap)
     assert digest(tr.history_to_csv(result.history)) == expected
+
+
+def test_filter_trains_as_one_expert_mixture():
+    lap, lt, data, context, penalties = penalised_problem()
+    student = ft.ChebyshevFilter(theta=np.zeros(6), lambda_max=lt.lambda_max)
+    mixture = tr.MoSEModel(experts=(student,), gating_weights=np.zeros((1, 5)))
+    schedule = tr.CurriculumSchedule(stages=((0, 2), (6, 5)))
+    config = tr.TrainConfig(epochs=25, clip_norm=0.3)
+    plain = tr.train(student, lt, data, penalties, schedule=schedule, config=config,
+                     context=context)
+    mixed = tr.train(mixture, lt, data, penalties, schedule=schedule, config=config,
+                     context=context)
+    assert np.array(mixed.history).tobytes() == np.array(plain.history).tobytes()
+    assert mixed.model.experts[0].theta.tobytes() == plain.model.theta.tobytes()
+    assert not mixed.model.gating_weights.any()
 
 
 @pytest.mark.parametrize("threads", [1, 2])

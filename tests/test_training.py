@@ -266,7 +266,7 @@ class TestTrain:
         lap, lt, lmax = operator(n=12, p=0.5, seed=17)
         _, data = teacher_data(lt, lmax, 6, 8, seed=18)
         student = ft.ChebyshevFilter(theta=np.zeros(7), lambda_max=lmax)
-        result = tr.train(student, lt, data, tr.LossSpec(kind="mse"),
+        result = tr.train(student, lt, data, tr.PenaltyWeights(),
                           config=tr.TrainConfig(learning_rate=0.05, epochs=150))
         first, last = result.history[0][1], result.history[-1][1]
         assert last < first / 10
@@ -277,7 +277,7 @@ class TestTrain:
         _, data = teacher_data(lt, lmax, 4, 5, seed=20)
         theta0 = np.random.default_rng(21).standard_normal(5)
         student = ft.ChebyshevFilter(theta=theta0, lambda_max=lmax)
-        result = tr.train(student, lt, data, tr.LossSpec(kind="mse"),
+        result = tr.train(student, lt, data, tr.PenaltyWeights(),
                           config=tr.TrainConfig(learning_rate=0.0, epochs=10))
         assert np.array_equal(result.model.theta, theta0)
         losses = {row[1] for row in result.history}
@@ -288,8 +288,8 @@ class TestTrain:
         _, data = teacher_data(lt, lmax, 4, 5, seed=23)
         student = ft.ChebyshevFilter(theta=np.zeros(5), lambda_max=lmax)
         cfg = tr.TrainConfig(learning_rate=0.05, epochs=30)
-        r1 = tr.train(student, lt, data, tr.LossSpec(), config=cfg, seed=3)
-        r2 = tr.train(student, lt, data, tr.LossSpec(), config=cfg, seed=3)
+        r1 = tr.train(student, lt, data, tr.PenaltyWeights(), config=cfg, seed=3)
+        r2 = tr.train(student, lt, data, tr.PenaltyWeights(), config=cfg, seed=3)
         assert r1.history == r2.history
         assert np.array_equal(r1.model.theta, r2.model.theta)
 
@@ -298,7 +298,7 @@ class TestTrain:
         _, data = teacher_data(lt, lmax, 4, 5, seed=25)
         student = ft.ChebyshevFilter(theta=np.zeros(5), lambda_max=lmax)
         schedule = tr.CurriculumSchedule(stages=((0, 1),))  # only theta_0, theta_1 ever move
-        result = tr.train(student, lt, data, tr.LossSpec(),
+        result = tr.train(student, lt, data, tr.PenaltyWeights(),
                           schedule=schedule,
                           config=tr.TrainConfig(learning_rate=0.05, epochs=40))
         assert np.array_equal(result.model.theta[2:], np.zeros(3))
@@ -310,7 +310,7 @@ class TestTrain:
         _, data = teacher_data(lt, lmax, 4, 5, seed=27)
         student = ft.ChebyshevFilter(theta=np.zeros(5), lambda_max=lmax)
         with pytest.raises(tr.DivergenceError):
-            tr.train(student, lt, data, tr.LossSpec(),
+            tr.train(student, lt, data, tr.PenaltyWeights(),
                      config=tr.TrainConfig(learning_rate=1e12, epochs=200, clip_norm=None))
 
     def test_proof_penalty_steers_energy(self):
@@ -322,11 +322,10 @@ class TestTrain:
                                 target=rng.standard_normal(12)) for _ in range(6)]
         student = ft.ChebyshevFilter(theta=np.zeros(5), lambda_max=lmax)
         context = tr.PenaltyContext(basis=basis, partition=part, allowed_bands=(0,))
-        plain = tr.train(student, lt, data, tr.LossSpec(kind="mse"),
+        plain = tr.train(student, lt, data, tr.PenaltyWeights(),
                          config=tr.TrainConfig(learning_rate=0.02, epochs=120))
         penalized = tr.train(student, lt, data,
-                             tr.LossSpec(kind="mse",
-                                         penalties=tr.PenaltyWeights(proof=5.0)),
+                             tr.PenaltyWeights(proof=5.0),
                              config=tr.TrainConfig(learning_rate=0.02, epochs=120),
                              context=context)
 
@@ -343,7 +342,7 @@ class TestTrain:
         lap, lt, lmax = operator(n=8, seed=30)
         _, data = teacher_data(lt, lmax, 3, 4, seed=31)
         student = ft.ChebyshevFilter(theta=np.zeros(4), lambda_max=lmax)
-        result = tr.train(student, lt, data, tr.LossSpec(),
+        result = tr.train(student, lt, data, tr.PenaltyWeights(),
                           config=tr.TrainConfig(learning_rate=0.05, epochs=5))
         text = tr.history_to_csv(result.history)
         lines = text.strip().split("\n")
@@ -359,7 +358,7 @@ class TestTrain:
                                              lambda_max=lmax) for _ in range(2)),
             gating_weights=np.zeros((2, 5)))
         context = tr.PenaltyContext(basis=gr.eigendecompose(lap))
-        result = tr.train(model, lt, data, tr.LossSpec(),
+        result = tr.train(model, lt, data, tr.PenaltyWeights(),
                           config=tr.TrainConfig(learning_rate=0.05, epochs=120),
                           context=context)
         assert result.history[-1][1] < result.history[0][1] / 5
@@ -385,7 +384,7 @@ class TestTrain:
             return cheb_apply(f, lt_arg, *args, **kwargs)
 
         monkeypatch.setattr(ft, "cheb_apply", counted)
-        tr.train(student, lt, data, tr.LossSpec(), config=cfg,
+        tr.train(student, lt, data, tr.PenaltyWeights(), config=cfg,
                  context=tr.PenaltyContext(basis=basis), laplacian=lap)
         if kind == "learn_laplacian":
             # the operator moves every epoch, so every epoch needs fresh traces
@@ -410,9 +409,9 @@ class TestTrain:
         data = [tr.TrainExample(x=x, target=np.asarray(ft.cheb_apply(teacher, lt_t, x)))
                 for x in rng.standard_normal((10, 8))]
         student = ft.ChebyshevFilter(theta=np.zeros(5), lambda_max=est_s.value)
-        frozen = tr.train(student, lt_s, data, tr.LossSpec(),
+        frozen = tr.train(student, lt_s, data, tr.PenaltyWeights(),
                           config=tr.TrainConfig(learning_rate=0.05, epochs=200))
-        adaptive = tr.train(student, lt_s, data, tr.LossSpec(),
+        adaptive = tr.train(student, lt_s, data, tr.PenaltyWeights(),
                             config=tr.TrainConfig(learning_rate=0.05, epochs=200,
                                                   learn_laplacian=True, laplacian_lr=0.05),
                             laplacian=lap_s)
