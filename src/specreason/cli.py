@@ -264,6 +264,9 @@ def _train_config(path) -> dict:
                          f"error, 'mse'")
     if "teacher" in config and "kind" not in config["teacher"]:
         raise ValueError(f"{path}: teacher is missing required key 'kind'")
+    if float(config.get("penalties", {}).get("rule_consistency", 0.0)) > 0:
+        raise ValueError(f"{path}: penalties.rule_consistency must be 0; train has no "
+                         f"target spectrum to hold the operator to")
     return config
 
 

@@ -1,8 +1,11 @@
 """Graphs, Laplacian operators, and the graph Fourier transform.
 
 Beliefs live on vertices; every spectral operation in the package is
-anchored to one of the Laplacian variants built here. All matrices are
-scipy CSR and are treated as immutable once constructed.
+anchored to one of the Laplacian variants built here. A Laplacian is
+assembled in NumPy as canonical CSR arrays and is immutable once built.
+scipy.sparse is imported only where a sparse product runs: a Laplacian's
+``matrix`` view, ``scale_laplacian`` and ``Graph.adjacency``. A command
+that only runs the dense eigendecomposition never loads it.
 """
 
 from __future__ import annotations
@@ -13,11 +16,14 @@ import os
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 LAMBDA_SAFETY_MARGIN = 1.01
 _LANCZOS_CHECK_EVERY = 5  # steps between Ritz-pair checks; each check costs O(k^3)
@@ -81,9 +87,12 @@ class Graph:
             raise ValueError("edge columns must be one-dimensional and of equal length")
         lo, hi = np.minimum(i, j), np.maximum(i, j)
         keys = lo * node_count + hi
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys)  # the keys of a valid graph are unique: any sort gives one order
         repeat = np.zeros(i.size, dtype=bool)
-        repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+        if np.any(keys[order[1:]] == keys[order[:-1]]):
+            # a repeated pair: sort stably, so its first copy in input order passes
+            order = np.argsort(keys, kind="stable")
+            repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
         rules = ((i == j, "self-loop at node {i}"),
                  ((lo < 0) | (hi >= node_count), "edge ({i}, {j}) out of range for {n} nodes"),
                  (repeat, "duplicate edge ({lo}, {hi})"),
@@ -96,7 +105,9 @@ class Graph:
             k = int(np.argmax(bad))
             text = next(text for broken, text in rules if broken[k])
             raise InvalidEdgeError(k, text.format(i=i[k], j=j[k], lo=lo[k], hi=hi[k], n=node_count))
-        rows, cols, weights = (_frozen_array(a[order], a.dtype) for a in (lo, hi, w))
+        rows, cols, weights = lo[order], hi[order], w[order]
+        for arr in (rows, cols, weights):
+            arr.setflags(write=False)
         vars(self).update(node_count=node_count, kind=kind, rows=rows, cols=cols, weights=weights)
 
     @property
@@ -108,25 +119,90 @@ class Graph:
         return self.rows.size
 
     def adjacency(self) -> sp.csr_array:
-        """Full symmetric adjacency matrix."""
-        ends = (np.concatenate([self.rows, self.cols]), np.concatenate([self.cols, self.rows]))
-        return sp.csr_array((np.tile(self.weights, 2), ends), shape=(self.node_count,) * 2)
+        """Full symmetric adjacency matrix, a scipy CSR array in canonical form."""
+        import scipy.sparse as sp  # imported here: only the generators' connectivity check calls it
+        indptr, _, left, right = _adjacency_slots(self)
+        indices = np.empty(2 * self.edge_count, dtype=np.int64)
+        data = np.empty(2 * self.edge_count)
+        indices[left], indices[right] = self.rows, self.cols
+        data[left] = data[right] = self.weights
+        return sp.csr_array((data, indices, indptr), shape=(self.node_count,) * 2)
 
 
-@dataclass(frozen=True)
+def _adjacency_slots(g: Graph):
+    """Where g's symmetric adjacency, in canonical CSR order, stores each edge.
+
+    Row r holds the edges (c, r), by c, left of its diagonal and then the edges (r, c),
+    by c. The stored (i, j) order already lists the right-hand parts row by row; the
+    left-hand parts are the edges grouped by their larger endpoint. Returns indptr,
+    each row's count of left-hand entries, and each stored edge's two slots: ``left``
+    for (j, i) in row j and ``right`` for (i, j) in row i.
+    """
+    n, m = g.node_count, g.edge_count
+    by_larger = np.argsort(g.cols * n + g.rows)  # unique keys below n * n: no stable sort needed
+    below = np.bincount(g.cols, minlength=n)
+    above = np.bincount(g.rows, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(below + above, out=indptr[1:])
+    steps = np.arange(m)
+    # the k-th edge by larger endpoint r follows the right-hand parts of the rows before r
+    slots = (np.cumsum(above) - above)[g.cols[by_larger]]
+    slots += steps
+    left = np.empty(m, dtype=np.int64)
+    left[by_larger] = slots
+    # the e-th stored edge, in row i, follows the left-hand parts of the rows up to i
+    right = np.cumsum(below)[g.rows]
+    right += steps
+    return indptr, below, left, right
+
+
+@dataclass(frozen=True, eq=False)
 class Laplacian:
-    """A positive semidefinite graph operator of one of the supported variants."""
+    """A positive semidefinite graph operator of one of the supported variants.
 
-    matrix: sp.csr_array
+    Held as read-only canonical CSR arrays: row i's entries are ``data[indptr[i]:
+    indptr[i + 1]]`` at the ascending columns ``indices[indptr[i]:indptr[i + 1]]``, and
+    no stored entry is zero. ``matrix`` wraps them as a scipy CSR array for sparse
+    products; ``toarray`` gives the dense matrix without scipy.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     variant: str
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown Laplacian variant {self.variant!r}")
+        for arr in (self.indptr, self.indices, self.data):
+            arr.setflags(write=False)
+
+    @classmethod
+    def from_dense(cls, matrix: np.ndarray, variant: str) -> Laplacian:
+        """The nonzero entries of a dense square matrix, row by row."""
+        n = matrix.shape[0]
+        rows, cols = np.nonzero(matrix)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(indptr, cols, matrix[rows, cols], variant)
 
     @property
     def node_count(self) -> int:
-        return self.matrix.shape[0]
+        return self.indptr.size - 1
+
+    @cached_property
+    def matrix(self) -> sp.csr_array:
+        """The operator as a scipy CSR array sharing these arrays, built on first use."""
+        import scipy.sparse as sp  # imported here: dense-only commands never load it
+        return sp.csr_array((self.data, self.indices, self.indptr),
+                            shape=(self.node_count,) * 2, copy=False)
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix."""
+        n = self.node_count
+        dense = np.zeros((n, n))
+        dense[np.repeat(np.arange(n), np.diff(self.indptr)), self.indices] = self.data
+        return dense
 
 
 @dataclass(frozen=True)
@@ -259,23 +335,51 @@ def build_laplacian(g: Graph, variant: str = "combinatorial") -> Laplacian:
     normalized:    I - D^{-1/2} A D^{-1/2}; rows of isolated nodes are zero.
     signed:        Dbar - A with dbar_i = sum_j |A_ij|, PSD for signed weights.
 
-    The first two require nonnegative weights; signed accepts any sign.
+    The first two require nonnegative weights; signed accepts any sign. Assembled in
+    NumPy from the sorted edge arrays, with the bits scipy.sparse gives: each degree is
+    ``np.add.reduceat`` over its row of the adjacency, as ``csr_array.sum(axis=1)``
+    computes it, a normalized entry is (d_i^{-1/2} w) d_j^{-1/2}, and zero entries are
+    not stored.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown Laplacian variant {variant!r}")
-    adj = g.adjacency()
     if variant in ("combinatorial", "normalized") and np.any(g.weights < 0):
         raise ValueError(f"{variant} Laplacian requires nonnegative weights; use 'signed'")
-    degree = (np.abs(adj) if variant == "signed" else adj).sum(axis=1)
+    n = g.node_count
+    indptr, below, left, right = _adjacency_slots(g)
+    adj_data = np.empty(2 * g.edge_count)
+    adj_data[left] = adj_data[right] = np.abs(g.weights) if variant == "signed" else g.weights
+    filled = np.flatnonzero(np.diff(indptr))
+    degree = np.zeros(n)
+    if filled.size:  # reduceat sums pairwise, so it runs over the adjacency alone
+        degree[filled] = np.add.reduceat(adj_data, indptr[filled])
+    del adj_data  # freed before the Laplacian's own arrays are allocated
     if variant == "normalized":
         positive = degree > 0
-        inv_sqrt = np.divide(1.0, np.sqrt(degree), out=np.zeros(g.node_count), where=positive)
-        scaling = sp.diags_array(inv_sqrt, format="csr")
-        eye = sp.diags_array(np.where(positive, 1.0, 0.0), format="csr")
-        lap = eye - scaling @ adj @ scaling
+        inv_sqrt = np.divide(1.0, np.sqrt(degree), out=np.zeros(n), where=positive)
+        diagonal = np.where(positive, 1.0, 0.0)
+        # row i's entry is (s_i w) s_j, and row j's is (s_j w) s_i
+        off_left = -(inv_sqrt[g.cols] * g.weights * inv_sqrt[g.rows])
+        off_right = -(inv_sqrt[g.rows] * g.weights * inv_sqrt[g.cols])
     else:
-        lap = sp.diags_array(degree, format="csr") - adj
-    return Laplacian(matrix=sp.csr_array(lap), variant=variant)
+        diagonal = degree
+        off_left = off_right = -g.weights
+    # each row gains a diagonal slot between its two parts, so entries shift by their row
+    indptr += np.arange(n + 1)
+    left += g.cols
+    right += g.rows
+    right += 1
+    diag = indptr[:-1] + below
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1])
+    indices[left], indices[right], indices[diag] = g.rows, g.cols, np.arange(n)
+    data[left], data[right], data[diag] = off_left, off_right, diagonal
+    stored = data != 0.0
+    if not stored.all():
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        np.cumsum(np.bincount(rows[stored], minlength=n), out=indptr[1:])
+        indices, data = indices[stored], data[stored]
+    return Laplacian(indptr, indices, data, variant)
 
 
 def graph_sha256(g: Graph, variant: str, lambda_max: float) -> str:
@@ -372,6 +476,7 @@ def scale_laplacian(lap: Laplacian, lambda_max: float) -> ScaledLaplacian:
     """Map the spectrum into [-1, 1] via (2 / lambda_max) L - I."""
     if not np.isfinite(lambda_max) or lambda_max <= 0:
         raise ValueError(f"lambda_max must be positive and finite, got {lambda_max}")
+    import scipy.sparse as sp  # imported here: dense-only commands never load it
     n = lap.node_count
     scaled = (2.0 / lambda_max) * lap.matrix - sp.identity(n, format="csr")
     return ScaledLaplacian(matrix=sp.csr_array(scaled), lambda_max=float(lambda_max))
@@ -382,27 +487,41 @@ def _canonical_columns(eigenvalues: np.ndarray, eigenvectors: np.ndarray):
 
     Each column's first entry larger than _SIGN_TOL in magnitude is made
     positive. Within groups of eigenvalues closer than _TIE_TOL, columns
-    are ordered descending lexicographically.
+    are ordered descending lexicographically, ties kept in column order.
     """
     n = eigenvalues.size
-    for j in range(n):
-        col = eigenvectors[:, j]
-        nz = np.nonzero(np.abs(col) > _SIGN_TOL)[0]
-        if nz.size and col[nz[0]] < 0:
-            eigenvectors[:, j] = -col
+    lead = np.argmax(np.abs(eigenvectors) > _SIGN_TOL, axis=0)  # row 0 where no entry is
+    eigenvectors *= np.where(eigenvectors[lead, np.arange(n)] < -_SIGN_TOL, -1.0, 1.0)
 
+    values = eigenvalues.tolist()
+    order = np.arange(n)
     start = 0
     while start < n:
         end = start + 1
-        while end < n and eigenvalues[end] - eigenvalues[start] <= _TIE_TOL * max(1.0, abs(eigenvalues[start])):
+        while end < n and values[end] - values[start] <= _TIE_TOL * max(1.0, abs(values[start])):
             end += 1
         if end - start > 1:
-            block = [(tuple(-eigenvectors[:, j]), j) for j in range(start, end)]
-            order = [j for _, j in sorted(block)]
-            eigenvalues[start:end] = eigenvalues[order]
-            eigenvectors[:, start:end] = eigenvectors[:, order]
+            keys = _descending_keys(eigenvectors[:, start:end])
+            order[start:end] = start + np.argsort(keys, kind="stable")
         start = end
+    eigenvalues[:] = eigenvalues[order]
+    eigenvectors[:] = eigenvectors[:, order]
     return eigenvalues, eigenvectors
+
+
+def _descending_keys(columns: np.ndarray) -> np.ndarray:
+    """One byte string per column; their bytewise order is the columns' descending
+    lexicographic order, with -0.0 equal to 0.0.
+
+    A float's bits read as an unsigned integer ascend with it for positive floats and
+    descend for negative ones. Flipping all but the sign bit of positive floats and
+    keeping negative ones as they are gives an integer that descends as the float
+    ascends; stored big-endian, byte order is integer order.
+    """
+    bits = np.add(columns.T, 0.0, order="C").view(np.uint64)  # + 0.0 reads -0.0 as 0.0
+    bits ^= ((bits >> np.uint64(63)) - np.uint64(1)) >> np.uint64(1)
+    keys = bits.astype(">u8", copy=False)
+    return keys.view(np.dtype((np.void, 8 * columns.shape[0]))).ravel()
 
 
 def eigendecompose(lap: Laplacian, cap: int = DENSE_CAP) -> SpectralBasis:
@@ -410,7 +529,7 @@ def eigendecompose(lap: Laplacian, cap: int = DENSE_CAP) -> SpectralBasis:
     n = lap.node_count
     if n > cap:
         raise ValueError(f"dense eigendecomposition refused for {n} > {cap} nodes")
-    dense = lap.matrix.toarray()
+    dense = lap.toarray()
     dense = 0.5 * (dense + dense.T)
     eigenvalues, eigenvectors = np.linalg.eigh(dense)
     eigenvalues, eigenvectors = _canonical_columns(eigenvalues, eigenvectors)

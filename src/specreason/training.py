@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import filters as ft
 from .analysis import BandPartition, band_energy, default_three_band
@@ -472,7 +471,7 @@ def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = N
     gated = len(sizes) > 1
     lambda_max = lt.lambda_max
     lt_cur = lt
-    lap_dense = laplacian.matrix.toarray() if cfg.learn_laplacian else None
+    lap_dense = laplacian.toarray() if cfg.learn_laplacian else None
     lap_cur = laplacian
     basis_cur = ctx.basis
     if needs_basis and cfg.learn_laplacian:
@@ -532,7 +531,7 @@ def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = N
 
         if cfg.learn_laplacian:
             lap_dense = project_laplacian(lap_dense - cfg.laplacian_lr * g_lap)
-            lap_cur = Laplacian(matrix=sp.csr_array(lap_dense), variant=lap_cur.variant)
+            lap_cur = Laplacian.from_dense(lap_dense, lap_cur.variant)
             if (epoch + 1) % cfg.lambda_refresh_every == 0:
                 estimate = estimate_lambda_max(lap_cur, seed=seed)
                 lambda_max = estimate.value

@@ -191,6 +191,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "error: train.json: teacher is missing required key 'kind'" in err
 
+    def test_rule_consistency_weight_refused_before_out_dir(self, workdir, capsys):
+        # the CLI gives no target spectrum, so a positive weight could never train
+        (workdir / "train.json").write_text(json.dumps(
+            {"order": 4, "epochs": 3, "penalties": {"rule_consistency": 0.5}}))
+        code = run("train", "--graph", "p2.txt", "--config", "train.json", "--out-dir", "out")
+        assert code == 1
+        assert ("error: train.json: penalties.rule_consistency must be 0"
+                in capsys.readouterr().err)
+        assert not (workdir / "out").exists()
+        (workdir / "train.json").write_text(json.dumps(
+            {"order": 4, "epochs": 3, "penalties": {"rule_consistency": 0}}))
+        assert run("train", "--graph", "p2.txt", "--config", "train.json",
+                   "--out-dir", "out") == 0
+
     @pytest.mark.parametrize("config, message", [
         ({"order": 4, "epoch": 3}, "unknown key 'epoch'"),
         ({"order": 4, "penalties": {"prof": 0.5}}, "unknown key penalties.prof"),
@@ -298,17 +312,35 @@ def test_attribute_and_perturb_do_not_bound_lambda_max(workdir, monkeypatch):
     assert calls == []
 
 
-def test_import_leaves_generator_only_scipy_modules_unloaded():
-    # every command pays for what importing the CLI loads; these two serve only
-    # the soft projection and the task generators
+def test_import_leaves_generator_only_scipy_modules_unloaded(workdir):
+    # every command pays for what importing the CLI loads, and the dense commands run
+    # no sparse product below DENSE_CAP: neither loads any scipy module
+    run("gen", "--kind", "chain", "--depth", "4", "--seed", "3", "--out-dir", "task")
+    commands = [
+        ["eval", "--tasks", "task/task.json", "--response", "diffusion", "--tau", "2",
+         "--latency-runs", "1", "--perturb-magnitude", "0.5", "--out-dir", "eval"],
+        ["attribute", "--graph", "p2.txt", "--beliefs", "beliefs.txt", "--response",
+         "diffusion", "--tau", "1", "--out-dir", "attr"],
+        ["perturb", "--graph", "p2.txt", "--beliefs", "beliefs.txt", "--band", "0",
+         "--magnitude", "0.5", "--out-dir", "pert"],
+        ["transfer", "--source-graph", "p2.txt", "--source-beliefs", "beliefs.txt",
+         "--target-graph", "p2.txt", "--target-beliefs", "beliefs.txt", "--out-dir", "tr"],
+    ]
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, specreason.cli; print(sorted(m for m in sys.modules"
-            " if m.startswith(('scipy.special', 'scipy.sparse.csgraph'))))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    code = ("import json, sys\n"
+            "from specreason import cli\n"
+            "def scipy_modules(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "loaded = {'import': scipy_modules()}\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    loaded[argv[0]] = scipy_modules()\n"
+            "print(json.dumps(loaded))\n")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                         cwd=workdir, capture_output=True, text=True, check=True)
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    assert loaded == {step: [] for step in ("import", "eval", "attribute", "perturb", "transfer")}
 
 
 STAR = "4 3\n0 1 1\n0 2 1\n0 3 1\n"  # combinatorial lambda_max 4, normalized 2

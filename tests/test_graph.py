@@ -15,6 +15,43 @@ def p2():
     return gr.Graph(node_count=2, edges=((0, 1, 1.0),))
 
 
+def scipy_laplacian(g, variant):
+    """The Laplacian as scipy.sparse assembles it from the edge arrays: the reference."""
+    ends = (np.concatenate([g.rows, g.cols]), np.concatenate([g.cols, g.rows]))
+    adj = sp.csr_array((np.tile(g.weights, 2), ends), shape=(g.node_count,) * 2)
+    degree = (np.abs(adj) if variant == "signed" else adj).sum(axis=1)
+    if variant == "normalized":
+        positive = degree > 0
+        inv_sqrt = np.divide(1.0, np.sqrt(degree), out=np.zeros(g.node_count), where=positive)
+        scaling = sp.diags_array(inv_sqrt, format="csr")
+        eye = sp.diags_array(np.where(positive, 1.0, 0.0), format="csr")
+        return sp.csr_array(eye - scaling @ adj @ scaling), adj
+    return sp.csr_array(sp.diags_array(degree, format="csr") - adj), adj
+
+
+def reference_canonical_columns(eigenvalues, eigenvectors):
+    """The sign and tie-break convention as a per-column loop over Python tuples: the reference."""
+    n = eigenvalues.size
+    for j in range(n):
+        col = eigenvectors[:, j]
+        nz = np.nonzero(np.abs(col) > gr._SIGN_TOL)[0]
+        if nz.size and col[nz[0]] < 0:
+            eigenvectors[:, j] = -col
+    start = 0
+    while start < n:
+        end = start + 1
+        while (end < n and eigenvalues[end] - eigenvalues[start]
+               <= gr._TIE_TOL * max(1.0, abs(eigenvalues[start]))):
+            end += 1
+        if end - start > 1:
+            block = [(tuple(-eigenvectors[:, j]), j) for j in range(start, end)]
+            order = [j for _, j in sorted(block)]
+            eigenvalues[start:end] = eigenvalues[order]
+            eigenvectors[:, start:end] = eigenvectors[:, order]
+        start = end
+    return eigenvalues, eigenvectors
+
+
 def write_edges(tmp_path, text, name="g.txt"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -198,7 +235,7 @@ class TestLoadGraph:
             rows = "\n".join(f"{i} {j} 1" for i, j in zip(g.rows.tolist(), g.cols.tolist()))
             paths[edges] = write_edges(tmp_path, f"{g.node_count} {edges}\n{rows}\n", f"g{edges}.txt")
         best = dict.fromkeys(paths, float("inf"))
-        for _ in range(7):  # interleaved, so a slow spell of the host hits both sizes
+        for _ in range(15):  # interleaved, so a slow spell of the host hits both sizes
             for edges, path in paths.items():
                 start = time.perf_counter()
                 gr.build_laplacian(gr.load_graph(path))
@@ -208,6 +245,53 @@ class TestLoadGraph:
 
 
 class TestLaplacian:
+    def test_assembly_matches_scipy_reference_bit_for_bit(self):
+        # 300 random graphs plus edge cases; scipy keeps int32 indices for an edgeless
+        # normalized Laplacian, so indptr and indices are compared as int64 bytes
+        rng = np.random.default_rng(2024)
+        graphs = [gr.Graph(1), gr.Graph(1, kind="signed"), gr.Graph(6),
+                  gr.Graph(4, edges=((0, 1, 1e300), (0, 2, 1e-300), (2, 3, 1e-300))),
+                  gr.Graph(5, edges=((3, 1, 2.0),), kind="signed")]
+        for trial in range(300):
+            n = int(rng.integers(1, 40))
+            base = random_gnp(n, float(rng.uniform(0.0, 0.5)), seed=rng)
+            weights = (np.ones(base.edge_count), rng.uniform(0.1, 3.0, base.edge_count),
+                       np.exp(rng.uniform(-690.0, 690.0, base.edge_count)))[trial % 3]
+            kind = ("unsigned", "signed")[trial % 2]
+            if kind == "signed":
+                weights = weights * rng.choice([-1.0, 1.0], base.edge_count)
+            graphs.append(gr.Graph(n, kind=kind, columns=(base.rows, base.cols, weights)))
+        assert sum(g.edge_count == 0 for g in graphs) >= 5
+        for g in graphs:
+            variants = ("signed",) if g.kind == "signed" else gr.VARIANTS
+            for variant in variants:
+                lap = gr.build_laplacian(g, variant)
+                reference, adj = scipy_laplacian(g, variant)
+                for attr, dtype in (("indptr", np.int64), ("indices", np.int64), ("data", float)):
+                    ours, theirs = getattr(lap, attr), getattr(reference, attr)
+                    assert ours.astype(dtype).tobytes() == theirs.astype(dtype).tobytes()
+                    assert ours.dtype == dtype
+                    assert ours.size == 0 or np.shares_memory(getattr(lap.matrix, attr), ours)
+                assert lap.toarray().tobytes() == reference.toarray().tobytes()
+            ours = g.adjacency()
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(ours, attr), getattr(adj, attr))
+
+    def test_laplacian_arrays_are_read_only(self):
+        lap = gr.build_laplacian(random_gnp(10, 0.4, seed=1))
+        for arr in (lap.indptr, lap.indices, lap.data):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_from_dense_matches_scipy(self):
+        dense = gr.build_laplacian(random_gnp(15, 0.3, seed=2)).toarray()
+        dense[3, 4] = dense[4, 3] = -0.0  # a negative zero is not stored
+        lap = gr.Laplacian.from_dense(dense, "combinatorial")
+        reference = sp.csr_array(dense)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(lap, attr), getattr(reference, attr))
+        assert lap.toarray().tobytes() == reference.toarray().tobytes()
+
     def test_p2_combinatorial(self):
         lap = gr.build_laplacian(p2())
         assert lap.matrix.toarray().tolist() == [[1.0, -1.0], [-1.0, 1.0]]
@@ -393,6 +477,37 @@ class TestEigendecompose:
         basis = gr.eigendecompose(lap)
         rebuilt = basis.eigenvectors @ np.diag(basis.eigenvalues) @ basis.eigenvectors.T
         assert np.allclose(rebuilt, lap.matrix.toarray(), atol=1e-10)
+
+    def test_canonical_columns_match_reference_loop_on_tied_spectra(self):
+        n = 1023  # a binary tree of depth 9, as in the chain tasks: 970 tied eigenvalues
+        child = np.arange(1, n)
+        k = 30
+        upper = np.triu_indices(k, 1)
+        graphs = {
+            "star": gr.Graph(200, columns=(np.zeros(199, int), np.arange(1, 200), np.ones(199))),
+            "complete": gr.Graph(k, columns=(*upper, np.ones(upper[0].size))),
+            "binary_tree": gr.Graph(n, columns=((child - 1) // 2, child, np.ones(n - 1))),
+            "path": gr.Graph(120, columns=(np.arange(119), np.arange(1, 120), np.ones(119))),
+        }
+        for name, g in graphs.items():
+            for variant in ("combinatorial", "normalized"):
+                dense = gr.build_laplacian(g, variant).toarray()
+                values, vectors = np.linalg.eigh(0.5 * (dense + dense.T))
+                expected = reference_canonical_columns(values.copy(), vectors.copy())
+                got = gr._canonical_columns(values.copy(), vectors.copy())
+                for a, b in zip(got, expected):
+                    assert a.tobytes() == b.tobytes(), (name, variant)
+        # near-ties: a group is anchored at its first eigenvalue, not chained along
+        rng = np.random.default_rng(11)
+        values = np.array([0.0, 6e-10, 1.2e-9, 1.8e-9, 1.0, 1.0 + 5e-10, 1.0 + 1.5e-9, 2.0,
+                           2.0, 2.0, 3.0, 4.0])
+        vectors = np.linalg.qr(rng.standard_normal((12, 12)))[0]
+        vectors[:, 8] = vectors[:, 9] = vectors[:, 7]  # equal columns keep their order,
+        vectors[0, 7:9], vectors[0, 9] = 0.0, -0.0  # and -0.0 equals 0.0
+        expected = reference_canonical_columns(values.copy(), vectors.copy())
+        got = gr._canonical_columns(values.copy(), vectors.copy())
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
 
     def test_cap_refuses_large_graphs(self):
         lap = gr.build_laplacian(gr.Graph(node_count=10, edges=()))
