@@ -262,8 +262,10 @@ def chebyshev_sum(theta, basis_vectors) -> np.ndarray:
     so that recomputing it from a kept trace gives the same bits.
     """
     acc = theta[0] * basis_vectors[0]
+    term = np.empty_like(acc)
     for k in range(1, len(theta)):
-        acc = acc + theta[k] * basis_vectors[k]
+        np.multiply(theta[k], basis_vectors[k], out=term)
+        acc += term
     return acc
 
 
@@ -280,12 +282,11 @@ def cheb_apply(f: ChebyshevFilter, lt: ScaledLaplacian, x, keep_trace: bool = Fa
     values = belief_values(x)
     if values.size != lt.node_count:
         raise ValueError(f"belief length {values.size} does not match operator size {lt.node_count}")
-    mat = lt.matrix
     rows = [values]
     if f.order >= 1:
-        rows.append(mat @ values)
+        rows.append(lt @ values)
     for _ in range(2, f.order + 1):
-        rows.append(2.0 * (mat @ rows[-1]) - rows[-2])
+        rows.append(2.0 * (lt @ rows[-1]) - rows[-2])
     y = chebyshev_sum(f.theta, rows)
     if keep_trace:
         return y, RecurrenceTrace(basis_vectors=rows)
@@ -322,7 +323,6 @@ def rational_apply(tau: float, lap: Laplacian, x, tol: float = 1e-10,
         return np.zeros(n)
     if max_iters is None:
         max_iters = 10 * n
-    mat = lap.matrix
 
     y = np.zeros(n)
     r = b.copy()
@@ -330,7 +330,7 @@ def rational_apply(tau: float, lap: Laplacian, x, tol: float = 1e-10,
     rs = float(r @ r)
     iterations = 0
     while np.sqrt(rs) > tol * norm_b and iterations < max_iters:
-        ap = p + tau * (mat @ p)
+        ap = p + tau * (lap @ p)
         denom = float(p @ ap)
         if denom <= 0.0:
             raise SolverError("conjugate gradient lost positive definiteness",

@@ -1,11 +1,11 @@
 """Graphs, Laplacian operators, and the graph Fourier transform.
 
 Beliefs live on vertices; every spectral operation in the package is
-anchored to one of the Laplacian variants built here. A Laplacian is
-assembled in NumPy as canonical CSR arrays and is immutable once built.
-scipy.sparse is imported only where a sparse product runs: a Laplacian's
-``matrix`` view, ``scale_laplacian`` and ``Graph.adjacency``. A command
-that only runs the dense eigendecomposition never loads it.
+anchored to one of the Laplacian variants built here. A Laplacian and its
+rescaled form are one operator type, canonical CSR arrays that are
+immutable once built; their products, rescaling and Gershgorin bound run in
+NumPy with the bits scipy.sparse gives. scipy.sparse is imported only by
+``Graph.adjacency``, the generators' connectivity check.
 """
 
 from __future__ import annotations
@@ -157,25 +157,68 @@ def _adjacency_slots(g: Graph):
 
 
 @dataclass(frozen=True, eq=False)
-class Laplacian:
-    """A positive semidefinite graph operator of one of the supported variants.
+class SparseOperator:
+    """A square sparse matrix held as read-only canonical CSR arrays.
 
-    Held as read-only canonical CSR arrays: row i's entries are ``data[indptr[i]:
-    indptr[i + 1]]`` at the ascending columns ``indices[indptr[i]:indptr[i + 1]]``, and
-    no stored entry is zero. ``matrix`` wraps them as a scipy CSR array for sparse
-    products; ``toarray`` gives the dense matrix without scipy.
+    Row i's entries are ``data[indptr[i]:indptr[i + 1]]`` at the ascending columns
+    ``indices[indptr[i]:indptr[i + 1]]``, and no stored entry is zero. ``op @ x`` is
+    the matrix-vector product, ``toarray`` the dense matrix.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.indptr, self.indices, self.data):
+            arr.setflags(write=False)
+
+    @property
+    def node_count(self) -> int:
+        return self.indptr.size - 1
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Each stored entry's row, built on first use."""
+        rows = np.repeat(np.arange(self.node_count), np.diff(self.indptr))
+        rows.setflags(write=False)
+        return rows
+
+    def __matmul__(self, x) -> np.ndarray:
+        """The product with a vector x.
+
+        bincount adds each row's products in stored order, starting from 0.0, as
+        scipy's csr_matvec does, so the result has the bits scipy gives.
+        """
+        n = self.node_count
+        if np.shape(x) != (n,):
+            raise ValueError(f"cannot multiply a {n}-node operator by shape {np.shape(x)}")
+        if not self.data.size:
+            return np.zeros(n)  # bincount returns integers when it counts nothing
+        return np.bincount(self.rows, weights=self.data * x[self.indices], minlength=n)
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix."""
+        n = self.node_count
+        dense = np.zeros((n, n))
+        dense[self.rows, self.indices] = self.data
+        return dense
+
+
+@dataclass(frozen=True, eq=False)
+class Laplacian(SparseOperator):
+    """A positive semidefinite graph operator of one of the supported variants.
+
+    Its products (``lap @ x``) and dense form (``toarray``) run in NumPy on the
+    canonical CSR arrays; no scipy object is built.
+    """
+
     variant: str
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown Laplacian variant {self.variant!r}")
-        for arr in (self.indptr, self.indices, self.data):
-            arr.setflags(write=False)
+        super().__post_init__()
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray, variant: str) -> Laplacian:
@@ -186,35 +229,12 @@ class Laplacian:
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return cls(indptr, cols, matrix[rows, cols], variant)
 
-    @property
-    def node_count(self) -> int:
-        return self.indptr.size - 1
 
-    @cached_property
-    def matrix(self) -> sp.csr_array:
-        """The operator as a scipy CSR array sharing these arrays, built on first use."""
-        import scipy.sparse as sp  # imported here: dense-only commands never load it
-        return sp.csr_array((self.data, self.indices, self.indptr),
-                            shape=(self.node_count,) * 2, copy=False)
-
-    def toarray(self) -> np.ndarray:
-        """The dense matrix."""
-        n = self.node_count
-        dense = np.zeros((n, n))
-        dense[np.repeat(np.arange(n), np.diff(self.indptr)), self.indices] = self.data
-        return dense
-
-
-@dataclass(frozen=True)
-class ScaledLaplacian:
+@dataclass(frozen=True, eq=False)
+class ScaledLaplacian(SparseOperator):
     """Laplacian rescaled to (2 / lambda_max) L - I, spectrum inside [-1, 1]."""
 
-    matrix: sp.csr_array
     lambda_max: float
-
-    @property
-    def node_count(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -328,6 +348,16 @@ def load_graph(source, kind: str = "unsigned") -> Graph:
     return graph
 
 
+def _row_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Each CSR row's sum, as ``csr_array.sum(axis=1)`` computes it: ``np.add.reduceat``
+    over the row's entries, which sums them pairwise. An empty row sums to 0.0."""
+    sums = np.zeros(indptr.size - 1)
+    filled = np.flatnonzero(np.diff(indptr))
+    if filled.size:
+        sums[filled] = np.add.reduceat(data, indptr[filled])
+    return sums
+
+
 def build_laplacian(g: Graph, variant: str = "combinatorial") -> Laplacian:
     """Build one of the Laplacian variants for ``g``.
 
@@ -349,10 +379,7 @@ def build_laplacian(g: Graph, variant: str = "combinatorial") -> Laplacian:
     indptr, below, left, right = _adjacency_slots(g)
     adj_data = np.empty(2 * g.edge_count)
     adj_data[left] = adj_data[right] = np.abs(g.weights) if variant == "signed" else g.weights
-    filled = np.flatnonzero(np.diff(indptr))
-    degree = np.zeros(n)
-    if filled.size:  # reduceat sums pairwise, so it runs over the adjacency alone
-        degree[filled] = np.add.reduceat(adj_data, indptr[filled])
+    degree = _row_sums(indptr, adj_data)
     del adj_data  # freed before the Laplacian's own arrays are allocated
     if variant == "normalized":
         positive = degree > 0
@@ -406,9 +433,11 @@ class LambdaMaxEstimate(NamedTuple):
 
 def gershgorin_bound(lap: Laplacian) -> float:
     """Row-sum upper bound max_i (L_ii + sum_{j != i} |L_ij|) on the spectrum."""
-    diag = lap.matrix.diagonal()
-    off = np.abs(lap.matrix).sum(axis=1) - np.abs(diag)
-    return float(np.max(diag + off)) if lap.node_count else 0.0
+    on_diagonal = np.flatnonzero(lap.indices == lap.rows)
+    diagonal = np.zeros(lap.node_count)
+    diagonal[lap.rows[on_diagonal]] = lap.data[on_diagonal]
+    off = _row_sums(lap.indptr, np.abs(lap.data)) - np.abs(diagonal)
+    return float(np.max(diagonal + off)) if lap.node_count else 0.0
 
 
 def estimate_lambda_max(lap: Laplacian, tol: float = 1e-8, max_iters: int = 100,
@@ -432,7 +461,6 @@ def estimate_lambda_max(lap: Laplacian, tol: float = 1e-8, max_iters: int = 100,
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     n = lap.node_count
-    mat = lap.matrix
     rng = np.random.default_rng(seed)
     v = np.ones(n) + 0.01 * rng.standard_normal(n)
     v /= np.linalg.norm(v)
@@ -440,7 +468,7 @@ def estimate_lambda_max(lap: Laplacian, tol: float = 1e-8, max_iters: int = 100,
     alphas, betas = [], []
     beta = 0.0
     for k in range(1, max_iters + 1):
-        w = mat @ v
+        w = lap @ v
         w -= beta * v_prev
         alpha = float(v @ w)
         w -= alpha * v
@@ -473,13 +501,36 @@ def _lambda_estimate(value: float, iterations: int, converged: bool,
 
 
 def scale_laplacian(lap: Laplacian, lambda_max: float) -> ScaledLaplacian:
-    """Map the spectrum into [-1, 1] via (2 / lambda_max) L - I."""
+    """Map the spectrum into [-1, 1] via (2 / lambda_max) L - I.
+
+    With the bits scipy.sparse gives for ``c * L - identity``, c = 2 / lambda_max:
+    every entry is scaled by c, a diagonal entry d becomes c d - 1.0, a row with no
+    stored diagonal gains -1.0 at its sorted slot, and an entry that comes out
+    exactly 0 is not stored.
+    """
     if not np.isfinite(lambda_max) or lambda_max <= 0:
         raise ValueError(f"lambda_max must be positive and finite, got {lambda_max}")
-    import scipy.sparse as sp  # imported here: dense-only commands never load it
     n = lap.node_count
-    scaled = (2.0 / lambda_max) * lap.matrix - sp.identity(n, format="csr")
-    return ScaledLaplacian(matrix=sp.csr_array(scaled), lambda_max=float(lambda_max))
+    rows, indices = lap.rows, lap.indices
+    data = lap.data * (2.0 / lambda_max)
+    on_diagonal = np.flatnonzero(indices == rows)
+    data[on_diagonal] -= 1.0
+    counts = np.diff(lap.indptr)
+    bare = np.ones(n, dtype=bool)
+    bare[rows[on_diagonal]] = False
+    bare = np.flatnonzero(bare)
+    if bare.size:
+        # the keys i * n + j ascend over the stored entries; row i's diagonal key is i (n + 1)
+        slots = np.searchsorted(rows * n + indices, bare * (n + 1))
+        indices, data = np.insert(indices, slots, bare), np.insert(data, slots, -1.0)
+        counts[bare] += 1
+    zero = data == 0.0
+    if zero.any():
+        counts -= np.bincount(np.repeat(np.arange(n), counts)[zero], minlength=n)
+        indices, data = indices[~zero], data[~zero]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return ScaledLaplacian(indptr, indices, data, float(lambda_max))
 
 
 def _canonical_columns(eigenvalues: np.ndarray, eigenvectors: np.ndarray):

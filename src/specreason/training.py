@@ -73,10 +73,9 @@ def grad_scaled_laplacian(dLdy, theta, trace: ft.RecurrenceTrace,
         raise ValueError("gradient length does not match the trace")
     adj = [theta[k] * g for k in range(order + 1)]
     grad = np.zeros((n, n))
-    mat = lt.matrix
     for k in range(order, 1, -1):
         grad += 2.0 * np.outer(adj[k], b[k - 1])
-        adj[k - 1] = adj[k - 1] + 2.0 * (mat @ adj[k])
+        adj[k - 1] = adj[k - 1] + 2.0 * (lt @ adj[k])
         adj[k - 2] = adj[k - 2] - adj[k]
     if order >= 1:
         grad += np.outer(adj[1], b[0])

@@ -65,7 +65,7 @@ def test_criterion_02_parseval_and_energy_identities():
         xhat = np.asarray(gr.gft(basis, x))
         h = ft.response_eval(f, basis.eigenvalues)
         y = np.asarray(ft.dense_filter_apply(basis, f, x))
-        dense_l = lap.matrix.toarray()
+        dense_l = lap.toarray()
 
         parseval = abs(x @ x - xhat @ xhat) / (x @ x)
         energy_ref = float(np.sum(h ** 2 * xhat ** 2))
@@ -119,7 +119,7 @@ def test_criterion_03_gradient_correctness():
                           np.linalg.norm(g_theta - fd_theta) / np.linalg.norm(fd_theta))
 
         g_lap = tr.grad_scaled_laplacian(dy, theta, trace, lt)
-        dense = lt.matrix.toarray()
+        dense = lt.toarray()
         analytic, fd = [], []
         for i in range(n):
             for j in range(i, n):

@@ -313,10 +313,17 @@ def test_attribute_and_perturb_do_not_bound_lambda_max(workdir, monkeypatch):
 
 
 def test_import_leaves_generator_only_scipy_modules_unloaded(workdir):
-    # every command pays for what importing the CLI loads, and the dense commands run
-    # no sparse product below DENSE_CAP: neither loads any scipy module
+    # every command pays for what importing the CLI loads, the dense commands run no
+    # sparse product below DENSE_CAP, and fit, infer and train run theirs in NumPy:
+    # none of them loads any scipy module
     run("gen", "--kind", "chain", "--depth", "4", "--seed", "3", "--out-dir", "task")
+    (workdir / "train.json").write_text('{"order": 4, "epochs": 3, "examples": 2}')
     commands = [
+        ["fit", "--graph", "p2.txt", "--response", "diffusion", "--tau", "1", "--order", "4",
+         "--out-dir", "fit"],
+        ["infer", "--graph", "p2.txt", "--filter", "fit/filter.json", "--beliefs",
+         "beliefs.txt", "--out-dir", "inf"],
+        ["train", "--graph", "p2.txt", "--config", "train.json", "--out-dir", "train"],
         ["eval", "--tasks", "task/task.json", "--response", "diffusion", "--tau", "2",
          "--latency-runs", "1", "--perturb-magnitude", "0.5", "--out-dir", "eval"],
         ["attribute", "--graph", "p2.txt", "--beliefs", "beliefs.txt", "--response",
@@ -340,7 +347,8 @@ def test_import_leaves_generator_only_scipy_modules_unloaded(workdir):
     out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
                          cwd=workdir, capture_output=True, text=True, check=True)
     loaded = json.loads(out.stdout.splitlines()[-1])
-    assert loaded == {step: [] for step in ("import", "eval", "attribute", "perturb", "transfer")}
+    assert loaded == {step: [] for step in ("import", "fit", "infer", "train", "eval",
+                                            "attribute", "perturb", "transfer")}
 
 
 STAR = "4 3\n0 1 1\n0 2 1\n0 3 1\n"  # combinatorial lambda_max 4, normalized 2

@@ -111,7 +111,7 @@ class TestChebApply:
         assert len(trace.basis_vectors) == 6
         assert np.array_equal(trace.basis_vectors[0], x)
         # b1 = Lt x
-        assert np.allclose(trace.basis_vectors[1], lt.matrix @ x, atol=1e-12)
+        assert np.allclose(trace.basis_vectors[1], lt @ x, atol=1e-12)
         rebuilt = sum(t * b for t, b in zip(f.theta, trace.basis_vectors))
         assert np.allclose(rebuilt, np.asarray(y), atol=1e-12)
         # training forms outputs from kept traces; they must carry the recurrence's bits

@@ -212,8 +212,8 @@ class TestLoadGraph:
             for loaded in (gr.load_graph(path, kind=kind), gr.load_graph(lines, kind=kind)):
                 assert loaded.node_count == n and loaded.edges == expected.edges
                 for variant in (("signed",) if kind == "signed" else ("combinatorial", "normalized")):
-                    a = gr.build_laplacian(loaded, variant).matrix
-                    b = gr.build_laplacian(expected, variant).matrix
+                    a = gr.build_laplacian(loaded, variant)
+                    b = gr.build_laplacian(expected, variant)
                     for attr in ("indptr", "indices", "data"):
                         assert np.array_equal(getattr(a, attr), getattr(b, attr))
             # the adjacency equals the one assembled edge by edge from Python lists
@@ -244,38 +244,79 @@ class TestLoadGraph:
         assert ratio <= 2.5, f"doubling the edges multiplied ingest time by {ratio:.2f}"
 
 
+def reference_graphs():
+    """300 seeded random graphs, unit, moderate and extreme weights, half of them signed,
+    plus edgeless, isolated-node and under/overflow edge cases."""
+    rng = np.random.default_rng(2024)
+    graphs = [gr.Graph(1), gr.Graph(1, kind="signed"), gr.Graph(6),
+              gr.Graph(4, edges=((0, 1, 1e300), (0, 2, 1e-300), (2, 3, 1e-300))),
+              gr.Graph(5, edges=((3, 1, 2.0),), kind="signed")]
+    for trial in range(300):
+        n = int(rng.integers(1, 40))
+        base = random_gnp(n, float(rng.uniform(0.0, 0.5)), seed=rng)
+        weights = (np.ones(base.edge_count), rng.uniform(0.1, 3.0, base.edge_count),
+                   np.exp(rng.uniform(-690.0, 690.0, base.edge_count)))[trial % 3]
+        kind = ("unsigned", "signed")[trial % 2]
+        if kind == "signed":
+            weights = weights * rng.choice([-1.0, 1.0], base.edge_count)
+        graphs.append(gr.Graph(n, kind=kind, columns=(base.rows, base.cols, weights)))
+    return graphs
+
+
+def reference_laplacians():
+    """Every variant's Laplacian of each reference graph, with the graph."""
+    for g in reference_graphs():
+        for variant in (("signed",) if g.kind == "signed" else gr.VARIANTS):
+            yield g, gr.build_laplacian(g, variant)
+
+
+def scipy_view(op):
+    return sp.csr_array((op.data, op.indices, op.indptr), shape=(op.node_count,) * 2)
+
+
+def assert_same_csr(ours, theirs):
+    # scipy keeps int32 indices for small operators, so indptr and indices are compared
+    # as int64 bytes
+    for attr, dtype in (("indptr", np.int64), ("indices", np.int64), ("data", float)):
+        mine = getattr(ours, attr)
+        assert mine.astype(dtype).tobytes() == getattr(theirs, attr).astype(dtype).tobytes()
+        assert mine.dtype == dtype
+
+
 class TestLaplacian:
     def test_assembly_matches_scipy_reference_bit_for_bit(self):
-        # 300 random graphs plus edge cases; scipy keeps int32 indices for an edgeless
-        # normalized Laplacian, so indptr and indices are compared as int64 bytes
-        rng = np.random.default_rng(2024)
-        graphs = [gr.Graph(1), gr.Graph(1, kind="signed"), gr.Graph(6),
-                  gr.Graph(4, edges=((0, 1, 1e300), (0, 2, 1e-300), (2, 3, 1e-300))),
-                  gr.Graph(5, edges=((3, 1, 2.0),), kind="signed")]
-        for trial in range(300):
-            n = int(rng.integers(1, 40))
-            base = random_gnp(n, float(rng.uniform(0.0, 0.5)), seed=rng)
-            weights = (np.ones(base.edge_count), rng.uniform(0.1, 3.0, base.edge_count),
-                       np.exp(rng.uniform(-690.0, 690.0, base.edge_count)))[trial % 3]
-            kind = ("unsigned", "signed")[trial % 2]
-            if kind == "signed":
-                weights = weights * rng.choice([-1.0, 1.0], base.edge_count)
-            graphs.append(gr.Graph(n, kind=kind, columns=(base.rows, base.cols, weights)))
+        graphs = reference_graphs()
         assert sum(g.edge_count == 0 for g in graphs) >= 5
         for g in graphs:
             variants = ("signed",) if g.kind == "signed" else gr.VARIANTS
             for variant in variants:
                 lap = gr.build_laplacian(g, variant)
                 reference, adj = scipy_laplacian(g, variant)
-                for attr, dtype in (("indptr", np.int64), ("indices", np.int64), ("data", float)):
-                    ours, theirs = getattr(lap, attr), getattr(reference, attr)
-                    assert ours.astype(dtype).tobytes() == theirs.astype(dtype).tobytes()
-                    assert ours.dtype == dtype
-                    assert ours.size == 0 or np.shares_memory(getattr(lap.matrix, attr), ours)
+                assert_same_csr(lap, reference)
                 assert lap.toarray().tobytes() == reference.toarray().tobytes()
             ours = g.adjacency()
             for attr in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(ours, attr), getattr(adj, attr))
+
+    def test_product_matches_scipy_bit_for_bit(self):
+        # edgeless operators included: their product is float zeros, as scipy's is
+        rng = np.random.default_rng(11)
+        for _, lap in reference_laplacians():
+            x = rng.standard_normal(lap.node_count)
+            x[rng.random(x.size) < 0.2] = rng.choice([0.0, -0.0])
+            ours = lap @ x
+            assert ours.dtype == float and ours.tobytes() == (scipy_view(lap) @ x).tobytes()
+
+    def test_product_refuses_a_vector_of_another_length(self):
+        with pytest.raises(ValueError, match="shape"):
+            gr.build_laplacian(p2()) @ np.ones(3)
+
+    def test_gershgorin_matches_scipy_bit_for_bit(self):
+        for _, lap in reference_laplacians():
+            ref = scipy_view(lap)
+            diag = ref.diagonal()
+            expected = float(np.max(diag + (abs(ref).sum(axis=1) - np.abs(diag))))
+            assert gr.gershgorin_bound(lap) == expected
 
     def test_laplacian_arrays_are_read_only(self):
         lap = gr.build_laplacian(random_gnp(10, 0.4, seed=1))
@@ -294,29 +335,29 @@ class TestLaplacian:
 
     def test_p2_combinatorial(self):
         lap = gr.build_laplacian(p2())
-        assert lap.matrix.toarray().tolist() == [[1.0, -1.0], [-1.0, 1.0]]
+        assert lap.toarray().tolist() == [[1.0, -1.0], [-1.0, 1.0]]
 
     def test_row_sums_zero(self):
         g = random_gnp(30, 0.2, seed=3)
         lap = gr.build_laplacian(g)
-        rows = np.asarray(lap.matrix.sum(axis=1)).ravel()
+        rows = lap.toarray().sum(axis=1)
         assert np.max(np.abs(rows)) < 1e-12
 
     def test_normalized_unit_diagonal(self):
         g = random_gnp(25, 0.3, seed=4)
         lap = gr.build_laplacian(g, "normalized")
-        dense = lap.matrix.toarray()
+        dense = lap.toarray()
         deg = np.asarray(g.adjacency().sum(axis=1)).ravel()
         assert np.allclose(np.diag(dense)[deg > 0], 1.0)
 
     def test_normalized_isolated_node_row_is_zero(self):
         g = gr.Graph(node_count=3, edges=((0, 1, 1.0),))
-        dense = gr.build_laplacian(g, "normalized").matrix.toarray()
+        dense = gr.build_laplacian(g, "normalized").toarray()
         assert np.all(dense[2] == 0.0) and np.all(dense[:, 2] == 0.0)
 
     def test_signed_uses_absolute_degree(self):
         g = gr.Graph(node_count=2, edges=((0, 1, -1.0),), kind="signed")
-        dense = gr.build_laplacian(g, "signed").matrix.toarray()
+        dense = gr.build_laplacian(g, "signed").toarray()
         # d = |w| on the diagonal, -A off it
         assert dense.tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
@@ -326,7 +367,7 @@ class TestLaplacian:
             base = random_gnp(12, 0.4, seed=rng)
             edges = tuple((i, j, float(w * rng.choice([-1.0, 1.0]))) for i, j, w in base.edges)
             g = gr.Graph(node_count=12, edges=edges, kind="signed")
-            vals = np.linalg.eigvalsh(gr.build_laplacian(g, "signed").matrix.toarray())
+            vals = np.linalg.eigvalsh(gr.build_laplacian(g, "signed").toarray())
             assert vals.min() > -1e-10
 
     def test_psd_variants_reject_negative_weights(self):
@@ -362,7 +403,7 @@ class TestLambdaMax:
             for graph, variant in ((g, "combinatorial"), (g, "normalized"), (signed, "signed")):
                 lap = gr.build_laplacian(graph, variant)
                 est = gr.estimate_lambda_max(lap)
-                top = float(np.linalg.eigvalsh(lap.matrix.toarray())[-1])
+                top = float(np.linalg.eigvalsh(lap.toarray())[-1])
                 assert est.converged and est.method == "lanczos", (n, p, seed, variant)
                 assert est.value >= top - 1e-9, (n, p, seed, variant)
                 assert est.value <= gr.gershgorin_bound(lap) * 1.01 + 1e-12
@@ -429,15 +470,44 @@ class TestGraphSha256:
 class TestScaledLaplacian:
     def test_p2_scaled_at_two(self):
         lt = gr.scale_laplacian(gr.build_laplacian(p2()), 2.0)
-        assert lt.matrix.toarray().tolist() == [[0.0, -1.0], [-1.0, 0.0]]
+        assert lt.toarray().tolist() == [[0.0, -1.0], [-1.0, 0.0]]
 
     def test_spectrum_lands_in_unit_interval(self):
         g = random_gnp(20, 0.3, seed=9)
         lap = gr.build_laplacian(g)
         est = gr.estimate_lambda_max(lap)
         lt = gr.scale_laplacian(lap, est.value)
-        vals = np.linalg.eigvalsh(lt.matrix.toarray())
+        vals = np.linalg.eigvalsh(lt.toarray())
         assert vals.min() >= -1.0 - 1e-12 and vals.max() <= 1.0 + 1e-12
+
+    def test_matches_scipy_reference_bit_for_bit(self):
+        # (2 / lambda_max) L - I as scipy.sparse computes it, at a bound above Gershgorin's
+        # and at bounds that make a diagonal entry scale to exactly 0 and 1e-300-scale
+        # entries underflow; from_dense rows with entries but no diagonal take -1.0
+        # between them
+        rng = np.random.default_rng(12)
+        laps = [lap for _, lap in reference_laplacians()]
+        laps.append(gr.Laplacian.from_dense(np.array([[0.0, -1.0, 0.0, 0.0],
+                                                      [-1.0, 0.0, 0.0, -2.0],
+                                                      [0.0, 0.0, 0.0, 0.0],
+                                                      [0.0, -2.0, 0.0, 3.0]]), "combinatorial"))
+        dropped = bare = underflows = 0
+        for lap in laps:
+            n = lap.node_count
+            diag = lap.toarray().diagonal()
+            bounds = {(gr.gershgorin_bound(lap) or 1.0) * rng.uniform(1.0, 2.0),
+                      2.0 * float(diag.max()) or 1.0, 1e300}
+            for lambda_max in bounds:
+                lt = gr.scale_laplacian(lap, lambda_max)
+                reference = (2.0 / lambda_max) * scipy_view(lap) - sp.identity(n, format="csr")
+                assert_same_csr(lt, sp.csr_array(reference))
+                assert lt.lambda_max == lambda_max and type(lt.lambda_max) is float
+                assert lt.toarray().tobytes() == reference.toarray().tobytes()
+                dropped += int(np.any((lt.toarray().diagonal() == 0.0) & (diag != 0.0)))
+                underflows += int(np.any((lt.toarray() == 0.0) & (lap.toarray() != 0.0)
+                                         & ~np.eye(n, dtype=bool)))
+            bare += int(np.any(diag == 0.0))
+        assert dropped >= 50 and bare >= 50 and underflows >= 50
 
     def test_rejects_bad_lambda_max(self):
         lap = gr.build_laplacian(p2())
@@ -476,7 +546,7 @@ class TestEigendecompose:
         lap = gr.build_laplacian(random_gnp(12, 0.5, seed=2))
         basis = gr.eigendecompose(lap)
         rebuilt = basis.eigenvectors @ np.diag(basis.eigenvalues) @ basis.eigenvectors.T
-        assert np.allclose(rebuilt, lap.matrix.toarray(), atol=1e-10)
+        assert np.allclose(rebuilt, lap.toarray(), atol=1e-10)
 
     def test_canonical_columns_match_reference_loop_on_tied_spectra(self):
         n = 1023  # a binary tree of depth 9, as in the chain tasks: 970 tied eigenvalues

@@ -70,7 +70,7 @@ class TestGradScaledLaplacian:
             _, dy = loss_and_grad_y(y, target)
             grad = tr.grad_scaled_laplacian(dy, theta, trace, lt)
             assert np.allclose(grad, grad.T, atol=1e-12)
-            dense = lt.matrix.toarray()
+            dense = lt.toarray()
             step = 1e-5
             for _ in range(6):
                 i, j = rng.integers(0, 8, size=2)
@@ -110,7 +110,7 @@ class TestProjectLaplacian:
         assert np.allclose(once, twice, atol=1e-12)
 
     def test_fixes_nothing_on_true_laplacian(self):
-        lap = gr.build_laplacian(random_gnp(9, 0.4, seed=7)).matrix.toarray()
+        lap = gr.build_laplacian(random_gnp(9, 0.4, seed=7)).toarray()
         assert np.allclose(tr.project_laplacian(lap), lap, atol=1e-12)
 
 
@@ -417,7 +417,7 @@ class TestTrain:
                             laplacian=lap_s)
         assert adaptive.history[-1][1] <= frozen.history[-1][1]
         assert adaptive.laplacian is not None
-        learned = adaptive.laplacian.matrix.toarray()
+        learned = adaptive.laplacian.toarray()
         assert np.allclose(learned, learned.T, atol=1e-10)
         off = learned - np.diag(np.diag(learned))
         assert np.all(off <= 1e-10)
