@@ -5,6 +5,9 @@ Every subcommand reads plain-text inputs, writes its artifacts into
 arguments and SHA-256 digests of the inputs. Outputs are byte-identical
 across re-runs with the same inputs and seeds; wall-clock latency
 columns are the one documented exception.
+
+fit and train also write operator.npz beside filter.json: the Laplacian
+they built, for infer to load in place of parsing the same graph again.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import json
 import math
 import os
 import sys
+import zipfile
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,14 +49,16 @@ def _sha256(path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
-                    inputs: list) -> None:
+                    inputs: list, known: dict[str, str] | None = None) -> None:
+    """manifest.json; known maps an input path to the digest of its bytes already read."""
     # out_dir stays out of the manifest so runs into different directories
     # compare byte-identical
     arguments = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out_dir")}
+    known = known or {}
     payload = {
         "command": command,
         "arguments": arguments,
-        "inputs": {str(p): _sha256(p) for p in sorted(str(q) for q in inputs)},
+        "inputs": {p: known.get(p) or _sha256(p) for p in sorted(str(q) for q in inputs)},
     }
     _atomic_write(out_dir / "manifest.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -142,9 +149,58 @@ def _load_model(args):
     return _response_from_args(args), []
 
 
-def _load_operator(args):
-    g = gr.load_graph(args.graph, kind=getattr(args, "graph_kind", "unsigned"))
-    return g, gr.build_laplacian(g, variant=args.variant)
+def _load_operator(args, raw: bytes | None = None) -> gr.Laplacian:
+    """--graph's Laplacian; raw, when given, is the file's bytes already read."""
+    g = gr.load_graph(args.graph if raw is None else raw, kind=args.graph_kind)
+    return gr.build_laplacian(g, variant=args.variant)
+
+
+def _read_graph(path) -> tuple[bytes, str]:
+    """The --graph file's bytes and their SHA-256: read and hashed once per command."""
+    raw = Path(path).read_bytes()
+    return raw, hashlib.sha256(raw).hexdigest()
+
+
+_OPERATOR_FILE = "operator.npz"
+_OPERATOR_ARRAYS = (("indptr", np.int64), ("indices", np.int64), ("data", np.float64))
+_UNREADABLE = (OSError, EOFError, ValueError, TypeError, KeyError, zipfile.BadZipFile, zlib.error)
+
+
+def _write_operator(out: Path, lap: gr.Laplacian, source: str) -> None:
+    """operator.npz: lap's CSR arrays and source_sha256, the digest of the graph file.
+
+    An uncompressed .npz, as np.savez writes one, except that every member carries
+    a fixed timestamp, so the same operator always gives the same bytes.
+    """
+    tmp = out / (_OPERATOR_FILE + ".tmp")
+    members = (("indptr", lap.indptr), ("indices", lap.indices), ("data", lap.data),
+               ("source_sha256", np.array(source)))
+    with zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED) as archive:
+        for name, values in members:
+            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+            with archive.open(info, "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, values, allow_pickle=False)
+    os.replace(tmp, out / _OPERATOR_FILE)
+
+
+def _compiled_operator(path: Path, source: str, variant: str) -> gr.Laplacian | None:
+    """The Laplacian in the operator.npz at path, if the file names the graph bytes
+    whose digest is source; None when it is missing, unreadable or names others.
+
+    The arrays are only converted, never checked: the caller serves them only when
+    their fingerprint is the one a filter's bound record holds.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            if str(npz["source_sha256"]) != source:
+                return None
+            arrays = [npz[name].astype(dtype, casting="same_kind", copy=False)
+                      for name, dtype in _OPERATOR_ARRAYS]
+    except _UNREADABLE:
+        return None
+    if any(values.ndim != 1 for values in arrays):
+        return None
+    return gr.Laplacian(*arrays, variant)
 
 
 def _lambda_max(lap: gr.Laplacian, seed: int,
@@ -158,17 +214,18 @@ def _lambda_max(lap: gr.Laplacian, seed: int,
     return estimate
 
 
-def _bound_record(g: gr.Graph, variant: str, estimate: gr.LambdaMaxEstimate) -> ft.BoundRecord:
+def _bound_record(lap: gr.Laplacian, kind: str,
+                  estimate: gr.LambdaMaxEstimate) -> ft.BoundRecord:
     return ft.BoundRecord(method=estimate.method, iterations=estimate.iterations,
                           converged=estimate.converged, degenerate=estimate.degenerate,
-                          graph_sha256=gr.graph_sha256(g, variant, estimate.value))
+                          graph_sha256=gr.graph_sha256(lap, kind, estimate.value))
 
 
-def _stored_estimate(f: ft.ChebyshevFilter, g: gr.Graph,
-                     variant: str) -> gr.LambdaMaxEstimate | None:
-    """The estimate f's lambda_max came from, if its record names this graph and variant."""
+def _stored_estimate(f: ft.ChebyshevFilter, lap: gr.Laplacian,
+                     kind: str) -> gr.LambdaMaxEstimate | None:
+    """The estimate f's lambda_max came from, if its record names this operator."""
     record = f.bound
-    if record is None or record.graph_sha256 != gr.graph_sha256(g, variant, f.lambda_max):
+    if record is None or record.graph_sha256 != gr.graph_sha256(lap, kind, f.lambda_max):
         return None
     return gr.LambdaMaxEstimate(value=f.lambda_max, iterations=record.iterations,
                                 converged=record.converged, degenerate=record.degenerate,
@@ -184,33 +241,47 @@ def _partition_for(basis: gr.SpectralBasis, bands: int) -> analysis.BandPartitio
 
 def cmd_fit(args) -> None:
     out = _out_dir(args)
-    g, lap = _load_operator(args)
+    raw, source = _read_graph(args.graph)
+    lap = _load_operator(args, raw)
     estimate = _lambda_max(lap, args.seed)
     response = _response_from_args(args)
     fitted = ft.fit_chebyshev(response, args.order, estimate.value,
                               quadrature_nodes=args.quad_nodes)
     error = ft.fit_grid_error(fitted, response)
-    fitted = replace(fitted, bound=_bound_record(g, args.variant, estimate))
+    fitted = replace(fitted, bound=_bound_record(lap, args.graph_kind, estimate))
     _atomic_write(out / "filter.json", fitted.to_json() + "\n")
-    _write_manifest(out, "fit", args, [args.graph])
+    _write_operator(out, lap, source)
+    _write_manifest(out, "fit", args, [args.graph], {args.graph: source})
     print(f"fit order={args.order} lambda_max={_fmt(estimate.value)} "
           f"lambda_bound={estimate.method} grid_error={error:.3e}")
 
 
 def cmd_infer(args) -> None:
     out = _out_dir(args)
-    g, lap = _load_operator(args)
-    f = ft.load_filter(args.filter)
+    raw, source = _read_graph(args.graph)
+    try:
+        f = ft.load_filter(args.filter)
+    except (OSError, ValueError, TypeError):
+        gr.load_graph(raw, kind=args.graph_kind)  # a bad graph is reported before a bad filter
+        raise
+    # the operator fit stored beside the filter serves when it is the one the filter was
+    # bounded on; otherwise the graph is parsed and assembled
+    lap = _compiled_operator(Path(args.filter).with_name(_OPERATOR_FILE), source,
+                             args.variant) if f.bound is not None else None
+    stored = None if lap is None else _stored_estimate(f, lap, args.graph_kind)
+    if stored is None:
+        lap = _load_operator(args, raw)
+        stored = _stored_estimate(f, lap, args.graph_kind)
+    n = lap.node_count
     inputs = [args.graph, args.filter, args.beliefs]
     rb = None
     if args.rulebase:
         rb = rl.load_rulebase(args.rulebase)
-        if len(rb.atoms) != g.node_count:
-            raise ValueError(
-                f"rulebase names {len(rb.atoms)} atoms but the graph has {g.node_count} nodes")
+        if len(rb.atoms) != n:
+            raise ValueError(f"rulebase names {len(rb.atoms)} atoms but the graph has {n} nodes")
         inputs.append(args.rulebase)
     x = _read_beliefs(args.beliefs)
-    estimate = _lambda_max(lap, args.seed, _stored_estimate(f, g, args.variant))
+    estimate = _lambda_max(lap, args.seed, stored)
     if abs(f.lambda_max - estimate.value) > 1e-6 * max(1.0, f.lambda_max):
         raise ValueError(
             f"filter lambda_max {f.lambda_max} does not match this graph's estimate "
@@ -222,19 +293,19 @@ def cmd_infer(args) -> None:
     _atomic_write(out / "predicates.csv", _predicates_text(y, predicates))
 
     if rb is not None:
-        facts = {rb.atoms[i] for i in range(g.node_count) if predicates.hard[i]}
+        facts = {rb.atoms[i] for i in range(n) if predicates.hard[i]}
         closure = rl.forward_chain(rb, facts)
         _atomic_write(out / "closure.txt", "\n".join(sorted(closure)) + "\n")
 
-    if g.node_count <= gr.DENSE_CAP:
+    if n <= gr.DENSE_CAP:
         basis = gr.eigendecompose(lap)
         if basis.lambda_max > 0:
             report = analysis.band_energy(basis, np.asarray(y, dtype=float),
                                           analysis.default_three_band(basis.lambda_max))
             frac = ",".join(_fmt(v) for v in report.fractions)
             print(f"band_fractions={frac}")
-    _write_manifest(out, "infer", args, inputs)
-    print(f"infer nodes={g.node_count} facts={int(predicates.hard.sum())}")
+    _write_manifest(out, "infer", args, inputs, {args.graph: source})
+    print(f"infer nodes={n} facts={int(predicates.hard.sum())}")
 
 
 _TRAIN_KEYS = ("order", "seed", "examples", "teacher", "penalties", "loss", "curriculum",
@@ -278,7 +349,8 @@ def cmd_train(args) -> None:
     examples = int(config.get("examples", 8))
 
     args.seed = seed
-    g, lap = _load_operator(args)
+    raw, source = _read_graph(args.graph)
+    lap = _load_operator(args, raw)
     estimate = _lambda_max(lap, seed)
     lt = gr.scale_laplacian(lap, estimate.value)
 
@@ -287,11 +359,15 @@ def cmd_train(args) -> None:
                                            params=tuple(teacher_spec.get("params", ())))
     teacher = ft.fit_chebyshev(teacher_response, order, estimate.value)
 
+    # the student's recurrence on each example is the teacher's: one trace gives both
+    # the target and what training reuses every epoch
     rng = np.random.default_rng(seed)
-    data = []
+    data, traces = [], []
     for _ in range(examples):
         x = rng.standard_normal(lap.node_count)
-        data.append(tr.TrainExample(x=x, target=np.asarray(ft.cheb_apply(teacher, lt, x))))
+        target, trace = ft.cheb_apply(teacher, lt, x, keep_trace=True)
+        data.append(tr.TrainExample(x=x, target=target))
+        traces.append(trace)
 
     weights = config.get("penalties", {})
     penalties = tr.PenaltyWeights(proof=float(weights.get("proof", 0.0)),
@@ -315,12 +391,13 @@ def cmd_train(args) -> None:
                                clip_norm=config.get("clip_norm", 10.0))
     student = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=estimate.value)
     result = tr.train(student, lt, data, penalties, schedule=schedule, config=train_cfg,
-                      context=context, seed=seed)
+                      context=context, seed=seed, traces=traces)
 
-    model = replace(result.model, bound=_bound_record(g, args.variant, estimate))
+    model = replace(result.model, bound=_bound_record(lap, args.graph_kind, estimate))
     _atomic_write(out / "filter.json", model.to_json() + "\n")
     _atomic_write(out / "history.csv", tr.history_to_csv(result.history))
-    _write_manifest(out, "train", args, [args.graph, args.config])
+    _write_operator(out, lap, source)
+    _write_manifest(out, "train", args, [args.graph, args.config], {args.graph: source})
     first, last = result.history[0][1], result.history[-1][1]
     print(f"train epochs={len(result.history)} initial_loss={first:.6e} final_loss={last:.6e}")
 
@@ -364,7 +441,7 @@ def cmd_eval(args) -> None:
 
 def cmd_attribute(args) -> None:
     out = _out_dir(args)
-    _, lap = _load_operator(args)
+    lap = _load_operator(args)
     model, extra_inputs = _load_model(args)
     basis = gr.eigendecompose(lap)
     x = _read_beliefs(args.beliefs)
@@ -392,7 +469,7 @@ def cmd_attribute(args) -> None:
 
 def cmd_perturb(args) -> None:
     out = _out_dir(args)
-    _, lap = _load_operator(args)
+    lap = _load_operator(args)
     basis = gr.eigendecompose(lap)
     x = _read_beliefs(args.beliefs)
     partition = _partition_for(basis, args.bands)

@@ -15,7 +15,7 @@ import io
 import os
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -27,6 +27,7 @@ if TYPE_CHECKING:
 
 LAMBDA_SAFETY_MARGIN = 1.01
 _LANCZOS_CHECK_EVERY = 5  # steps between Ritz-pair checks; each check costs O(k^3)
+_UNSCALED = (2.0 ** -400, 2.0 ** 400)  # |diagonal| range Lanczos runs unscaled on
 DENSE_CAP = 2048
 _SIGN_TOL = 1e-12
 _TIE_TOL = 1e-9
@@ -297,11 +298,14 @@ def load_graph(source, kind: str = "unsigned") -> Graph:
 
     The first significant line is "N M"; the next M significant lines are
     "i j w" with zero-based endpoints. Blank lines and lines starting with
-    '#' are skipped. ``source`` is a filesystem path or an iterable of
-    lines. Errors report 1-based line numbers of the raw input; only input
-    that fails to load is read line by line, to find that line.
+    '#' are skipped. ``source`` is a filesystem path, a file's bytes (decoded
+    as opening its path would) or an iterable of lines. Errors report 1-based
+    line numbers of the raw input; only input that fails to load is read line
+    by line, to find that line.
     """
-    if isinstance(source, (str, Path, os.PathLike)):
+    if isinstance(source, bytes):
+        text = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8").read()
+    elif isinstance(source, (str, Path, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
@@ -409,16 +413,19 @@ def build_laplacian(g: Graph, variant: str = "combinatorial") -> Laplacian:
     return Laplacian(indptr, indices, data, variant)
 
 
-def graph_sha256(g: Graph, variant: str, lambda_max: float) -> str:
-    """SHA-256 over a graph, a Laplacian variant and a lambda_max bound taken together.
+def graph_sha256(lap: Laplacian, kind: str, lambda_max: float) -> str:
+    """SHA-256 over an operator: a Laplacian, the graph kind it was built from and a
+    lambda_max bound taken together.
 
-    Covers n, m, the graph kind, the variant, lambda_max as %.17g and the canonical
-    edge arrays as little-endian int64 and float64, so the digest is the same on
-    every platform and changes when any of them does.
+    Covers n, the stored-entry count, the graph kind, the variant, lambda_max as %.17g
+    and the canonical CSR arrays indptr, indices and data as little-endian int64, int64
+    and float64, so the digest is the same on every platform and changes when any of
+    them does. Equal digests mean bit-identical arrays: the header fixes every length.
     """
-    head = f"{g.node_count} {g.edge_count} {g.kind} {variant} {format(float(lambda_max), '.17g')}\n"
+    head = (f"{lap.node_count} {lap.indices.size} {kind} {lap.variant} "
+            f"{format(float(lambda_max), '.17g')}\n")
     digest = hashlib.sha256(head.encode("ascii"))
-    for values, dtype in ((g.rows, "<i8"), (g.cols, "<i8"), (g.weights, "<f8")):
+    for values, dtype in ((lap.indptr, "<i8"), (lap.indices, "<i8"), (lap.data, "<f8")):
         digest.update(np.ascontiguousarray(values, dtype=dtype).data)
     return digest.hexdigest()
 
@@ -457,10 +464,19 @@ def estimate_lambda_max(lap: Laplacian, tol: float = 1e-8, max_iters: int = 100,
     Each check is a dense eigensolve of T_k, O(k^3), which keeps ``max_iters``
     small. A numerically zero operator returns value 1.0 with the degenerate
     flag set so downstream rescaling stays finite.
+
+    An operator whose largest |diagonal| lies outside [2^-400, 2^400] runs the
+    recurrence on 2^-e L, with e the binary exponent of that diagonal, and scales
+    theta, beta and the bound back by 2^e, so no product or norm overflows. Any
+    other operator runs unscaled: scaling by 2^0 would change no bit anyway.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     n = lap.node_count
+    top = float(np.max(np.abs(lap.data[lap.indices == lap.rows]), initial=0.0))
+    exponent = 0 if top == 0.0 or _UNSCALED[0] <= top <= _UNSCALED[1] else int(np.frexp(top)[1])
+    op = lap if exponent == 0 else replace(lap, data=np.ldexp(lap.data, -exponent))
+    scale = float(np.ldexp(1.0, exponent))
     rng = np.random.default_rng(seed)
     v = np.ones(n) + 0.01 * rng.standard_normal(n)
     v /= np.linalg.norm(v)
@@ -468,7 +484,7 @@ def estimate_lambda_max(lap: Laplacian, tol: float = 1e-8, max_iters: int = 100,
     alphas, betas = [], []
     beta = 0.0
     for k in range(1, max_iters + 1):
-        w = lap @ v
+        w = op @ v
         w -= beta * v_prev
         alpha = float(v @ w)
         w -= alpha * v
@@ -483,13 +499,13 @@ def estimate_lambda_max(lap: Laplacian, tol: float = 1e-8, max_iters: int = 100,
             theta = float(vals[-1])
             residual = abs(beta * float(vecs[-1, -1]))
             if invariant or residual <= tol * max(1.0, theta):
-                return _lambda_estimate((theta + residual) * LAMBDA_SAFETY_MARGIN, k, True,
-                                        "lanczos")
+                return _lambda_estimate((theta + residual) * LAMBDA_SAFETY_MARGIN * scale, k,
+                                        True, "lanczos")
         w /= beta
         v_prev, v = v, w
     gershgorin = gershgorin_bound(lap)
-    if theta + beta < gershgorin:
-        return _lambda_estimate(theta + beta, max_iters, False, "lanczos")
+    if (theta + beta) * scale < gershgorin:
+        return _lambda_estimate((theta + beta) * scale, max_iters, False, "lanczos")
     return _lambda_estimate(gershgorin, max_iters, False, "gershgorin")
 
 

@@ -415,7 +415,8 @@ def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = N
           config: TrainConfig | None = None,
           context: PenaltyContext | None = None,
           laplacian: Laplacian | None = None,
-          seed: int = 0) -> TrainResult:
+          seed: int = 0,
+          traces: list[ft.RecurrenceTrace] | None = None) -> TrainResult:
     """Full-batch gradient descent on a filter or expert mixture, in one loop.
 
     A filter trains as a one-expert mixture with all-zero gating features:
@@ -432,6 +433,10 @@ def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = N
     updated from the exact recurrence gradient, reprojected onto valid
     Laplacians, and its spectral bound re-estimated every
     lambda_refresh_every epochs.
+
+    traces, when given, are the examples' recurrence traces on lt, one per
+    example and of the model's order, as ``cheb_apply(..., keep_trace=True)``
+    returns them; training then builds none for lt.
     """
     cfg = config or TrainConfig()
     ctx = context or PenaltyContext()
@@ -462,6 +467,11 @@ def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = N
         raise TypeError(f"cannot train a {type(model).__name__}")
     if cfg.learn_laplacian:
         _require(laplacian is not None, "operator learning needs the unscaled Laplacian")
+    _require(traces is None or (
+        len(traces) == len(data)
+        and all(t.order == current.max_order and np.array_equal(t.basis_vectors[0], ex.x)
+                for t, ex in zip(traces, data))),
+        "traces must hold one recurrence per example, from its beliefs, at the model's order")
 
     # expert b owns the first sizes[b] columns of the zero-padded coefficient rows
     sizes = [e.theta.size for e in current.experts]
@@ -477,9 +487,8 @@ def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = N
         basis_cur = eigendecompose(lap_cur)
 
     history = []
-    traces = None  # rebuilt only when the operator changes
     for epoch in range(cfg.epochs):
-        if traces is None:
+        if traces is None:  # built for lt unless given, and again whenever the operator moves
             traces = _example_traces(order, lambda_max, lt_cur, data)
         thetas = np.zeros((len(sizes), order + 1))
         for row, expert in zip(thetas, current.experts):

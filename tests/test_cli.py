@@ -1,11 +1,13 @@
 """End-to-end command line checks driven through the in-process entry point."""
 
 import csv
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -71,6 +73,19 @@ class TestFit:
         assert run("infer", "--graph", "path.txt", "--filter", "fit/filter.json",
                    "--beliefs", "x.txt", "--out-dir", "out") == 0
         assert capsys.readouterr().err.splitlines() == warning
+
+    def test_weights_near_the_float_range_fit(self, workdir, capsys):
+        # lambda_max about 5e300: the Lanczos recurrence once overflowed here
+        (workdir / "big.txt").write_text("4 3\n0 1 1e300\n1 2 1e300\n2 3 2e300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("fit", "--graph", "big.txt", "--response", "diffusion", "--tau", "1",
+                       "--order", "8", "--out-dir", "out") == 0
+        assert capsys.readouterr().err == ""
+        lap = gr.build_laplacian(gr.load_graph("big.txt"))
+        dense = np.ldexp(np.linalg.eigvalsh(np.ldexp(lap.toarray(), -1000))[-1], 1000)
+        value = ft.load_filter("out/filter.json").lambda_max
+        assert dense <= value <= 1.01 * (1 + 1e-7) * dense
 
     def test_missing_graph_reports_and_fails(self, workdir, capsys):
         code = run("fit", "--graph", "missing.txt", "--response", "identity",
@@ -218,6 +233,16 @@ class TestTrain:
         assert code == 1
         assert f"error: train.json: {message}" in capsys.readouterr().err
         assert not (workdir / "out").exists()
+
+
+    def test_each_example_recurrence_runs_once(self, workdir, monkeypatch):
+        # the teacher's trace gives the target and is the one training reuses
+        (workdir / "train.json").write_text(json.dumps({"order": 4, "epochs": 5, "examples": 3}))
+        calls = []
+        cheb_apply = ft.cheb_apply
+        monkeypatch.setattr(ft, "cheb_apply", lambda *a, **k: calls.append(a) or cheb_apply(*a, **k))
+        assert run("train", "--graph", "p2.txt", "--config", "train.json", "--out-dir", "out") == 0
+        assert len(calls) == 3
 
 
 class TestGen:
@@ -393,7 +418,7 @@ class TestStoredBound:
         (workdir / "train.json").write_text(json.dumps({"order": 4, "epochs": 3, "examples": 2}))
         assert run("train", "--graph", "p2.txt", "--config", "train.json",
                    "--out-dir", "trainout") == 0
-        digest = gr.graph_sha256(gr.load_graph("p2.txt"), "combinatorial",
+        digest = gr.graph_sha256(gr.build_laplacian(gr.load_graph("p2.txt")), "unsigned",
                                  ft.load_filter("fitout/filter.json").lambda_max)
         for path in ("fitout/filter.json", "trainout/filter.json"):
             bound = json.loads((workdir / path).read_text())["bound"]
@@ -460,6 +485,108 @@ class TestStoredBound:
         for row in rows:
             del row["latency_ms"]
         assert rows[0] == rows[1]
+
+
+RING = "6 7\n0 1 1\n1 2 2\n2 3 1\n3 4 0.5\n4 5 1\n5 0 1\n0 3 1.5\n"
+
+
+def counted_graph_calls(monkeypatch, *names):
+    """Count the calls cli makes to the named graph functions."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(cli.gr, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli.gr, name, counted)
+    return calls
+
+
+class TestCompiledOperator:
+    @pytest.fixture
+    def fitted(self, workdir):
+        (workdir / "ring.txt").write_text(RING)
+        (workdir / "ring_beliefs.txt").write_text("1\n0\n-1\n0.5\n0\n2\n")
+        assert run("fit", "--graph", "ring.txt", "--response", "diffusion", "--tau", "1",
+                   "--order", "8", "--out-dir", "fit") == 0
+        return workdir / "fit" / "operator.npz"
+
+    @staticmethod
+    def infer(capsys, filt, out, *extra):
+        """Exit code, stdout, stderr and every output file's bytes of one infer."""
+        code = run("infer", "--graph", "ring.txt", "--filter", filt,
+                   "--beliefs", "ring_beliefs.txt", "--out-dir", out, *extra)
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
+        return code, captured.out, captured.err, files
+
+    def test_fit_and_train_store_the_operator(self, workdir, fitted):
+        (workdir / "train.json").write_text(json.dumps({"order": 4, "epochs": 3, "examples": 2}))
+        assert run("train", "--graph", "ring.txt", "--config", "train.json",
+                   "--out-dir", "train") == 0
+        lap = gr.build_laplacian(gr.load_graph("ring.txt"))
+        source = hashlib.sha256((workdir / "ring.txt").read_bytes()).hexdigest()
+        for out in ("fit", "train"):
+            with np.load(workdir / out / "operator.npz", allow_pickle=False) as npz:
+                assert sorted(npz.files) == ["data", "indices", "indptr", "source_sha256"]
+                for name in ("indptr", "indices", "data"):
+                    stored, built = npz[name], getattr(lap, name)
+                    assert stored.dtype == built.dtype and stored.tobytes() == built.tobytes()
+                assert str(npz["source_sha256"]) == source
+            manifest = json.loads((workdir / out / "manifest.json").read_text())
+            assert manifest["inputs"]["ring.txt"] == source
+        # one operator, one file: no timestamp or other run-dependent byte
+        assert (workdir / "train" / "operator.npz").read_bytes() == fitted.read_bytes()
+
+    def test_a_match_serves_without_parse_assembly_or_estimate(self, fitted, monkeypatch,
+                                                               capsys):
+        calls = counted_graph_calls(monkeypatch, "load_graph", "build_laplacian",
+                                    "estimate_lambda_max")
+        served = self.infer(capsys, "fit/filter.json", "served")
+        assert calls == {"load_graph": 0, "build_laplacian": 0, "estimate_lambda_max": 0}
+        assert served[0] == 0 and "predicates.csv" in served[3]
+        fitted.unlink()
+        assert self.infer(capsys, "fit/filter.json", "text") == served
+        assert calls == {"load_graph": 1, "build_laplacian": 1, "estimate_lambda_max": 0}
+
+    @pytest.mark.parametrize("case", [
+        "edited graph", "other variant", "other graph kind", "truncated file",
+        "data permuted", "data swapped in the file", "filter without bound", "no file"])
+    def test_anything_else_takes_the_text_path(self, workdir, fitted, monkeypatch, capsys,
+                                               case):
+        filt, extra = "fit/filter.json", ()
+        if case == "edited graph":
+            (workdir / "ring.txt").write_text(RING.replace("3 4 0.5", "3 4 0.75"))
+        elif case == "other variant":  # the same arrays as combinatorial on this graph
+            extra = ("--variant", "signed")
+        elif case == "other graph kind":
+            extra = ("--graph-kind", "signed")
+        elif case == "truncated file":
+            fitted.write_bytes(fitted.read_bytes()[: fitted.stat().st_size // 2])
+        elif case == "data permuted":  # a well-formed file: only the fingerprint tells
+            with np.load(fitted, allow_pickle=False) as npz:
+                arrays = dict(npz)
+            arrays["data"] = arrays["data"][::-1]
+            np.savez(fitted, **arrays)
+        elif case == "data swapped in the file":
+            raw = bytearray(fitted.read_bytes())
+            at = raw.find(gr.build_laplacian(gr.load_graph("ring.txt")).data.tobytes())
+            raw[at:at + 16] = raw[at + 8:at + 16] + raw[at:at + 8]
+            fitted.write_bytes(bytes(raw))
+        elif case == "filter without bound":
+            filt = without_bound(filt, "fit/legacy.json")
+        else:
+            fitted.unlink()
+        calls = counted_graph_calls(monkeypatch, "load_graph")
+        served = self.infer(capsys, filt, "served", *extra)
+        assert calls["load_graph"] == 1
+        fitted.unlink(missing_ok=True)
+        assert self.infer(capsys, filt, "text", *extra) == served
+
+    def test_a_bad_graph_is_reported_before_a_bad_filter(self, fitted, capsys):
+        Path("ring.txt").write_text("6 1\n0 9 1\n")
+        Path("fit/filter.json").write_text("{}")
+        code, _, err, _ = self.infer(capsys, "fit/filter.json", "out")
+        assert code == 1 and err == "error: line 2: edge (0, 9) out of range for 6 nodes\n"
 
 
 def line_loop_beliefs(path):

@@ -437,6 +437,18 @@ class TestLambdaMax:
         est = gr.estimate_lambda_max(lap)
         assert est.degenerate and est.value == 1.0
 
+    def test_weights_near_the_float_range_are_bounded(self):
+        # unscaled, these overflow in the recurrence; scaled by 2^-e they run as one operator
+        g = random_gnp(30, 0.2, seed=5)
+        estimates = [gr.estimate_lambda_max(gr.build_laplacian(
+            gr.Graph(30, columns=(g.rows, g.cols, np.ldexp(g.weights, k))))) for k in (600, 1000)]
+        small, large = estimates
+        assert small.converged and small.iterations == large.iterations
+        assert large.value == np.ldexp(small.value, 400)
+        lap = gr.build_laplacian(gr.Graph(30, columns=(g.rows, g.cols, np.ldexp(g.weights, 1000))))
+        top = np.ldexp(np.linalg.eigvalsh(np.ldexp(lap.toarray(), -1000))[-1], 1000)
+        assert top <= large.value <= top * gr.LAMBDA_SAFETY_MARGIN * (1 + 1e-7)
+
     def test_estimate_deterministic(self):
         lap = gr.build_laplacian(random_gnp(30, 0.2, seed=5))
         a = gr.estimate_lambda_max(lap, seed=3)
@@ -448,22 +460,36 @@ class TestGraphSha256:
     def test_canonical_edges_give_one_digest(self):
         a = gr.Graph(node_count=4, edges=((0, 1, 1.0), (2, 1, 0.5), (3, 0, 2.0)))
         b = gr.Graph(node_count=4, edges=((0, 3, 2.0), (1, 2, 0.5), (1, 0, 1.0)))
-        assert gr.graph_sha256(a, "combinatorial", 3.5) == gr.graph_sha256(b, "combinatorial", 3.5)
+        lap = gr.build_laplacian(a)
+        base = gr.graph_sha256(lap, "unsigned", 3.5)
+        assert gr.graph_sha256(gr.build_laplacian(b), "unsigned", 3.5) == base
+        # the arrays count by value: narrower integer arrays give the same digest
+        narrow = gr.Laplacian(lap.indptr.astype(np.int32), lap.indices.astype(np.int32),
+                              lap.data, lap.variant)
+        assert gr.graph_sha256(narrow, "unsigned", 3.5) == base
 
     def test_each_part_changes_the_digest(self):
         g = gr.Graph(node_count=4, edges=((0, 1, 1.0), (1, 2, 0.5)))
-        base = gr.graph_sha256(g, "combinatorial", 3.5)
+        lap = gr.build_laplacian(g)
+        base = gr.graph_sha256(lap, "unsigned", 3.5)
+        # the same bytes split otherwise between indices and data
+        shifted = gr.Laplacian(lap.indptr, np.append(lap.indices, lap.data[:1].view(np.int64)),
+                               lap.data[1:], lap.variant)
         others = [
-            gr.graph_sha256(gr.Graph(node_count=5, edges=g.edges), "combinatorial", 3.5),
-            gr.graph_sha256(gr.Graph(node_count=4, edges=g.edges, kind="signed"),
-                            "combinatorial", 3.5),
-            gr.graph_sha256(g, "normalized", 3.5),
-            gr.graph_sha256(g, "combinatorial", np.nextafter(3.5, 4.0)),
-            gr.graph_sha256(gr.Graph(node_count=4, edges=((0, 1, 1.0), (1, 2, 0.25))),
-                            "combinatorial", 3.5),
-            gr.graph_sha256(gr.Graph(node_count=4, edges=((0, 1, 1.0), (1, 3, 0.5))),
-                            "combinatorial", 3.5),
+            gr.graph_sha256(gr.build_laplacian(gr.Graph(node_count=5, edges=g.edges)),
+                            "unsigned", 3.5),
+            gr.graph_sha256(lap, "signed", 3.5),
+            gr.graph_sha256(gr.build_laplacian(g, "normalized"), "unsigned", 3.5),
+            # the same arrays under another variant
+            gr.graph_sha256(gr.build_laplacian(g, "signed"), "unsigned", 3.5),
+            gr.graph_sha256(lap, "unsigned", np.nextafter(3.5, 4.0)),
+            gr.graph_sha256(gr.build_laplacian(
+                gr.Graph(node_count=4, edges=((0, 1, 1.0), (1, 2, 0.25)))), "unsigned", 3.5),
+            gr.graph_sha256(gr.build_laplacian(
+                gr.Graph(node_count=4, edges=((0, 1, 1.0), (1, 3, 0.5)))), "unsigned", 3.5),
+            gr.graph_sha256(shifted, "unsigned", 3.5),
         ]
+        assert np.array_equal(gr.build_laplacian(g, "signed").data, lap.data)
         assert len({base, *others}) == len(others) + 1
 
 

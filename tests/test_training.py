@@ -393,6 +393,41 @@ class TestTrain:
             assert len(calls) == len(data)
             assert all(op is lt for op in calls)
 
+    @pytest.mark.parametrize("kind", ["chebyshev", "learn_laplacian"])
+    def test_given_traces_train_as_built_ones(self, monkeypatch, kind):
+        lap, lt, lmax = operator(n=12, p=0.5, seed=42)
+        teacher, data = teacher_data(lt, lmax, 4, 3, seed=43)
+        traces = [ft.cheb_apply(teacher, lt, ex.x, keep_trace=True)[1] for ex in data]
+        student = ft.ChebyshevFilter(theta=np.zeros(5), lambda_max=lmax)
+        cfg = tr.TrainConfig(epochs=6, learn_laplacian=kind == "learn_laplacian",
+                             lambda_refresh_every=3)
+        built = tr.train(student, lt, data, config=cfg, laplacian=lap)
+        calls = []
+        cheb_apply = ft.cheb_apply
+        monkeypatch.setattr(ft, "cheb_apply", lambda *a, **k: calls.append(a) or cheb_apply(*a, **k))
+        given = tr.train(student, lt, data, config=cfg, laplacian=lap, traces=traces)
+        assert np.array(given.history).tobytes() == np.array(built.history).tobytes()
+        assert given.model.theta.tobytes() == built.model.theta.tobytes()
+        # none for lt; one per example for each moved operator
+        assert len(calls) == (cfg.epochs - 1) * len(data) * (kind == "learn_laplacian")
+
+    @pytest.mark.parametrize("case", ["count", "order", "beliefs"])
+    def test_traces_not_of_the_examples_refused(self, case):
+        lap, lt, lmax = operator(n=12, p=0.5, seed=42)
+        teacher, data = teacher_data(lt, lmax, 4, 3, seed=43)
+        order, xs = 4, [ex.x for ex in data]
+        if case == "count":
+            xs = xs[:2]
+        elif case == "order":
+            order = 3
+        else:
+            xs = xs[::-1]
+        probe = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=lmax)
+        traces = [ft.cheb_apply(probe, lt, x, keep_trace=True)[1] for x in xs]
+        student = ft.ChebyshevFilter(theta=np.zeros(5), lambda_max=lmax)
+        with pytest.raises(ValueError, match="one recurrence per example"):
+            tr.train(student, lt, data, traces=traces)
+
     def test_learn_laplacian_recovers_operator_direction(self):
         # teacher signal comes from a different graph; learned operator should
         # cut the loss well below the frozen-operator run
