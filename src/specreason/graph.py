@@ -467,14 +467,14 @@ def estimate_lambda_max(lap: Laplacian, tol: float = 1e-8, max_iters: int = 100,
 
     An operator whose largest |diagonal| lies outside [2^-400, 2^400] runs the
     recurrence on 2^-e L, with e the binary exponent of that diagonal, and scales
-    theta, beta and the bound back by 2^e, so no product or norm overflows. Any
-    other operator runs unscaled: scaling by 2^0 would change no bit anyway.
+    theta, beta and the bound back by 2^e, so no product or norm overflows. Every
+    other operator, and one with no nonzero diagonal, runs as given.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     n = lap.node_count
     top = float(np.max(np.abs(lap.data[lap.indices == lap.rows]), initial=0.0))
-    exponent = 0 if top == 0.0 or _UNSCALED[0] <= top <= _UNSCALED[1] else int(np.frexp(top)[1])
+    exponent = 0 if _UNSCALED[0] <= top <= _UNSCALED[1] else int(np.frexp(top)[1])
     op = lap if exponent == 0 else replace(lap, data=np.ldexp(lap.data, -exponent))
     scale = float(np.ldexp(1.0, exponent))
     rng = np.random.default_rng(seed)

@@ -234,14 +234,15 @@ class TestTrain:
         assert f"error: train.json: {message}" in capsys.readouterr().err
         assert not (workdir / "out").exists()
 
-
     def test_each_example_recurrence_runs_once(self, workdir, monkeypatch):
         # the teacher's trace gives the target and is the one training reuses
         (workdir / "train.json").write_text(json.dumps({"order": 4, "epochs": 5, "examples": 3}))
         calls = []
         cheb_apply = ft.cheb_apply
-        monkeypatch.setattr(ft, "cheb_apply", lambda *a, **k: calls.append(a) or cheb_apply(*a, **k))
-        assert run("train", "--graph", "p2.txt", "--config", "train.json", "--out-dir", "out") == 0
+        monkeypatch.setattr(ft, "cheb_apply",
+                            lambda *a, **k: calls.append(a) or cheb_apply(*a, **k))
+        assert run("train", "--graph", "p2.txt", "--config", "train.json",
+                   "--out-dir", "out") == 0
         assert len(calls) == 3
 
 

@@ -404,7 +404,8 @@ class TestTrain:
         built = tr.train(student, lt, data, config=cfg, laplacian=lap)
         calls = []
         cheb_apply = ft.cheb_apply
-        monkeypatch.setattr(ft, "cheb_apply", lambda *a, **k: calls.append(a) or cheb_apply(*a, **k))
+        monkeypatch.setattr(ft, "cheb_apply",
+                            lambda *a, **k: calls.append(a) or cheb_apply(*a, **k))
         given = tr.train(student, lt, data, config=cfg, laplacian=lap, traces=traces)
         assert np.array(given.history).tobytes() == np.array(built.history).tobytes()
         assert given.model.theta.tobytes() == built.model.theta.tobytes()
