@@ -88,7 +88,11 @@ def band_energy(basis: SpectralBasis, y, partition: BandPartition) -> BandReport
     """Split ||y_hat||^2 across the partition's bands.
 
     Parseval makes the energies sum to ||y||^2. A zero signal yields the
-    degenerate report with all-zero fractions.
+    degenerate report with all-zero fractions. The coefficients are squared
+    after scaling by a power of two, 2^-e with e the binary exponent of the
+    largest, so an output near the float range neither underflows nor
+    overflows; the fractions come from the scaled energies, and an energy
+    beyond the float range reads inf.
     """
     values = belief_values(y)
     if values.size != basis.node_count:
@@ -97,10 +101,14 @@ def band_energy(basis: SpectralBasis, y, partition: BandPartition) -> BandReport
         raise ValueError("partition does not cover the spectrum")
     yhat = basis.eigenvectors.T @ values
     bands = partition.band_of(basis.eigenvalues)
-    energies = np.bincount(bands, weights=yhat ** 2, minlength=partition.n_bands)
-    total = float(energies.sum())
+    exponent = int(np.frexp(np.max(np.abs(yhat), initial=0.0))[1])
+    scaled = np.bincount(bands, weights=np.ldexp(yhat, -exponent) ** 2,
+                         minlength=partition.n_bands)
+    total = float(scaled.sum())
     degenerate = total <= 0.0
-    fractions = np.zeros_like(energies) if degenerate else energies / total
+    fractions = np.zeros_like(scaled) if degenerate else scaled / total
+    with np.errstate(over="ignore"):
+        energies = np.ldexp(scaled, 2 * exponent)
     return BandReport(partition=partition, energies=energies, fractions=fractions,
                       degenerate=degenerate)
 

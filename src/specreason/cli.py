@@ -335,7 +335,7 @@ def _train_config(path) -> dict:
                          f"error, 'mse'")
     if "teacher" in config and "kind" not in config["teacher"]:
         raise ValueError(f"{path}: teacher is missing required key 'kind'")
-    if float(config.get("penalties", {}).get("rule_consistency", 0.0)) > 0:
+    if float(config.get("penalties", {}).get("rule_consistency", 0.0)) != 0:
         raise ValueError(f"{path}: penalties.rule_consistency must be 0; train has no "
                          f"target spectrum to hold the operator to")
     return config
@@ -371,7 +371,6 @@ def cmd_train(args) -> None:
 
     weights = config.get("penalties", {})
     penalties = tr.PenaltyWeights(proof=float(weights.get("proof", 0.0)),
-                                  rule_consistency=float(weights.get("rule_consistency", 0.0)),
                                   transfer=float(weights.get("transfer", 0.0)))
     schedule = None
     if config.get("curriculum"):
@@ -391,7 +390,7 @@ def cmd_train(args) -> None:
                                clip_norm=config.get("clip_norm", 10.0))
     student = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=estimate.value)
     result = tr.train(student, lt, data, penalties, schedule=schedule, config=train_cfg,
-                      context=context, seed=seed, traces=traces)
+                      context=context, traces=traces)
 
     model = replace(result.model, bound=_bound_record(lap, args.graph_kind, estimate))
     _atomic_write(out / "filter.json", model.to_json() + "\n")

@@ -221,15 +221,6 @@ class Laplacian(SparseOperator):
             raise ValueError(f"unknown Laplacian variant {self.variant!r}")
         super().__post_init__()
 
-    @classmethod
-    def from_dense(cls, matrix: np.ndarray, variant: str) -> Laplacian:
-        """The nonzero entries of a dense square matrix, row by row."""
-        n = matrix.shape[0]
-        rows, cols = np.nonzero(matrix)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return cls(indptr, cols, matrix[rows, cols], variant)
-
 
 @dataclass(frozen=True, eq=False)
 class ScaledLaplacian(SparseOperator):
@@ -462,8 +453,9 @@ def estimate_lambda_max(lap: Laplacian, tol: float = 1e-8, max_iters: int = 100,
     LAA 435 (2011), or the Gershgorin bound when that is smaller, with
     ``converged`` False and ``method`` naming the bound used.
     Each check is a dense eigensolve of T_k, O(k^3), which keeps ``max_iters``
-    small. A numerically zero operator returns value 1.0 with the degenerate
-    flag set so downstream rescaling stays finite.
+    small. A numerically zero operator, one whose bound is at most 1e-12 times
+    the scale 2^e below, returns value 1.0 with the degenerate flag set so
+    downstream rescaling stays finite.
 
     An operator whose largest |diagonal| lies outside [2^-400, 2^400] runs the
     recurrence on 2^-e L, with e the binary exponent of that diagonal, and scales
@@ -499,19 +491,20 @@ def estimate_lambda_max(lap: Laplacian, tol: float = 1e-8, max_iters: int = 100,
             theta = float(vals[-1])
             residual = abs(beta * float(vecs[-1, -1]))
             if invariant or residual <= tol * max(1.0, theta):
-                return _lambda_estimate((theta + residual) * LAMBDA_SAFETY_MARGIN * scale, k,
-                                        True, "lanczos")
+                return _lambda_estimate((theta + residual) * LAMBDA_SAFETY_MARGIN * scale, scale,
+                                        k, True, "lanczos")
         w /= beta
         v_prev, v = v, w
     gershgorin = gershgorin_bound(lap)
     if (theta + beta) * scale < gershgorin:
-        return _lambda_estimate((theta + beta) * scale, max_iters, False, "lanczos")
-    return _lambda_estimate(gershgorin, max_iters, False, "gershgorin")
+        return _lambda_estimate((theta + beta) * scale, scale, max_iters, False, "lanczos")
+    return _lambda_estimate(gershgorin, scale, max_iters, False, "gershgorin")
 
 
-def _lambda_estimate(value: float, iterations: int, converged: bool,
+def _lambda_estimate(value: float, scale: float, iterations: int, converged: bool,
                      method: str) -> LambdaMaxEstimate:
-    degenerate = value <= _SIGN_TOL
+    # zero relative to the scale 2^e the recurrence ran at, so a tiny operator is not zero
+    degenerate = value <= _SIGN_TOL * scale
     return LambdaMaxEstimate(value=1.0 if degenerate else value, iterations=iterations,
                              converged=converged, degenerate=degenerate, method=method)
 

@@ -5,15 +5,13 @@ gate is 1 for every example, so its pooled coefficients are its own. The
 data term is the mean squared error to each example's target. Coefficient
 gradients ride the Chebyshev recurrence trace; operator gradients are
 exact reverse-mode through the same recurrence, reported in the symmetric
-subspace. Penalties steer where output energy is allowed to live, how the
-operator's spectrum should look, and how outputs should transfer across
-graphs.
+subspace. Penalties steer where output energy is allowed to live and how
+outputs should transfer across graphs.
 
 Cost: an example's recurrence trace b_0 .. b_K depends on the operator and
-the example, not on the coefficients. With a fixed operator, training runs
+the example, not on the coefficients. Training runs on a fixed operator:
 one K-step recurrence per example, O(K |E|) each, and then O(K n) per
-example per epoch. With learn_laplacian the operator moves every epoch, so
-the recurrence reruns each epoch.
+example per epoch.
 """
 
 from __future__ import annotations
@@ -24,15 +22,7 @@ import numpy as np
 
 from . import filters as ft
 from .analysis import BandPartition, band_energy, default_three_band
-from .graph import (
-    Laplacian,
-    ScaledLaplacian,
-    SpectralBasis,
-    belief_values,
-    eigendecompose,
-    estimate_lambda_max,
-    scale_laplacian,
-)
+from .graph import ScaledLaplacian, SpectralBasis, belief_values
 
 GATING_FEATURES = ("total_energy", "low_band_fraction", "mid_band_fraction",
                    "high_band_fraction", "node_count")
@@ -80,33 +70,6 @@ def grad_scaled_laplacian(dLdy, theta, trace: ft.RecurrenceTrace,
     if order >= 1:
         grad += np.outer(adj[1], b[0])
     return 0.5 * (grad + grad.T)
-
-
-def project_laplacian(matrix) -> np.ndarray:
-    """Project a dense candidate onto valid combinatorial Laplacians.
-
-    Symmetrizes, clamps off-diagonal entries to be nonpositive, and
-    resets the diagonal so every row sums to zero. The result is
-    diagonally dominant, hence PSD.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("candidate must be a square matrix")
-    sym = 0.5 * (m + m.T)
-    off = np.minimum(sym, 0.0)
-    np.fill_diagonal(off, 0.0)
-    result = off.copy()
-    np.fill_diagonal(result, -off.sum(axis=1))
-    return result
-
-
-def rule_consistency_penalty(basis: SpectralBasis, target_spectrum) -> float:
-    """Squared distance between the operator's spectrum and a target one."""
-    target = np.asarray(target_spectrum, dtype=float)
-    if target.shape != basis.eigenvalues.shape:
-        raise ValueError("target spectrum length does not match the operator")
-    diff = basis.eigenvalues - target
-    return float(diff @ diff)
 
 
 def proof_guided_penalty(basis: SpectralBasis, y, allowed_bands,
@@ -277,7 +240,6 @@ def curriculum_mask(schedule: CurriculumSchedule | None, epoch: int, order: int)
 @dataclass(frozen=True)
 class PenaltyWeights:
     proof: float = 0.0
-    rule_consistency: float = 0.0
     transfer: float = 0.0
 
 
@@ -306,7 +268,6 @@ class PenaltyContext:
     basis: SpectralBasis | None = None
     partition: BandPartition | None = None
     allowed_bands: tuple[int, ...] = ()
-    consistency_target: np.ndarray | None = None
     transfer_reference: np.ndarray | None = None
 
 
@@ -315,26 +276,18 @@ class TrainConfig:
     learning_rate: float = 0.05
     epochs: int = 100
     clip_norm: float | None = 10.0
-    learn_laplacian: bool = False
-    laplacian_lr: float = 0.01
-    lambda_refresh_every: int = 10
 
     def __post_init__(self):
         if self.learning_rate < 0 or self.epochs < 1:
             raise ValueError("need a nonnegative learning rate and at least one epoch")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive when set")
-        if self.learn_laplacian and self.laplacian_lr <= 0:
-            raise ValueError("laplacian_lr must be positive when learning the operator")
-        if self.lambda_refresh_every < 1:
-            raise ValueError("lambda_refresh_every must be at least 1")
 
 
 @dataclass(frozen=True)
 class TrainResult:
     model: object
     history: tuple[tuple, ...]
-    laplacian: Laplacian | None = None
 
 
 HISTORY_COLUMNS = ("epoch", "total", "data_term", "proof_penalty",
@@ -363,13 +316,13 @@ def _require(condition: bool, message: str):
         raise ValueError(message)
 
 
-def _output_penalties(pw: PenaltyWeights, ctx: PenaltyContext, basis: SpectralBasis,
-                      partition: BandPartition, y: np.ndarray,
+def _output_penalties(pw: PenaltyWeights, ctx: PenaltyContext, y: np.ndarray,
                       g_y: np.ndarray) -> tuple[float, float, np.ndarray]:
     """Raw proof and transfer penalties of one output, and g_y plus their weighted gradients."""
     proof = transfer = 0.0
+    basis = ctx.basis
     if pw.proof > 0:
-        proof, pen_grad = proof_guided_penalty(basis, y, ctx.allowed_bands, partition)
+        proof, pen_grad = proof_guided_penalty(basis, y, ctx.allowed_bands, ctx.partition)
         g_y = g_y + pw.proof * pen_grad
     if pw.transfer > 0:
         yhat = basis.eigenvectors.T @ y
@@ -379,15 +332,16 @@ def _output_penalties(pw: PenaltyWeights, ctx: PenaltyContext, basis: SpectralBa
     return proof, transfer, g_y
 
 
-def _record_epoch(history: list, epoch: int, pw: PenaltyWeights, means: np.ndarray,
-                  rc_total: float) -> None:
-    """Append one history row; means holds the per-example data term, proof and transfer."""
+def _record_epoch(history: list, epoch: int, pw: PenaltyWeights, means: np.ndarray) -> None:
+    """Append one history row; means holds the per-example data term, proof and transfer.
+
+    The rule_consistency column is always 0.0: it keeps history.csv's columns.
+    """
     data_total, proof_total, transfer_total = (float(v) for v in means)
-    total = (data_total + pw.proof * proof_total
-             + pw.rule_consistency * rc_total + pw.transfer * transfer_total)
+    total = data_total + pw.proof * proof_total + pw.transfer * transfer_total
     if not np.isfinite(total):
         raise DivergenceError(epoch)
-    history.append((epoch, total, data_total, proof_total, rc_total, transfer_total))
+    history.append((epoch, total, data_total, proof_total, 0.0, transfer_total))
 
 
 def _clipped(grad: np.ndarray, clip_norm: float | None) -> np.ndarray:
@@ -399,14 +353,13 @@ def _clipped(grad: np.ndarray, clip_norm: float | None) -> np.ndarray:
     return grad
 
 
-def _example_traces(order: int, lambda_max: float, lt: ScaledLaplacian,
-                    data) -> list[ft.RecurrenceTrace]:
+def _example_traces(order: int, lt: ScaledLaplacian, data) -> list[ft.RecurrenceTrace]:
     """Each example's recurrence trace b_0 .. b_order on lt.
 
     The trace depends on the operator and the example only, never on the
-    coefficients being trained, so one is built per example per operator.
+    coefficients being trained, so one is built per example.
     """
-    probe = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=lambda_max)
+    probe = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=lt.lambda_max)
     return [ft.cheb_apply(probe, lt, ex.x, keep_trace=True)[1] for ex in data]
 
 
@@ -414,8 +367,6 @@ def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = N
           schedule: CurriculumSchedule | None = None,
           config: TrainConfig | None = None,
           context: PenaltyContext | None = None,
-          laplacian: Laplacian | None = None,
-          seed: int = 0,
           traces: list[ft.RecurrenceTrace] | None = None) -> TrainResult:
     """Full-batch gradient descent on a filter or expert mixture, in one loop.
 
@@ -429,14 +380,11 @@ def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = N
 
     Records one history row per epoch before the update; penalty columns
     hold raw (unweighted) values while the total applies the configured
-    weights. With learn_laplacian (filters only) the dense operator is
-    updated from the exact recurrence gradient, reprojected onto valid
-    Laplacians, and its spectral bound re-estimated every
-    lambda_refresh_every epochs.
+    weights. The operator lt stays fixed.
 
     traces, when given, are the examples' recurrence traces on lt, one per
     example and of the model's order, as ``cheb_apply(..., keep_trace=True)``
-    returns them; training then builds none for lt.
+    returns them; training then builds none.
     """
     cfg = config or TrainConfig()
     ctx = context or PenaltyContext()
@@ -448,14 +396,10 @@ def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = N
              "proof penalty needs a basis, partition, and allowed bands")
     _require(pw.proof == 0 or all(0 <= int(b) < ctx.partition.n_bands for b in ctx.allowed_bands),
              f"allowed bands {list(ctx.allowed_bands)} outside the partition")
-    _require(pw.rule_consistency == 0 or ctx.consistency_target is not None,
-             "rule consistency penalty needs a target spectrum")
     _require(pw.transfer == 0 or (ctx.basis is not None and ctx.transfer_reference is not None),
              "transfer penalty needs a basis and a spectral reference")
-    needs_basis = pw.proof > 0 or pw.transfer > 0 or pw.rule_consistency > 0
 
     if isinstance(model, MoSEModel):
-        _require(not cfg.learn_laplacian, "operator learning is not defined for mixtures")
         _require(ctx.basis is not None, "mixture training needs a basis for gating features")
         current = model
         features = np.array([gating_features(ctx.basis, ex.x, ctx.partition) for ex in data])
@@ -465,8 +409,6 @@ def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = N
         features = np.zeros((len(data), len(GATING_FEATURES)))
     else:
         raise TypeError(f"cannot train a {type(model).__name__}")
-    if cfg.learn_laplacian:
-        _require(laplacian is not None, "operator learning needs the unscaled Laplacian")
     _require(traces is None or (
         len(traces) == len(data)
         and all(t.order == current.max_order and np.array_equal(t.basis_vectors[0], ex.x)
@@ -478,18 +420,11 @@ def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = N
     order = current.max_order
     owned = np.arange(order + 1) < np.array(sizes)[:, None]
     gated = len(sizes) > 1
-    lambda_max = lt.lambda_max
-    lt_cur = lt
-    lap_dense = laplacian.toarray() if cfg.learn_laplacian else None
-    lap_cur = laplacian
-    basis_cur = ctx.basis
-    if needs_basis and cfg.learn_laplacian:
-        basis_cur = eigendecompose(lap_cur)
+    if traces is None:
+        traces = _example_traces(order, lt, data)
 
     history = []
     for epoch in range(cfg.epochs):
-        if traces is None:  # built for lt unless given, and again whenever the operator moves
-            traces = _example_traces(order, lambda_max, lt_cur, data)
         thetas = np.zeros((len(sizes), order + 1))
         for row, expert in zip(thetas, current.experts):
             row[: expert.theta.size] = expert.theta
@@ -497,36 +432,20 @@ def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = N
         pooled = pooled_coefficients(current, alphas)
         g_thetas = np.zeros_like(thetas)
         g_weights = np.zeros_like(current.gating_weights)
-        g_lap = np.zeros_like(lap_dense) if cfg.learn_laplacian else None
         sums = np.zeros(3)  # data term, proof and transfer penalties over the examples
         for example, f_vec, alpha, coeffs, trace in zip(data, features, alphas, pooled, traces):
             y = ft.chebyshev_sum(coeffs, trace.basis_vectors)
             value, g_y = _data_term(y, example.target)
-            proof, transfer, g_y = _output_penalties(pw, ctx, basis_cur, ctx.partition, y, g_y)
+            proof, transfer, g_y = _output_penalties(pw, ctx, y, g_y)
             sums += (value, proof, transfer)
             g = grad_theta(g_y, trace)
             g_thetas += np.outer(alpha, g)
             if gated:  # a one-expert gate is constant: no gradient, and no inf - inf on divergence
                 d_alpha = thetas @ g
                 g_weights += np.outer(alpha * (d_alpha - float(alpha @ d_alpha)), f_vec)
-            if cfg.learn_laplacian:
-                g_scaled = grad_scaled_laplacian(g_y, coeffs, trace, lt_cur)
-                # lambda_max is held out of the chain rule on purpose
-                g_lap += (2.0 / lambda_max) * g_scaled
         count = len(data)
         g_thetas /= count
-        if cfg.learn_laplacian:
-            g_lap /= count
-
-        rc_total = 0.0
-        if pw.rule_consistency > 0:
-            rc_total = rule_consistency_penalty(basis_cur, ctx.consistency_target)
-            if cfg.learn_laplacian:
-                diff = basis_cur.eigenvalues - np.asarray(ctx.consistency_target, dtype=float)
-                g_lap += pw.rule_consistency * 2.0 * (
-                    basis_cur.eigenvectors @ np.diag(diff) @ basis_cur.eigenvectors.T)
-
-        _record_epoch(history, epoch, pw, sums / count, rc_total)
+        _record_epoch(history, epoch, pw, sums / count)
 
         mask = curriculum_mask(schedule, epoch, order) & owned
         steps = np.array([_clipped(np.where(m, g, 0.0), cfg.clip_norm)
@@ -536,21 +455,10 @@ def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = N
         weights = current.gating_weights - cfg.learning_rate * g_weights
         if not np.all(np.isfinite(thetas)) or not np.all(np.isfinite(weights)):
             raise DivergenceError(epoch)
-
-        if cfg.learn_laplacian:
-            lap_dense = project_laplacian(lap_dense - cfg.laplacian_lr * g_lap)
-            lap_cur = Laplacian.from_dense(lap_dense, lap_cur.variant)
-            if (epoch + 1) % cfg.lambda_refresh_every == 0:
-                estimate = estimate_lambda_max(lap_cur, seed=seed)
-                lambda_max = estimate.value
-            lt_cur = scale_laplacian(lap_cur, lambda_max)
-            traces = None
-            if needs_basis:
-                basis_cur = eigendecompose(lap_cur)
-        current = MoSEModel(experts=tuple(ft.ChebyshevFilter(theta=t[:size], lambda_max=lambda_max)
+        current = MoSEModel(experts=tuple(ft.ChebyshevFilter(theta=t[:size],
+                                                             lambda_max=lt.lambda_max)
                                           for t, size in zip(thetas, sizes)),
                             gating_weights=weights)
 
     trained = current if isinstance(model, MoSEModel) else current.experts[0]
-    return TrainResult(model=trained, history=tuple(history),
-                       laplacian=lap_cur if cfg.learn_laplacian else laplacian)
+    return TrainResult(model=trained, history=tuple(history))

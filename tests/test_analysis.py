@@ -66,6 +66,19 @@ class TestBandEnergy:
         report = an.band_energy(basis, np.zeros(2), an.default_three_band(2.0))
         assert report.degenerate and report.fractions.tolist() == [0.0, 0.0, 0.0]
 
+    def test_outputs_near_the_float_range_keep_their_fractions(self):
+        # unscaled, the squares of 2^-1000 y underflow to 0 and those of 2^1000 y overflow
+        basis = random_basis(seed=3)
+        part = an.default_three_band(basis.lambda_max)
+        y = np.random.default_rng(4).standard_normal(20)
+        report = an.band_energy(basis, y, part)
+        for k in (1000, -1000):
+            scaled = an.band_energy(basis, np.ldexp(y, k), part)
+            assert not scaled.degenerate
+            assert scaled.fractions.tobytes() == report.fractions.tobytes()
+        tiny = an.band_energy(basis, np.ldexp(y, -500), part)
+        assert tiny.energies.tobytes() == np.ldexp(report.energies, -1000).tobytes()
+
     def test_partition_must_cover(self):
         basis = p2_basis()
         with pytest.raises(ValueError, match="cover"):

@@ -87,6 +87,20 @@ class TestFit:
         value = ft.load_filter("out/filter.json").lambda_max
         assert dense <= value <= 1.01 * (1 + 1e-7) * dense
 
+    def test_weights_near_the_float_range_tiny_fit(self, workdir, capsys):
+        # lambda_max about 5e-300: a zero test on an absolute scale once called it degenerate
+        (workdir / "tiny.txt").write_text("4 3\n0 1 1e-300\n1 2 1e-300\n2 3 2e-300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("fit", "--graph", "tiny.txt", "--response", "diffusion", "--tau", "1",
+                       "--order", "8", "--out-dir", "out") == 0
+        assert capsys.readouterr().err == ""
+        spec = json.loads((workdir / "out" / "filter.json").read_text())
+        assert spec["bound"]["degenerate"] is False
+        lap = gr.build_laplacian(gr.load_graph("tiny.txt"))
+        dense = np.ldexp(np.linalg.eigvalsh(np.ldexp(lap.toarray(), 1000))[-1], -1000)
+        assert dense <= spec["lambda_max"] <= 1.01 * (1 + 1e-7) * dense
+
     def test_missing_graph_reports_and_fails(self, workdir, capsys):
         code = run("fit", "--graph", "missing.txt", "--response", "identity",
                    "--order", "4", "--out-dir", "out")
@@ -207,18 +221,25 @@ class TestTrain:
         assert "error: train.json: teacher is missing required key 'kind'" in err
 
     def test_rule_consistency_weight_refused_before_out_dir(self, workdir, capsys):
-        # the CLI gives no target spectrum, so a positive weight could never train
-        (workdir / "train.json").write_text(json.dumps(
-            {"order": 4, "epochs": 3, "penalties": {"rule_consistency": 0.5}}))
-        code = run("train", "--graph", "p2.txt", "--config", "train.json", "--out-dir", "out")
-        assert code == 1
-        assert ("error: train.json: penalties.rule_consistency must be 0"
-                in capsys.readouterr().err)
-        assert not (workdir / "out").exists()
+        # the CLI gives no target spectrum, so a nonzero weight could never train
+        for weight in (0.5, -0.5):
+            (workdir / "train.json").write_text(json.dumps(
+                {"order": 4, "epochs": 3, "penalties": {"rule_consistency": weight}}))
+            code = run("train", "--graph", "p2.txt", "--config", "train.json", "--out-dir", "out")
+            assert code == 1
+            assert ("error: train.json: penalties.rule_consistency must be 0"
+                    in capsys.readouterr().err)
+            assert not (workdir / "out").exists()
+        # a zero weight is accepted and trains as a config with no penalties at all
         (workdir / "train.json").write_text(json.dumps(
             {"order": 4, "epochs": 3, "penalties": {"rule_consistency": 0}}))
         assert run("train", "--graph", "p2.txt", "--config", "train.json",
                    "--out-dir", "out") == 0
+        (workdir / "plain.json").write_text(json.dumps({"order": 4, "epochs": 3}))
+        assert run("train", "--graph", "p2.txt", "--config", "plain.json",
+                   "--out-dir", "plain") == 0
+        for name in ("filter.json", "history.csv"):
+            assert (workdir / "out" / name).read_bytes() == (workdir / "plain" / name).read_bytes()
 
     @pytest.mark.parametrize("config, message", [
         ({"order": 4, "epoch": 3}, "unknown key 'epoch'"),

@@ -8,7 +8,6 @@ last bits and would need them taken again.
 """
 
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,7 +84,6 @@ def penalised_problem():
 @pytest.mark.parametrize("kind, expected", [
     ("chebyshev", "ba80ada494cf53e2"),
     ("mose", "5495b514d61f8c95"),
-    ("learn_laplacian", "5b6b7fcbaa77ca0f"),
 ])
 def test_penalised_training_history_pinned(kind, expected):
     lap, lt, data, context, penalties = penalised_problem()
@@ -93,19 +91,10 @@ def test_penalised_training_history_pinned(kind, expected):
     student = ft.ChebyshevFilter(theta=np.zeros(6), lambda_max=lambda_max)
     # a clip norm small enough that the filter and the mixture both clip some gradients
     config = tr.TrainConfig(epochs=25, clip_norm=0.3)
-    schedule = None
     if kind == "mose":
         student = tr.MoSEModel(experts=(student, ft.ChebyshevFilter(np.zeros(4), lambda_max)),
                                gating_weights=np.full((2, 5), 0.01))
-    if kind == "learn_laplacian":
-        # the operator moves every epoch and lambda_max is refreshed twice
-        config = tr.TrainConfig(epochs=12, clip_norm=0.3, learn_laplacian=True,
-                                laplacian_lr=0.02, lambda_refresh_every=5)
-        schedule = tr.CurriculumSchedule(stages=((0, 2), (4, 5)))
-        context = replace(context, consistency_target=0.9 * context.basis.eigenvalues)
-        penalties = replace(penalties, rule_consistency=0.05)
-    result = tr.train(student, lt, data, penalties, schedule=schedule, config=config,
-                      context=context, laplacian=lap)
+    result = tr.train(student, lt, data, penalties, config=config, context=context)
     assert digest(tr.history_to_csv(result.history)) == expected
 
 
