@@ -335,14 +335,33 @@ def _train_config(path) -> dict:
                          f"error, 'mse'")
     if "teacher" in config and "kind" not in config["teacher"]:
         raise ValueError(f"{path}: teacher is missing required key 'kind'")
-    if float(config.get("penalties", {}).get("rule_consistency", 0.0)) != 0:
+    penalties = config.get("penalties", {})
+    if float(penalties.get("rule_consistency", 0.0)) != 0:
         raise ValueError(f"{path}: penalties.rule_consistency must be 0; train has no "
                          f"target spectrum to hold the operator to")
+    for key in ("proof", "transfer"):
+        weight = float(penalties.get(key, 0.0))
+        if not (math.isfinite(weight) and weight >= 0):
+            raise ValueError(f"{path}: penalties.{key} must be finite and nonnegative, "
+                             f"got {weight!r}")
+    for key, least in (("order", 0), ("examples", 1), ("epochs", 1)):
+        if key in config and int(config[key]) < least:
+            raise ValueError(f"{path}: {key} must be at least {least}, got {config[key]!r}")
     return config
 
 
 def cmd_train(args) -> None:
     config = _train_config(args.config)
+    weights = config.get("penalties", {})
+    penalties = tr.PenaltyWeights(proof=float(weights.get("proof", 0.0)),
+                                  transfer=float(weights.get("transfer", 0.0)))
+    schedule = None
+    if config.get("curriculum"):
+        schedule = tr.CurriculumSchedule(stages=tuple((int(e), int(k))
+                                                      for e, k in config["curriculum"]))
+    train_cfg = tr.TrainConfig(learning_rate=float(config.get("learning_rate", 0.05)),
+                               epochs=int(config.get("epochs", 100)),
+                               clip_norm=config.get("clip_norm", 10.0))
     out = _out_dir(args)
     order = int(config.get("order", 8))
     seed = int(config.get("seed", args.seed))
@@ -369,13 +388,6 @@ def cmd_train(args) -> None:
         data.append(tr.TrainExample(x=x, target=target))
         traces.append(trace)
 
-    weights = config.get("penalties", {})
-    penalties = tr.PenaltyWeights(proof=float(weights.get("proof", 0.0)),
-                                  transfer=float(weights.get("transfer", 0.0)))
-    schedule = None
-    if config.get("curriculum"):
-        schedule = tr.CurriculumSchedule(stages=tuple((int(e), int(k))
-                                                      for e, k in config["curriculum"]))
     context = None
     if penalties.proof > 0 or penalties.transfer > 0:
         basis = gr.eigendecompose(lap)
@@ -385,9 +397,6 @@ def cmd_train(args) -> None:
             allowed_bands=tuple(config.get("allowed_bands", (0,))),
             transfer_reference=np.zeros(lap.node_count))
 
-    train_cfg = tr.TrainConfig(learning_rate=float(config.get("learning_rate", 0.05)),
-                               epochs=int(config.get("epochs", 100)),
-                               clip_norm=config.get("clip_norm", 10.0))
     student = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=estimate.value)
     result = tr.train(student, lt, data, penalties, schedule=schedule, config=train_cfg,
                       context=context, traces=traces)

@@ -2,16 +2,15 @@
 
 One loop trains both. A filter enters it as a one-expert mixture, whose
 gate is 1 for every example, so its pooled coefficients are its own. The
-data term is the mean squared error to each example's target. Coefficient
-gradients ride the Chebyshev recurrence trace; operator gradients are
-exact reverse-mode through the same recurrence, reported in the symmetric
-subspace. Penalties steer where output energy is allowed to live and how
-outputs should transfer across graphs.
+data term is the mean squared error to each example's target. Operator
+gradients are exact reverse-mode through the Chebyshev recurrence,
+reported in the symmetric subspace. Penalties steer where output energy
+is allowed to live and how outputs should transfer across graphs.
 
 Cost: an example's recurrence trace b_0 .. b_K depends on the operator and
-the example, not on the coefficients. Training runs on a fixed operator:
-one K-step recurrence per example, O(K |E|) each, and then O(K n) per
-example per epoch.
+the example, not on the coefficients. Training runs on a fixed operator: one
+K-step recurrence, O(K |E|), and one QR of the trace, O(K^2 n), once per
+example, and then O(K^2) per example per epoch.
 """
 
 from __future__ import annotations
@@ -34,14 +33,6 @@ class DivergenceError(RuntimeError):
     def __init__(self, epoch: int, message: str = ""):
         super().__init__(message or f"loss diverged at epoch {epoch}")
         self.epoch = epoch
-
-
-def grad_theta(dLdy, trace: ft.RecurrenceTrace) -> np.ndarray:
-    """d loss / d theta_k = <d loss / d y, b_k> since y is linear in theta."""
-    g = belief_values(dLdy)
-    if g.size != trace.basis_vectors.shape[1]:
-        raise ValueError("gradient length does not match the trace")
-    return trace.basis_vectors @ g
 
 
 def grad_scaled_laplacian(dLdy, theta, trace: ft.RecurrenceTrace,
@@ -70,27 +61,6 @@ def grad_scaled_laplacian(dLdy, theta, trace: ft.RecurrenceTrace,
     if order >= 1:
         grad += np.outer(adj[1], b[0])
     return 0.5 * (grad + grad.T)
-
-
-def proof_guided_penalty(basis: SpectralBasis, y, allowed_bands,
-                         partition: BandPartition) -> tuple[float, np.ndarray]:
-    """Fraction of y's energy in bands a proof disallows, and its gradient in y.
-
-    The penalty is (y^T P y) / (y^T y), P projecting onto the eigenvectors
-    whose eigenvalues fall outside the allowed bands; a zero y scores 0.
-    """
-    allowed = sorted(set(int(b) for b in allowed_bands))
-    if any(b < 0 or b >= partition.n_bands for b in allowed):
-        raise ValueError(f"allowed bands {allowed} outside the partition")
-    y = belief_values(y)
-    disallowed = ~np.isin(partition.band_of(basis.eigenvalues), allowed)
-    yhat = basis.eigenvectors.T @ y
-    total = float(yhat @ yhat)
-    if total <= 0.0:
-        return 0.0, np.zeros_like(y)
-    penalty = float((yhat[disallowed] ** 2).sum()) / total
-    proj = basis.eigenvectors @ (np.where(disallowed, yhat, 0.0))
-    return penalty, (2.0 / total) * (proj - penalty * y)
 
 
 def gating_features(basis: SpectralBasis, x, partition: BandPartition | None = None) -> np.ndarray:
@@ -242,6 +212,11 @@ class PenaltyWeights:
     proof: float = 0.0
     transfer: float = 0.0
 
+    def __post_init__(self):
+        for name, weight in (("proof", self.proof), ("transfer", self.transfer)):
+            if not (np.isfinite(weight) and weight >= 0):
+                raise ValueError(f"{name} weight must be finite and nonnegative, got {weight!r}")
+
 
 @dataclass(frozen=True)
 class TrainExample:
@@ -304,32 +279,49 @@ def history_to_csv(history) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _data_term(y: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error of y against the target, and its gradient in y."""
-    n = y.size
-    diff = y - target
-    return float(diff @ diff) / n, (2.0 / n) * diff
-
-
 def _require(condition: bool, message: str):
     if not condition:
         raise ValueError(message)
 
 
-def _output_penalties(pw: PenaltyWeights, ctx: PenaltyContext, y: np.ndarray,
-                      g_y: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """Raw proof and transfer penalties of one output, and g_y plus their weighted gradients."""
-    proof = transfer = 0.0
-    basis = ctx.basis
-    if pw.proof > 0:
-        proof, pen_grad = proof_guided_penalty(basis, y, ctx.allowed_bands, ctx.partition)
-        g_y = g_y + pw.proof * pen_grad
-    if pw.transfer > 0:
-        yhat = basis.eigenvectors.T @ y
-        diff = yhat - ctx.transfer_reference
-        transfer = float(diff @ diff) / y.size
-        g_y = g_y + pw.transfer * (2.0 / y.size) * (basis.eigenvectors @ diff)
-    return proof, transfer, g_y
+class _FactoredLoss:
+    """One example's loss terms and their gradients, at any pooled coefficients c.
+
+    With B the trace rows b_0 .. b_K, the output is y = B^T c and each term is a
+    squared norm ||A z||^2 with A fixed per example. A Householder QR keeps that
+    norm, so with R from [B^T | t | U ref], built once, each call costs O(K^2):
+
+    - data term ||y - t||^2 / n = ||R [c; -1; 0]||^2 / n;
+    - transfer ||U^T y - ref||^2 / n = ||y - U ref||^2 / n = ||R [c; 0; -1]||^2 / n;
+    - proof ||U_dis^T y||^2 / ||y||^2 = ||R_C c||^2 / ||R_B c||^2, with R_B the
+      leading block of R and R_C from U_dis^T B^T; a zero output scores 0.
+    """
+
+    def __init__(self, trace: ft.RecurrenceTrace, target: np.ndarray,
+                 disallowed_rows: np.ndarray | None, reference: np.ndarray | None):
+        b = trace.basis_vectors.T
+        self.size, k1 = b.shape
+        columns = [b, target[:, None]] + ([] if reference is None else [reference[:, None]])
+        r = np.linalg.qr(np.hstack(columns), mode="r")
+        self.basis, self.targets = r[:, :k1], r[:, k1:].T
+        self.proof = None if disallowed_rows is None else np.linalg.qr(disallowed_rows @ b,
+                                                                        mode="r")
+
+    def __call__(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Raw data term, proof and transfer penalties at c (0 when off), and their gradients."""
+        values, grads = np.zeros(3), np.zeros((3, c.size))
+        fitted = self.basis @ c  # R_B c, padded with zeros
+        for term, target in zip((0, 2), self.targets):
+            residual = fitted - target
+            values[term] = float(residual @ residual) / self.size
+            grads[term] = (2.0 / self.size) * (self.basis.T @ residual)
+        total = float(fitted @ fitted)
+        if self.proof is not None and total > 0.0:
+            outside = self.proof @ c
+            values[1] = float(outside @ outside) / total
+            grads[1] = (2.0 / total) * (self.proof.T @ outside
+                                        - values[1] * (self.basis.T @ fitted))
+        return values, grads
 
 
 def _record_epoch(history: list, epoch: int, pw: PenaltyWeights, means: np.ndarray) -> None:
@@ -353,16 +345,6 @@ def _clipped(grad: np.ndarray, clip_norm: float | None) -> np.ndarray:
     return grad
 
 
-def _example_traces(order: int, lt: ScaledLaplacian, data) -> list[ft.RecurrenceTrace]:
-    """Each example's recurrence trace b_0 .. b_order on lt.
-
-    The trace depends on the operator and the example only, never on the
-    coefficients being trained, so one is built per example.
-    """
-    probe = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=lt.lambda_max)
-    return [ft.cheb_apply(probe, lt, ex.x, keep_trace=True)[1] for ex in data]
-
-
 def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = None,
           schedule: CurriculumSchedule | None = None,
           config: TrainConfig | None = None,
@@ -373,10 +355,10 @@ def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = N
     A filter trains as a one-expert mixture with all-zero gating features:
     its gate is exactly 1, its pooled coefficients are exactly its theta,
     and its gating weights get no gradient. Every epoch computes each
-    example's gate and pooled coefficients once; each example then forms
-    its output from its recurrence trace and the pooled coefficients, and
-    the coefficient gradient reaches expert b scaled by alpha_b. The data
-    term is the mean squared error to the examples' targets.
+    example's gate and pooled coefficients once; each example then scores
+    them on the QR factors of its trace, built once before the first epoch,
+    and the coefficient gradient reaches expert b scaled by alpha_b. The
+    data term is the mean squared error to the examples' targets.
 
     Records one history row per epoch before the update; penalty columns
     hold raw (unweighted) values while the total applies the configured
@@ -420,8 +402,19 @@ def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = N
     order = current.max_order
     owned = np.arange(order + 1) < np.array(sizes)[:, None]
     gated = len(sizes) > 1
-    if traces is None:
-        traces = _example_traces(order, lt, data)
+    if traces is None:  # a trace depends on the operator and the example, never on theta
+        probe = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=lt.lambda_max)
+        traces = [ft.cheb_apply(probe, lt, ex.x, keep_trace=True)[1] for ex in data]
+    disallowed_rows = reference = None
+    if pw.proof > 0:
+        disallowed = ~np.isin(ctx.partition.band_of(ctx.basis.eigenvalues),
+                              [int(b) for b in ctx.allowed_bands])
+        disallowed_rows = ctx.basis.eigenvectors[:, disallowed].T
+    if pw.transfer > 0:
+        reference = ctx.basis.eigenvectors @ ctx.transfer_reference
+    losses = [_FactoredLoss(trace, ex.target, disallowed_rows, reference)
+              for trace, ex in zip(traces, data)]
+    term_weights = np.array([1.0, pw.proof, pw.transfer])
 
     history = []
     for epoch in range(cfg.epochs):
@@ -433,12 +426,10 @@ def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = N
         g_thetas = np.zeros_like(thetas)
         g_weights = np.zeros_like(current.gating_weights)
         sums = np.zeros(3)  # data term, proof and transfer penalties over the examples
-        for example, f_vec, alpha, coeffs, trace in zip(data, features, alphas, pooled, traces):
-            y = ft.chebyshev_sum(coeffs, trace.basis_vectors)
-            value, g_y = _data_term(y, example.target)
-            proof, transfer, g_y = _output_penalties(pw, ctx, y, g_y)
-            sums += (value, proof, transfer)
-            g = grad_theta(g_y, trace)
+        for f_vec, alpha, coeffs, loss in zip(features, alphas, pooled, losses):
+            values, grads = loss(coeffs)
+            sums += values
+            g = term_weights @ grads
             g_thetas += np.outer(alpha, g)
             if gated:  # a one-expert gate is constant: no gradient, and no inf - inf on divergence
                 d_alpha = thetas @ g

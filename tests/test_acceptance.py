@@ -78,6 +78,8 @@ def test_criterion_02_parseval_and_energy_identities():
 
 
 def test_criterion_03_gradient_correctness():
+    # the theta half checks the coefficient-space gradient train uses, term by term,
+    # against central differences of the loss formed in y-space through cheb_apply
     rng = np.random.default_rng(33)
     worst_theta = 0.0
     worst_lap = 0.0
@@ -89,35 +91,51 @@ def test_criterion_03_gradient_correctness():
         theta = rng.standard_normal(order + 1)
         x = rng.standard_normal(n)
         target = rng.standard_normal(n)
+        basis = gr.eigendecompose(lap)
+        u = basis.eigenvectors
+        disallowed = an.default_three_band(basis.lambda_max).band_of(basis.eigenvalues) != 0
+        reference = rng.standard_normal(n)
 
-        def loss_of(th, mat=None):
+        def output(th, mat=None):
             if mat is None:
                 f = ft.ChebyshevFilter(theta=th, lambda_max=lmax)
-                y = np.asarray(ft.cheb_apply(f, lt, x))
-            else:
-                b_prev, b_cur = x, mat @ x
-                y = th[0] * b_prev + th[1] * b_cur
-                for k in range(2, th.size):
-                    b_prev, b_cur = b_cur, 2.0 * (mat @ b_cur) - b_prev
-                    y = y + th[k] * b_cur
-            d = y - target
+                return np.asarray(ft.cheb_apply(f, lt, x))
+            b_prev, b_cur = x, mat @ x
+            y = th[0] * b_prev + th[1] * b_cur
+            for k in range(2, th.size):
+                b_prev, b_cur = b_cur, 2.0 * (mat @ b_cur) - b_prev
+                y = y + th[k] * b_cur
+            return y
+
+        def terms(y):  # data term, proof and transfer penalties (only bands 1 and 2 disallowed)
+            yhat = u.T @ y
+            return np.array([float((y - target) @ (y - target)) / n,
+                             float(yhat[disallowed] @ yhat[disallowed]) / float(yhat @ yhat),
+                             float((yhat - reference) @ (yhat - reference)) / n])
+
+        def loss_of(th, mat=None):
+            d = output(th, mat) - target
             return float(d @ d)
 
-        f = ft.ChebyshevFilter(theta=theta, lambda_max=lmax)
-        y, trace = ft.cheb_apply(f, lt, x, keep_trace=True)
-        dy = 2.0 * (np.asarray(y) - target)
-        g_theta = tr.grad_theta(dy, trace)
+        probe = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=lmax)
+        _, trace = ft.cheb_apply(probe, lt, x, keep_trace=True)
+        loss = tr._FactoredLoss(trace, target, u[:, disallowed].T, u @ reference)
+        _, g_terms = loss(theta)
 
         step = 1e-5
-        fd_theta = np.zeros_like(theta)
+        fd_terms = np.zeros_like(g_terms)
         for k in range(theta.size):
             up, down = theta.copy(), theta.copy()
             up[k] += step
             down[k] -= step
-            fd_theta[k] = (loss_of(up) - loss_of(down)) / (2 * step)
-        worst_theta = max(worst_theta,
-                          np.linalg.norm(g_theta - fd_theta) / np.linalg.norm(fd_theta))
+            fd_terms[:, k] = (terms(output(up)) - terms(output(down))) / (2 * step)
+        for g_theta, fd_theta in zip(g_terms, fd_terms):
+            worst_theta = max(worst_theta,
+                              np.linalg.norm(g_theta - fd_theta) / np.linalg.norm(fd_theta))
 
+        f = ft.ChebyshevFilter(theta=theta, lambda_max=lmax)
+        y, trace = ft.cheb_apply(f, lt, x, keep_trace=True)
+        dy = 2.0 * (np.asarray(y) - target)
         g_lap = tr.grad_scaled_laplacian(dy, theta, trace, lt)
         dense = lt.toarray()
         analytic, fd = [], []
@@ -133,7 +151,8 @@ def test_criterion_03_gradient_correctness():
         worst_lap = max(worst_lap, np.linalg.norm(analytic - fd) / np.linalg.norm(fd))
     verdict(3, "gradient correctness vs finite differences",
             worst_theta <= 1e-6 and worst_lap <= 1e-4,
-            f"theta rel err {worst_theta:.3e}, operator rel err {worst_lap:.3e}")
+            f"theta rel err {worst_theta:.3e} (data, proof, transfer), "
+            f"operator rel err {worst_lap:.3e}")
 
 
 def test_criterion_04_chebyshev_convergence():

@@ -255,6 +255,24 @@ class TestTrain:
         assert f"error: train.json: {message}" in capsys.readouterr().err
         assert not (workdir / "out").exists()
 
+    @pytest.mark.parametrize("config, message", [
+        ({"order": 4, "penalties": {"proof": -1.0}},
+         "penalties.proof must be finite and nonnegative, got -1.0"),
+        ({"order": 4, "penalties": {"transfer": -0.5}},
+         "penalties.transfer must be finite and nonnegative, got -0.5"),
+        ({"order": 4, "penalties": {"proof": float("nan")}},
+         "penalties.proof must be finite and nonnegative, got nan"),
+        ({"order": 4, "examples": 0}, "examples must be at least 1, got 0"),
+        ({"order": -1}, "order must be at least 0, got -1"),
+        ({"order": 4, "epochs": 0}, "epochs must be at least 1, got 0"),
+    ], ids=["negative_proof", "negative_transfer", "nan_proof", "examples", "order", "epochs"])
+    def test_bad_config_value_refused_before_out_dir(self, workdir, capsys, config, message):
+        (workdir / "train.json").write_text(json.dumps(config))
+        code = run("train", "--graph", "p2.txt", "--config", "train.json", "--out-dir", "out")
+        assert code == 1
+        assert f"error: train.json: {message}" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
     def test_each_example_recurrence_runs_once(self, workdir, monkeypatch):
         # the teacher's trace gives the target and is the one training reuses
         (workdir / "train.json").write_text(json.dumps({"order": 4, "epochs": 5, "examples": 3}))

@@ -82,8 +82,8 @@ def penalised_problem():
 
 
 @pytest.mark.parametrize("kind, expected", [
-    ("chebyshev", "ba80ada494cf53e2"),
-    ("mose", "5495b514d61f8c95"),
+    ("chebyshev", "18766b20c1febdbf"),
+    ("mose", "00e985b46879607f"),
 ])
 def test_penalised_training_history_pinned(kind, expected):
     lap, lt, data, context, penalties = penalised_problem()

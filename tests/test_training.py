@@ -21,40 +21,144 @@ def loss_and_grad_y(y, target):
     return float(diff @ diff), 2.0 * diff
 
 
+# The y-space training loop as it ran before training moved to coefficient space:
+# every epoch forms each output y = B^T c from its trace and pulls the gradient
+# back through B. Kept as the reference the factored loop must agree with.
+
+def y_space_grad_theta(g_y, trace):
+    return trace.basis_vectors @ g_y
+
+
+def y_space_proof_penalty(basis, y, allowed_bands, partition):
+    disallowed = ~np.isin(partition.band_of(basis.eigenvalues), sorted(set(allowed_bands)))
+    yhat = basis.eigenvectors.T @ y
+    total = float(yhat @ yhat)
+    if total <= 0.0:
+        return 0.0, np.zeros_like(y)
+    penalty = float((yhat[disallowed] ** 2).sum()) / total
+    proj = basis.eigenvectors @ (np.where(disallowed, yhat, 0.0))
+    return penalty, (2.0 / total) * (proj - penalty * y)
+
+
+def y_space_terms(pw, ctx, y, target):
+    """Data term, proof and transfer penalties of one output, and the weighted gradient in y."""
+    n = y.size
+    diff = y - target
+    value, g_y = float(diff @ diff) / n, (2.0 / n) * diff
+    proof = transfer = 0.0
+    if pw.proof > 0:
+        proof, pen_grad = y_space_proof_penalty(ctx.basis, y, ctx.allowed_bands, ctx.partition)
+        g_y = g_y + pw.proof * pen_grad
+    if pw.transfer > 0:
+        yhat = ctx.basis.eigenvectors.T @ y
+        spectral = yhat - ctx.transfer_reference
+        transfer = float(spectral @ spectral) / n
+        g_y = g_y + pw.transfer * (2.0 / n) * (ctx.basis.eigenvectors @ spectral)
+    return value, proof, transfer, g_y
+
+
+def y_space_train(model, lt, data, pw, schedule, cfg, ctx):
+    def clipped(grad):
+        norm = float(np.linalg.norm(grad))
+        return grad * (cfg.clip_norm / norm) if cfg.clip_norm is not None and norm > cfg.clip_norm else grad
+
+    if isinstance(model, tr.MoSEModel):
+        current = model
+        features = np.array([tr.gating_features(ctx.basis, ex.x, ctx.partition) for ex in data])
+    else:
+        current = tr.MoSEModel(experts=(model,), gating_weights=np.zeros((1, 5)))
+        features = np.zeros((len(data), 5))
+    sizes = [e.theta.size for e in current.experts]
+    order = current.max_order
+    owned = np.arange(order + 1) < np.array(sizes)[:, None]
+    probe = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=lt.lambda_max)
+    traces = [ft.cheb_apply(probe, lt, ex.x, keep_trace=True)[1] for ex in data]
+    history = []
+    for epoch in range(cfg.epochs):
+        thetas = np.zeros((len(sizes), order + 1))
+        for row, expert in zip(thetas, current.experts):
+            row[: expert.theta.size] = expert.theta
+        alphas = tr.mose_gate(current, features)
+        pooled = tr.pooled_coefficients(current, alphas)
+        g_thetas = np.zeros_like(thetas)
+        g_weights = np.zeros_like(current.gating_weights)
+        sums = np.zeros(3)
+        for example, f_vec, alpha, coeffs, trace in zip(data, features, alphas, pooled, traces):
+            y = ft.chebyshev_sum(coeffs, trace.basis_vectors)
+            value, proof, transfer, g_y = y_space_terms(pw, ctx, y, example.target)
+            sums += (value, proof, transfer)
+            g = y_space_grad_theta(g_y, trace)
+            g_thetas += np.outer(alpha, g)
+            if len(sizes) > 1:
+                d_alpha = thetas @ g
+                g_weights += np.outer(alpha * (d_alpha - float(alpha @ d_alpha)), f_vec)
+        count = len(data)
+        g_thetas /= count
+        data_total, proof_total, transfer_total = sums / count
+        history.append((epoch, data_total + pw.proof * proof_total + pw.transfer * transfer_total,
+                        data_total, proof_total, 0.0, transfer_total))
+        mask = tr.curriculum_mask(schedule, epoch, order) & owned
+        steps = np.array([clipped(np.where(m, g, 0.0)) for m, g in zip(mask, g_thetas)])
+        thetas = thetas - cfg.learning_rate * steps
+        weights = current.gating_weights - cfg.learning_rate * clipped(g_weights / count)
+        current = tr.MoSEModel(experts=tuple(ft.ChebyshevFilter(theta=t[:size],
+                                                                lambda_max=lt.lambda_max)
+                                             for t, size in zip(thetas, sizes)),
+                               gating_weights=weights)
+    trained = current if isinstance(model, tr.MoSEModel) else current.experts[0]
+    return trained, history
+
+
+def y_space_loss(theta, lt, x, target, pw=tr.PenaltyWeights(), ctx=tr.PenaltyContext()):
+    """Weighted loss of one example, its output formed through cheb_apply."""
+    y = np.asarray(ft.cheb_apply(ft.ChebyshevFilter(theta=theta, lambda_max=lt.lambda_max),
+                                 lt, x))
+    value, proof, transfer, _ = y_space_terms(pw, ctx, y, target)
+    return value + pw.proof * proof + pw.transfer * transfer
+
+
+def factored(lt, theta, x, target, pw=tr.PenaltyWeights(), ctx=tr.PenaltyContext()):
+    """train's raw loss terms of one example at theta, and each term's gradient."""
+    probe = ft.ChebyshevFilter(theta=np.zeros(theta.size), lambda_max=lt.lambda_max)
+    _, trace = ft.cheb_apply(probe, lt, x, keep_trace=True)
+    rows = reference = None
+    if pw.proof > 0:
+        rows = ctx.basis.eigenvectors[:, ~np.isin(ctx.partition.band_of(ctx.basis.eigenvalues),
+                                                  ctx.allowed_bands)].T
+    if pw.transfer > 0:
+        reference = ctx.basis.eigenvectors @ ctx.transfer_reference
+    return tr._FactoredLoss(trace, target, rows, reference)(theta)
+
+
+def central_differences(fn, theta, step=1e-6):
+    fd = np.zeros_like(theta)
+    for k in range(theta.size):
+        up, down = theta.copy(), theta.copy()
+        up[k] += step
+        down[k] -= step
+        fd[k] = (fn(up) - fn(down)) / (2 * step)
+    return fd
+
+
 class TestGradTheta:
     def test_matches_finite_differences(self):
+        # the coefficient-space gradient of each term against differences of the y-space loss
         rng = np.random.default_rng(1)
         for seed in range(5):
             lap, lt, lmax = operator(n=10, seed=seed)
+            basis = gr.eigendecompose(lap)
+            ctx = tr.PenaltyContext(basis=basis, partition=an.default_three_band(lmax),
+                                    allowed_bands=(0,),
+                                    transfer_reference=rng.standard_normal(10))
             theta = rng.standard_normal(6)
             x = rng.standard_normal(10)
             target = rng.standard_normal(10)
-            f = ft.ChebyshevFilter(theta=theta, lambda_max=lmax)
-            y, trace = ft.cheb_apply(f, lt, x, keep_trace=True)
-            _, dy = loss_and_grad_y(y, target)
-            grad = tr.grad_theta(dy, trace)
-            step = 1e-6
-            for k in range(theta.size):
-                bumped = theta.copy()
-                bumped[k] += step
-                up, _ = loss_and_grad_y(
-                    ft.cheb_apply(ft.ChebyshevFilter(theta=bumped, lambda_max=lmax), lt, x),
-                    target)
-                bumped[k] -= 2 * step
-                down, _ = loss_and_grad_y(
-                    ft.cheb_apply(ft.ChebyshevFilter(theta=bumped, lambda_max=lmax), lt, x),
-                    target)
-                fd = (up - down) / (2 * step)
-                assert grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-8)
-
-    def test_linear_in_upstream_gradient(self):
-        lap, lt, lmax = operator(n=8, seed=3)
-        f = ft.fit_chebyshev(ft.diffusion(1.0), 4, lmax)
-        x = np.random.default_rng(2).standard_normal(8)
-        _, trace = ft.cheb_apply(f, lt, x, keep_trace=True)
-        g1 = tr.grad_theta(np.ones(8), trace)
-        g2 = tr.grad_theta(2.0 * np.ones(8), trace)
-        assert np.allclose(g2, 2.0 * g1, atol=1e-14)
+            for pw in (tr.PenaltyWeights(), tr.PenaltyWeights(proof=0.7),
+                       tr.PenaltyWeights(transfer=0.4)):
+                _, grads = factored(lt, theta, x, target, pw, ctx)
+                grad = np.array([1.0, pw.proof, pw.transfer]) @ grads
+                fd = central_differences(lambda th: y_space_loss(th, lt, x, target, pw, ctx), theta)
+                assert grad == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 class TestGradScaledLaplacian:
@@ -92,40 +196,62 @@ class TestGradScaledLaplacian:
 
 
 class TestPenalties:
-    def test_proof_penalty_bounds(self):
-        lap, lt, lmax = operator(n=12, seed=8)
+    def proof_case(self, n=12, seed=8):
+        lap, lt, lmax = operator(n=n, seed=seed)
         basis = gr.eigendecompose(lap)
-        part = an.default_three_band(basis.lambda_max)
-        y = np.random.default_rng(9).standard_normal(12)
+        return lt, basis, an.default_three_band(basis.lambda_max)
+
+    def proof(self, lt, basis, part, bands, theta, x):
+        ctx = tr.PenaltyContext(basis=basis, partition=part, allowed_bands=bands)
+        values, grads = factored(lt, theta, x, np.zeros(x.size), tr.PenaltyWeights(proof=1.0), ctx)
+        return values[1], grads[1]
+
+    @pytest.mark.parametrize("weights", [{"proof": -1.0}, {"transfer": -0.5},
+                                         {"proof": float("nan")}, {"transfer": float("inf")}])
+    def test_weights_refuse_negative_or_non_finite(self, weights):
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            tr.PenaltyWeights(**weights)
+
+    def test_proof_penalty_bounds(self):
+        lt, basis, part = self.proof_case()
+        rng = np.random.default_rng(9)
+        theta, x = rng.standard_normal(5), rng.standard_normal(12)
         for bands in ((0,), (1,), (0, 1), (0, 1, 2)):
-            p, _ = tr.proof_guided_penalty(basis, y, bands, part)
+            p, _ = self.proof(lt, basis, part, bands, theta, x)
             assert 0.0 <= p <= 1.0
-        p, grad = tr.proof_guided_penalty(basis, y, (0, 1, 2), part)
+        p, grad = self.proof(lt, basis, part, (0, 1, 2), theta, x)
         assert p == pytest.approx(0.0, abs=1e-12) and np.allclose(grad, 0.0, atol=1e-12)
+        p, grad = self.proof(lt, basis, part, (0,), np.zeros(5), x)
+        assert p == 0.0 and not grad.any()  # a zero output scores 0
+        data = [tr.TrainExample(x=x, target=np.zeros(12))]
+        context = tr.PenaltyContext(basis=basis, partition=part, allowed_bands=(3,))
         with pytest.raises(ValueError, match="outside the partition"):
-            tr.proof_guided_penalty(basis, y, (3,), part)
+            tr.train(ft.ChebyshevFilter(theta=theta, lambda_max=lt.lambda_max), lt, data,
+                     tr.PenaltyWeights(proof=1.0), context=context)
 
     def test_proof_penalty_pure_band_signal(self):
-        basis = gr.eigendecompose(gr.build_laplacian(
-            gr.Graph(node_count=2, edges=((0, 1, 1.0),))))
+        lap = gr.build_laplacian(gr.Graph(node_count=2, edges=((0, 1, 1.0),)))
+        basis = gr.eigendecompose(lap)
+        lt = gr.scale_laplacian(lap, basis.lambda_max)
         part = an.default_three_band(basis.lambda_max)
         constant = np.array([1.0, 1.0])  # pure low band
-        assert tr.proof_guided_penalty(basis, constant, (0,), part)[0] == 0.0
-        assert tr.proof_guided_penalty(basis, constant, (2,), part)[0] == 1.0
+        identity = np.array([1.0, 0.0])
+        assert self.proof(lt, basis, part, (0,), identity, constant)[0] == 0.0
+        assert self.proof(lt, basis, part, (2,), identity, constant)[0] == pytest.approx(1.0,
+                                                                                        abs=1e-15)
 
     def test_proof_penalty_gradient_matches_differences(self):
-        lap, lt, lmax = operator(n=10, seed=3)
-        basis = gr.eigendecompose(lap)
-        part = an.default_three_band(basis.lambda_max)
-        y = np.random.default_rng(4).standard_normal(10)
-        _, grad = tr.proof_guided_penalty(basis, y, (0,), part)
-        h = 1e-6
-        for i in range(10):
-            step = np.zeros(10)
-            step[i] = h
-            up, _ = tr.proof_guided_penalty(basis, y + step, (0,), part)
-            down, _ = tr.proof_guided_penalty(basis, y - step, (0,), part)
-            assert grad[i] == pytest.approx((up - down) / (2 * h), abs=1e-8)
+        lt, basis, part = self.proof_case(n=10, seed=3)
+        rng = np.random.default_rng(4)
+        theta, x = rng.standard_normal(6), rng.standard_normal(10)
+        _, grad = self.proof(lt, basis, part, (0,), theta, x)
+
+        def penalty(th):
+            y = np.asarray(ft.cheb_apply(ft.ChebyshevFilter(theta=th, lambda_max=lt.lambda_max),
+                                         lt, x))
+            return y_space_proof_penalty(basis, y, (0,), part)[0]
+
+        assert grad == pytest.approx(central_differences(penalty, theta), abs=1e-8)
 
 
 class TestMose:
@@ -370,9 +496,9 @@ class TestTrain:
         context = tr.PenaltyContext(basis=gr.eigendecompose(lap))
         built = tr.train(student, lt, data, config=cfg, context=context)
         calls = []
-        cheb_apply = ft.cheb_apply
-        monkeypatch.setattr(ft, "cheb_apply",
-                            lambda *a, **k: calls.append(a) or cheb_apply(*a, **k))
+        for name in ("cheb_apply", "chebyshev_sum"):
+            monkeypatch.setattr(ft, name, lambda *a, _f=getattr(ft, name), **k:
+                                calls.append(a) or _f(*a, **k))
         given = tr.train(student, lt, data, config=cfg, context=context, traces=traces)
         assert np.array(given.history).tobytes() == np.array(built.history).tobytes()
         def arrays(model):
@@ -382,6 +508,43 @@ class TestTrain:
         assert all(a.tobytes() == b.tobytes()
                    for a, b in zip(arrays(given.model), arrays(built.model), strict=True))
         assert calls == []
+
+    @pytest.mark.parametrize("case", ["filter", "one_expert", "two_experts", "curriculum_clipped",
+                                      "proof_and_transfer", "fewer_nodes_than_columns"])
+    def test_matches_the_y_space_loop(self, case):
+        n = 6 if case == "fewer_nodes_than_columns" else 14
+        lap, lt, lmax = operator(n=n, p=0.5, seed=50)
+        basis = gr.eigendecompose(lap)
+        part = an.default_three_band(basis.lambda_max)
+        rng = np.random.default_rng(51)
+        _, data = teacher_data(lt, lmax, 4, 5, seed=52)
+        order = 8 if case == "fewer_nodes_than_columns" else 5
+        student = ft.ChebyshevFilter(theta=0.1 * rng.standard_normal(order + 1), lambda_max=lmax)
+        pw, schedule, cfg = tr.PenaltyWeights(), None, tr.TrainConfig(epochs=30)
+        ctx = tr.PenaltyContext(basis=basis, partition=part)
+        if case == "one_expert":
+            student = tr.MoSEModel(experts=(student,), gating_weights=np.zeros((1, 5)))
+        elif case == "two_experts":
+            student = tr.MoSEModel(
+                experts=(student, ft.ChebyshevFilter(0.1 * rng.standard_normal(3), lmax)),
+                gating_weights=0.05 * rng.standard_normal((2, 5)))
+        elif case == "curriculum_clipped":
+            schedule = tr.CurriculumSchedule(stages=((0, 1), (10, 3), (20, order)))
+            cfg = tr.TrainConfig(epochs=30, clip_norm=0.05)
+        elif case in ("proof_and_transfer", "fewer_nodes_than_columns"):
+            pw = tr.PenaltyWeights(proof=0.4, transfer=0.3)
+            ctx = tr.PenaltyContext(basis=basis, partition=part, allowed_bands=(0, 1),
+                                    transfer_reference=0.2 * rng.standard_normal(n))
+        result = tr.train(student, lt, data, pw, schedule=schedule, config=cfg, context=ctx)
+        model, history = y_space_train(student, lt, data, pw, schedule, cfg, ctx)
+
+        def arrays(m):
+            return ([e.theta for e in getattr(m, "experts", (m,))]
+                    + [getattr(m, "gating_weights", np.zeros(0))])
+
+        np.testing.assert_allclose(np.array(result.history), np.array(history), rtol=1e-12, atol=0)
+        for got, want in zip(arrays(result.model), arrays(model), strict=True):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("case", ["count", "order", "beliefs"])
     def test_traces_not_of_the_examples_refused(self, case):
