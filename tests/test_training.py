@@ -25,10 +25,6 @@ def loss_and_grad_y(y, target):
 # every epoch forms each output y = B^T c from its trace and pulls the gradient
 # back through B. Kept as the reference the factored loop must agree with.
 
-def y_space_grad_theta(g_y, trace):
-    return trace.basis_vectors @ g_y
-
-
 def y_space_proof_penalty(basis, y, allowed_bands, partition):
     disallowed = ~np.isin(partition.band_of(basis.eigenvalues), sorted(set(allowed_bands)))
     yhat = basis.eigenvectors.T @ y
@@ -60,7 +56,9 @@ def y_space_terms(pw, ctx, y, target):
 def y_space_train(model, lt, data, pw, schedule, cfg, ctx):
     def clipped(grad):
         norm = float(np.linalg.norm(grad))
-        return grad * (cfg.clip_norm / norm) if cfg.clip_norm is not None and norm > cfg.clip_norm else grad
+        if cfg.clip_norm is not None and norm > cfg.clip_norm:
+            return grad * (cfg.clip_norm / norm)
+        return grad
 
     if isinstance(model, tr.MoSEModel):
         current = model
@@ -87,7 +85,7 @@ def y_space_train(model, lt, data, pw, schedule, cfg, ctx):
             y = ft.chebyshev_sum(coeffs, trace.basis_vectors)
             value, proof, transfer, g_y = y_space_terms(pw, ctx, y, example.target)
             sums += (value, proof, transfer)
-            g = y_space_grad_theta(g_y, trace)
+            g = trace.basis_vectors @ g_y
             g_thetas += np.outer(alpha, g)
             if len(sizes) > 1:
                 d_alpha = thetas @ g
