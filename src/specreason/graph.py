@@ -4,8 +4,7 @@ Beliefs live on vertices; every spectral operation in the package is
 anchored to one of the Laplacian variants built here. A Laplacian and its
 rescaled form are one operator type, canonical CSR arrays that are
 immutable once built; their products, rescaling and Gershgorin bound run in
-NumPy with the bits scipy.sparse gives. scipy.sparse is imported only by
-``Graph.adjacency``, the generators' connectivity check.
+NumPy with the bits scipy.sparse gives.
 """
 
 from __future__ import annotations
@@ -18,12 +17,9 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 LAMBDA_SAFETY_MARGIN = 1.01
 _LANCZOS_CHECK_EVERY = 5  # steps between Ritz-pair checks; each check costs O(k^3)
@@ -119,15 +115,14 @@ class Graph:
     def edge_count(self) -> int:
         return self.rows.size
 
-    def adjacency(self) -> sp.csr_array:
-        """Full symmetric adjacency matrix, a scipy CSR array in canonical form."""
-        import scipy.sparse as sp  # imported here: only the generators' connectivity check calls it
+    def adjacency(self) -> SparseOperator:
+        """The symmetric adjacency matrix in canonical CSR form, each edge at (i, j) and (j, i)."""
         indptr, _, left, right = _adjacency_slots(self)
         indices = np.empty(2 * self.edge_count, dtype=np.int64)
         data = np.empty(2 * self.edge_count)
         indices[left], indices[right] = self.rows, self.cols
         data[left] = data[right] = self.weights
-        return sp.csr_array((data, indices, indptr), shape=(self.node_count,) * 2)
+        return SparseOperator(indptr, indices, data)
 
 
 def _adjacency_slots(g: Graph):

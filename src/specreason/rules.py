@@ -119,8 +119,8 @@ def project_predicates(y, threshold: float = 0.0, mode: str = "hard",
     if mode == "soft" or temperature is not None:
         if temperature is None or not np.isfinite(temperature) or temperature <= 0:
             raise ValueError("soft projection requires a positive temperature")
-        from scipy.special import expit  # imported here: every CLI command would pay for it
-        soft = expit(temperature * (values - threshold))
+        with np.errstate(over="ignore"):  # exp overflows to inf for z below -709: p = 0
+            soft = 1.0 / (1.0 + np.exp(-(temperature * (values - threshold))))
     return PredicateVector(hard=hard, soft=soft, threshold=float(threshold),
                            temperature=None if temperature is None else float(temperature))
 

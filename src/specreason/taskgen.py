@@ -73,17 +73,24 @@ def random_gnm(n: int, m: int, seed=0) -> Graph:
 
 
 def _is_connected(g: Graph) -> bool:
-    # imported here: only the generators need it, and every CLI command would pay for it
-    from scipy.sparse.csgraph import connected_components
-    return connected_components(g.adjacency(), directed=False)[0] == 1
+    """Whether a breadth-first search from node 0 reaches every node: O(n + m)."""
+    adj = g.adjacency()
+    indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
+    seen, queue = {0}, [0]
+    for u in queue:  # the loop runs over the nodes that queue gains as it goes
+        fresh = set(indices[indptr[u]:indptr[u + 1]]) - seen
+        seen |= fresh
+        queue += fresh
+    return len(seen) == g.node_count
 
 
-def _connected_gnp(n: int, p: float, rng: np.random.Generator) -> Graph:
+def _connected(draw, what: str = "graph") -> Graph:
+    """The first connected graph of up to ten that draw() samples."""
     for _ in range(10):
-        g = random_gnp(n, p, rng)
+        g = draw()
         if _is_connected(g):
             return g
-    raise RuntimeError("could not sample a connected graph in 10 tries")
+    raise RuntimeError(f"could not sample a connected {what} in 10 tries")
 
 
 @dataclass(frozen=True)
@@ -146,15 +153,12 @@ def gen_community_task(n: int = 200, communities: int = 2, intra_p: float = 0.08
     rows, cols = np.triu_indices(n, k=1)
     same = (rows < half) == (cols < half)
     prob = np.where(same, intra_p, inter_p)
-    g = None
-    for _ in range(10):
+
+    def draw() -> Graph:
         keep = rng.random(rows.size) < prob
-        candidate = Graph(n, columns=(rows[keep], cols[keep], np.ones(np.count_nonzero(keep))))
-        if _is_connected(candidate):
-            g = candidate
-            break
-    if g is None:
-        raise RuntimeError("could not sample a connected community graph in 10 tries")
+        return Graph(n, columns=(rows[keep], cols[keep], np.ones(np.count_nonzero(keep))))
+
+    g = _connected(draw, "community graph")
 
     per_side = min(half, max(1, int(round(seed_fraction * n))))
     seeds_a = rng.choice(half, size=per_side, replace=False)
@@ -186,7 +190,7 @@ def gen_contradiction_task(n: int = 200, base_p: float = 0.05, planted: int = 10
     if flip_magnitude < 0:
         raise ValueError("flip_magnitude cannot be negative")
     rng = _as_rng(seed)
-    g = _connected_gnp(n, base_p, rng)
+    g = _connected(lambda: random_gnp(n, base_p, rng))
     lap = build_laplacian(g)
     background = ft.rational_apply(smooth_tau, lap, rng.standard_normal(n))
     peak = float(np.max(np.abs(background)))

@@ -172,17 +172,17 @@ class CurriculumSchedule:
     def __post_init__(self):
         stages = tuple((int(e), int(k)) for e, k in self.stages)
         if not stages:
-            raise ValueError("schedule needs at least one stage")
+            raise ValueError("curriculum needs at least one stage")
         if stages[0][0] != 0:
-            raise ValueError("the first stage must start at epoch 0")
+            raise ValueError("the first curriculum stage must start at epoch 0")
         epochs = [e for e, _ in stages]
         orders = [k for _, k in stages]
         if any(b <= a for a, b in zip(epochs, epochs[1:])):
-            raise ValueError("stage epochs must increase strictly")
+            raise ValueError("curriculum stage epochs must increase strictly")
         if any(k < 0 for k in orders):
-            raise ValueError("stage orders must be nonnegative")
+            raise ValueError("curriculum stage orders must be nonnegative")
         if any(b < a for a, b in zip(orders, orders[1:])):
-            raise ValueError("stage orders must not decrease")
+            raise ValueError("curriculum stage orders must not decrease")
         object.__setattr__(self, "stages", stages)
 
     def cap_at(self, epoch: int) -> int:
@@ -215,7 +215,7 @@ class PenaltyWeights:
     def __post_init__(self):
         for name, weight in (("proof", self.proof), ("transfer", self.transfer)):
             if not (np.isfinite(weight) and weight >= 0):
-                raise ValueError(f"{name} weight must be finite and nonnegative, got {weight!r}")
+                raise ValueError(f"penalties.{name} must be finite and nonnegative, got {weight!r}")
 
 
 @dataclass(frozen=True)
@@ -253,10 +253,13 @@ class TrainConfig:
     clip_norm: float | None = 10.0
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.epochs < 1:
-            raise ValueError("need a nonnegative learning rate and at least one epoch")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive when set")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be finite and nonnegative, "
+                             f"got {self.learning_rate!r}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs!r}")
+        if self.clip_norm is not None and not (np.isfinite(self.clip_norm) and self.clip_norm > 0):
+            raise ValueError(f"clip_norm must be finite and positive, got {self.clip_norm!r}")
 
 
 @dataclass(frozen=True)

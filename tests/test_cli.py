@@ -209,7 +209,7 @@ class TestTrain:
         code = run("train", "--graph", "p2.txt", "--config", "train.json", "--out-dir", "out")
         assert code == 1
         assert "allowed bands [7] outside the partition" in capsys.readouterr().err
-        assert not (workdir / "out" / "history.csv").exists()
+        assert not (workdir / "out").exists()
 
 
     def test_teacher_without_kind_named(self, workdir, capsys):
@@ -265,7 +265,20 @@ class TestTrain:
         ({"order": 4, "examples": 0}, "examples must be at least 1, got 0"),
         ({"order": -1}, "order must be at least 0, got -1"),
         ({"order": 4, "epochs": 0}, "epochs must be at least 1, got 0"),
-    ], ids=["negative_proof", "negative_transfer", "nan_proof", "examples", "order", "epochs"])
+        ({"order": 4, "learning_rate": -1},
+         "learning_rate must be finite and nonnegative, got -1.0"),
+        ({"order": 4, "learning_rate": float("nan")},
+         "learning_rate must be finite and nonnegative, got nan"),
+        ({"order": 4, "learning_rate": float("inf")},
+         "learning_rate must be finite and nonnegative, got inf"),
+        ({"order": 4, "clip_norm": 0}, "clip_norm must be finite and positive, got 0"),
+        ({"order": 4, "clip_norm": float("nan")},
+         "clip_norm must be finite and positive, got nan"),
+        ({"order": 4, "curriculum": [[1, 2]]}, "the first curriculum stage must start at epoch 0"),
+        ({"order": 4, "curriculum": [[0, 3], [5, 1]]}, "curriculum stage orders must not decrease"),
+    ], ids=["negative_proof", "negative_transfer", "nan_proof", "examples", "order", "epochs",
+            "negative_learning_rate", "nan_learning_rate", "infinite_learning_rate",
+            "zero_clip_norm", "nan_clip_norm", "curriculum_start", "curriculum_order"])
     def test_bad_config_value_refused_before_out_dir(self, workdir, capsys, config, message):
         (workdir / "train.json").write_text(json.dumps(config))
         code = run("train", "--graph", "p2.txt", "--config", "train.json", "--out-dir", "out")
@@ -377,27 +390,36 @@ def test_attribute_and_perturb_do_not_bound_lambda_max(workdir, monkeypatch):
     assert calls == []
 
 
-def test_import_leaves_generator_only_scipy_modules_unloaded(workdir):
-    # every command pays for what importing the CLI loads, the dense commands run no
-    # sparse product below DENSE_CAP, and fit, infer and train run theirs in NumPy:
-    # none of them loads any scipy module
-    run("gen", "--kind", "chain", "--depth", "4", "--seed", "3", "--out-dir", "task")
+def test_no_command_loads_a_scipy_module(workdir):
+    # NumPy is the only runtime dependency: importing the CLI, each of the nine commands,
+    # gen of every kind and infer in soft mode load no scipy module
     (workdir / "train.json").write_text('{"order": 4, "epochs": 3, "examples": 2}')
-    commands = [
-        ["fit", "--graph", "p2.txt", "--response", "diffusion", "--tau", "1", "--order", "4",
-         "--out-dir", "fit"],
-        ["infer", "--graph", "p2.txt", "--filter", "fit/filter.json", "--beliefs",
-         "beliefs.txt", "--out-dir", "inf"],
-        ["train", "--graph", "p2.txt", "--config", "train.json", "--out-dir", "train"],
-        ["eval", "--tasks", "task/task.json", "--response", "diffusion", "--tau", "2",
-         "--latency-runs", "1", "--perturb-magnitude", "0.5", "--out-dir", "eval"],
-        ["attribute", "--graph", "p2.txt", "--beliefs", "beliefs.txt", "--response",
-         "diffusion", "--tau", "1", "--out-dir", "attr"],
-        ["perturb", "--graph", "p2.txt", "--beliefs", "beliefs.txt", "--band", "0",
-         "--magnitude", "0.5", "--out-dir", "pert"],
-        ["transfer", "--source-graph", "p2.txt", "--source-beliefs", "beliefs.txt",
-         "--target-graph", "p2.txt", "--target-beliefs", "beliefs.txt", "--out-dir", "tr"],
-    ]
+    commands = {
+        "gen chain": ["gen", "--kind", "chain", "--depth", "4", "--seed", "3", "--out-dir", "task"],
+        "gen community": ["gen", "--kind", "community", "--n", "20", "--intra-p", "0.5",
+                          "--inter-p", "0.05", "--out-dir", "community"],
+        "gen contradiction": ["gen", "--kind", "contradiction", "--n", "30", "--base-p", "0.3",
+                              "--planted", "3", "--out-dir", "contradiction"],
+        "fit": ["fit", "--graph", "p2.txt", "--response", "diffusion", "--tau", "1",
+                "--order", "4", "--out-dir", "fit"],
+        "infer": ["infer", "--graph", "p2.txt", "--filter", "fit/filter.json",
+                  "--beliefs", "beliefs.txt", "--out-dir", "inf"],
+        "infer soft": ["infer", "--graph", "p2.txt", "--filter", "fit/filter.json",
+                       "--beliefs", "beliefs.txt", "--mode", "soft", "--temperature", "2",
+                       "--out-dir", "soft"],
+        "train": ["train", "--graph", "p2.txt", "--config", "train.json", "--out-dir", "train"],
+        "eval": ["eval", "--tasks", "task/task.json", "--response", "diffusion", "--tau", "2",
+                 "--latency-runs", "1", "--perturb-magnitude", "0.5", "--out-dir", "eval"],
+        "attribute": ["attribute", "--graph", "p2.txt", "--beliefs", "beliefs.txt",
+                      "--response", "diffusion", "--tau", "1", "--out-dir", "attr"],
+        "perturb": ["perturb", "--graph", "p2.txt", "--beliefs", "beliefs.txt", "--band", "0",
+                    "--magnitude", "0.5", "--out-dir", "pert"],
+        "transfer": ["transfer", "--source-graph", "p2.txt", "--source-beliefs", "beliefs.txt",
+                     "--target-graph", "p2.txt", "--target-beliefs", "beliefs.txt",
+                     "--out-dir", "tr"],
+        "bench": ["bench", "--base-edges", "100", "--doublings", "1", "--runs", "3",
+                  "--out-dir", "bench"],
+    }
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -405,15 +427,16 @@ def test_import_leaves_generator_only_scipy_modules_unloaded(workdir):
             "from specreason import cli\n"
             "def scipy_modules(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
             "loaded = {'import': scipy_modules()}\n"
-            "for argv in json.loads(sys.argv[1]):\n"
+            "for step, argv in json.loads(sys.argv[1]).items():\n"
             "    assert cli.main(argv) == 0, argv\n"
-            "    loaded[argv[0]] = scipy_modules()\n"
+            "    loaded[step] = scipy_modules()\n"
             "print(json.dumps(loaded))\n")
     out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
                          cwd=workdir, capture_output=True, text=True, check=True)
     loaded = json.loads(out.stdout.splitlines()[-1])
-    assert loaded == {step: [] for step in ("import", "fit", "infer", "train", "eval",
-                                            "attribute", "perturb", "transfer")}
+    every = next(a.choices for a in cli._build_parser()._actions if a.dest == "command")
+    assert {argv[0] for argv in commands.values()} == set(every)
+    assert loaded == {step: [] for step in ("import", *commands)}
 
 
 STAR = "4 3\n0 1 1\n0 2 1\n0 3 1\n"  # combinatorial lambda_max 4, normalized 2

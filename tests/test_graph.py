@@ -338,7 +338,7 @@ class TestLaplacian:
         g = random_gnp(25, 0.3, seed=4)
         lap = gr.build_laplacian(g, "normalized")
         dense = lap.toarray()
-        deg = np.asarray(g.adjacency().sum(axis=1)).ravel()
+        deg = g.adjacency().toarray().sum(axis=1)
         assert np.allclose(np.diag(dense)[deg > 0], 1.0)
 
     def test_normalized_isolated_node_row_is_zero(self):

@@ -1,7 +1,10 @@
 """Rule templates, predicate projection, and Horn closure."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from specreason import filters as ft
 from specreason import graph as gr
@@ -107,6 +110,25 @@ class TestProjectPredicates:
         assert pv.soft[1] == 0.5
         # boundary stays off: soft 0.5 is not > 0.5
         assert pv.hard.tolist() == [True, False]
+
+    def test_soft_sigmoid_matches_expit(self):
+        # 1 / (1 + exp(-z)) is expit's own formula, so only the exp differs: NumPy's vector
+        # exp may round one ulp away from the C library's. The reciprocal maps 1 + e in [1, 2)
+        # to a binade with half the spacing, so that ulp can show as two; below z = -36.7,
+        # 1 + e rounds to a grid of spacing 2 or more, and ties there can double it again
+        specials = [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf]
+        z = np.concatenate([specials, np.linspace(-800.0, 800.0, 160_001)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = rl.project_predicates(z, mode="soft", temperature=1.0).soft
+            saturated = rl.project_predicates(np.array([1e308, -1e308]), threshold=-1e308,
+                                              mode="soft", temperature=1e10).soft
+        reference = expit(z)
+        assert ours[:len(specials)].tobytes() == reference[:len(specials)].tobytes()
+        assert ours[:len(specials)].tolist() == [0.5, 0.5, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
+        assert saturated.tolist() == [1.0, 0.5]
+        apart = np.abs(ours - reference)
+        assert np.all(apart <= np.where(z > -36.7, 2.0, 4.0) * np.spacing(reference))
 
     def test_soft_needs_positive_temperature(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.stats import rankdata
 
 from specreason import filters as ft
@@ -57,6 +59,27 @@ class TestRandomGraphs:
         # a seed must keep naming the same graph: criterion 14 and timing_sweep rely on it
         edges = make().edges
         assert hashlib.sha256(repr(edges).encode()).hexdigest()[:16] == digest
+
+
+class TestConnectivity:
+    def test_matches_scipy_connected_components(self):
+        # the reference counts the components of an adjacency scipy assembles from the edges
+        rng = np.random.default_rng(14)
+        graphs = [gr.Graph(1), gr.Graph(6), gr.Graph(2, edges=((0, 1, 1.0),)),
+                  gr.Graph(4, edges=((0, 1, 1.0), (2, 3, 1.0))),
+                  gr.Graph(4, edges=((1, 2, 1.0), (2, 3, 1.0))),
+                  gr.Graph(3, edges=((0, 1, -1.0), (1, 2, 2.0)), kind="signed")]
+        for _ in range(3000):
+            n = int(rng.integers(1, 30))
+            graphs.append(tg.random_gnp(n, float(rng.uniform(0.0, 0.4)), seed=rng))
+        verdicts = []
+        for g in graphs:
+            ends = (np.concatenate([g.rows, g.cols]), np.concatenate([g.cols, g.rows]))
+            adj = sp.csr_array((np.tile(g.weights, 2), ends), shape=(g.node_count,) * 2)
+            verdicts.append(connected_components(adj, directed=False)[0] == 1)
+            assert tg._is_connected(g) == verdicts[-1], g.edges
+        assert verdicts[:6] == [True, False, True, False, False, True]
+        assert 500 < sum(verdicts) < len(verdicts) - 500  # both answers are well exercised
 
 
 class TestTaskInstance:
