@@ -245,8 +245,7 @@ def cmd_fit(args) -> None:
     lap = _load_operator(args, raw)
     estimate = _lambda_max(lap, args.seed)
     response = _response_from_args(args)
-    fitted = ft.fit_chebyshev(response, args.order, estimate.value,
-                              quadrature_nodes=args.quad_nodes)
+    fitted = ft.fit_chebyshev(response, args.order, estimate.value)
     error = ft.fit_grid_error(fitted, response)
     fitted = replace(fitted, bound=_bound_record(lap, args.graph_kind, estimate))
     _atomic_write(out / "filter.json", fitted.to_json() + "\n")
@@ -335,43 +334,70 @@ def _train_config(path) -> dict:
                          f"error, 'mse'")
     if "teacher" in config and "kind" not in config["teacher"]:
         raise ValueError(f"{path}: teacher is missing required key 'kind'")
-    if float(config.get("penalties", {}).get("rule_consistency", 0.0)) != 0:
-        raise ValueError(f"{path}: penalties.rule_consistency must be 0; train has no "
-                         f"target spectrum to hold the operator to")
-    for key, least in (("order", 0), ("examples", 1)):
-        if key in config and int(config[key]) < least:
-            raise ValueError(f"{path}: {key} must be at least {least}, got {config[key]!r}")
     return config
+
+
+def _read_as(kind: type, key: str, value):
+    """value read as kind, int or float. A value kind cannot read is refused naming key,
+    and so is a float with a fraction where an int is read: nothing is truncated."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (kind is int and isinstance(value, float) and number != value):
+        raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got {value!r}")
+    return number
 
 
 def cmd_train(args) -> None:
     config = _train_config(args.config)
     weights = config.get("penalties", {})
     try:  # each refusal below names its key
-        penalties = tr.PenaltyWeights(proof=float(weights.get("proof", 0.0)),
-                                      transfer=float(weights.get("transfer", 0.0)))
-        schedule = None
-        if config.get("curriculum"):
-            schedule = tr.CurriculumSchedule(stages=tuple((int(e), int(k))
-                                                          for e, k in config["curriculum"]))
-        train_cfg = tr.TrainConfig(learning_rate=float(config.get("learning_rate", 0.05)),
-                                   epochs=int(config.get("epochs", 100)),
-                                   clip_norm=config.get("clip_norm", 10.0))
+        order, examples, seed = (_read_as(int, key, config.get(key, default))
+                                 for key, default in (("order", 8), ("examples", 8),
+                                                      ("seed", args.seed)))
+        for key, value, least in (("order", order, 0), ("examples", examples, 1)):
+            if value < least:
+                raise ValueError(f"{key} must be at least {least}, got {value!r}")
+        if _read_as(float, "penalties.rule_consistency",
+                    weights.get("rule_consistency", 0.0)) != 0:
+            raise ValueError("penalties.rule_consistency must be 0; train has no target "
+                             "spectrum to hold the operator to")
+        penalties = tr.PenaltyWeights(
+            proof=_read_as(float, "penalties.proof", weights.get("proof", 0.0)),
+            transfer=_read_as(float, "penalties.transfer", weights.get("transfer", 0.0)))
+        stages = config.get("curriculum") or []
+        if not isinstance(stages, list) or any(not isinstance(s, list) or len(s) != 2
+                                               for s in stages):
+            raise ValueError(f"curriculum must be a list of [start_epoch, max_order] pairs, "
+                             f"got {stages!r}")
+        schedule = tr.CurriculumSchedule(stages=tuple(
+            tuple(_read_as(int, "curriculum", v) for v in s) for s in stages)) if stages else None
+        clip_norm = config.get("clip_norm", 10.0)
+        if clip_norm is not None and not isinstance(clip_norm, (int, float)):
+            raise ValueError(f"clip_norm must be a number or null, got {clip_norm!r}")
+        train_cfg = tr.TrainConfig(
+            learning_rate=_read_as(float, "learning_rate", config.get("learning_rate", 0.05)),
+            epochs=_read_as(int, "epochs", config.get("epochs", 100)), clip_norm=clip_norm)
+        bands = config.get("allowed_bands", [0])
+        if not isinstance(bands, list):
+            raise ValueError(f"allowed_bands must be a list, got {bands!r}")
+        allowed_bands = tuple(_read_as(int, "allowed_bands", b) for b in bands)
+        teacher_spec = config.get("teacher", {"kind": "diffusion", "params": [1.0]})
+        try:
+            teacher_response = ft.AnalyticResponse(kind=teacher_spec["kind"],
+                                                   params=tuple(teacher_spec.get("params", ())))
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"teacher: {exc}") from None
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{args.config}: {exc}") from None
-    order = int(config.get("order", 8))
-    seed = int(config.get("seed", args.seed))
-    examples = int(config.get("examples", 8))
 
     args.seed = seed
     raw, source = _read_graph(args.graph)
     lap = _load_operator(args, raw)
     estimate = _lambda_max(lap, seed)
     lt = gr.scale_laplacian(lap, estimate.value)
-
-    teacher_spec = config.get("teacher", {"kind": "diffusion", "params": [1.0]})
-    teacher_response = ft.AnalyticResponse(kind=teacher_spec["kind"],
-                                           params=tuple(teacher_spec.get("params", ())))
     teacher = ft.fit_chebyshev(teacher_response, order, estimate.value)
 
     # the student's recurrence on each example is the teacher's: one trace gives both
@@ -384,14 +410,13 @@ def cmd_train(args) -> None:
         data.append(tr.TrainExample(x=x, target=target))
         traces.append(trace)
 
-    context = None
-    if penalties.proof > 0 or penalties.transfer > 0:
+    # transfer holds the outputs to an all-zero reference; only proof needs the basis
+    context = tr.PenaltyContext(transfer_reference=np.zeros(lap.node_count))
+    if penalties.proof > 0:
         basis = gr.eigendecompose(lap)
-        context = tr.PenaltyContext(
-            basis=basis,
-            partition=analysis.default_three_band(basis.lambda_max),
-            allowed_bands=tuple(config.get("allowed_bands", (0,))),
-            transfer_reference=np.zeros(lap.node_count))
+        context = replace(context, basis=basis,
+                          partition=analysis.default_three_band(basis.lambda_max),
+                          allowed_bands=allowed_bands)
 
     student = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=estimate.value)
     result = tr.train(student, lt, data, penalties, schedule=schedule, config=train_cfg,
@@ -435,8 +460,7 @@ def cmd_eval(args) -> None:
                                          magnitude=args.perturb_magnitude,
                                          seed=args.perturb_seed)
     cfg = tg.EvalConfig(threshold=args.threshold, variant=args.variant,
-                        latency_runs=args.latency_runs, perturb=perturb,
-                        threads=args.threads)
+                        latency_runs=args.latency_runs, perturb=perturb)
     report = tg.evaluate(model, instances, cfg)
     _atomic_write(out / "eval.csv", report.csv_header() + "\n" + report.csv_row() + "\n")
     _write_manifest(out, "eval", args, list(args.tasks) + extra_inputs)
@@ -547,7 +571,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     _add_response_args(p)
     p.add_argument("--order", type=int, default=16)
-    p.add_argument("--quad-nodes", type=int, default=None)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("infer", help="filter beliefs and project predicates")
@@ -592,7 +615,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb-band", type=int, default=2)
     p.add_argument("--perturb-magnitude", type=float, default=0.0)
     p.add_argument("--perturb-seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("attribute", help="band energy attribution and certificate")

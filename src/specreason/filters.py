@@ -220,20 +220,14 @@ class RecurrenceTrace:
         return self.basis_vectors.shape[0] - 1
 
 
-def fit_chebyshev(response, order: int, lambda_max: float,
-                  quadrature_nodes: int | None = None) -> ChebyshevFilter:
-    """Project a response onto T_0 .. T_order by Chebyshev-Gauss quadrature.
-
-    Uses M = max(64, 4 (order + 1)) nodes unless overridden; M below
-    order + 1 cannot resolve the requested degree and is rejected.
-    """
+def fit_chebyshev(response, order: int, lambda_max: float) -> ChebyshevFilter:
+    """Project a response onto T_0 .. T_order by Chebyshev-Gauss quadrature
+    on M = max(64, 4 (order + 1)) nodes."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     if not np.isfinite(lambda_max) or lambda_max <= 0:
         raise ValueError(f"lambda_max must be positive, got {lambda_max}")
-    nodes = quadrature_nodes if quadrature_nodes is not None else max(64, 4 * (order + 1))
-    if nodes < order + 1:
-        raise ValueError(f"{nodes} quadrature nodes cannot resolve order {order}")
+    nodes = max(64, 4 * (order + 1))
     angles = np.pi * (np.arange(nodes) + 0.5) / nodes
     z = np.cos(angles)
     lam = lambda_max * (z + 1.0) / 2.0
@@ -247,11 +241,10 @@ def fit_chebyshev(response, order: int, lambda_max: float,
     return ChebyshevFilter(theta=theta, lambda_max=float(lambda_max))
 
 
-def fit_grid_error(f: ChebyshevFilter, response, lambda_max: float | None = None,
-                   points: int = 1000) -> float:
-    """Sup-norm fit error max |f - response| on a uniform eigenvalue grid."""
+def fit_grid_error(f: ChebyshevFilter, response, lambda_max: float | None = None) -> float:
+    """Sup-norm fit error max |f - response| on a uniform grid of 1000 eigenvalues."""
     top = f.lambda_max if lambda_max is None else float(lambda_max)
-    grid = np.linspace(0.0, top, points)
+    grid = np.linspace(0.0, top, 1000)
     return float(np.max(np.abs(response_eval(f, grid) - response_eval(response, grid))))
 
 

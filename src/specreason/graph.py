@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 LAMBDA_SAFETY_MARGIN = 1.01
+_LANCZOS_TOL = 1e-8  # relative Ritz residual at which the Lanczos value is taken
 _LANCZOS_CHECK_EVERY = 5  # steps between Ritz-pair checks; each check costs O(k^3)
 _UNSCALED = (2.0 ** -400, 2.0 ** 400)  # |diagonal| range Lanczos runs unscaled on
 DENSE_CAP = 2048
@@ -50,8 +51,8 @@ class InvalidEdgeError(ValueError):
         self.index = index
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 
@@ -63,8 +64,9 @@ class Graph:
     Built from (i, j, w) triples or from ``columns`` (three arrays), in any order and
     orientation; kept as read-only arrays ``rows``, ``cols``, ``weights`` sorted by (i, j).
     The first edge in input order that breaks a rule raises InvalidEdgeError, naming the
-    first it breaks of: no self-loop, endpoints in range, no repeated pair, a finite and
-    non-zero weight, and no negative weight unless the graph is signed.
+    first it breaks of: integer endpoints (a float, even 1.0, or a bool is refused), no
+    self-loop, endpoints in range, no repeated pair, a finite and non-zero weight, and no
+    negative weight unless the graph is signed.
     """
 
     node_count: int
@@ -78,9 +80,10 @@ class Graph:
             raise ValueError(f"node_count must be a positive integer, at most {_MAX_NODES}")
         if kind not in GRAPH_KINDS:
             raise ValueError(f"unknown graph kind {kind!r}")
-        i, j, w = columns if columns is not None else (tuple(zip(*edges)) or ((), (), ()))
-        (i, j), w = np.asarray((i, j), dtype=np.int64), np.asarray(w, dtype=float)
-        if i.ndim != 1 or i.shape != w.shape:
+        raw = columns if columns is not None else (tuple(zip(*edges)) or ((), (), ()))
+        (i, odd_i), (j, odd_j) = _endpoints(raw[0]), _endpoints(raw[1])
+        w = np.asarray(raw[2], dtype=float)
+        if i.ndim != 1 or i.shape != j.shape or i.shape != w.shape:
             raise ValueError("edge columns must be one-dimensional and of equal length")
         lo, hi = np.minimum(i, j), np.maximum(i, j)
         keys = lo * node_count + hi
@@ -90,7 +93,8 @@ class Graph:
             # a repeated pair: sort stably, so its first copy in input order passes
             order = np.argsort(keys, kind="stable")
             repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
-        rules = ((i == j, "self-loop at node {i}"),
+        rules = ((odd_i | odd_j, "non-integer endpoint in edge ({ri}, {rj})"),
+                 (i == j, "self-loop at node {i}"),
                  ((lo < 0) | (hi >= node_count), "edge ({i}, {j}) out of range for {n} nodes"),
                  (repeat, "duplicate edge ({lo}, {hi})"),
                  (~np.isfinite(w), "non-finite weight on edge ({lo}, {hi})"),
@@ -101,7 +105,8 @@ class Graph:
         if bad.any():
             k = int(np.argmax(bad))
             text = next(text for broken, text in rules if broken[k])
-            raise InvalidEdgeError(k, text.format(i=i[k], j=j[k], lo=lo[k], hi=hi[k], n=node_count))
+            raise InvalidEdgeError(k, text.format(i=i[k], j=j[k], lo=lo[k], hi=hi[k], n=node_count,
+                                                  ri=raw[0][k], rj=raw[1][k]))
         rows, cols, weights = lo[order], hi[order], w[order]
         for arr in (rows, cols, weights):
             arr.setflags(write=False)
@@ -123,6 +128,18 @@ class Graph:
         indices[left], indices[right] = self.rows, self.cols
         data[left] = data[right] = self.weights
         return SparseOperator(indptr, indices, data)
+
+
+def _endpoints(values) -> tuple[np.ndarray, np.ndarray]:
+    """One endpoint column as int64, and which of its entries are not integers: floats,
+    whole ones too, bools and anything else, which read as 0 here. An integer-typed array,
+    as load_graph and the generators pass, is taken as it is."""
+    if ((isinstance(values, np.ndarray) and values.dtype.kind in "iu")
+            or all(t is int or issubclass(t, np.integer) for t in set(map(type, values)))):
+        ints = np.asarray(values, dtype=np.int64)
+        return ints, np.zeros(ints.shape, dtype=bool)
+    odd = np.array([not (type(v) is int or isinstance(v, np.integer)) for v in values])
+    return np.array([0 if bad else v for v, bad in zip(values, odd)], dtype=np.int64), odd
 
 
 def _adjacency_slots(g: Graph):
@@ -234,7 +251,6 @@ class SpectralBasis:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    variant: str = "combinatorial"
 
     def __post_init__(self):
         vals = _frozen_array(self.eigenvalues)
@@ -433,7 +449,7 @@ def gershgorin_bound(lap: Laplacian) -> float:
     return float(np.max(diagonal + off)) if lap.node_count else 0.0
 
 
-def estimate_lambda_max(lap: Laplacian, tol: float = 1e-8, max_iters: int = 100,
+def estimate_lambda_max(lap: Laplacian, max_iters: int = 100,
                         seed: int = 0) -> LambdaMaxEstimate:
     """Upper bound on the largest eigenvalue from a Lanczos recurrence.
 
@@ -441,7 +457,7 @@ def estimate_lambda_max(lap: Laplacian, tol: float = 1e-8, max_iters: int = 100,
     vector, holding three n-vectors: no reorthogonalisation, no stored basis.
     Every _LANCZOS_CHECK_EVERY steps the top Ritz pair (theta, z) of the
     tridiagonal T_k is taken; once its residual r = |beta_k z_k| is at most
-    ``tol * max(1, theta)``, the value is (theta + r) * LAMBDA_SAFETY_MARGIN,
+    ``_LANCZOS_TOL * max(1, theta)``, the value is (theta + r) * LAMBDA_SAFETY_MARGIN,
     since some eigenvalue lies within r of theta. A recurrence that does not
     converge within ``max_iters`` steps returns the bound theta + beta_k of
     Y. Zhou and R.-C. Li, "Bounding the spectrum of large Hermitian matrices",
@@ -485,7 +501,7 @@ def estimate_lambda_max(lap: Laplacian, tol: float = 1e-8, max_iters: int = 100,
             vals, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
             theta = float(vals[-1])
             residual = abs(beta * float(vecs[-1, -1]))
-            if invariant or residual <= tol * max(1.0, theta):
+            if invariant or residual <= _LANCZOS_TOL * max(1.0, theta):
                 return _lambda_estimate((theta + residual) * LAMBDA_SAFETY_MARGIN * scale, scale,
                                         k, True, "lanczos")
         w /= beta
@@ -579,28 +595,24 @@ def _descending_keys(columns: np.ndarray) -> np.ndarray:
     return keys.view(np.dtype((np.void, 8 * columns.shape[0]))).ravel()
 
 
-def eigendecompose(lap: Laplacian, cap: int = DENSE_CAP) -> SpectralBasis:
-    """Dense symmetric eigendecomposition, refused above ``cap`` nodes."""
+def eigendecompose(lap: Laplacian) -> SpectralBasis:
+    """Dense symmetric eigendecomposition, refused above DENSE_CAP nodes."""
     n = lap.node_count
-    if n > cap:
-        raise ValueError(f"dense eigendecomposition refused for {n} > {cap} nodes")
+    if n > DENSE_CAP:
+        raise ValueError(f"dense eigendecomposition refused for {n} > {DENSE_CAP} nodes")
     dense = lap.toarray()
     dense = 0.5 * (dense + dense.T)
     eigenvalues, eigenvectors = np.linalg.eigh(dense)
     eigenvalues, eigenvectors = _canonical_columns(eigenvalues, eigenvectors)
-    return SpectralBasis(eigenvalues=eigenvalues, eigenvectors=eigenvectors, variant=lap.variant)
+    return SpectralBasis(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-def gft(basis: SpectralBasis, x, direction: str = "forward") -> np.ndarray:
-    """Graph Fourier transform U^T x (forward) or U x (inverse).
+def gft(basis: SpectralBasis, x) -> np.ndarray:
+    """Graph Fourier transform U^T x: vertex values to spectral coefficients.
 
     Preserves the Euclidean norm since U is orthonormal.
     """
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     values = belief_values(x)
     if values.size != basis.node_count:
         raise ValueError(f"belief length {values.size} does not match basis size {basis.node_count}")
-    if direction == "forward":
-        return basis.eigenvectors.T @ values
-    return basis.eigenvectors @ values
+    return basis.eigenvectors.T @ values

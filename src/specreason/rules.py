@@ -50,9 +50,6 @@ class RuleSet:
     def __len__(self) -> int:
         return len(self.templates)
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(t.name for t in self.templates)
-
     def __call__(self, lam):
         """The set's spectral response: its weighted mixture (see mixture_response) at lam."""
         return mixture_response(self)(lam)
@@ -84,8 +81,6 @@ class PredicateVector:
 
     hard: np.ndarray
     soft: np.ndarray | None
-    threshold: float
-    temperature: float | None = None
 
     def __post_init__(self):
         hard = np.array(self.hard, dtype=bool)
@@ -121,8 +116,7 @@ def project_predicates(y, threshold: float = 0.0, mode: str = "hard",
             raise ValueError("soft projection requires a positive temperature")
         with np.errstate(over="ignore"):  # exp overflows to inf for z below -709: p = 0
             soft = 1.0 / (1.0 + np.exp(-(temperature * (values - threshold))))
-    return PredicateVector(hard=hard, soft=soft, threshold=float(threshold),
-                           temperature=None if temperature is None else float(temperature))
+    return PredicateVector(hard=hard, soft=soft)
 
 
 @dataclass(frozen=True)

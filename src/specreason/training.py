@@ -30,8 +30,8 @@ GATING_FEATURES = ("total_energy", "low_band_fraction", "mid_band_fraction",
 class DivergenceError(RuntimeError):
     """Training loss became non-finite; carries the offending epoch."""
 
-    def __init__(self, epoch: int, message: str = ""):
-        super().__init__(message or f"loss diverged at epoch {epoch}")
+    def __init__(self, epoch: int):
+        super().__init__(f"loss diverged at epoch {epoch}")
         self.epoch = epoch
 
 
@@ -238,7 +238,8 @@ class TrainExample:
 
 @dataclass(frozen=True)
 class PenaltyContext:
-    """Shared structures the penalties read: basis, bands, targets."""
+    """Shared structures the penalties read: the basis and bands proof needs, and the
+    output, one value per node, that transfer holds the model's outputs to."""
 
     basis: SpectralBasis | None = None
     partition: BandPartition | None = None
@@ -292,10 +293,10 @@ class _FactoredLoss:
 
     With B the trace rows b_0 .. b_K, the output is y = B^T c and each term is a
     squared norm ||A z||^2 with A fixed per example. A Householder QR keeps that
-    norm, so with R from [B^T | t | U ref], built once, each call costs O(K^2):
+    norm, so with R from [B^T | t | ref], built once, each call costs O(K^2):
 
     - data term ||y - t||^2 / n = ||R [c; -1; 0]||^2 / n;
-    - transfer ||U^T y - ref||^2 / n = ||y - U ref||^2 / n = ||R [c; 0; -1]||^2 / n;
+    - transfer ||y - ref||^2 / n = ||R [c; 0; -1]||^2 / n;
     - proof ||U_dis^T y||^2 / ||y||^2 = ||R_C c||^2 / ||R_B c||^2, with R_B the
       leading block of R and R_C from U_dis^T B^T; a zero output scores 0.
     """
@@ -381,8 +382,8 @@ def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = N
              "proof penalty needs a basis, partition, and allowed bands")
     _require(pw.proof == 0 or all(0 <= int(b) < ctx.partition.n_bands for b in ctx.allowed_bands),
              f"allowed bands {list(ctx.allowed_bands)} outside the partition")
-    _require(pw.transfer == 0 or (ctx.basis is not None and ctx.transfer_reference is not None),
-             "transfer penalty needs a basis and a spectral reference")
+    _require(pw.transfer == 0 or np.shape(ctx.transfer_reference) == (lt.node_count,),
+             "transfer penalty needs a reference output, one value per node")
 
     if isinstance(model, MoSEModel):
         _require(ctx.basis is not None, "mixture training needs a basis for gating features")
@@ -414,7 +415,7 @@ def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = N
                               [int(b) for b in ctx.allowed_bands])
         disallowed_rows = ctx.basis.eigenvectors[:, disallowed].T
     if pw.transfer > 0:
-        reference = ctx.basis.eigenvectors @ ctx.transfer_reference
+        reference = np.asarray(ctx.transfer_reference, dtype=float)
     losses = [_FactoredLoss(trace, ex.target, disallowed_rows, reference)
               for trace, ex in zip(traces, data)]
     term_weights = np.array([1.0, pw.proof, pw.transfer])

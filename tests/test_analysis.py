@@ -46,7 +46,7 @@ class TestBandEnergy:
         basis = random_basis(seed=1)
         y = np.random.default_rng(2).standard_normal(20)
         report = an.band_energy(basis, y, an.default_three_band(basis.lambda_max))
-        assert report.total_energy == pytest.approx(float(y @ y), rel=1e-12)
+        assert report.energies.sum() == pytest.approx(float(y @ y), rel=1e-12)
         assert report.fractions.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_p2_constant_is_pure_low(self):
@@ -137,7 +137,6 @@ class TestRobustnessCertificate:
     def test_diffusion_closed_form(self):
         cert = an.robustness_certificate(ft.diffusion(1.0), 2.0)
         assert cert.bound == pytest.approx(1.05, abs=1e-12)
-        assert cert.closed_form
 
     def test_identity_closed_form(self):
         assert an.robustness_certificate(ft.identity(), 5.0).bound == pytest.approx(1.05)
@@ -151,14 +150,10 @@ class TestRobustnessCertificate:
         for _ in range(10):
             theta = rng.standard_normal(6)
             f = ft.ChebyshevFilter(theta=theta, lambda_max=2.0)
-            cert = an.robustness_certificate(f, 2.0, grid_points=301)
-            grid = np.linspace(0.0, 2.0, 301)
+            cert = an.robustness_certificate(f, 2.0)
+            grid = np.linspace(0.0, 2.0, 4001)
             values = np.abs(ft.response_eval(f, grid))
             assert np.all(cert.bound >= values)
-
-    def test_grid_needs_two_points(self):
-        with pytest.raises(ValueError):
-            an.robustness_certificate(ft.identity(), 2.0, grid_points=1)
 
 
 class TestSpectralPerturb:

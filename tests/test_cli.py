@@ -276,15 +276,34 @@ class TestTrain:
          "clip_norm must be finite and positive, got nan"),
         ({"order": 4, "curriculum": [[1, 2]]}, "the first curriculum stage must start at epoch 0"),
         ({"order": 4, "curriculum": [[0, 3], [5, 1]]}, "curriculum stage orders must not decrease"),
+        ({"order": 4, "curriculum": [[0]]},
+         "curriculum must be a list of [start_epoch, max_order] pairs, got [[0]]"),
+        ({"order": 4, "curriculum": 5},
+         "curriculum must be a list of [start_epoch, max_order] pairs, got 5"),
+        ({"order": 4, "clip_norm": "abc"}, "clip_norm must be a number or null, got 'abc'"),
+        ({"order": 4, "epochs": "ten"}, "epochs must be an integer, got 'ten'"),
+        ({"order": 4.5}, "order must be an integer, got 4.5"),
     ], ids=["negative_proof", "negative_transfer", "nan_proof", "examples", "order", "epochs",
             "negative_learning_rate", "nan_learning_rate", "infinite_learning_rate",
-            "zero_clip_norm", "nan_clip_norm", "curriculum_start", "curriculum_order"])
+            "zero_clip_norm", "nan_clip_norm", "curriculum_start", "curriculum_order",
+            "curriculum_stage_shape", "curriculum_not_a_list", "clip_norm_type", "epochs_type",
+            "fractional_order"])
     def test_bad_config_value_refused_before_out_dir(self, workdir, capsys, config, message):
         (workdir / "train.json").write_text(json.dumps(config))
         code = run("train", "--graph", "p2.txt", "--config", "train.json", "--out-dir", "out")
         assert code == 1
         assert f"error: train.json: {message}" in capsys.readouterr().err
         assert not (workdir / "out").exists()
+
+    def test_transfer_alone_trains_above_dense_cap(self, workdir):
+        # only the proof penalty reads the eigenbasis, which is refused above DENSE_CAP
+        n = gr.DENSE_CAP + 1
+        (workdir / "ring.txt").write_text(f"{n} {n}\n"
+                                          + "".join(f"{k} {(k + 1) % n} 1\n" for k in range(n)))
+        (workdir / "train.json").write_text(json.dumps(
+            {"order": 3, "epochs": 2, "examples": 1, "penalties": {"transfer": 0.1}}))
+        assert run("train", "--graph", "ring.txt", "--config", "train.json",
+                   "--out-dir", "out") == 0
 
     def test_each_example_recurrence_runs_once(self, workdir, monkeypatch):
         # the teacher's trace gives the target and is the one training reuses

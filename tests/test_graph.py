@@ -89,11 +89,25 @@ class TestGraph:
             (((0, 1, 1.0), (1, 2, 0.0), (2, 2, 1.0)), 1, "zero weight"),
             (((0, 1, float("nan")), (1, 1, 1.0)), 0, "non-finite"),
             (((2, 1, 1.0), (0, 9, -1.0)), 1, r"edge \(0, 9\) out of range"),
+            (((0, 2, 1.0), (1.0, 2, 1.0), (1, 1, 1.0)), 1,
+             r"non-integer endpoint in edge \(1.0, 2\)"),
         ]
         for edges, index, fragment in cases:
             with pytest.raises(gr.InvalidEdgeError, match=fragment) as err:
                 gr.Graph(node_count=3, edges=edges)
             assert err.value.index == index
+
+    def test_rejects_non_integer_endpoints(self):
+        # a float, even a whole one, or a bool names no node: none is truncated to one
+        for edge, shown in (((0, 1.5, 1.0), r"\(0, 1.5\)"), ((True, 2, 1.0), r"\(True, 2\)"),
+                            ((0, 1.0, 1.0), r"\(0, 1.0\)"),
+                            ((np.float64(2), 1, 1.0), r"\(2.0, 1\)")):
+            with pytest.raises(gr.InvalidEdgeError, match="non-integer endpoint in edge " + shown):
+                gr.Graph(3, [edge])
+        with pytest.raises(gr.InvalidEdgeError, match="non-integer endpoint"):
+            gr.Graph(3, columns=(np.array([0.0]), np.array([1]), np.array([1.0])))
+        g = gr.Graph(3, [(np.int32(0), np.uint8(1), 1.0), (1, np.int64(2), 2.0)])
+        assert g.edges == ((0, 1, 1.0), (1, 2, 2.0))
 
     def test_edge_arrays_sorted_and_read_only(self):
         g = gr.Graph(node_count=4, edges=((2, 0, 1.0), (3, 1, 2.0), (0, 1, 0.5)))
@@ -599,32 +613,22 @@ class TestEigendecompose:
             assert a.tobytes() == b.tobytes()
 
     def test_cap_refuses_large_graphs(self):
-        lap = gr.build_laplacian(gr.Graph(node_count=10, edges=()))
+        lap = gr.build_laplacian(gr.Graph(node_count=gr.DENSE_CAP + 1, edges=()))
         with pytest.raises(ValueError, match="dense"):
-            gr.eigendecompose(lap, cap=5)
+            gr.eigendecompose(lap)
 
 
 class TestGft:
-    def test_round_trip(self):
-        basis = gr.eigendecompose(gr.build_laplacian(random_gnp(18, 0.3, seed=6)))
-        x = np.random.default_rng(0).standard_normal(18)
-        xhat = gr.gft(basis, x)
-        back = gr.gft(basis, xhat, direction="inverse")
-        assert np.allclose(gr.belief_values(back), x, atol=1e-10)
-
     def test_size_mismatch(self):
         basis = gr.eigendecompose(gr.build_laplacian(p2()))
         with pytest.raises(ValueError, match="does not match"):
             gr.gft(basis, np.ones(3))
 
     def test_domains_tracked(self):
-        # forward takes vertex values to spectral coefficients, inverse takes them back
+        # the transform takes vertex values to spectral coefficients
         basis = gr.eigendecompose(gr.build_laplacian(random_gnp(12, 0.4, seed=2)))
         x = np.random.default_rng(3).standard_normal(12)
         assert np.array_equal(gr.gft(basis, x), basis.eigenvectors.T @ x)
-        assert np.array_equal(gr.gft(basis, x, direction="inverse"), basis.eigenvectors @ x)
-        with pytest.raises(ValueError, match="'forward' or 'inverse'"):
-            gr.gft(basis, x, direction="spectral")
 
     def test_parseval(self):
         basis = gr.eigendecompose(gr.build_laplacian(random_gnp(20, 0.3, seed=8)))

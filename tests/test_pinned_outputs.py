@@ -75,8 +75,10 @@ def penalised_problem():
     teacher = ft.fit_chebyshev(ft.diffusion(1.0), 5, lambda_max)
     data = [tr.TrainExample(x=x, target=np.asarray(ft.cheb_apply(teacher, lt, x)))
             for x in rng.standard_normal((4, 30))]
+    # the transfer reference is an output in node space
+    reference = basis.eigenvectors @ (0.1 * rng.standard_normal(30))
     context = tr.PenaltyContext(basis=basis, partition=an.default_three_band(basis.lambda_max),
-                                allowed_bands=(0,), transfer_reference=0.1 * rng.standard_normal(30))
+                                allowed_bands=(0,), transfer_reference=reference)
     penalties = tr.PenaltyWeights(proof=0.3, transfer=0.2)
     return lap, lt, data, context, penalties
 
@@ -113,8 +115,7 @@ def test_filter_trains_as_one_expert_mixture():
     assert not mixed.model.gating_weights.any()
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_evaluate_decomposes_each_instance_once(monkeypatch, threads):
+def test_evaluate_decomposes_each_instance_once(monkeypatch):
     calls = []
 
     def counted(lap, *args, **kwargs):
@@ -124,7 +125,6 @@ def test_evaluate_decomposes_each_instance_once(monkeypatch, threads):
     monkeypatch.setattr(tg, "eigendecompose", counted)
     instances = [tg.gen_community_task(n=40, intra_p=0.3, inter_p=0.03, seed=s) for s in range(3)]
     instances.append(tg.gen_chain_task(depth=3, seed=1))
-    cfg = tg.EvalConfig(latency_runs=3, threads=threads,
-                        perturb=an.PerturbConfig(band=0, magnitude=1.0, seed=2))
+    cfg = tg.EvalConfig(latency_runs=3, perturb=an.PerturbConfig(band=0, magnitude=1.0, seed=2))
     tg.evaluate(ft.diffusion(1.0), instances, cfg)
     assert sorted(calls) == sorted(inst.graph.node_count for inst in instances)

@@ -59,7 +59,7 @@ class TestTemplates:
         path = tmp_path / "rules.json"
         rl.save_templates(rs, path)
         back = rl.load_templates(path)
-        assert back.names() == rs.names()
+        assert back == rs
         grid = np.linspace(0.0, 2.0, 5)
         assert np.array_equal(ft.response_eval(rl.mixture_response(back), grid),
                               ft.response_eval(rl.mixture_response(rs), grid))

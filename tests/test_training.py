@@ -46,8 +46,7 @@ def y_space_terms(pw, ctx, y, target):
         proof, pen_grad = y_space_proof_penalty(ctx.basis, y, ctx.allowed_bands, ctx.partition)
         g_y = g_y + pw.proof * pen_grad
     if pw.transfer > 0:
-        yhat = ctx.basis.eigenvectors.T @ y
-        spectral = yhat - ctx.transfer_reference
+        spectral = ctx.basis.eigenvectors.T @ (y - ctx.transfer_reference)
         transfer = float(spectral @ spectral) / n
         g_y = g_y + pw.transfer * (2.0 / n) * (ctx.basis.eigenvectors @ spectral)
     return value, proof, transfer, g_y
@@ -124,7 +123,7 @@ def factored(lt, theta, x, target, pw=tr.PenaltyWeights(), ctx=tr.PenaltyContext
         rows = ctx.basis.eigenvectors[:, ~np.isin(ctx.partition.band_of(ctx.basis.eigenvalues),
                                                   ctx.allowed_bands)].T
     if pw.transfer > 0:
-        reference = ctx.basis.eigenvectors @ ctx.transfer_reference
+        reference = ctx.transfer_reference
     return tr._FactoredLoss(trace, target, rows, reference)(theta)
 
 
@@ -226,6 +225,20 @@ class TestPenalties:
         with pytest.raises(ValueError, match="outside the partition"):
             tr.train(ft.ChebyshevFilter(theta=theta, lambda_max=lt.lambda_max), lt, data,
                      tr.PenaltyWeights(proof=1.0), context=context)
+
+    def test_transfer_reference_is_one_output_per_node(self):
+        lap, lt, lmax = operator(n=10, seed=3)
+        _, data = teacher_data(lt, lmax, 3, 2, seed=4)
+        student = ft.ChebyshevFilter(theta=np.zeros(4), lambda_max=lmax)
+        transfer = tr.PenaltyWeights(transfer=0.5)
+        for reference in (None, np.zeros(9)):
+            with pytest.raises(ValueError, match="one value per node"):
+                tr.train(student, lt, data, transfer,
+                         context=tr.PenaltyContext(transfer_reference=reference))
+        # the penalty works in node space: it needs no basis
+        result = tr.train(student, lt, data, transfer, config=tr.TrainConfig(epochs=2),
+                          context=tr.PenaltyContext(transfer_reference=np.zeros(10)))
+        assert len(result.history) == 2 and result.history[-1][5] > 0
 
     def test_proof_penalty_pure_band_signal(self):
         lap = gr.build_laplacian(gr.Graph(node_count=2, edges=((0, 1, 1.0),)))
@@ -532,7 +545,8 @@ class TestTrain:
         elif case in ("proof_and_transfer", "fewer_nodes_than_columns"):
             pw = tr.PenaltyWeights(proof=0.4, transfer=0.3)
             ctx = tr.PenaltyContext(basis=basis, partition=part, allowed_bands=(0, 1),
-                                    transfer_reference=0.2 * rng.standard_normal(n))
+                                    transfer_reference=basis.eigenvectors
+                                    @ (0.2 * rng.standard_normal(n)))
         result = tr.train(student, lt, data, pw, schedule=schedule, config=cfg, context=ctx)
         model, history = y_space_train(student, lt, data, pw, schedule, cfg, ctx)
 
