@@ -115,7 +115,9 @@ def test_filter_trains_as_one_expert_mixture():
     assert not mixed.model.gating_weights.any()
 
 
-def test_evaluate_decomposes_each_instance_once(monkeypatch):
+# the decomposition count must not grow with the repeated latency runs
+@pytest.mark.parametrize("latency_runs", [1, 2])
+def test_evaluate_decomposes_each_instance_once(monkeypatch, latency_runs):
     calls = []
 
     def counted(lap, *args, **kwargs):
@@ -125,6 +127,7 @@ def test_evaluate_decomposes_each_instance_once(monkeypatch):
     monkeypatch.setattr(tg, "eigendecompose", counted)
     instances = [tg.gen_community_task(n=40, intra_p=0.3, inter_p=0.03, seed=s) for s in range(3)]
     instances.append(tg.gen_chain_task(depth=3, seed=1))
-    cfg = tg.EvalConfig(latency_runs=3, perturb=an.PerturbConfig(band=0, magnitude=1.0, seed=2))
+    cfg = tg.EvalConfig(latency_runs=latency_runs,
+                        perturb=an.PerturbConfig(band=0, magnitude=1.0, seed=2))
     tg.evaluate(ft.diffusion(1.0), instances, cfg)
     assert sorted(calls) == sorted(inst.graph.node_count for inst in instances)
