@@ -1,0 +1,80 @@
+"""One strict reader for the package's JSON inputs, each declared by a schema: a kind.
+
+Kinds: int; float, any number (a lone one read as a float); str; bool, never a number (nor
+is 3.0 an int); object, any value, left to the type that reads it; [kind], a list;
+(kind, ...), a list of exactly those kinds; {key: kind}, an object with those keys only;
+Map(kind), an object of any keys; Nullable(kind), null or kind; and for a key
+Default(kind, value): a key left out reads as value, read through kind unless None, so
+that the defaults inside it fill in too.
+"""
+
+import json
+from collections import namedtuple
+from pathlib import Path
+
+Map = namedtuple("Map", "kind")
+Nullable = namedtuple("Nullable", "kind")
+Default = namedtuple("Default", "kind value")
+
+_TYPES = {int: {int}, float: {int, float}, str: {str}, bool: {bool}}
+_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean",
+          list: "a list", dict: "an object", Map: "an object"}
+
+
+def read_json(path, schema, build):
+    """build(document), the JSON at path once schema has checked it. Every ValueError names
+    path, and the schema's the key too: "task.json: graph.n must be an integer, got 4.7"."""
+    try:
+        return build(_read(json.loads(Path(path).read_text(encoding="utf-8")), schema, ""))
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer too big for a float
+        exc.args = (f"{path}: {exc}",)  # the same error raised on: InvalidEdgeError keeps its index
+        raise
+
+
+def _read(value, kind, where: str):
+    """value checked against kind, where being its key path; absent defaults filled in."""
+    expected = kind
+    if type(kind) is Nullable:
+        if value is None:
+            return None
+        kind = kind.kind
+    shape = type(kind)
+    if shape is type:
+        if kind is object or type(value) in _TYPES[kind]:
+            return float(value) if kind is float else value
+    elif type(value) is list and shape is list:
+        if _plain(value, kind[0]):
+            return value
+        return [_read(item, kind[0], f"{where}[{k}]") for k, item in enumerate(value)]
+    elif type(value) is list and shape is tuple and len(value) == len(kind):
+        return [_read(item, of, f"{where}[{k}]") for k, (item, of) in enumerate(zip(value, kind))]
+    elif type(value) is dict and shape in (dict, Map):
+        at = where and where + "."
+        if shape is Map:
+            return {key: _read(item, kind.kind, at + key) for key, item in value.items()}
+        unknown = [key for key in value if key not in kind]
+        if unknown:
+            raise ValueError(f"{at}{unknown[0]} is an unknown key; known: {', '.join(kind)}")
+        return {key: _field(value, key, of, at + key) for key, of in kind.items()}
+    name = (f"a list of {len(kind)} entries" if shape is tuple
+            else _NAMES[kind if shape is type else shape])
+    raise ValueError(f"{where or 'the document'} must be {name}"
+                     f"{' or null' if expected is not kind else ''}, got {value!r:.80}")
+
+
+def _plain(values: list, kind) -> bool:
+    """Whether every entry is of kind, a type or a tuple of types, checked a type at a time
+    rather than by a call per entry. False for any other kind: its entries are read singly."""
+    if type(kind) is type:
+        return kind is object or set(map(type, values)) <= _TYPES[kind]
+    return (type(kind) is tuple and all(type(of) is type for of in kind)
+            and set(map(type, values)) <= {list} and set(map(len, values)) <= {len(kind)}
+            and all(_plain(column, of) for column, of in zip(zip(*values), kind)))
+
+
+def _field(value: dict, key: str, kind, where: str):
+    if key in value:
+        return _read(value[key], kind.kind if type(kind) is Default else kind, where)
+    if type(kind) is not Default:
+        raise ValueError(f"{where} is missing")
+    return None if kind.value is None else _read(kind.value, kind.kind, where)

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, filters as ft, graph as gr, rules as rl, taskgen as tg, training as tr
+from ._schema import Default, Nullable, read_json
 
 
 def _fmt(value: float) -> str:
@@ -64,6 +65,7 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
 
 
 def _out_dir(args) -> Path:
+    """--out-dir, made once every input is read and checked: a refused run leaves none."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -240,7 +242,6 @@ def _partition_for(basis: gr.SpectralBasis, bands: int) -> analysis.BandPartitio
 
 
 def cmd_fit(args) -> None:
-    out = _out_dir(args)
     raw, source = _read_graph(args.graph)
     lap = _load_operator(args, raw)
     estimate = _lambda_max(lap, args.seed)
@@ -248,6 +249,7 @@ def cmd_fit(args) -> None:
     fitted = ft.fit_chebyshev(response, args.order, estimate.value)
     error = ft.fit_grid_error(fitted, response)
     fitted = replace(fitted, bound=_bound_record(lap, args.graph_kind, estimate))
+    out = _out_dir(args)
     _atomic_write(out / "filter.json", fitted.to_json() + "\n")
     _write_operator(out, lap, source)
     _write_manifest(out, "fit", args, [args.graph], {args.graph: source})
@@ -256,11 +258,10 @@ def cmd_fit(args) -> None:
 
 
 def cmd_infer(args) -> None:
-    out = _out_dir(args)
     raw, source = _read_graph(args.graph)
     try:
         f = ft.load_filter(args.filter)
-    except (OSError, ValueError, TypeError):
+    except (OSError, ValueError, OverflowError):
         gr.load_graph(raw, kind=args.graph_kind)  # a bad graph is reported before a bad filter
         raise
     # the operator fit stored beside the filter serves when it is the one the filter was
@@ -289,6 +290,7 @@ def cmd_infer(args) -> None:
     y = ft.cheb_apply(f, lt, x)
     predicates = rl.project_predicates(y, threshold=args.threshold, mode=args.mode,
                                        temperature=args.temperature)
+    out = _out_dir(args)
     _atomic_write(out / "predicates.csv", _predicates_text(y, predicates))
 
     if rb is not None:
@@ -307,104 +309,50 @@ def cmd_infer(args) -> None:
     print(f"infer nodes={n} facts={int(predicates.hard.sum())}")
 
 
-_TRAIN_KEYS = ("order", "seed", "examples", "teacher", "penalties", "loss", "curriculum",
-               "allowed_bands", "learning_rate", "epochs", "clip_norm")
-_TRAIN_SECTION_KEYS = {"penalties": ("proof", "rule_consistency", "transfer"),
-                       "teacher": ("kind", "params")}
+_TRAIN = {"order": Default(int, 8), "examples": Default(int, 8),
+          "teacher": Default({"kind": str, "params": Default([float], [])},
+                             {"kind": "diffusion", "params": [1.0]}),
+          "penalties": Default({"proof": Default(float, 0.0), "transfer": Default(float, 0.0),
+                                "rule_consistency": Default(float, 0.0)}, {}),
+          "loss": Default(str, "mse"), "curriculum": Default(Nullable([(int, int)]), None),
+          "allowed_bands": Default([int], [0]), "learning_rate": Default(float, 0.05),
+          "epochs": Default(int, 100), "clip_norm": Default(Nullable(float), 10.0)}
 
 
-def _train_config(path) -> dict:
-    """The train config at path; a key train does not read is refused, not ignored."""
-    config = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(config, dict):
-        raise ValueError(f"{path}: the config must be a JSON object")
-    for key in config:
-        if key not in _TRAIN_KEYS:
-            raise ValueError(f"{path}: unknown key {key!r}; train reads {', '.join(_TRAIN_KEYS)}")
-    for section, keys in _TRAIN_SECTION_KEYS.items():
-        entries = config.get(section, {})
-        if not isinstance(entries, dict):
-            raise ValueError(f"{path}: {section!r} must be a JSON object")
-        for key in entries:
-            if key not in keys:
-                raise ValueError(f"{path}: unknown key {section}.{key}; "
-                                 f"{section} reads {', '.join(keys)}")
-    if config.get("loss", "mse") != "mse":
-        raise ValueError(f"{path}: unknown loss {config['loss']!r}; train fits the squared "
-                         f"error, 'mse'")
-    if "teacher" in config and "kind" not in config["teacher"]:
-        raise ValueError(f"{path}: teacher is missing required key 'kind'")
-    return config
-
-
-def _read_as(kind: type, key: str, value):
-    """value read as kind, int or float. A value kind cannot read is refused naming key,
-    and so is a float with a fraction where an int is read: nothing is truncated."""
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or (kind is int and isinstance(value, float) and number != value):
-        raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
-                         f"got {value!r}")
-    return number
+def _train_plan(config: dict) -> dict:
+    """config with the objects train runs with in its sections' places; refusals name keys."""
+    for key, least in (("order", 0), ("examples", 1)):
+        if config[key] < least:
+            raise ValueError(f"{key} must be at least {least}, got {config[key]!r}")
+    if config["loss"] != "mse":
+        raise ValueError(f"unknown loss {config['loss']!r}; train fits the squared error, 'mse'")
+    weights, stages, teacher = config["penalties"], config["curriculum"], config["teacher"]
+    if weights["rule_consistency"] != 0:
+        raise ValueError("penalties.rule_consistency must be 0; train has no target "
+                         "spectrum to hold the operator to")
+    return dict(config,
+                teacher=ft.AnalyticResponse(kind=teacher["kind"], params=tuple(teacher["params"])),
+                penalties=tr.PenaltyWeights(proof=weights["proof"], transfer=weights["transfer"]),
+                curriculum=tr.CurriculumSchedule(stages=stages) if stages else None,
+                train=tr.TrainConfig(learning_rate=config["learning_rate"],
+                                     epochs=config["epochs"], clip_norm=config["clip_norm"]))
 
 
 def cmd_train(args) -> None:
-    config = _train_config(args.config)
-    weights = config.get("penalties", {})
-    try:  # each refusal below names its key
-        order, examples, seed = (_read_as(int, key, config.get(key, default))
-                                 for key, default in (("order", 8), ("examples", 8),
-                                                      ("seed", args.seed)))
-        for key, value, least in (("order", order, 0), ("examples", examples, 1)):
-            if value < least:
-                raise ValueError(f"{key} must be at least {least}, got {value!r}")
-        if _read_as(float, "penalties.rule_consistency",
-                    weights.get("rule_consistency", 0.0)) != 0:
-            raise ValueError("penalties.rule_consistency must be 0; train has no target "
-                             "spectrum to hold the operator to")
-        penalties = tr.PenaltyWeights(
-            proof=_read_as(float, "penalties.proof", weights.get("proof", 0.0)),
-            transfer=_read_as(float, "penalties.transfer", weights.get("transfer", 0.0)))
-        stages = config.get("curriculum") or []
-        if not isinstance(stages, list) or any(not isinstance(s, list) or len(s) != 2
-                                               for s in stages):
-            raise ValueError(f"curriculum must be a list of [start_epoch, max_order] pairs, "
-                             f"got {stages!r}")
-        schedule = tr.CurriculumSchedule(stages=tuple(
-            tuple(_read_as(int, "curriculum", v) for v in s) for s in stages)) if stages else None
-        clip_norm = config.get("clip_norm", 10.0)
-        if clip_norm is not None and not isinstance(clip_norm, (int, float)):
-            raise ValueError(f"clip_norm must be a number or null, got {clip_norm!r}")
-        train_cfg = tr.TrainConfig(
-            learning_rate=_read_as(float, "learning_rate", config.get("learning_rate", 0.05)),
-            epochs=_read_as(int, "epochs", config.get("epochs", 100)), clip_norm=clip_norm)
-        bands = config.get("allowed_bands", [0])
-        if not isinstance(bands, list):
-            raise ValueError(f"allowed_bands must be a list, got {bands!r}")
-        allowed_bands = tuple(_read_as(int, "allowed_bands", b) for b in bands)
-        teacher_spec = config.get("teacher", {"kind": "diffusion", "params": [1.0]})
-        try:
-            teacher_response = ft.AnalyticResponse(kind=teacher_spec["kind"],
-                                                   params=tuple(teacher_spec.get("params", ())))
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"teacher: {exc}") from None
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"{args.config}: {exc}") from None
-
+    plan = read_json(args.config, {**_TRAIN, "seed": Default(int, args.seed)}, _train_plan)
+    order, seed, penalties = plan["order"], plan["seed"], plan["penalties"]
     args.seed = seed
     raw, source = _read_graph(args.graph)
     lap = _load_operator(args, raw)
     estimate = _lambda_max(lap, seed)
     lt = gr.scale_laplacian(lap, estimate.value)
-    teacher = ft.fit_chebyshev(teacher_response, order, estimate.value)
+    teacher = ft.fit_chebyshev(plan["teacher"], order, estimate.value)
 
     # the student's recurrence on each example is the teacher's: one trace gives both
     # the target and what training reuses every epoch
     rng = np.random.default_rng(seed)
     data, traces = [], []
-    for _ in range(examples):
+    for _ in range(plan["examples"]):
         x = rng.standard_normal(lap.node_count)
         target, trace = ft.cheb_apply(teacher, lt, x, keep_trace=True)
         data.append(tr.TrainExample(x=x, target=target))
@@ -416,13 +364,13 @@ def cmd_train(args) -> None:
         basis = gr.eigendecompose(lap)
         context = replace(context, basis=basis,
                           partition=analysis.default_three_band(basis.lambda_max),
-                          allowed_bands=allowed_bands)
+                          allowed_bands=tuple(plan["allowed_bands"]))
 
     student = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=estimate.value)
-    result = tr.train(student, lt, data, penalties, schedule=schedule, config=train_cfg,
-                      context=context, traces=traces)
+    result = tr.train(student, lt, data, penalties, schedule=plan["curriculum"],
+                      config=plan["train"], context=context, traces=traces)
 
-    out = _out_dir(args)  # made only once there is something to write
+    out = _out_dir(args)
     model = replace(result.model, bound=_bound_record(lap, args.graph_kind, estimate))
     _atomic_write(out / "filter.json", model.to_json() + "\n")
     _atomic_write(out / "history.csv", tr.history_to_csv(result.history))
@@ -433,7 +381,6 @@ def cmd_train(args) -> None:
 
 
 def cmd_gen(args) -> None:
-    out = _out_dir(args)
     if args.kind == "community":
         inst = tg.gen_community_task(n=args.n, intra_p=args.intra_p, inter_p=args.inter_p,
                                      seed_fraction=args.seed_fraction, noise=args.noise,
@@ -443,6 +390,7 @@ def cmd_gen(args) -> None:
                                          flip_magnitude=args.flip_magnitude, seed=args.seed)
     else:
         inst = tg.gen_chain_task(depth=args.depth, branching=args.branching, seed=args.seed)
+    out = _out_dir(args)
     tg.save_task(inst, out / "task.json")
     if inst.rulebase is not None:
         rl.save_rulebase(inst.rulebase, out / "rules.json")
@@ -451,7 +399,6 @@ def cmd_gen(args) -> None:
 
 
 def cmd_eval(args) -> None:
-    out = _out_dir(args)
     model, extra_inputs = _load_model(args)
     instances = [tg.load_task(p) for p in args.tasks]
     perturb = None
@@ -462,6 +409,7 @@ def cmd_eval(args) -> None:
     cfg = tg.EvalConfig(threshold=args.threshold, variant=args.variant,
                         latency_runs=args.latency_runs, perturb=perturb)
     report = tg.evaluate(model, instances, cfg)
+    out = _out_dir(args)
     _atomic_write(out / "eval.csv", report.csv_header() + "\n" + report.csv_row() + "\n")
     _write_manifest(out, "eval", args, list(args.tasks) + extra_inputs)
     print(f"eval model={report.model} accuracy={report.accuracy:.4f} "
@@ -469,7 +417,6 @@ def cmd_eval(args) -> None:
 
 
 def cmd_attribute(args) -> None:
-    out = _out_dir(args)
     lap = _load_operator(args)
     model, extra_inputs = _load_model(args)
     basis = gr.eigendecompose(lap)
@@ -491,13 +438,13 @@ def cmd_attribute(args) -> None:
     cells += [_fmt(v) for v in report.energies]
     cells += [_fmt(v) for v in report.fractions]
     cells.append(_fmt(cert.bound))
+    out = _out_dir(args)
     _atomic_write(out / "attribution.csv", ",".join(header) + "\n" + ",".join(cells) + "\n")
     _write_manifest(out, "attribute", args, [args.graph, args.beliefs] + extra_inputs)
     print(f"attribute bands={partition.n_bands} bound={_fmt(cert.bound)}")
 
 
 def cmd_perturb(args) -> None:
-    out = _out_dir(args)
     lap = _load_operator(args)
     basis = gr.eigendecompose(lap)
     x = _read_beliefs(args.beliefs)
@@ -506,6 +453,7 @@ def cmd_perturb(args) -> None:
                                           partition=partition, seed=args.seed)
     before = analysis.band_energy(basis, x, partition)
     after = analysis.band_energy(basis, np.asarray(perturbed, dtype=float), partition)
+    out = _out_dir(args)
     _atomic_write(out / "perturbed.txt", _beliefs_text(np.asarray(perturbed, dtype=float)))
     lines = ["band,clean_energy,perturbed_energy"]
     for b in range(partition.n_bands):
@@ -516,7 +464,6 @@ def cmd_perturb(args) -> None:
 
 
 def cmd_transfer(args) -> None:
-    out = _out_dir(args)
     profiles = []
     for graph_path, belief_path in ((args.source_graph, args.source_beliefs),
                                     (args.target_graph, args.target_beliefs)):
@@ -530,6 +477,7 @@ def cmd_transfer(args) -> None:
     lines = ["index,source,target"]
     for i, (a, b) in enumerate(zip(profiles[0], profiles[1])):
         lines.append(f"{i},{_fmt(a)},{_fmt(b)}")
+    out = _out_dir(args)
     _atomic_write(out / "profiles.csv", "\n".join(lines) + "\n")
     _atomic_write(out / "transfer.csv",
                   "points,profile_loss\n" + f"{args.points},{_fmt(loss)}\n")
@@ -539,7 +487,6 @@ def cmd_transfer(args) -> None:
 
 
 def cmd_bench(args) -> None:
-    out = _out_dir(args)
     rows = tg.timing_sweep(kind=args.sweep, base_edges=args.base_edges,
                            base_order=args.base_order, doublings=args.doublings,
                            runs=args.runs, seed=args.seed)
@@ -549,6 +496,7 @@ def cmd_bench(args) -> None:
         ratio = "" if previous is None else _fmt(median / previous)
         lines.append(f"{args.sweep},{order},{edges},{_fmt(median)},{ratio}")
         previous = median
+    out = _out_dir(args)
     _atomic_write(out / "bench.csv", "\n".join(lines) + "\n")
     _write_manifest(out, "bench", args, [])
     print(f"bench sweep={args.sweep} points={len(rows)}")
@@ -664,7 +612,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 1
-    except (ValueError, TypeError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, RuntimeError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

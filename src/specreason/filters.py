@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
+from ._schema import Default, read_json
 from .graph import Laplacian, ScaledLaplacian, SpectralBasis, belief_values
 
 ANALYTIC_KINDS = ("diffusion", "highpass", "gaussian_bandpass", "identity", "polynomial")
@@ -130,19 +130,10 @@ class BoundRecord(NamedTuple):
     degenerate: bool
     graph_sha256: str
 
-    @classmethod
-    def from_dict(cls, payload) -> "BoundRecord":
-        if not isinstance(payload, dict) or set(payload) != set(cls._fields):
-            raise ValueError("filter bound record must hold exactly the keys "
-                             + ", ".join(cls._fields))
-        record = cls(**payload)
-        if (not isinstance(record.method, str)
-                or type(record.iterations) is not int or record.iterations < 0
-                or not isinstance(record.converged, bool) or not isinstance(record.degenerate, bool)
-                or not isinstance(record.graph_sha256, str)
-                or not re.fullmatch(r"[0-9a-f]{64}", record.graph_sha256)):
-            raise ValueError(f"malformed filter bound record {payload!r}")
-        return record
+
+_FILTER = {"lambda_max": float, "theta": [float],
+           "bound": Default({"method": str, "iterations": int, "converged": bool,
+                             "degenerate": bool, "graph_sha256": str}, None)}
 
 
 @dataclass(frozen=True)
@@ -167,6 +158,10 @@ class ChebyshevFilter:
             raise ValueError("theta must be finite")
         if not np.isfinite(self.lambda_max) or self.lambda_max <= 0:
             raise ValueError(f"lambda_max must be positive, got {self.lambda_max}")
+        if self.bound is not None and (self.bound.iterations < 0 or not re.fullmatch(
+                r"[0-9a-f]{64}", self.bound.graph_sha256)):
+            raise ValueError(f"bound needs iterations >= 0 and a 64-hex-digit graph_sha256, got "
+                             f"{self.bound.iterations} and {self.bound.graph_sha256!r}")
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "lambda_max", float(self.lambda_max))
@@ -186,20 +181,11 @@ class ChebyshevFilter:
         return ('{"lambda_max": %s, "theta": [%s]%s}'
                 % (_format_float(self.lambda_max), coeffs, bound))
 
-    @classmethod
-    def from_json(cls, text: str) -> "ChebyshevFilter":
-        payload = json.loads(text)
-        if not isinstance(payload, dict) or not (
-                {"lambda_max", "theta"} <= set(payload) <= {"lambda_max", "theta", "bound"}):
-            raise ValueError("filter JSON must hold exactly the keys lambda_max and theta, "
-                             "and may hold bound")
-        return cls(theta=np.asarray(payload["theta"], dtype=float),
-                   lambda_max=float(payload["lambda_max"]),
-                   bound=BoundRecord.from_dict(payload["bound"]) if "bound" in payload else None)
-
 
 def load_filter(path) -> ChebyshevFilter:
-    return ChebyshevFilter.from_json(Path(path).read_text(encoding="utf-8"))
+    return read_json(path, _FILTER, lambda payload: ChebyshevFilter(
+        theta=payload["theta"], lambda_max=payload["lambda_max"],
+        bound=None if payload["bound"] is None else BoundRecord(**payload["bound"])))
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,7 @@ class Graph:
     kind: str
 
     def __init__(self, node_count: int, edges=(), kind: str = "unsigned", *, columns=None):
-        if not isinstance(node_count, int) or not 1 <= node_count <= _MAX_NODES:
+        if type(node_count) is not int or not 1 <= node_count <= _MAX_NODES:  # a bool is no count
             raise ValueError(f"node_count must be a positive integer, at most {_MAX_NODES}")
         if kind not in GRAPH_KINDS:
             raise ValueError(f"unknown graph kind {kind!r}")

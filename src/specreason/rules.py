@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import filters as ft
+from ._schema import Default, read_json
 from .graph import belief_values
 
 
@@ -183,13 +184,16 @@ def rulebase_to_json(rb: RuleBase) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def rulebase_from_json(text: str) -> RuleBase:
-    payload = json.loads(text)
-    if not isinstance(payload, dict) or "atoms" not in payload or "clauses" not in payload:
-        raise ValueError("rulebase JSON must hold atoms and clauses")
-    clauses = tuple(HornClause(body=frozenset(c["body"]), head=c["head"])
-                    for c in payload["clauses"])
-    return RuleBase(atoms=tuple(payload["atoms"]), clauses=clauses)
+CLAUSE = {"body": [str], "head": str}  # a Horn clause as rulebase and task JSON hold it
+_RULEBASE = {"atoms": [str], "clauses": [CLAUSE]}
+_TEMPLATE = {"name": str, "kind": str, "params": [float], "weight": Default(float, 1.0)}
+
+
+def rulebase_from_dict(payload: dict) -> RuleBase:
+    """The RuleBase of a checked rulebase document, or of a task's atoms and clauses."""
+    return RuleBase(atoms=tuple(payload["atoms"]),
+                    clauses=tuple(HornClause(body=frozenset(c["body"]), head=c["head"])
+                                  for c in payload["clauses"] or ()))
 
 
 def save_rulebase(rb: RuleBase, path) -> None:
@@ -197,36 +201,19 @@ def save_rulebase(rb: RuleBase, path) -> None:
 
 
 def load_rulebase(path) -> RuleBase:
-    try:
-        return rulebase_from_json(Path(path).read_text(encoding="utf-8"))
-    except KeyError as exc:
-        raise ValueError(f"{path}: clause is missing required key {exc.args[0]!r}") from None
-
-
-def template_to_dict(template: RuleTemplate) -> dict:
-    response = template.response
-    if not isinstance(response, ft.AnalyticResponse):
-        raise ValueError("only analytic responses serialize to template JSON")
-    return {"name": template.name, "kind": response.kind,
-            "params": list(response.params), "weight": template.weight}
-
-
-def template_from_dict(payload: dict) -> RuleTemplate:
-    response = ft.AnalyticResponse(kind=payload["kind"], params=tuple(payload["params"]))
-    return RuleTemplate(name=payload["name"], response=response,
-                        weight=float(payload.get("weight", 1.0)))
+    return read_json(path, _RULEBASE, rulebase_from_dict)
 
 
 def save_templates(ruleset: RuleSet, path) -> None:
-    payload = [template_to_dict(t) for t in ruleset.templates]
+    if not all(isinstance(t.response, ft.AnalyticResponse) for t in ruleset.templates):
+        raise ValueError("only analytic responses serialize to template JSON")
+    payload = [{"name": t.name, "kind": t.response.kind, "params": list(t.response.params),
+                "weight": t.weight} for t in ruleset.templates]
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_templates(path) -> RuleSet:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(payload, list):
-        raise ValueError("template JSON must be a list")
-    try:
-        return RuleSet(templates=tuple(template_from_dict(p) for p in payload))
-    except KeyError as exc:
-        raise ValueError(f"{path}: template is missing required key {exc.args[0]!r}") from None
+    return read_json(path, [_TEMPLATE], lambda payload: RuleSet(templates=tuple(
+        RuleTemplate(name=t["name"], weight=t["weight"],
+                     response=ft.AnalyticResponse(kind=t["kind"], params=tuple(t["params"])))
+        for t in payload)))

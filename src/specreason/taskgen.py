@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import filters as ft
+from ._schema import Default, Map, Nullable, read_json
 from .analysis import (
     PerturbConfig,
     band_energy,
@@ -31,7 +32,7 @@ from .graph import (
     estimate_lambda_max,
     scale_laplacian,
 )
-from .rules import HornClause, RuleBase, RuleSet, forward_chain
+from .rules import CLAUSE, HornClause, RuleBase, RuleSet, forward_chain, rulebase_from_dict
 from .training import MoSEModel, gated_filter, gating_features
 
 
@@ -104,31 +105,34 @@ class TaskInstance:
     labels: np.ndarray
     allowed_bands: tuple[int, ...] = ()
     rulebase: RuleBase | None = None
-    atom_map: tuple[str, ...] | None = None
     kind: str = ""
     seed: int = 0
     params: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
         beliefs = np.array(self.beliefs, dtype=float)
-        labels = np.array(self.labels, dtype=bool)
+        labels = np.array(self.labels)
         if beliefs.shape != (self.graph.node_count,) or labels.shape != beliefs.shape:
             raise ValueError("beliefs and labels must cover every node exactly once")
         bad = np.flatnonzero(~np.isfinite(beliefs))
         if bad.size:
             raise ValueError(f"belief of node {bad[0]} is not finite: {beliefs[bad[0]]}")
+        bad = np.flatnonzero((labels != 0) & (labels != 1))
+        if bad.size:
+            raise ValueError(f"labels[{bad[0]}] must be 0 or 1, got {labels[bad[0]]}")
+        labels = labels.astype(bool)
         beliefs.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "beliefs", beliefs)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "allowed_bands", tuple(int(b) for b in self.allowed_bands))
-        if self.atom_map is not None:
-            atom_map = tuple(self.atom_map)
-            if len(atom_map) != self.graph.node_count:
-                raise ValueError("atom map must name every node")
-            object.__setattr__(self, "atom_map", atom_map)
-        if (self.rulebase is None) != (self.atom_map is None):
-            raise ValueError("rulebase and atom map come together")
+        if self.rulebase is not None and len(self.rulebase.atoms) != self.graph.node_count:
+            raise ValueError("the rulebase must name one atom per node")
+
+    @property
+    def atom_map(self) -> tuple[str, ...] | None:
+        """Node i's atom is atom_map[i]: the rulebase's atoms, when there is a rulebase."""
+        return None if self.rulebase is None else self.rulebase.atoms
 
 
 def gen_community_task(n: int = 200, intra_p: float = 0.08, inter_p: float = 0.005,
@@ -245,7 +249,7 @@ def gen_chain_task(depth: int = 6, branching: int = 1, seed: int = 0) -> TaskIns
     x[root] = 1.0
     labels = np.ones(n, dtype=bool)
     return TaskInstance(graph=g, beliefs=x, labels=labels, allowed_bands=(0, 1),
-                        rulebase=rb, atom_map=atoms, kind="chain", seed=int(seed),
+                        rulebase=rb, kind="chain", seed=int(seed),
                         params=(("depth", float(depth)), ("branching", float(branching))))
 
 
@@ -267,31 +271,25 @@ def save_task(instance: TaskInstance, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+_TASK = {"kind": Default(str, ""), "seed": Default(int, 0), "params": Default(Map(float), {}),
+         # Graph checks the endpoints, in one vectorised pass
+         "graph": {"n": int, "edges": [(object, object, float)], "kind": Default(str, "unsigned")},
+         "beliefs": [float], "labels": [int], "allowed_bands": Default([int], []),
+         "atoms": Default(Nullable([str]), None), "clauses": Default(Nullable([CLAUSE]), None)}
+
+
 def load_task(path) -> TaskInstance:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
-        return _task_from_dict(payload)
-    except KeyError as exc:
-        raise ValueError(f"{path}: task is missing required key {exc.args[0]!r}") from None
+    return read_json(path, _TASK, _task_from_dict)
 
 
 def _task_from_dict(payload: dict) -> TaskInstance:
-    graph = Graph(node_count=int(payload["graph"]["n"]), edges=payload["graph"]["edges"],
-                  kind=payload["graph"].get("kind", "unsigned"))
-    rulebase = None
-    atom_map = None
-    if payload.get("atoms"):
-        atom_map = tuple(payload["atoms"])
-        clauses = tuple(HornClause(body=frozenset(c["body"]), head=c["head"])
-                        for c in payload["clauses"] or ())
-        rulebase = RuleBase(atoms=atom_map, clauses=clauses)
-    return TaskInstance(graph=graph,
-                        beliefs=np.asarray(payload["beliefs"], dtype=float),
-                        labels=np.asarray(payload["labels"], dtype=bool),
-                        allowed_bands=tuple(payload.get("allowed_bands", ())),
-                        rulebase=rulebase, atom_map=atom_map,
-                        kind=payload.get("kind", ""), seed=int(payload.get("seed", 0)),
-                        params=tuple((k, float(v)) for k, v in sorted(payload.get("params", {}).items())))
+    graph = payload["graph"]
+    rulebase = rulebase_from_dict(payload) if payload["atoms"] else None
+    return TaskInstance(graph=Graph(graph["n"], graph["edges"], graph["kind"]),
+                        beliefs=payload["beliefs"], labels=payload["labels"],
+                        allowed_bands=payload["allowed_bands"], rulebase=rulebase,
+                        kind=payload["kind"], seed=payload["seed"],
+                        params=tuple((k, float(v)) for k, v in sorted(payload["params"].items())))
 
 
 def ranking_auc(scores, labels) -> float:

@@ -179,9 +179,10 @@ class TestInfer:
 
     @pytest.mark.parametrize("rulebase, message", [
         ({"atoms": ["n0"], "clauses": []}, "rulebase names 1 atoms but the graph has 2 nodes"),
-        ([{"name": "a", "kind": "identity", "params": []}], "rulebase JSON must hold atoms"),
+        ([{"name": "a", "kind": "identity", "params": []}],
+         "rules.json: the document must be an object"),
         ({"atoms": ["n0", "n1"], "clauses": [{"head": "n1"}]},
-         "rules.json: clause is missing required key 'body'"),
+         "rules.json: clauses[0].body is missing"),
     ])
     def test_bad_rulebase_writes_nothing(self, workdir, capsys, rulebase, message):
         filt = self.fit_filter()
@@ -190,7 +191,7 @@ class TestInfer:
                    "--rulebase", "rules.json", "--out-dir", "out")
         assert code == 1
         assert message in capsys.readouterr().err
-        assert list((workdir / "out").iterdir()) == []
+        assert not (workdir / "out").exists()
 
     def test_non_finite_belief_names_its_line(self, workdir, capsys):
         filt = self.fit_filter()
@@ -218,7 +219,7 @@ class TestTrain:
         code = run("train", "--graph", "p2.txt", "--config", "train.json", "--out-dir", "out")
         assert code == 1
         err = capsys.readouterr().err
-        assert "error: train.json: teacher is missing required key 'kind'" in err
+        assert "error: train.json: teacher.kind is missing" in err
 
     def test_rule_consistency_weight_refused_before_out_dir(self, workdir, capsys):
         # the CLI gives no target spectrum, so a nonzero weight could never train
@@ -242,9 +243,10 @@ class TestTrain:
             assert (workdir / "out" / name).read_bytes() == (workdir / "plain" / name).read_bytes()
 
     @pytest.mark.parametrize("config, message", [
-        ({"order": 4, "epoch": 3}, "unknown key 'epoch'"),
-        ({"order": 4, "penalties": {"prof": 0.5}}, "unknown key penalties.prof"),
-        ({"order": 4, "teacher": {"kind": "diffusion", "tau": 2.0}}, "unknown key teacher.tau"),
+        ({"order": 4, "epoch": 3}, "epoch is an unknown key"),
+        ({"order": 4, "penalties": {"prof": 0.5}}, "penalties.prof is an unknown key"),
+        ({"order": 4, "teacher": {"kind": "diffusion", "tau": 2.0}},
+         "teacher.tau is an unknown key"),
         ({"order": 4, "loss": "logistic"}, "unknown loss 'logistic'"),
     ], ids=["top_level", "penalties", "teacher", "loss"])
     def test_config_key_train_does_not_read_refused(self, workdir, capsys, config, message):
@@ -276,10 +278,8 @@ class TestTrain:
          "clip_norm must be finite and positive, got nan"),
         ({"order": 4, "curriculum": [[1, 2]]}, "the first curriculum stage must start at epoch 0"),
         ({"order": 4, "curriculum": [[0, 3], [5, 1]]}, "curriculum stage orders must not decrease"),
-        ({"order": 4, "curriculum": [[0]]},
-         "curriculum must be a list of [start_epoch, max_order] pairs, got [[0]]"),
-        ({"order": 4, "curriculum": 5},
-         "curriculum must be a list of [start_epoch, max_order] pairs, got 5"),
+        ({"order": 4, "curriculum": [[0]]}, "curriculum[0] must be a list of 2 entries, got [0]"),
+        ({"order": 4, "curriculum": 5}, "curriculum must be a list or null, got 5"),
         ({"order": 4, "clip_norm": "abc"}, "clip_norm must be a number or null, got 'abc'"),
         ({"order": 4, "epochs": "ten"}, "epochs must be an integer, got 'ten'"),
         ({"order": 4.5}, "order must be an integer, got 4.5"),
@@ -376,7 +376,7 @@ class TestEval:
         (workdir / "t.json").write_text(json.dumps([{"name": "a", "kind": "diffusion"}]))
         code = run("eval", "--tasks", "task/task.json", "--rules", "t.json", "--out-dir", "out")
         assert code == 1
-        assert "error: t.json: template is missing required key 'params'" in capsys.readouterr().err
+        assert "error: t.json: [0].params is missing" in capsys.readouterr().err
 
     def test_task_without_beliefs_named(self, workdir, capsys):
         run("gen", "--kind", "chain", "--depth", "3", "--out-dir", "task")
@@ -385,7 +385,192 @@ class TestEval:
         (workdir / "task.json").write_text(json.dumps(payload))
         code = run("eval", "--tasks", "task.json", "--response", "identity", "--out-dir", "out")
         assert code == 1
-        assert "error: task.json: task is missing required key 'beliefs'" in capsys.readouterr().err
+        assert "error: task.json: beliefs is missing" in capsys.readouterr().err
+
+
+DELETE = object()
+TRUNCATED = object()
+
+
+def edited(path, *steps):
+    """The JSON document at path with each (keys, value) step applied: the value is set at
+    the keys, or the last key deleted when the value is DELETE."""
+    doc = json.loads(Path(path).read_text())
+    for keys, value in steps:
+        *inner, last = keys
+        target = doc
+        for key in inner:
+            target = target[key]
+        if value is DELETE:
+            del target[last]
+        else:
+            target[last] = value
+    return json.dumps(doc)
+
+# (what is edited: [(key path, new value)], or TRUNCATED; the refusal after "<file>: ")
+BAD_TASKS = [
+    ([(["graph", "n"], 4.7)], "graph.n must be an integer, got 4.7"),
+    ([(["graph", "n"], True)], "graph.n must be an integer, got True"),
+    ([(["graph", "n"], 4.0)], "graph.n must be an integer, got 4.0"),
+    ([(["graph", "edges", 1, 2], True)], "graph.edges[1][2] must be a number, got True"),
+    ([(["graph", "edges", 1, 2], "2")], "graph.edges[1][2] must be a number, got '2'"),
+    ([(["graph", "edges", 1], [0, 1])], "graph.edges[1] must be a list of 3 entries, got [0, 1]"),
+    ([(["graph", "m"], 3)], "graph.m is an unknown key; known: n, edges, kind"),
+    ([(["graph", "edges"], DELETE)], "graph.edges is missing"),
+    ([(["beliefs", 0], "1")], "beliefs[0] must be a number, got '1'"),
+    ([(["beliefs", 0], True)], "beliefs[0] must be a number, got True"),
+    ([(["beliefs", 0], 10 ** 400)], "int too large to convert to float"),
+    ([(["labels", 0], 2), (["labels", 1], 0.5), (["labels", 2], "x")],
+     "labels[1] must be an integer, got 0.5"),
+    ([(["labels", 0], 2)], "labels[0] must be 0 or 1, got 2"),
+    ([(["labels", 0], "x")], "labels[0] must be an integer, got 'x'"),
+    ([(["allowed_bands"], "01")], "allowed_bands must be a list, got '01'"),
+    ([(["seed"], "7")], "seed must be an integer, got '7'"),
+    ([(["seed"], 7.9)], "seed must be an integer, got 7.9"),
+    ([(["params", "depth"], "3")], "params.depth must be a number, got '3'"),
+    ([(["atoms"], "ab")], "atoms must be a list or null, got 'ab'"),
+    ([(["clauses", 0, "body"], "ab")], "clauses[0].body must be a list, got 'ab'"),
+    ([(["clauses", 0, "weight"], 1.0)], "clauses[0].weight is an unknown key; known: body, head"),
+    ([(["extra"], 1)], "extra is an unknown key; known: kind, seed, params, graph"),
+    (TRUNCATED, "Expecting ',' delimiter: line"),
+]
+BAD_FILTERS = [
+    ([(["lambda_max"], True)], "lambda_max must be a number, got True"),
+    ([(["theta", 0], "1")], "theta[0] must be a number, got '1'"),
+    ([(["lambda_max"], 10 ** 400)], "int too large to convert to float"),
+    ([(["theta"], "1")], "theta must be a list, got '1'"),
+    ([(["lambda_max"], DELETE)], "lambda_max is missing"),
+    ([(["extra"], 1)], "extra is an unknown key; known: lambda_max, theta, bound"),
+    ([(["bound"], None)], "bound must be an object, got None"),
+    ([(["bound", "iterations"], 6.0)], "bound.iterations must be an integer, got 6.0"),
+    ([(["bound", "converged"], 1)], "bound.converged must be a boolean, got 1"),
+    ([(["bound", "method"], DELETE)], "bound.method is missing"),
+    ([(["bound", "seed"], 0)], "bound.seed is an unknown key"),
+    ([(["bound", "graph_sha256"], "ab")], "bound needs iterations >= 0 and a 64-hex-digit"),
+    (TRUNCATED, "Expecting ',' delimiter: line"),
+]
+BAD_RULEBASES = [
+    ([(["atoms"], "ab")], "atoms must be a list, got 'ab'"),
+    ([(["atoms", 1], 1)], "atoms[1] must be a string, got 1"),
+    ([(["clauses", 0, "body"], "ab")], "clauses[0].body must be a list, got 'ab'"),
+    ([(["clauses", 0, "weight"], 1.0)], "clauses[0].weight is an unknown key; known: body, head"),
+    ([(["clauses", 0, "body"], DELETE)], "clauses[0].body is missing"),
+    ([(["extra"], 1)], "extra is an unknown key; known: atoms, clauses"),
+    ([(["clauses"], DELETE)], "clauses is missing"),
+    (TRUNCATED, "Expecting ',' delimiter: line"),
+]
+BAD_TEMPLATES = [
+    ([([0, "params"], "1")], "[0].params must be a list, got '1'"),
+    ([([0, "params"], [True])], "[0].params[0] must be a number, got True"),
+    ([([0, "weight"], "2")], "[0].weight must be a number, got '2'"),
+    ([([0, "name"], 5)], "[0].name must be a string, got 5"),
+    ([([0, "tau"], 2.0)], "[0].tau is an unknown key; known: name, kind, params, weight"),
+    ([([0, "params"], DELETE)], "[0].params is missing"),
+    (TRUNCATED, "Expecting ',' delimiter: line"),
+]
+BAD_CONFIGS = [
+    ([(["epochs"], "3")], "epochs must be an integer, got '3'"),
+    ([(["examples"], "1")], "examples must be an integer, got '1'"),
+    ([(["clip_norm"], True)], "clip_norm must be a number or null, got True"),
+    ([(["order"], True)], "order must be an integer, got True"),
+    ([(["order"], 4.0)], "order must be an integer, got 4.0"),
+    ([(["seed"], "7")], "seed must be an integer, got '7'"),
+    ([(["learning_rate"], "0.1")], "learning_rate must be a number, got '0.1'"),
+    ([(["learning_rate"], 10 ** 400)], "int too large to convert to float"),
+    ([(["penalties"], {"proof": True})], "penalties.proof must be a number, got True"),
+    ([(["penalties"], [])], "penalties must be an object, got []"),
+    ([(["curriculum"], [[0, 2.5]])], "curriculum[0][1] must be an integer, got 2.5"),
+    ([(["allowed_bands"], [True])], "allowed_bands[0] must be an integer, got True"),
+    ([(["teacher"], {"kind": "diffusion", "params": "1"})],
+     "teacher.params must be a list, got '1'"),
+    ([(["loss"], 5)], "loss must be a string, got 5"),
+    (TRUNCATED, "Expecting ',' delimiter: line"),
+]
+
+
+def bad_cases(cases):
+    return [pytest.param(steps, message, id="truncated" if steps is TRUNCATED else message)
+            for steps, message in cases]
+
+
+class TestStrictJson:
+    """Every JSON input is read one way: a wrong type, a missing or unknown key or a
+    syntax error exits 1 naming the file and the key path, and leaves no --out-dir."""
+
+    @pytest.fixture
+    def inputs(self, workdir):
+        assert run("fit", "--graph", "p2.txt", "--response", "identity", "--order", "2",
+                   "--out-dir", "fit") == 0
+        assert run("gen", "--kind", "chain", "--depth", "3", "--out-dir", "gen") == 0
+        (workdir / "rules.json").write_text(json.dumps(
+            {"atoms": ["n0", "n1"], "clauses": [{"body": ["n0"], "head": "n1"}]}))
+        (workdir / "t.json").write_text(json.dumps(
+            [{"name": "a", "kind": "diffusion", "params": [2.0]}]))
+        (workdir / "train.json").write_text(json.dumps({"order": 4, "epochs": 3}))
+        return {"task.json": "gen/task.json", "filter.json": "fit/filter.json",
+                "rules.json": "rules.json", "t.json": "t.json", "train.json": "train.json"}
+
+    def refuse(self, workdir, capsys, inputs, name, steps, message, *argv):
+        source = workdir / inputs[name]
+        text = (source.read_text().rstrip()[:-1] if steps is TRUNCATED
+                else edited(source, *steps))
+        # the unedited input is accepted, so the refusal below is the edit's
+        (workdir / name).write_text(source.read_text())
+        assert run(*argv, "--out-dir", "good") == 0
+        (workdir / name).write_text(text)
+        capsys.readouterr()
+        assert run(*argv, "--out-dir", "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}: {message}"), err
+        assert err.count("\n") == 1
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("steps, message", bad_cases(BAD_TASKS))
+    def test_task(self, workdir, capsys, inputs, steps, message):
+        self.refuse(workdir, capsys, inputs, "task.json", steps, message,
+                    "eval", "--tasks", "task.json", "--response", "identity",
+                    "--latency-runs", "1")
+
+    @pytest.mark.parametrize("steps, message", bad_cases(BAD_FILTERS))
+    def test_filter(self, workdir, capsys, inputs, steps, message):
+        self.refuse(workdir, capsys, inputs, "filter.json", steps, message,
+                    "infer", "--graph", "p2.txt", "--filter", "filter.json",
+                    "--beliefs", "beliefs.txt")
+
+    @pytest.mark.parametrize("steps, message", bad_cases(BAD_RULEBASES))
+    def test_rulebase(self, workdir, capsys, inputs, steps, message):
+        self.refuse(workdir, capsys, inputs, "rules.json", steps, message,
+                    "infer", "--graph", "p2.txt", "--filter", "fit/filter.json",
+                    "--beliefs", "beliefs.txt", "--rulebase", "rules.json")
+
+    @pytest.mark.parametrize("steps, message", bad_cases(BAD_TEMPLATES))
+    def test_templates(self, workdir, capsys, inputs, steps, message):
+        self.refuse(workdir, capsys, inputs, "t.json", steps, message,
+                    "eval", "--tasks", "gen/task.json", "--rules", "t.json", "--latency-runs", "1")
+
+    @pytest.mark.parametrize("steps, message", bad_cases(BAD_CONFIGS))
+    def test_train_config(self, workdir, capsys, inputs, steps, message):
+        self.refuse(workdir, capsys, inputs, "train.json", steps, message,
+                    "train", "--graph", "p2.txt", "--config", "train.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--graph", "missing.txt", "--response", "identity"],
+    ["infer", "--graph", "p2.txt", "--filter", "bad.json", "--beliefs", "beliefs.txt"],
+    ["eval", "--tasks", "bad.json", "--response", "identity"],
+    ["attribute", "--graph", "p2.txt", "--beliefs", "beliefs.txt", "--model-filter", "bad.json"],
+    ["perturb", "--graph", "p2.txt", "--beliefs", "bad.txt"],
+    ["transfer", "--source-graph", "p2.txt", "--source-beliefs", "beliefs.txt",
+     "--target-graph", "p2.txt", "--target-beliefs", "bad.txt"],
+    ["gen", "--kind", "community", "--n", "9"],
+    ["bench", "--runs", "2"],
+], ids=lambda argv: argv[0])
+def test_refused_run_leaves_no_out_dir(workdir, argv):
+    # --out-dir is made only once every input is read and checked
+    (workdir / "bad.json").write_text("{")
+    (workdir / "bad.txt").write_text("1.0\nx\n")
+    assert run(*argv, "--out-dir", "out") == 1
+    assert not (workdir / "out").exists()
 
 
 class TestArgErrors:
@@ -594,11 +779,13 @@ class TestCompiledOperator:
 
     @staticmethod
     def infer(capsys, filt, out, *extra):
-        """Exit code, stdout, stderr and every output file's bytes of one infer."""
+        """Exit code, stdout, stderr and every output file's bytes of one infer (None when
+        it made no --out-dir)."""
         code = run("infer", "--graph", "ring.txt", "--filter", filt,
                    "--beliefs", "ring_beliefs.txt", "--out-dir", out, *extra)
         captured = capsys.readouterr()
-        files = {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
+        files = ({p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
+                 if Path(out).exists() else None)
         return code, captured.out, captured.err, files
 
     def test_fit_and_train_store_the_operator(self, workdir, fitted):

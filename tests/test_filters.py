@@ -149,12 +149,13 @@ class TestFilterJson:
         f = ft.ChebyshevFilter(theta=np.array([1.0, -0.25]), lambda_max=2.0)
         assert f.to_json() == '{"lambda_max": 2, "theta": [1, -0.25]}'
 
-    def test_bound_record_round_trips(self):
+    def test_bound_record_round_trips(self, tmp_path):
         f = ft.ChebyshevFilter(theta=np.array([0.5, 0.1]), lambda_max=3.25, bound=BOUND)
         text = f.to_json()
         assert text.startswith(
             '{"lambda_max": 3.25, "theta": [0.5, 0.10000000000000001], "bound": {')
-        g = ft.ChebyshevFilter.from_json(text)
+        (tmp_path / "f.json").write_text(text, encoding="utf-8")
+        g = ft.load_filter(tmp_path / "f.json")
         assert g.bound == BOUND and g.lambda_max == f.lambda_max
         assert g.to_json() == text
 
@@ -168,9 +169,10 @@ class TestFilterJson:
         {"lambda_max": 2.0, "theta": [1.0], "bound": {**BOUND._asdict(), "converged": 1}},
         {"lambda_max": 2.0, "theta": [1.0], "bound": {**BOUND._asdict(), "graph_sha256": "ab"}},
     ])
-    def test_rejects_other_keys_and_malformed_bound(self, payload):
+    def test_rejects_other_keys_and_malformed_bound(self, tmp_path, payload):
+        (tmp_path / "f.json").write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValueError):
-            ft.ChebyshevFilter.from_json(json.dumps(payload))
+            ft.load_filter(tmp_path / "f.json")
 
 
 

@@ -109,6 +109,12 @@ class TestGraph:
         g = gr.Graph(3, [(np.int32(0), np.uint8(1), 1.0), (1, np.int64(2), 2.0)])
         assert g.edges == ((0, 1, 1.0), (1, 2, 2.0))
 
+    @pytest.mark.parametrize("count", [True, False, 2.0])
+    def test_rejects_a_node_count_that_is_not_an_int(self, count):
+        # a bool is an int to isinstance, but True is no count of one node
+        with pytest.raises(ValueError, match="node_count must be a positive integer"):
+            gr.Graph(count)
+
     def test_edge_arrays_sorted_and_read_only(self):
         g = gr.Graph(node_count=4, edges=((2, 0, 1.0), (3, 1, 2.0), (0, 1, 0.5)))
         assert g.rows.tolist() == [0, 0, 1] and g.cols.tolist() == [1, 2, 3]
