@@ -181,8 +181,9 @@ class TestInfer:
         ({"atoms": ["n0"], "clauses": []}, "rulebase names 1 atoms but the graph has 2 nodes"),
         ([{"name": "a", "kind": "identity", "params": []}],
          "rules.json: the document must be an object"),
-        ({"atoms": ["n0", "n1"], "clauses": [{"head": "n1"}]},
-         "rules.json: clauses[0].body is missing"),
+        pytest.param({"atoms": ["n0", "n1"], "clauses": [{"head": "n1"}]},
+                     "rules.json: clauses[0].body is missing",
+                     id="rulebase2-rules.json: clause is missing required key 'body'"),
     ])
     def test_bad_rulebase_writes_nothing(self, workdir, capsys, rulebase, message):
         filt = self.fit_filter()
