@@ -5,7 +5,8 @@ is 3.0 an int); object, any value, left to the type that reads it; [kind], a lis
 (kind, ...), a list of exactly those kinds; {key: kind}, an object with those keys only;
 Map(kind), an object of any keys; Nullable(kind), null or kind; and for a key
 Default(kind, value): a key left out reads as value, read through kind unless None, so
-that the defaults inside it fill in too.
+that the defaults inside it fill in too. An object that repeats a key is refused, at any
+level, naming the key.
 """
 
 import json
@@ -25,10 +26,20 @@ def read_json(path, schema, build):
     """build(document), the JSON at path once schema has checked it. Every ValueError names
     path, and the schema's the key too: "task.json: graph.n must be an integer, got 4.7"."""
     try:
-        return build(_read(json.loads(Path(path).read_text(encoding="utf-8")), schema, ""))
+        document = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique)
+        return build(_read(document, schema, ""))
     except (ValueError, OverflowError) as exc:  # OverflowError: an integer too big for a float
         exc.args = (f"{path}: {exc}",)  # the same error raised on: InvalidEdgeError keeps its index
         raise
+
+
+def _unique(pairs: list) -> dict:
+    """The object of pairs, refused when a key repeats: json.loads would keep its last value."""
+    value = dict(pairs)
+    if len(value) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"{next(key for key in value if keys.count(key) > 1)} is a repeated key")
+    return value
 
 
 def _read(value, kind, where: str):

@@ -1,10 +1,12 @@
 """Command line front end.
 
-Every subcommand reads plain-text inputs, writes its artifacts into
---out-dir with atomic replaces, and drops a manifest.json recording the
-arguments and SHA-256 digests of the inputs. Outputs are byte-identical
-across re-runs with the same inputs and seeds; wall-clock latency
-columns are the one documented exception.
+Every subcommand reads plain-text inputs and writes nothing: it returns its files
+(name to text, or to a function that writes bytes to an open binary file), its
+inputs (path to SHA-256 digest, or None) and a summary. main then makes --out-dir,
+so a refused run leaves none, replaces each file in it through a .tmp sibling,
+writes manifest.json (the arguments and input digests) last and prints the summary.
+Outputs are byte-identical across re-runs with the same inputs and seeds;
+wall-clock latency columns are the one documented exception.
 
 fit and train also write operator.npz beside filter.json: the Laplacian
 they built, for infer to load in place of parsing the same graph again.
@@ -34,10 +36,14 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path = Path(path)
+def _atomic_write(path: Path, content) -> None:
+    """path replaced by content: text, or a function that writes bytes to an open binary file."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "wb") as fh:
+        if callable(content):
+            content(fh)
+        else:
+            fh.write(content.encode("utf-8"))
     os.replace(tmp, path)
 
 
@@ -49,26 +55,17 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
-                    inputs: list, known: dict[str, str] | None = None) -> None:
-    """manifest.json; known maps an input path to the digest of its bytes already read."""
+def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: dict) -> None:
+    """manifest.json; inputs maps each input path to its digest, or to None to hash it now."""
     # out_dir stays out of the manifest so runs into different directories
     # compare byte-identical
     arguments = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out_dir")}
-    known = known or {}
     payload = {
-        "command": command,
+        "command": args.command,
         "arguments": arguments,
-        "inputs": {p: known.get(p) or _sha256(p) for p in sorted(str(q) for q in inputs)},
+        "inputs": {p: inputs[p] or _sha256(p) for p in sorted(inputs)},
     }
     _atomic_write(out_dir / "manifest.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _out_dir(args) -> Path:
-    """--out-dir, made once every input is read and checked: a refused run leaves none."""
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _read_beliefs(path) -> np.ndarray:
@@ -110,10 +107,6 @@ def _predicates_text(y: np.ndarray, predicates: rl.PredicateVector) -> str:
         cells[k::len(columns)] = column
     row = "%d,%.17g,%.17g,%d\n" if predicates.soft is not None else "%d,%.17g,,%d\n"
     return "node,belief,soft,hard\n" + row * y.size % tuple(cells)
-
-
-def _beliefs_text(values: np.ndarray) -> str:
-    return "\n".join(_fmt(v) for v in values) + "\n"
 
 
 def _add_response_args(parser: argparse.ArgumentParser) -> None:
@@ -168,21 +161,20 @@ _OPERATOR_ARRAYS = (("indptr", np.int64), ("indices", np.int64), ("data", np.flo
 _UNREADABLE = (OSError, EOFError, ValueError, TypeError, KeyError, zipfile.BadZipFile, zlib.error)
 
 
-def _write_operator(out: Path, lap: gr.Laplacian, source: str) -> None:
-    """operator.npz: lap's CSR arrays and source_sha256, the digest of the graph file.
+def _write_operator(file, lap: gr.Laplacian, source: str) -> None:
+    """operator.npz, streamed into the binary file: lap's CSR arrays and source_sha256,
+    the digest of the graph file.
 
     An uncompressed .npz, as np.savez writes one, except that every member carries
     a fixed timestamp, so the same operator always gives the same bytes.
     """
-    tmp = out / (_OPERATOR_FILE + ".tmp")
     members = (("indptr", lap.indptr), ("indices", lap.indices), ("data", lap.data),
                ("source_sha256", np.array(source)))
-    with zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED) as archive:
+    with zipfile.ZipFile(file, "w", zipfile.ZIP_STORED) as archive:
         for name, values in members:
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
             with archive.open(info, "w", force_zip64=True) as fh:
                 np.lib.format.write_array(fh, values, allow_pickle=False)
-    os.replace(tmp, out / _OPERATOR_FILE)
 
 
 def _compiled_operator(path: Path, source: str, variant: str) -> gr.Laplacian | None:
@@ -241,7 +233,7 @@ def _partition_for(basis: gr.SpectralBasis, bands: int) -> analysis.BandPartitio
     return analysis.BandPartition(edges=np.linspace(0.0, top, bands + 1))
 
 
-def cmd_fit(args) -> None:
+def cmd_fit(args) -> tuple[dict, dict, str]:
     raw, source = _read_graph(args.graph)
     lap = _load_operator(args, raw)
     estimate = _lambda_max(lap, args.seed)
@@ -249,15 +241,14 @@ def cmd_fit(args) -> None:
     fitted = ft.fit_chebyshev(response, args.order, estimate.value)
     error = ft.fit_grid_error(fitted, response)
     fitted = replace(fitted, bound=_bound_record(lap, args.graph_kind, estimate))
-    out = _out_dir(args)
-    _atomic_write(out / "filter.json", fitted.to_json() + "\n")
-    _write_operator(out, lap, source)
-    _write_manifest(out, "fit", args, [args.graph], {args.graph: source})
-    print(f"fit order={args.order} lambda_max={_fmt(estimate.value)} "
-          f"lambda_bound={estimate.method} grid_error={error:.3e}")
+    return ({"filter.json": fitted.to_json() + "\n",
+             _OPERATOR_FILE: lambda file: _write_operator(file, lap, source)},
+            {args.graph: source},
+            f"fit order={args.order} lambda_max={_fmt(estimate.value)} "
+            f"lambda_bound={estimate.method} grid_error={error:.3e}")
 
 
-def cmd_infer(args) -> None:
+def cmd_infer(args) -> tuple[dict, dict, str]:
     raw, source = _read_graph(args.graph)
     try:
         f = ft.load_filter(args.filter)
@@ -273,13 +264,13 @@ def cmd_infer(args) -> None:
         lap = _load_operator(args, raw)
         stored = _stored_estimate(f, lap, args.graph_kind)
     n = lap.node_count
-    inputs = [args.graph, args.filter, args.beliefs]
+    inputs = {args.graph: source, args.filter: None, args.beliefs: None}
     rb = None
     if args.rulebase:
         rb = rl.load_rulebase(args.rulebase)
         if len(rb.atoms) != n:
             raise ValueError(f"rulebase names {len(rb.atoms)} atoms but the graph has {n} nodes")
-        inputs.append(args.rulebase)
+        inputs[args.rulebase] = None
     x = _read_beliefs(args.beliefs)
     estimate = _lambda_max(lap, args.seed, stored)
     if abs(f.lambda_max - estimate.value) > 1e-6 * max(1.0, f.lambda_max):
@@ -290,23 +281,21 @@ def cmd_infer(args) -> None:
     y = ft.cheb_apply(f, lt, x)
     predicates = rl.project_predicates(y, threshold=args.threshold, mode=args.mode,
                                        temperature=args.temperature)
-    out = _out_dir(args)
-    _atomic_write(out / "predicates.csv", _predicates_text(y, predicates))
+    files = {"predicates.csv": _predicates_text(y, predicates)}
 
     if rb is not None:
         facts = {rb.atoms[i] for i in range(n) if predicates.hard[i]}
         closure = rl.forward_chain(rb, facts)
-        _atomic_write(out / "closure.txt", "\n".join(sorted(closure)) + "\n")
+        files["closure.txt"] = "\n".join(sorted(closure)) + "\n"
 
+    summary = ""
     if n <= gr.DENSE_CAP:
         basis = gr.eigendecompose(lap)
         if basis.lambda_max > 0:
             report = analysis.band_energy(basis, np.asarray(y, dtype=float),
                                           analysis.default_three_band(basis.lambda_max))
-            frac = ",".join(_fmt(v) for v in report.fractions)
-            print(f"band_fractions={frac}")
-    _write_manifest(out, "infer", args, inputs, {args.graph: source})
-    print(f"infer nodes={n} facts={int(predicates.hard.sum())}")
+            summary = "band_fractions=" + ",".join(_fmt(v) for v in report.fractions) + "\n"
+    return files, inputs, summary + f"infer nodes={n} facts={int(predicates.hard.sum())}"
 
 
 _TRAIN = {"order": Default(int, 8), "examples": Default(int, 8),
@@ -338,7 +327,7 @@ def _train_plan(config: dict) -> dict:
                                      epochs=config["epochs"], clip_norm=config["clip_norm"]))
 
 
-def cmd_train(args) -> None:
+def cmd_train(args) -> tuple[dict, dict, str]:
     plan = read_json(args.config, {**_TRAIN, "seed": Default(int, args.seed)}, _train_plan)
     order, seed, penalties = plan["order"], plan["seed"], plan["penalties"]
     args.seed = seed
@@ -370,17 +359,16 @@ def cmd_train(args) -> None:
     result = tr.train(student, lt, data, penalties, schedule=plan["curriculum"],
                       config=plan["train"], context=context, traces=traces)
 
-    out = _out_dir(args)
     model = replace(result.model, bound=_bound_record(lap, args.graph_kind, estimate))
-    _atomic_write(out / "filter.json", model.to_json() + "\n")
-    _atomic_write(out / "history.csv", tr.history_to_csv(result.history))
-    _write_operator(out, lap, source)
-    _write_manifest(out, "train", args, [args.graph, args.config], {args.graph: source})
     first, last = result.history[0][1], result.history[-1][1]
-    print(f"train epochs={len(result.history)} initial_loss={first:.6e} final_loss={last:.6e}")
+    return ({"filter.json": model.to_json() + "\n",
+             "history.csv": tr.history_to_csv(result.history),
+             _OPERATOR_FILE: lambda file: _write_operator(file, lap, source)},
+            {args.graph: source, args.config: None},
+            f"train epochs={len(result.history)} initial_loss={first:.6e} final_loss={last:.6e}")
 
 
-def cmd_gen(args) -> None:
+def cmd_gen(args) -> tuple[dict, dict, str]:
     if args.kind == "community":
         inst = tg.gen_community_task(n=args.n, intra_p=args.intra_p, inter_p=args.inter_p,
                                      seed_fraction=args.seed_fraction, noise=args.noise,
@@ -390,15 +378,14 @@ def cmd_gen(args) -> None:
                                          flip_magnitude=args.flip_magnitude, seed=args.seed)
     else:
         inst = tg.gen_chain_task(depth=args.depth, branching=args.branching, seed=args.seed)
-    out = _out_dir(args)
-    tg.save_task(inst, out / "task.json")
+    files = {"task.json": tg.task_to_json(inst)}
     if inst.rulebase is not None:
-        rl.save_rulebase(inst.rulebase, out / "rules.json")
-    _write_manifest(out, "gen", args, [])
-    print(f"gen kind={args.kind} nodes={inst.graph.node_count} edges={inst.graph.edge_count}")
+        files["rules.json"] = rl.rulebase_to_json(inst.rulebase)
+    return files, {}, (f"gen kind={args.kind} nodes={inst.graph.node_count} "
+                       f"edges={inst.graph.edge_count}")
 
 
-def cmd_eval(args) -> None:
+def cmd_eval(args) -> tuple[dict, dict, str]:
     model, extra_inputs = _load_model(args)
     instances = [tg.load_task(p) for p in args.tasks]
     perturb = None
@@ -409,14 +396,13 @@ def cmd_eval(args) -> None:
     cfg = tg.EvalConfig(threshold=args.threshold, variant=args.variant,
                         latency_runs=args.latency_runs, perturb=perturb)
     report = tg.evaluate(model, instances, cfg)
-    out = _out_dir(args)
-    _atomic_write(out / "eval.csv", report.csv_header() + "\n" + report.csv_row() + "\n")
-    _write_manifest(out, "eval", args, list(args.tasks) + extra_inputs)
-    print(f"eval model={report.model} accuracy={report.accuracy:.4f} "
-          f"agreement={report.proof_band_agreement:.4f}")
+    return ({"eval.csv": report.csv_header() + "\n" + report.csv_row() + "\n"},
+            dict.fromkeys(list(args.tasks) + extra_inputs),
+            f"eval model={report.model} accuracy={report.accuracy:.4f} "
+            f"agreement={report.proof_band_agreement:.4f}")
 
 
-def cmd_attribute(args) -> None:
+def cmd_attribute(args) -> tuple[dict, dict, str]:
     lap = _load_operator(args)
     model, extra_inputs = _load_model(args)
     basis = gr.eigendecompose(lap)
@@ -428,23 +414,18 @@ def cmd_attribute(args) -> None:
     cert = analysis.robustness_certificate(model, top)
 
     # one row per instance: partition edges, then energies, fractions, bound
-    header = ["instance"]
-    header += [f"edge{b}" for b in range(partition.n_bands + 1)]
-    header += [f"band{b}_energy" for b in range(partition.n_bands)]
-    header += [f"band{b}_fraction" for b in range(partition.n_bands)]
-    header.append("bound")
-    cells = ["0"]
-    cells += [_fmt(e) for e in partition.edges]
-    cells += [_fmt(v) for v in report.energies]
-    cells += [_fmt(v) for v in report.fractions]
-    cells.append(_fmt(cert.bound))
-    out = _out_dir(args)
-    _atomic_write(out / "attribution.csv", ",".join(header) + "\n" + ",".join(cells) + "\n")
-    _write_manifest(out, "attribute", args, [args.graph, args.beliefs] + extra_inputs)
-    print(f"attribute bands={partition.n_bands} bound={_fmt(cert.bound)}")
+    columns = [("instance", "0")]
+    columns += [(f"edge{b}", _fmt(e)) for b, e in enumerate(partition.edges)]
+    columns += [(f"band{b}_energy", _fmt(v)) for b, v in enumerate(report.energies)]
+    columns += [(f"band{b}_fraction", _fmt(v)) for b, v in enumerate(report.fractions)]
+    columns.append(("bound", _fmt(cert.bound)))
+    header, cells = zip(*columns)
+    return ({"attribution.csv": ",".join(header) + "\n" + ",".join(cells) + "\n"},
+            dict.fromkeys([args.graph, args.beliefs] + extra_inputs),
+            f"attribute bands={partition.n_bands} bound={_fmt(cert.bound)}")
 
 
-def cmd_perturb(args) -> None:
+def cmd_perturb(args) -> tuple[dict, dict, str]:
     lap = _load_operator(args)
     basis = gr.eigendecompose(lap)
     x = _read_beliefs(args.beliefs)
@@ -452,18 +433,17 @@ def cmd_perturb(args) -> None:
     perturbed = analysis.spectral_perturb(basis, x, args.band, args.magnitude,
                                           partition=partition, seed=args.seed)
     before = analysis.band_energy(basis, x, partition)
-    after = analysis.band_energy(basis, np.asarray(perturbed, dtype=float), partition)
-    out = _out_dir(args)
-    _atomic_write(out / "perturbed.txt", _beliefs_text(np.asarray(perturbed, dtype=float)))
+    after = analysis.band_energy(basis, perturbed, partition)
     lines = ["band,clean_energy,perturbed_energy"]
     for b in range(partition.n_bands):
         lines.append(f"{b},{_fmt(before.energies[b])},{_fmt(after.energies[b])}")
-    _atomic_write(out / "perturb.csv", "\n".join(lines) + "\n")
-    _write_manifest(out, "perturb", args, [args.graph, args.beliefs])
-    print(f"perturb band={args.band} magnitude={_fmt(args.magnitude)}")
+    return ({"perturbed.txt": "".join(f"{_fmt(v)}\n" for v in perturbed),
+             "perturb.csv": "\n".join(lines) + "\n"},
+            dict.fromkeys([args.graph, args.beliefs]),
+            f"perturb band={args.band} magnitude={_fmt(args.magnitude)}")
 
 
-def cmd_transfer(args) -> None:
+def cmd_transfer(args) -> tuple[dict, dict, str]:
     profiles = []
     for graph_path, belief_path in ((args.source_graph, args.source_beliefs),
                                     (args.target_graph, args.target_beliefs)):
@@ -477,16 +457,14 @@ def cmd_transfer(args) -> None:
     lines = ["index,source,target"]
     for i, (a, b) in enumerate(zip(profiles[0], profiles[1])):
         lines.append(f"{i},{_fmt(a)},{_fmt(b)}")
-    out = _out_dir(args)
-    _atomic_write(out / "profiles.csv", "\n".join(lines) + "\n")
-    _atomic_write(out / "transfer.csv",
-                  "points,profile_loss\n" + f"{args.points},{_fmt(loss)}\n")
-    _write_manifest(out, "transfer", args, [args.source_graph, args.source_beliefs,
-                                            args.target_graph, args.target_beliefs])
-    print(f"transfer points={args.points} loss={_fmt(loss)}")
+    return ({"profiles.csv": "\n".join(lines) + "\n",
+             "transfer.csv": "points,profile_loss\n" + f"{args.points},{_fmt(loss)}\n"},
+            dict.fromkeys([args.source_graph, args.source_beliefs,
+                           args.target_graph, args.target_beliefs]),
+            f"transfer points={args.points} loss={_fmt(loss)}")
 
 
-def cmd_bench(args) -> None:
+def cmd_bench(args) -> tuple[dict, dict, str]:
     rows = tg.timing_sweep(kind=args.sweep, base_edges=args.base_edges,
                            base_order=args.base_order, doublings=args.doublings,
                            runs=args.runs, seed=args.seed)
@@ -496,10 +474,8 @@ def cmd_bench(args) -> None:
         ratio = "" if previous is None else _fmt(median / previous)
         lines.append(f"{args.sweep},{order},{edges},{_fmt(median)},{ratio}")
         previous = median
-    out = _out_dir(args)
-    _atomic_write(out / "bench.csv", "\n".join(lines) + "\n")
-    _write_manifest(out, "bench", args, [])
-    print(f"bench sweep={args.sweep} points={len(rows)}")
+    return ({"bench.csv": "\n".join(lines) + "\n"}, {},
+            f"bench sweep={args.sweep} points={len(rows)}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -608,13 +584,19 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        files, inputs, summary = args.func(args)
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            _atomic_write(out / name, content)
+        _write_manifest(out, args, inputs)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 1
     except (ValueError, TypeError, RuntimeError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(summary)
     return 0
 
 

@@ -196,10 +196,6 @@ def rulebase_from_dict(payload: dict) -> RuleBase:
                                   for c in payload["clauses"] or ()))
 
 
-def save_rulebase(rb: RuleBase, path) -> None:
-    Path(path).write_text(rulebase_to_json(rb), encoding="utf-8")
-
-
 def load_rulebase(path) -> RuleBase:
     return read_json(path, _RULEBASE, rulebase_from_dict)
 

@@ -27,6 +27,7 @@ from .analysis import (
 )
 from .graph import (
     Graph,
+    InvalidEdgeError,
     build_laplacian,
     eigendecompose,
     estimate_lambda_max,
@@ -253,7 +254,7 @@ def gen_chain_task(depth: int = 6, branching: int = 1, seed: int = 0) -> TaskIns
                         params=(("depth", float(depth)), ("branching", float(branching))))
 
 
-def save_task(instance: TaskInstance, path) -> None:
+def task_to_json(instance: TaskInstance) -> str:
     payload = {
         "kind": instance.kind,
         "seed": instance.seed,
@@ -268,7 +269,11 @@ def save_task(instance: TaskInstance, path) -> None:
         "clauses": ([{"body": sorted(c.body), "head": c.head} for c in instance.rulebase.clauses]
                     if instance.rulebase else None),
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def save_task(instance: TaskInstance, path) -> None:
+    Path(path).write_text(task_to_json(instance), encoding="utf-8")
 
 
 _TASK = {"kind": Default(str, ""), "seed": Default(int, 0), "params": Default(Map(float), {}),
@@ -284,9 +289,13 @@ def load_task(path) -> TaskInstance:
 
 def _task_from_dict(payload: dict) -> TaskInstance:
     graph = payload["graph"]
+    try:
+        g = Graph(graph["n"], graph["edges"], graph["kind"])
+    except InvalidEdgeError as exc:  # the same error raised on, its index kept
+        exc.args = (f"graph.edges[{exc.index}]: {exc}",)
+        raise
     rulebase = rulebase_from_dict(payload) if payload["atoms"] else None
-    return TaskInstance(graph=Graph(graph["n"], graph["edges"], graph["kind"]),
-                        beliefs=payload["beliefs"], labels=payload["labels"],
+    return TaskInstance(graph=g, beliefs=payload["beliefs"], labels=payload["labels"],
                         allowed_bands=payload["allowed_bands"], rulebase=rulebase,
                         kind=payload["kind"], seed=payload["seed"],
                         params=tuple((k, float(v)) for k, v in sorted(payload["params"].items())))

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
 
@@ -391,6 +392,7 @@ class TestEval:
 
 DELETE = object()
 TRUNCATED = object()
+Raw = namedtuple("Raw", "old new")  # the input's text with its first old replaced by new
 
 
 def edited(path, *steps):
@@ -408,7 +410,8 @@ def edited(path, *steps):
             target[last] = value
     return json.dumps(doc)
 
-# (what is edited: [(key path, new value)], or TRUNCATED; the refusal after "<file>: ")
+# (what is edited: [(key path, new value)], a Raw text edit, or TRUNCATED; the refusal
+# after "<file>: ")
 BAD_TASKS = [
     ([(["graph", "n"], 4.7)], "graph.n must be an integer, got 4.7"),
     ([(["graph", "n"], True)], "graph.n must be an integer, got True"),
@@ -433,6 +436,7 @@ BAD_TASKS = [
     ([(["clauses", 0, "body"], "ab")], "clauses[0].body must be a list, got 'ab'"),
     ([(["clauses", 0, "weight"], 1.0)], "clauses[0].weight is an unknown key; known: body, head"),
     ([(["extra"], 1)], "extra is an unknown key; known: kind, seed, params, graph"),
+    (Raw('"graph": {', '"graph": {"n": 2, '), "n is a repeated key"),
     (TRUNCATED, "Expecting ',' delimiter: line"),
 ]
 BAD_FILTERS = [
@@ -448,6 +452,7 @@ BAD_FILTERS = [
     ([(["bound", "method"], DELETE)], "bound.method is missing"),
     ([(["bound", "seed"], 0)], "bound.seed is an unknown key"),
     ([(["bound", "graph_sha256"], "ab")], "bound needs iterations >= 0 and a 64-hex-digit"),
+    (Raw('"method": ', '"method": "gershgorin", "method": '), "method is a repeated key"),
     (TRUNCATED, "Expecting ',' delimiter: line"),
 ]
 BAD_RULEBASES = [
@@ -458,6 +463,7 @@ BAD_RULEBASES = [
     ([(["clauses", 0, "body"], DELETE)], "clauses[0].body is missing"),
     ([(["extra"], 1)], "extra is an unknown key; known: atoms, clauses"),
     ([(["clauses"], DELETE)], "clauses is missing"),
+    (Raw('"head": "n1"', '"head": "n0", "head": "n1"'), "head is a repeated key"),
     (TRUNCATED, "Expecting ',' delimiter: line"),
 ]
 BAD_TEMPLATES = [
@@ -467,6 +473,7 @@ BAD_TEMPLATES = [
     ([([0, "name"], 5)], "[0].name must be a string, got 5"),
     ([([0, "tau"], 2.0)], "[0].tau is an unknown key; known: name, kind, params, weight"),
     ([([0, "params"], DELETE)], "[0].params is missing"),
+    (Raw('"params": [2.0]', '"params": [2.0], "params": [1.0]'), "params is a repeated key"),
     (TRUNCATED, "Expecting ',' delimiter: line"),
 ]
 BAD_CONFIGS = [
@@ -485,6 +492,7 @@ BAD_CONFIGS = [
     ([(["teacher"], {"kind": "diffusion", "params": "1"})],
      "teacher.params must be a list, got '1'"),
     ([(["loss"], 5)], "loss must be a string, got 5"),
+    (Raw('"epochs": 3', '"epochs": 300, "epochs": 3'), "epochs is a repeated key"),
     (TRUNCATED, "Expecting ',' delimiter: line"),
 ]
 
@@ -494,27 +502,34 @@ def bad_cases(cases):
             for steps, message in cases]
 
 
-class TestStrictJson:
-    """Every JSON input is read one way: a wrong type, a missing or unknown key or a
-    syntax error exits 1 naming the file and the key path, and leaves no --out-dir."""
+@pytest.fixture
+def inputs(workdir):
+    """One accepted file of each JSON input, by the name its refusals give."""
+    assert run("fit", "--graph", "p2.txt", "--response", "identity", "--order", "2",
+               "--out-dir", "fit") == 0
+    assert run("gen", "--kind", "chain", "--depth", "3", "--out-dir", "gen") == 0
+    (workdir / "rules.json").write_text(json.dumps(
+        {"atoms": ["n0", "n1"], "clauses": [{"body": ["n0"], "head": "n1"}]}))
+    (workdir / "t.json").write_text(json.dumps(
+        [{"name": "a", "kind": "diffusion", "params": [2.0]}]))
+    (workdir / "train.json").write_text(json.dumps({"order": 4, "epochs": 3}))
+    return {"task.json": "gen/task.json", "filter.json": "fit/filter.json",
+            "rules.json": "rules.json", "t.json": "t.json", "train.json": "train.json"}
 
-    @pytest.fixture
-    def inputs(self, workdir):
-        assert run("fit", "--graph", "p2.txt", "--response", "identity", "--order", "2",
-                   "--out-dir", "fit") == 0
-        assert run("gen", "--kind", "chain", "--depth", "3", "--out-dir", "gen") == 0
-        (workdir / "rules.json").write_text(json.dumps(
-            {"atoms": ["n0", "n1"], "clauses": [{"body": ["n0"], "head": "n1"}]}))
-        (workdir / "t.json").write_text(json.dumps(
-            [{"name": "a", "kind": "diffusion", "params": [2.0]}]))
-        (workdir / "train.json").write_text(json.dumps({"order": 4, "epochs": 3}))
-        return {"task.json": "gen/task.json", "filter.json": "fit/filter.json",
-                "rules.json": "rules.json", "t.json": "t.json", "train.json": "train.json"}
+
+class TestStrictJson:
+    """Every JSON input is read one way: a wrong type, a missing, unknown or repeated key
+    or a syntax error exits 1 naming the file and the key path, and leaves no --out-dir."""
 
     def refuse(self, workdir, capsys, inputs, name, steps, message, *argv):
         source = workdir / inputs[name]
-        text = (source.read_text().rstrip()[:-1] if steps is TRUNCATED
-                else edited(source, *steps))
+        if steps is TRUNCATED:
+            text = source.read_text().rstrip()[:-1]
+        elif type(steps) is Raw:  # a repeated key, which no dict can hold
+            text = source.read_text().replace(*steps, 1)
+        else:
+            text = edited(source, *steps)
+        assert text != source.read_text()
         # the unedited input is accepted, so the refusal below is the edit's
         (workdir / name).write_text(source.read_text())
         assert run(*argv, "--out-dir", "good") == 0
@@ -572,6 +587,39 @@ def test_refused_run_leaves_no_out_dir(workdir, argv):
     (workdir / "bad.txt").write_text("1.0\nx\n")
     assert run(*argv, "--out-dir", "out") == 1
     assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--graph", "p2.txt", "--response", "identity", "--order", "2"],
+    ["infer", "--graph", "p2.txt", "--filter", "fit/filter.json", "--beliefs", "beliefs.txt",
+     "--rulebase", "rules.json"],
+    ["train", "--graph", "p2.txt", "--config", "train.json"],
+    ["gen", "--kind", "chain", "--depth", "3"],
+    ["eval", "--tasks", "gen/task.json", "--rules", "t.json", "--latency-runs", "1"],
+    ["attribute", "--graph", "p2.txt", "--beliefs", "beliefs.txt", "--response", "identity"],
+    ["perturb", "--graph", "p2.txt", "--beliefs", "beliefs.txt", "--band", "0"],
+    ["transfer", "--source-graph", "p2.txt", "--source-beliefs", "beliefs.txt",
+     "--target-graph", "p2.txt", "--target-beliefs", "beliefs.txt"],
+    ["bench", "--base-edges", "100", "--doublings", "1", "--runs", "3"],
+], ids=lambda argv: argv[0])
+def test_every_output_is_replaced_whole(workdir, inputs, monkeypatch, argv):
+    # a reader of --out-dir never meets a half-written file: each arrives by os.replace
+    # of a .tmp sibling written first
+    replaced = []
+    real_replace = os.replace
+
+    def recorded(src, dst):
+        replaced.append((Path(src).resolve(), Path(dst).resolve()))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recorded)
+    assert run(*argv, "--out-dir", "out") == 0
+    out = (workdir / "out").resolve()
+    files = sorted(out.iterdir())
+    assert "manifest.json" in [path.name for path in files]
+    assert sorted(replaced) == sorted((path.with_name(path.name + ".tmp"), path)
+                                      for path in files)
+    assert list(workdir.rglob("*.tmp")) == []
 
 
 class TestArgErrors:

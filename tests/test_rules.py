@@ -206,7 +206,7 @@ class TestRulebaseJson:
         rb = rl.RuleBase(atoms=("a", "b"),
                          clauses=(rl.HornClause(body=frozenset({"a"}), head="b"),))
         path = tmp_path / "rb.json"
-        rl.save_rulebase(rb, path)
+        path.write_text(rl.rulebase_to_json(rb), encoding="utf-8")
         back = rl.load_rulebase(path)
         assert back.atoms == rb.atoms and back.clauses == rb.clauses
 

@@ -106,7 +106,8 @@ class TestTaskInstance:
         for endpoint in (1.5, 1.0, True):
             payload["graph"]["edges"][2][1] = endpoint
             path.write_text(json.dumps(payload))
-            with pytest.raises(gr.InvalidEdgeError, match="non-integer endpoint") as err:
+            with pytest.raises(gr.InvalidEdgeError,
+                               match=r"graph\.edges\[2\]: non-integer endpoint") as err:
                 tg.load_task(path)
             assert err.value.index == 2
 
