@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import filters as ft
-from .graph import SpectralBasis, belief_values
+from .graph import SpectralBasis, belief_values, gft, lambda_max_value
 
 CERT_SLACK = 1.05
 _COVER_TOL = 1e-9
@@ -59,8 +59,7 @@ class BandPartition:
 
 def default_three_band(lambda_max: float) -> BandPartition:
     """Equal thirds of [0, lambda_max]: low, mid, high."""
-    if not np.isfinite(lambda_max) or lambda_max <= 0:
-        raise ValueError(f"lambda_max must be positive, got {lambda_max}")
+    lambda_max = lambda_max_value(lambda_max)
     return BandPartition(edges=np.array([0.0, lambda_max / 3.0, 2.0 * lambda_max / 3.0, lambda_max]))
 
 
@@ -90,12 +89,9 @@ def band_energy(basis: SpectralBasis, y, partition: BandPartition) -> BandReport
     overflows; the fractions come from the scaled energies, and an energy
     beyond the float range reads inf.
     """
-    values = belief_values(y)
-    if values.size != basis.node_count:
-        raise ValueError(f"belief length {values.size} does not match basis size {basis.node_count}")
+    yhat = gft(basis, y)
     if not partition.covers(basis.eigenvalues):
         raise ValueError("partition does not cover the spectrum")
-    yhat = basis.eigenvectors.T @ values
     bands = partition.band_of(basis.eigenvalues)
     exponent = int(np.frexp(np.max(np.abs(yhat), initial=0.0))[1])
     scaled = np.bincount(bands, weights=np.ldexp(yhat, -exponent) ** 2,
@@ -143,8 +139,7 @@ def robustness_certificate(response, lambda_max: float) -> RobustnessCertificate
     ||h(L) x - h(L) x'|| / ||x - x'|| for any PSD operator whose spectrum
     the range covers.
     """
-    if not np.isfinite(lambda_max) or lambda_max <= 0:
-        raise ValueError(f"lambda_max must be positive, got {lambda_max}")
+    lambda_max = lambda_max_value(lambda_max)
     sup = None
     if isinstance(response, ft.AnalyticResponse):
         if response.kind == "diffusion":
@@ -187,9 +182,7 @@ def spectral_perturb(basis: SpectralBasis, x, band: int, magnitude: float,
     """
     if magnitude < 0 or not np.isfinite(magnitude):
         raise ValueError(f"magnitude must be nonnegative, got {magnitude}")
-    values = belief_values(x)
-    if values.size != basis.node_count:
-        raise ValueError(f"belief length {values.size} does not match basis size {basis.node_count}")
+    values = belief_values(x, basis.node_count)
     part = partition if partition is not None else default_three_band(basis.lambda_max)
     if not 0 <= band < part.n_bands:
         raise ValueError(f"band {band} outside partition with {part.n_bands} bands")
@@ -213,10 +206,7 @@ def spectral_perturb(basis: SpectralBasis, x, band: int, magnitude: float,
 def cospectral_loss(a, b) -> float:
     """Squared distance between two spectral coefficient vectors."""
     va = belief_values(a)
-    vb = belief_values(b)
-    if va.size != vb.size:
-        raise ValueError(f"spectral vectors differ in length: {va.size} vs {vb.size}")
-    diff = va - vb
+    diff = va - belief_values(b, va.size)
     return float(diff @ diff)
 
 
@@ -228,9 +218,7 @@ def cospectral_profile(eigenvalues, coeffs, points: int = 64) -> np.ndarray:
     compared. A flat (zero) spectrum piles everything into bin zero.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    c = belief_values(coeffs)
-    if lam.size != c.size:
-        raise ValueError("eigenvalues and coefficients must align")
+    c = belief_values(coeffs, lam.size)
     if points < 2:
         raise ValueError("profile needs at least two points")
     profile = np.zeros(points)

@@ -208,22 +208,12 @@ def _lambda_max(lap: gr.Laplacian, seed: int,
     return estimate
 
 
-def _bound_record(lap: gr.Laplacian, kind: str,
-                  estimate: gr.LambdaMaxEstimate) -> ft.BoundRecord:
-    return ft.BoundRecord(method=estimate.method, iterations=estimate.iterations,
-                          converged=estimate.converged, degenerate=estimate.degenerate,
-                          graph_sha256=gr.graph_sha256(lap, kind, estimate.value))
-
-
 def _stored_estimate(f: ft.ChebyshevFilter, lap: gr.Laplacian,
                      kind: str) -> gr.LambdaMaxEstimate | None:
-    """The estimate f's lambda_max came from, if its record names this operator."""
-    record = f.bound
-    if record is None or record.graph_sha256 != gr.graph_sha256(lap, kind, f.lambda_max):
+    """f's bound, the estimate its lambda_max came from, if its fingerprint names this operator."""
+    if f.bound is None or f.graph_sha256 != gr.graph_sha256(lap, kind, f.lambda_max):
         return None
-    return gr.LambdaMaxEstimate(value=f.lambda_max, iterations=record.iterations,
-                                converged=record.converged, degenerate=record.degenerate,
-                                method=record.method)
+    return f.bound
 
 
 def _partition_for(basis: gr.SpectralBasis, bands: int) -> analysis.BandPartition:
@@ -240,7 +230,8 @@ def cmd_fit(args) -> tuple[dict, dict, str]:
     response = _response_from_args(args)
     fitted = ft.fit_chebyshev(response, args.order, estimate.value)
     error = ft.fit_grid_error(fitted, response)
-    fitted = replace(fitted, bound=_bound_record(lap, args.graph_kind, estimate))
+    fitted = replace(fitted, bound=estimate,
+                     graph_sha256=gr.graph_sha256(lap, args.graph_kind, estimate.value))
     return ({"filter.json": fitted.to_json() + "\n",
              _OPERATOR_FILE: lambda file: _write_operator(file, lap, source)},
             {args.graph: source},
@@ -359,7 +350,8 @@ def cmd_train(args) -> tuple[dict, dict, str]:
     result = tr.train(student, lt, data, penalties, schedule=plan["curriculum"],
                       config=plan["train"], context=context, traces=traces)
 
-    model = replace(result.model, bound=_bound_record(lap, args.graph_kind, estimate))
+    model = replace(result.model, bound=estimate,
+                    graph_sha256=gr.graph_sha256(lap, args.graph_kind, estimate.value))
     first, last = result.history[0][1], result.history[-1][1]
     return ({"filter.json": model.to_json() + "\n",
              "history.csv": tr.history_to_csv(result.history),
@@ -410,8 +402,7 @@ def cmd_attribute(args) -> tuple[dict, dict, str]:
     y = np.asarray(tg.as_response(model, basis, x), dtype=float)
     partition = _partition_for(basis, args.bands)
     report = analysis.band_energy(basis, y, partition)
-    top = basis.lambda_max if basis.lambda_max > 0 else 1.0
-    cert = analysis.robustness_certificate(model, top)
+    cert = analysis.robustness_certificate(model, partition.edges[-1])
 
     # one row per instance: partition edges, then energies, fractions, bound
     columns = [("instance", "0")]

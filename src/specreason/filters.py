@@ -12,14 +12,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
 from ._schema import Default, read_json
-from .graph import Laplacian, ScaledLaplacian, SpectralBasis, belief_values
+from .graph import (LambdaMaxEstimate, Laplacian, ScaledLaplacian, SpectralBasis, belief_values,
+                    gft, lambda_max_value)
 
 ANALYTIC_KINDS = ("diffusion", "highpass", "gaussian_bandpass", "identity", "polynomial")
 _LAMBDA_MATCH_RTOL = 1e-9
@@ -116,21 +116,6 @@ def _format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-class BoundRecord(NamedTuple):
-    """How a filter's lambda_max was bounded, and on which graph.
-
-    The first four fields are those of the LambdaMaxEstimate that gave the
-    bound; graph_sha256 is graph.graph_sha256 of the graph, variant and
-    lambda_max it was computed for.
-    """
-
-    method: str
-    iterations: int
-    converged: bool
-    degenerate: bool
-    graph_sha256: str
-
-
 _FILTER = {"lambda_max": float, "theta": [float],
            "bound": Default({"method": str, "iterations": int, "converged": bool,
                              "degenerate": bool, "graph_sha256": str}, None)}
@@ -142,13 +127,14 @@ class ChebyshevFilter:
 
     theta holds K + 1 coefficients for T_0 .. T_K; lambda_max is the
     spectral bound the rescaling was built against and must match the
-    operator the filter is applied to. bound, when present, records how
-    lambda_max was found and for which graph.
+    operator the filter is applied to. bound, when present, is the estimate
+    lambda_max came from, and graph_sha256 the fingerprint of its operator.
     """
 
     theta: np.ndarray
     lambda_max: float
-    bound: BoundRecord | None = None
+    bound: LambdaMaxEstimate | None = None
+    graph_sha256: str | None = None
 
     def __post_init__(self):
         theta = np.array(self.theta, dtype=float)
@@ -156,15 +142,14 @@ class ChebyshevFilter:
             raise ValueError("theta must hold at least one coefficient")
         if not np.all(np.isfinite(theta)):
             raise ValueError("theta must be finite")
-        if not np.isfinite(self.lambda_max) or self.lambda_max <= 0:
-            raise ValueError(f"lambda_max must be positive, got {self.lambda_max}")
+        lambda_max = lambda_max_value(self.lambda_max)
         if self.bound is not None and (self.bound.iterations < 0 or not re.fullmatch(
-                r"[0-9a-f]{64}", self.bound.graph_sha256)):
+                r"[0-9a-f]{64}", self.graph_sha256 or "")):
             raise ValueError(f"bound needs iterations >= 0 and a 64-hex-digit graph_sha256, got "
-                             f"{self.bound.iterations} and {self.bound.graph_sha256!r}")
+                             f"{self.bound.iterations} and {self.graph_sha256!r}")
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "lambda_max", float(self.lambda_max))
+        object.__setattr__(self, "lambda_max", lambda_max)
 
     @property
     def order(self) -> int:
@@ -177,15 +162,22 @@ class ChebyshevFilter:
 
     def to_json(self) -> str:
         coeffs = ", ".join(_format_float(t) for t in self.theta)
-        bound = "" if self.bound is None else ', "bound": ' + json.dumps(self.bound._asdict())
+        # the bound record's keys in the schema's order; graph_sha256 is the filter's own
+        bound = "" if self.bound is None else ', "bound": ' + json.dumps(
+            {key: getattr(self.bound, key, self.graph_sha256) for key in _FILTER["bound"].kind})
         return ('{"lambda_max": %s, "theta": [%s]%s}'
                 % (_format_float(self.lambda_max), coeffs, bound))
 
 
 def load_filter(path) -> ChebyshevFilter:
-    return read_json(path, _FILTER, lambda payload: ChebyshevFilter(
-        theta=payload["theta"], lambda_max=payload["lambda_max"],
-        bound=None if payload["bound"] is None else BoundRecord(**payload["bound"])))
+    return read_json(path, _FILTER, _filter_from_dict)
+
+
+def _filter_from_dict(payload: dict) -> ChebyshevFilter:
+    record, lambda_max = payload["bound"] or {}, payload["lambda_max"]
+    sha = record.pop("graph_sha256", None)
+    return ChebyshevFilter(theta=payload["theta"], lambda_max=lambda_max, graph_sha256=sha,
+                           bound=LambdaMaxEstimate(value=lambda_max, **record) if record else None)
 
 
 @dataclass(frozen=True)
@@ -211,8 +203,7 @@ def fit_chebyshev(response, order: int, lambda_max: float) -> ChebyshevFilter:
     on M = max(64, 4 (order + 1)) nodes."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if not np.isfinite(lambda_max) or lambda_max <= 0:
-        raise ValueError(f"lambda_max must be positive, got {lambda_max}")
+    lambda_max = lambda_max_value(lambda_max)
     nodes = max(64, 4 * (order + 1))
     angles = np.pi * (np.arange(nodes) + 0.5) / nodes
     z = np.cos(angles)
@@ -224,7 +215,7 @@ def fit_chebyshev(response, order: int, lambda_max: float) -> ChebyshevFilter:
     kernel = np.cos(np.outer(k, angles))
     theta = (2.0 / nodes) * (kernel @ f)
     theta[0] *= 0.5
-    return ChebyshevFilter(theta=theta, lambda_max=float(lambda_max))
+    return ChebyshevFilter(theta=theta, lambda_max=lambda_max)
 
 
 def fit_grid_error(f: ChebyshevFilter, response, lambda_max: float | None = None) -> float:
@@ -258,9 +249,7 @@ def cheb_apply(f: ChebyshevFilter, lt: ScaledLaplacian, x, keep_trace: bool = Fa
     if abs(f.lambda_max - lt.lambda_max) > _LAMBDA_MATCH_RTOL * max(1.0, abs(f.lambda_max)):
         raise ValueError(
             f"filter lambda_max {f.lambda_max!r} does not match operator {lt.lambda_max!r}")
-    values = belief_values(x)
-    if values.size != lt.node_count:
-        raise ValueError(f"belief length {values.size} does not match operator size {lt.node_count}")
+    values = belief_values(x, lt.node_count)
     rows = [values]
     if f.order >= 1:
         rows.append(lt @ values)
@@ -274,11 +263,8 @@ def cheb_apply(f: ChebyshevFilter, lt: ScaledLaplacian, x, keep_trace: bool = Fa
 
 def dense_filter_apply(basis: SpectralBasis, response, x):
     """Exact functional calculus U h(Lambda) U^T x. Reference path only."""
-    values = belief_values(x)
-    if values.size != basis.node_count:
-        raise ValueError(f"belief length {values.size} does not match basis size {basis.node_count}")
+    coeffs = gft(basis, x)
     h = response_eval(response, basis.eigenvalues)
-    coeffs = basis.eigenvectors.T @ values
     return basis.eigenvectors @ (h * coeffs)
 
 
@@ -293,10 +279,8 @@ def rational_apply(tau: float, lap: Laplacian, x, tol: float = 1e-10,
     """
     if not np.isfinite(tau) or tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    b = belief_values(x)
     n = lap.node_count
-    if b.size != n:
-        raise ValueError(f"belief length {b.size} does not match operator size {n}")
+    b = belief_values(x, n)
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return np.zeros(n)

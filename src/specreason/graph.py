@@ -269,12 +269,23 @@ class SpectralBasis:
         return float(self.eigenvalues[-1])
 
 
-def belief_values(x) -> np.ndarray:
-    """x as a one-dimensional float array."""
+def belief_values(x, size: int | None = None) -> np.ndarray:
+    """x as a one-dimensional float array, of ``size`` values when size is given: the
+    one check of a vector's length against the operator, basis or vector it meets."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ValueError("belief values must be one-dimensional")
+    if size is not None and arr.size != size:
+        raise ValueError(f"belief length {arr.size} does not match size {size}")
     return arr
+
+
+def lambda_max_value(lambda_max) -> float:
+    """lambda_max as a float, refused unless positive and finite: the one check of a
+    spectral bound before anything rescales by it."""
+    if not np.isfinite(lambda_max) or lambda_max <= 0:
+        raise ValueError(f"lambda_max must be positive and finite, got {lambda_max}")
+    return float(lambda_max)
 
 
 def loadtxt_ascii(text: str, **kwargs):
@@ -433,6 +444,8 @@ def graph_sha256(lap: Laplacian, kind: str, lambda_max: float) -> str:
 
 
 class LambdaMaxEstimate(NamedTuple):
+    """A lambda_max bound and how it was found: a fitted filter's ``bound``."""
+
     value: float
     iterations: int
     converged: bool
@@ -528,8 +541,7 @@ def scale_laplacian(lap: Laplacian, lambda_max: float) -> ScaledLaplacian:
     stored diagonal gains -1.0 at its sorted slot, and an entry that comes out
     exactly 0 is not stored.
     """
-    if not np.isfinite(lambda_max) or lambda_max <= 0:
-        raise ValueError(f"lambda_max must be positive and finite, got {lambda_max}")
+    lambda_max = lambda_max_value(lambda_max)
     n = lap.node_count
     rows, indices = lap.rows, lap.indices
     data = lap.data * (2.0 / lambda_max)
@@ -550,7 +562,7 @@ def scale_laplacian(lap: Laplacian, lambda_max: float) -> ScaledLaplacian:
         indices, data = indices[~zero], data[~zero]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return ScaledLaplacian(indptr, indices, data, float(lambda_max))
+    return ScaledLaplacian(indptr, indices, data, lambda_max)
 
 
 def _canonical_columns(eigenvalues: np.ndarray, eigenvectors: np.ndarray):
@@ -610,9 +622,6 @@ def eigendecompose(lap: Laplacian) -> SpectralBasis:
 def gft(basis: SpectralBasis, x) -> np.ndarray:
     """Graph Fourier transform U^T x: vertex values to spectral coefficients.
 
-    Preserves the Euclidean norm since U is orthonormal.
+    Preserves the Euclidean norm since U is orthonormal. The one place U^T x is formed.
     """
-    values = belief_values(x)
-    if values.size != basis.node_count:
-        raise ValueError(f"belief length {values.size} does not match basis size {basis.node_count}")
-    return basis.eigenvectors.T @ values
+    return basis.eigenvectors.T @ belief_values(x, basis.node_count)

@@ -43,15 +43,13 @@ def grad_scaled_laplacian(dLdy, theta, trace: ft.RecurrenceTrace,
     adjoints down and accumulating outer products; the result is
     symmetrized because the operator is constrained symmetric.
     """
-    g = belief_values(dLdy)
-    theta = np.asarray(theta, dtype=float)
     b = trace.basis_vectors
+    g = belief_values(dLdy, b.shape[1])
+    theta = np.asarray(theta, dtype=float)
     order = trace.order
     if theta.size != order + 1:
         raise ValueError("theta length does not match the trace")
     n = g.size
-    if b.shape[1] != n:
-        raise ValueError("gradient length does not match the trace")
     adj = [theta[k] * g for k in range(order + 1)]
     grad = np.zeros((n, n))
     for k in range(order, 1, -1):

@@ -16,8 +16,8 @@ def operator(g, variant="combinatorial"):
     return lap, gr.scale_laplacian(lap, est.value), est.value
 
 
-BOUND = ft.BoundRecord(method="lanczos", iterations=40, converged=True, degenerate=False,
-                       graph_sha256="0123456789abcdef" * 4)
+BOUND = {"method": "lanczos", "iterations": 40, "converged": True, "degenerate": False,
+         "graph_sha256": "0123456789abcdef" * 4}  # filter.json's bound record
 
 
 class TestAnalyticResponses:
@@ -150,24 +150,29 @@ class TestFilterJson:
         assert f.to_json() == '{"lambda_max": 2, "theta": [1, -0.25]}'
 
     def test_bound_record_round_trips(self, tmp_path):
-        f = ft.ChebyshevFilter(theta=np.array([0.5, 0.1]), lambda_max=3.25, bound=BOUND)
+        estimate = gr.LambdaMaxEstimate(value=3.25, iterations=40, converged=True,
+                                        degenerate=False, method="lanczos")
+        f = ft.ChebyshevFilter(theta=np.array([0.5, 0.1]), lambda_max=3.25, bound=estimate,
+                               graph_sha256=BOUND["graph_sha256"])
         text = f.to_json()
         assert text.startswith(
             '{"lambda_max": 3.25, "theta": [0.5, 0.10000000000000001], "bound": {')
+        assert list(json.loads(text)["bound"].items()) == list(BOUND.items())
         (tmp_path / "f.json").write_text(text, encoding="utf-8")
         g = ft.load_filter(tmp_path / "f.json")
-        assert g.bound == BOUND and g.lambda_max == f.lambda_max
+        assert g.bound == estimate and g.graph_sha256 == f.graph_sha256
+        assert g.lambda_max == f.lambda_max
         assert g.to_json() == text
 
     @pytest.mark.parametrize("payload", [
         {"lambda_max": 2.0, "theta": [1.0], "extra": 1},
         {"lambda_max": 2.0, "theta": [1.0], "bound": None},
-        {"lambda_max": 2.0, "theta": [1.0], "bound": {**BOUND._asdict(), "seed": 0}},
+        {"lambda_max": 2.0, "theta": [1.0], "bound": {**BOUND, "seed": 0}},
         {"lambda_max": 2.0, "theta": [1.0],
-         "bound": {k: v for k, v in BOUND._asdict().items() if k != "method"}},
-        {"lambda_max": 2.0, "theta": [1.0], "bound": {**BOUND._asdict(), "iterations": 6.0}},
-        {"lambda_max": 2.0, "theta": [1.0], "bound": {**BOUND._asdict(), "converged": 1}},
-        {"lambda_max": 2.0, "theta": [1.0], "bound": {**BOUND._asdict(), "graph_sha256": "ab"}},
+         "bound": {k: v for k, v in BOUND.items() if k != "method"}},
+        {"lambda_max": 2.0, "theta": [1.0], "bound": {**BOUND, "iterations": 6.0}},
+        {"lambda_max": 2.0, "theta": [1.0], "bound": {**BOUND, "converged": 1}},
+        {"lambda_max": 2.0, "theta": [1.0], "bound": {**BOUND, "graph_sha256": "ab"}},
     ])
     def test_rejects_other_keys_and_malformed_bound(self, tmp_path, payload):
         (tmp_path / "f.json").write_text(json.dumps(payload), encoding="utf-8")
