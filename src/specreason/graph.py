@@ -383,10 +383,11 @@ def build_laplacian(g: Graph, variant: str = "combinatorial") -> Laplacian:
     signed:        Dbar - A with dbar_i = sum_j |A_ij|, PSD for signed weights.
 
     The first two require nonnegative weights; signed accepts any sign. Assembled in
-    NumPy from the sorted edge arrays, with the bits scipy.sparse gives: each degree is
-    ``np.add.reduceat`` over its row of the adjacency, as ``csr_array.sum(axis=1)``
-    computes it, a normalized entry is (d_i^{-1/2} w) d_j^{-1/2}, and zero entries are
-    not stored.
+    NumPy from the sorted edge arrays: each degree is ``np.add.reduceat`` over its row of
+    the adjacency, as scipy's ``csr_array.sum(axis=1)`` computes it, and zero entries are
+    not stored. Each edge i < j gives one off-diagonal value, for normalized
+    -(d_i^{-1/2} w) d_j^{-1/2}, stored at (i, j) and (j, i), so every variant is exactly
+    symmetric and an entry that underflows to zero is dropped on both sides.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown Laplacian variant {variant!r}")
@@ -402,12 +403,10 @@ def build_laplacian(g: Graph, variant: str = "combinatorial") -> Laplacian:
         positive = degree > 0
         inv_sqrt = np.divide(1.0, np.sqrt(degree), out=np.zeros(n), where=positive)
         diagonal = np.where(positive, 1.0, 0.0)
-        # row i's entry is (s_i w) s_j, and row j's is (s_j w) s_i
-        off_left = -(inv_sqrt[g.cols] * g.weights * inv_sqrt[g.rows])
-        off_right = -(inv_sqrt[g.rows] * g.weights * inv_sqrt[g.cols])
+        off = -(inv_sqrt[g.rows] * g.weights * inv_sqrt[g.cols])
     else:
         diagonal = degree
-        off_left = off_right = -g.weights
+        off = -g.weights
     # each row gains a diagonal slot between its two parts, so entries shift by their row
     indptr += np.arange(n + 1)
     left += g.cols
@@ -417,7 +416,7 @@ def build_laplacian(g: Graph, variant: str = "combinatorial") -> Laplacian:
     indices = np.empty(indptr[-1], dtype=np.int64)
     data = np.empty(indptr[-1])
     indices[left], indices[right], indices[diag] = g.rows, g.cols, np.arange(n)
-    data[left], data[right], data[diag] = off_left, off_right, diagonal
+    data[left], data[right], data[diag] = off, off, diagonal
     stored = data != 0.0
     if not stored.all():
         rows = np.repeat(np.arange(n), np.diff(indptr))
