@@ -2,9 +2,10 @@
 
 Every subcommand reads plain-text inputs and writes nothing: it returns its files
 (name to text, or to a function that writes bytes to an open binary file), its
-inputs (path to SHA-256 digest, or None) and a summary. main then makes --out-dir,
-so a refused run leaves none, replaces each file in it through a .tmp sibling,
-writes manifest.json (the arguments and input digests) last and prints the summary.
+inputs (path to SHA-256 digest, or None) and a summary. main then hashes every input
+not yet hashed, makes --out-dir, so a refused run leaves none, replaces each file in
+it through a .tmp sibling, writes manifest.json (the arguments and input digests)
+last and prints the summary.
 Outputs are byte-identical across re-runs with the same inputs and seeds;
 wall-clock latency columns are the one documented exception.
 
@@ -37,14 +38,20 @@ def _fmt(value: float) -> str:
 
 
 def _atomic_write(path: Path, content) -> None:
-    """path replaced by content: text, or a function that writes bytes to an open binary file."""
+    """path replaced by content: text, or a function that writes bytes to an open binary file.
+    The .tmp sibling written first is removed when the write or the rename fails."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        if callable(content):
-            content(fh)
-        else:
-            fh.write(content.encode("utf-8"))
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")  # once open succeeds, the .tmp is this call's to remove
+    try:
+        with fh:
+            if callable(content):
+                content(fh)
+            else:
+                fh.write(content.encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _sha256(path) -> str:
@@ -56,14 +63,14 @@ def _sha256(path) -> str:
 
 
 def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: dict) -> None:
-    """manifest.json; inputs maps each input path to its digest, or to None to hash it now."""
+    """manifest.json; inputs maps each input path to its digest."""
     # out_dir stays out of the manifest so runs into different directories
     # compare byte-identical
     arguments = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out_dir")}
     payload = {
         "command": args.command,
         "arguments": arguments,
-        "inputs": {p: inputs[p] or _sha256(p) for p in sorted(inputs)},
+        "inputs": inputs,
     }
     _atomic_write(out_dir / "manifest.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -576,6 +583,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         files, inputs, summary = args.func(args)
+        # hashed before any write: an input that is also an output is recorded as it was read
+        inputs = {path: digest or _sha256(path) for path, digest in inputs.items()}
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for name, content in files.items():

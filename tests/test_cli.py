@@ -622,6 +622,35 @@ def test_every_output_is_replaced_whole(workdir, inputs, monkeypatch, argv):
     assert list(workdir.rglob("*.tmp")) == []
 
 
+def test_manifest_records_an_input_as_it_was_read(workdir):
+    # perturb reads out/perturbed.txt and then replaces it
+    (workdir / "out").mkdir()
+    (workdir / "out" / "perturbed.txt").write_text("1.0\n0.0\n")
+    assert run("perturb", "--graph", "p2.txt", "--beliefs", "out/perturbed.txt", "--band", "0",
+               "--out-dir", "out") == 0
+    assert (workdir / "out" / "perturbed.txt").read_text() != "1.0\n0.0\n"
+    manifest = json.loads((workdir / "out" / "manifest.json").read_text())
+    assert manifest["inputs"]["out/perturbed.txt"] == hashlib.sha256(b"1.0\n0.0\n").hexdigest()
+
+
+def failing_operator_write(file, *args):
+    file.write(b"PK")
+    raise OSError("no space left for operator.npz")
+
+
+@pytest.mark.parametrize("failure", ["rename", "write"])
+def test_a_failed_write_leaves_no_tmp(workdir, monkeypatch, capsys, failure):
+    if failure == "rename":
+        (workdir / "fitout" / "filter.json").mkdir(parents=True)
+    else:
+        monkeypatch.setattr(cli, "_write_operator", failing_operator_write)
+    assert run("fit", "--graph", "p2.txt", "--response", "identity", "--order", "2",
+               "--out-dir", "fitout") == 1
+    err = capsys.readouterr().err
+    assert ("Is a directory" if failure == "rename" else "no space left") in err
+    assert list(workdir.rglob("*.tmp")) == []
+
+
 class TestArgErrors:
     def test_unknown_command_exits_two(self, workdir):
         with pytest.raises(SystemExit) as exc:
