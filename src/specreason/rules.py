@@ -52,28 +52,19 @@ class RuleSet:
         return len(self.templates)
 
     def __call__(self, lam):
-        """The set's spectral response: its weighted mixture (see mixture_response) at lam."""
-        return mixture_response(self)(lam)
+        """The set's spectral response, the pointwise mixture sum_r w_r phi_r(lam).
 
-
-def mixture_response(ruleset: RuleSet):
-    """Pointwise mixture phi_*(lam) = sum_r w_r phi_r(lam) as a callable.
-
-    Aggregating templates on a basis equals filtering once with this
-    mixture, which is what makes rule sets fittable as one filter.
-    """
-    if not ruleset.templates:
-        raise ValueError("cannot form the mixture of an empty rule set")
-    templates = ruleset.templates
-
-    def mixture(lam):
+        Aggregating templates on a basis equals filtering once with this
+        mixture, which is what makes rule sets fittable as one filter. An
+        empty set has no mixture and is refused.
+        """
+        if not self.templates:
+            raise ValueError("cannot form the mixture of an empty rule set")
         lam = np.asarray(lam, dtype=float)
         acc = np.zeros_like(lam)
-        for t in templates:
+        for t in self.templates:
             acc = acc + t.weight * np.asarray(t.response(lam), dtype=float)
         return acc if acc.ndim else float(acc)
-
-    return mixture
 
 
 @dataclass(frozen=True)

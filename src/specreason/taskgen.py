@@ -352,7 +352,7 @@ def model_label(model) -> str:
 def as_response(model, basis, x):
     """Any model's response to beliefs x, filtered exactly through one eigenbasis.
 
-    Analytic responses, Chebyshev filters and rule sets (their mixture_response)
+    Analytic responses, Chebyshev filters and rule sets (their weighted mixture)
     are functions of the eigenvalues; an expert mixture filters with the experts
     pooled under the gate x opens; any other callable is called as model(basis, x).
     """

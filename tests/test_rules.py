@@ -39,7 +39,7 @@ class TestTemplates:
         rs = rl.RuleSet(templates=(
             rl.RuleTemplate(name="a", response=ft.diffusion(1.0), weight=0.0),))
         grid = [0.0, 1.0, 2.0]
-        assert ft.response_eval(rl.mixture_response(rs), grid).tolist() == [0.0, 0.0, 0.0]
+        assert ft.response_eval(rs, grid).tolist() == [0.0, 0.0, 0.0]
 
     def test_names_must_be_unique(self):
         t = rl.RuleTemplate(name="r", response=ft.identity(), weight=1.0)
@@ -48,11 +48,10 @@ class TestTemplates:
 
     def test_mixture_is_weighted_sum(self):
         rs = two_rules()
-        mix = rl.mixture_response(rs)
         grid = np.linspace(0.0, 2.0, 7)
         expected = (0.6 * ft.response_eval(ft.diffusion(1.0), grid)
                     + 0.4 * ft.response_eval(ft.highpass(1.0), grid))
-        assert np.allclose(ft.response_eval(mix, grid), expected, atol=1e-14)
+        assert np.allclose(ft.response_eval(rs, grid), expected, atol=1e-14)
 
     def test_template_json_round_trip(self, tmp_path):
         rs = two_rules()
@@ -61,8 +60,7 @@ class TestTemplates:
         back = rl.load_templates(path)
         assert back == rs
         grid = np.linspace(0.0, 2.0, 5)
-        assert np.array_equal(ft.response_eval(rl.mixture_response(back), grid),
-                              ft.response_eval(rl.mixture_response(rs), grid))
+        assert np.array_equal(ft.response_eval(back, grid), ft.response_eval(rs, grid))
 
 
 class TestApplyRules:
@@ -92,8 +90,16 @@ class TestApplyRules:
     def test_rule_set_is_its_mixture_response(self):
         rs = two_rules()
         grid = np.linspace(0.0, 4.0, 9)
-        assert np.array_equal(ft.response_eval(rs, grid),
-                              ft.response_eval(rl.mixture_response(rs), grid))
+        # the weighted sum, accumulated in template order from zero: the same bits
+        expected = np.zeros_like(grid)
+        for t in rs.templates:
+            expected = expected + t.weight * ft.response_eval(t.response, grid)
+        assert np.array_equal(ft.response_eval(rs, grid), expected)
+        assert rs(1.5) == expected[3]
+
+    def test_empty_rule_set_refused(self):
+        with pytest.raises(ValueError, match="empty rule set"):
+            rl.RuleSet()(np.linspace(0.0, 1.0, 3))
 
 
 class TestProjectPredicates:
