@@ -259,13 +259,18 @@ class TestLoadGraph:
             g = random_gnm(edges // 2, edges, seed=5)
             rows = "\n".join(f"{i} {j} 1" for i, j in zip(g.rows.tolist(), g.cols.tolist()))
             paths[edges] = write_edges(tmp_path, f"{g.node_count} {edges}\n{rows}\n", f"g{edges}.txt")
-        best = dict.fromkeys(paths, float("inf"))
-        for _ in range(15):  # interleaved, so a slow spell of the host hits both sizes
-            for edges, path in paths.items():
+        # the median over back-to-back pairs: a slow spell of the host slows both runs of a
+        # pair, and a pair it splits is an outlier the median drops; the best time of each
+        # size alone spread 1.7-2.2 under a competing memory-bound process, this 1.9-2.0
+        ratios = []
+        for _ in range(21):
+            taken = []
+            for path in paths.values():
                 start = time.perf_counter()
                 gr.build_laplacian(gr.load_graph(path))
-                best[edges] = min(best[edges], time.perf_counter() - start)
-        ratio = best[100_000] / best[50_000]
+                taken.append(time.perf_counter() - start)
+            ratios.append(taken[1] / taken[0])
+        ratio = float(np.median(ratios))
         assert ratio <= 2.5, f"doubling the edges multiplied ingest time by {ratio:.2f}"
 
 
