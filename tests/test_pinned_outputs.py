@@ -66,6 +66,68 @@ def test_attribution_csv_pinned_with_rules(inputs):
     assert digest((inputs / "out" / "attribution.csv").read_text()) == "0f9aaec8f31ebbe3"
 
 
+def digests(out_dir, names) -> dict:
+    return {name: digest((out_dir / name).read_text()) for name in names}
+
+
+@pytest.fixture
+def fitted(inputs):
+    argv = ["fit", "--graph", "graph.txt", "--response", "diffusion", "--tau", "1.5",
+            "--order", "6", "--out-dir", "fit"]
+    assert cli.main(argv) == 0
+    return inputs
+
+
+def test_fit_filter_pinned(fitted):
+    assert digests(fitted / "fit", ["filter.json"]) == {"filter.json": "1228d91df13fd54c"}
+
+
+@pytest.mark.parametrize("mode_args, expected", [
+    ([], {"predicates.csv": "ee746ce5c53f5465", "closure.txt": "b491a88855e70036"}),
+    (["--mode", "soft", "--temperature", "2"],
+     {"predicates.csv": "b5474528dfb5d8a6", "closure.txt": "b491a88855e70036"}),
+])
+def test_infer_outputs_pinned(fitted, mode_args, expected):
+    atoms = tuple(f"a{i}" for i in range(12))
+    clauses = tuple(rl.HornClause(body={atoms[i]}, head=atoms[i + 1]) for i in range(0, 11, 2))
+    (fitted / "rules.json").write_text(rl.rulebase_to_json(rl.RuleBase(atoms, clauses)))
+    argv = ["infer", "--graph", "graph.txt", "--filter", "fit/filter.json", "--beliefs",
+            "beliefs.txt", "--rulebase", "rules.json", *mode_args, "--out-dir", "out"]
+    assert cli.main(argv) == 0
+    assert digests(fitted / "out", expected) == expected
+
+
+def test_cli_train_history_pinned(inputs):
+    (inputs / "train.json").write_text(
+        '{"order": 5, "epochs": 15, "examples": 3, "curriculum": [[0, 2], [8, 5]],'
+        ' "penalties": {"proof": 0.2, "transfer": 0.1}}')
+    argv = ["train", "--graph", "graph.txt", "--config", "train.json", "--out-dir", "out"]
+    assert cli.main(argv) == 0
+    assert digests(inputs / "out", ["history.csv"]) == {"history.csv": "5215e09765a862d9"}
+
+
+def test_perturb_outputs_pinned(inputs):
+    argv = ["perturb", "--graph", "graph.txt", "--beliefs", "beliefs.txt", "--band", "1",
+            "--magnitude", "0.5", "--seed", "4", "--out-dir", "out"]
+    assert cli.main(argv) == 0
+    assert digests(inputs / "out", ["perturb.csv", "perturbed.txt"]) == {
+        "perturb.csv": "209ad10945553b88", "perturbed.txt": "c3a92cfd8ca6148b"}
+
+
+def test_transfer_outputs_pinned(inputs):
+    g = tg.random_gnm(15, 30, seed=1)
+    lines = [f"{g.node_count} {g.edge_count}"] + [f"{i} {j} {w}" for i, j, w in g.edges]
+    (inputs / "target.txt").write_text("\n".join(lines) + "\n")
+    beliefs = np.random.default_rng(5).standard_normal(15)
+    (inputs / "target_beliefs.txt").write_text("\n".join(f"{v}" for v in beliefs) + "\n")
+    argv = ["transfer", "--source-graph", "graph.txt", "--source-beliefs", "beliefs.txt",
+            "--target-graph", "target.txt", "--target-beliefs", "target_beliefs.txt",
+            "--points", "16", "--out-dir", "out"]
+    assert cli.main(argv) == 0
+    assert digests(inputs / "out", ["profiles.csv", "transfer.csv"]) == {
+        "profiles.csv": "8ff68df1c6c6174d", "transfer.csv": "10adde22a60d7135"}
+
+
 def penalised_problem():
     lap = gr.build_laplacian(tg.random_gnm(30, 70, seed=2))
     lambda_max = gr.estimate_lambda_max(lap).value
