@@ -60,7 +60,8 @@ class BandPartition:
 def default_three_band(lambda_max: float) -> BandPartition:
     """Equal thirds of [0, lambda_max]: low, mid, high."""
     lambda_max = lambda_max_value(lambda_max)
-    return BandPartition(edges=np.array([0.0, lambda_max / 3.0, 2.0 * lambda_max / 3.0, lambda_max]))
+    third = lambda_max / 3.0  # 2 * third is 2 lambda_max / 3 to the bit, and stays finite
+    return BandPartition(edges=np.array([0.0, third, 2.0 * third, lambda_max]))
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,6 @@ from . import analysis, filters as ft, graph as gr, rules as rl, taskgen as tg, 
 from ._schema import Default, Nullable, read_json
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _atomic_write(path: Path, content) -> None:
     """path replaced by content: text, or a function that writes bytes to an open binary file.
     The .tmp sibling written first is removed when the write or the rename fails."""
@@ -104,7 +100,7 @@ def _belief_lines(path, text: str) -> np.ndarray:
 
 
 def _predicates_text(y: np.ndarray, predicates: rl.PredicateVector) -> str:
-    """predicates.csv: one %-format over the columns interleaved, row by row."""
+    """predicates.csv as gr.csv_text writes it, in one %-format over the interleaved columns."""
     columns = [range(y.size), y.tolist()]
     if predicates.soft is not None:
         columns.append(predicates.soft.tolist())
@@ -112,7 +108,8 @@ def _predicates_text(y: np.ndarray, predicates: rl.PredicateVector) -> str:
     cells = [None] * (len(columns) * y.size)
     for k, column in enumerate(columns):
         cells[k::len(columns)] = column
-    row = "%d,%.17g,%.17g,%d\n" if predicates.soft is not None else "%d,%.17g,,%d\n"
+    soft = gr.FLOAT_FORMAT if predicates.soft is not None else ""
+    row = f"%d,{gr.FLOAT_FORMAT},{soft},%d\n"
     return "node,belief,soft,hard\n" + row * y.size % tuple(cells)
 
 
@@ -211,7 +208,8 @@ def _lambda_max(lap: gr.Laplacian, seed: int,
     estimate = stored if stored is not None else gr.estimate_lambda_max(lap, seed=seed)
     if not estimate.converged:
         print(f"warning: lambda_max did not converge in {estimate.iterations} Lanczos steps; "
-              f"using the {estimate.method} bound {_fmt(estimate.value)}", file=sys.stderr)
+              f"using the {estimate.method} bound {gr.float_text(estimate.value)}",
+              file=sys.stderr)
     return estimate
 
 
@@ -242,7 +240,7 @@ def cmd_fit(args) -> tuple[dict, dict, str]:
     return ({"filter.json": fitted.to_json() + "\n",
              _OPERATOR_FILE: lambda file: _write_operator(file, lap, source)},
             {args.graph: source},
-            f"fit order={args.order} lambda_max={_fmt(estimate.value)} "
+            f"fit order={args.order} lambda_max={gr.float_text(estimate.value)} "
             f"lambda_bound={estimate.method} grid_error={error:.3e}")
 
 
@@ -292,7 +290,7 @@ def cmd_infer(args) -> tuple[dict, dict, str]:
         if basis.lambda_max > 0:
             report = analysis.band_energy(basis, np.asarray(y, dtype=float),
                                           analysis.default_three_band(basis.lambda_max))
-            summary = "band_fractions=" + ",".join(_fmt(v) for v in report.fractions) + "\n"
+            summary = "band_fractions=" + ",".join(map(gr.float_text, report.fractions)) + "\n"
     return files, inputs, summary + f"infer nodes={n} facts={int(predicates.hard.sum())}"
 
 
@@ -395,7 +393,7 @@ def cmd_eval(args) -> tuple[dict, dict, str]:
     cfg = tg.EvalConfig(threshold=args.threshold, variant=args.variant,
                         latency_runs=args.latency_runs, perturb=perturb)
     report = tg.evaluate(model, instances, cfg)
-    return ({"eval.csv": report.csv_header() + "\n" + report.csv_row() + "\n"},
+    return ({"eval.csv": report.to_csv()},
             dict.fromkeys(list(args.tasks) + extra_inputs),
             f"eval model={report.model} accuracy={report.accuracy:.4f} "
             f"agreement={report.proof_band_agreement:.4f}")
@@ -412,15 +410,13 @@ def cmd_attribute(args) -> tuple[dict, dict, str]:
     cert = analysis.robustness_certificate(model, partition.edges[-1])
 
     # one row per instance: partition edges, then energies, fractions, bound
-    columns = [("instance", "0")]
-    columns += [(f"edge{b}", _fmt(e)) for b, e in enumerate(partition.edges)]
-    columns += [(f"band{b}_energy", _fmt(v)) for b, v in enumerate(report.energies)]
-    columns += [(f"band{b}_fraction", _fmt(v)) for b, v in enumerate(report.fractions)]
-    columns.append(("bound", _fmt(cert.bound)))
-    header, cells = zip(*columns)
-    return ({"attribution.csv": ",".join(header) + "\n" + ",".join(cells) + "\n"},
+    edges, bands = range(partition.edges.size), range(partition.n_bands)
+    header = ["instance", *(f"edge{b}" for b in edges), *(f"band{b}_energy" for b in bands),
+              *(f"band{b}_fraction" for b in bands), "bound"]
+    row = (0, *partition.edges, *report.energies, *report.fractions, cert.bound)
+    return ({"attribution.csv": gr.csv_text(header, [row])},
             dict.fromkeys([args.graph, args.beliefs] + extra_inputs),
-            f"attribute bands={partition.n_bands} bound={_fmt(cert.bound)}")
+            f"attribute bands={partition.n_bands} bound={gr.float_text(cert.bound)}")
 
 
 def cmd_perturb(args) -> tuple[dict, dict, str]:
@@ -432,13 +428,11 @@ def cmd_perturb(args) -> tuple[dict, dict, str]:
                                           partition=partition, seed=args.seed)
     before = analysis.band_energy(basis, x, partition)
     after = analysis.band_energy(basis, perturbed, partition)
-    lines = ["band,clean_energy,perturbed_energy"]
-    for b in range(partition.n_bands):
-        lines.append(f"{b},{_fmt(before.energies[b])},{_fmt(after.energies[b])}")
-    return ({"perturbed.txt": "".join(f"{_fmt(v)}\n" for v in perturbed),
-             "perturb.csv": "\n".join(lines) + "\n"},
+    rows = zip(range(partition.n_bands), before.energies, after.energies)
+    return ({"perturbed.txt": "".join(gr.float_text(v) + "\n" for v in perturbed),
+             "perturb.csv": gr.csv_text(("band", "clean_energy", "perturbed_energy"), rows)},
             dict.fromkeys([args.graph, args.beliefs]),
-            f"perturb band={args.band} magnitude={_fmt(args.magnitude)}")
+            f"perturb band={args.band} magnitude={gr.float_text(args.magnitude)}")
 
 
 def cmd_transfer(args) -> tuple[dict, dict, str]:
@@ -452,27 +446,24 @@ def cmd_transfer(args) -> tuple[dict, dict, str]:
         xhat = np.asarray(gr.gft(basis, x), dtype=float)
         profiles.append(analysis.cospectral_profile(basis.eigenvalues, xhat, points=args.points))
     loss = analysis.cospectral_loss(profiles[0], profiles[1])
-    lines = ["index,source,target"]
-    for i, (a, b) in enumerate(zip(profiles[0], profiles[1])):
-        lines.append(f"{i},{_fmt(a)},{_fmt(b)}")
-    return ({"profiles.csv": "\n".join(lines) + "\n",
-             "transfer.csv": "points,profile_loss\n" + f"{args.points},{_fmt(loss)}\n"},
+    rows = zip(range(args.points), *profiles)
+    return ({"profiles.csv": gr.csv_text(("index", "source", "target"), rows),
+             "transfer.csv": gr.csv_text(("points", "profile_loss"), [(args.points, loss)])},
             dict.fromkeys([args.source_graph, args.source_beliefs,
                            args.target_graph, args.target_beliefs]),
-            f"transfer points={args.points} loss={_fmt(loss)}")
+            f"transfer points={args.points} loss={gr.float_text(loss)}")
 
 
 def cmd_bench(args) -> tuple[dict, dict, str]:
     rows = tg.timing_sweep(kind=args.sweep, base_edges=args.base_edges,
                            base_order=args.base_order, doublings=args.doublings,
                            runs=args.runs, seed=args.seed)
-    lines = ["sweep,order,edges,median_seconds,ratio"]
-    previous = None
-    for order, edges, median in rows:
-        ratio = "" if previous is None else _fmt(median / previous)
-        lines.append(f"{args.sweep},{order},{edges},{_fmt(median)},{ratio}")
-        previous = median
-    return ({"bench.csv": "\n".join(lines) + "\n"}, {},
+    # each point's ratio is its median over the one before; the first has none
+    medians = [median for _, _, median in rows]
+    ratios = [None] + [after / before for before, after in zip(medians, medians[1:])]
+    table = [(args.sweep, *point, ratio) for point, ratio in zip(rows, ratios)]
+    header = ("sweep", "order", "edges", "median_seconds", "ratio")
+    return ({"bench.csv": gr.csv_text(header, table)}, {},
             f"bench sweep={args.sweep} points={len(rows)}")
 
 

@@ -19,7 +19,7 @@ from numpy.polynomial import polynomial as nppoly
 
 from ._schema import Default, read_json
 from .graph import (LambdaMaxEstimate, Laplacian, ScaledLaplacian, SpectralBasis, belief_values,
-                    gft, lambda_max_value)
+                    float_text, gft, lambda_max_value)
 
 ANALYTIC_KINDS = ("diffusion", "highpass", "gaussian_bandpass", "identity", "polynomial")
 _LAMBDA_MATCH_RTOL = 1e-9
@@ -112,10 +112,6 @@ def response_eval(response, points) -> np.ndarray:
     return np.asarray(response(np.asarray(points, dtype=float)), dtype=float)
 
 
-def _format_float(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 _FILTER = {"lambda_max": float, "theta": [float],
            "bound": Default({"method": str, "iterations": int, "converged": bool,
                              "degenerate": bool, "graph_sha256": str}, None)}
@@ -156,17 +152,18 @@ class ChebyshevFilter:
         return self.theta.size - 1
 
     def __call__(self, lam):
-        scaled = 2.0 * np.asarray(lam, dtype=float) / self.lambda_max - 1.0
+        # divided first: no overflow near the float range, and the bits of 2 lam / lambda_max
+        scaled = np.asarray(lam, dtype=float) / self.lambda_max * 2.0 - 1.0
         out = npcheb.chebval(scaled, self.theta)
         return out if np.ndim(out) else float(out)
 
     def to_json(self) -> str:
-        coeffs = ", ".join(_format_float(t) for t in self.theta)
+        coeffs = ", ".join(map(float_text, self.theta))
         # the bound record's keys in the schema's order; graph_sha256 is the filter's own
         bound = "" if self.bound is None else ', "bound": ' + json.dumps(
             {key: getattr(self.bound, key, self.graph_sha256) for key in _FILTER["bound"].kind})
         return ('{"lambda_max": %s, "theta": [%s]%s}'
-                % (_format_float(self.lambda_max), coeffs, bound))
+                % (float_text(self.lambda_max), coeffs, bound))
 
 
 def load_filter(path) -> ChebyshevFilter:
@@ -207,7 +204,7 @@ def fit_chebyshev(response, order: int, lambda_max: float) -> ChebyshevFilter:
     nodes = max(64, 4 * (order + 1))
     angles = np.pi * (np.arange(nodes) + 0.5) / nodes
     z = np.cos(angles)
-    lam = lambda_max * (z + 1.0) / 2.0
+    lam = lambda_max / 2.0 * (z + 1.0)  # halved first: exact, and no overflow near the float range
     f = response_eval(response, lam)
     if not np.all(np.isfinite(f)):
         raise ValueError("response is not finite on the quadrature nodes")
@@ -223,6 +220,12 @@ def fit_grid_error(f: ChebyshevFilter, response, lambda_max: float | None = None
     top = f.lambda_max if lambda_max is None else float(lambda_max)
     grid = np.linspace(0.0, top, 1000)
     return float(np.max(np.abs(response_eval(f, grid) - response_eval(response, grid))))
+
+
+def lambda_max_matches(reference: float, other: float) -> bool:
+    """Whether other is the lambda_max reference, within _LAMBDA_MATCH_RTOL * max(1, |reference|):
+    the one test of two filters, or a filter and an operator, sharing a bound."""
+    return abs(reference - other) <= _LAMBDA_MATCH_RTOL * max(1.0, abs(reference))
 
 
 def chebyshev_sum(theta, basis_vectors) -> np.ndarray:
@@ -246,7 +249,7 @@ def cheb_apply(f: ChebyshevFilter, lt: ScaledLaplacian, x, keep_trace: bool = Fa
     sum_k theta_k b_k at O(K |E|) cost. With keep_trace the b_k are
     returned for gradient computation.
     """
-    if abs(f.lambda_max - lt.lambda_max) > _LAMBDA_MATCH_RTOL * max(1.0, abs(f.lambda_max)):
+    if not lambda_max_matches(f.lambda_max, lt.lambda_max):
         raise ValueError(
             f"filter lambda_max {f.lambda_max!r} does not match operator {lt.lambda_max!r}")
     values = belief_values(x, lt.node_count)

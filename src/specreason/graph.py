@@ -288,6 +288,26 @@ def lambda_max_value(lambda_max) -> float:
     return float(lambda_max)
 
 
+FLOAT_FORMAT = "%.17g"  # every number an output writes: 17 significant digits read back exactly
+
+
+def float_text(value) -> str:
+    """value as every output writes a number, in FLOAT_FORMAT."""
+    return FLOAT_FORMAT % float(value)
+
+
+def csv_text(header, rows) -> str:
+    """CSV text: the header's names on one line, then one line per row. A cell that is
+    a string is written as given, an int as a decimal, None as an empty cell and any
+    other value through float_text."""
+    def cell(value) -> str:
+        if isinstance(value, (str, int)):
+            return str(value)
+        return "" if value is None else float_text(value)
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+
+
 def loadtxt_ascii(text: str, **kwargs):
     """``np.loadtxt`` over ``text`` in one pass, or None where only a line-by-line read can tell.
 
@@ -429,13 +449,12 @@ def graph_sha256(lap: Laplacian, kind: str, lambda_max: float) -> str:
     """SHA-256 over an operator: a Laplacian, the graph kind it was built from and a
     lambda_max bound taken together.
 
-    Covers n, the stored-entry count, the graph kind, the variant, lambda_max as %.17g
+    Covers n, the stored-entry count, the graph kind, the variant, float_text(lambda_max)
     and the canonical CSR arrays indptr, indices and data as little-endian int64, int64
     and float64, so the digest is the same on every platform and changes when any of
     them does. Equal digests mean bit-identical arrays: the header fixes every length.
     """
-    head = (f"{lap.node_count} {lap.indices.size} {kind} {lap.variant} "
-            f"{format(float(lambda_max), '.17g')}\n")
+    head = f"{lap.node_count} {lap.indices.size} {kind} {lap.variant} {float_text(lambda_max)}\n"
     digest = hashlib.sha256(head.encode("ascii"))
     for values, dtype in ((lap.indptr, "<i8"), (lap.indices, "<i8"), (lap.data, "<f8")):
         digest.update(np.ascontiguousarray(values, dtype=dtype).data)
@@ -481,9 +500,10 @@ def estimate_lambda_max(lap: Laplacian, max_iters: int = 100,
     downstream rescaling stays finite.
 
     An operator whose largest |diagonal| lies outside [2^-400, 2^400] runs the
-    recurrence on 2^-e L, with e the binary exponent of that diagonal, and scales
-    theta, beta and the bound back by 2^e, so no product or norm overflows. Every
-    other operator, and one with no nonzero diagonal, runs as given.
+    recurrence, and the Gershgorin bound, on 2^-e L, with e the binary exponent of
+    that diagonal; only the value returned is scaled back, by 2^e, so no product, sum
+    or norm overflows, nor the scale itself when e = 1024. Every other operator, and
+    one with no nonzero diagonal, runs as given.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
@@ -491,7 +511,6 @@ def estimate_lambda_max(lap: Laplacian, max_iters: int = 100,
     top = float(np.max(np.abs(lap.data[lap.indices == lap.rows]), initial=0.0))
     exponent = 0 if _UNSCALED[0] <= top <= _UNSCALED[1] else int(np.frexp(top)[1])
     op = lap if exponent == 0 else replace(lap, data=np.ldexp(lap.data, -exponent))
-    scale = float(np.ldexp(1.0, exponent))
     rng = np.random.default_rng(seed)
     v = np.ones(n) + 0.01 * rng.standard_normal(n)
     v /= np.linalg.norm(v)
@@ -514,20 +533,23 @@ def estimate_lambda_max(lap: Laplacian, max_iters: int = 100,
             theta = float(vals[-1])
             residual = abs(beta * float(vecs[-1, -1]))
             if invariant or residual <= _LANCZOS_TOL * max(1.0, theta):
-                return _lambda_estimate((theta + residual) * LAMBDA_SAFETY_MARGIN * scale, scale,
+                return _lambda_estimate((theta + residual) * LAMBDA_SAFETY_MARGIN, exponent,
                                         k, True, "lanczos")
         w /= beta
         v_prev, v = v, w
-    gershgorin = gershgorin_bound(lap)
-    if (theta + beta) * scale < gershgorin:
-        return _lambda_estimate((theta + beta) * scale, scale, max_iters, False, "lanczos")
-    return _lambda_estimate(gershgorin, scale, max_iters, False, "gershgorin")
+    gershgorin = gershgorin_bound(op)
+    if theta + beta < gershgorin:
+        return _lambda_estimate(theta + beta, exponent, max_iters, False, "lanczos")
+    return _lambda_estimate(gershgorin, exponent, max_iters, False, "gershgorin")
 
 
-def _lambda_estimate(value: float, scale: float, iterations: int, converged: bool,
+def _lambda_estimate(scaled: float, exponent: int, iterations: int, converged: bool,
                      method: str) -> LambdaMaxEstimate:
-    # zero relative to the scale 2^e the recurrence ran at, so a tiny operator is not zero
-    degenerate = value <= _SIGN_TOL * scale
+    """The estimate whose value is scaled * 2^exponent, given scaled, a bound on 2^-exponent L."""
+    # zero relative to the scale the recurrence ran at, so a tiny operator is not zero
+    degenerate = scaled <= _SIGN_TOL
+    with np.errstate(over="ignore"):  # a bound beyond the float range reads inf, refused later
+        value = float(np.ldexp(scaled, exponent))
     return LambdaMaxEstimate(value=1.0 if degenerate else value, iterations=iterations,
                              converged=converged, degenerate=degenerate, method=method)
 
@@ -607,13 +629,12 @@ def _descending_keys(columns: np.ndarray) -> np.ndarray:
 
 
 def eigendecompose(lap: Laplacian) -> SpectralBasis:
-    """Dense symmetric eigendecomposition, refused above DENSE_CAP nodes."""
+    """Dense symmetric eigendecomposition, refused above DENSE_CAP nodes. eigh reads
+    one triangle of the dense matrix, which build_laplacian makes exactly symmetric."""
     n = lap.node_count
     if n > DENSE_CAP:
         raise ValueError(f"dense eigendecomposition refused for {n} > {DENSE_CAP} nodes")
-    dense = lap.toarray()
-    dense = 0.5 * (dense + dense.T)
-    eigenvalues, eigenvectors = np.linalg.eigh(dense)
+    eigenvalues, eigenvectors = np.linalg.eigh(lap.toarray())
     eigenvalues, eigenvectors = _canonical_columns(eigenvalues, eigenvectors)
     return SpectralBasis(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 

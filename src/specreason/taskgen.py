@@ -29,12 +29,12 @@ from .graph import (
     Graph,
     InvalidEdgeError,
     build_laplacian,
+    csv_text,
     eigendecompose,
     estimate_lambda_max,
     scale_laplacian,
 )
 from .rules import CLAUSE, HornClause, RuleBase, RuleSet, forward_chain, rulebase_from_dict
-from .training import MoSEModel, gated_filter, gating_features
 
 
 _SMOOTH_TAU = 2.0  # diffusion time of a contradiction task's background; task.json records it
@@ -342,8 +342,6 @@ def model_label(model) -> str:
         return f"{model.kind}({inner})"
     if isinstance(model, ft.ChebyshevFilter):
         return f"chebyshev(order={model.order})"
-    if isinstance(model, MoSEModel):
-        return f"mose(experts={len(model.experts)})"
     if isinstance(model, RuleSet):
         return f"rules({len(model)})"
     return type(model).__name__
@@ -353,13 +351,10 @@ def as_response(model, basis, x):
     """Any model's response to beliefs x, filtered exactly through one eigenbasis.
 
     Analytic responses, Chebyshev filters and rule sets (their weighted mixture)
-    are functions of the eigenvalues; an expert mixture filters with the experts
-    pooled under the gate x opens; any other callable is called as model(basis, x).
+    are functions of the eigenvalues; any other callable is called as model(basis, x).
     """
     if isinstance(model, (ft.AnalyticResponse, ft.ChebyshevFilter, RuleSet)):
         return ft.dense_filter_apply(basis, model, x)
-    if isinstance(model, MoSEModel):
-        return ft.dense_filter_apply(basis, gated_filter(model, gating_features(basis, x)), x)
     if callable(model):
         return model(basis, x)
     raise TypeError(f"cannot evaluate a {type(model).__name__}")
@@ -403,21 +398,15 @@ class EvalReport:
     band_energies: tuple[float, ...]
     band_fractions: tuple[float, ...]
 
-    def csv_header(self) -> str:
-        bands = len(self.band_energies)
-        cols = ["model", "instances", "accuracy", "latency_ms", "robustness_drop",
-                "proof_band_agreement"]
-        cols += [f"band{b}_energy" for b in range(bands)]
-        cols += [f"band{b}_fraction" for b in range(bands)]
-        return ",".join(cols)
-
-    def csv_row(self) -> str:
-        cells = [self.model, str(self.instances)]
-        cells += [format(v, ".17g") for v in (self.accuracy, self.latency_ms,
-                                              self.robustness_drop, self.proof_band_agreement)]
-        cells += [format(v, ".17g") for v in self.band_energies]
-        cells += [format(v, ".17g") for v in self.band_fractions]
-        return ",".join(cells)
+    def to_csv(self) -> str:
+        """eval.csv: a header line and this report's one row."""
+        bands = range(len(self.band_energies))
+        header = ["model", "instances", "accuracy", "latency_ms", "robustness_drop",
+                  "proof_band_agreement", *(f"band{b}_energy" for b in bands),
+                  *(f"band{b}_fraction" for b in bands)]
+        row = (self.model, self.instances, self.accuracy, self.latency_ms, self.robustness_drop,
+               self.proof_band_agreement, *self.band_energies, *self.band_fractions)
+        return csv_text(header, [row])
 
 
 def evaluate(model, instances, config: EvalConfig | None = None) -> EvalReport:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import filters as ft
 from .analysis import BandPartition, band_energy, default_three_band
-from .graph import ScaledLaplacian, SpectralBasis, belief_values
+from .graph import ScaledLaplacian, SpectralBasis, belief_values, csv_text
 
 GATING_FEATURES = ("total_energy", "low_band_fraction", "mid_band_fraction",
                    "high_band_fraction", "node_count")
@@ -89,8 +89,7 @@ class MoSEModel:
         experts = tuple(self.experts)
         if not experts:
             raise ValueError("a mixture needs at least one expert")
-        top = experts[0].lambda_max
-        if any(abs(e.lambda_max - top) > 1e-9 * max(1.0, top) for e in experts):
+        if not all(ft.lambda_max_matches(experts[0].lambda_max, e.lambda_max) for e in experts):
             raise ValueError("experts must share a single lambda_max")
         weights = np.array(self.gating_weights, dtype=float)
         if weights.shape != (len(experts), len(GATING_FEATURES)):
@@ -273,12 +272,7 @@ HISTORY_COLUMNS = ("epoch", "total", "data_term", "proof_penalty",
 
 def history_to_csv(history) -> str:
     """Render training history as CSV with full-precision floats."""
-    lines = [",".join(HISTORY_COLUMNS)]
-    for row in history:
-        epoch = int(row[0])
-        rest = ",".join(format(float(v), ".17g") for v in row[1:])
-        lines.append(f"{epoch},{rest}")
-    return "\n".join(lines) + "\n"
+    return csv_text(HISTORY_COLUMNS, history)
 
 
 def _require(condition: bool, message: str):

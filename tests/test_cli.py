@@ -102,6 +102,27 @@ class TestFit:
         dense = np.ldexp(np.linalg.eigvalsh(np.ldexp(lap.toarray(), 1000))[-1], -1000)
         assert dense <= spec["lambda_max"] <= 1.01 * (1 + 1e-7) * dense
 
+    def test_weights_in_the_top_binade_fit_and_infer(self, workdir, capsys):
+        # the largest diagonal, 1e308, lies in [2^1023, 2^1024): the bound was once read as
+        # degenerate and stored as 1
+        (workdir / "huge.txt").write_text("4 3\n0 1 5e307\n1 2 5e307\n2 3 5e307\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("fit", "--graph", "huge.txt", "--response", "diffusion", "--tau", "1",
+                       "--order", "4", "--out-dir", "out") == 0
+        assert capsys.readouterr().err == ""
+        spec = json.loads((workdir / "out" / "filter.json").read_text())
+        assert spec["bound"]["degenerate"] is False
+        dense = np.linalg.eigvalsh(gr.build_laplacian(gr.load_graph("huge.txt")).toarray())[-1]
+        assert dense <= spec["lambda_max"] <= 1.01 * (1 + 1e-7) * dense
+        # its three bands, 2 lambda_max / 3 among their edges, stay finite
+        (workdir / "four.txt").write_text("1\n-2\n0.5\n3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("infer", "--graph", "huge.txt", "--filter", "out/filter.json",
+                       "--beliefs", "four.txt", "--out-dir", "inferred") == 0
+        assert capsys.readouterr().err == ""
+
     def test_missing_graph_reports_and_fails(self, workdir, capsys):
         code = run("fit", "--graph", "missing.txt", "--response", "identity",
                    "--order", "4", "--out-dir", "out")
@@ -670,6 +691,21 @@ def test_attribute_and_perturb_do_not_bound_lambda_max(workdir, monkeypatch):
     assert run("perturb", "--graph", "p2.txt", "--beliefs", "beliefs.txt", "--band", "0",
                "--magnitude", "0.5", "--out-dir", "pert") == 0
     assert calls == []
+
+
+def test_perturb_with_weights_near_the_float_range(workdir, capsys):
+    # the symmetrized dense matrix once overflowed to inf here and the partition failed
+    (workdir / "huge.txt").write_text("4 3\n0 1 5e307\n1 2 5e307\n2 3 5e307\n")
+    (workdir / "four.txt").write_text("1\n-2\n0.5\n3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("perturb", "--graph", "huge.txt", "--beliefs", "four.txt", "--band", "0",
+                   "--out-dir", "out") == 0
+    assert capsys.readouterr().err == ""
+    rows = list(csv.DictReader(open(workdir / "out" / "perturb.csv")))
+    assert [row["band"] for row in rows] == ["0", "1", "2"]
+    # the noise lands in band 0 only
+    assert [row["clean_energy"] == row["perturbed_energy"] for row in rows] == [False, True, True]
 
 
 def test_no_command_loads_a_scipy_module(workdir):

@@ -479,6 +479,16 @@ class TestLambdaMax:
             top = np.ldexp(np.linalg.eigvalsh(np.ldexp(lap.toarray(), -k))[-1], k)
             assert top <= estimate.value <= top * gr.LAMBDA_SAFETY_MARGIN * (1 + 1e-7)
 
+    def test_diagonal_in_the_top_binade_is_bounded(self):
+        # the largest diagonal, 1e308, lies in [2^1023, 2^1024): the scale 2^e itself overflows
+        lap = gr.build_laplacian(gr.load_graph(["4 3", "0 1 5e307", "1 2 5e307", "2 3 5e307"]))
+        with np.errstate(all="raise"):
+            estimate = gr.estimate_lambda_max(lap)
+        dense = np.linalg.eigvalsh(lap.toarray())[-1]
+        assert estimate.converged and not estimate.degenerate
+        assert np.isfinite(estimate.value)
+        assert dense <= estimate.value <= dense * gr.LAMBDA_SAFETY_MARGIN * (1 + 1e-7)
+
     def test_estimate_deterministic(self):
         lap = gr.build_laplacian(random_gnp(30, 0.2, seed=5))
         a = gr.estimate_lambda_max(lap, seed=3)
@@ -591,6 +601,14 @@ class TestEigendecompose:
             for col in basis.eigenvectors.T:
                 lead = col[np.abs(col) > 1e-12]
                 assert lead.size == 0 or lead[0] > 0
+
+    def test_weights_near_the_float_range_decompose(self):
+        # dense + dense.T would overflow here: the decomposition reads the matrix as it is
+        lap = gr.build_laplacian(gr.load_graph(["4 3", "0 1 5e307", "1 2 5e307", "2 3 5e307"]))
+        with np.errstate(all="raise"):
+            basis = gr.eigendecompose(lap)
+        assert np.all(np.isfinite(basis.eigenvalues)) and basis.lambda_max > 1.7e308
+        assert np.allclose(basis.eigenvectors.T @ basis.eigenvectors, np.eye(4), atol=1e-12)
 
     def test_zero_matrix_gives_identity(self):
         basis = gr.eigendecompose(gr.build_laplacian(gr.Graph(node_count=4, edges=())))

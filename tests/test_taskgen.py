@@ -347,8 +347,9 @@ class TestEvaluate:
     def test_csv_row_matches_header(self):
         rep = tg.evaluate(ft.diffusion(1.0), self.instances(2),
                           tg.EvalConfig(latency_runs=1))
-        header = rep.csv_header().split(",")
-        row = rep.csv_row().split(",")
+        lines = rep.to_csv().split("\n")
+        assert len(lines) == 3 and lines[-1] == ""  # a header, one row, a final newline
+        header, row = (line.split(",") for line in lines[:2])
         assert len(header) == len(row)
         assert header[0] == "model"
         assert "latency_ms" in header

@@ -1,5 +1,7 @@
 """Gradients, penalties, expert mixtures, curricula, and the training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,29 @@ class TestMose:
             alpha = tr.mose_gate(model, rng.standard_normal(5))
             assert np.all(alpha >= 0)
             assert abs(alpha.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("lmax", [0.5, 3.0])
+    def test_mixture_and_cheb_apply_share_one_lambda_max_match(self, lmax):
+        # just inside and just outside the relative tolerance: both accept or both refuse
+        lap = gr.build_laplacian(random_gnp(10, 0.4, seed=3))
+        x = np.random.default_rng(4).standard_normal(10)
+        f = ft.ChebyshevFilter(theta=np.array([0.5, 0.25]), lambda_max=lmax)
+        outcomes = []
+        for rel in (0.9e-9, 1.1e-9):
+            other = lmax + rel * max(1.0, lmax)
+            try:
+                tr.MoSEModel(experts=(f, replace(f, lambda_max=other)),
+                             gating_weights=np.zeros((2, 5)))
+                mixture = True
+            except ValueError:
+                mixture = False
+            try:
+                ft.cheb_apply(f, gr.scale_laplacian(lap, other), x)
+                apply = True
+            except ValueError:
+                apply = False
+            outcomes.append((mixture, apply))
+        assert outcomes == [(True, True), (False, False)]
 
     def test_pooled_coefficients_zero_pad(self):
         pooled = tr.pooled_coefficients(self.model(), np.array([0.75, 0.25]))
