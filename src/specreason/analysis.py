@@ -125,42 +125,26 @@ def proof_band_agreement(pairs) -> float:
     return float(np.mean(scores))
 
 
-@dataclass(frozen=True)
-class RobustnessCertificate:
-    """Lipschitz bound on the filter as an operator: ||h(L)||_2 <= bound."""
+def robustness_certificate(response, lambda_max: float) -> float:
+    """The bound ||h(L)||_2 <= sup |h| over [0, lambda_max], inflated by CERT_SLACK.
 
-    bound: float
-
-
-def robustness_certificate(response, lambda_max: float) -> RobustnessCertificate:
-    """Certify sup |h| over [0, lambda_max], inflated by CERT_SLACK.
-
-    Analytic kinds with a known extremum use the closed form; everything
-    else falls back to a scan of 1001 evenly spaced points. The bound dominates
-    ||h(L) x - h(L) x'|| / ||x - x'|| for any PSD operator whose spectrum
-    the range covers.
+    sup |h| is the largest |h| at 1001 evenly spaced points, both ends included, where
+    the monotone diffusion, highpass and identity responses peak; a gaussian_bandpass
+    can peak between them and uses its closed form. The bound dominates
+    ||h(L) x - h(L) x'|| / ||x - x'|| for any PSD operator whose spectrum the range covers.
     """
     lambda_max = lambda_max_value(lambda_max)
-    sup = None
-    if isinstance(response, ft.AnalyticResponse):
-        if response.kind == "diffusion":
+    if isinstance(response, ft.AnalyticResponse) and response.kind == "gaussian_bandpass":
+        center, width = response.params
+        if 0.0 <= center <= lambda_max:
             sup = 1.0
-        elif response.kind == "highpass":
-            beta = response.params[0]
-            sup = lambda_max / (lambda_max + beta)
-        elif response.kind == "identity":
-            sup = 1.0
-        elif response.kind == "gaussian_bandpass":
-            center, width = response.params
-            if 0.0 <= center <= lambda_max:
-                sup = 1.0
-            else:
-                dist = -center if center < 0 else center - lambda_max
-                sup = float(np.exp(-(dist ** 2) / (2.0 * width * width)))
-    if sup is None:
+        else:
+            dist = -center if center < 0 else center - lambda_max
+            sup = float(np.exp(-(dist ** 2) / (2.0 * width * width)))
+    else:
         grid = np.linspace(0.0, lambda_max, 1001)
         sup = float(np.max(np.abs(ft.response_eval(response, grid))))
-    return RobustnessCertificate(bound=sup * CERT_SLACK)
+    return sup * CERT_SLACK
 
 
 @dataclass(frozen=True)

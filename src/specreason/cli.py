@@ -113,8 +113,14 @@ def _predicates_text(y: np.ndarray, predicates: rl.PredicateVector) -> str:
     return "node,belief,soft,hard\n" + row * y.size % tuple(cells)
 
 
-def _add_response_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--response", choices=ft.ANALYTIC_KINDS,
+def _add_response_args(parser: argparse.ArgumentParser, other_models: bool) -> None:
+    """--response and its parameters; with other_models, --model-filter and --rules too,
+    exclusive with --response: one model source per run."""
+    models = parser.add_mutually_exclusive_group()
+    if other_models:
+        models.add_argument("--model-filter", default=None, help="filter JSON to evaluate")
+        models.add_argument("--rules", default=None, help="rule template JSON to evaluate")
+    models.add_argument("--response", choices=ft.ANALYTIC_KINDS,
                         help="analytic response template")
     parser.add_argument("--tau", type=float, default=1.0, help="diffusion time scale")
     parser.add_argument("--beta", type=float, default=1.0, help="highpass knee")
@@ -141,9 +147,9 @@ def _response_from_args(args) -> ft.AnalyticResponse:
 
 
 def _load_model(args):
-    if getattr(args, "model_filter", None):
+    if args.model_filter:
         return ft.load_filter(args.model_filter), [args.model_filter]
-    if getattr(args, "rules", None):
+    if args.rules:
         return rl.load_templates(args.rules), [args.rules]
     return _response_from_args(args), []
 
@@ -275,8 +281,7 @@ def cmd_infer(args) -> tuple[dict, dict, str]:
             f"{estimate.value}; refit the filter on this graph")
     lt = gr.scale_laplacian(lap, f.lambda_max)
     y = ft.cheb_apply(f, lt, x)
-    predicates = rl.project_predicates(y, threshold=args.threshold, mode=args.mode,
-                                       temperature=args.temperature)
+    predicates = rl.project_predicates(y, threshold=args.threshold, temperature=args.temperature)
     files = {"predicates.csv": _predicates_text(y, predicates)}
 
     if rb is not None:
@@ -407,16 +412,16 @@ def cmd_attribute(args) -> tuple[dict, dict, str]:
     y = np.asarray(tg.as_response(model, basis, x), dtype=float)
     partition = _partition_for(basis, args.bands)
     report = analysis.band_energy(basis, y, partition)
-    cert = analysis.robustness_certificate(model, partition.edges[-1])
+    bound = analysis.robustness_certificate(model, partition.edges[-1])
 
     # one row per instance: partition edges, then energies, fractions, bound
     edges, bands = range(partition.edges.size), range(partition.n_bands)
     header = ["instance", *(f"edge{b}" for b in edges), *(f"band{b}_energy" for b in bands),
               *(f"band{b}_fraction" for b in bands), "bound"]
-    row = (0, *partition.edges, *report.energies, *report.fractions, cert.bound)
+    row = (0, *partition.edges, *report.energies, *report.fractions, bound)
     return ({"attribution.csv": gr.csv_text(header, [row])},
             dict.fromkeys([args.graph, args.beliefs] + extra_inputs),
-            f"attribute bands={partition.n_bands} bound={gr.float_text(cert.bound)}")
+            f"attribute bands={partition.n_bands} bound={gr.float_text(bound)}")
 
 
 def cmd_perturb(args) -> tuple[dict, dict, str]:
@@ -477,13 +482,13 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--graph", required=True, help="edge-list file")
             p.add_argument("--variant", default="combinatorial", choices=gr.VARIANTS)
             p.add_argument("--graph-kind", default="unsigned", choices=gr.GRAPH_KINDS)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("fit", help="fit a Chebyshev filter to an analytic response")
     common(p)
-    _add_response_args(p)
+    _add_response_args(p, other_models=False)
     p.add_argument("--order", type=int, default=16)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("infer", help="filter beliefs and project predicates")
@@ -492,13 +497,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beliefs", required=True, help="belief vector file")
     p.add_argument("--rulebase", default=None, help="Horn rulebase JSON")
     p.add_argument("--threshold", type=float, default=0.0)
-    p.add_argument("--mode", default="hard", choices=("hard", "soft"))
-    p.add_argument("--temperature", type=float, default=None)
+    p.add_argument("--temperature", type=float, default=None, help="adds the soft column")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("train", help="train a filter from a JSON config")
     common(p)
     p.add_argument("--config", required=True, help="training config JSON")
+    p.add_argument("--seed", type=int, default=0, help="used when the config sets no seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("gen", help="generate a synthetic task instance")
@@ -514,14 +520,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flip-magnitude", type=float, default=3.0)
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--branching", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("eval", help="score a model over generated tasks")
     common(p, graph=False)
     p.add_argument("--tasks", nargs="+", required=True, help="task JSON files")
-    p.add_argument("--model-filter", default=None, help="filter JSON to evaluate")
-    p.add_argument("--rules", default=None, help="rule template JSON to evaluate")
-    _add_response_args(p)
+    _add_response_args(p, other_models=True)
     p.add_argument("--threshold", type=float, default=0.0)
     p.add_argument("--variant", default="combinatorial", choices=gr.VARIANTS)
     p.add_argument("--latency-runs", type=int, default=3)
@@ -533,9 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attribute", help="band energy attribution and certificate")
     common(p)
     p.add_argument("--beliefs", required=True)
-    p.add_argument("--model-filter", default=None)
-    p.add_argument("--rules", default=None)
-    _add_response_args(p)
+    _add_response_args(p, other_models=True)
     p.add_argument("--bands", type=int, default=3)
     p.set_defaults(func=cmd_attribute)
 
@@ -545,6 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band", type=int, default=2)
     p.add_argument("--magnitude", type=float, default=0.1)
     p.add_argument("--bands", type=int, default=3)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("transfer", help="co-spectral profile comparison across graphs")
@@ -564,6 +568,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-order", type=int, default=8)
     p.add_argument("--doublings", type=int, default=3)
     p.add_argument("--runs", type=int, default=9)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -177,24 +177,6 @@ def _filter_from_dict(payload: dict) -> ChebyshevFilter:
                            bound=LambdaMaxEstimate(value=lambda_max, **record) if record else None)
 
 
-@dataclass(frozen=True)
-class RecurrenceTrace:
-    """Chebyshev basis vectors b_0 .. b_K stacked as rows, kept for gradients."""
-
-    basis_vectors: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.basis_vectors, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("trace must be a (K + 1, N) array")
-        arr.setflags(write=False)
-        object.__setattr__(self, "basis_vectors", arr)
-
-    @property
-    def order(self) -> int:
-        return self.basis_vectors.shape[0] - 1
-
-
 def fit_chebyshev(response, order: int, lambda_max: float) -> ChebyshevFilter:
     """Project a response onto T_0 .. T_order by Chebyshev-Gauss quadrature
     on M = max(64, 4 (order + 1)) nodes."""
@@ -246,8 +228,8 @@ def cheb_apply(f: ChebyshevFilter, lt: ScaledLaplacian, x, keep_trace: bool = Fa
     """Apply the filter through the sparse three-term recurrence.
 
     b_0 = x, b_1 = Lt x, b_{k+1} = 2 Lt b_k - b_{k-1}; the output is
-    sum_k theta_k b_k at O(K |E|) cost. With keep_trace the b_k are
-    returned for gradient computation.
+    sum_k theta_k b_k at O(K |E|) cost. With keep_trace the trace b_0 .. b_K
+    is returned too, a read-only (K + 1, n) array, for gradient computation.
     """
     if not lambda_max_matches(f.lambda_max, lt.lambda_max):
         raise ValueError(
@@ -260,7 +242,9 @@ def cheb_apply(f: ChebyshevFilter, lt: ScaledLaplacian, x, keep_trace: bool = Fa
         rows.append(2.0 * (lt @ rows[-1]) - rows[-2])
     y = chebyshev_sum(f.theta, rows)
     if keep_trace:
-        return y, RecurrenceTrace(basis_vectors=rows)
+        trace = np.array(rows)
+        trace.setflags(write=False)
+        return y, trace
     return y
 
 

@@ -289,6 +289,7 @@ def lambda_max_value(lambda_max) -> float:
 
 
 FLOAT_FORMAT = "%.17g"  # every number an output writes: 17 significant digits read back exactly
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')  # a string cell holding one of these is quoted
 
 
 def float_text(value) -> str:
@@ -298,10 +299,13 @@ def float_text(value) -> str:
 
 def csv_text(header, rows) -> str:
     """CSV text: the header's names on one line, then one line per row. A cell that is
-    a string is written as given, an int as a decimal, None as an empty cell and any
-    other value through float_text."""
+    a string is written as given, or, when it holds a comma, a double quote or a line
+    break, quoted with its quotes doubled, as csv.writer does; an int as a decimal, None
+    as an empty cell and any other value through float_text."""
     def cell(value) -> str:
-        if isinstance(value, (str, int)):
+        if isinstance(value, str):
+            return '"' + value.replace('"', '""') + '"' if _CSV_SPECIAL.search(value) else value
+        if isinstance(value, int):
             return str(value)
         return "" if value is None else float_text(value)
 

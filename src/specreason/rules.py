@@ -88,23 +88,21 @@ class PredicateVector:
             object.__setattr__(self, "soft", soft)
 
 
-def project_predicates(y, threshold: float = 0.0, mode: str = "hard",
+def project_predicates(y, threshold: float = 0.0,
                        temperature: float | None = None) -> PredicateVector:
     """Project beliefs to predicates.
 
-    hard: p_i = 1 iff y_i > threshold. soft: sigmoid(temperature *
-    (y_i - threshold)), requiring a positive temperature. The hard
-    projection is always populated.
+    hard: p_i = 1 iff y_i > threshold, always populated. soft, formed exactly
+    when a temperature is given, which must be positive:
+    sigmoid(temperature * (y_i - threshold)).
     """
-    if mode not in ("hard", "soft"):
-        raise ValueError(f"mode must be 'hard' or 'soft', got {mode!r}")
     values = belief_values(y)
     if not np.isfinite(threshold):
         raise ValueError("threshold must be finite")
     hard = values > threshold
     soft = None
-    if mode == "soft" or temperature is not None:
-        if temperature is None or not np.isfinite(temperature) or temperature <= 0:
+    if temperature is not None:
+        if not np.isfinite(temperature) or temperature <= 0:
             raise ValueError("soft projection requires a positive temperature")
         with np.errstate(over="ignore"):  # exp overflows to inf for z below -709: p = 0
             soft = 1.0 / (1.0 + np.exp(-(temperature * (values - threshold))))

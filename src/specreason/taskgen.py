@@ -130,11 +130,6 @@ class TaskInstance:
         if self.rulebase is not None and len(self.rulebase.atoms) != self.graph.node_count:
             raise ValueError("the rulebase must name one atom per node")
 
-    @property
-    def atom_map(self) -> tuple[str, ...] | None:
-        """Node i's atom is atom_map[i]: the rulebase's atoms, when there is a rulebase."""
-        return None if self.rulebase is None else self.rulebase.atoms
-
 
 def gen_community_task(n: int = 200, intra_p: float = 0.08, inter_p: float = 0.005,
                        seed_fraction: float = 0.05, noise: float = 0.1,
@@ -265,7 +260,7 @@ def task_to_json(instance: TaskInstance) -> str:
         "beliefs": [float(v) for v in instance.beliefs],
         "labels": [int(v) for v in instance.labels],
         "allowed_bands": list(instance.allowed_bands),
-        "atoms": list(instance.atom_map) if instance.atom_map else None,
+        "atoms": list(instance.rulebase.atoms) if instance.rulebase else None,
         "clauses": ([{"body": sorted(c.body), "head": c.head} for c in instance.rulebase.clauses]
                     if instance.rulebase else None),
     }
@@ -365,9 +360,10 @@ def _score(y, inst: TaskInstance, threshold: float) -> float:
     y = np.asarray(y, dtype=float)
     if inst.rulebase is None:
         return float(np.mean((y > threshold) == inst.labels))
-    facts = {inst.atom_map[i] for i in range(len(y)) if y[i] > threshold}
+    atoms = inst.rulebase.atoms  # node i's atom is atoms[i]
+    facts = {atoms[i] for i in range(len(y)) if y[i] > threshold}
     closure = forward_chain(inst.rulebase, facts)
-    truth = {inst.atom_map[i] for i in range(len(y)) if inst.labels[i]}
+    truth = {atoms[i] for i in range(len(y)) if inst.labels[i]}
     if not closure and not truth:
         return 1.0
     overlap = len(closure & truth)

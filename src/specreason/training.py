@@ -35,29 +35,28 @@ class DivergenceError(RuntimeError):
         self.epoch = epoch
 
 
-def grad_scaled_laplacian(dLdy, theta, trace: ft.RecurrenceTrace,
-                          lt: ScaledLaplacian) -> np.ndarray:
+def grad_scaled_laplacian(dLdy, theta, trace: np.ndarray, lt: ScaledLaplacian) -> np.ndarray:
     """Exact reverse-mode gradient of the loss w.r.t. the scaled operator.
 
     Walks the recurrence b_k = 2 Lt b_{k-1} - b_{k-2} backwards, pushing
     adjoints down and accumulating outer products; the result is
-    symmetrized because the operator is constrained symmetric.
+    symmetrized because the operator is constrained symmetric. trace holds
+    b_0 .. b_K as rows, as ``cheb_apply(..., keep_trace=True)`` returns it.
     """
-    b = trace.basis_vectors
-    g = belief_values(dLdy, b.shape[1])
+    g = belief_values(dLdy, trace.shape[1])
     theta = np.asarray(theta, dtype=float)
-    order = trace.order
+    order = len(trace) - 1
     if theta.size != order + 1:
         raise ValueError("theta length does not match the trace")
     n = g.size
     adj = [theta[k] * g for k in range(order + 1)]
     grad = np.zeros((n, n))
     for k in range(order, 1, -1):
-        grad += 2.0 * np.outer(adj[k], b[k - 1])
+        grad += 2.0 * np.outer(adj[k], trace[k - 1])
         adj[k - 1] = adj[k - 1] + 2.0 * (lt @ adj[k])
         adj[k - 2] = adj[k - 2] - adj[k]
     if order >= 1:
-        grad += np.outer(adj[1], b[0])
+        grad += np.outer(adj[1], trace[0])
     return 0.5 * (grad + grad.T)
 
 
@@ -139,20 +138,14 @@ def pooled_coefficients(model: MoSEModel, alpha) -> np.ndarray:
     return pooled
 
 
-def gated_filter(model: MoSEModel, features) -> ft.ChebyshevFilter:
-    """The one filter the gate makes of the experts for these gating features."""
-    alpha = mose_gate(model, features)
-    return ft.ChebyshevFilter(theta=pooled_coefficients(model, alpha),
-                              lambda_max=model.lambda_max)
-
-
 def mose_apply(model: MoSEModel, lt: ScaledLaplacian, x, features):
     """Filter through the gate-pooled coefficients in one recurrence pass.
 
     Identical to summing alpha_b-weighted expert outputs because the
     output is linear in the coefficients.
     """
-    return ft.cheb_apply(gated_filter(model, features), lt, x)
+    pooled = pooled_coefficients(model, mose_gate(model, features))
+    return ft.cheb_apply(ft.ChebyshevFilter(theta=pooled, lambda_max=model.lambda_max), lt, x)
 
 
 @dataclass(frozen=True)
@@ -293,9 +286,9 @@ class _FactoredLoss:
       leading block of R and R_C from U_dis^T B^T; a zero output scores 0.
     """
 
-    def __init__(self, trace: ft.RecurrenceTrace, target: np.ndarray,
+    def __init__(self, trace: np.ndarray, target: np.ndarray,
                  disallowed_rows: np.ndarray | None, reference: np.ndarray | None):
-        b = trace.basis_vectors.T
+        b = trace.T
         self.size, k1 = b.shape
         columns = [b, target[:, None]] + ([] if reference is None else [reference[:, None]])
         r = np.linalg.qr(np.hstack(columns), mode="r")
@@ -345,7 +338,7 @@ def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = N
           schedule: CurriculumSchedule | None = None,
           config: TrainConfig | None = None,
           context: PenaltyContext | None = None,
-          traces: list[ft.RecurrenceTrace] | None = None) -> TrainResult:
+          traces: list[np.ndarray] | None = None) -> TrainResult:
     """Full-batch gradient descent on a filter or expert mixture, in one loop.
 
     A filter trains as a one-expert mixture with all-zero gating features:
@@ -389,7 +382,7 @@ def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = N
         raise TypeError(f"cannot train a {type(model).__name__}")
     _require(traces is None or (
         len(traces) == len(data)
-        and all(t.order == current.max_order and np.array_equal(t.basis_vectors[0], ex.x)
+        and all(len(t) - 1 == current.max_order and np.array_equal(t[0], ex.x)
                 for t, ex in zip(traces, data))),
         "traces must hold one recurrence per example, from its beliefs, at the model's order")
 

@@ -135,25 +135,34 @@ class TestProofBandAgreement:
 
 class TestRobustnessCertificate:
     def test_diffusion_closed_form(self):
-        cert = an.robustness_certificate(ft.diffusion(1.0), 2.0)
-        assert cert.bound == pytest.approx(1.05, abs=1e-12)
+        bound = an.robustness_certificate(ft.diffusion(1.0), 2.0)
+        assert bound == pytest.approx(1.05, abs=1e-12)
 
     def test_identity_closed_form(self):
-        assert an.robustness_certificate(ft.identity(), 5.0).bound == pytest.approx(1.05)
+        assert an.robustness_certificate(ft.identity(), 5.0) == pytest.approx(1.05)
 
     def test_highpass_closed_form(self):
-        cert = an.robustness_certificate(ft.highpass(1.0), 2.0)
-        assert cert.bound == pytest.approx((2.0 / 3.0) * 1.05, rel=1e-12)
+        bound = an.robustness_certificate(ft.highpass(1.0), 2.0)
+        assert bound == pytest.approx((2.0 / 3.0) * 1.05, rel=1e-12)
+
+    def test_scan_peaks_where_monotone_responses_do(self):
+        # the scan includes both ends: it gives the closed forms' bits, 1 at lam = 0 for
+        # diffusion and identity and lambda_max / (lambda_max + beta) at the top for highpass
+        rng = np.random.default_rng(11)
+        for lmax, param in 10.0 ** rng.uniform(-6, 6, size=(2000, 2)):
+            for response, sup in ((ft.diffusion(param), 1.0), (ft.identity(), 1.0),
+                                  (ft.highpass(param), lmax / (lmax + param))):
+                assert an.robustness_certificate(response, lmax) == sup * an.CERT_SLACK
 
     def test_grid_bound_dominates_grid_values(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             theta = rng.standard_normal(6)
             f = ft.ChebyshevFilter(theta=theta, lambda_max=2.0)
-            cert = an.robustness_certificate(f, 2.0)
+            bound = an.robustness_certificate(f, 2.0)
             grid = np.linspace(0.0, 2.0, 4001)
             values = np.abs(ft.response_eval(f, grid))
-            assert np.all(cert.bound >= values)
+            assert np.all(bound >= values)
 
 
 class TestSpectralPerturb:

@@ -1,5 +1,6 @@
 """End-to-end command line checks driven through the in-process entry point."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -175,7 +176,7 @@ class TestInfer:
         filt = self.fit_filter()
         run("infer", "--graph", "p2.txt", "--filter", filt,
             "--beliefs", "beliefs.txt", "--threshold", "0.5",
-            "--mode", "soft", "--temperature", "10", "--out-dir", "out")
+            "--temperature", "10", "--out-dir", "out")
         with open(workdir / "out" / "predicates.csv") as fh:
             rows = list(csv.DictReader(fh))
         from scipy.special import expit
@@ -409,6 +410,19 @@ class TestEval:
         code = run("eval", "--tasks", "task.json", "--response", "identity", "--out-dir", "out")
         assert code == 1
         assert "error: task.json: beliefs is missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("response, label", [
+        (["polynomial", "--coeffs", "1,0.5"], "polynomial(1, 0.5)"),
+        (["gaussian_bandpass", "--center", "1", "--width", "0.5"], "gaussian_bandpass(1, 0.5)"),
+    ], ids=["polynomial", "gaussian_bandpass"])
+    def test_model_label_with_a_comma_is_one_cell(self, workdir, response, label):
+        run("gen", "--kind", "chain", "--depth", "3", "--out-dir", "task")
+        assert run("eval", "--tasks", "task/task.json", "--response", *response,
+                   "--latency-runs", "1", "--out-dir", "out") == 0
+        with open(workdir / "out" / "eval.csv", newline="") as fh:
+            header, row = csv.reader(fh)
+        assert len(row) == len(header)
+        assert dict(zip(header, row))["model"] == label
 
 
 DELETE = object()
@@ -682,6 +696,23 @@ class TestArgErrors:
         with pytest.raises(SystemExit):
             run()
 
+    @pytest.mark.parametrize("sources", [
+        ["--model-filter", "fit/filter.json", "--rules", "t.json"],
+        ["--model-filter", "fit/filter.json", "--response", "highpass"],
+        ["--rules", "t.json", "--response", "highpass"],
+    ], ids=["filter-rules", "filter-response", "rules-response"])
+    @pytest.mark.parametrize("command", [
+        ["eval", "--tasks", "gen/task.json", "--latency-runs", "1"],
+        ["attribute", "--graph", "p2.txt", "--beliefs", "beliefs.txt"],
+    ], ids=lambda argv: argv[0])
+    def test_two_model_sources_exit_two(self, workdir, inputs, capsys, command, sources):
+        # one model source per run: a run scores one model, so a second source is refused
+        with pytest.raises(SystemExit) as exc:
+            run(*command, *sources, "--out-dir", "out")
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
 
 def test_attribute_and_perturb_do_not_bound_lambda_max(workdir, monkeypatch):
     calls = []
@@ -710,7 +741,7 @@ def test_perturb_with_weights_near_the_float_range(workdir, capsys):
 
 def test_no_command_loads_a_scipy_module(workdir):
     # NumPy is the only runtime dependency: importing the CLI, each of the nine commands,
-    # gen of every kind and infer in soft mode load no scipy module
+    # gen of every kind and infer with a temperature load no scipy module
     (workdir / "train.json").write_text('{"order": 4, "epochs": 3, "examples": 2}')
     commands = {
         "gen chain": ["gen", "--kind", "chain", "--depth", "4", "--seed", "3", "--out-dir", "task"],
@@ -723,7 +754,7 @@ def test_no_command_loads_a_scipy_module(workdir):
         "infer": ["infer", "--graph", "p2.txt", "--filter", "fit/filter.json",
                   "--beliefs", "beliefs.txt", "--out-dir", "inf"],
         "infer soft": ["infer", "--graph", "p2.txt", "--filter", "fit/filter.json",
-                       "--beliefs", "beliefs.txt", "--mode", "soft", "--temperature", "2",
+                       "--beliefs", "beliefs.txt", "--temperature", "2",
                        "--out-dir", "soft"],
         "train": ["train", "--graph", "p2.txt", "--config", "train.json", "--out-dir", "train"],
         "eval": ["eval", "--tasks", "task/task.json", "--response", "diffusion", "--tau", "2",
@@ -1071,7 +1102,61 @@ def row_by_row_predicates(y, predicates):
     np.array([-0.0, 0.0, 1e-310, 1e300, -3.0, 1 / 3, 0.1, -2.5e-7]),
     np.random.default_rng(5).standard_normal(300) * 10.0 ** np.arange(-150, 150),
 ])
-@pytest.mark.parametrize("mode, temperature", [("hard", None), ("soft", 2.5), ("hard", 0.5)])
-def test_predicates_text_matches_row_by_row(y, mode, temperature):
-    predicates = cli.rl.project_predicates(y, threshold=0.0, mode=mode, temperature=temperature)
+# any temperature forms the soft column; the ids keep the names these cases have always had
+@pytest.mark.parametrize("temperature", [None, 2.5, 0.5], ids=["hard-None", "soft-2.5", "hard-0.5"])
+def test_predicates_text_matches_row_by_row(y, temperature):
+    predicates = cli.rl.project_predicates(y, threshold=0.0, temperature=temperature)
     assert cli._predicates_text(y, predicates) == row_by_row_predicates(y, predicates)
+
+
+def options_read(argv) -> set[str]:
+    """The Namespace attributes the command argv reads once parsing is done."""
+    reads, parsed = set(), []
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            if parsed:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    args = cli._build_parser().parse_args(argv, namespace=Recording())
+    parsed.append(True)
+    args.func(args)
+    return reads
+
+
+RESPONSES = [["--response", "diffusion"], ["--response", "highpass"],
+             ["--response", "gaussian_bandpass"], ["--response", "identity"],
+             ["--response", "polynomial", "--coeffs", "1,0.5"]]
+MODELS = RESPONSES + [["--model-filter", "fit/filter.json"], ["--rules", "t.json"]]
+BELIEFS = ["--beliefs", "beliefs.txt"]
+VARIANTS = {
+    "fit": [["--graph", "p2.txt", *response] for response in RESPONSES],
+    "infer": [["--graph", "p2.txt", "--filter", "fit/filter.json", *BELIEFS]],
+    "train": [["--graph", "p2.txt", "--config", "train.json"]],
+    "gen": [["--kind", "community", "--n", "20", "--intra-p", "0.5", "--inter-p", "0.05"],
+            ["--kind", "contradiction", "--n", "30", "--base-p", "0.3", "--planted", "3"],
+            ["--kind", "chain", "--depth", "3"]],
+    "eval": [["--tasks", "gen/task.json", "--latency-runs", "1", "--perturb-magnitude", "0.5",
+              *model] for model in MODELS],
+    "attribute": [["--graph", "p2.txt", *BELIEFS, *model] for model in MODELS],
+    "perturb": [["--graph", "p2.txt", *BELIEFS, "--band", "0"]],
+    "transfer": [["--source-graph", "p2.txt", "--source-beliefs", "beliefs.txt",
+                  "--target-graph", "p2.txt", "--target-beliefs", "beliefs.txt"]],
+    "bench": [["--base-edges", "100", "--doublings", "1", "--runs", "3"]],
+}
+
+
+def test_every_option_is_read(workdir, inputs):
+    # an option no run of its command reads is one the command ignores
+    commands = cli._build_parser()._subparsers._group_actions[0].choices
+    assert commands.keys() == VARIANTS.keys()
+    unread = {}
+    for name, variants in VARIANTS.items():
+        reads = set().union(*(options_read([name, *argv, "--out-dir", "out"])
+                              for argv in variants))
+        options = {action.dest for action in commands[name]._actions
+                   if action.dest not in ("help", "out_dir")}
+        if options - reads:
+            unread[name] = sorted(options - reads)
+    assert unread == {}

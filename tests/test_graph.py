@@ -1,5 +1,6 @@
 """Graph construction, Laplacian variants, and spectral plumbing."""
 
+import csv
 import io
 import time
 
@@ -682,3 +683,15 @@ class TestBeliefVector:
         assert out.dtype == float and out.tolist() == [1.0, 2.0]
         with pytest.raises(ValueError, match="one-dimensional"):
             gr.belief_values([[1.0, 2.0]])
+
+
+def test_csv_text_quotes_string_cells_as_csv_writer_does():
+    header = ("model", "note", "count", "value", "empty")
+    rows = [("polynomial(1, 0.5)", 'say "hi"', 3, 0.1, None),
+            ("plain", "two\nlines", -1, 1e300, None),
+            ("", "cr\rhere", 0, -0.0, None)]
+    expected = io.StringIO()
+    writer = csv.writer(expected)  # its "\r\n" terminator makes it quote a lone "\r" as well
+    writer.writerow(header)
+    writer.writerows([[*row[:3], gr.float_text(row[3]), ""] for row in rows])
+    assert gr.csv_text(header, rows) == expected.getvalue().replace("\r\n", "\n")

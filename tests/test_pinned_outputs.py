@@ -84,7 +84,7 @@ def test_fit_filter_pinned(fitted):
 
 @pytest.mark.parametrize("mode_args, expected", [
     ([], {"predicates.csv": "ee746ce5c53f5465", "closure.txt": "b491a88855e70036"}),
-    (["--mode", "soft", "--temperature", "2"],
+    (["--temperature", "2"],
      {"predicates.csv": "b5474528dfb5d8a6", "closure.txt": "b491a88855e70036"}),
 ])
 def test_infer_outputs_pinned(fitted, mode_args, expected):

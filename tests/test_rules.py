@@ -110,8 +110,7 @@ class TestProjectPredicates:
 
     def test_soft_sigmoid_value(self):
         # sigma(temperature * (y - threshold)): 0.6 vs 0.5 at temperature 10
-        pv = rl.project_predicates(np.array([0.6, 0.5]), threshold=0.5,
-                                   mode="soft", temperature=10.0)
+        pv = rl.project_predicates(np.array([0.6, 0.5]), threshold=0.5, temperature=10.0)
         assert pv.soft[0] == pytest.approx(SIGMOID_ONE, abs=1e-12)
         assert pv.soft[1] == 0.5
         # boundary stays off: soft 0.5 is not > 0.5
@@ -126,9 +125,9 @@ class TestProjectPredicates:
         z = np.concatenate([specials, np.linspace(-800.0, 800.0, 160_001)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ours = rl.project_predicates(z, mode="soft", temperature=1.0).soft
+            ours = rl.project_predicates(z, temperature=1.0).soft
             saturated = rl.project_predicates(np.array([1e308, -1e308]), threshold=-1e308,
-                                              mode="soft", temperature=1e10).soft
+                                              temperature=1e10).soft
         reference = expit(z)
         assert ours[:len(specials)].tobytes() == reference[:len(specials)].tobytes()
         assert ours[:len(specials)].tolist() == [0.5, 0.5, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
@@ -138,23 +137,19 @@ class TestProjectPredicates:
 
     def test_soft_needs_positive_temperature(self):
         with pytest.raises(ValueError):
-            rl.project_predicates(np.array([1.0]), mode="soft", temperature=0.0)
+            rl.project_predicates(np.array([1.0]), temperature=0.0)
 
     def test_large_temperature_recovers_hard_rule(self):
         y = np.array([0.4, 0.6])
-        pv = rl.project_predicates(y, threshold=0.5, mode="soft", temperature=1e6)
+        pv = rl.project_predicates(y, threshold=0.5, temperature=1e6)
         hard = rl.project_predicates(y, threshold=0.5).hard
         assert np.allclose(pv.soft, hard.astype(float), atol=1e-12)
         assert pv.hard.tolist() == hard.tolist()
 
     def test_soft_strictly_increasing(self):
         y = np.linspace(-1.0, 1.0, 9)
-        soft = rl.project_predicates(y, mode="soft", temperature=2.0).soft
+        soft = rl.project_predicates(y, temperature=2.0).soft
         assert np.all(np.diff(soft) > 0)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            rl.project_predicates(np.array([1.0]), mode="fuzzy")
 
 
 class TestForwardChain:

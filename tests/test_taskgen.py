@@ -131,7 +131,7 @@ class TestTaskInstance:
         back = tg.load_task(path)
         assert back.rulebase is not None
         assert len(back.rulebase.clauses) == len(inst.rulebase.clauses)
-        assert back.atom_map == inst.atom_map
+        assert back.rulebase.atoms == inst.rulebase.atoms
 
 
 class TestCommunityTask:
@@ -253,18 +253,18 @@ class TestChainTask:
         assert inst.beliefs[root] == 1.0
         # the root atom appears only as a body, never as a head
         heads = {cl.head for cl in inst.rulebase.clauses}
-        assert inst.atom_map[root] not in heads
+        assert inst.rulebase.atoms[root] not in heads
 
     def test_closure_matches_brute_force_reachability(self):
         inst = tg.gen_chain_task(depth=6, branching=2, seed=5)
         root = int(np.nonzero(inst.beliefs)[0][0])
-        closure = ru.forward_chain(inst.rulebase, {inst.atom_map[root]})
+        closure = ru.forward_chain(inst.rulebase, {inst.rulebase.atoms[root]})
         adjacency = {}
         for cl in inst.rulebase.clauses:
             (body,) = tuple(cl.body)
             adjacency.setdefault(body, []).append(cl.head)
-        reached = {inst.atom_map[root]}
-        frontier = [inst.atom_map[root]]
+        reached = {inst.rulebase.atoms[root]}
+        frontier = [inst.rulebase.atoms[root]]
         while frontier:
             node = frontier.pop()
             for nxt in adjacency.get(node, ()):
@@ -272,7 +272,7 @@ class TestChainTask:
                     reached.add(nxt)
                     frontier.append(nxt)
         assert closure == frozenset(reached)
-        assert closure == frozenset(inst.atom_map)
+        assert closure == frozenset(inst.rulebase.atoms)
 
     def test_validation(self):
         with pytest.raises(ValueError):

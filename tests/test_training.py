@@ -83,10 +83,10 @@ def y_space_train(model, lt, data, pw, schedule, cfg, ctx):
         g_weights = np.zeros_like(current.gating_weights)
         sums = np.zeros(3)
         for example, f_vec, alpha, coeffs, trace in zip(data, features, alphas, pooled, traces):
-            y = ft.chebyshev_sum(coeffs, trace.basis_vectors)
+            y = ft.chebyshev_sum(coeffs, trace)
             value, proof, transfer, g_y = y_space_terms(pw, ctx, y, example.target)
             sums += (value, proof, transfer)
-            g = trace.basis_vectors @ g_y
+            g = trace @ g_y
             g_thetas += np.outer(alpha, g)
             if len(sizes) > 1:
                 d_alpha = thetas @ g
