@@ -23,6 +23,8 @@ from .graph import (LambdaMaxEstimate, Laplacian, ScaledLaplacian, SpectralBasis
 
 ANALYTIC_KINDS = ("diffusion", "highpass", "gaussian_bandpass", "identity", "polynomial")
 _LAMBDA_MATCH_RTOL = 1e-9
+_FLOAT_MAX = float(np.finfo(float).max)
+_SQUARE_SAFE = 2.0 ** 500  # a value up to this in magnitude squares, and doubles, in range
 
 
 class SolverError(RuntimeError):
@@ -74,17 +76,44 @@ class AnalyticResponse:
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=float)
         if self.kind == "diffusion":
-            out = 1.0 / (1.0 + self.params[0] * lam)
+            tau = self.params[0]
+            # past |lam| = max / tau, tau * lam overflows and the 1 is lost: 1 / (tau lam)
+            out = _piecewise(lam, np.abs(lam) <= _FLOAT_MAX / tau,
+                             lambda x: 1.0 / (1.0 + tau * x), lambda x: (1.0 / tau) / x)
         elif self.kind == "highpass":
             out = lam / (lam + self.params[0])
         elif self.kind == "gaussian_bandpass":
             center, width = self.params
-            out = np.exp(-((lam - center) ** 2) / (2.0 * width * width))
+            # with the width in [2^-500, 2^500] and the distance to the centre at most
+            # 2^500 min(1, width), the distance, the width and their ratio square in range;
+            # half the distance is formed, as it cannot overflow
+            in_range = 1 / _SQUARE_SAFE <= width <= _SQUARE_SAFE
+            reach = _SQUARE_SAFE * min(1.0, width) if in_range else -1.0
+            near = np.abs(0.5 * lam - 0.5 * center) <= reach / 2
+
+            def far(x):
+                # half the distance in units of 32 widths, capped at 1: exp(-2048) is 0 already
+                units = np.minimum(np.abs(0.5 * x - 0.5 * center) / 32.0, width) / width
+                return np.exp(-2048.0 * units * units)
+
+            out = _piecewise(lam, near,
+                             lambda x: np.exp(-((x - center) ** 2) / (2.0 * width * width)), far)
         elif self.kind == "identity":
             out = np.ones_like(lam)
         else:
             out = nppoly.polyval(lam, np.asarray(self.params))
         return out if out.ndim else float(out)
+
+
+def _piecewise(lam: np.ndarray, ordinary: np.ndarray, form, far_form) -> np.ndarray:
+    """form(lam) where ordinary holds and far_form(lam) elsewhere, each given only its own
+    entries: form is the closed form as written, far_form one that cannot overflow."""
+    if ordinary.all():
+        return form(lam)
+    out = np.empty(lam.shape)
+    out[ordinary] = form(lam[ordinary])
+    out[~ordinary] = far_form(lam[~ordinary])
+    return out
 
 
 def diffusion(tau: float) -> AnalyticResponse:

@@ -22,9 +22,10 @@ from typing import NamedTuple
 import numpy as np
 
 LAMBDA_SAFETY_MARGIN = 1.01
-_LANCZOS_TOL = 1e-8  # relative Ritz residual at which the Lanczos value is taken
-_LANCZOS_CHECK_EVERY = 5  # steps between Ritz-pair checks; each check costs O(k^3)
+_LANCZOS_TOL = 1e-5  # relative Ritz residual at which the Lanczos value is taken
+_LANCZOS_DENSE_CHECKS = 50  # Ritz pair checked at every step up to here, then at ceil(1.25 k)
 _UNSCALED = (2.0 ** -400, 2.0 ** 400)  # |diagonal| range Lanczos runs unscaled on
+_LEVEL_ROWS = 1024  # fewest rows a level of a product sums by slice; below, bincount adds
 DENSE_CAP = 2048
 _SIGN_TOL = 1e-12
 _TIE_TOL = 1e-9
@@ -169,6 +170,28 @@ def _adjacency_slots(g: Graph):
     return indptr, below, left, right
 
 
+class _Levels(NamedTuple):
+    """A sparse operator's entries laid out for its product, level by level.
+
+    ``order`` lists the rows longest first, so the rows with more than k entries are
+    ``order[:widths[k]]`` and their k-th entries one contiguous level of ``data`` and
+    ``indices``: a level is summed by one slice, not one entry at a time. Levels run
+    while at least _LEVEL_ROWS rows reach them. The ``wide`` rows, with more entries
+    than there are levels, keep the rest of their entries at ``rest`` (positions in
+    the CSR arrays, row by row in stored order), summed by one bincount over ``bins``:
+    each wide row's number, once for its sum so far and then once for each of its
+    entries at ``rest``.
+    """
+
+    order: np.ndarray
+    widths: list
+    data: np.ndarray
+    indices: np.ndarray
+    wide: np.ndarray
+    rest: np.ndarray
+    bins: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
     """A square sparse matrix held as read-only canonical CSR arrays.
@@ -190,25 +213,56 @@ class SparseOperator:
     def node_count(self) -> int:
         return self.indptr.size - 1
 
-    @cached_property
+    @property
     def rows(self) -> np.ndarray:
-        """Each stored entry's row, built on first use."""
-        rows = np.repeat(np.arange(self.node_count), np.diff(self.indptr))
-        rows.setflags(write=False)
-        return rows
+        """Each stored entry's row, built at each use: products do not need it, so an
+        operator does not hold it."""
+        return np.repeat(np.arange(self.node_count), np.diff(self.indptr))
+
+    @cached_property
+    def _levels(self) -> _Levels:
+        """The entries regrouped for ``__matmul__``, built on first use (see _Levels)."""
+        n = self.node_count
+        counts = np.diff(self.indptr)
+        order = np.argsort(-counts, kind="stable")
+        longer = n - np.cumsum(np.bincount(counts, minlength=1))  # rows with more than k entries
+        widths = longer[longer >= _LEVEL_ROWS]
+        starts = self.indptr[order]
+        taken = np.concatenate([starts[:width] + k for k, width in enumerate(widths)]
+                               + [np.zeros(0, dtype=np.int64)])
+        wide = order[:longer[widths.size]]  # longer ends at 0: the rows past the last level
+        beyond = counts[wide] - widths.size
+        first = np.cumsum(beyond) - beyond
+        rest = np.repeat(self.indptr[wide] + widths.size - first, beyond) + np.arange(beyond.sum())
+        bins = np.concatenate([np.arange(wide.size), np.repeat(np.arange(wide.size), beyond)])
+        return _Levels(order, widths.tolist(), self.data[taken], self.indices[taken], wide, rest,
+                       bins)
 
     def __matmul__(self, x) -> np.ndarray:
         """The product with a vector x.
 
-        bincount adds each row's products in stored order, starting from 0.0, as
-        scipy's csr_matvec does, so the result has the bits scipy gives.
+        Each row's products are added in stored order, starting from 0.0, as scipy's
+        csr_matvec does, so the result has the bits scipy gives: one level of _levels at
+        a time, and past the last level by bincount, which starts each wide row from
+        its sum so far (0.0 plus a sum that began at 0.0 is that sum, bit for bit).
         """
         n = self.node_count
         if np.shape(x) != (n,):
             raise ValueError(f"cannot multiply a {n}-node operator by shape {np.shape(x)}")
-        if not self.data.size:
-            return np.zeros(n)  # bincount returns integers when it counts nothing
-        return np.bincount(self.rows, weights=self.data * x[self.indices], minlength=n)
+        levels = self._levels
+        products = levels.data * x[levels.indices]
+        sums = np.zeros(n)
+        start = 0
+        for width in levels.widths:
+            sums[:width] += products[start:start + width]
+            start += width
+        out = np.empty(n)
+        out[levels.order] = sums
+        if levels.rest.size:
+            rest = self.data[levels.rest] * x[self.indices[levels.rest]]
+            out[levels.wide] = np.bincount(levels.bins, weights=np.concatenate(
+                [out[levels.wide], rest]), minlength=levels.wide.size)
+        return out
 
     def toarray(self) -> np.ndarray:
         """The dense matrix."""
@@ -477,29 +531,36 @@ class LambdaMaxEstimate(NamedTuple):
 
 def gershgorin_bound(lap: Laplacian) -> float:
     """Row-sum upper bound max_i (L_ii + sum_{j != i} |L_ij|) on the spectrum."""
-    on_diagonal = np.flatnonzero(lap.indices == lap.rows)
+    rows = lap.rows
+    on_diagonal = np.flatnonzero(lap.indices == rows)
     diagonal = np.zeros(lap.node_count)
-    diagonal[lap.rows[on_diagonal]] = lap.data[on_diagonal]
+    diagonal[rows[on_diagonal]] = lap.data[on_diagonal]
     off = _row_sums(lap.indptr, np.abs(lap.data)) - np.abs(diagonal)
     return float(np.max(diagonal + off)) if lap.node_count else 0.0
 
 
-def estimate_lambda_max(lap: Laplacian, max_iters: int = 100,
+def estimate_lambda_max(lap: Laplacian, max_iters: int = 200,
                         seed: int = 0) -> LambdaMaxEstimate:
     """Upper bound on the largest eigenvalue from a Lanczos recurrence.
 
     Runs the three-term Lanczos recurrence from a seeded, perturbed all-ones
     vector, holding three n-vectors: no reorthogonalisation, no stored basis.
-    Every _LANCZOS_CHECK_EVERY steps the top Ritz pair (theta, z) of the
-    tridiagonal T_k is taken; once its residual r = |beta_k z_k| is at most
-    ``_LANCZOS_TOL * max(1, theta)``, the value is (theta + r) * LAMBDA_SAFETY_MARGIN,
-    since some eigenvalue lies within r of theta. A recurrence that does not
-    converge within ``max_iters`` steps returns the bound theta + beta_k of
-    Y. Zhou and R.-C. Li, "Bounding the spectrum of large Hermitian matrices",
-    LAA 435 (2011), or the Gershgorin bound when that is smaller, with
-    ``converged`` False and ``method`` naming the bound used.
-    Each check is a dense eigensolve of T_k, O(k^3), which keeps ``max_iters``
-    small. A numerically zero operator, one whose bound is at most 1e-12 times
+    The top Ritz pair (theta, z) of the tridiagonal T_k is taken at every step
+    k <= _LANCZOS_DENSE_CHECKS, then at ceil(1.25 k) and at ``max_iters``, so that
+    the checks' dense eigensolves, O(k^3) each, grow as log k past step 50. Once
+    theta is at least the largest diagonal entry, which lambda_max of a positive
+    semidefinite operator never falls below, and the residual r = |beta_k z_k| is
+    at most ``_LANCZOS_TOL * theta`` (1e-5), the value is
+    (theta + r) * LAMBDA_SAFETY_MARGIN, since some eigenvalue lies within r of
+    theta and theta, a Rayleigh quotient, is at most lambda_max. Both tests scale
+    with the operator, so scaling every weight leaves the step it stops at.
+    The Ritz value's error is quadratic in r (Parlett, The Symmetric Eigenvalue
+    Problem, 11.7), so the 1% margin, not the tolerance, sets the value's slack.
+    A recurrence that does not converge within ``max_iters`` steps (200) returns
+    the bound theta + beta_k of Y. Zhou and R.-C. Li, "Bounding the spectrum of
+    large Hermitian matrices", LAA 435 (2011), or the Gershgorin bound when that
+    is smaller, with ``converged`` False and ``method`` naming the bound used.
+    A numerically zero operator, one whose bound is at most 1e-12 times
     the scale 2^e below, returns value 1.0 with the degenerate flag set so
     downstream rescaling stays finite.
 
@@ -515,12 +576,14 @@ def estimate_lambda_max(lap: Laplacian, max_iters: int = 100,
     top = float(np.max(np.abs(lap.data[lap.indices == lap.rows]), initial=0.0))
     exponent = 0 if _UNSCALED[0] <= top <= _UNSCALED[1] else int(np.frexp(top)[1])
     op = lap if exponent == 0 else replace(lap, data=np.ldexp(lap.data, -exponent))
+    floor = float(np.ldexp(top, -exponent))  # lambda_max of op is at least its largest diagonal
     rng = np.random.default_rng(seed)
     v = np.ones(n) + 0.01 * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     v_prev = np.zeros(n)
     alphas, betas = [], []
     beta = 0.0
+    check = 1
     for k in range(1, max_iters + 1):
         w = op @ v
         w -= beta * v_prev
@@ -531,12 +594,13 @@ def estimate_lambda_max(lap: Laplacian, max_iters: int = 100,
         betas.append(beta)
         # beta ~ 0: the Krylov space is invariant and its Ritz values are exact
         invariant = beta <= _SIGN_TOL
-        if invariant or k % _LANCZOS_CHECK_EVERY == 0 or k == max_iters:
+        if invariant or k == check or k == max_iters:
+            check = k + 1 if k < _LANCZOS_DENSE_CHECKS else -(-5 * k // 4)
             off = betas[:-1]
             vals, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
             theta = float(vals[-1])
             residual = abs(beta * float(vecs[-1, -1]))
-            if invariant or residual <= _LANCZOS_TOL * max(1.0, theta):
+            if invariant or (theta >= floor and residual <= _LANCZOS_TOL * theta):
                 return _lambda_estimate((theta + residual) * LAMBDA_SAFETY_MARGIN, exponent,
                                         k, True, "lanczos")
         w /= beta

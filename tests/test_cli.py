@@ -739,6 +739,32 @@ def test_perturb_with_weights_near_the_float_range(workdir, capsys):
     assert [row["clean_energy"] == row["perturbed_energy"] for row in rows] == [False, True, True]
 
 
+NEAR_THE_FLOAT_RANGE = {
+    "1e300": ("4 3\n0 1 1e300\n1 2 1e300\n2 3 1e300\n", ()),
+    "5e307": ("2 1\n0 1 5e307\n", ()),
+    "mixed": ("4 3\n0 1 1e-300\n1 2 1e300\n2 3 1e-300\n", ()),
+    "signed-1e300": ("4 3\n0 1 1e300\n1 2 -1e300\n2 3 1e300\n",
+                     ("--graph-kind", "signed", "--variant", "signed")),
+}
+
+
+@pytest.mark.parametrize("graph", NEAR_THE_FLOAT_RANGE)
+@pytest.mark.parametrize("response", [("gaussian_bandpass",), ("diffusion", "--tau", "2")])
+@pytest.mark.parametrize("command", ["fit", "attribute"])
+def test_responses_near_the_float_range_raise_no_warning(workdir, capsys, graph, response,
+                                                         command):
+    # (lam - center) ** 2 and tau * lam once overflowed here, though the values are finite
+    text, graph_args = NEAR_THE_FLOAT_RANGE[graph]
+    (workdir / "g.txt").write_text(text)
+    (workdir / "x.txt").write_text("".join(f"{(-2) ** k}\n" for k in range(int(text[0]))))
+    args = (["--order", "8"] if command == "fit" else ["--beliefs", "x.txt"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(command, "--graph", "g.txt", *graph_args, "--response", *response, *args,
+                   "--out-dir", "out") == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_no_command_loads_a_scipy_module(workdir):
     # NumPy is the only runtime dependency: importing the CLI, each of the nine commands,
     # gen of every kind and infer with a temperature load no scipy module

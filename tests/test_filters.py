@@ -37,6 +37,19 @@ class TestAnalyticResponses:
         assert h[0] == 1.0
         assert h[1] == pytest.approx(np.exp(-2.0), rel=1e-12)
 
+    def test_values_near_the_float_range_are_formed_without_overflow(self):
+        # tau * lam and (lam - center) ** 2 would overflow; the true values are in range
+        lam = np.array([1.01e308, -1e308, 0.5])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # 1 / 2e308 underflows
+            diffused = ft.diffusion(2.0)(lam)
+            wide = ft.gaussian_bandpass(1e200, 1e200)(np.array([3e200, -1e308, 1e200]))
+            narrow = ft.gaussian_bandpass(1.0, 0.5)(lam)
+        assert diffused[:2] == pytest.approx([1 / 2.02e308, -1 / 2e308], rel=1e-12)
+        assert diffused[2] == 1.0 / (1.0 + 2.0 * 0.5)
+        assert wide.tolist() == [pytest.approx(np.exp(-2.0), rel=1e-12), 0.0, 1.0]
+        assert narrow[:2].tolist() == [0.0, 0.0]
+        assert narrow[2] == np.exp(-((0.5 - 1.0) ** 2) / (2.0 * 0.5 * 0.5))
+
     def test_identity_and_polynomial(self):
         assert ft.response_eval(ft.identity(), [0.0, 5.0]).tolist() == [1.0, 1.0]
         h = ft.response_eval(ft.polynomial(1.0, 2.0), [0.0, 3.0])

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as sla
 
 from specreason import graph as gr
 from specreason.taskgen import random_gnm, random_gnp
@@ -343,6 +344,22 @@ class TestLaplacian:
             ours = lap @ x
             assert ours.dtype == float and ours.tobytes() == (scipy_view(lap) @ x).tobytes()
 
+    def test_product_by_levels_matches_scipy_bit_for_bit(self):
+        # past 1024 rows a product sums level by level, and a hub's entries beyond the last
+        # level by bincount from its partial sum
+        rng = np.random.default_rng(12)
+        g = random_gnm(5000, 30_000, seed=2)
+        leaves = np.arange(3000)  # node 5000 joins them, with weights 1 .. 1/3000
+        hub = gr.Graph(5001, columns=(np.r_[g.rows, leaves], np.r_[g.cols, np.full(3000, 5000)],
+                                      np.r_[g.weights, 1 / (1 + leaves)]))
+        for graph in (g, hub):
+            for variant in ("combinatorial", "normalized"):
+                lap = gr.build_laplacian(graph, variant)
+                x = rng.standard_normal(lap.node_count)
+                x[rng.random(x.size) < 0.2] = rng.choice([0.0, -0.0])
+                assert lap._levels.widths and lap._levels.rest.size
+                assert (lap @ x).tobytes() == (scipy_view(lap) @ x).tobytes()
+
     def test_product_refuses_a_vector_of_another_length(self):
         with pytest.raises(ValueError, match="shape"):
             gr.build_laplacian(p2()) @ np.ones(3)
@@ -435,6 +452,37 @@ class TestLambdaMax:
                 assert est.value >= top - 1e-9, (n, p, seed, variant)
                 assert est.value <= gr.gershgorin_bound(lap) * 1.01 + 1e-12
 
+    def test_estimate_dominates_mid_size_spectra(self):
+        # 50 seeded G(n, p), n 40..400, mean degree 0.5..8, in all three variants; first the
+        # two signed graphs of a 300-graph sweep where a 1e-3 tolerance returned 9.754 < 9.894
+        # and 12.98 < 13.10
+        rng = np.random.default_rng(400)
+        cases = [(78, 0.043, 65), (393, 0.0108, 92)]
+        for seed in range(48):
+            n = int(rng.integers(40, 401))
+            cases.append((n, float(rng.uniform(0.5, 8.0)) / n, 1000 + seed))
+        for n, p, seed in cases:
+            g = random_gnp(n, p, seed=seed)
+            signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=g.edge_count)
+            signed = gr.Graph(n, kind="signed", columns=(g.rows, g.cols, g.weights * signs))
+            for graph, variant in ((g, "combinatorial"), (g, "normalized"), (signed, "signed")):
+                lap = gr.build_laplacian(graph, variant)
+                est = gr.estimate_lambda_max(lap)
+                top = float(np.linalg.eigvalsh(lap.toarray())[-1])
+                assert est.converged and est.method == "lanczos", (n, p, seed, variant)
+                assert est.value >= top - 1e-9, (n, p, seed, variant)
+
+    @pytest.mark.parametrize("variant", ["combinatorial", "normalized"])
+    def test_gnm_3000_converges_under_the_cap(self, variant):
+        # 105 and 170 steps: over the former 100-step cap, so fit warned and used theta + beta
+        lap = gr.build_laplacian(random_gnm(3000, 15_000, seed=4), variant)
+        est = gr.estimate_lambda_max(lap)
+        # ARPACK at machine precision: a dense eigvalsh at n = 3000 takes about 2 s
+        start = np.random.default_rng(0).standard_normal(lap.node_count)
+        top = float(sla.eigsh(scipy_view(lap), k=1, which="LA", tol=0, v0=start)[0][0])
+        assert est.converged and est.method == "lanczos"
+        assert top <= est.value <= top * gr.LAMBDA_SAFETY_MARGIN * (1 + gr._LANCZOS_TOL)
+
     def test_near_degenerate_top_converges_tightly(self):
         # two disjoint stars, 400 and 399 leaves: lambda_max 401 and 400
         centre, leaves = np.repeat([0, 401], [400, 399]), np.r_[1:401, 402:801]
@@ -453,7 +501,7 @@ class TestLambdaMax:
     def test_sparse_graph_needs_few_steps(self):
         lap = gr.build_laplacian(random_gnm(2000, 10_000, seed=1))
         est = gr.estimate_lambda_max(lap, max_iters=500)
-        assert est.converged and est.iterations <= 100
+        assert est.converged and est.iterations <= 20
         assert type(est.value) is float
 
     def test_gershgorin_p2(self):
@@ -463,6 +511,26 @@ class TestLambdaMax:
         lap = gr.build_laplacian(gr.Graph(node_count=3, edges=()))
         est = gr.estimate_lambda_max(lap)
         assert est.degenerate and est.value == 1.0
+
+    @pytest.mark.parametrize("weight", [1e-3, 1e-4, 1e-6])
+    def test_small_weights_dominate_spectrum(self, weight):
+        # a residual tolerance of tol * max(1, theta) reads as absolute below theta = 1: at
+        # 1e-4 the 200-node ring stopped at step 1, its start vector near the null space,
+        # with 2.4e-6 against 4e-4
+        n = 200
+        ring = gr.Graph(n, columns=(np.arange(n), (np.arange(n) + 1) % n, np.full(n, weight)))
+        g = random_gnp(60, 0.1, seed=3)
+        signs = np.random.default_rng(3).choice([-1.0, 1.0], size=g.edge_count)
+        scaled = gr.Graph(60, columns=(g.rows, g.cols, g.weights * weight))
+        signed = gr.Graph(60, kind="signed", columns=(g.rows, g.cols, g.weights * signs * weight))
+        for graph, variant in ((ring, "combinatorial"), (scaled, "combinatorial"),
+                               (scaled, "normalized"), (signed, "signed")):
+            lap = gr.build_laplacian(graph, variant)
+            est = gr.estimate_lambda_max(lap)
+            top = float(np.linalg.eigvalsh(lap.toarray())[-1])
+            assert est.converged and est.method == "lanczos", (graph.node_count, variant)
+            assert top <= est.value <= top * gr.LAMBDA_SAFETY_MARGIN * (1 + gr._LANCZOS_TOL), (
+                graph.node_count, variant)
 
     def test_weights_near_the_float_range_are_bounded(self):
         # unscaled, large weights overflow in the recurrence and tiny ones read as zero;
@@ -478,7 +546,8 @@ class TestLambdaMax:
             assert estimate.iterations == reference.iterations
             assert estimate.value == np.ldexp(reference.value, k - 600)
             top = np.ldexp(np.linalg.eigvalsh(np.ldexp(lap.toarray(), -k))[-1], k)
-            assert top <= estimate.value <= top * gr.LAMBDA_SAFETY_MARGIN * (1 + 1e-7)
+            # theta <= lambda_max and r <= tol * theta: value <= top * margin * (1 + tol)
+            assert top <= estimate.value <= top * gr.LAMBDA_SAFETY_MARGIN * (1 + gr._LANCZOS_TOL)
 
     def test_diagonal_in_the_top_binade_is_bounded(self):
         # the largest diagonal, 1e308, lies in [2^1023, 2^1024): the scale 2^e itself overflows
@@ -488,7 +557,7 @@ class TestLambdaMax:
         dense = np.linalg.eigvalsh(lap.toarray())[-1]
         assert estimate.converged and not estimate.degenerate
         assert np.isfinite(estimate.value)
-        assert dense <= estimate.value <= dense * gr.LAMBDA_SAFETY_MARGIN * (1 + 1e-7)
+        assert dense <= estimate.value <= dense * gr.LAMBDA_SAFETY_MARGIN * (1 + gr._LANCZOS_TOL)
 
     def test_estimate_deterministic(self):
         lap = gr.build_laplacian(random_gnp(30, 0.2, seed=5))
