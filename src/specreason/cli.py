@@ -320,9 +320,14 @@ def _train_plan(config: dict) -> dict:
     if weights["rule_consistency"] != 0:
         raise ValueError("penalties.rule_consistency must be 0; train has no target "
                          "spectrum to hold the operator to")
+    penalties = tr.PenaltyWeights(proof=weights["proof"], transfer=weights["transfer"])
+    bands = config["allowed_bands"]  # read by the proof penalty alone, over three bands
+    if penalties.proof > 0 and not (bands and set(bands) <= {0, 1, 2}):
+        raise ValueError("allowed_bands must name one or more of bands 0, 1 and 2 when "
+                         f"penalties.proof > 0, got {bands}")
     return dict(config,
                 teacher=ft.AnalyticResponse(kind=teacher["kind"], params=tuple(teacher["params"])),
-                penalties=tr.PenaltyWeights(proof=weights["proof"], transfer=weights["transfer"]),
+                penalties=penalties,
                 curriculum=tr.CurriculumSchedule(stages=stages) if stages else None,
                 train=tr.TrainConfig(learning_rate=config["learning_rate"],
                                      epochs=config["epochs"], clip_norm=config["clip_norm"]))

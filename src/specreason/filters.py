@@ -221,8 +221,14 @@ def fit_chebyshev(response, order: int, lambda_max: float) -> ChebyshevFilter:
         raise ValueError("response is not finite on the quadrature nodes")
     k = np.arange(order + 1)
     kernel = np.cos(np.outer(k, angles))
-    theta = (2.0 / nodes) * (kernel @ f)
+    # past 2^1000 the sum over the nodes can overflow: it is taken on f / 2^e, which is exact
+    peak = float(np.abs(f).max())
+    exponent = int(np.frexp(peak)[1]) if peak > 2.0 ** 1000 else 0
+    theta = (2.0 / nodes) * (kernel @ (np.ldexp(f, -exponent) if exponent else f))
     theta[0] *= 0.5
+    if exponent:
+        with np.errstate(over="ignore"):  # a coefficient past the float range is refused below
+            theta = np.ldexp(theta, exponent)
     return ChebyshevFilter(theta=theta, lambda_max=lambda_max)
 
 

@@ -1,11 +1,11 @@
-"""Gradient-based training of spectral filters and gated expert mixtures.
+"""Gradient-based training of Chebyshev filters, and gated expert mixtures.
 
-One loop trains both. A filter enters it as a one-expert mixture, whose
-gate is 1 for every example, so its pooled coefficients are its own. The
-data term is the mean squared error to each example's target. Operator
-gradients are exact reverse-mode through the Chebyshev recurrence,
-reported in the symmetric subspace. Penalties steer where output energy
-is allowed to live and how outputs should transfer across graphs.
+Training fits one filter's coefficients. The data term is the mean squared
+error to each example's target. Operator gradients are exact reverse-mode
+through the Chebyshev recurrence, reported in the symmetric subspace.
+Penalties steer where output energy is allowed to live and how outputs
+should transfer across graphs. A mixture pools its experts' coefficients
+through a softmax gate over five spectral features of its input.
 
 Cost: an example's recurrence trace b_0 .. b_K depends on the operator and
 the example, not on the coefficients. Training runs on a fixed operator: one
@@ -60,12 +60,9 @@ def grad_scaled_laplacian(dLdy, theta, trace: np.ndarray, lt: ScaledLaplacian) -
     return 0.5 * (grad + grad.T)
 
 
-def gating_features(basis: SpectralBasis, x, partition: BandPartition | None = None) -> np.ndarray:
+def gating_features(basis: SpectralBasis, x) -> np.ndarray:
     """The five gating inputs: total energy, three band fractions, node count."""
-    part = partition if partition is not None else default_three_band(basis.lambda_max)
-    if part.n_bands != 3:
-        raise ValueError("gating features are defined over a three-band partition")
-    report = band_energy(basis, x, part)
+    report = band_energy(basis, x, default_three_band(basis.lambda_max))
     values = belief_values(x)
     return np.array([float(values @ values), report.fractions[0],
                      report.fractions[1], report.fractions[2],
@@ -110,31 +107,23 @@ class MoSEModel:
 
 
 def mose_gate(model: MoSEModel, features) -> np.ndarray:
-    """Softmax gate alpha = softmax(W f); always a point on the simplex.
-
-    features is one feature vector or a stack of them, one per row; the
-    gates come back in the same layout.
-    """
+    """Softmax gate alpha = softmax(W f); always a point on the simplex."""
     f = np.asarray(features, dtype=float)
-    if f.ndim > 2 or f.shape[-1:] != (len(GATING_FEATURES),):
+    if f.shape != (len(GATING_FEATURES),):
         raise ValueError(f"features must have length {len(GATING_FEATURES)}")
-    logits = (model.gating_weights @ f.T).T
-    logits = logits - logits.max(axis=-1, keepdims=True)
-    weights = np.exp(logits)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    logits = model.gating_weights @ f
+    weights = np.exp(logits - logits.max())
+    return weights / weights.sum()
 
 
 def pooled_coefficients(model: MoSEModel, alpha) -> np.ndarray:
-    """Gate-weighted coefficient pool: sum_b alpha_b theta_b, zero-padded.
-
-    alpha is one gate or a stack of them, one per row, as mose_gate gives.
-    """
+    """Gate-weighted coefficient pool: sum_b alpha_b theta_b, zero-padded."""
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim > 2 or alpha.shape[-1:] != (len(model.experts),):
+    if alpha.shape != (len(model.experts),):
         raise ValueError("alpha must hold one weight per expert")
-    pooled = np.zeros(alpha.shape[:-1] + (model.max_order + 1,))
-    for b, expert in enumerate(model.experts):
-        pooled[..., : expert.theta.size] += alpha[..., b, None] * expert.theta
+    pooled = np.zeros(model.max_order + 1)
+    for weight, expert in zip(alpha, model.experts):
+        pooled[: expert.theta.size] += weight * expert.theta
     return pooled
 
 
@@ -255,7 +244,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainResult:
-    model: object
+    model: ft.ChebyshevFilter
     history: tuple[tuple, ...]
 
 
@@ -274,7 +263,7 @@ def _require(condition: bool, message: str):
 
 
 class _FactoredLoss:
-    """One example's loss terms and their gradients, at any pooled coefficients c.
+    """One example's loss terms and their gradients, at any coefficients c.
 
     With B the trace rows b_0 .. b_K, the output is y = B^T c and each term is a
     squared norm ||A z||^2 with A fixed per example. A Householder QR keeps that
@@ -334,20 +323,17 @@ def _clipped(grad: np.ndarray, clip_norm: float | None) -> np.ndarray:
     return grad
 
 
-def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = None,
+def train(model: ft.ChebyshevFilter, lt: ScaledLaplacian, data,
+          penalties: PenaltyWeights | None = None,
           schedule: CurriculumSchedule | None = None,
           config: TrainConfig | None = None,
           context: PenaltyContext | None = None,
           traces: list[np.ndarray] | None = None) -> TrainResult:
-    """Full-batch gradient descent on a filter or expert mixture, in one loop.
+    """Full-batch gradient descent on a filter's coefficients.
 
-    A filter trains as a one-expert mixture with all-zero gating features:
-    its gate is exactly 1, its pooled coefficients are exactly its theta,
-    and its gating weights get no gradient. Every epoch computes each
-    example's gate and pooled coefficients once; each example then scores
-    them on the QR factors of its trace, built once before the first epoch,
-    and the coefficient gradient reaches expert b scaled by alpha_b. The
-    data term is the mean squared error to the examples' targets.
+    Every epoch each example scores the coefficients on the QR factors of
+    its trace, built once before the first epoch. The data term is the mean
+    squared error to the examples' targets.
 
     Records one history row per epoch before the update; penalty columns
     hold raw (unweighted) values while the total applies the configured
@@ -369,28 +355,13 @@ def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = N
              f"allowed bands {list(ctx.allowed_bands)} outside the partition")
     _require(pw.transfer == 0 or np.shape(ctx.transfer_reference) == (lt.node_count,),
              "transfer penalty needs a reference output, one value per node")
-
-    if isinstance(model, MoSEModel):
-        _require(ctx.basis is not None, "mixture training needs a basis for gating features")
-        current = model
-        features = np.array([gating_features(ctx.basis, ex.x, ctx.partition) for ex in data])
-    elif isinstance(model, ft.ChebyshevFilter):
-        # a one-expert softmax gate is 1 whatever its weights and features
-        current = MoSEModel(experts=(model,), gating_weights=np.zeros((1, len(GATING_FEATURES))))
-        features = np.zeros((len(data), len(GATING_FEATURES)))
-    else:
-        raise TypeError(f"cannot train a {type(model).__name__}")
+    order = model.order
     _require(traces is None or (
         len(traces) == len(data)
-        and all(len(t) - 1 == current.max_order and np.array_equal(t[0], ex.x)
+        and all(len(t) - 1 == order and np.array_equal(t[0], ex.x)
                 for t, ex in zip(traces, data))),
         "traces must hold one recurrence per example, from its beliefs, at the model's order")
 
-    # expert b owns the first sizes[b] columns of the zero-padded coefficient rows
-    sizes = [e.theta.size for e in current.experts]
-    order = current.max_order
-    owned = np.arange(order + 1) < np.array(sizes)[:, None]
-    gated = len(sizes) > 1
     if traces is None:  # a trace depends on the operator and the example, never on theta
         probe = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=lt.lambda_max)
         traces = [ft.cheb_apply(probe, lt, ex.x, keep_trace=True)[1] for ex in data]
@@ -405,40 +376,20 @@ def train(model, lt: ScaledLaplacian, data, penalties: PenaltyWeights | None = N
               for trace, ex in zip(traces, data)]
     term_weights = np.array([1.0, pw.proof, pw.transfer])
 
-    history = []
-    for epoch in range(cfg.epochs):
-        thetas = np.zeros((len(sizes), order + 1))
-        for row, expert in zip(thetas, current.experts):
-            row[: expert.theta.size] = expert.theta
-        alphas = mose_gate(current, features)
-        pooled = pooled_coefficients(current, alphas)
-        g_thetas = np.zeros_like(thetas)
-        g_weights = np.zeros_like(current.gating_weights)
-        sums = np.zeros(3)  # data term, proof and transfer penalties over the examples
-        for f_vec, alpha, coeffs, loss in zip(features, alphas, pooled, losses):
-            values, grads = loss(coeffs)
-            sums += values
-            g = term_weights @ grads
-            g_thetas += np.outer(alpha, g)
-            if gated:  # a one-expert gate is constant: no gradient, and no inf - inf on divergence
-                d_alpha = thetas @ g
-                g_weights += np.outer(alpha * (d_alpha - float(alpha @ d_alpha)), f_vec)
-        count = len(data)
-        g_thetas /= count
-        _record_epoch(history, epoch, pw, sums / count)
-
-        mask = curriculum_mask(schedule, epoch, order) & owned
-        steps = np.array([_clipped(np.where(m, g, 0.0), cfg.clip_norm)
-                          for m, g in zip(mask, g_thetas)])
-        thetas = thetas - cfg.learning_rate * steps
-        g_weights = _clipped(g_weights / count, cfg.clip_norm)
-        weights = current.gating_weights - cfg.learning_rate * g_weights
-        if not np.all(np.isfinite(thetas)) or not np.all(np.isfinite(weights)):
-            raise DivergenceError(epoch)
-        current = MoSEModel(experts=tuple(ft.ChebyshevFilter(theta=t[:size],
-                                                             lambda_max=lt.lambda_max)
-                                          for t, size in zip(thetas, sizes)),
-                            gating_weights=weights)
-
-    trained = current if isinstance(model, MoSEModel) else current.experts[0]
-    return TrainResult(model=trained, history=tuple(history))
+    theta, history = model.theta, []
+    # a diverging run overflows on its way to DivergenceError, which reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            grad = np.zeros(order + 1)
+            sums = np.zeros(3)  # data term, proof and transfer penalties over the examples
+            for loss in losses:
+                values, grads = loss(theta)
+                sums += values
+                grad += term_weights @ grads
+            _record_epoch(history, epoch, pw, sums / len(data))
+            step = np.where(curriculum_mask(schedule, epoch, order), grad / len(data), 0.0)
+            theta = theta - cfg.learning_rate * _clipped(step, cfg.clip_norm)
+            if not np.all(np.isfinite(theta)):
+                raise DivergenceError(epoch)
+    return TrainResult(model=ft.ChebyshevFilter(theta=theta, lambda_max=lt.lambda_max),
+                       history=tuple(history))

@@ -88,6 +88,18 @@ class TestFit:
         dense = np.ldexp(np.linalg.eigvalsh(np.ldexp(lap.toarray(), -1000))[-1], 1000)
         value = ft.load_filter("out/filter.json").lambda_max
         assert dense <= value <= 1.01 * (1 + 1e-7) * dense
+        # lambda_max about 1e308: the quadrature sum of 1 + lambda / 2 once overflowed, and the
+        # fit was refused as not finite
+        (workdir / "huge.txt").write_text("2 1\n0 1 5e307\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("fit", "--graph", "huge.txt", "--response", "polynomial",
+                       "--coeffs", "1,0.5", "--order", "8", "--out-dir", "poly") == 0
+        assert capsys.readouterr().err == ""
+        fitted = ft.load_filter("poly/filter.json")
+        # 1 + lambda / 2 is theta_0 + theta_1 z with both lambda_max / 4, the 1 lost to rounding
+        assert fitted.theta[:2] == pytest.approx([fitted.lambda_max / 4] * 2, rel=1e-12)
+        assert np.all(np.abs(fitted.theta[2:]) <= 1e-15 * fitted.lambda_max)
 
     def test_weights_near_the_float_range_tiny_fit(self, workdir, capsys):
         # lambda_max about 5e-300: a zero test on an absolute scale once called it degenerate
@@ -233,9 +245,20 @@ class TestTrain:
             {"order": 4, "epochs": 3, "penalties": {"proof": 0.5}, "allowed_bands": [7]}))
         code = run("train", "--graph", "p2.txt", "--config", "train.json", "--out-dir", "out")
         assert code == 1
-        assert "allowed bands [7] outside the partition" in capsys.readouterr().err
+        assert ("error: train.json: allowed_bands must name one or more of bands 0, 1 and 2 "
+                "when penalties.proof > 0, got [7]") in capsys.readouterr().err
         assert not (workdir / "out").exists()
 
+    def test_diverging_run_prints_one_error_line(self, workdir, capsys):
+        (workdir / "train.json").write_text(json.dumps(
+            {"learning_rate": 1e5, "epochs": 50, "clip_norm": None}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("train", "--graph", "p2.txt", "--config", "train.json", "--out-dir", "out")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: loss diverged at epoch ")
+        assert not (workdir / "out").exists()
 
     def test_teacher_without_kind_named(self, workdir, capsys):
         (workdir / "train.json").write_text(json.dumps(
@@ -307,11 +330,17 @@ class TestTrain:
         ({"order": 4, "clip_norm": "abc"}, "clip_norm must be a number or null, got 'abc'"),
         ({"order": 4, "epochs": "ten"}, "epochs must be an integer, got 'ten'"),
         ({"order": 4.5}, "order must be an integer, got 4.5"),
+        ({"order": 4, "penalties": {"proof": 0.5}, "allowed_bands": [5]},
+         "allowed_bands must name one or more of bands 0, 1 and 2 when penalties.proof > 0, "
+         "got [5]"),
+        ({"order": 4, "penalties": {"proof": 0.5}, "allowed_bands": []},
+         "allowed_bands must name one or more of bands 0, 1 and 2 when penalties.proof > 0, "
+         "got []"),
     ], ids=["negative_proof", "negative_transfer", "nan_proof", "examples", "order", "epochs",
             "negative_learning_rate", "nan_learning_rate", "infinite_learning_rate",
             "zero_clip_norm", "nan_clip_norm", "curriculum_start", "curriculum_order",
             "curriculum_stage_shape", "curriculum_not_a_list", "clip_norm_type", "epochs_type",
-            "fractional_order"])
+            "fractional_order", "allowed_band_outside", "no_allowed_band"])
     def test_bad_config_value_refused_before_out_dir(self, workdir, capsys, config, message):
         (workdir / "train.json").write_text(json.dumps(config))
         code = run("train", "--graph", "p2.txt", "--config", "train.json", "--out-dir", "out")

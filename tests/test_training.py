@@ -61,51 +61,25 @@ def y_space_train(model, lt, data, pw, schedule, cfg, ctx):
             return grad * (cfg.clip_norm / norm)
         return grad
 
-    if isinstance(model, tr.MoSEModel):
-        current = model
-        features = np.array([tr.gating_features(ctx.basis, ex.x, ctx.partition) for ex in data])
-    else:
-        current = tr.MoSEModel(experts=(model,), gating_weights=np.zeros((1, 5)))
-        features = np.zeros((len(data), 5))
-    sizes = [e.theta.size for e in current.experts]
-    order = current.max_order
-    owned = np.arange(order + 1) < np.array(sizes)[:, None]
+    order = model.order
     probe = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=lt.lambda_max)
     traces = [ft.cheb_apply(probe, lt, ex.x, keep_trace=True)[1] for ex in data]
-    history = []
+    theta, history = model.theta, []
     for epoch in range(cfg.epochs):
-        thetas = np.zeros((len(sizes), order + 1))
-        for row, expert in zip(thetas, current.experts):
-            row[: expert.theta.size] = expert.theta
-        alphas = tr.mose_gate(current, features)
-        pooled = tr.pooled_coefficients(current, alphas)
-        g_thetas = np.zeros_like(thetas)
-        g_weights = np.zeros_like(current.gating_weights)
+        g_theta = np.zeros(order + 1)
         sums = np.zeros(3)
-        for example, f_vec, alpha, coeffs, trace in zip(data, features, alphas, pooled, traces):
-            y = ft.chebyshev_sum(coeffs, trace)
+        for example, trace in zip(data, traces):
+            y = ft.chebyshev_sum(theta, trace)
             value, proof, transfer, g_y = y_space_terms(pw, ctx, y, example.target)
             sums += (value, proof, transfer)
-            g = trace @ g_y
-            g_thetas += np.outer(alpha, g)
-            if len(sizes) > 1:
-                d_alpha = thetas @ g
-                g_weights += np.outer(alpha * (d_alpha - float(alpha @ d_alpha)), f_vec)
+            g_theta += trace @ g_y
         count = len(data)
-        g_thetas /= count
         data_total, proof_total, transfer_total = sums / count
         history.append((epoch, data_total + pw.proof * proof_total + pw.transfer * transfer_total,
                         data_total, proof_total, 0.0, transfer_total))
-        mask = tr.curriculum_mask(schedule, epoch, order) & owned
-        steps = np.array([clipped(np.where(m, g, 0.0)) for m, g in zip(mask, g_thetas)])
-        thetas = thetas - cfg.learning_rate * steps
-        weights = current.gating_weights - cfg.learning_rate * clipped(g_weights / count)
-        current = tr.MoSEModel(experts=tuple(ft.ChebyshevFilter(theta=t[:size],
-                                                                lambda_max=lt.lambda_max)
-                                             for t, size in zip(thetas, sizes)),
-                               gating_weights=weights)
-    trained = current if isinstance(model, tr.MoSEModel) else current.experts[0]
-    return trained, history
+        mask = tr.curriculum_mask(schedule, epoch, order)
+        theta = theta - cfg.learning_rate * clipped(np.where(mask, g_theta / count, 0.0))
+    return ft.ChebyshevFilter(theta=theta, lambda_max=lt.lambda_max), history
 
 
 def y_space_loss(theta, lt, x, target, pw=tr.PenaltyWeights(), ctx=tr.PenaltyContext()):
@@ -436,7 +410,6 @@ class TestTrain:
         assert np.array_equal(result.model.theta[2:], np.zeros(3))
         assert not np.array_equal(result.model.theta[:2], np.zeros(2))
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_detected(self):
         lap, lt, lmax = operator(n=10, seed=26)
         _, data = teacher_data(lt, lmax, 4, 5, seed=27)
@@ -481,30 +454,10 @@ class TestTrain:
         assert lines[0] == ",".join(tr.HISTORY_COLUMNS)
         assert len(lines) == 6
 
-    def test_mose_training_runs_and_improves(self):
-        lap, lt, lmax = operator(n=12, p=0.5, seed=32)
-        _, data = teacher_data(lt, lmax, 4, 8, seed=33)
-        rng = np.random.default_rng(34)
-        model = tr.MoSEModel(
-            experts=tuple(ft.ChebyshevFilter(theta=0.01 * rng.standard_normal(5),
-                                             lambda_max=lmax) for _ in range(2)),
-            gating_weights=np.zeros((2, 5)))
-        context = tr.PenaltyContext(basis=gr.eigendecompose(lap))
-        result = tr.train(model, lt, data, tr.PenaltyWeights(),
-                          config=tr.TrainConfig(learning_rate=0.05, epochs=120),
-                          context=context)
-        assert result.history[-1][1] < result.history[0][1] / 5
-        assert isinstance(result.model, tr.MoSEModel)
-
-    @pytest.mark.parametrize("kind", ["chebyshev", "mose"])
-    def test_recurrence_runs_once_per_example_per_operator(self, monkeypatch, kind):
+    def test_recurrence_runs_once_per_example_per_operator(self, monkeypatch):
         lap, lt, lmax = operator(n=12, p=0.5, seed=40)
-        basis = gr.eigendecompose(lap)
         _, data = teacher_data(lt, lmax, 4, 3, seed=41)
         student = ft.ChebyshevFilter(theta=np.zeros(5), lambda_max=lmax)
-        if kind == "mose":
-            student = tr.MoSEModel(experts=(student, ft.ChebyshevFilter(np.zeros(3), lmax)),
-                                   gating_weights=np.zeros((2, 5)))
         cfg = tr.TrainConfig(epochs=7)
         calls = []
         cheb_apply = ft.cheb_apply
@@ -514,39 +467,28 @@ class TestTrain:
             return cheb_apply(f, lt_arg, *args, **kwargs)
 
         monkeypatch.setattr(ft, "cheb_apply", counted)
-        tr.train(student, lt, data, tr.PenaltyWeights(), config=cfg,
-                 context=tr.PenaltyContext(basis=basis))
+        tr.train(student, lt, data, tr.PenaltyWeights(), config=cfg)
         assert len(calls) == len(data)
         assert all(op is lt for op in calls)
 
-    @pytest.mark.parametrize("kind", ["chebyshev", "mose"])
-    def test_given_traces_train_as_built_ones(self, monkeypatch, kind):
+    def test_given_traces_train_as_built_ones(self, monkeypatch):
         lap, lt, lmax = operator(n=12, p=0.5, seed=42)
         teacher, data = teacher_data(lt, lmax, 4, 3, seed=43)
         traces = [ft.cheb_apply(teacher, lt, ex.x, keep_trace=True)[1] for ex in data]
         student = ft.ChebyshevFilter(theta=np.zeros(5), lambda_max=lmax)
-        if kind == "mose":
-            student = tr.MoSEModel(experts=(student, ft.ChebyshevFilter(np.zeros(3), lmax)),
-                                   gating_weights=np.full((2, 5), 0.01))
         cfg = tr.TrainConfig(epochs=6)
-        context = tr.PenaltyContext(basis=gr.eigendecompose(lap))
-        built = tr.train(student, lt, data, config=cfg, context=context)
+        built = tr.train(student, lt, data, config=cfg)
         calls = []
         for name in ("cheb_apply", "chebyshev_sum"):
             monkeypatch.setattr(ft, name, lambda *a, _f=getattr(ft, name), **k:
                                 calls.append(a) or _f(*a, **k))
-        given = tr.train(student, lt, data, config=cfg, context=context, traces=traces)
+        given = tr.train(student, lt, data, config=cfg, traces=traces)
         assert np.array(given.history).tobytes() == np.array(built.history).tobytes()
-        def arrays(model):
-            return ([e.theta for e in getattr(model, "experts", (model,))]
-                    + [getattr(model, "gating_weights", np.empty(0))])
-
-        assert all(a.tobytes() == b.tobytes()
-                   for a, b in zip(arrays(given.model), arrays(built.model), strict=True))
+        assert given.model.theta.tobytes() == built.model.theta.tobytes()
         assert calls == []
 
-    @pytest.mark.parametrize("case", ["filter", "one_expert", "two_experts", "curriculum_clipped",
-                                      "proof_and_transfer", "fewer_nodes_than_columns"])
+    @pytest.mark.parametrize("case", ["filter", "curriculum_clipped", "proof_and_transfer",
+                                      "fewer_nodes_than_columns"])
     def test_matches_the_y_space_loop(self, case):
         n = 6 if case == "fewer_nodes_than_columns" else 14
         lap, lt, lmax = operator(n=n, p=0.5, seed=50)
@@ -558,13 +500,7 @@ class TestTrain:
         student = ft.ChebyshevFilter(theta=0.1 * rng.standard_normal(order + 1), lambda_max=lmax)
         pw, schedule, cfg = tr.PenaltyWeights(), None, tr.TrainConfig(epochs=30)
         ctx = tr.PenaltyContext(basis=basis, partition=part)
-        if case == "one_expert":
-            student = tr.MoSEModel(experts=(student,), gating_weights=np.zeros((1, 5)))
-        elif case == "two_experts":
-            student = tr.MoSEModel(
-                experts=(student, ft.ChebyshevFilter(0.1 * rng.standard_normal(3), lmax)),
-                gating_weights=0.05 * rng.standard_normal((2, 5)))
-        elif case == "curriculum_clipped":
+        if case == "curriculum_clipped":
             schedule = tr.CurriculumSchedule(stages=((0, 1), (10, 3), (20, order)))
             cfg = tr.TrainConfig(epochs=30, clip_norm=0.05)
         elif case in ("proof_and_transfer", "fewer_nodes_than_columns"):
@@ -574,14 +510,8 @@ class TestTrain:
                                     @ (0.2 * rng.standard_normal(n)))
         result = tr.train(student, lt, data, pw, schedule=schedule, config=cfg, context=ctx)
         model, history = y_space_train(student, lt, data, pw, schedule, cfg, ctx)
-
-        def arrays(m):
-            return ([e.theta for e in getattr(m, "experts", (m,))]
-                    + [getattr(m, "gating_weights", np.zeros(0))])
-
         np.testing.assert_allclose(np.array(result.history), np.array(history), rtol=1e-12, atol=0)
-        for got, want in zip(arrays(result.model), arrays(model), strict=True):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(result.model.theta, model.theta, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("case", ["count", "order", "beliefs"])
     def test_traces_not_of_the_examples_refused(self, case):
