@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import filters as ft
-from .graph import SpectralBasis, belief_values, gft, lambda_max_value
+from .graph import SpectralBasis, belief_values, gft, lambda_max_value, overflow_exponent
 
 CERT_SLACK = 1.05
 _COVER_TOL = 1e-9
@@ -88,9 +88,12 @@ def band_energy(basis: SpectralBasis, y, partition: BandPartition) -> BandReport
     after scaling by a power of two, 2^-e with e the binary exponent of the
     largest, so an output near the float range neither underflows nor
     overflows; the fractions come from the scaled energies, and an energy
-    beyond the float range reads inf.
+    beyond the float range reads inf. A y past 2^1000 is scaled so before its
+    transform too (overflow_exponent), whose sums could overflow.
     """
-    yhat = gft(basis, y)
+    values = belief_values(y)
+    shift = overflow_exponent(values)
+    yhat = gft(basis, np.ldexp(values, -shift) if shift else values)
     if not partition.covers(basis.eigenvalues):
         raise ValueError("partition does not cover the spectrum")
     bands = partition.band_of(basis.eigenvalues)
@@ -101,7 +104,7 @@ def band_energy(basis: SpectralBasis, y, partition: BandPartition) -> BandReport
     degenerate = total <= 0.0
     fractions = np.zeros_like(scaled) if degenerate else scaled / total
     with np.errstate(over="ignore"):
-        energies = np.ldexp(scaled, 2 * exponent)
+        energies = np.ldexp(scaled, 2 * (exponent + shift))
     return BandReport(partition=partition, energies=energies, fractions=fractions,
                       degenerate=degenerate)
 

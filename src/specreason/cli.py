@@ -9,8 +9,13 @@ last and prints the summary.
 Outputs are byte-identical across re-runs with the same inputs and seeds;
 wall-clock latency columns are the one documented exception.
 
-fit and train also write operator.npz beside filter.json: the Laplacian
-they built, for infer to load in place of parsing the same graph again.
+fit and train also write operator.npz beside filter.json: the product layout of
+the Laplacian they built, which their lambda_max estimate already made, and the
+digest of the graph file. When that digest is the --graph file's and the filter's
+graph_sha256 fingerprints the stored layout, infer loads it in place of parsing
+the same graph again, scales it in place and runs its products on it. An older
+operator.npz, which held CSR arrays, names no layout: infer takes the text path
+and writes the same bytes.
 """
 
 from __future__ import annotations
@@ -167,19 +172,17 @@ def _read_graph(path) -> tuple[bytes, str]:
 
 
 _OPERATOR_FILE = "operator.npz"
-_OPERATOR_ARRAYS = (("indptr", np.int64), ("indices", np.int64), ("data", np.float64))
 _UNREADABLE = (OSError, EOFError, ValueError, TypeError, KeyError, zipfile.BadZipFile, zlib.error)
 
 
 def _write_operator(file, lap: gr.Laplacian, source: str) -> None:
-    """operator.npz, streamed into the binary file: lap's CSR arrays and source_sha256,
-    the digest of the graph file.
+    """operator.npz, streamed into the binary file: lap's product layout, one member
+    per array of gr.layout_arrays, and source_sha256, the digest of the graph file.
 
     An uncompressed .npz, as np.savez writes one, except that every member carries
     a fixed timestamp, so the same operator always gives the same bytes.
     """
-    members = (("indptr", lap.indptr), ("indices", lap.indices), ("data", lap.data),
-               ("source_sha256", np.array(source)))
+    members = (*gr.layout_arrays(lap).items(), ("source_sha256", np.array(source)))
     with zipfile.ZipFile(file, "w", zipfile.ZIP_STORED) as archive:
         for name, values in members:
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
@@ -188,8 +191,9 @@ def _write_operator(file, lap: gr.Laplacian, source: str) -> None:
 
 
 def _compiled_operator(path: Path, source: str, variant: str) -> gr.Laplacian | None:
-    """The Laplacian in the operator.npz at path, if the file names the graph bytes
-    whose digest is source; None when it is missing, unreadable or names others.
+    """The Laplacian whose layout the operator.npz at path holds, if the file names the
+    graph bytes whose digest is source; None when it is missing, unreadable, of an
+    older format or names others.
 
     The arrays are only converted, never checked: the caller serves them only when
     their fingerprint is the one a filter's bound record holds.
@@ -198,13 +202,9 @@ def _compiled_operator(path: Path, source: str, variant: str) -> gr.Laplacian | 
         with np.load(path, allow_pickle=False) as npz:
             if str(npz["source_sha256"]) != source:
                 return None
-            arrays = [npz[name].astype(dtype, casting="same_kind", copy=False)
-                      for name, dtype in _OPERATOR_ARRAYS]
+            return gr.Laplacian.from_layout(npz, variant)
     except _UNREADABLE:
         return None
-    if any(values.ndim != 1 for values in arrays):
-        return None
-    return gr.Laplacian(*arrays, variant)
 
 
 def _lambda_max(lap: gr.Laplacian, seed: int,
@@ -449,7 +449,7 @@ def cmd_transfer(args) -> tuple[dict, dict, str]:
     profiles = []
     for graph_path, belief_path in ((args.source_graph, args.source_beliefs),
                                     (args.target_graph, args.target_beliefs)):
-        g = gr.load_graph(graph_path)
+        g = gr.load_graph(graph_path, kind=args.graph_kind)
         lap = gr.build_laplacian(g, variant=args.variant)
         basis = gr.eigendecompose(lap)
         x = _read_beliefs(belief_path)
@@ -564,6 +564,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-beliefs", required=True)
     p.add_argument("--points", type=int, default=64)
     p.add_argument("--variant", default="combinatorial", choices=gr.VARIANTS)
+    p.add_argument("--graph-kind", default="unsigned", choices=gr.GRAPH_KINDS)
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("bench", help="timing sweep of the sparse recurrence")

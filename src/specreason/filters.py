@@ -19,7 +19,7 @@ from numpy.polynomial import polynomial as nppoly
 
 from ._schema import Default, read_json
 from .graph import (LambdaMaxEstimate, Laplacian, ScaledLaplacian, SpectralBasis, belief_values,
-                    float_text, gft, lambda_max_value)
+                    float_text, gft, lambda_max_value, overflow_exponent)
 
 ANALYTIC_KINDS = ("diffusion", "highpass", "gaussian_bandpass", "identity", "polynomial")
 _LAMBDA_MATCH_RTOL = 1e-9
@@ -222,8 +222,7 @@ def fit_chebyshev(response, order: int, lambda_max: float) -> ChebyshevFilter:
     k = np.arange(order + 1)
     kernel = np.cos(np.outer(k, angles))
     # past 2^1000 the sum over the nodes can overflow: it is taken on f / 2^e, which is exact
-    peak = float(np.abs(f).max())
-    exponent = int(np.frexp(peak)[1]) if peak > 2.0 ** 1000 else 0
+    exponent = overflow_exponent(f)
     theta = (2.0 / nodes) * (kernel @ (np.ldexp(f, -exponent) if exponent else f))
     theta[0] *= 0.5
     if exponent:
@@ -284,10 +283,20 @@ def cheb_apply(f: ChebyshevFilter, lt: ScaledLaplacian, x, keep_trace: bool = Fa
 
 
 def dense_filter_apply(basis: SpectralBasis, response, x):
-    """Exact functional calculus U h(Lambda) U^T x. Reference path only."""
+    """Exact functional calculus U h(Lambda) U^T x. Reference path only.
+
+    Past 2^1000 a product h_k c_k can overflow though the output does not: the
+    products are formed on h / 2^e and the output scaled back by 2^e
+    (overflow_exponent), where an entry beyond the float range reads inf.
+    """
     coeffs = gft(basis, x)
     h = response_eval(response, basis.eigenvalues)
-    return basis.eigenvectors @ (h * coeffs)
+    exponent = overflow_exponent(h)
+    if not exponent:
+        return basis.eigenvectors @ (h * coeffs)
+    y = basis.eigenvectors @ (np.ldexp(h, -exponent) * coeffs)
+    with np.errstate(over="ignore"):
+        return np.ldexp(y, exponent)
 
 
 def rational_apply(tau: float, lap: Laplacian, x, tol: float = 1e-10,

@@ -2,9 +2,10 @@
 
 Beliefs live on vertices; every spectral operation in the package is
 anchored to one of the Laplacian variants built here. A Laplacian and its
-rescaled form are one operator type, canonical CSR arrays that are
-immutable once built; their products, rescaling and Gershgorin bound run in
-NumPy with the bits scipy.sparse gives.
+rescaled form are one operator type, read-only canonical CSR arrays and the
+jagged-diagonal layout its products run on, each derived from the other on
+first use; products, rescaling and the Gershgorin bound run in NumPy with the
+bits scipy.sparse gives.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import io
 import os
 import re
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -171,72 +172,147 @@ def _adjacency_slots(g: Graph):
 
 
 class _Levels(NamedTuple):
-    """A sparse operator's entries laid out for its product, level by level.
+    """A sparse operator's entries laid out for its product, level by level: the
+    jagged-diagonal storage of Y. Saad, "Krylov subspace methods on supercomputers",
+    SIAM J. Sci. Stat. Comput. 10 (1989). It is the form operator.npz stores and
+    graph_sha256 covers; its arrays are all read-only.
 
     ``order`` lists the rows longest first, so the rows with more than k entries are
     ``order[:widths[k]]`` and their k-th entries one contiguous level of ``data`` and
     ``indices``: a level is summed by one slice, not one entry at a time. Levels run
     while at least _LEVEL_ROWS rows reach them. The ``wide`` rows, with more entries
-    than there are levels, keep the rest of their entries at ``rest`` (positions in
-    the CSR arrays, row by row in stored order), summed by one bincount over ``bins``:
-    each wide row's number, once for its sum so far and then once for each of its
-    entries at ``rest``.
+    than there are levels, keep the rest of their entries after the last level, row by
+    row in stored order, summed by one bincount over ``bins``: each wide row's number,
+    once for its sum so far and then once for each of its entries there.
+
+    ``diagonal`` is each row's diagonal slot in ``data``. A row that stores no diagonal
+    holds 0.0 in a slot at the diagonal's sorted place, so that scale_laplacian can
+    subtract 1.0 from every diagonal in place; 0.0 times a finite x_i adds a zero to
+    a sum that began at 0.0, which leaves its bits.
     """
 
     order: np.ndarray
-    widths: list
+    widths: np.ndarray
     data: np.ndarray
     indices: np.ndarray
     wide: np.ndarray
-    rest: np.ndarray
     bins: np.ndarray
+    diagonal: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+_LAYOUT_DTYPES = {name: float if name == "data" else np.int64 for name in _Levels._fields}
+
+
+def _read_only(arrays):
+    """arrays, a tuple of arrays, each made read-only."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+def _layout(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> _Levels:
+    """The _Levels of canonical CSR arrays: each row's diagonal slot found, or made."""
+    n = indptr.size - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    on_diagonal = np.flatnonzero(indices == rows)
+    has = rows[on_diagonal]
+    slot = np.zeros(n, dtype=np.int64)  # each row's diagonal, counted from its first entry
+    slot[has] = on_diagonal - indptr[has]
+    bare = np.ones(n, dtype=bool)
+    bare[has] = False
+    bare = np.flatnonzero(bare)
+    if bare.size:
+        # the keys i * n + j ascend over the stored entries; row i's diagonal key is i (n + 1)
+        slots = np.searchsorted(rows * n + indices, bare * (n + 1))
+        slot[bare] = slots - indptr[bare]
+        indices, data = np.insert(indices, slots, bare), np.insert(data, slots, 0.0)
+        indptr = indptr + np.searchsorted(bare, np.arange(n + 1))
+    del rows
+    counts = np.diff(indptr)
+    order = np.argsort(-counts, kind="stable")
+    longer = n - np.cumsum(np.bincount(counts, minlength=1))  # rows with more than k entries
+    widths = longer[longer >= _LEVEL_ROWS]
+    levels = widths.size
+    starts = indptr[order]
+    wide = order[:longer[levels]]  # longer ends at 0: the rows past the last level
+    beyond = counts[wide] - levels
+    first = np.cumsum(beyond) - beyond
+    rest = np.repeat(indptr[wide] + levels - first, beyond) + np.arange(beyond.sum())
+    taken = np.concatenate([starts[:width] + k for k, width in enumerate(widths)] + [rest])
+    bins = np.concatenate([np.arange(wide.size), np.repeat(np.arange(wide.size), beyond)])
+    # a slot below the level count lies in its level at the row's place in order: a row
+    # with more than k entries is among the first widths[k]; past it, among the rest
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    level_starts = np.concatenate([[0], np.cumsum(widths)])
+    diagonal = level_starts[np.minimum(slot, levels)] + rank
+    past = np.flatnonzero(slot >= levels)
+    diagonal[past] = level_starts[-1] + first[rank[past]] + slot[past] - levels
+    return _Levels(order, widths, data[taken], indices[taken], wide, bins, diagonal)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class SparseOperator:
-    """A square sparse matrix held as read-only canonical CSR arrays.
+    """A square sparse matrix in two forms, each derived from the other on first use.
 
-    Row i's entries are ``data[indptr[i]:indptr[i + 1]]`` at the ascending columns
-    ``indices[indptr[i]:indptr[i + 1]]``, and no stored entry is zero. ``op @ x`` is
-    the matrix-vector product, ``toarray`` the dense matrix.
+    The canonical CSR arrays: row i's entries are ``data[indptr[i]:indptr[i + 1]]`` at
+    the ascending columns ``indices[indptr[i]:indptr[i + 1]]``, and no stored entry is
+    zero. The product layout ``_levels`` (see _Levels), which ``op @ x``, the
+    matrix-vector product, runs on. ``toarray`` gives the dense matrix. An operator is
+    made from its CSR arrays, as ``SparseOperator(indptr, indices, data)``, or from a
+    layout by ``_of_levels``; either form is read-only.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray):
+        vars(self)["_csr"] = _read_only((indptr, indices, data))
 
-    def __post_init__(self):
-        for arr in (self.indptr, self.indices, self.data):
-            arr.setflags(write=False)
+    @classmethod
+    def _of_levels(cls, levels: _Levels, **fields):
+        """The operator whose product layout is levels, with its other fields."""
+        op = object.__new__(cls)
+        vars(op).update(_levels=_read_only(levels), **fields)
+        return op
+
+    @cached_property
+    def _levels(self) -> _Levels:
+        """The product layout, built from the CSR arrays on first use."""
+        return _read_only(_layout(*self._csr))
+
+    @cached_property
+    def _csr(self) -> tuple:
+        """The CSR arrays, gathered from the layout row by row on first use; the
+        layout's 0.0 entries are not stored."""
+        levels = self._levels
+        n = levels.order.size
+        rows = np.concatenate([levels.order[:width] for width in levels.widths]
+                              + [levels.wide[levels.bins[levels.wide.size:]]])
+        stored = np.flatnonzero(levels.data != 0.0)
+        stored = stored[np.argsort(rows[stored] * n + levels.indices[stored])]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[stored], minlength=n), out=indptr[1:])
+        return _read_only((indptr, levels.indices[stored], levels.data[stored]))
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._csr[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._csr[1]
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._csr[2]
 
     @property
     def node_count(self) -> int:
-        return self.indptr.size - 1
+        return self.indptr.size - 1 if "_csr" in vars(self) else self._levels.order.size
 
     @property
     def rows(self) -> np.ndarray:
         """Each stored entry's row, built at each use: products do not need it, so an
         operator does not hold it."""
         return np.repeat(np.arange(self.node_count), np.diff(self.indptr))
-
-    @cached_property
-    def _levels(self) -> _Levels:
-        """The entries regrouped for ``__matmul__``, built on first use (see _Levels)."""
-        n = self.node_count
-        counts = np.diff(self.indptr)
-        order = np.argsort(-counts, kind="stable")
-        longer = n - np.cumsum(np.bincount(counts, minlength=1))  # rows with more than k entries
-        widths = longer[longer >= _LEVEL_ROWS]
-        starts = self.indptr[order]
-        taken = np.concatenate([starts[:width] + k for k, width in enumerate(widths)]
-                               + [np.zeros(0, dtype=np.int64)])
-        wide = order[:longer[widths.size]]  # longer ends at 0: the rows past the last level
-        beyond = counts[wide] - widths.size
-        first = np.cumsum(beyond) - beyond
-        rest = np.repeat(self.indptr[wide] + widths.size - first, beyond) + np.arange(beyond.sum())
-        bins = np.concatenate([np.arange(wide.size), np.repeat(np.arange(wide.size), beyond)])
-        return _Levels(order, widths.tolist(), self.data[taken], self.indices[taken], wide, rest,
-                       bins)
 
     def __matmul__(self, x) -> np.ndarray:
         """The product with a vector x.
@@ -253,15 +329,14 @@ class SparseOperator:
         products = levels.data * x[levels.indices]
         sums = np.zeros(n)
         start = 0
-        for width in levels.widths:
+        for width in levels.widths.tolist():
             sums[:width] += products[start:start + width]
             start += width
         out = np.empty(n)
         out[levels.order] = sums
-        if levels.rest.size:
-            rest = self.data[levels.rest] * x[self.indices[levels.rest]]
+        if levels.wide.size:
             out[levels.wide] = np.bincount(levels.bins, weights=np.concatenate(
-                [out[levels.wide], rest]), minlength=levels.wide.size)
+                [out[levels.wide], products[start:]]), minlength=levels.wide.size)
         return out
 
     def toarray(self) -> np.ndarray:
@@ -272,25 +347,51 @@ class SparseOperator:
         return dense
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Laplacian(SparseOperator):
     """A positive semidefinite graph operator of one of the supported variants.
 
-    Its products (``lap @ x``) and dense form (``toarray``) run in NumPy on the
-    canonical CSR arrays; no scipy object is built.
+    Its products (``lap @ x``) and dense form (``toarray``) run in NumPy; no scipy
+    object is built. ``from_layout`` makes one from the arrays ``layout_arrays`` gives.
     """
 
     variant: str
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown Laplacian variant {self.variant!r}")
-        super().__post_init__()
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                 variant: str):
+        super().__init__(indptr, indices, data)
+        vars(self)["variant"] = _variant(variant)
+
+    @classmethod
+    def from_layout(cls, arrays, variant: str) -> Laplacian:
+        """The Laplacian whose product layout is arrays, a mapping from each name
+        layout_arrays gives to an array of it. The arrays are converted to int64 and
+        float64 and read only as one-dimensional, never checked further: their
+        fingerprint is what tells they are a Laplacian's layout."""
+        levels = _Levels(**{name: np.asarray(arrays[name]).astype(dtype, casting="same_kind",
+                                                                  copy=False)
+                            for name, dtype in _LAYOUT_DTYPES.items()})
+        if any(arr.ndim != 1 for arr in levels):
+            raise ValueError("a stored layout array is not one-dimensional")
+        return cls._of_levels(levels, variant=_variant(variant))
 
 
-@dataclass(frozen=True, eq=False)
+def _variant(variant: str) -> str:
+    """variant, refused unless it names a Laplacian variant."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown Laplacian variant {variant!r}")
+    return variant
+
+
+def layout_arrays(lap: SparseOperator) -> dict:
+    """lap's product layout as named arrays: what operator.npz stores."""
+    return lap._levels._asdict()
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class ScaledLaplacian(SparseOperator):
-    """Laplacian rescaled to (2 / lambda_max) L - I, spectrum inside [-1, 1]."""
+    """Laplacian rescaled to (2 / lambda_max) L - I, spectrum inside [-1, 1]; made by
+    scale_laplacian inside its Laplacian's product layout."""
 
     lambda_max: float
 
@@ -340,6 +441,14 @@ def lambda_max_value(lambda_max) -> float:
     if not np.isfinite(lambda_max) or lambda_max <= 0:
         raise ValueError(f"lambda_max must be positive and finite, got {lambda_max}")
     return float(lambda_max)
+
+
+def overflow_exponent(values) -> int:
+    """e, the binary exponent of max |values|, when that passes 2^1000, else 0: a sum or
+    product near the float range is formed on values / 2^e, which is exact, and only
+    its result is scaled back by 2^e, so that ordinary values keep their operations."""
+    peak = float(np.max(np.abs(values), initial=0.0))
+    return int(np.frexp(peak)[1]) if peak > 2.0 ** 1000 else 0
 
 
 FLOAT_FORMAT = "%.17g"  # every number an output writes: 17 significant digits read back exactly
@@ -467,9 +576,8 @@ def build_laplacian(g: Graph, variant: str = "combinatorial") -> Laplacian:
     -(d_i^{-1/2} w) d_j^{-1/2}, stored at (i, j) and (j, i), so every variant is exactly
     symmetric and an entry that underflows to zero is dropped on both sides.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown Laplacian variant {variant!r}")
-    if variant in ("combinatorial", "normalized") and np.any(g.weights < 0):
+    variant = _variant(variant)
+    if variant != "signed" and np.any(g.weights < 0):
         raise ValueError(f"{variant} Laplacian requires nonnegative weights; use 'signed'")
     n = g.node_count
     indptr, below, left, right = _adjacency_slots(g)
@@ -507,14 +615,18 @@ def graph_sha256(lap: Laplacian, kind: str, lambda_max: float) -> str:
     """SHA-256 over an operator: a Laplacian, the graph kind it was built from and a
     lambda_max bound taken together.
 
-    Covers n, the stored-entry count, the graph kind, the variant, float_text(lambda_max)
-    and the canonical CSR arrays indptr, indices and data as little-endian int64, int64
-    and float64, so the digest is the same on every platform and changes when any of
-    them does. Equal digests mean bit-identical arrays: the header fixes every length.
+    Covers the graph kind, the variant, float_text(lambda_max), the length of each
+    array of the Laplacian's product layout, and those arrays (layout_arrays) in
+    order, as little-endian int64, or float64 for data, so the digest is the same on
+    every platform and changes when any of them does. Equal digests mean
+    bit-identical arrays: the header fixes every length.
     """
-    head = f"{lap.node_count} {lap.indices.size} {kind} {lap.variant} {float_text(lambda_max)}\n"
+    arrays = layout_arrays(lap)
+    sizes = " ".join(str(values.size) for values in arrays.values())
+    head = f"{kind} {lap.variant} {float_text(lambda_max)} {sizes}\n"
     digest = hashlib.sha256(head.encode("ascii"))
-    for values, dtype in ((lap.indptr, "<i8"), (lap.indices, "<i8"), (lap.data, "<f8")):
+    for name, values in arrays.items():
+        dtype = "<f8" if _LAYOUT_DTYPES[name] is float else "<i8"
         digest.update(np.ascontiguousarray(values, dtype=dtype).data)
     return digest.hexdigest()
 
@@ -573,9 +685,11 @@ def estimate_lambda_max(lap: Laplacian, max_iters: int = 200,
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     n = lap.node_count
-    top = float(np.max(np.abs(lap.data[lap.indices == lap.rows]), initial=0.0))
+    levels = lap._levels
+    top = float(np.max(np.abs(levels.data[levels.diagonal]), initial=0.0))
     exponent = 0 if _UNSCALED[0] <= top <= _UNSCALED[1] else int(np.frexp(top)[1])
-    op = lap if exponent == 0 else replace(lap, data=np.ldexp(lap.data, -exponent))
+    op = lap if exponent == 0 else SparseOperator(lap.indptr, lap.indices,
+                                                  np.ldexp(lap.data, -exponent))
     floor = float(np.ldexp(top, -exponent))  # lambda_max of op is at least its largest diagonal
     rng = np.random.default_rng(seed)
     v = np.ones(n) + 0.01 * rng.standard_normal(n)
@@ -625,33 +739,20 @@ def _lambda_estimate(scaled: float, exponent: int, iterations: int, converged: b
 def scale_laplacian(lap: Laplacian, lambda_max: float) -> ScaledLaplacian:
     """Map the spectrum into [-1, 1] via (2 / lambda_max) L - I.
 
-    With the bits scipy.sparse gives for ``c * L - identity``, c = 2 / lambda_max:
-    every entry is scaled by c, a diagonal entry d becomes c d - 1.0, a row with no
-    stored diagonal gains -1.0 at its sorted slot, and an entry that comes out
-    exactly 0 is not stored.
+    Formed inside lap's product layout, whose order, indices and bins it shares, with
+    the bits scipy.sparse gives for ``c * L - identity``, c = 2 / lambda_max: every
+    entry is scaled by c and a diagonal entry d becomes c d - 1.0. A row with no stored
+    diagonal holds 0.0 in its diagonal slot, so it gains -1.0 at its sorted place. An
+    entry that comes out exactly 0.0 stays in the layout, where it adds nothing to a
+    product with a finite vector, and the CSR arrays do not store it. Below about
+    1.1e-308, where c is past the float range, each entry is 2 (v / lambda_max).
     """
     lambda_max = lambda_max_value(lambda_max)
-    n = lap.node_count
-    rows, indices = lap.rows, lap.indices
-    data = lap.data * (2.0 / lambda_max)
-    on_diagonal = np.flatnonzero(indices == rows)
-    data[on_diagonal] -= 1.0
-    counts = np.diff(lap.indptr)
-    bare = np.ones(n, dtype=bool)
-    bare[rows[on_diagonal]] = False
-    bare = np.flatnonzero(bare)
-    if bare.size:
-        # the keys i * n + j ascend over the stored entries; row i's diagonal key is i (n + 1)
-        slots = np.searchsorted(rows * n + indices, bare * (n + 1))
-        indices, data = np.insert(indices, slots, bare), np.insert(data, slots, -1.0)
-        counts[bare] += 1
-    zero = data == 0.0
-    if zero.any():
-        counts -= np.bincount(np.repeat(np.arange(n), counts)[zero], minlength=n)
-        indices, data = indices[~zero], data[~zero]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return ScaledLaplacian(indptr, indices, data, lambda_max)
+    levels = lap._levels
+    scale = 2.0 / lambda_max
+    data = levels.data * scale if np.isfinite(scale) else 2.0 * (levels.data / lambda_max)
+    data[levels.diagonal] -= 1.0
+    return ScaledLaplacian._of_levels(levels._replace(data=data), lambda_max=lambda_max)
 
 
 def _canonical_columns(eigenvalues: np.ndarray, eigenvectors: np.ndarray):

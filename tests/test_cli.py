@@ -19,6 +19,7 @@ import pytest
 from specreason import cli
 from specreason import filters as ft
 from specreason import graph as gr
+from specreason.taskgen import random_gnm
 
 
 P2 = "2 1\n0 1 1.0\n"
@@ -794,6 +795,83 @@ def test_responses_near_the_float_range_raise_no_warning(workdir, capsys, graph,
     assert capsys.readouterr().err == ""
 
 
+def test_transfer_reads_a_signed_graph(workdir, capsys):
+    (workdir / "signed.txt").write_text("3 2\n0 1 1\n1 2 -2\n")
+    (workdir / "three.txt").write_text("1\n0\n-1\n")
+    argv = ["transfer", "--source-graph", "signed.txt", "--source-beliefs", "three.txt",
+            "--target-graph", "signed.txt", "--target-beliefs", "three.txt",
+            "--variant", "signed"]
+    assert run(*argv, "--out-dir", "unsigned") == 1
+    assert capsys.readouterr().err == ("error: line 3: negative weight on edge (1, 2) in an "
+                                       "unsigned graph\n")
+    assert not (workdir / "unsigned").exists()
+    assert run(*argv, "--graph-kind", "signed", "--out-dir", "out") == 0
+    assert capsys.readouterr().err == ""
+    assert (workdir / "out" / "transfer.csv").read_text() == "points,profile_loss\n64,0\n"
+
+
+STAR_400 = "401 400\n" + "".join(f"0 {k} 1\n" for k in range(1, 401))
+AWKWARD = {  # the graph shapes of the awkward-input sweep: name -> (edge list, graph kind)
+    "single node": ("1 0\n", "unsigned"),
+    "isolated nodes": ("5 2\n0 1 1\n1 2 1\n", "unsigned"),
+    "disconnected parts": ("6 4\n0 1 1\n1 2 1\n3 4 2\n4 5 2\n", "unsigned"),
+    "400-leaf star": (STAR_400, "unsigned"),
+    "path": ("4 3\n0 1 1\n1 2 2\n2 3 0.5\n", "unsigned"),
+    "path 1e-300": ("4 3\n0 1 1e-300\n1 2 1e-300\n2 3 1e-300\n", "unsigned"),
+    "path 1e300": ("4 3\n0 1 1e300\n1 2 1e300\n2 3 1e300\n", "unsigned"),
+    "path 5e307": ("3 2\n0 1 5e307\n1 2 5e307\n", "unsigned"),
+    "path 1e-300 by 1e300": ("4 3\n0 1 1e-300\n1 2 1e300\n2 3 1e-300\n", "unsigned"),
+    "path subnormal": ("4 3\n0 1 1e-310\n1 2 5e-324\n2 3 1e-310\n", "unsigned"),
+    "signed path": ("4 3\n0 1 1\n1 2 -2\n2 3 0.5\n", "signed"),
+    "signed 1e300": ("4 3\n0 1 1e300\n1 2 -1e300\n2 3 1e300\n", "signed"),
+}
+AWKWARD_RESPONSES = {"diffusion": ["--tau", "2"], "highpass": ["--beta", "1"],
+                     "gaussian_bandpass": ["--center", "1", "--width", "0.5"], "identity": [],
+                     "polynomial": ["--coeffs", "1,0.5"]}
+
+
+@pytest.mark.parametrize("shape", AWKWARD)
+def test_awkward_inputs_finish_or_refuse_in_one_line(workdir, capsys, shape):
+    # every command on every shape, variant and response either finishes with an empty
+    # stderr or exits 1 with one error: line and leaves no --out-dir; a NumPy warning is
+    # an error here. Infer runs served from operator.npz, then parsed from the text
+    text, kind = AWKWARD[shape]
+    n = int(text.split()[0])
+    (workdir / "g.txt").write_text(text)
+    (workdir / "x.txt").write_text("".join(f"{(-1.5) ** (k % 5)}\n" for k in range(n)))
+    graph = ["--graph", "g.txt", "--graph-kind", kind]
+    runs = []
+    for variant in (("signed",) if kind == "signed" else ("combinatorial", "normalized")):
+        graph_args = [*graph, "--variant", variant]
+        for response, params in AWKWARD_RESPONSES.items():
+            model = ["--response", response, *params]
+            fit = f"fit-{variant}-{response}"
+            runs += [["fit", *graph_args, *model, "--order", "8", "--out-dir", fit],
+                     ["infer", *graph_args, "--filter", f"{fit}/filter.json",
+                      "--beliefs", "x.txt", "--out-dir", f"{fit}-served"],
+                     ["infer", *graph_args, "--filter", f"{fit}/filter.json",
+                      "--beliefs", "x.txt", "--out-dir", f"{fit}-text"],
+                     ["attribute", *graph_args, "--beliefs", "x.txt", *model,
+                      "--out-dir", f"attribute-{variant}-{response}"]]
+        runs += [["perturb", *graph_args, "--beliefs", "x.txt", "--out-dir", f"perturb-{variant}"],
+                 ["transfer", "--source-graph", "g.txt", "--source-beliefs", "x.txt",
+                  "--target-graph", "g.txt", "--target-beliefs", "x.txt", "--graph-kind", kind,
+                  "--variant", variant, "--out-dir", f"transfer-{variant}"]]
+    for argv in runs:
+        if argv[-1].endswith("-text"):  # the same filter with no operator.npz beside it
+            (workdir / argv[-1].removesuffix("-text") / "operator.npz").unlink(missing_ok=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(*argv)
+        err = capsys.readouterr().err
+        out = workdir / argv[-1]
+        if code == 0:
+            assert err == "", argv
+        else:
+            assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            assert not out.exists(), argv
+
+
 def test_no_command_loads_a_scipy_module(workdir):
     # NumPy is the only runtime dependency: importing the CLI, each of the nine commands,
     # gen of every kind and infer with a temperature load no scipy module
@@ -992,13 +1070,13 @@ class TestCompiledOperator:
         (workdir / "train.json").write_text(json.dumps({"order": 4, "epochs": 3, "examples": 2}))
         assert run("train", "--graph", "ring.txt", "--config", "train.json",
                    "--out-dir", "train") == 0
-        lap = gr.build_laplacian(gr.load_graph("ring.txt"))
+        layout = gr.layout_arrays(gr.build_laplacian(gr.load_graph("ring.txt")))
         source = hashlib.sha256((workdir / "ring.txt").read_bytes()).hexdigest()
         for out in ("fit", "train"):
             with np.load(workdir / out / "operator.npz", allow_pickle=False) as npz:
-                assert sorted(npz.files) == ["data", "indices", "indptr", "source_sha256"]
-                for name in ("indptr", "indices", "data"):
-                    stored, built = npz[name], getattr(lap, name)
+                assert sorted(npz.files) == sorted([*layout, "source_sha256"])
+                for name, built in layout.items():
+                    stored = npz[name]
                     assert stored.dtype == built.dtype and stored.tobytes() == built.tobytes()
                 assert str(npz["source_sha256"]) == source
             manifest = json.loads((workdir / out / "manifest.json").read_text())
@@ -1038,7 +1116,8 @@ class TestCompiledOperator:
             np.savez(fitted, **arrays)
         elif case == "data swapped in the file":
             raw = bytearray(fitted.read_bytes())
-            at = raw.find(gr.build_laplacian(gr.load_graph("ring.txt")).data.tobytes())
+            lap = gr.build_laplacian(gr.load_graph("ring.txt"))
+            at = raw.find(gr.layout_arrays(lap)["data"].tobytes())
             raw[at:at + 16] = raw[at + 8:at + 16] + raw[at:at + 8]
             fitted.write_bytes(bytes(raw))
         elif case == "filter without bound":
@@ -1050,6 +1129,82 @@ class TestCompiledOperator:
         assert calls["load_graph"] == 1
         fitted.unlink(missing_ok=True)
         assert self.infer(capsys, filt, "text", *extra) == served
+
+    def test_an_older_csr_file_takes_the_text_path(self, workdir, fitted, monkeypatch, capsys):
+        # operator.npz and graph_sha256 as fit wrote them when the file held CSR arrays
+        served = self.infer(capsys, "fit/filter.json", "served")
+        lap = gr.build_laplacian(gr.load_graph("ring.txt"))
+        f = ft.load_filter("fit/filter.json")
+        head = (f"{lap.node_count} {lap.indices.size} unsigned combinatorial "
+                f"{gr.float_text(f.lambda_max)}\n")
+        digest = hashlib.sha256(head.encode("ascii"))
+        for values, dtype in ((lap.indptr, "<i8"), (lap.indices, "<i8"), (lap.data, "<f8")):
+            digest.update(np.ascontiguousarray(values, dtype=dtype).data)
+        Path("old").mkdir()
+        Path("old/filter.json").write_text(replace(f, graph_sha256=digest.hexdigest()).to_json()
+                                           + "\n")
+        source = hashlib.sha256(Path("ring.txt").read_bytes()).hexdigest()
+        np.savez("old/operator.npz", indptr=lap.indptr, indices=lap.indices, data=lap.data,
+                 source_sha256=np.array(source))
+        calls = counted_graph_calls(monkeypatch, "load_graph", "build_laplacian",
+                                    "estimate_lambda_max")
+        old = self.infer(capsys, "old/filter.json", "text")
+        assert calls == {"load_graph": 1, "build_laplacian": 1, "estimate_lambda_max": 1}
+        # the same bytes, but for the manifest, which records the other filter's digest
+        assert old[:3] == served[:3] and old[3].keys() == served[3].keys()
+        assert all(old[3][name] == served[3][name] for name in old[3] if name != "manifest.json")
+
+    @pytest.mark.parametrize("case", ["isolated nodes", "hub past the last level",
+                                      "diagonal scaled to zero", "scaled entries underflow"])
+    def test_compiled_and_parsed_agree_past_the_levels(self, workdir, monkeypatch, capsys,
+                                                       case):
+        # at least 1,024 rows, so that products sum by levels; nodes 1026 .. 1029 (or
+        # 2100 .. 2103) are isolated, and the 1,030-node graph runs the band line
+        size = 1026 if case == "isolated nodes" else 2100
+        g = random_gnm(size, 4 * size, seed=3)
+        rows, cols = g.rows.tolist(), g.cols.tolist()
+        weights = np.random.default_rng(4).uniform(0.5, 2.0, g.edge_count).tolist()
+        if case == "hub past the last level":  # node 2100 joins the first 1,500 nodes
+            rows, cols = rows + list(range(1500)), cols + [2100] * 1500
+            weights += [1.0 / (1 + k) for k in range(1500)]
+        elif case == "diagonal scaled to zero":
+            weights = [1.0] * g.edge_count
+        elif case == "scaled entries underflow":  # 2 / lambda_max times 1e-300 is 0.0
+            weights = [(1e300, 1e-300)[k % 2] for k in range(g.edge_count)]
+        n = size + 4
+        Path("g.txt").write_text(f"{n} {len(rows)}\n" + "".join(
+            f"{i} {j} {w!r}\n" for i, j, w in zip(rows, cols, weights)))
+        Path("x.txt").write_text("".join(f"{v!r}\n" for v in np.random.default_rng(5)
+                                         .standard_normal(n).tolist()))
+        assert run("fit", "--graph", "g.txt", "--response", "diffusion", "--order", "12",
+                   "--out-dir", "fit") == 0
+        capsys.readouterr()
+        lap = gr.build_laplacian(gr.load_graph("g.txt"))
+        f = ft.load_filter("fit/filter.json")
+        if case == "diagonal scaled to zero":  # a bound 2 d at which c d - 1.0 is 0.0
+            degrees = lap.toarray().diagonal()[:size]
+            d = float(degrees[(2.0 / (2.0 * degrees)) * degrees == 1.0][0])
+            f = replace(f, lambda_max=2.0 * d,
+                        graph_sha256=gr.graph_sha256(lap, "unsigned", 2.0 * d))
+            Path("fit/filter.json").write_text(f.to_json() + "\n")
+        layout = gr.scale_laplacian(lap, f.lambda_max)._levels
+        if case == "hub past the last level":
+            assert lap._levels.diagonal[2100] >= lap._levels.widths.sum()
+        elif case == "diagonal scaled to zero":
+            assert np.any(layout.data[layout.diagonal] == 0.0)
+        elif case == "scaled entries underflow":
+            assert np.sum(layout.data == 0.0) > np.sum(layout.data[layout.diagonal] == 0.0)
+        assert lap._levels.widths.size and lap._levels.wide.size
+        calls = counted_graph_calls(monkeypatch, "load_graph")
+        outputs = []
+        for out in ("served", "text"):
+            assert run("infer", "--graph", "g.txt", "--filter", "fit/filter.json",
+                       "--beliefs", "x.txt", "--temperature", "2", "--out-dir", out) == 0
+            outputs.append((capsys.readouterr(), {path.name: path.read_bytes()
+                                                  for path in Path(out).iterdir()}))
+            assert calls["load_graph"] == (out == "text")
+            Path("fit/operator.npz").unlink(missing_ok=True)
+        assert outputs[0] == outputs[1] and outputs[0][0].err == ""
 
     def test_a_bad_graph_is_reported_before_a_bad_filter(self, fitted, capsys):
         Path("ring.txt").write_text("6 1\n0 9 1\n")

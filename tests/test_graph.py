@@ -346,19 +346,39 @@ class TestLaplacian:
 
     def test_product_by_levels_matches_scipy_bit_for_bit(self):
         # past 1024 rows a product sums level by level, and a hub's entries beyond the last
-        # level by bincount from its partial sum
+        # level by bincount from its partial sum; so do the scaled operators, formed in the
+        # same layout, at a bound above Gershgorin's, at 2 d for a degree d whose diagonal
+        # scales to exactly 0.0, and at 1e300, where the 1e-300 weights' entries underflow
         rng = np.random.default_rng(12)
         g = random_gnm(5000, 30_000, seed=2)
         leaves = np.arange(3000)  # node 5000 joins them, with weights 1 .. 1/3000
         hub = gr.Graph(5001, columns=(np.r_[g.rows, leaves], np.r_[g.cols, np.full(3000, 5000)],
                                       np.r_[g.weights, 1 / (1 + leaves)]))
-        for graph in (g, hub):
+        # nodes 5000 .. 5003 are isolated
+        tiny = gr.Graph(5004, columns=(g.rows, g.cols, g.weights * 1e-300))
+        zeroed = underflows = 0
+        for graph in (g, hub, tiny):
             for variant in ("combinatorial", "normalized"):
                 lap = gr.build_laplacian(graph, variant)
                 x = rng.standard_normal(lap.node_count)
                 x[rng.random(x.size) < 0.2] = rng.choice([0.0, -0.0])
-                assert lap._levels.widths and lap._levels.rest.size
-                assert (lap @ x).tobytes() == (scipy_view(lap) @ x).tobytes()
+                assert lap._levels.widths.size and lap._levels.wide.size
+                reference = scipy_view(lap)
+                assert (lap @ x).tobytes() == (reference @ x).tobytes()
+                if graph is hub:  # the hub's diagonal lies past the last level
+                    assert lap._levels.diagonal[5000] >= lap._levels.widths.sum()
+                degrees = reference.diagonal()[:5000]  # none isolated
+                exact = degrees[(2.0 / (2.0 * degrees)) * degrees == 1.0]
+                for lambda_max in (gr.gershgorin_bound(lap) * rng.uniform(1.0, 2.0),
+                                   2.0 * float(exact[0]), 1e300):
+                    lt = gr.scale_laplacian(lap, lambda_max)
+                    scaled = (2.0 / lambda_max) * reference - sp.identity(lap.node_count,
+                                                                          format="csr")
+                    assert (lt @ x).tobytes() == (sp.csr_array(scaled) @ x).tobytes()
+                    on_diagonal = np.sum(lt._levels.data[lt._levels.diagonal] == 0.0)
+                    zeroed += int(on_diagonal > 0)
+                    underflows += int(np.sum(lt._levels.data == 0.0) > on_diagonal)
+        assert zeroed >= 6 and underflows >= 1
 
     def test_product_refuses_a_vector_of_another_length(self):
         with pytest.raises(ValueError, match="shape"):
@@ -582,9 +602,11 @@ class TestGraphSha256:
         g = gr.Graph(node_count=4, edges=((0, 1, 1.0), (1, 2, 0.5)))
         lap = gr.build_laplacian(g)
         base = gr.graph_sha256(lap, "unsigned", 3.5)
-        # the same bytes split otherwise between indices and data
-        shifted = gr.Laplacian(lap.indptr, np.append(lap.indices, lap.data[:1].view(np.int64)),
-                               lap.data[1:], lap.variant)
+        # the same bytes split otherwise between the layout's indices and data
+        layout = gr.layout_arrays(lap)
+        shifted = gr.Laplacian.from_layout(
+            {**layout, "indices": np.append(layout["indices"], layout["data"][:1].view(np.int64)),
+             "data": layout["data"][1:]}, lap.variant)
         others = [
             gr.graph_sha256(gr.build_laplacian(gr.Graph(node_count=5, edges=g.edges)),
                             "unsigned", 3.5),
@@ -622,19 +644,26 @@ class TestScaledLaplacian:
         # entries underflow; rows with entries but no diagonal take -1.0 between them
         rng = np.random.default_rng(12)
         laps = [lap for _, lap in reference_laplacians()]
-        # rows 0 and 1 have entries but no diagonal, row 2 none at all
-        laps.append(gr.Laplacian(np.array([0, 1, 3, 3, 5]), np.array([1, 0, 3, 1, 3]),
-                                 np.array([-1.0, -1.0, -2.0, -2.0, 3.0]), "combinatorial"))
+        # rows 0, 1 and 4 have entries but no diagonal, row 2 none at all; row 4's
+        # diagonal sorts after two of its entries
+        laps.append(gr.Laplacian(np.array([0, 1, 3, 3, 5, 8, 10]),
+                                 np.array([1, 0, 3, 1, 3, 0, 1, 5, 4, 5]),
+                                 np.array([-1.0, -1.0, -2.0, -2.0, 3.0, -0.3, -1.7, -2.9, -2.9,
+                                           4.1]), "combinatorial"))
         dropped = bare = underflows = 0
         for lap in laps:
             n = lap.node_count
             diag = lap.toarray().diagonal()
             bounds = {(gr.gershgorin_bound(lap) or 1.0) * rng.uniform(1.0, 2.0),
                       2.0 * float(diag.max()) or 1.0, 1e300}
+            xs = rng.standard_normal((16, n))  # a row's sum order shows in some, not all
+            xs[rng.random(xs.shape) < 0.2] = rng.choice([0.0, -0.0])
             for lambda_max in bounds:
                 lt = gr.scale_laplacian(lap, lambda_max)
                 reference = (2.0 / lambda_max) * scipy_view(lap) - sp.identity(n, format="csr")
                 assert_same_csr(lt, sp.csr_array(reference))
+                for x in xs:
+                    assert (lt @ x).tobytes() == (sp.csr_array(reference) @ x).tobytes()
                 assert lt.lambda_max == lambda_max and type(lt.lambda_max) is float
                 assert lt.toarray().tobytes() == reference.toarray().tobytes()
                 dropped += int(np.any((lt.toarray().diagonal() == 0.0) & (diag != 0.0)))

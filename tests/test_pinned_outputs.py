@@ -79,7 +79,7 @@ def fitted(inputs):
 
 
 def test_fit_filter_pinned(fitted):
-    assert digests(fitted / "fit", ["filter.json"]) == {"filter.json": "13d00561f04d8aa6"}
+    assert digests(fitted / "fit", ["filter.json"]) == {"filter.json": "85dace8ac7b85807"}
 
 
 @pytest.mark.parametrize("mode_args, expected", [
