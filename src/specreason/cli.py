@@ -9,9 +9,8 @@ last and prints the summary.
 Outputs are byte-identical across re-runs with the same inputs and seeds;
 wall-clock latency columns are the one documented exception.
 
-fit and train also write operator.npz beside filter.json: the product layout of
-the Laplacian they built, which their lambda_max estimate already made, and the
-digest of the graph file. When that digest is the --graph file's and the filter's
+fit and train also write operator.npz beside filter.json: the product layout
+build_laplacian assembled the Laplacian in, and the digest of the graph file. When that digest is the --graph file's and the filter's
 graph_sha256 fingerprints the stored layout, infer loads it in place of parsing
 the same graph again, scales it in place and runs its products on it. An older
 operator.npz, which held CSR arrays, names no layout: infer takes the text path

@@ -2,10 +2,11 @@
 
 Beliefs live on vertices; every spectral operation in the package is
 anchored to one of the Laplacian variants built here. A Laplacian and its
-rescaled form are one operator type, read-only canonical CSR arrays and the
-jagged-diagonal layout its products run on, each derived from the other on
-first use; products, rescaling and the Gershgorin bound run in NumPy with the
-bits scipy.sparse gives.
+rescaled form are one operator type, held as the jagged-diagonal layout its
+products run on, which build_laplacian writes straight from the edge arrays;
+the dense form and the Gershgorin bound are read from that layout, and
+canonical CSR arrays are gathered from it only on request. Products, rescaling
+and the Gershgorin bound run in NumPy with the bits scipy.sparse gives.
 """
 
 from __future__ import annotations
@@ -122,14 +123,14 @@ class Graph:
     def edge_count(self) -> int:
         return self.rows.size
 
-    def adjacency(self) -> SparseOperator:
+    def adjacency(self) -> CsrMatrix:
         """The symmetric adjacency matrix in canonical CSR form, each edge at (i, j) and (j, i)."""
-        indptr, _, left, right = _adjacency_slots(self)
+        indptr, _, left, right = _adjacency_slots(self.node_count, self.rows, self.cols)
         indices = np.empty(2 * self.edge_count, dtype=np.int64)
         data = np.empty(2 * self.edge_count)
         indices[left], indices[right] = self.rows, self.cols
         data[left] = data[right] = self.weights
-        return SparseOperator(indptr, indices, data)
+        return CsrMatrix(*_read_only((indptr, indices, data)))
 
 
 def _endpoints(values) -> tuple[np.ndarray, np.ndarray]:
@@ -144,8 +145,9 @@ def _endpoints(values) -> tuple[np.ndarray, np.ndarray]:
     return np.array([0 if bad else v for v, bad in zip(values, odd)], dtype=np.int64), odd
 
 
-def _adjacency_slots(g: Graph):
-    """Where g's symmetric adjacency, in canonical CSR order, stores each edge.
+def _adjacency_slots(n: int, rows: np.ndarray, cols: np.ndarray):
+    """Where the symmetric adjacency of n nodes and the edges (rows[e], cols[e]), sorted
+    by (i, j) with i < j, stores each edge in canonical CSR order.
 
     Row r holds the edges (c, r), by c, left of its diagonal and then the edges (r, c),
     by c. The stored (i, j) order already lists the right-hand parts row by row; the
@@ -153,20 +155,20 @@ def _adjacency_slots(g: Graph):
     each row's count of left-hand entries, and each stored edge's two slots: ``left``
     for (j, i) in row j and ``right`` for (i, j) in row i.
     """
-    n, m = g.node_count, g.edge_count
-    by_larger = np.argsort(g.cols * n + g.rows)  # unique keys below n * n: no stable sort needed
-    below = np.bincount(g.cols, minlength=n)
-    above = np.bincount(g.rows, minlength=n)
+    m = rows.size
+    by_larger = np.argsort(cols * n + rows)  # unique keys below n * n: no stable sort needed
+    below = np.bincount(cols, minlength=n)
+    above = np.bincount(rows, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(below + above, out=indptr[1:])
     steps = np.arange(m)
     # the k-th edge by larger endpoint r follows the right-hand parts of the rows before r
-    slots = (np.cumsum(above) - above)[g.cols[by_larger]]
+    slots = (np.cumsum(above) - above)[cols[by_larger]]
     slots += steps
     left = np.empty(m, dtype=np.int64)
     left[by_larger] = slots
     # the e-th stored edge, in row i, follows the left-hand parts of the rows up to i
-    right = np.cumsum(below)[g.rows]
+    right = np.cumsum(below)[rows]
     right += steps
     return indptr, below, left, right
 
@@ -174,8 +176,8 @@ def _adjacency_slots(g: Graph):
 class _Levels(NamedTuple):
     """A sparse operator's entries laid out for its product, level by level: the
     jagged-diagonal storage of Y. Saad, "Krylov subspace methods on supercomputers",
-    SIAM J. Sci. Stat. Comput. 10 (1989). It is the form operator.npz stores and
-    graph_sha256 covers; its arrays are all read-only.
+    SIAM J. Sci. Stat. Comput. 10 (1989). It is the form an operator is held in,
+    operator.npz stores and graph_sha256 covers; its arrays are all read-only.
 
     ``order`` lists the rows longest first, so the rows with more than k entries are
     ``order[:widths[k]]`` and their k-th entries one contiguous level of ``data`` and
@@ -185,10 +187,11 @@ class _Levels(NamedTuple):
     row in stored order, summed by one bincount over ``bins``: each wide row's number,
     once for its sum so far and then once for each of its entries there.
 
-    ``diagonal`` is each row's diagonal slot in ``data``. A row that stores no diagonal
-    holds 0.0 in a slot at the diagonal's sorted place, so that scale_laplacian can
-    subtract 1.0 from every diagonal in place; 0.0 times a finite x_i adds a zero to
-    a sum that began at 0.0, which leaves its bits.
+    Each row stores its entries by column, with a slot for its diagonal, and
+    ``diagonal`` is each row's diagonal slot in ``data``. An isolated node's row holds
+    only that slot, at 0.0, so that scale_laplacian can subtract 1.0 from every
+    diagonal in place; 0.0 times a finite x_i adds a zero to a sum that began at 0.0,
+    which leaves its bits.
     """
 
     order: np.ndarray
@@ -210,109 +213,51 @@ def _read_only(arrays):
     return arrays
 
 
-def _layout(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> _Levels:
-    """The _Levels of canonical CSR arrays: each row's diagonal slot found, or made."""
-    n = indptr.size - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    on_diagonal = np.flatnonzero(indices == rows)
-    has = rows[on_diagonal]
-    slot = np.zeros(n, dtype=np.int64)  # each row's diagonal, counted from its first entry
-    slot[has] = on_diagonal - indptr[has]
-    bare = np.ones(n, dtype=bool)
-    bare[has] = False
-    bare = np.flatnonzero(bare)
-    if bare.size:
-        # the keys i * n + j ascend over the stored entries; row i's diagonal key is i (n + 1)
-        slots = np.searchsorted(rows * n + indices, bare * (n + 1))
-        slot[bare] = slots - indptr[bare]
-        indices, data = np.insert(indices, slots, bare), np.insert(data, slots, 0.0)
-        indptr = indptr + np.searchsorted(bare, np.arange(n + 1))
-    del rows
-    counts = np.diff(indptr)
-    order = np.argsort(-counts, kind="stable")
-    longer = n - np.cumsum(np.bincount(counts, minlength=1))  # rows with more than k entries
-    widths = longer[longer >= _LEVEL_ROWS]
-    levels = widths.size
-    starts = indptr[order]
-    wide = order[:longer[levels]]  # longer ends at 0: the rows past the last level
-    beyond = counts[wide] - levels
-    first = np.cumsum(beyond) - beyond
-    rest = np.repeat(indptr[wide] + levels - first, beyond) + np.arange(beyond.sum())
-    taken = np.concatenate([starts[:width] + k for k, width in enumerate(widths)] + [rest])
-    bins = np.concatenate([np.arange(wide.size), np.repeat(np.arange(wide.size), beyond)])
-    # a slot below the level count lies in its level at the row's place in order: a row
-    # with more than k entries is among the first widths[k]; past it, among the rest
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    level_starts = np.concatenate([[0], np.cumsum(widths)])
-    diagonal = level_starts[np.minimum(slot, levels)] + rank
-    past = np.flatnonzero(slot >= levels)
-    diagonal[past] = level_starts[-1] + first[rank[past]] + slot[past] - levels
-    return _Levels(order, widths, data[taken], indices[taken], wide, bins, diagonal)
+class CsrMatrix(NamedTuple):
+    """A square sparse matrix's canonical CSR arrays, read-only: row i's entries are
+    ``data[indptr[i]:indptr[i + 1]]`` at the ascending columns
+    ``indices[indptr[i]:indptr[i + 1]]``. The adjacency and an operator's ``_csr``
+    store no zero entry."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class SparseOperator:
-    """A square sparse matrix in two forms, each derived from the other on first use.
-
-    The canonical CSR arrays: row i's entries are ``data[indptr[i]:indptr[i + 1]]`` at
-    the ascending columns ``indices[indptr[i]:indptr[i + 1]]``, and no stored entry is
-    zero. The product layout ``_levels`` (see _Levels), which ``op @ x``, the
-    matrix-vector product, runs on. ``toarray`` gives the dense matrix. An operator is
-    made from its CSR arrays, as ``SparseOperator(indptr, indices, data)``, or from a
-    layout by ``_of_levels``; either form is read-only.
+    """A square sparse matrix held as its product layout ``_levels`` (see _Levels),
+    which ``op @ x``, the matrix-vector product, runs on; made from a layout, as
+    ``SparseOperator(levels)``, with a subclass's fields by name. ``toarray`` and the
+    Gershgorin bound read the layout; its canonical CSR arrays (see CsrMatrix),
+    ``indptr``, ``indices`` and ``data``, are gathered from it on first use. Both forms
+    are read-only.
     """
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray):
-        vars(self)["_csr"] = _read_only((indptr, indices, data))
-
-    @classmethod
-    def _of_levels(cls, levels: _Levels, **fields):
-        """The operator whose product layout is levels, with its other fields."""
-        op = object.__new__(cls)
-        vars(op).update(_levels=_read_only(levels), **fields)
-        return op
+    def __init__(self, levels: _Levels, **fields):
+        vars(self).update(_levels=_read_only(levels), **fields)
 
     @cached_property
-    def _levels(self) -> _Levels:
-        """The product layout, built from the CSR arrays on first use."""
-        return _read_only(_layout(*self._csr))
-
-    @cached_property
-    def _csr(self) -> tuple:
-        """The CSR arrays, gathered from the layout row by row on first use; the
-        layout's 0.0 entries are not stored."""
-        levels = self._levels
-        n = levels.order.size
-        rows = np.concatenate([levels.order[:width] for width in levels.widths]
-                              + [levels.wide[levels.bins[levels.wide.size:]]])
-        stored = np.flatnonzero(levels.data != 0.0)
-        stored = stored[np.argsort(rows[stored] * n + levels.indices[stored])]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows[stored], minlength=n), out=indptr[1:])
-        return _read_only((indptr, levels.indices[stored], levels.data[stored]))
+    def _csr(self) -> CsrMatrix:
+        """The CSR arrays, gathered from the layout on first use; the layout's 0.0
+        entries are not stored."""
+        return _gathered_rows(self._levels, self._levels.data != 0.0)
 
     @property
     def indptr(self) -> np.ndarray:
-        return self._csr[0]
+        return self._csr.indptr
 
     @property
     def indices(self) -> np.ndarray:
-        return self._csr[1]
+        return self._csr.indices
 
     @property
     def data(self) -> np.ndarray:
-        return self._csr[2]
+        return self._csr.data
 
     @property
     def node_count(self) -> int:
-        return self.indptr.size - 1 if "_csr" in vars(self) else self._levels.order.size
-
-    @property
-    def rows(self) -> np.ndarray:
-        """Each stored entry's row, built at each use: products do not need it, so an
-        operator does not hold it."""
-        return np.repeat(np.arange(self.node_count), np.diff(self.indptr))
+        return self._levels.order.size
 
     def __matmul__(self, x) -> np.ndarray:
         """The product with a vector x.
@@ -340,11 +285,29 @@ class SparseOperator:
         return out
 
     def toarray(self) -> np.ndarray:
-        """The dense matrix."""
-        n = self.node_count
-        dense = np.zeros((n, n))
-        dense[self.rows, self.indices] = self.data
+        """The dense matrix, scattered from the layout; + 0.0 reads a -0.0 entry as 0.0,
+        as the CSR arrays, which store no zero entry, give it."""
+        levels = self._levels
+        dense = np.zeros((self.node_count,) * 2)
+        dense[_entry_rows(levels), levels.indices] = levels.data + 0.0
         return dense
+
+
+def _entry_rows(levels: _Levels) -> np.ndarray:
+    """Each entry's row, in the layout's order."""
+    return np.concatenate([levels.order[:width] for width in levels.widths]
+                          + [levels.wide[levels.bins[levels.wide.size:]]])
+
+
+def _gathered_rows(levels: _Levels, taken: np.ndarray) -> CsrMatrix:
+    """The entries of levels where taken is True, as CSR arrays: row by row, by column."""
+    n = levels.order.size
+    rows = _entry_rows(levels)
+    stored = np.flatnonzero(taken)
+    stored = stored[np.argsort(rows[stored] * n + levels.indices[stored])]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[stored], minlength=n), out=indptr[1:])
+    return CsrMatrix(*_read_only((indptr, levels.indices[stored], levels.data[stored])))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -352,15 +315,11 @@ class Laplacian(SparseOperator):
     """A positive semidefinite graph operator of one of the supported variants.
 
     Its products (``lap @ x``) and dense form (``toarray``) run in NumPy; no scipy
-    object is built. ``from_layout`` makes one from the arrays ``layout_arrays`` gives.
+    object is built. build_laplacian makes one from a graph, ``from_layout`` from the
+    arrays ``layout_arrays`` gives.
     """
 
     variant: str
-
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
-                 variant: str):
-        super().__init__(indptr, indices, data)
-        vars(self)["variant"] = _variant(variant)
 
     @classmethod
     def from_layout(cls, arrays, variant: str) -> Laplacian:
@@ -373,7 +332,7 @@ class Laplacian(SparseOperator):
                             for name, dtype in _LAYOUT_DTYPES.items()})
         if any(arr.ndim != 1 for arr in levels):
             raise ValueError("a stored layout array is not one-dimensional")
-        return cls._of_levels(levels, variant=_variant(variant))
+        return cls(levels, variant=_variant(variant))
 
 
 def _variant(variant: str) -> str:
@@ -501,7 +460,7 @@ def load_graph(source, kind: str = "unsigned") -> Graph:
     '#' are skipped. ``source`` is a filesystem path, a file's bytes (decoded
     as opening its path would) or an iterable of lines. Errors report 1-based
     line numbers of the raw input; only input that fails to load is read line
-    by line, to find that line.
+    by line, to find that line; only an input short of lines counts them all.
     """
     if isinstance(source, bytes):
         text = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8").read()
@@ -510,13 +469,12 @@ def load_graph(source, kind: str = "unsigned") -> Graph:
             text = fh.read()
     else:
         text = "".join(line.rstrip("\n") + "\n" for line in source)
-    last_no = text.count("\n") + (not text.endswith("\n"))
     stream = io.StringIO(text)
     significant = ((no, stripped) for no, raw in enumerate(stream, start=1)
                    if (stripped := raw.strip()) and not stripped.startswith("#"))
-    head_no, head = next(significant, (last_no, None))
+    head_no, head = next(significant, (None, None))
     if head is None:
-        raise EdgeListError(head_no, "missing header line")
+        raise EdgeListError(_last_line_no(text), "missing header line")
     try:
         n, m = map(int, head.split())
     except ValueError:
@@ -532,7 +490,7 @@ def load_graph(source, kind: str = "unsigned") -> Graph:
             pass  # an invalid edge, found line by line below
     lines = list(significant)
     if len(lines) < m:
-        raise EdgeListError(last_no, f"expected {m} edge lines, found {len(lines)}")
+        raise EdgeListError(_last_line_no(text), f"expected {m} edge lines, found {len(lines)}")
     if len(lines) > m:
         raise EdgeListError(lines[m][0], "trailing data after the declared edge count")
     edges = []
@@ -550,6 +508,11 @@ def load_graph(source, kind: str = "unsigned") -> Graph:
         no, line = lines[len(edges)]
         raise EdgeListError(no, f"could not parse edge line {line!r} as 'i j w'")
     return graph
+
+
+def _last_line_no(text: str) -> int:
+    """The 1-based number of text's last line."""
+    return text.count("\n") + (not text.endswith("\n"))
 
 
 def _row_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -570,17 +533,19 @@ def build_laplacian(g: Graph, variant: str = "combinatorial") -> Laplacian:
     signed:        Dbar - A with dbar_i = sum_j |A_ij|, PSD for signed weights.
 
     The first two require nonnegative weights; signed accepts any sign. Assembled in
-    NumPy from the sorted edge arrays: each degree is ``np.add.reduceat`` over its row of
-    the adjacency, as scipy's ``csr_array.sum(axis=1)`` computes it, and zero entries are
-    not stored. Each edge i < j gives one off-diagonal value, for normalized
-    -(d_i^{-1/2} w) d_j^{-1/2}, stored at (i, j) and (j, i), so every variant is exactly
-    symmetric and an entry that underflows to zero is dropped on both sides.
+    NumPy from the sorted edge arrays, straight into its product layout (see _Levels):
+    each degree is ``np.add.reduceat`` over its row of the adjacency, as scipy's
+    ``csr_array.sum(axis=1)`` computes it. Each edge i < j gives one off-diagonal value,
+    for normalized -(d_i^{-1/2} w) d_j^{-1/2}, placed at (i, j) and (j, i), so every
+    variant is exactly symmetric and an entry that underflows to zero is left out on
+    both sides. Row r holds its entries left of the diagonal, its diagonal slot and its
+    entries right of it, each part by column.
     """
     variant = _variant(variant)
     if variant != "signed" and np.any(g.weights < 0):
         raise ValueError(f"{variant} Laplacian requires nonnegative weights; use 'signed'")
-    n = g.node_count
-    indptr, below, left, right = _adjacency_slots(g)
+    n, rows, cols = g.node_count, g.rows, g.cols
+    indptr, below, left, right = _adjacency_slots(n, rows, cols)
     adj_data = np.empty(2 * g.edge_count)
     adj_data[left] = adj_data[right] = np.abs(g.weights) if variant == "signed" else g.weights
     degree = _row_sums(indptr, adj_data)
@@ -589,26 +554,46 @@ def build_laplacian(g: Graph, variant: str = "combinatorial") -> Laplacian:
         positive = degree > 0
         inv_sqrt = np.divide(1.0, np.sqrt(degree), out=np.zeros(n), where=positive)
         diagonal = np.where(positive, 1.0, 0.0)
-        off = -(inv_sqrt[g.rows] * g.weights * inv_sqrt[g.cols])
+        off = -(inv_sqrt[rows] * g.weights * inv_sqrt[cols])
+        kept = off != 0.0
+        if not kept.all():
+            rows, cols, off = rows[kept], cols[kept], off[kept]
+            indptr, below, left, right = _adjacency_slots(n, rows, cols)
     else:
         diagonal = degree
         off = -g.weights
-    # each row gains a diagonal slot between its two parts, so entries shift by their row
-    indptr += np.arange(n + 1)
-    left += g.cols
-    right += g.rows
+    # each entry's row and place in it: the diagonals, then the edges (j, i), then (i, j)
+    left -= indptr[cols]
+    right -= indptr[rows]
     right += 1
-    diag = indptr[:-1] + below
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    data = np.empty(indptr[-1])
-    indices[left], indices[right], indices[diag] = g.rows, g.cols, np.arange(n)
-    data[left], data[right], data[diag] = off, off, diagonal
-    stored = data != 0.0
-    if not stored.all():
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-        np.cumsum(np.bincount(rows[stored], minlength=n), out=indptr[1:])
-        indices, data = indices[stored], data[stored]
-    return Laplacian(indptr, indices, data, variant)
+    owner = np.concatenate([np.arange(n), cols, rows])
+    place = np.concatenate([below, left, right])
+    del left, right
+    counts = np.diff(indptr) + 1
+    order = np.argsort(-counts, kind="stable")
+    longer = n - np.cumsum(np.bincount(counts))  # rows with more than k entries
+    widths = longer[longer >= _LEVEL_ROWS]
+    levels = widths.size
+    wide = order[:longer[levels]]  # longer ends at 0: the rows past the last level
+    beyond = counts[wide] - levels
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    level_starts = np.concatenate([[0], np.cumsum(widths)])
+    # a place below the level count lies in its level at the row's rank in order; past
+    # it, after the levels, where the wide rows' rest entries follow one another in order
+    slots = level_starts[np.minimum(place, levels)]
+    slots += rank[owner]
+    past = np.flatnonzero(place >= levels)
+    rest = level_starts[-1] + np.cumsum(beyond) - beyond - levels
+    slots[past] = rest[rank[owner[past]]] + place[past]
+    del owner, place, past
+    data = np.empty(slots.size)
+    indices = np.empty(slots.size, dtype=np.int64)
+    data[slots] = np.concatenate([diagonal, off, off])
+    indices[slots] = np.concatenate([np.arange(n), rows, cols])
+    bins = np.concatenate([np.arange(wide.size), np.repeat(np.arange(wide.size), beyond)])
+    return Laplacian(_Levels(order, widths, data, indices, wide, bins, slots[:n].copy()),
+                     variant=variant)
 
 
 def graph_sha256(lap: Laplacian, kind: str, lambda_max: float) -> str:
@@ -641,14 +626,18 @@ class LambdaMaxEstimate(NamedTuple):
     method: str  # "lanczos" or "gershgorin": which bound gave the value
 
 
-def gershgorin_bound(lap: Laplacian) -> float:
-    """Row-sum upper bound max_i (L_ii + sum_{j != i} |L_ij|) on the spectrum."""
-    rows = lap.rows
-    on_diagonal = np.flatnonzero(lap.indices == rows)
-    diagonal = np.zeros(lap.node_count)
-    diagonal[rows[on_diagonal]] = lap.data[on_diagonal]
-    off = _row_sums(lap.indptr, np.abs(lap.data)) - np.abs(diagonal)
-    return float(np.max(diagonal + off)) if lap.node_count else 0.0
+def gershgorin_bound(lap: SparseOperator) -> float:
+    """Row-sum upper bound max_i (L_ii + sum_{j != i} |L_ij|) on the spectrum.
+
+    Each row sums every entry its layout holds, 0.0 ones too: np.add.reduceat sums
+    pairwise, so leaving out the zeros that estimate_lambda_max's 2^-e copy holds where
+    an entry underflows could move a sum's last bit.
+    """
+    levels = lap._levels
+    diagonal = levels.data[levels.diagonal]
+    indptr, _, data = _gathered_rows(levels, np.ones(levels.data.size, dtype=bool))
+    off = _row_sums(indptr, np.abs(data)) - np.abs(diagonal)
+    return float(np.max(diagonal + off)) if diagonal.size else 0.0
 
 
 def estimate_lambda_max(lap: Laplacian, max_iters: int = 200,
@@ -688,8 +677,8 @@ def estimate_lambda_max(lap: Laplacian, max_iters: int = 200,
     levels = lap._levels
     top = float(np.max(np.abs(levels.data[levels.diagonal]), initial=0.0))
     exponent = 0 if _UNSCALED[0] <= top <= _UNSCALED[1] else int(np.frexp(top)[1])
-    op = lap if exponent == 0 else SparseOperator(lap.indptr, lap.indices,
-                                                  np.ldexp(lap.data, -exponent))
+    op = lap if exponent == 0 else SparseOperator(
+        levels._replace(data=np.ldexp(levels.data, -exponent)))
     floor = float(np.ldexp(top, -exponent))  # lambda_max of op is at least its largest diagonal
     rng = np.random.default_rng(seed)
     v = np.ones(n) + 0.01 * rng.standard_normal(n)
@@ -752,7 +741,7 @@ def scale_laplacian(lap: Laplacian, lambda_max: float) -> ScaledLaplacian:
     scale = 2.0 / lambda_max
     data = levels.data * scale if np.isfinite(scale) else 2.0 * (levels.data / lambda_max)
     data[levels.diagonal] -= 1.0
-    return ScaledLaplacian._of_levels(levels._replace(data=data), lambda_max=lambda_max)
+    return ScaledLaplacian(levels._replace(data=data), lambda_max=lambda_max)
 
 
 def _canonical_columns(eigenvalues: np.ndarray, eigenvectors: np.ndarray):

@@ -1,6 +1,7 @@
 """Graph construction, Laplacian variants, and spectral plumbing."""
 
 import csv
+import hashlib
 import io
 import time
 
@@ -87,7 +88,7 @@ class TestGraph:
 
     def test_adjacency_symmetric(self):
         g = random_gnp(20, 0.3, seed=1)
-        a = g.adjacency().toarray()
+        a = scipy_view(g.adjacency()).toarray()
         assert np.array_equal(a, a.T)
 
     def test_first_bad_edge_in_input_order(self):
@@ -150,7 +151,10 @@ class TestLoadGraph:
             ("2 1\n0 5 1.0\n", 2, "out of range"),
             ("2 1\n0 1 -1.0\n", 2, "negative"),
             ("2 1\n0 1 nope\n", 2, "could not parse"),
-            ("2 1\n", None, "expected 1 edge"),
+            ("2 1\n", 1, "expected 1 edge"),
+            ("2 2\n0 1 1\n\n# c", 4, "expected 2 edge"),
+            ("", 1, "missing header"),
+            ("# only\n\n", 2, "missing header"),
             ("not a header\n", 1, "header"),
             ("# c\n\n2 1\n0 1 0\n", 4, "zero weight"),
             ("2 1\n0 1 nan\n", 2, "non-finite"),
@@ -164,8 +168,7 @@ class TestLoadGraph:
             path = write_edges(tmp_path, text)
             with pytest.raises(gr.EdgeListError, match=fragment) as err:
                 gr.load_graph(path)
-            if line_no is not None:
-                assert err.value.line_no == line_no
+            assert err.value.line_no == line_no
 
     def test_trailing_data_rejected(self, tmp_path):
         path = write_edges(tmp_path, "2 1\n0 1 1.0\n1 0 2.0\n")
@@ -302,8 +305,20 @@ def reference_laplacians():
             yield g, gr.build_laplacian(g, variant)
 
 
+def level_graphs():
+    """Three graphs past 1024 rows: a G(5000, 30000); the same with node 5000 joined to
+    3000 leaves, with weights 1 .. 1/3000, a hub whose entries run past the last level;
+    and the same with weights times 1e-300 and nodes 5000 .. 5003 isolated."""
+    g = random_gnm(5000, 30_000, seed=2)
+    leaves = np.arange(3000)
+    hub = gr.Graph(5001, columns=(np.r_[g.rows, leaves], np.r_[g.cols, np.full(3000, 5000)],
+                                  np.r_[g.weights, 1 / (1 + leaves)]))
+    tiny = gr.Graph(5004, columns=(g.rows, g.cols, g.weights * 1e-300))
+    return g, hub, tiny
+
+
 def scipy_view(op):
-    return sp.csr_array((op.data, op.indices, op.indptr), shape=(op.node_count,) * 2)
+    return sp.csr_array((op.data, op.indices, op.indptr), shape=(op.indptr.size - 1,) * 2)
 
 
 def assert_same_csr(ours, theirs):
@@ -350,12 +365,7 @@ class TestLaplacian:
         # same layout, at a bound above Gershgorin's, at 2 d for a degree d whose diagonal
         # scales to exactly 0.0, and at 1e300, where the 1e-300 weights' entries underflow
         rng = np.random.default_rng(12)
-        g = random_gnm(5000, 30_000, seed=2)
-        leaves = np.arange(3000)  # node 5000 joins them, with weights 1 .. 1/3000
-        hub = gr.Graph(5001, columns=(np.r_[g.rows, leaves], np.r_[g.cols, np.full(3000, 5000)],
-                                      np.r_[g.weights, 1 / (1 + leaves)]))
-        # nodes 5000 .. 5003 are isolated
-        tiny = gr.Graph(5004, columns=(g.rows, g.cols, g.weights * 1e-300))
+        g, hub, tiny = level_graphs()
         zeroed = underflows = 0
         for graph in (g, hub, tiny):
             for variant in ("combinatorial", "normalized"):
@@ -379,6 +389,19 @@ class TestLaplacian:
                     zeroed += int(on_diagonal > 0)
                     underflows += int(np.sum(lt._levels.data == 0.0) > on_diagonal)
         assert zeroed >= 6 and underflows >= 1
+
+    def test_layouts_pinned(self):
+        # every layout array, as operator.npz stores it and graph_sha256 reads it, of every
+        # reference operator and of the level graphs' combinatorial and normalized ones
+        laps = [lap for _, lap in reference_laplacians()]
+        laps += [gr.build_laplacian(g, variant) for g in level_graphs()
+                 for variant in ("combinatorial", "normalized")]
+        digest = hashlib.sha256()
+        for lap in laps:
+            for name, values in gr.layout_arrays(lap).items():
+                digest.update(f"{lap.variant} {name} {values.size}\n".encode())
+                digest.update(values.astype("<f8" if name == "data" else "<i8").tobytes())
+        assert digest.hexdigest()[:16] == "972d30f5f0b87f05"
 
     def test_product_refuses_a_vector_of_another_length(self):
         with pytest.raises(ValueError, match="shape"):
@@ -411,7 +434,7 @@ class TestLaplacian:
         g = random_gnp(25, 0.3, seed=4)
         lap = gr.build_laplacian(g, "normalized")
         dense = lap.toarray()
-        deg = g.adjacency().toarray().sum(axis=1)
+        deg = scipy_view(g.adjacency()).toarray().sum(axis=1)
         assert np.allclose(np.diag(dense)[deg > 0], 1.0)
 
     def test_normalized_isolated_node_row_is_zero(self):
@@ -569,6 +592,28 @@ class TestLambdaMax:
             # theta <= lambda_max and r <= tol * theta: value <= top * margin * (1 + tol)
             assert top <= estimate.value <= top * gr.LAMBDA_SAFETY_MARGIN * (1 + gr._LANCZOS_TOL)
 
+    def test_unconverged_scaled_copy_sums_its_underflowed_entries(self):
+        # an unconverged estimate on 2^-e L may take the Gershgorin bound of that copy, in
+        # whose rows the entries below 2^(e - 1075) are 0.0: its row sums are scipy's over
+        # the copy with those zeros stored, and a zero left out could move a pairwise sum
+        rng = np.random.default_rng(8)
+        checked = 0
+        for _ in range(40):
+            g = random_gnp(int(rng.integers(20, 50)), 0.4, seed=rng)
+            weights = np.exp(rng.uniform(-300.0, 690.0, g.edge_count))
+            lap = gr.build_laplacian(gr.Graph(g.node_count, columns=(g.rows, g.cols, weights)))
+            estimate = gr.estimate_lambda_max(lap, max_iters=2)
+            if estimate.method != "gershgorin":
+                continue
+            e = int(np.frexp(lap.toarray().diagonal().max())[1])
+            copy = sp.csr_array((np.ldexp(lap.data, -e), lap.indices, lap.indptr),
+                                shape=(g.node_count,) * 2)
+            diag = copy.diagonal()
+            bound = float(np.max(diag + (abs(copy).sum(axis=1) - np.abs(diag))))
+            assert estimate.value == np.ldexp(bound, e)
+            checked += int(np.any(copy.data == 0.0))
+        assert checked >= 5
+
     def test_diagonal_in_the_top_binade_is_bounded(self):
         # the largest diagonal, 1e308, lies in [2^1023, 2^1024): the scale 2^e itself overflows
         lap = gr.build_laplacian(gr.load_graph(["4 3", "0 1 5e307", "1 2 5e307", "2 3 5e307"]))
@@ -594,8 +639,9 @@ class TestGraphSha256:
         base = gr.graph_sha256(lap, "unsigned", 3.5)
         assert gr.graph_sha256(gr.build_laplacian(b), "unsigned", 3.5) == base
         # the arrays count by value: narrower integer arrays give the same digest
-        narrow = gr.Laplacian(lap.indptr.astype(np.int32), lap.indices.astype(np.int32),
-                              lap.data, lap.variant)
+        narrow = gr.Laplacian.from_layout(
+            {name: values if name == "data" else values.astype(np.int32)
+             for name, values in gr.layout_arrays(lap).items()}, lap.variant)
         assert gr.graph_sha256(narrow, "unsigned", 3.5) == base
 
     def test_each_part_changes_the_digest(self):
@@ -641,15 +687,9 @@ class TestScaledLaplacian:
     def test_matches_scipy_reference_bit_for_bit(self):
         # (2 / lambda_max) L - I as scipy.sparse computes it, at a bound above Gershgorin's
         # and at bounds that make a diagonal entry scale to exactly 0 and 1e-300-scale
-        # entries underflow; rows with entries but no diagonal take -1.0 between them
+        # entries underflow; an isolated node's row takes -1.0 on its diagonal
         rng = np.random.default_rng(12)
         laps = [lap for _, lap in reference_laplacians()]
-        # rows 0, 1 and 4 have entries but no diagonal, row 2 none at all; row 4's
-        # diagonal sorts after two of its entries
-        laps.append(gr.Laplacian(np.array([0, 1, 3, 3, 5, 8, 10]),
-                                 np.array([1, 0, 3, 1, 3, 0, 1, 5, 4, 5]),
-                                 np.array([-1.0, -1.0, -2.0, -2.0, 3.0, -0.3, -1.7, -2.9, -2.9,
-                                           4.1]), "combinatorial"))
         dropped = bare = underflows = 0
         for lap in laps:
             n = lap.node_count
