@@ -64,6 +64,16 @@ def default_three_band(lambda_max: float) -> BandPartition:
     return BandPartition(edges=np.array([0.0, third, 2.0 * third, lambda_max]))
 
 
+def equal_bands(basis: SpectralBasis, bands: int) -> BandPartition:
+    """bands equal bands over [0, top], top the basis's lambda_max or, when that is not
+    positive, as an edgeless graph's is, 1.0. Edge k < bands is k (top / bands), then top:
+    np.linspace's bits, and default_three_band's for three, with no edge past the float range."""
+    if bands < 1:
+        raise ValueError("need at least one band")
+    top = basis.lambda_max if basis.lambda_max > 0 else 1.0
+    return BandPartition(edges=np.append(np.arange(bands) * (top / bands), top))
+
+
 @dataclass(frozen=True)
 class BandReport:
     """Per-band energies of one signal; fractions are zero when degenerate."""
@@ -150,33 +160,41 @@ def robustness_certificate(response, lambda_max: float) -> float:
     return sup * CERT_SLACK
 
 
+def _check_magnitude(magnitude: float) -> None:
+    """Refuse a noise magnitude that is negative or not finite."""
+    if magnitude < 0 or not np.isfinite(magnitude):
+        raise ValueError(f"magnitude must be nonnegative, got {magnitude}")
+
+
 @dataclass(frozen=True)
 class PerturbConfig:
-    """Band-limited spectral noise: which band, how strong, which stream."""
+    """Band-limited spectral noise: which band, how strong, which stream. A zero
+    magnitude adds none."""
 
     band: int = 2
     magnitude: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        _check_magnitude(self.magnitude)
+
 
 def spectral_perturb(basis: SpectralBasis, x, band: int, magnitude: float,
-                     partition: BandPartition | None = None, seed: int = 0):
-    """Add seeded Gaussian noise confined to one spectral band.
+                     partition: BandPartition, seed: int = 0):
+    """Add seeded Gaussian noise confined to one band of partition.
 
     The injected component is rescaled so its total norm equals
     ``magnitude`` exactly; since the basis is orthonormal this is also
     ||perturbed - x||. Energy in every other band is untouched because
     the noise is exactly band-supported.
     """
-    if magnitude < 0 or not np.isfinite(magnitude):
-        raise ValueError(f"magnitude must be nonnegative, got {magnitude}")
+    _check_magnitude(magnitude)
     values = belief_values(x, basis.node_count)
-    part = partition if partition is not None else default_three_band(basis.lambda_max)
-    if not 0 <= band < part.n_bands:
-        raise ValueError(f"band {band} outside partition with {part.n_bands} bands")
-    if not part.covers(basis.eigenvalues):
+    if not 0 <= band < partition.n_bands:
+        raise ValueError(f"band {band} outside partition with {partition.n_bands} bands")
+    if not partition.covers(basis.eigenvalues):
         raise ValueError("partition does not cover the spectrum")
-    mask = part.band_of(basis.eigenvalues) == band
+    mask = partition.band_of(basis.eigenvalues) == band
     if not np.any(mask):
         raise ValueError(f"band {band} contains no eigenvalues; nothing to perturb")
     if magnitude == 0.0:

@@ -158,14 +158,15 @@ def _load_model(args):
     return _response_from_args(args), []
 
 
-def _load_operator(args, raw: bytes | None = None) -> gr.Laplacian:
-    """--graph's Laplacian; raw, when given, is the file's bytes already read."""
-    g = gr.load_graph(args.graph if raw is None else raw, kind=args.graph_kind)
+def _load_operator(args, raw: bytes) -> gr.Laplacian:
+    """The Laplacian of the graph file whose bytes are raw, as --graph-kind and --variant say."""
+    g = gr.load_graph(raw, kind=args.graph_kind)
     return gr.build_laplacian(g, variant=args.variant)
 
 
 def _read_graph(path) -> tuple[bytes, str]:
-    """The --graph file's bytes and their SHA-256: read and hashed once per command."""
+    """A graph file's bytes and their SHA-256: each graph is read and hashed once per
+    command, so the digest a manifest records is that of the bytes parsed."""
     raw = Path(path).read_bytes()
     return raw, hashlib.sha256(raw).hexdigest()
 
@@ -224,13 +225,6 @@ def _stored_estimate(f: ft.ChebyshevFilter, lap: gr.Laplacian,
     if f.bound is None or f.graph_sha256 != gr.graph_sha256(lap, kind, f.lambda_max):
         return None
     return f.bound
-
-
-def _partition_for(basis: gr.SpectralBasis, bands: int) -> analysis.BandPartition:
-    if bands < 1:
-        raise ValueError("need at least one band")
-    top = basis.lambda_max if basis.lambda_max > 0 else 1.0
-    return analysis.BandPartition(edges=np.linspace(0.0, top, bands + 1))
 
 
 def cmd_fit(args) -> tuple[dict, dict, str]:
@@ -394,11 +388,8 @@ def cmd_gen(args) -> tuple[dict, dict, str]:
 def cmd_eval(args) -> tuple[dict, dict, str]:
     model, extra_inputs = _load_model(args)
     instances = [tg.load_task(p) for p in args.tasks]
-    perturb = None
-    if args.perturb_magnitude > 0:
-        perturb = analysis.PerturbConfig(band=args.perturb_band,
-                                         magnitude=args.perturb_magnitude,
-                                         seed=args.perturb_seed)
+    perturb = analysis.PerturbConfig(band=args.perturb_band, magnitude=args.perturb_magnitude,
+                                     seed=args.perturb_seed)
     cfg = tg.EvalConfig(threshold=args.threshold, variant=args.variant,
                         latency_runs=args.latency_runs, perturb=perturb)
     report = tg.evaluate(model, instances, cfg)
@@ -409,12 +400,13 @@ def cmd_eval(args) -> tuple[dict, dict, str]:
 
 
 def cmd_attribute(args) -> tuple[dict, dict, str]:
-    lap = _load_operator(args)
+    raw, source = _read_graph(args.graph)
+    lap = _load_operator(args, raw)
     model, extra_inputs = _load_model(args)
     basis = gr.eigendecompose(lap)
     x = _read_beliefs(args.beliefs)
     y = np.asarray(tg.as_response(model, basis, x), dtype=float)
-    partition = _partition_for(basis, args.bands)
+    partition = analysis.equal_bands(basis, args.bands)
     report = analysis.band_energy(basis, y, partition)
     bound = analysis.robustness_certificate(model, partition.edges[-1])
 
@@ -424,15 +416,15 @@ def cmd_attribute(args) -> tuple[dict, dict, str]:
               *(f"band{b}_fraction" for b in bands), "bound"]
     row = (0, *partition.edges, *report.energies, *report.fractions, bound)
     return ({"attribution.csv": gr.csv_text(header, [row])},
-            dict.fromkeys([args.graph, args.beliefs] + extra_inputs),
+            {**dict.fromkeys([args.beliefs] + extra_inputs), args.graph: source},
             f"attribute bands={partition.n_bands} bound={gr.float_text(bound)}")
 
 
 def cmd_perturb(args) -> tuple[dict, dict, str]:
-    lap = _load_operator(args)
-    basis = gr.eigendecompose(lap)
+    raw, source = _read_graph(args.graph)
+    basis = gr.eigendecompose(_load_operator(args, raw))
     x = _read_beliefs(args.beliefs)
-    partition = _partition_for(basis, args.bands)
+    partition = analysis.equal_bands(basis, args.bands)
     perturbed = analysis.spectral_perturb(basis, x, args.band, args.magnitude,
                                           partition=partition, seed=args.seed)
     before = analysis.band_energy(basis, x, partition)
@@ -440,17 +432,16 @@ def cmd_perturb(args) -> tuple[dict, dict, str]:
     rows = zip(range(partition.n_bands), before.energies, after.energies)
     return ({"perturbed.txt": "".join(gr.float_text(v) + "\n" for v in perturbed),
              "perturb.csv": gr.csv_text(("band", "clean_energy", "perturbed_energy"), rows)},
-            dict.fromkeys([args.graph, args.beliefs]),
+            {args.beliefs: None, args.graph: source},
             f"perturb band={args.band} magnitude={gr.float_text(args.magnitude)}")
 
 
 def cmd_transfer(args) -> tuple[dict, dict, str]:
-    profiles = []
+    profiles, digests = [], {}
     for graph_path, belief_path in ((args.source_graph, args.source_beliefs),
                                     (args.target_graph, args.target_beliefs)):
-        g = gr.load_graph(graph_path, kind=args.graph_kind)
-        lap = gr.build_laplacian(g, variant=args.variant)
-        basis = gr.eigendecompose(lap)
+        raw, digests[graph_path] = _read_graph(graph_path)
+        basis = gr.eigendecompose(_load_operator(args, raw))
         x = _read_beliefs(belief_path)
         xhat = np.asarray(gr.gft(basis, x), dtype=float)
         profiles.append(analysis.cospectral_profile(basis.eigenvalues, xhat, points=args.points))
@@ -458,8 +449,7 @@ def cmd_transfer(args) -> tuple[dict, dict, str]:
     rows = zip(range(args.points), *profiles)
     return ({"profiles.csv": gr.csv_text(("index", "source", "target"), rows),
              "transfer.csv": gr.csv_text(("points", "profile_loss"), [(args.points, loss)])},
-            dict.fromkeys([args.source_graph, args.source_beliefs,
-                           args.target_graph, args.target_beliefs]),
+            {**dict.fromkeys([args.source_beliefs, args.target_beliefs]), **digests},
             f"transfer points={args.points} loss={gr.float_text(loss)}")
 
 

@@ -23,6 +23,8 @@ from .graph import (LambdaMaxEstimate, Laplacian, ScaledLaplacian, SpectralBasis
 
 ANALYTIC_KINDS = ("diffusion", "highpass", "gaussian_bandpass", "identity", "polynomial")
 _LAMBDA_MATCH_RTOL = 1e-9
+_CG_TOL = 1e-10  # relative residual at which rational_apply's conjugate gradient stops
+_CG_STEPS_PER_NODE = 10  # its step cap, per node of the operator
 _FLOAT_MAX = float(np.finfo(float).max)
 _SQUARE_SAFE = 2.0 ** 500  # a value up to this in magnitude squares, and doubles, in range
 
@@ -299,14 +301,13 @@ def dense_filter_apply(basis: SpectralBasis, response, x):
         return np.ldexp(y, exponent)
 
 
-def rational_apply(tau: float, lap: Laplacian, x, tol: float = 1e-10,
-                   max_iters: int | None = None):
+def rational_apply(tau: float, lap: Laplacian, x):
     """Solve (I + tau L) y = x by conjugate gradient.
 
     The system matrix is symmetric positive definite for tau >= 0 on any
     PSD Laplacian, so plain CG applies. Stops when the residual drops
-    below tol * ||x||; failure to converge raises SolverError carrying
-    the final relative residual.
+    below _CG_TOL * ||x|| (1e-10); failure to do so within _CG_STEPS_PER_NODE
+    steps per node raises SolverError carrying the final relative residual.
     """
     if not np.isfinite(tau) or tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
@@ -315,15 +316,13 @@ def rational_apply(tau: float, lap: Laplacian, x, tol: float = 1e-10,
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return np.zeros(n)
-    if max_iters is None:
-        max_iters = 10 * n
 
     y = np.zeros(n)
     r = b.copy()
     p = r.copy()
     rs = float(r @ r)
     iterations = 0
-    while np.sqrt(rs) > tol * norm_b and iterations < max_iters:
+    while np.sqrt(rs) > _CG_TOL * norm_b and iterations < _CG_STEPS_PER_NODE * n:
         ap = p + tau * (lap @ p)
         denom = float(p @ ap)
         if denom <= 0.0:
@@ -337,7 +336,7 @@ def rational_apply(tau: float, lap: Laplacian, x, tol: float = 1e-10,
         rs = rs_next
         iterations += 1
     relative = float(np.sqrt(rs) / norm_b)
-    if relative > tol:
+    if relative > _CG_TOL:
         raise SolverError(
             f"conjugate gradient stalled at relative residual {relative:.3e} after {iterations} iterations",
             residual=relative, iterations=iterations)

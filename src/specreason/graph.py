@@ -4,9 +4,8 @@ Beliefs live on vertices; every spectral operation in the package is
 anchored to one of the Laplacian variants built here. A Laplacian and its
 rescaled form are one operator type, held as the jagged-diagonal layout its
 products run on, which build_laplacian writes straight from the edge arrays;
-the dense form and the Gershgorin bound are read from that layout, and
-canonical CSR arrays are gathered from it only on request. Products, rescaling
-and the Gershgorin bound run in NumPy with the bits scipy.sparse gives.
+the dense form and the Gershgorin bound are read from that layout. Products,
+rescaling and the Gershgorin bound run in NumPy with the bits scipy.sparse gives.
 """
 
 from __future__ import annotations
@@ -17,14 +16,13 @@ import os
 import re
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 LAMBDA_SAFETY_MARGIN = 1.01
 _LANCZOS_TOL = 1e-5  # relative Ritz residual at which the Lanczos value is taken
+_LANCZOS_STEPS = 200  # steps after which an unconverged recurrence falls back to a bound
 _LANCZOS_DENSE_CHECKS = 50  # Ritz pair checked at every step up to here, then at ceil(1.25 k)
 _UNSCALED = (2.0 ** -400, 2.0 ** 400)  # |diagonal| range Lanczos runs unscaled on
 _LEVEL_ROWS = 1024  # fewest rows a level of a product sums by slice; below, bincount adds
@@ -214,10 +212,9 @@ def _read_only(arrays):
 
 
 class CsrMatrix(NamedTuple):
-    """A square sparse matrix's canonical CSR arrays, read-only: row i's entries are
+    """A graph's adjacency as canonical CSR arrays, read-only: row i's entries are
     ``data[indptr[i]:indptr[i + 1]]`` at the ascending columns
-    ``indices[indptr[i]:indptr[i + 1]]``. The adjacency and an operator's ``_csr``
-    store no zero entry."""
+    ``indices[indptr[i]:indptr[i + 1]]``, one per edge at that node."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -226,34 +223,14 @@ class CsrMatrix(NamedTuple):
 
 @dataclass(frozen=True, init=False, eq=False)
 class SparseOperator:
-    """A square sparse matrix held as its product layout ``_levels`` (see _Levels),
-    which ``op @ x``, the matrix-vector product, runs on; made from a layout, as
-    ``SparseOperator(levels)``, with a subclass's fields by name. ``toarray`` and the
-    Gershgorin bound read the layout; its canonical CSR arrays (see CsrMatrix),
-    ``indptr``, ``indices`` and ``data``, are gathered from it on first use. Both forms
-    are read-only.
+    """A square sparse matrix held as its product layout ``_levels`` (see _Levels), its
+    only form: ``op @ x``, the matrix-vector product, ``toarray`` and the Gershgorin
+    bound all read it. Made from a layout, as ``SparseOperator(levels)``, with a
+    subclass's fields by name; the layout's arrays are made read-only.
     """
 
     def __init__(self, levels: _Levels, **fields):
         vars(self).update(_levels=_read_only(levels), **fields)
-
-    @cached_property
-    def _csr(self) -> CsrMatrix:
-        """The CSR arrays, gathered from the layout on first use; the layout's 0.0
-        entries are not stored."""
-        return _gathered_rows(self._levels, self._levels.data != 0.0)
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self._csr.indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self._csr.indices
-
-    @property
-    def data(self) -> np.ndarray:
-        return self._csr.data
 
     @property
     def node_count(self) -> int:
@@ -286,7 +263,7 @@ class SparseOperator:
 
     def toarray(self) -> np.ndarray:
         """The dense matrix, scattered from the layout; + 0.0 reads a -0.0 entry as 0.0,
-        as the CSR arrays, which store no zero entry, give it."""
+        as scipy.sparse, which stores no zero entry of a sum, gives it."""
         levels = self._levels
         dense = np.zeros((self.node_count,) * 2)
         dense[_entry_rows(levels), levels.indices] = levels.data + 0.0
@@ -297,17 +274,6 @@ def _entry_rows(levels: _Levels) -> np.ndarray:
     """Each entry's row, in the layout's order."""
     return np.concatenate([levels.order[:width] for width in levels.widths]
                           + [levels.wide[levels.bins[levels.wide.size:]]])
-
-
-def _gathered_rows(levels: _Levels, taken: np.ndarray) -> CsrMatrix:
-    """The entries of levels where taken is True, as CSR arrays: row by row, by column."""
-    n = levels.order.size
-    rows = _entry_rows(levels)
-    stored = np.flatnonzero(taken)
-    stored = stored[np.argsort(rows[stored] * n + levels.indices[stored])]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[stored], minlength=n), out=indptr[1:])
-    return CsrMatrix(*_read_only((indptr, levels.indices[stored], levels.data[stored])))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -457,18 +423,16 @@ def load_graph(source, kind: str = "unsigned") -> Graph:
 
     The first significant line is "N M"; the next M significant lines are
     "i j w" with zero-based endpoints. Blank lines and lines starting with
-    '#' are skipped. ``source`` is a filesystem path, a file's bytes (decoded
-    as opening its path would) or an iterable of lines. Errors report 1-based
-    line numbers of the raw input; only input that fails to load is read line
-    by line, to find that line; only an input short of lines counts them all.
+    '#' are skipped. ``source`` is a filesystem path or a file's bytes, decoded
+    as opening its path would; anything else raises TypeError. Errors report
+    1-based line numbers of the raw input; only input that fails to load is read
+    line by line, to find that line; only an input short of lines counts them all.
     """
     if isinstance(source, bytes):
         text = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8").read()
-    elif isinstance(source, (str, Path, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
     else:
-        text = "".join(line.rstrip("\n") + "\n" for line in source)
+        with open(os.fspath(source), "r", encoding="utf-8") as fh:  # no file descriptor
+            text = fh.read()
     stream = io.StringIO(text)
     significant = ((no, stripped) for no, raw in enumerate(stream, start=1)
                    if (stripped := raw.strip()) and not stripped.startswith("#"))
@@ -629,25 +593,28 @@ class LambdaMaxEstimate(NamedTuple):
 def gershgorin_bound(lap: SparseOperator) -> float:
     """Row-sum upper bound max_i (L_ii + sum_{j != i} |L_ij|) on the spectrum.
 
-    Each row sums every entry its layout holds, 0.0 ones too: np.add.reduceat sums
-    pairwise, so leaving out the zeros that estimate_lambda_max's 2^-e copy holds where
-    an entry underflows could move a sum's last bit.
+    Each row sums every entry its layout holds, by column, 0.0 ones too: np.add.reduceat
+    sums pairwise, so leaving out the zeros that estimate_lambda_max's 2^-e copy holds
+    where an entry underflows could move a sum's last bit.
     """
     levels = lap._levels
+    n = levels.order.size
+    rows = _entry_rows(levels)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    by_row = np.argsort(rows * n + levels.indices)
     diagonal = levels.data[levels.diagonal]
-    indptr, _, data = _gathered_rows(levels, np.ones(levels.data.size, dtype=bool))
-    off = _row_sums(indptr, np.abs(data)) - np.abs(diagonal)
+    off = _row_sums(indptr, np.abs(levels.data[by_row])) - np.abs(diagonal)
     return float(np.max(diagonal + off)) if diagonal.size else 0.0
 
 
-def estimate_lambda_max(lap: Laplacian, max_iters: int = 200,
-                        seed: int = 0) -> LambdaMaxEstimate:
+def estimate_lambda_max(lap: Laplacian, seed: int = 0) -> LambdaMaxEstimate:
     """Upper bound on the largest eigenvalue from a Lanczos recurrence.
 
     Runs the three-term Lanczos recurrence from a seeded, perturbed all-ones
     vector, holding three n-vectors: no reorthogonalisation, no stored basis.
     The top Ritz pair (theta, z) of the tridiagonal T_k is taken at every step
-    k <= _LANCZOS_DENSE_CHECKS, then at ceil(1.25 k) and at ``max_iters``, so that
+    k <= _LANCZOS_DENSE_CHECKS, then at ceil(1.25 k) and at _LANCZOS_STEPS, so that
     the checks' dense eigensolves, O(k^3) each, grow as log k past step 50. Once
     theta is at least the largest diagonal entry, which lambda_max of a positive
     semidefinite operator never falls below, and the residual r = |beta_k z_k| is
@@ -657,7 +624,7 @@ def estimate_lambda_max(lap: Laplacian, max_iters: int = 200,
     with the operator, so scaling every weight leaves the step it stops at.
     The Ritz value's error is quadratic in r (Parlett, The Symmetric Eigenvalue
     Problem, 11.7), so the 1% margin, not the tolerance, sets the value's slack.
-    A recurrence that does not converge within ``max_iters`` steps (200) returns
+    A recurrence that does not converge within _LANCZOS_STEPS steps (200) returns
     the bound theta + beta_k of Y. Zhou and R.-C. Li, "Bounding the spectrum of
     large Hermitian matrices", LAA 435 (2011), or the Gershgorin bound when that
     is smaller, with ``converged`` False and ``method`` naming the bound used.
@@ -671,8 +638,6 @@ def estimate_lambda_max(lap: Laplacian, max_iters: int = 200,
     or norm overflows, nor the scale itself when e = 1024. Every other operator, and
     one with no nonzero diagonal, runs as given.
     """
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     n = lap.node_count
     levels = lap._levels
     top = float(np.max(np.abs(levels.data[levels.diagonal]), initial=0.0))
@@ -687,7 +652,7 @@ def estimate_lambda_max(lap: Laplacian, max_iters: int = 200,
     alphas, betas = [], []
     beta = 0.0
     check = 1
-    for k in range(1, max_iters + 1):
+    for k in range(1, _LANCZOS_STEPS + 1):
         w = op @ v
         w -= beta * v_prev
         alpha = float(v @ w)
@@ -697,7 +662,7 @@ def estimate_lambda_max(lap: Laplacian, max_iters: int = 200,
         betas.append(beta)
         # beta ~ 0: the Krylov space is invariant and its Ritz values are exact
         invariant = beta <= _SIGN_TOL
-        if invariant or k == check or k == max_iters:
+        if invariant or k == check or k == _LANCZOS_STEPS:
             check = k + 1 if k < _LANCZOS_DENSE_CHECKS else -(-5 * k // 4)
             off = betas[:-1]
             vals, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
@@ -710,8 +675,8 @@ def estimate_lambda_max(lap: Laplacian, max_iters: int = 200,
         v_prev, v = v, w
     gershgorin = gershgorin_bound(op)
     if theta + beta < gershgorin:
-        return _lambda_estimate(theta + beta, exponent, max_iters, False, "lanczos")
-    return _lambda_estimate(gershgorin, exponent, max_iters, False, "gershgorin")
+        return _lambda_estimate(theta + beta, exponent, _LANCZOS_STEPS, False, "lanczos")
+    return _lambda_estimate(gershgorin, exponent, _LANCZOS_STEPS, False, "gershgorin")
 
 
 def _lambda_estimate(scaled: float, exponent: int, iterations: int, converged: bool,
@@ -733,7 +698,7 @@ def scale_laplacian(lap: Laplacian, lambda_max: float) -> ScaledLaplacian:
     entry is scaled by c and a diagonal entry d becomes c d - 1.0. A row with no stored
     diagonal holds 0.0 in its diagonal slot, so it gains -1.0 at its sorted place. An
     entry that comes out exactly 0.0 stays in the layout, where it adds nothing to a
-    product with a finite vector, and the CSR arrays do not store it. Below about
+    product with a finite vector, though scipy's sum would not store it. Below about
     1.1e-308, where c is past the float range, each entry is 2 (v / lambda_max).
     """
     lambda_max = lambda_max_value(lambda_max)

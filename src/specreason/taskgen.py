@@ -21,7 +21,7 @@ from ._schema import Default, Map, Nullable, read_json
 from .analysis import (
     PerturbConfig,
     band_energy,
-    default_three_band,
+    equal_bands,
     proof_band_agreement,
     spectral_perturb,
 )
@@ -330,28 +330,31 @@ class EvalConfig:
     latency_runs: int = 3
     perturb: PerturbConfig | None = None
 
+    def __post_init__(self):
+        if not np.isfinite(self.threshold):
+            raise ValueError("threshold must be finite")
+        if self.latency_runs < 1:
+            raise ValueError(f"latency_runs must be at least 1, got {self.latency_runs}")
+
 
 def model_label(model) -> str:
+    """The model's name in eval.csv; as_response has refused any other type first."""
     if isinstance(model, ft.AnalyticResponse):
         inner = ", ".join(format(p, "g") for p in model.params)
         return f"{model.kind}({inner})"
     if isinstance(model, ft.ChebyshevFilter):
         return f"chebyshev(order={model.order})"
-    if isinstance(model, RuleSet):
-        return f"rules({len(model)})"
-    return type(model).__name__
+    return f"rules({len(model)})"
 
 
 def as_response(model, basis, x):
-    """Any model's response to beliefs x, filtered exactly through one eigenbasis.
+    """A model's response to beliefs x, filtered exactly through one eigenbasis.
 
-    Analytic responses, Chebyshev filters and rule sets (their weighted mixture)
-    are functions of the eigenvalues; any other callable is called as model(basis, x).
+    A model is an analytic response, a Chebyshev filter or a rule set (their weighted
+    mixture), each a function of the eigenvalues; anything else raises TypeError.
     """
     if isinstance(model, (ft.AnalyticResponse, ft.ChebyshevFilter, RuleSet)):
         return ft.dense_filter_apply(basis, model, x)
-    if callable(model):
-        return model(basis, x)
     raise TypeError(f"cannot evaluate a {type(model).__name__}")
 
 
@@ -411,31 +414,32 @@ def evaluate(model, instances, config: EvalConfig | None = None) -> EvalReport:
     Accuracy is the mean instance score. Latency is the median wall time
     of the model application alone, over latency_runs repeats per
     instance. Band columns attribute the output energy of every instance
-    to its default three-band partition. Robustness drop is the accuracy,
-    in percentage points, lost to cfg.perturb's noise. Each instance is
-    eigendecomposed once.
+    to three equal bands of its spectrum (equal_bands). Robustness drop is
+    the accuracy, in percentage points, lost to cfg.perturb's noise, cut
+    at the same bands. Each instance is eigendecomposed once.
     """
     cfg = config or EvalConfig()
     instances = list(instances)
     if not instances:
         raise ValueError("evaluation needs at least one instance")
+    noise = cfg.perturb
+    noisy = noise is not None and noise.magnitude > 0
 
     def run(inst: TaskInstance):
         # one eigendecomposition gives the timed applications, the clean score,
         # the score under cfg.perturb (None without one) and the clean band report
         basis = eigendecompose(build_laplacian(inst.graph, cfg.variant))
         times = []
-        for _ in range(max(1, cfg.latency_runs)):
+        for _ in range(cfg.latency_runs):
             start = time.perf_counter()
             y = as_response(model, basis, inst.beliefs)
             times.append(time.perf_counter() - start)
+        part = equal_bands(basis, 3)
         perturbed = None
-        noise = cfg.perturb
-        if noise is not None and noise.magnitude > 0:
+        if noisy:
             x = spectral_perturb(basis, inst.beliefs, noise.band, noise.magnitude,
-                                 seed=noise.seed)
+                                 partition=part, seed=noise.seed)
             perturbed = _score(as_response(model, basis, x), inst, cfg.threshold)
-        part = default_three_band(basis.lambda_max)
         return times, _score(y, inst, cfg.threshold), perturbed, band_energy(basis, y, part)
 
     times, scores, perturbed, reports = zip(*(run(inst) for inst in instances))
@@ -455,9 +459,7 @@ def evaluate(model, instances, config: EvalConfig | None = None) -> EvalReport:
     else:
         agreement = 1.0
 
-    drop = 0.0
-    if cfg.perturb is not None and cfg.perturb.magnitude > 0:
-        drop = float((np.mean(scores) - np.mean(perturbed)) * 100.0)
+    drop = float((np.mean(scores) - np.mean(perturbed)) * 100.0) if noisy else 0.0
 
     return EvalReport(model=model_label(model), instances=len(instances),
                       accuracy=accuracy, latency_ms=latency_ms,

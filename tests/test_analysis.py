@@ -40,6 +40,29 @@ class TestBandPartition:
         with pytest.raises(ValueError):
             an.default_three_band(0.0)
 
+    def test_equal_bands_have_linspace_bits(self):
+        # and default_three_band's for three bands; an edgeless graph's spectrum, all zeros,
+        # is cut over [0, 1]
+        rng = np.random.default_rng(21)
+        for top in 10.0 ** rng.uniform(-300.0, 307.0, 2000):
+            basis = gr.SpectralBasis(eigenvalues=[0.0, top], eigenvectors=np.eye(2))
+            bands = int(rng.integers(1, 11))
+            edges = an.equal_bands(basis, bands).edges
+            assert edges.tobytes() == np.linspace(0.0, top, bands + 1).tobytes()
+            assert (an.equal_bands(basis, 3).edges.tobytes()
+                    == an.default_three_band(top).edges.tobytes())
+        edgeless = gr.eigendecompose(gr.build_laplacian(gr.Graph(3)))
+        assert an.equal_bands(edgeless, 3).edges.tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
+        with pytest.raises(ValueError, match="at least one band"):
+            an.equal_bands(edgeless, 0)
+
+    def test_equal_bands_stop_at_the_float_maximum(self):
+        top = float(np.finfo(float).max)
+        basis = gr.SpectralBasis(eigenvalues=[0.0, top], eigenvectors=np.eye(2))
+        with np.errstate(all="raise"):
+            edges = an.equal_bands(basis, 7).edges
+        assert edges[-1] == top and np.all(np.isfinite(edges))
+
 
 class TestBandEnergy:
     def test_parseval_split(self):
@@ -166,12 +189,17 @@ class TestRobustnessCertificate:
 
 
 class TestSpectralPerturb:
+    @pytest.mark.parametrize("magnitude", [-1.0, float("nan"), float("inf")])
+    def test_config_refuses_a_bad_magnitude(self, magnitude):
+        with pytest.raises(ValueError, match="magnitude must be nonnegative"):
+            an.PerturbConfig(magnitude=magnitude)
+
     def test_norm_equals_magnitude(self):
         basis = random_basis(seed=11)
         x = np.random.default_rng(12).standard_normal(20)
         for magnitude in (0.1, 1.0, 7.5):
-            out = np.asarray(an.spectral_perturb(basis, x, band=1,
-                                                 magnitude=magnitude, seed=3))
+            out = np.asarray(an.spectral_perturb(basis, x, band=1, magnitude=magnitude,
+                                                 partition=an.equal_bands(basis, 3), seed=3))
             assert abs(np.linalg.norm(out - x) - magnitude) <= 1e-10
 
     def test_only_target_band_moves(self):
@@ -187,7 +215,8 @@ class TestSpectralPerturb:
     def test_zero_magnitude_no_op(self):
         basis = p2_basis()
         x = np.array([0.3, -0.7])
-        out = np.asarray(an.spectral_perturb(basis, x, band=0, magnitude=0.0))
+        out = np.asarray(an.spectral_perturb(basis, x, band=0, magnitude=0.0,
+                                             partition=an.equal_bands(basis, 3)))
         assert np.array_equal(out, x)
 
     def test_empty_band_errors_with_name(self):
@@ -199,10 +228,10 @@ class TestSpectralPerturb:
 
     def test_seeded_and_deterministic(self):
         basis = random_basis(seed=15)
-        x = np.zeros(20)
-        a = np.asarray(an.spectral_perturb(basis, x, band=2, magnitude=1.0, seed=5))
-        b = np.asarray(an.spectral_perturb(basis, x, band=2, magnitude=1.0, seed=5))
-        c = np.asarray(an.spectral_perturb(basis, x, band=2, magnitude=1.0, seed=6))
+        x, part = np.zeros(20), an.equal_bands(basis, 3)
+        a = np.asarray(an.spectral_perturb(basis, x, band=2, magnitude=1.0, partition=part, seed=5))
+        b = np.asarray(an.spectral_perturb(basis, x, band=2, magnitude=1.0, partition=part, seed=5))
+        c = np.asarray(an.spectral_perturb(basis, x, band=2, magnitude=1.0, partition=part, seed=6))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 

@@ -1,8 +1,10 @@
 """End-to-end command line checks driven through the in-process entry point."""
 
 import argparse
+import builtins
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -440,6 +442,36 @@ class TestEval:
         code = run("eval", "--tasks", "task.json", "--response", "identity", "--out-dir", "out")
         assert code == 1
         assert "error: task.json: beliefs is missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--perturb-magnitude", "-1", "magnitude must be nonnegative, got -1.0"),
+        ("--perturb-magnitude", "nan", "magnitude must be nonnegative, got nan"),
+        ("--threshold", "nan", "threshold must be finite"),
+        ("--threshold", "inf", "threshold must be finite"),
+        ("--latency-runs", "0", "latency_runs must be at least 1, got 0"),
+        ("--latency-runs", "-3", "latency_runs must be at least 1, got -3"),
+    ])
+    def test_a_number_it_cannot_use_is_refused(self, workdir, capsys, option, value, message):
+        run("gen", "--kind", "chain", "--depth", "3", "--out-dir", "task")
+        capsys.readouterr()
+        assert run("eval", "--tasks", "task/task.json", "--response", "identity",
+                   option, value, "--out-dir", "out") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (workdir / "out").exists()
+
+    def test_a_task_without_edges_is_scored(self, workdir, capsys):
+        # its spectrum is all zeros: as in attribute, the bands cut [0, 1]
+        run("gen", "--kind", "chain", "--depth", "3", "--out-dir", "task")
+        payload = json.loads((workdir / "task" / "task.json").read_text())
+        payload["graph"]["edges"] = []
+        (workdir / "task.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("eval", "--tasks", "task.json", "--response", "identity",
+                   "--latency-runs", "1", "--out-dir", "out") == 0
+        assert capsys.readouterr().err == ""
+        with open(workdir / "out" / "eval.csv") as fh:
+            row = next(csv.DictReader(fh))
+        assert [float(row[f"band{b}_fraction"]) for b in range(3)] == [1.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("response, label", [
         (["polynomial", "--coeffs", "1,0.5"], "polynomial(1, 0.5)"),
@@ -921,6 +953,46 @@ def test_no_command_loads_a_scipy_module(workdir):
     assert loaded == {step: [] for step in ("import", *commands)}
 
 
+GRAPH_COMMANDS = {
+    "fit": ["fit", "--graph", "p2.txt", "--response", "diffusion", "--order", "4"],
+    "train": ["train", "--graph", "p2.txt", "--config", "train.json"],
+    "infer served": ["infer", "--graph", "p2.txt", "--filter", "fit/filter.json",
+                     "--beliefs", "beliefs.txt"],
+    "infer parsed": ["infer", "--graph", "p2.txt", "--filter", "text/filter.json",
+                     "--beliefs", "beliefs.txt"],
+    "attribute": ["attribute", "--graph", "p2.txt", "--beliefs", "beliefs.txt",
+                  "--response", "diffusion"],
+    "perturb": ["perturb", "--graph", "p2.txt", "--beliefs", "beliefs.txt", "--band", "0"],
+    "transfer": ["transfer", "--source-graph", "p2.txt", "--source-beliefs", "beliefs.txt",
+                 "--target-graph", "q2.txt", "--target-beliefs", "beliefs.txt"],
+}
+
+
+@pytest.mark.parametrize("command", GRAPH_COMMANDS)
+def test_each_graph_is_read_once(workdir, monkeypatch, command):
+    # parsed and hashed from the same bytes: the manifest's digest is that of the graph read
+    (workdir / "q2.txt").write_text(P2)
+    (workdir / "train.json").write_text('{"order": 4, "epochs": 3, "examples": 2}')
+    for out in ("fit", "text"):
+        assert run(*GRAPH_COMMANDS["fit"], "--out-dir", out) == 0
+    (workdir / "text" / "operator.npz").unlink()
+    opened = []
+    real_open = io.open
+
+    def counted(file, *args, **kwargs):
+        opened.append(os.fspath(file) if isinstance(file, (str, os.PathLike)) else file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counted)
+    monkeypatch.setattr(builtins, "open", counted)
+    assert run(*GRAPH_COMMANDS[command], "--out-dir", "out") == 0
+    graphs = ["p2.txt", "q2.txt"] if command == "transfer" else ["p2.txt"]
+    assert [name for name in opened if name in ("p2.txt", "q2.txt")] == graphs
+    manifest = json.loads((workdir / "out" / "manifest.json").read_text())
+    for name in graphs:
+        assert manifest["inputs"][name] == hashlib.sha256(P2.encode()).hexdigest()
+
+
 STAR = "4 3\n0 1 1\n0 2 1\n0 3 1\n"  # combinatorial lambda_max 4, normalized 2
 
 
@@ -1133,18 +1205,22 @@ class TestCompiledOperator:
     def test_an_older_csr_file_takes_the_text_path(self, workdir, fitted, monkeypatch, capsys):
         # operator.npz and graph_sha256 as fit wrote them when the file held CSR arrays
         served = self.infer(capsys, "fit/filter.json", "served")
-        lap = gr.build_laplacian(gr.load_graph("ring.txt"))
+        # the Laplacian's canonical CSR arrays, read off its dense form in row-major order
+        dense = gr.build_laplacian(gr.load_graph("ring.txt")).toarray()
+        rows, indices = np.nonzero(dense)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(dense)))])
+        data = dense[rows, indices]
         f = ft.load_filter("fit/filter.json")
-        head = (f"{lap.node_count} {lap.indices.size} unsigned combinatorial "
+        head = (f"{len(dense)} {indices.size} unsigned combinatorial "
                 f"{gr.float_text(f.lambda_max)}\n")
         digest = hashlib.sha256(head.encode("ascii"))
-        for values, dtype in ((lap.indptr, "<i8"), (lap.indices, "<i8"), (lap.data, "<f8")):
+        for values, dtype in ((indptr, "<i8"), (indices, "<i8"), (data, "<f8")):
             digest.update(np.ascontiguousarray(values, dtype=dtype).data)
         Path("old").mkdir()
         Path("old/filter.json").write_text(replace(f, graph_sha256=digest.hexdigest()).to_json()
                                            + "\n")
         source = hashlib.sha256(Path("ring.txt").read_bytes()).hexdigest()
-        np.savez("old/operator.npz", indptr=lap.indptr, indices=lap.indices, data=lap.data,
+        np.savez("old/operator.npz", indptr=indptr, indices=indices, data=data,
                  source_sha256=np.array(source))
         calls = counted_graph_calls(monkeypatch, "load_graph", "build_laplacian",
                                     "estimate_lambda_max")

@@ -140,6 +140,13 @@ class TestLoadGraph:
         assert g.node_count == 3
         assert g.edges == ((0, 1, 1.0), (1, 2, 0.5))
 
+    def test_only_a_path_or_bytes_is_read(self, tmp_path):
+        path = write_edges(tmp_path, "3 2\n0 1 1.0\n1 2 0.5\n")
+        assert gr.load_graph(path.read_bytes()).edges == gr.load_graph(str(path)).edges
+        for source in (["3 2", "0 1 1.0", "1 2 0.5"], 0):  # lines, a file descriptor
+            with pytest.raises(TypeError):
+                gr.load_graph(source)
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = write_edges(tmp_path, "# a graph\n\n2 1\n\n# edge\n0 1 1.0\n")
         assert gr.load_graph(path).edge_count == 1
@@ -213,7 +220,7 @@ class TestLoadGraph:
             except (ValueError, OverflowError):
                 reference = None
             try:
-                loaded = gr.load_graph(["5000 1", line])
+                loaded = gr.load_graph(f"5000 1\n{line}\n".encode())
             except gr.EdgeListError:
                 loaded = None
             assert (loaded is None) == (reference is None), literal
@@ -239,13 +246,15 @@ class TestLoadGraph:
                 lines.append(f"{' ' * int(rng.integers(0, 3))}{i}\t{j} {literal}")
             path = write_edges(tmp_path, "\n".join(lines) + "\n")
             expected = gr.Graph(node_count=n, edges=tuple(triples), kind=kind)
-            for loaded in (gr.load_graph(path, kind=kind), gr.load_graph(lines, kind=kind)):
+            for loaded in (gr.load_graph(path, kind=kind),
+                           gr.load_graph(path.read_bytes(), kind=kind)):
                 assert loaded.node_count == n and loaded.edges == expected.edges
                 for variant in (("signed",) if kind == "signed" else ("combinatorial", "normalized")):
                     a = gr.build_laplacian(loaded, variant)
                     b = gr.build_laplacian(expected, variant)
                     for attr in ("indptr", "indices", "data"):
-                        assert np.array_equal(getattr(a, attr), getattr(b, attr))
+                        assert np.array_equal(getattr(csr_arrays(a), attr),
+                                              getattr(csr_arrays(b), attr))
             # the adjacency equals the one assembled edge by edge from Python lists
             rows, cols, vals = [], [], []
             for i, j, w in expected.edges:
@@ -317,8 +326,24 @@ def level_graphs():
     return g, hub, tiny
 
 
+def csr_arrays(op):
+    """op's canonical CSR arrays, gathered from its product layout: row by row, by
+    column, with the layout's 0.0 entries left out, as scipy.sparse stores a sum."""
+    layout = gr.layout_arrays(op)
+    order, wide, n = layout["order"], layout["wide"], op.node_count
+    rows = np.concatenate([order[:width] for width in layout["widths"]]
+                          + [wide[layout["bins"][wide.size:]]])
+    kept = np.flatnonzero(layout["data"] != 0.0)
+    kept = kept[np.argsort(rows[kept] * n + layout["indices"][kept])]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[kept], minlength=n), out=indptr[1:])
+    return gr.CsrMatrix(indptr, layout["indices"][kept], layout["data"][kept])
+
+
 def scipy_view(op):
-    return sp.csr_array((op.data, op.indices, op.indptr), shape=(op.indptr.size - 1,) * 2)
+    """A scipy.sparse view of an operator, or of an adjacency's CSR arrays."""
+    csr = op if isinstance(op, gr.CsrMatrix) else csr_arrays(op)
+    return sp.csr_array((csr.data, csr.indices, csr.indptr), shape=(csr.indptr.size - 1,) * 2)
 
 
 def assert_same_csr(ours, theirs):
@@ -339,7 +364,7 @@ class TestLaplacian:
             for variant in variants:
                 lap = gr.build_laplacian(g, variant)
                 reference, adj = scipy_laplacian(g, variant)
-                assert_same_csr(lap, reference)
+                assert_same_csr(csr_arrays(lap), reference)
                 assert lap.toarray().tobytes() == reference.toarray().tobytes()
             ours = g.adjacency()
             for attr in ("indptr", "indices", "data"):
@@ -416,7 +441,7 @@ class TestLaplacian:
 
     def test_laplacian_arrays_are_read_only(self):
         lap = gr.build_laplacian(random_gnp(10, 0.4, seed=1))
-        for arr in (lap.indptr, lap.indices, lap.data):
+        for arr in gr.layout_arrays(lap).values():
             with pytest.raises(ValueError):
                 arr[0] = 1
 
@@ -541,9 +566,10 @@ class TestLambdaMax:
         assert not est.converged and est.method == "gershgorin"
         assert est.value == 4.0 and type(est.value) is float
 
-    def test_sparse_graph_needs_few_steps(self):
+    def test_sparse_graph_needs_few_steps(self, monkeypatch):
+        monkeypatch.setattr(gr, "_LANCZOS_STEPS", 500)
         lap = gr.build_laplacian(random_gnm(2000, 10_000, seed=1))
-        est = gr.estimate_lambda_max(lap, max_iters=500)
+        est = gr.estimate_lambda_max(lap)
         assert est.converged and est.iterations <= 20
         assert type(est.value) is float
 
@@ -592,21 +618,23 @@ class TestLambdaMax:
             # theta <= lambda_max and r <= tol * theta: value <= top * margin * (1 + tol)
             assert top <= estimate.value <= top * gr.LAMBDA_SAFETY_MARGIN * (1 + gr._LANCZOS_TOL)
 
-    def test_unconverged_scaled_copy_sums_its_underflowed_entries(self):
+    def test_unconverged_scaled_copy_sums_its_underflowed_entries(self, monkeypatch):
         # an unconverged estimate on 2^-e L may take the Gershgorin bound of that copy, in
         # whose rows the entries below 2^(e - 1075) are 0.0: its row sums are scipy's over
         # the copy with those zeros stored, and a zero left out could move a pairwise sum
+        monkeypatch.setattr(gr, "_LANCZOS_STEPS", 2)
         rng = np.random.default_rng(8)
         checked = 0
         for _ in range(40):
             g = random_gnp(int(rng.integers(20, 50)), 0.4, seed=rng)
             weights = np.exp(rng.uniform(-300.0, 690.0, g.edge_count))
             lap = gr.build_laplacian(gr.Graph(g.node_count, columns=(g.rows, g.cols, weights)))
-            estimate = gr.estimate_lambda_max(lap, max_iters=2)
+            estimate = gr.estimate_lambda_max(lap)
             if estimate.method != "gershgorin":
                 continue
             e = int(np.frexp(lap.toarray().diagonal().max())[1])
-            copy = sp.csr_array((np.ldexp(lap.data, -e), lap.indices, lap.indptr),
+            csr = csr_arrays(lap)
+            copy = sp.csr_array((np.ldexp(csr.data, -e), csr.indices, csr.indptr),
                                 shape=(g.node_count,) * 2)
             diag = copy.diagonal()
             bound = float(np.max(diag + (abs(copy).sum(axis=1) - np.abs(diag))))
@@ -616,7 +644,7 @@ class TestLambdaMax:
 
     def test_diagonal_in_the_top_binade_is_bounded(self):
         # the largest diagonal, 1e308, lies in [2^1023, 2^1024): the scale 2^e itself overflows
-        lap = gr.build_laplacian(gr.load_graph(["4 3", "0 1 5e307", "1 2 5e307", "2 3 5e307"]))
+        lap = gr.build_laplacian(gr.load_graph(b"4 3\n0 1 5e307\n1 2 5e307\n2 3 5e307\n"))
         with np.errstate(all="raise"):
             estimate = gr.estimate_lambda_max(lap)
         dense = np.linalg.eigvalsh(lap.toarray())[-1]
@@ -667,7 +695,8 @@ class TestGraphSha256:
                 gr.Graph(node_count=4, edges=((0, 1, 1.0), (1, 3, 0.5)))), "unsigned", 3.5),
             gr.graph_sha256(shifted, "unsigned", 3.5),
         ]
-        assert np.array_equal(gr.build_laplacian(g, "signed").data, lap.data)
+        assert np.array_equal(csr_arrays(gr.build_laplacian(g, "signed")).data,
+                              csr_arrays(lap).data)
         assert len({base, *others}) == len(others) + 1
 
 
@@ -701,7 +730,7 @@ class TestScaledLaplacian:
             for lambda_max in bounds:
                 lt = gr.scale_laplacian(lap, lambda_max)
                 reference = (2.0 / lambda_max) * scipy_view(lap) - sp.identity(n, format="csr")
-                assert_same_csr(lt, sp.csr_array(reference))
+                assert_same_csr(csr_arrays(lt), sp.csr_array(reference))
                 for x in xs:
                     assert (lt @ x).tobytes() == (sp.csr_array(reference) @ x).tobytes()
                 assert lt.lambda_max == lambda_max and type(lt.lambda_max) is float
@@ -743,7 +772,7 @@ class TestEigendecompose:
 
     def test_weights_near_the_float_range_decompose(self):
         # dense + dense.T would overflow here: the decomposition reads the matrix as it is
-        lap = gr.build_laplacian(gr.load_graph(["4 3", "0 1 5e307", "1 2 5e307", "2 3 5e307"]))
+        lap = gr.build_laplacian(gr.load_graph(b"4 3\n0 1 5e307\n1 2 5e307\n2 3 5e307\n"))
         with np.errstate(all="raise"):
             basis = gr.eigendecompose(lap)
         assert np.all(np.isfinite(basis.eigenvalues)) and basis.lambda_max > 1.7e308

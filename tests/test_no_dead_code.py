@@ -39,16 +39,6 @@ def test_every_public_name_is_reached():
     assert unreached_names() == []
 
 
-# Defaults no command sets but a unit test needs, to reach a path no command reaches.
-TEST_HANDLES = {
-    # tests/test_filters.py::TestRationalApply::test_residual_error_reported makes CG fail
-    "rational_apply.tol",
-    "rational_apply.max_iters",
-    # tests/test_graph.py::TestLambdaMax::test_sparse_graph_needs_few_steps lets Lanczos converge
-    "estimate_lambda_max.max_iters",
-}
-
-
 def defaulted_parameters(tree):
     """(called name, parameter, position or None) of each parameter with a default.
 
@@ -96,4 +86,4 @@ def unset_parameters() -> list[str]:
 
 
 def test_every_defaulted_parameter_is_set():
-    assert sorted(set(unset_parameters()) - TEST_HANDLES) == []
+    assert sorted(set(unset_parameters())) == []

@@ -151,8 +151,7 @@ class TestCommunityTask:
         inst = tg.gen_community_task(n=20, intra_p=0.5, inter_p=0.05,
                                      seed_fraction=0.9, noise=0.0, seed=1)
         assert set(inst.beliefs.tolist()) == {-1.0, 1.0}
-        rep = tg.evaluate(lambda basis, x: x, [inst],
-                          tg.EvalConfig(threshold=0.0, latency_runs=1))
+        rep = tg.evaluate(ft.identity(), [inst], tg.EvalConfig(threshold=0.0, latency_runs=1))
         assert rep.accuracy == 1.0
 
     def test_accuracy_degrades_with_noise(self):
@@ -311,22 +310,38 @@ class TestEvaluate:
                                       seed_fraction=0.2, noise=0.1, seed=s)
                 for s in range(count)]
 
-    def test_perfect_oracle_scores_one(self):
+    def test_perfect_oracle_scores_one(self, monkeypatch):
         insts = self.instances()
         answers = {inst.beliefs.tobytes(): inst.labels.astype(float) for inst in insts}
-        oracle = lambda basis, x: answers[np.asarray(x).tobytes()]
-        rep = tg.evaluate(oracle, insts, tg.EvalConfig(threshold=0.5, latency_runs=1))
+        # the model's response on each instance is that instance's labels
+        monkeypatch.setattr(tg, "as_response",
+                            lambda model, basis, x: answers[np.asarray(x).tobytes()])
+        rep = tg.evaluate(ft.identity(), insts, tg.EvalConfig(threshold=0.5, latency_runs=1))
         assert rep.accuracy == 1.0
         assert rep.instances == 4
 
     def test_constant_zero_scores_half_on_balanced_labels(self):
-        rep = tg.evaluate(lambda basis, x: np.zeros_like(x), self.instances(),
+        rep = tg.evaluate(ft.polynomial(0.0), self.instances(),
                           tg.EvalConfig(threshold=0.5, latency_runs=1))
         assert rep.accuracy == 0.5
 
     def test_empty_instance_list_rejected(self):
         with pytest.raises(ValueError, match="at least one instance"):
             tg.evaluate(ft.diffusion(1.0), [])
+
+    def test_a_plain_callable_is_no_model(self):
+        with pytest.raises(TypeError, match="cannot evaluate a function"):
+            tg.evaluate(lambda basis, x: x, self.instances(1), tg.EvalConfig(latency_runs=1))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("threshold", float("nan"), "threshold must be finite"),
+        ("threshold", float("inf"), "threshold must be finite"),
+        ("latency_runs", 0, "latency_runs must be at least 1, got 0"),
+        ("latency_runs", -3, "latency_runs must be at least 1, got -3"),
+    ])
+    def test_config_refuses_what_it_cannot_run(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            tg.EvalConfig(**{field: value})
 
     def test_accuracy_fields_reproducible(self):
         insts = self.instances()
