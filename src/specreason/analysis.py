@@ -57,17 +57,10 @@ class BandPartition:
                     or (lam.min() >= self.edges[0] - tol and lam.max() <= self.edges[-1] + tol))
 
 
-def default_three_band(lambda_max: float) -> BandPartition:
-    """Equal thirds of [0, lambda_max]: low, mid, high."""
-    lambda_max = lambda_max_value(lambda_max)
-    third = lambda_max / 3.0  # 2 * third is 2 lambda_max / 3 to the bit, and stays finite
-    return BandPartition(edges=np.array([0.0, third, 2.0 * third, lambda_max]))
-
-
 def equal_bands(basis: SpectralBasis, bands: int) -> BandPartition:
     """bands equal bands over [0, top], top the basis's lambda_max or, when that is not
     positive, as an edgeless graph's is, 1.0. Edge k < bands is k (top / bands), then top:
-    np.linspace's bits, and default_three_band's for three, with no edge past the float range."""
+    np.linspace's bits, with no edge past the float range."""
     if bands < 1:
         raise ValueError("need at least one band")
     top = basis.lambda_max if basis.lambda_max > 0 else 1.0

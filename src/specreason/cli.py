@@ -287,7 +287,7 @@ def cmd_infer(args) -> tuple[dict, dict, str]:
         basis = gr.eigendecompose(lap)
         if basis.lambda_max > 0:
             report = analysis.band_energy(basis, np.asarray(y, dtype=float),
-                                          analysis.default_three_band(basis.lambda_max))
+                                          analysis.equal_bands(basis, 3))
             summary = "band_fractions=" + ",".join(map(gr.float_text, report.fractions)) + "\n"
     return files, inputs, summary + f"infer nodes={n} facts={int(predicates.hard.sum())}"
 
@@ -295,9 +295,9 @@ def cmd_infer(args) -> tuple[dict, dict, str]:
 _TRAIN = {"order": Default(int, 8), "examples": Default(int, 8),
           "teacher": Default({"kind": str, "params": Default([float], [])},
                              {"kind": "diffusion", "params": [1.0]}),
-          "penalties": Default({"proof": Default(float, 0.0), "transfer": Default(float, 0.0),
-                                "rule_consistency": Default(float, 0.0)}, {}),
-          "loss": Default(str, "mse"), "curriculum": Default(Nullable([(int, int)]), None),
+          "penalties": Default({"proof": Default(float, 0.0),
+                                "transfer": Default(float, 0.0)}, {}),
+          "curriculum": Default(Nullable([(int, int)]), None),
           "allowed_bands": Default([int], [0]), "learning_rate": Default(float, 0.05),
           "epochs": Default(int, 100), "clip_norm": Default(Nullable(float), 10.0)}
 
@@ -307,12 +307,7 @@ def _train_plan(config: dict) -> dict:
     for key, least in (("order", 0), ("examples", 1)):
         if config[key] < least:
             raise ValueError(f"{key} must be at least {least}, got {config[key]!r}")
-    if config["loss"] != "mse":
-        raise ValueError(f"unknown loss {config['loss']!r}; train fits the squared error, 'mse'")
     weights, stages, teacher = config["penalties"], config["curriculum"], config["teacher"]
-    if weights["rule_consistency"] != 0:
-        raise ValueError("penalties.rule_consistency must be 0; train has no target "
-                         "spectrum to hold the operator to")
     penalties = tr.PenaltyWeights(proof=weights["proof"], transfer=weights["transfer"])
     bands = config["allowed_bands"]  # read by the proof penalty alone, over three bands
     if penalties.proof > 0 and not (bands and set(bands) <= {0, 1, 2}):
@@ -351,7 +346,7 @@ def cmd_train(args) -> tuple[dict, dict, str]:
     if penalties.proof > 0:
         basis = gr.eigendecompose(lap)
         context = replace(context, basis=basis,
-                          partition=analysis.default_three_band(basis.lambda_max),
+                          partition=analysis.equal_bands(basis, 3),
                           allowed_bands=tuple(plan["allowed_bands"]))
 
     student = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=estimate.value)

@@ -540,17 +540,21 @@ def build_laplacian(g: Graph, variant: str = "combinatorial") -> Laplacian:
     levels = widths.size
     wide = order[:longer[levels]]  # longer ends at 0: the rows past the last level
     beyond = counts[wide] - levels
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
     level_starts = np.concatenate([[0], np.cumsum(widths)])
-    # a place below the level count lies in its level at the row's rank in order; past
-    # it, after the levels, where the wide rows' rest entries follow one another in order
-    slots = level_starts[np.minimum(place, levels)]
-    slots += rank[owner]
-    past = np.flatnonzero(place >= levels)
-    rest = level_starts[-1] + np.cumsum(beyond) - beyond - levels
-    slots[past] = rest[rank[owner[past]]] + place[past]
-    del owner, place, past
+    # an entry's slot is where its place begins plus its row's offset there. A place
+    # below the level count begins its level, and the offset is the row's rank in order;
+    # past it, the wide rows' rest entries follow one another in order after the
+    # levels, and the offset is where the row's rest begins
+    begins = np.append(level_starts[:-1], level_starts[-1] + np.arange(counts.max() - levels))
+    offsets = np.zeros((n, 2), dtype=np.int64)  # by row: in a level, then past the levels
+    offsets[order, 0] = np.arange(n)
+    offsets[wide, 1] = np.cumsum(beyond) - beyond
+    owner *= 2  # each entry's offset, in the flattened offsets
+    owner += place >= levels
+    slots = begins[place]
+    del place
+    slots += offsets.ravel()[owner]
+    del owner
     data = np.empty(slots.size)
     indices = np.empty(slots.size, dtype=np.int64)
     data[slots] = np.concatenate([diagonal, off, off])

@@ -323,7 +323,8 @@ def _midranks(s: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """How the evaluator reads beliefs off a model and scores them."""
+    """How the evaluator reads beliefs off a model and scores them. perturb's band is one
+    of the three that evaluate cuts, whatever its magnitude."""
 
     threshold: float = 0.0
     variant: str = "combinatorial"
@@ -335,6 +336,8 @@ class EvalConfig:
             raise ValueError("threshold must be finite")
         if self.latency_runs < 1:
             raise ValueError(f"latency_runs must be at least 1, got {self.latency_runs}")
+        if self.perturb is not None and not 0 <= self.perturb.band < 3:
+            raise ValueError(f"band {self.perturb.band} outside partition with 3 bands")
 
 
 def model_label(model) -> str:

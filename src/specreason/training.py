@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import filters as ft
-from .analysis import BandPartition, band_energy, default_three_band
+from .analysis import BandPartition, band_energy, equal_bands
 from .graph import ScaledLaplacian, SpectralBasis, belief_values, csv_text
 
 GATING_FEATURES = ("total_energy", "low_band_fraction", "mid_band_fraction",
@@ -62,7 +62,7 @@ def grad_scaled_laplacian(dLdy, theta, trace: np.ndarray, lt: ScaledLaplacian) -
 
 def gating_features(basis: SpectralBasis, x) -> np.ndarray:
     """The five gating inputs: total energy, three band fractions, node count."""
-    report = band_energy(basis, x, default_three_band(basis.lambda_max))
+    report = band_energy(basis, x, equal_bands(basis, 3))
     values = belief_values(x)
     return np.array([float(values @ values), report.fractions[0],
                      report.fractions[1], report.fractions[2],
@@ -248,8 +248,7 @@ class TrainResult:
     history: tuple[tuple, ...]
 
 
-HISTORY_COLUMNS = ("epoch", "total", "data_term", "proof_penalty",
-                   "rule_consistency", "transfer")
+HISTORY_COLUMNS = ("epoch", "total", "data_term", "proof_penalty", "transfer")
 
 
 def history_to_csv(history) -> str:
@@ -303,15 +302,13 @@ class _FactoredLoss:
 
 
 def _record_epoch(history: list, epoch: int, pw: PenaltyWeights, means: np.ndarray) -> None:
-    """Append one history row; means holds the per-example data term, proof and transfer.
-
-    The rule_consistency column is always 0.0: it keeps history.csv's columns.
-    """
+    """Append one history row: the epoch, the weighted total and means, the per-example
+    data term, proof and transfer penalties, unweighted."""
     data_total, proof_total, transfer_total = (float(v) for v in means)
     total = data_total + pw.proof * proof_total + pw.transfer * transfer_total
     if not np.isfinite(total):
         raise DivergenceError(epoch)
-    history.append((epoch, total, data_total, proof_total, 0.0, transfer_total))
+    history.append((epoch, total, data_total, proof_total, transfer_total))
 
 
 def _clipped(grad: np.ndarray, clip_norm: float | None) -> np.ndarray:

@@ -93,7 +93,7 @@ def test_criterion_03_gradient_correctness():
         target = rng.standard_normal(n)
         basis = gr.eigendecompose(lap)
         u = basis.eigenvectors
-        disallowed = an.default_three_band(basis.lambda_max).band_of(basis.eigenvalues) != 0
+        disallowed = an.equal_bands(basis, 3).band_of(basis.eigenvalues) != 0
         reference = rng.standard_normal(n)
 
         def output(th, mat=None):

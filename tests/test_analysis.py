@@ -33,16 +33,9 @@ class TestBandPartition:
         with pytest.raises(ValueError, match="two edges"):
             an.BandPartition(edges=np.array([0.0]))
 
-    def test_default_three_band(self):
-        part = an.default_three_band(3.0)
-        assert part.n_bands == 3
-        assert np.allclose(part.edges, [0.0, 1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            an.default_three_band(0.0)
-
     def test_equal_bands_have_linspace_bits(self):
-        # and default_three_band's for three bands; an edgeless graph's spectrum, all zeros,
-        # is cut over [0, 1]
+        # and, for three bands, the thirds t / 3 and 2 (t / 3); an edgeless graph's
+        # spectrum, all zeros, is cut over [0, 1]
         rng = np.random.default_rng(21)
         for top in 10.0 ** rng.uniform(-300.0, 307.0, 2000):
             basis = gr.SpectralBasis(eigenvalues=[0.0, top], eigenvectors=np.eye(2))
@@ -50,7 +43,7 @@ class TestBandPartition:
             edges = an.equal_bands(basis, bands).edges
             assert edges.tobytes() == np.linspace(0.0, top, bands + 1).tobytes()
             assert (an.equal_bands(basis, 3).edges.tobytes()
-                    == an.default_three_band(top).edges.tobytes())
+                    == np.array([0.0, top / 3, 2 * (top / 3), top]).tobytes())
         edgeless = gr.eigendecompose(gr.build_laplacian(gr.Graph(3)))
         assert an.equal_bands(edgeless, 3).edges.tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
         with pytest.raises(ValueError, match="at least one band"):
@@ -68,31 +61,31 @@ class TestBandEnergy:
     def test_parseval_split(self):
         basis = random_basis(seed=1)
         y = np.random.default_rng(2).standard_normal(20)
-        report = an.band_energy(basis, y, an.default_three_band(basis.lambda_max))
+        report = an.band_energy(basis, y, an.equal_bands(basis, 3))
         assert report.energies.sum() == pytest.approx(float(y @ y), rel=1e-12)
         assert report.fractions.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_p2_constant_is_pure_low(self):
         basis = p2_basis()
         report = an.band_energy(basis, np.array([1.0, 1.0]),
-                                an.default_three_band(basis.lambda_max))
+                                an.equal_bands(basis, 3))
         assert report.fractions.tolist() == [1.0, 0.0, 0.0]
 
     def test_p2_alternating_is_pure_high(self):
         basis = p2_basis()
         report = an.band_energy(basis, np.array([1.0, -1.0]),
-                                an.default_three_band(basis.lambda_max))
+                                an.equal_bands(basis, 3))
         assert report.fractions.tolist() == [0.0, 0.0, 1.0]
 
     def test_zero_signal_degenerate(self):
         basis = p2_basis()
-        report = an.band_energy(basis, np.zeros(2), an.default_three_band(2.0))
+        report = an.band_energy(basis, np.zeros(2), an.equal_bands(basis, 3))
         assert report.degenerate and report.fractions.tolist() == [0.0, 0.0, 0.0]
 
     def test_outputs_near_the_float_range_keep_their_fractions(self):
         # unscaled, the squares of 2^-1000 y underflow to 0 and those of 2^1000 y overflow
         basis = random_basis(seed=3)
-        part = an.default_three_band(basis.lambda_max)
+        part = an.equal_bands(basis, 3)
         y = np.random.default_rng(4).standard_normal(20)
         report = an.band_energy(basis, y, part)
         for k in (1000, -1000):
@@ -134,7 +127,7 @@ class TestDirichletEnergy:
 class TestProofBandAgreement:
     def test_mean_allowed_fraction(self):
         basis = p2_basis()
-        part = an.default_three_band(basis.lambda_max)
+        part = an.equal_bands(basis, 3)
         low = an.band_energy(basis, np.array([1.0, 1.0]), part)
         high = an.band_energy(basis, np.array([1.0, -1.0]), part)
         assert an.proof_band_agreement([(low, (0,)), (high, (0,))]) == pytest.approx(0.5)
@@ -142,7 +135,7 @@ class TestProofBandAgreement:
 
     def test_degenerate_reports_skipped(self):
         basis = p2_basis()
-        part = an.default_three_band(basis.lambda_max)
+        part = an.equal_bands(basis, 3)
         zero = an.band_energy(basis, np.zeros(2), part)
         low = an.band_energy(basis, np.array([1.0, 1.0]), part)
         assert an.proof_band_agreement([(zero, (0,)), (low, (0,))]) == 1.0
@@ -151,7 +144,7 @@ class TestProofBandAgreement:
 
     def test_bad_band_index(self):
         basis = p2_basis()
-        report = an.band_energy(basis, np.ones(2), an.default_three_band(2.0))
+        report = an.band_energy(basis, np.ones(2), an.equal_bands(basis, 3))
         with pytest.raises(ValueError):
             an.proof_band_agreement([(report, (7,))])
 
@@ -204,7 +197,7 @@ class TestSpectralPerturb:
 
     def test_only_target_band_moves(self):
         basis = random_basis(seed=13)
-        part = an.default_three_band(basis.lambda_max)
+        part = an.equal_bands(basis, 3)
         x = np.random.default_rng(14).standard_normal(20)
         out = np.asarray(an.spectral_perturb(basis, x, band=0, magnitude=0.5,
                                              partition=part, seed=4))
@@ -246,7 +239,7 @@ class TestSpectralEdit:
 
     def test_gain_two_quadruples_band_energy(self):
         basis = random_basis(seed=16)
-        part = an.default_three_band(basis.lambda_max)
+        part = an.equal_bands(basis, 3)
         x = np.random.default_rng(17).standard_normal(20)
         before = an.band_energy(basis, x, part)
         out = ft.dense_filter_apply(basis, self.band_gains(part, {1: 2.0}), x)
@@ -257,7 +250,7 @@ class TestSpectralEdit:
 
     def test_edits_compose_multiplicatively(self):
         basis = random_basis(seed=18)
-        part = an.default_three_band(basis.lambda_max)
+        part = an.equal_bands(basis, 3)
         x = np.random.default_rng(19).standard_normal(20)
         once = ft.dense_filter_apply(basis, self.band_gains(part, {0: 2.0}), x)
         twice = ft.dense_filter_apply(basis, self.band_gains(part, {0: 3.0}), once)
@@ -266,7 +259,7 @@ class TestSpectralEdit:
 
     def test_zero_gain_silences_band(self):
         basis = random_basis(seed=20)
-        part = an.default_three_band(basis.lambda_max)
+        part = an.equal_bands(basis, 3)
         x = np.random.default_rng(21).standard_normal(20)
         out = ft.dense_filter_apply(basis, self.band_gains(part, {2: 0.0}), x)
         assert an.band_energy(basis, out, part).energies[2] == pytest.approx(0.0, abs=1e-20)

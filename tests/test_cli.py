@@ -271,34 +271,18 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "error: train.json: teacher.kind is missing" in err
 
-    def test_rule_consistency_weight_refused_before_out_dir(self, workdir, capsys):
-        # the CLI gives no target spectrum, so a nonzero weight could never train
-        for weight in (0.5, -0.5):
-            (workdir / "train.json").write_text(json.dumps(
-                {"order": 4, "epochs": 3, "penalties": {"rule_consistency": weight}}))
-            code = run("train", "--graph", "p2.txt", "--config", "train.json", "--out-dir", "out")
-            assert code == 1
-            assert ("error: train.json: penalties.rule_consistency must be 0"
-                    in capsys.readouterr().err)
-            assert not (workdir / "out").exists()
-        # a zero weight is accepted and trains as a config with no penalties at all
-        (workdir / "train.json").write_text(json.dumps(
-            {"order": 4, "epochs": 3, "penalties": {"rule_consistency": 0}}))
-        assert run("train", "--graph", "p2.txt", "--config", "train.json",
-                   "--out-dir", "out") == 0
-        (workdir / "plain.json").write_text(json.dumps({"order": 4, "epochs": 3}))
-        assert run("train", "--graph", "p2.txt", "--config", "plain.json",
-                   "--out-dir", "plain") == 0
-        for name in ("filter.json", "history.csv"):
-            assert (workdir / "out" / name).read_bytes() == (workdir / "plain" / name).read_bytes()
-
     @pytest.mark.parametrize("config, message", [
         ({"order": 4, "epoch": 3}, "epoch is an unknown key"),
         ({"order": 4, "penalties": {"prof": 0.5}}, "penalties.prof is an unknown key"),
         ({"order": 4, "teacher": {"kind": "diffusion", "tau": 2.0}},
          "teacher.tau is an unknown key"),
-        ({"order": 4, "loss": "logistic"}, "unknown loss 'logistic'"),
-    ], ids=["top_level", "penalties", "teacher", "loss"])
+        # train fits the squared error and has no rule-consistency term: neither is a key
+        ({"order": 4, "loss": "mse"},
+         "loss is an unknown key; known: order, examples, teacher, penalties, curriculum, "
+         "allowed_bands, learning_rate, epochs, clip_norm, seed"),
+        ({"order": 4, "penalties": {"rule_consistency": 0}},
+         "penalties.rule_consistency is an unknown key; known: proof, transfer"),
+    ], ids=["top_level", "penalties", "teacher", "loss", "rule_consistency"])
     def test_config_key_train_does_not_read_refused(self, workdir, capsys, config, message):
         (workdir / "train.json").write_text(json.dumps(config))
         # the graph does not exist: the config is refused before anything is loaded
@@ -450,6 +434,8 @@ class TestEval:
         ("--threshold", "inf", "threshold must be finite"),
         ("--latency-runs", "0", "latency_runs must be at least 1, got 0"),
         ("--latency-runs", "-3", "latency_runs must be at least 1, got -3"),
+        ("--perturb-band", "7", "band 7 outside partition with 3 bands"),
+        ("--perturb-band", "-1", "band -1 outside partition with 3 bands"),
     ])
     def test_a_number_it_cannot_use_is_refused(self, workdir, capsys, option, value, message):
         run("gen", "--kind", "chain", "--depth", "3", "--out-dir", "task")
@@ -588,7 +574,7 @@ BAD_CONFIGS = [
     ([(["allowed_bands"], [True])], "allowed_bands[0] must be an integer, got True"),
     ([(["teacher"], {"kind": "diffusion", "params": "1"})],
      "teacher.params must be a list, got '1'"),
-    ([(["loss"], 5)], "loss must be a string, got 5"),
+    ([(["teacher"], {"kind": 5})], "teacher.kind must be a string, got 5"),
     (Raw('"epochs": 3', '"epochs": 300, "epochs": 3'), "epochs is a repeated key"),
     (TRUNCATED, "Expecting ',' delimiter: line"),
 ]

@@ -76,7 +76,7 @@ def y_space_train(model, lt, data, pw, schedule, cfg, ctx):
         count = len(data)
         data_total, proof_total, transfer_total = sums / count
         history.append((epoch, data_total + pw.proof * proof_total + pw.transfer * transfer_total,
-                        data_total, proof_total, 0.0, transfer_total))
+                        data_total, proof_total, transfer_total))
         mask = tr.curriculum_mask(schedule, epoch, order)
         theta = theta - cfg.learning_rate * clipped(np.where(mask, g_theta / count, 0.0))
     return ft.ChebyshevFilter(theta=theta, lambda_max=lt.lambda_max), history
@@ -120,7 +120,7 @@ class TestGradTheta:
         for seed in range(5):
             lap, lt, lmax = operator(n=10, seed=seed)
             basis = gr.eigendecompose(lap)
-            ctx = tr.PenaltyContext(basis=basis, partition=an.default_three_band(lmax),
+            ctx = tr.PenaltyContext(basis=basis, partition=an.equal_bands(basis, 3),
                                     allowed_bands=(0,),
                                     transfer_reference=rng.standard_normal(10))
             theta = rng.standard_normal(6)
@@ -172,7 +172,7 @@ class TestPenalties:
     def proof_case(self, n=12, seed=8):
         lap, lt, lmax = operator(n=n, seed=seed)
         basis = gr.eigendecompose(lap)
-        return lt, basis, an.default_three_band(basis.lambda_max)
+        return lt, basis, an.equal_bands(basis, 3)
 
     def proof(self, lt, basis, part, bands, theta, x):
         ctx = tr.PenaltyContext(basis=basis, partition=part, allowed_bands=bands)
@@ -214,13 +214,13 @@ class TestPenalties:
         # the penalty works in node space: it needs no basis
         result = tr.train(student, lt, data, transfer, config=tr.TrainConfig(epochs=2),
                           context=tr.PenaltyContext(transfer_reference=np.zeros(10)))
-        assert len(result.history) == 2 and result.history[-1][5] > 0
+        assert len(result.history) == 2 and result.history[-1][4] > 0
 
     def test_proof_penalty_pure_band_signal(self):
         lap = gr.build_laplacian(gr.Graph(node_count=2, edges=((0, 1, 1.0),)))
         basis = gr.eigendecompose(lap)
         lt = gr.scale_laplacian(lap, basis.lambda_max)
-        part = an.default_three_band(basis.lambda_max)
+        part = an.equal_bands(basis, 3)
         constant = np.array([1.0, 1.0])  # pure low band
         identity = np.array([1.0, 0.0])
         assert self.proof(lt, basis, part, (0,), identity, constant)[0] == 0.0
@@ -421,7 +421,7 @@ class TestTrain:
     def test_proof_penalty_steers_energy(self):
         lap, lt, lmax = operator(n=12, p=0.5, seed=28)
         basis = gr.eigendecompose(lap)
-        part = an.default_three_band(basis.lambda_max)
+        part = an.equal_bands(basis, 3)
         rng = np.random.default_rng(29)
         data = [tr.TrainExample(x=rng.standard_normal(12),
                                 target=rng.standard_normal(12)) for _ in range(6)]
@@ -493,7 +493,7 @@ class TestTrain:
         n = 6 if case == "fewer_nodes_than_columns" else 14
         lap, lt, lmax = operator(n=n, p=0.5, seed=50)
         basis = gr.eigendecompose(lap)
-        part = an.default_three_band(basis.lambda_max)
+        part = an.equal_bands(basis, 3)
         rng = np.random.default_rng(51)
         _, data = teacher_data(lt, lmax, 4, 5, seed=52)
         order = 8 if case == "fewer_nodes_than_columns" else 5
