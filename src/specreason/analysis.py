@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import filters as ft
-from .graph import SpectralBasis, belief_values, gft, lambda_max_value, overflow_exponent
+from .graph import SpectralBasis, belief_values, gft, lambda_max_value, scale_exponent
 
 CERT_SLACK = 1.05
 _COVER_TOL = 1e-9
@@ -52,7 +52,7 @@ class BandPartition:
 
     def covers(self, eigenvalues) -> bool:
         lam = np.asarray(eigenvalues, dtype=float)
-        tol = _COVER_TOL * max(1.0, float(self.edges[-1]))
+        tol = _COVER_TOL * float(self.edges[-1])
         return bool(lam.size == 0
                     or (lam.min() >= self.edges[0] - tol and lam.max() <= self.edges[-1] + tol))
 
@@ -87,20 +87,18 @@ def band_energy(basis: SpectralBasis, y, partition: BandPartition) -> BandReport
     """Split ||y_hat||^2 across the partition's bands.
 
     Parseval makes the energies sum to ||y||^2. A zero signal yields the
-    degenerate report with all-zero fractions. The coefficients are squared
-    after scaling by a power of two, 2^-e with e the binary exponent of the
-    largest, so an output near the float range neither underflows nor
-    overflows; the fractions come from the scaled energies, and an energy
-    beyond the float range reads inf. A y past 2^1000 is scaled so before its
-    transform too (overflow_exponent), whose sums could overflow.
+    degenerate report with all-zero fractions. y is transformed, and its
+    coefficients squared, each in its own scale_exponent frame, so no sum or
+    square leaves the float range; the fractions come from the scaled energies,
+    and an energy beyond the float range reads inf.
     """
     values = belief_values(y)
-    shift = overflow_exponent(values)
-    yhat = gft(basis, np.ldexp(values, -shift) if shift else values)
+    shift = scale_exponent(values)
+    yhat = gft(basis, np.ldexp(values, -shift))
     if not partition.covers(basis.eigenvalues):
         raise ValueError("partition does not cover the spectrum")
     bands = partition.band_of(basis.eigenvalues)
-    exponent = int(np.frexp(np.max(np.abs(yhat), initial=0.0))[1])
+    exponent = scale_exponent(yhat)
     scaled = np.bincount(bands, weights=np.ldexp(yhat, -exponent) ** 2,
                          minlength=partition.n_bands)
     total = float(scaled.sum())
@@ -214,7 +212,7 @@ def cospectral_profile(eigenvalues, coeffs, points: int = 64) -> np.ndarray:
 
     Each |coeff|^2 is accumulated at the grid point nearest lam /
     lam_max, which lets signals from graphs of different sizes be
-    compared. A flat (zero) spectrum piles everything into bin zero.
+    compared. A zero spectrum piles everything into bin zero.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     c = belief_values(coeffs, lam.size)
@@ -222,7 +220,7 @@ def cospectral_profile(eigenvalues, coeffs, points: int = 64) -> np.ndarray:
         raise ValueError("profile needs at least two points")
     profile = np.zeros(points)
     top = float(lam[-1]) if lam.size else 0.0
-    if top <= 1e-12:
+    if top <= 0.0:
         profile[0] = float(c @ c)
         return profile
     idx = np.clip(np.rint(lam / top * (points - 1)).astype(int), 0, points - 1)

@@ -268,7 +268,7 @@ def cmd_infer(args) -> tuple[dict, dict, str]:
         inputs[args.rulebase] = None
     x = _read_beliefs(args.beliefs)
     estimate = _lambda_max(lap, args.seed, stored)
-    if abs(f.lambda_max - estimate.value) > 1e-6 * max(1.0, f.lambda_max):
+    if abs(f.lambda_max - estimate.value) > 1e-6 * f.lambda_max:
         raise ValueError(
             f"filter lambda_max {f.lambda_max} does not match this graph's estimate "
             f"{estimate.value}; refit the filter on this graph")

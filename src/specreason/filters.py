@@ -19,7 +19,7 @@ from numpy.polynomial import polynomial as nppoly
 
 from ._schema import Default, read_json
 from .graph import (LambdaMaxEstimate, Laplacian, ScaledLaplacian, SpectralBasis, belief_values,
-                    float_text, gft, lambda_max_value, overflow_exponent)
+                    float_text, gft, lambda_max_value, scale_exponent)
 
 ANALYTIC_KINDS = ("diffusion", "highpass", "gaussian_bandpass", "identity", "polynomial")
 _LAMBDA_MATCH_RTOL = 1e-9
@@ -223,13 +223,12 @@ def fit_chebyshev(response, order: int, lambda_max: float) -> ChebyshevFilter:
         raise ValueError("response is not finite on the quadrature nodes")
     k = np.arange(order + 1)
     kernel = np.cos(np.outer(k, angles))
-    # past 2^1000 the sum over the nodes can overflow: it is taken on f / 2^e, which is exact
-    exponent = overflow_exponent(f)
-    theta = (2.0 / nodes) * (kernel @ (np.ldexp(f, -exponent) if exponent else f))
+    # the sum over the nodes is taken on f / 2^e (scale_exponent), which is exact: no overflow
+    exponent = scale_exponent(f)
+    theta = (2.0 / nodes) * (kernel @ np.ldexp(f, -exponent))
     theta[0] *= 0.5
-    if exponent:
-        with np.errstate(over="ignore"):  # a coefficient past the float range is refused below
-            theta = np.ldexp(theta, exponent)
+    with np.errstate(over="ignore"):  # a coefficient past the float range is refused below
+        theta = np.ldexp(theta, exponent)
     return ChebyshevFilter(theta=theta, lambda_max=lambda_max)
 
 
@@ -241,9 +240,9 @@ def fit_grid_error(f: ChebyshevFilter, response, lambda_max: float | None = None
 
 
 def lambda_max_matches(reference: float, other: float) -> bool:
-    """Whether other is the lambda_max reference, within _LAMBDA_MATCH_RTOL * max(1, |reference|):
+    """Whether other is the lambda_max reference, within _LAMBDA_MATCH_RTOL * |reference|:
     the one test of two filters, or a filter and an operator, sharing a bound."""
-    return abs(reference - other) <= _LAMBDA_MATCH_RTOL * max(1.0, abs(reference))
+    return abs(reference - other) <= _LAMBDA_MATCH_RTOL * abs(reference)
 
 
 def chebyshev_sum(theta, basis_vectors) -> np.ndarray:
@@ -287,15 +286,13 @@ def cheb_apply(f: ChebyshevFilter, lt: ScaledLaplacian, x, keep_trace: bool = Fa
 def dense_filter_apply(basis: SpectralBasis, response, x):
     """Exact functional calculus U h(Lambda) U^T x. Reference path only.
 
-    Past 2^1000 a product h_k c_k can overflow though the output does not: the
-    products are formed on h / 2^e and the output scaled back by 2^e
-    (overflow_exponent), where an entry beyond the float range reads inf.
+    The products h_k c_k are formed on h / 2^e, e its binary exponent (scale_exponent),
+    so that none overflows where the output does not, and the output is scaled back by
+    2^e, where an entry beyond the float range reads inf.
     """
     coeffs = gft(basis, x)
     h = response_eval(response, basis.eigenvalues)
-    exponent = overflow_exponent(h)
-    if not exponent:
-        return basis.eigenvectors @ (h * coeffs)
+    exponent = scale_exponent(h)
     y = basis.eigenvectors @ (np.ldexp(h, -exponent) * coeffs)
     with np.errstate(over="ignore"):
         return np.ldexp(y, exponent)

@@ -24,7 +24,6 @@ LAMBDA_SAFETY_MARGIN = 1.01
 _LANCZOS_TOL = 1e-5  # relative Ritz residual at which the Lanczos value is taken
 _LANCZOS_STEPS = 200  # steps after which an unconverged recurrence falls back to a bound
 _LANCZOS_DENSE_CHECKS = 50  # Ritz pair checked at every step up to here, then at ceil(1.25 k)
-_UNSCALED = (2.0 ** -400, 2.0 ** 400)  # |diagonal| range Lanczos runs unscaled on
 _LEVEL_ROWS = 1024  # fewest rows a level of a product sums by slice; below, bincount adds
 DENSE_CAP = 2048
 _SIGN_TOL = 1e-12
@@ -368,12 +367,11 @@ def lambda_max_value(lambda_max) -> float:
     return float(lambda_max)
 
 
-def overflow_exponent(values) -> int:
-    """e, the binary exponent of max |values|, when that passes 2^1000, else 0: a sum or
-    product near the float range is formed on values / 2^e, which is exact, and only
-    its result is scaled back by 2^e, so that ordinary values keep their operations."""
-    peak = float(np.max(np.abs(values), initial=0.0))
-    return int(np.frexp(peak)[1]) if peak > 2.0 ** 1000 else 0
+def scale_exponent(values) -> int:
+    """e, the binary exponent of max |values| (0 if all are 0), so the peak of values / 2^e
+    lies in [0.5, 1): the one frame every numeric guard works in. Scaling by 2^-e is exact,
+    so a sum, product or tolerance formed there reads alike at every weight scale."""
+    return int(np.frexp(float(np.max(np.abs(values), initial=0.0)))[1])
 
 
 FLOAT_FORMAT = "%.17g"  # every number an output writes: 17 significant digits read back exactly
@@ -624,30 +622,25 @@ def estimate_lambda_max(lap: Laplacian, seed: int = 0) -> LambdaMaxEstimate:
     semidefinite operator never falls below, and the residual r = |beta_k z_k| is
     at most ``_LANCZOS_TOL * theta`` (1e-5), the value is
     (theta + r) * LAMBDA_SAFETY_MARGIN, since some eigenvalue lies within r of
-    theta and theta, a Rayleigh quotient, is at most lambda_max. Both tests scale
-    with the operator, so scaling every weight leaves the step it stops at.
-    The Ritz value's error is quadratic in r (Parlett, The Symmetric Eigenvalue
-    Problem, 11.7), so the 1% margin, not the tolerance, sets the value's slack.
+    theta and theta, a Rayleigh quotient, is at most lambda_max. The Ritz value's
+    error is quadratic in r (Parlett, The Symmetric Eigenvalue Problem, 11.7), so the
+    1% margin, not the tolerance, sets the value's slack.
     A recurrence that does not converge within _LANCZOS_STEPS steps (200) returns
     the bound theta + beta_k of Y. Zhou and R.-C. Li, "Bounding the spectrum of
     large Hermitian matrices", LAA 435 (2011), or the Gershgorin bound when that
     is smaller, with ``converged`` False and ``method`` naming the bound used.
-    A numerically zero operator, one whose bound is at most 1e-12 times
-    the scale 2^e below, returns value 1.0 with the degenerate flag set so
-    downstream rescaling stays finite.
-
-    An operator whose largest |diagonal| lies outside [2^-400, 2^400] runs the
-    recurrence, and the Gershgorin bound, on 2^-e L, with e the binary exponent of
-    that diagonal; only the value returned is scaled back, by 2^e, so no product, sum
-    or norm overflows, nor the scale itself when e = 1024. Every other operator, and
-    one with no nonzero diagonal, runs as given.
+    Lanczos and Gershgorin run on 2^-e L, e the scale_exponent of the diagonal, and
+    only the value is scaled back: L and 2^k L run the same steps, nothing overflows,
+    and the tests against _SIGN_TOL (1e-12) are relative to the operator. A beta_k at
+    most that ends the recurrence, its Krylov space invariant; a bound at most that is
+    the zero operator's, the only degenerate one: value 1.0, flagged, so downstream
+    rescaling stays finite.
     """
     n = lap.node_count
     levels = lap._levels
     top = float(np.max(np.abs(levels.data[levels.diagonal]), initial=0.0))
-    exponent = 0 if _UNSCALED[0] <= top <= _UNSCALED[1] else int(np.frexp(top)[1])
-    op = lap if exponent == 0 else SparseOperator(
-        levels._replace(data=np.ldexp(levels.data, -exponent)))
+    exponent = scale_exponent(top)
+    op = SparseOperator(levels._replace(data=np.ldexp(levels.data, -exponent)))
     floor = float(np.ldexp(top, -exponent))  # lambda_max of op is at least its largest diagonal
     rng = np.random.default_rng(seed)
     v = np.ones(n) + 0.01 * rng.standard_normal(n)
@@ -686,7 +679,6 @@ def estimate_lambda_max(lap: Laplacian, seed: int = 0) -> LambdaMaxEstimate:
 def _lambda_estimate(scaled: float, exponent: int, iterations: int, converged: bool,
                      method: str) -> LambdaMaxEstimate:
     """The estimate whose value is scaled * 2^exponent, given scaled, a bound on 2^-exponent L."""
-    # zero relative to the scale the recurrence ran at, so a tiny operator is not zero
     degenerate = scaled <= _SIGN_TOL
     with np.errstate(over="ignore"):  # a bound beyond the float range reads inf, refused later
         value = float(np.ldexp(scaled, exponent))
@@ -717,19 +709,20 @@ def _canonical_columns(eigenvalues: np.ndarray, eigenvectors: np.ndarray):
     """Apply the deterministic sign and tie-break convention in place.
 
     Each column's first entry larger than _SIGN_TOL in magnitude is made
-    positive. Within groups of eigenvalues closer than _TIE_TOL, columns
-    are ordered descending lexicographically, ties kept in column order.
+    positive. A tie group runs from its first eigenvalue through each later one within
+    _TIE_TOL of it in the eigenvalues' scale_exponent frame, where their peak lies in
+    [0.5, 1); its columns are ordered descending lexicographically, ties kept in order.
     """
     n = eigenvalues.size
     lead = np.argmax(np.abs(eigenvectors) > _SIGN_TOL, axis=0)  # row 0 where no entry is
     eigenvectors *= np.where(eigenvectors[lead, np.arange(n)] < -_SIGN_TOL, -1.0, 1.0)
 
-    values = eigenvalues.tolist()
+    values = np.ldexp(eigenvalues, -scale_exponent(eigenvalues)).tolist()
     order = np.arange(n)
     start = 0
     while start < n:
         end = start + 1
-        while end < n and values[end] - values[start] <= _TIE_TOL * max(1.0, abs(values[start])):
+        while end < n and values[end] - values[start] <= _TIE_TOL:
             end += 1
         if end - start > 1:
             keys = _descending_keys(eigenvectors[:, start:end])

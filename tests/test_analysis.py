@@ -96,9 +96,12 @@ class TestBandEnergy:
         assert tiny.energies.tobytes() == np.ldexp(report.energies, -1000).tobytes()
 
     def test_partition_must_cover(self):
-        basis = p2_basis()
-        with pytest.raises(ValueError, match="cover"):
-            an.band_energy(basis, np.ones(2), an.BandPartition(edges=np.array([0.0, 1.0])))
+        # at any scale: a spectrum twice the partition's top is not covered near 1e-12 either
+        for k in (0, -40):
+            basis = gr.SpectralBasis(np.ldexp(p2_basis().eigenvalues, k), p2_basis().eigenvectors)
+            partition = an.BandPartition(edges=np.ldexp([0.0, 1.0], k))
+            with pytest.raises(ValueError, match="cover"):
+                an.band_energy(basis, np.ones(2), partition)
 
 
 class TestDirichletEnergy:
@@ -294,6 +297,15 @@ class TestCospectral:
         xhat = basis.eigenvectors.T @ x
         profile = an.cospectral_profile(basis.eigenvalues, xhat, points=32)
         assert profile.sum() == pytest.approx(float(xhat @ xhat), rel=1e-12)
+
+    def test_profile_reads_eigenvalues_relative_to_the_top(self):
+        # a spectrum near 1e-15 spreads its energy as its 2^50 multiple does
+        basis = random_basis(n=16, seed=24)
+        xhat = np.random.default_rng(25).standard_normal(16)
+        profile = an.cospectral_profile(basis.eigenvalues, xhat, points=32)
+        tiny = an.cospectral_profile(np.ldexp(basis.eigenvalues, -50), xhat, points=32)
+        assert tiny.tobytes() == profile.tobytes()
+        assert np.count_nonzero(profile) > 1
 
     def test_cross_size_loss_finite(self):
         a_basis = random_basis(n=12, seed=26)

@@ -176,6 +176,30 @@ class TestInfer:
         assert float(rows[1]["belief"]) == pytest.approx(1 / 3, abs=1e-6)
         assert [r["hard"] for r in rows] == ["1", "0"]
 
+    def test_small_weights_are_bounded_and_matched(self, workdir, capsys):
+        # the 20-node path of 6.09e-11 weights once stored a bound of 1.01e-12, below its
+        # 2.42e-10 spectrum, and infer wrote beliefs of 3.6e31; a filter fit there matched
+        # every graph whose estimate lay within an absolute 1e-6 of it
+        for name, weight in (("small", 6.087810885914756e-11),
+                             ("double", 1.2175621771829511e-10)):
+            (workdir / f"{name}.txt").write_text(
+                "20 19\n" + "".join(f"{k} {k + 1} {weight!r}\n" for k in range(19)))
+        (workdir / "signs.txt").write_text("".join(f"{(-1) ** k}\n" for k in range(20)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("fit", "--graph", "small.txt", "--response", "diffusion", "--tau", "1",
+                       "--order", "16", "--out-dir", "fit") == 0
+            assert run("infer", "--graph", "small.txt", "--filter", "fit/filter.json",
+                       "--beliefs", "signs.txt", "--out-dir", "out") == 0
+        with open(workdir / "out" / "predicates.csv") as fh:
+            beliefs = [float(row["belief"]) for row in csv.DictReader(fh)]
+        assert len(beliefs) == 20 and max(map(abs, beliefs)) <= np.sqrt(20)  # a contraction
+        capsys.readouterr()
+        assert run("infer", "--graph", "double.txt", "--filter", "fit/filter.json",
+                   "--beliefs", "signs.txt", "--out-dir", "double") == 1
+        assert "does not match this graph's estimate" in capsys.readouterr().err
+        assert not (workdir / "double").exists()
+
     def test_rule_closure_written(self, workdir):
         filt = self.fit_filter()
         (workdir / "rules.json").write_text(json.dumps(
@@ -458,6 +482,21 @@ class TestEval:
         with open(workdir / "out" / "eval.csv") as fh:
             row = next(csv.DictReader(fh))
         assert [float(row[f"band{b}_fraction"]) for b in range(3)] == [1.0, 0.0, 0.0]
+
+    def test_an_energy_past_the_float_range_is_refused(self, workdir, capsys):
+        # 1 + lambda / 2 on the 1e300 path: its energies read inf, which has no fractions
+        run("gen", "--kind", "chain", "--depth", "3", "--out-dir", "task")
+        payload = json.loads((workdir / "task" / "task.json").read_text())
+        payload["graph"]["edges"] = [[i, j, 1e300] for i, j, _ in payload["graph"]["edges"]]
+        (workdir / "task.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("eval", "--tasks", "task.json", "--response", "polynomial",
+                       "--coeffs", "1,0.5", "--latency-runs", "1", "--out-dir", "out") == 1
+        assert capsys.readouterr().err == (
+            "error: the band energy summed over the tasks is inf, past the float range\n")
+        assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize("response, label", [
         (["polynomial", "--coeffs", "1,0.5"], "polynomial(1, 0.5)"),

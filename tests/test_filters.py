@@ -109,11 +109,14 @@ class TestChebApply:
             assert np.linalg.norm(sparse - dense) / scale <= 1e-10
 
     def test_lambda_max_mismatch_rejected(self):
+        # a bound near 1e-12 too: the match is relative, with no absolute floor
         g = random_gnp(10, 0.4, seed=0)
         lap, lt, lmax = operator(g)
-        f = ft.ChebyshevFilter(theta=np.array([1.0, 0.5]), lambda_max=lmax * 2.0)
-        with pytest.raises(ValueError, match="lambda_max"):
-            ft.cheb_apply(f, lt, np.ones(10))
+        for scale in (1.0, 2.0 ** -40):
+            lt = gr.scale_laplacian(lap, lmax * scale)
+            f = ft.ChebyshevFilter(theta=np.array([1.0, 0.5]), lambda_max=lmax * scale * 2.0)
+            with pytest.raises(ValueError, match="lambda_max"):
+                ft.cheb_apply(f, lt, np.ones(10))
 
     def test_trace_holds_recurrence_vectors(self):
         g = random_gnp(12, 0.4, seed=3)

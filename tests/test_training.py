@@ -264,15 +264,16 @@ class TestMose:
             assert np.all(alpha >= 0)
             assert abs(alpha.sum() - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("lmax", [0.5, 3.0])
+    @pytest.mark.parametrize("lmax", [0.5, 3.0, 2.0 ** -40])
     def test_mixture_and_cheb_apply_share_one_lambda_max_match(self, lmax):
-        # just inside and just outside the relative tolerance: both accept or both refuse
+        # just inside and just outside the relative tolerance, at any scale: both accept or
+        # both refuse
         lap = gr.build_laplacian(random_gnp(10, 0.4, seed=3))
         x = np.random.default_rng(4).standard_normal(10)
         f = ft.ChebyshevFilter(theta=np.array([0.5, 0.25]), lambda_max=lmax)
         outcomes = []
         for rel in (0.9e-9, 1.1e-9):
-            other = lmax + rel * max(1.0, lmax)
+            other = lmax + rel * lmax
             try:
                 tr.MoSEModel(experts=(f, replace(f, lambda_max=other)),
                              gating_weights=np.zeros((2, 5)))
