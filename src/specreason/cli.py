@@ -207,11 +207,11 @@ def _compiled_operator(path: Path, source: str, variant: str) -> gr.Laplacian | 
         return None
 
 
-def _lambda_max(lap: gr.Laplacian, seed: int,
+def _lambda_max(lap: gr.Laplacian,
                 stored: gr.LambdaMaxEstimate | None = None) -> gr.LambdaMaxEstimate:
-    """The lambda_max bound, estimated unless stored is given; one that fell back is
-    reported on stderr either way."""
-    estimate = stored if stored is not None else gr.estimate_lambda_max(lap, seed=seed)
+    """The lambda_max bound, lap's one estimate unless stored is given; one that fell
+    back is reported on stderr either way."""
+    estimate = stored if stored is not None else gr.estimate_lambda_max(lap)
     if not estimate.converged:
         print(f"warning: lambda_max did not converge in {estimate.iterations} Lanczos steps; "
               f"using the {estimate.method} bound {gr.float_text(estimate.value)}",
@@ -230,7 +230,7 @@ def _stored_estimate(f: ft.ChebyshevFilter, lap: gr.Laplacian,
 def cmd_fit(args) -> tuple[dict, dict, str]:
     raw, source = _read_graph(args.graph)
     lap = _load_operator(args, raw)
-    estimate = _lambda_max(lap, args.seed)
+    estimate = _lambda_max(lap)
     response = _response_from_args(args)
     fitted = ft.fit_chebyshev(response, args.order, estimate.value)
     error = ft.fit_grid_error(fitted, response)
@@ -267,8 +267,8 @@ def cmd_infer(args) -> tuple[dict, dict, str]:
             raise ValueError(f"rulebase names {len(rb.atoms)} atoms but the graph has {n} nodes")
         inputs[args.rulebase] = None
     x = _read_beliefs(args.beliefs)
-    estimate = _lambda_max(lap, args.seed, stored)
-    if abs(f.lambda_max - estimate.value) > 1e-6 * f.lambda_max:
+    estimate = _lambda_max(lap, stored)
+    if not ft.lambda_max_matches(f.lambda_max, estimate.value):
         raise ValueError(
             f"filter lambda_max {f.lambda_max} does not match this graph's estimate "
             f"{estimate.value}; refit the filter on this graph")
@@ -299,7 +299,8 @@ _TRAIN = {"order": Default(int, 8), "examples": Default(int, 8),
                                 "transfer": Default(float, 0.0)}, {}),
           "curriculum": Default(Nullable([(int, int)]), None),
           "allowed_bands": Default([int], [0]), "learning_rate": Default(float, 0.05),
-          "epochs": Default(int, 100), "clip_norm": Default(Nullable(float), 10.0)}
+          "epochs": Default(int, 100), "clip_norm": Default(Nullable(float), 10.0),
+          "seed": Default(int, 0)}
 
 
 def _train_plan(config: dict) -> dict:
@@ -322,18 +323,17 @@ def _train_plan(config: dict) -> dict:
 
 
 def cmd_train(args) -> tuple[dict, dict, str]:
-    plan = read_json(args.config, {**_TRAIN, "seed": Default(int, args.seed)}, _train_plan)
-    order, seed, penalties = plan["order"], plan["seed"], plan["penalties"]
-    args.seed = seed
+    plan = read_json(args.config, _TRAIN, _train_plan)
+    order, penalties = plan["order"], plan["penalties"]
     raw, source = _read_graph(args.graph)
     lap = _load_operator(args, raw)
-    estimate = _lambda_max(lap, seed)
+    estimate = _lambda_max(lap)
     lt = gr.scale_laplacian(lap, estimate.value)
     teacher = ft.fit_chebyshev(plan["teacher"], order, estimate.value)
 
     # the student's recurrence on each example is the teacher's: one trace gives both
     # the target and what training reuses every epoch
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(plan["seed"])
     data, traces = [], []
     for _ in range(plan["examples"]):
         x = rng.standard_normal(lap.node_count)
@@ -409,7 +409,7 @@ def cmd_attribute(args) -> tuple[dict, dict, str]:
     edges, bands = range(partition.edges.size), range(partition.n_bands)
     header = ["instance", *(f"edge{b}" for b in edges), *(f"band{b}_energy" for b in bands),
               *(f"band{b}_fraction" for b in bands), "bound"]
-    row = (0, *partition.edges, *report.energies, *report.fractions, bound)
+    row = (0, *partition.edges, *analysis.finite_energies(report), *report.fractions, bound)
     return ({"attribution.csv": gr.csv_text(header, [row])},
             {**dict.fromkeys([args.beliefs] + extra_inputs), args.graph: source},
             f"attribute bands={partition.n_bands} bound={gr.float_text(bound)}")
@@ -424,7 +424,8 @@ def cmd_perturb(args) -> tuple[dict, dict, str]:
                                           partition=partition, seed=args.seed)
     before = analysis.band_energy(basis, x, partition)
     after = analysis.band_energy(basis, perturbed, partition)
-    rows = zip(range(partition.n_bands), before.energies, after.energies)
+    rows = zip(range(partition.n_bands), analysis.finite_energies(before),
+               analysis.finite_energies(after))
     return ({"perturbed.txt": "".join(gr.float_text(v) + "\n" for v in perturbed),
              "perturb.csv": gr.csv_text(("band", "clean_energy", "perturbed_energy"), rows)},
             {args.beliefs: None, args.graph: source},
@@ -477,7 +478,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     _add_response_args(p, other_models=False)
     p.add_argument("--order", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("infer", help="filter beliefs and project predicates")
@@ -487,13 +487,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rulebase", default=None, help="Horn rulebase JSON")
     p.add_argument("--threshold", type=float, default=0.0)
     p.add_argument("--temperature", type=float, default=None, help="adds the soft column")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("train", help="train a filter from a JSON config")
     common(p)
     p.add_argument("--config", required=True, help="training config JSON")
-    p.add_argument("--seed", type=int, default=0, help="used when the config sets no seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("gen", help="generate a synthetic task instance")

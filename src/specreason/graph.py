@@ -610,11 +610,12 @@ def gershgorin_bound(lap: SparseOperator) -> float:
     return float(np.max(diagonal + off)) if diagonal.size else 0.0
 
 
-def estimate_lambda_max(lap: Laplacian, seed: int = 0) -> LambdaMaxEstimate:
+def estimate_lambda_max(lap: Laplacian) -> LambdaMaxEstimate:
     """Upper bound on the largest eigenvalue from a Lanczos recurrence.
 
-    Runs the three-term Lanczos recurrence from a seeded, perturbed all-ones
-    vector, holding three n-vectors: no reorthogonalisation, no stored basis.
+    Runs the three-term Lanczos recurrence from one fixed vector, all ones plus
+    0.01 N(0, 1) drawn from default_rng(0), so an operator has one lambda_max.
+    It holds three n-vectors: no reorthogonalisation, no stored basis.
     The top Ritz pair (theta, z) of the tridiagonal T_k is taken at every step
     k <= _LANCZOS_DENSE_CHECKS, then at ceil(1.25 k) and at _LANCZOS_STEPS, so that
     the checks' dense eigensolves, O(k^3) each, grow as log k past step 50. Once
@@ -642,8 +643,7 @@ def estimate_lambda_max(lap: Laplacian, seed: int = 0) -> LambdaMaxEstimate:
     exponent = scale_exponent(top)
     op = SparseOperator(levels._replace(data=np.ldexp(levels.data, -exponent)))
     floor = float(np.ldexp(top, -exponent))  # lambda_max of op is at least its largest diagonal
-    rng = np.random.default_rng(seed)
-    v = np.ones(n) + 0.01 * rng.standard_normal(n)
+    v = np.ones(n) + 0.01 * np.random.default_rng(0).standard_normal(n)
     v /= np.linalg.norm(v)
     v_prev = np.zeros(n)
     alphas, betas = [], []

@@ -380,13 +380,6 @@ def _score(y, inst: TaskInstance, threshold: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def instance_accuracy(model, inst: TaskInstance, config: EvalConfig | None = None) -> float:
-    """Score one instance: label accuracy, or closure F1 when symbolic."""
-    cfg = config or EvalConfig()
-    basis = eigendecompose(build_laplacian(inst.graph, cfg.variant))
-    return _score(as_response(model, basis, inst.beliefs), inst, cfg.threshold)
-
-
 @dataclass(frozen=True)
 class EvalReport:
     """Aggregate metrics for one model over one task set."""

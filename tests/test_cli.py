@@ -800,6 +800,19 @@ class TestArgErrors:
         assert "not allowed with argument" in capsys.readouterr().err
         assert not (workdir / "out").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["fit", "--graph", "p2.txt", "--response", "identity"],
+        ["infer", "--graph", "p2.txt", "--filter", "f.json", "--beliefs", "beliefs.txt"],
+        ["train", "--graph", "p2.txt", "--config", "train.json"],
+    ], ids=lambda argv: argv[0])
+    def test_seed_is_not_an_option_of_the_bounded_commands(self, workdir, capsys, command):
+        # lambda_max belongs to the operator: nothing seeds its estimate
+        with pytest.raises(SystemExit) as exc:
+            run(*command, "--seed", "3", "--out-dir", "out")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
 
 def test_attribute_and_perturb_do_not_bound_lambda_max(workdir, monkeypatch):
     calls = []
@@ -809,6 +822,25 @@ def test_attribute_and_perturb_do_not_bound_lambda_max(workdir, monkeypatch):
     assert run("perturb", "--graph", "p2.txt", "--beliefs", "beliefs.txt", "--band", "0",
                "--magnitude", "0.5", "--out-dir", "pert") == 0
     assert calls == []
+
+
+@pytest.mark.parametrize("graph, beliefs, argv", [
+    ("2 1\n0 1 1e300\n", "1\n0\n",
+     ["attribute", "--response", "polynomial", "--coeffs", "1,0.5"]),
+    ("2 1\n0 1 1\n", "1e200\n-1e200\n", ["attribute", "--response", "diffusion"]),
+    ("2 1\n0 1 1\n", "1e200\n-1e200\n", ["perturb", "--band", "2", "--magnitude", "0.5"]),
+], ids=["attribute polynomial", "attribute diffusion", "perturb"])
+def test_an_energy_past_the_float_range_is_refused(workdir, capsys, graph, beliefs, argv):
+    # a band energy past the float range would be written as inf: refused, as eval does
+    (workdir / "g.txt").write_text(graph)
+    (workdir / "x.txt").write_text(beliefs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(*argv, "--graph", "g.txt", "--beliefs", "x.txt", "--out-dir", "out")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: band ") and err.endswith(" energy is past the float range\n")
+    assert not (workdir / "out").exists()
 
 
 def test_perturb_with_weights_near_the_float_range(workdir, capsys):
@@ -924,9 +956,26 @@ def test_awkward_inputs_finish_or_refuse_in_one_line(workdir, capsys, shape):
         out = workdir / argv[-1]
         if code == 0:
             assert err == "", argv
+            assert non_finite_numbers(out) == [], argv
         else:
             assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
             assert not out.exists(), argv
+
+
+def non_finite_numbers(out_dir: Path) -> list[tuple[str, str]]:
+    """(file, cell) for each number a run's CSV and txt files hold that is inf or nan."""
+    found = []
+    for path in sorted(out_dir.iterdir()):
+        if path.suffix in (".csv", ".txt"):
+            for row in csv.reader(path.read_text().splitlines()):
+                for cell in row:
+                    try:
+                        value = float(cell)
+                    except ValueError:  # a header, an atom name or an empty cell
+                        continue
+                    if not math.isfinite(value):
+                        found.append((path.name, cell))
+    return found
 
 
 def test_no_command_loads_a_scipy_module(workdir):
@@ -1066,6 +1115,21 @@ class TestStoredBound:
             bound = json.loads((workdir / path).read_text())["bound"]
             assert bound == {"method": "lanczos", "iterations": bound["iterations"],
                              "converged": True, "degenerate": False, "graph_sha256": digest}
+
+    def test_fit_and_train_share_one_bound(self, workdir):
+        # the train config's seed draws the example signals alone: on one graph, fit and
+        # train store one lambda_max and one fingerprint, which a filter's match test needs
+        g = random_gnm(200, 800, seed=4)
+        (workdir / "g.txt").write_text(f"{g.node_count} {g.edge_count}\n"
+                                       + "".join(f"{i} {j} {w}\n" for i, j, w in g.edges))
+        (workdir / "train.json").write_text(json.dumps({"order": 4, "epochs": 3, "seed": 1001}))
+        self.fit("g.txt")
+        assert run("train", "--graph", "g.txt", "--config", "train.json",
+                   "--out-dir", "trainout") == 0
+        fitted, trained = (json.loads((workdir / path / "filter.json").read_text())
+                           for path in ("fitout", "trainout"))
+        assert trained["lambda_max"] == fitted["lambda_max"]
+        assert trained["bound"]["graph_sha256"] == fitted["bound"]["graph_sha256"]
 
     @pytest.mark.parametrize("trained", [False, True])
     def test_matching_record_skips_the_estimate(self, workdir, monkeypatch, trained):

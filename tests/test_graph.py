@@ -660,10 +660,15 @@ class TestLambdaMax:
         assert dense <= estimate.value <= dense * gr.LAMBDA_SAFETY_MARGIN * (1 + gr._LANCZOS_TOL)
 
     def test_estimate_deterministic(self):
-        lap = gr.build_laplacian(random_gnp(30, 0.2, seed=5))
-        a = gr.estimate_lambda_max(lap, seed=3)
-        b = gr.estimate_lambda_max(lap, seed=3)
-        assert a.value == b.value and a.iterations == b.iterations
+        # one operator, one estimate: the same graph with its edges shuffled and each
+        # flipped end for end gives the same bits, steps and method
+        g = random_gnp(30, 0.2, seed=5)
+        order = np.random.default_rng(1).permutation(g.edge_count)
+        shuffled = gr.Graph(node_count=g.node_count,
+                            edges=tuple((j, i, w) for i, j, w in (g.edges[k] for k in order)))
+        a = gr.estimate_lambda_max(gr.build_laplacian(g))
+        b = gr.estimate_lambda_max(gr.build_laplacian(shuffled))
+        assert (a.value, a.iterations, a.method) == (b.value, b.iterations, b.method)
 
 
 class TestGraphSha256:
