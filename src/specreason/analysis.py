@@ -110,14 +110,6 @@ def band_energy(basis: SpectralBasis, y, partition: BandPartition) -> BandReport
                       degenerate=degenerate)
 
 
-def finite_energies(report: BandReport) -> np.ndarray:
-    """report's energies, refused when one passes the float range: a file would read inf."""
-    past = np.flatnonzero(~np.isfinite(report.energies))
-    if past.size:
-        raise ValueError(f"band {past[0]} energy is past the float range")
-    return report.energies
-
-
 def proof_band_agreement(pairs) -> float:
     """Mean allowed-band energy fraction over (report, allowed_bands) pairs.
 

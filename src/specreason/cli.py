@@ -104,7 +104,10 @@ def _belief_lines(path, text: str) -> np.ndarray:
 
 
 def _predicates_text(y: np.ndarray, predicates: rl.PredicateVector) -> str:
-    """predicates.csv as gr.csv_text writes it, in one %-format over the interleaved columns."""
+    """predicates.csv as gr.csv_text writes and refuses it, in one %-format over the columns."""
+    for name, values in (("belief", y), ("soft", predicates.soft)):
+        if values is not None and not np.isfinite(values).all():
+            gr.float_text(values[~np.isfinite(values)][0], name)
     columns = [range(y.size), y.tolist()]
     if predicates.soft is not None:
         columns.append(predicates.soft.tolist())
@@ -409,7 +412,7 @@ def cmd_attribute(args) -> tuple[dict, dict, str]:
     edges, bands = range(partition.edges.size), range(partition.n_bands)
     header = ["instance", *(f"edge{b}" for b in edges), *(f"band{b}_energy" for b in bands),
               *(f"band{b}_fraction" for b in bands), "bound"]
-    row = (0, *partition.edges, *analysis.finite_energies(report), *report.fractions, bound)
+    row = (0, *partition.edges, *report.energies, *report.fractions, bound)
     return ({"attribution.csv": gr.csv_text(header, [row])},
             {**dict.fromkeys([args.beliefs] + extra_inputs), args.graph: source},
             f"attribute bands={partition.n_bands} bound={gr.float_text(bound)}")
@@ -424,8 +427,7 @@ def cmd_perturb(args) -> tuple[dict, dict, str]:
                                           partition=partition, seed=args.seed)
     before = analysis.band_energy(basis, x, partition)
     after = analysis.band_energy(basis, perturbed, partition)
-    rows = zip(range(partition.n_bands), analysis.finite_energies(before),
-               analysis.finite_energies(after))
+    rows = zip(range(partition.n_bands), before.energies, after.energies)
     return ({"perturbed.txt": "".join(gr.float_text(v) + "\n" for v in perturbed),
              "perturb.csv": gr.csv_text(("band", "clean_energy", "perturbed_energy"), rows)},
             {args.beliefs: None, args.graph: source},
@@ -566,7 +568,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        files, inputs, summary = args.func(args)
+        # a value past the float range is refused where it would be written, in one line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            files, inputs, summary = args.func(args)
         # hashed before any write: an input that is also an output is recorded as it was read
         inputs = {path: digest or _sha256(path) for path, digest in inputs.items()}
         out = Path(args.out_dir)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import os
 import re
 import warnings
@@ -378,24 +379,29 @@ FLOAT_FORMAT = "%.17g"  # every number an output writes: 17 significant digits r
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')  # a string cell holding one of these is quoted
 
 
-def float_text(value) -> str:
-    """value as every output writes a number, in FLOAT_FORMAT."""
-    return FLOAT_FORMAT % float(value)
+def float_text(value, name: str = "a number") -> str:
+    """value as every output writes a number, in FLOAT_FORMAT; inf and nan, past the
+    float range, are refused with one ValueError that calls the value name."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is {FLOAT_FORMAT % value}, past the float range")
+    return FLOAT_FORMAT % value
 
 
 def csv_text(header, rows) -> str:
     """CSV text: the header's names on one line, then one line per row. A cell that is
     a string is written as given, or, when it holds a comma, a double quote or a line
     break, quoted with its quotes doubled, as csv.writer does; an int as a decimal, None
-    as an empty cell and any other value through float_text."""
-    def cell(value) -> str:
+    as an empty cell and any other value through float_text, named by its column."""
+    def cell(value, name: str) -> str:
         if isinstance(value, str):
             return '"' + value.replace('"', '""') + '"' if _CSV_SPECIAL.search(value) else value
         if isinstance(value, int):
             return str(value)
-        return "" if value is None else float_text(value)
+        return "" if value is None else float_text(value, name)
 
-    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+    return "".join(",".join(cell(value, name) for value, name in zip(row, header, strict=True))
+                   + "\n" for row in [header, *rows])
 
 
 def loadtxt_ascii(text: str, **kwargs):
@@ -714,22 +720,21 @@ def _canonical_columns(eigenvalues: np.ndarray, eigenvectors: np.ndarray):
     [0.5, 1); its columns are ordered descending lexicographically, ties kept in order.
     """
     n = eigenvalues.size
-    lead = np.argmax(np.abs(eigenvectors) > _SIGN_TOL, axis=0)  # row 0 where no entry is
-    eigenvectors *= np.where(eigenvectors[lead, np.arange(n)] < -_SIGN_TOL, -1.0, 1.0)
+    negative = eigenvectors < -_SIGN_TOL
+    lead = np.argmax((eigenvectors > _SIGN_TOL) | negative, axis=0)  # row 0 where no entry is
+    eigenvectors *= np.where(negative[lead, np.arange(n)], -1.0, 1.0)
 
     values = np.ldexp(eigenvalues, -scale_exponent(eigenvalues)).tolist()
-    order = np.arange(n)
     start = 0
     while start < n:
         end = start + 1
         while end < n and values[end] - values[start] <= _TIE_TOL:
             end += 1
-        if end - start > 1:
-            keys = _descending_keys(eigenvectors[:, start:end])
-            order[start:end] = start + np.argsort(keys, kind="stable")
+        if end - start > 1:  # only the group's own values and columns move
+            order = start + np.argsort(_descending_keys(eigenvectors[:, start:end]), kind="stable")
+            eigenvalues[start:end] = eigenvalues[order]
+            eigenvectors[:, start:end] = eigenvectors[:, order]
         start = end
-    eigenvalues[:] = eigenvalues[order]
-    eigenvectors[:] = eigenvectors[:, order]
     return eigenvalues, eigenvectors
 
 

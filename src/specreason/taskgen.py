@@ -410,8 +410,8 @@ def evaluate(model, instances, config: EvalConfig | None = None) -> EvalReport:
     Accuracy is the mean instance score. Latency is the median wall time
     of the model application alone, over latency_runs repeats per
     instance. Band columns attribute the output energy of every instance
-    to three equal bands of its spectrum (equal_bands), refused when their sum
-    passes the float range. Robustness drop is the accuracy, in percentage
+    to three equal bands of its spectrum (equal_bands); a sum past the float range
+    reads inf, which to_csv refuses. Robustness drop is the accuracy, in percentage
     points, lost to cfg.perturb's noise, cut at the same bands. Each instance
     is eigendecomposed once.
     """
@@ -447,8 +447,6 @@ def evaluate(model, instances, config: EvalConfig | None = None) -> EvalReport:
     for report in reports:
         energies += report.energies
     total = float(energies.sum())
-    if not np.isfinite(total):
-        raise ValueError(f"the band energy summed over the tasks is {total}, past the float range")
     fractions = energies / total if total > 0 else np.zeros_like(energies)
 
     agreement_pairs = [(report, inst.allowed_bands)

@@ -494,8 +494,7 @@ class TestEval:
             warnings.simplefilter("error", RuntimeWarning)
             assert run("eval", "--tasks", "task.json", "--response", "polynomial",
                        "--coeffs", "1,0.5", "--latency-runs", "1", "--out-dir", "out") == 1
-        assert capsys.readouterr().err == (
-            "error: the band energy summed over the tasks is inf, past the float range\n")
+        assert capsys.readouterr().err == "error: band0_energy is inf, past the float range\n"
         assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize("response, label", [
@@ -824,14 +823,17 @@ def test_attribute_and_perturb_do_not_bound_lambda_max(workdir, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("graph, beliefs, argv", [
+@pytest.mark.parametrize("graph, beliefs, argv, column", [
     ("2 1\n0 1 1e300\n", "1\n0\n",
-     ["attribute", "--response", "polynomial", "--coeffs", "1,0.5"]),
-    ("2 1\n0 1 1\n", "1e200\n-1e200\n", ["attribute", "--response", "diffusion"]),
-    ("2 1\n0 1 1\n", "1e200\n-1e200\n", ["perturb", "--band", "2", "--magnitude", "0.5"]),
+     ["attribute", "--response", "polynomial", "--coeffs", "1,0.5"], "band0_energy"),
+    ("2 1\n0 1 1\n", "1e200\n-1e200\n", ["attribute", "--response", "diffusion"],
+     "band0_energy"),
+    ("2 1\n0 1 1\n", "1e200\n-1e200\n", ["perturb", "--band", "2", "--magnitude", "0.5"],
+     "clean_energy"),
 ], ids=["attribute polynomial", "attribute diffusion", "perturb"])
-def test_an_energy_past_the_float_range_is_refused(workdir, capsys, graph, beliefs, argv):
-    # a band energy past the float range would be written as inf: refused, as eval does
+def test_an_energy_past_the_float_range_is_refused(workdir, capsys, graph, beliefs, argv,
+                                                   column):
+    # a band energy past the float range would be written as inf: the writer refuses it
     (workdir / "g.txt").write_text(graph)
     (workdir / "x.txt").write_text(beliefs)
     with warnings.catch_warnings():
@@ -839,7 +841,7 @@ def test_an_energy_past_the_float_range_is_refused(workdir, capsys, graph, belie
         code = run(*argv, "--graph", "g.txt", "--beliefs", "x.txt", "--out-dir", "out")
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: band ") and err.endswith(" energy is past the float range\n")
+    assert err == f"error: {column} is inf, past the float range\n"
     assert not (workdir / "out").exists()
 
 
@@ -921,13 +923,16 @@ AWKWARD_RESPONSES = {"diffusion": ["--tau", "2"], "highpass": ["--beta", "1"],
 
 @pytest.mark.parametrize("shape", AWKWARD)
 def test_awkward_inputs_finish_or_refuse_in_one_line(workdir, capsys, shape):
-    # every command on every shape, variant and response either finishes with an empty
-    # stderr or exits 1 with one error: line and leaves no --out-dir; a NumPy warning is
-    # an error here. Infer runs served from operator.npz, then parsed from the text
+    # every command on every shape, variant and response, with beliefs of moderate size and
+    # beliefs of +-1e200, either finishes with an empty stderr or exits 1 with one error:
+    # line and leaves no --out-dir; a NumPy warning is an error here. Infer runs served
+    # from operator.npz, then parsed from the text
     text, kind = AWKWARD[shape]
     n = int(text.split()[0])
     (workdir / "g.txt").write_text(text)
     (workdir / "x.txt").write_text("".join(f"{(-1.5) ** (k % 5)}\n" for k in range(n)))
+    (workdir / "big.txt").write_text("".join(f"{(-1) ** k * 1e200}\n" for k in range(n)))
+    beliefs = ("x.txt", "big.txt")
     graph = ["--graph", "g.txt", "--graph-kind", kind]
     runs = []
     for variant in (("signed",) if kind == "signed" else ("combinatorial", "normalized")):
@@ -935,20 +940,22 @@ def test_awkward_inputs_finish_or_refuse_in_one_line(workdir, capsys, shape):
         for response, params in AWKWARD_RESPONSES.items():
             model = ["--response", response, *params]
             fit = f"fit-{variant}-{response}"
-            runs += [["fit", *graph_args, *model, "--order", "8", "--out-dir", fit],
-                     ["infer", *graph_args, "--filter", f"{fit}/filter.json",
-                      "--beliefs", "x.txt", "--out-dir", f"{fit}-served"],
-                     ["infer", *graph_args, "--filter", f"{fit}/filter.json",
-                      "--beliefs", "x.txt", "--out-dir", f"{fit}-text"],
-                     ["attribute", *graph_args, "--beliefs", "x.txt", *model,
-                      "--out-dir", f"attribute-{variant}-{response}"]]
-        runs += [["perturb", *graph_args, "--beliefs", "x.txt", "--out-dir", f"perturb-{variant}"],
-                 ["transfer", "--source-graph", "g.txt", "--source-beliefs", "x.txt",
-                  "--target-graph", "g.txt", "--target-beliefs", "x.txt", "--graph-kind", kind,
-                  "--variant", variant, "--out-dir", f"transfer-{variant}"]]
+            runs.append(["fit", *graph_args, *model, "--order", "8", "--out-dir", fit])
+            runs += [["infer", *graph_args, "--filter", f"{fit}/filter.json",
+                      "--beliefs", x, "--out-dir", f"{fit}-{x}-{how}"]
+                     for how in ("served", "text") for x in beliefs]
+            runs += [["attribute", *graph_args, "--beliefs", x, *model,
+                      "--out-dir", f"attribute-{variant}-{response}-{x}"] for x in beliefs]
+        for x in beliefs:
+            runs += [["perturb", *graph_args, "--beliefs", x,
+                      "--out-dir", f"perturb-{variant}-{x}"],
+                     ["transfer", "--source-graph", "g.txt", "--source-beliefs", x,
+                      "--target-graph", "g.txt", "--target-beliefs", x, "--graph-kind", kind,
+                      "--variant", variant, "--out-dir", f"transfer-{variant}-{x}"]]
     for argv in runs:
         if argv[-1].endswith("-text"):  # the same filter with no operator.npz beside it
-            (workdir / argv[-1].removesuffix("-text") / "operator.npz").unlink(missing_ok=True)
+            (workdir / argv[argv.index("--filter") + 1]).with_name("operator.npz").unlink(
+                missing_ok=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run(*argv)

@@ -890,3 +890,11 @@ def test_csv_text_quotes_string_cells_as_csv_writer_does():
     writer.writerow(header)
     writer.writerows([[*row[:3], gr.float_text(row[3]), ""] for row in rows])
     assert gr.csv_text(header, rows) == expected.getvalue().replace("\r\n", "\n")
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_csv_text_refuses_a_cell_past_the_float_range(value):
+    # no output holds inf or nan: the refusal names the cell's column
+    with pytest.raises(ValueError, match=f"^total is {value}, past the float range$"):
+        gr.csv_text(("epoch", "total"), [(0, 1.0), (1, value)])
+
