@@ -335,14 +335,10 @@ def cmd_train(args) -> tuple[dict, dict, str]:
     teacher = ft.fit_chebyshev(plan["teacher"], order, estimate.value)
 
     # the student's recurrence on each example is the teacher's: one trace gives both
-    # the target and what training reuses every epoch
+    # the target and the example training reuses every epoch
     rng = np.random.default_rng(plan["seed"])
-    data, traces = [], []
-    for _ in range(plan["examples"]):
-        x = rng.standard_normal(lap.node_count)
-        target, trace = ft.cheb_apply(teacher, lt, x, keep_trace=True)
-        data.append(tr.TrainExample(x=x, target=target))
-        traces.append(trace)
+    targets, traces = zip(*(ft.cheb_apply(teacher, lt, rng.standard_normal(lap.node_count),
+                                          keep_trace=True) for _ in range(plan["examples"])))
 
     # transfer holds the outputs to an all-zero reference; only proof needs the basis
     context = tr.PenaltyContext(transfer_reference=np.zeros(lap.node_count))
@@ -353,8 +349,8 @@ def cmd_train(args) -> tuple[dict, dict, str]:
                           allowed_bands=tuple(plan["allowed_bands"]))
 
     student = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=estimate.value)
-    result = tr.train(student, lt, data, penalties, schedule=plan["curriculum"],
-                      config=plan["train"], context=context, traces=traces)
+    result = tr.train(student, traces, targets, penalties, schedule=plan["curriculum"],
+                      config=plan["train"], context=context)
 
     model = replace(result.model, bound=estimate,
                     graph_sha256=gr.graph_sha256(lap, args.graph_kind, estimate.value))
@@ -390,7 +386,10 @@ def cmd_eval(args) -> tuple[dict, dict, str]:
                                      seed=args.perturb_seed)
     cfg = tg.EvalConfig(threshold=args.threshold, variant=args.variant,
                         latency_runs=args.latency_runs, perturb=perturb)
-    report = tg.evaluate(model, instances, cfg)
+    try:
+        report = tg.evaluate(model, instances, cfg)
+    except tg.IntervalError as exc:
+        raise ValueError(f"{args.tasks[exc.index]}: {exc}") from None
     return ({"eval.csv": report.to_csv()},
             dict.fromkeys(list(args.tasks) + extra_inputs),
             f"eval model={report.model} accuracy={report.accuracy:.4f} "

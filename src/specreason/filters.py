@@ -139,7 +139,7 @@ def polynomial(*coeffs: float) -> AnalyticResponse:
 
 
 def response_eval(response, points) -> np.ndarray:
-    """Evaluate any response (analytic, fitted, or plain callable) on points."""
+    """Evaluate a response (analytic, fitted Chebyshev, or rule-set mixture) on points."""
     return np.asarray(response(np.asarray(points, dtype=float)), dtype=float)
 
 

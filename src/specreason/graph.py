@@ -122,7 +122,8 @@ class Graph:
         return self.rows.size
 
     def adjacency(self) -> CsrMatrix:
-        """The symmetric adjacency matrix in canonical CSR form, each edge at (i, j) and (j, i)."""
+        """The symmetric adjacency matrix in canonical CSR form, each edge at (i, j) and (j, i).
+        No command reads it; it stays while perfbench/tracer.py wraps it by name."""
         indptr, _, left, right = _adjacency_slots(self.node_count, self.rows, self.cols)
         indices = np.empty(2 * self.edge_count, dtype=np.int64)
         data = np.empty(2 * self.edge_count)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -146,22 +145,36 @@ class RuleBase:
 
 
 def forward_chain(rb: RuleBase, facts) -> frozenset:
-    """Least fixpoint of the Horn clauses over the starting facts.
-
-    Iterates to saturation; the result is the unique minimal model
-    containing the facts, independent of clause order.
+    """Least fixpoint of the Horn clauses over the starting facts: the unique minimal
+    model containing them, independent of clause order. Linear in the rulebase's size
+    (W. F. Dowling and J. H. Gallier, J. Logic Programming 1, 1984): each clause counts
+    its body atoms not yet known, and each atom that becomes known is queued once and
+    counts down the clauses whose body holds it.
     """
     known = set(facts)
     unknown = known - set(rb.atoms)
     if unknown:
         raise ValueError(f"facts mention unknown atoms {sorted(unknown)}")
-    changed = True
-    while changed:
-        changed = False
-        for clause in rb.clauses:
-            if clause.head not in known and clause.body <= known:
-                known.add(clause.head)
-                changed = True
+    waiting = [len(clause.body) for clause in rb.clauses]
+    watchers = {}
+    for k, clause in enumerate(rb.clauses):
+        for atom in clause.body:
+            watchers.setdefault(atom, []).append(k)
+    queue = list(known)
+
+    def fire(k: int) -> None:
+        if rb.clauses[k].head not in known:
+            known.add(rb.clauses[k].head)
+            queue.append(rb.clauses[k].head)
+
+    for k, count in enumerate(waiting):
+        if count == 0:  # an empty body fires at once
+            fire(k)
+    for atom in queue:  # the loop runs over the atoms that queue gains as it goes
+        for k in watchers.get(atom, ()):
+            waiting[k] -= 1
+            if waiting[k] == 0:
+                fire(k)
     return frozenset(known)
 
 
@@ -187,14 +200,6 @@ def rulebase_from_dict(payload: dict) -> RuleBase:
 
 def load_rulebase(path) -> RuleBase:
     return read_json(path, _RULEBASE, rulebase_from_dict)
-
-
-def save_templates(ruleset: RuleSet, path) -> None:
-    if not all(isinstance(t.response, ft.AnalyticResponse) for t in ruleset.templates):
-        raise ValueError("only analytic responses serialize to template JSON")
-    payload = [{"name": t.name, "kind": t.response.kind, "params": list(t.response.params),
-                "weight": t.weight} for t in ruleset.templates]
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_templates(path) -> RuleSet:

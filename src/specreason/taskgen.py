@@ -12,7 +12,6 @@ import json
 import time
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -40,19 +39,13 @@ from .rules import CLAUSE, HornClause, RuleBase, RuleSet, forward_chain, rulebas
 _SMOOTH_TAU = 2.0  # diffusion time of a contradiction task's background; task.json records it
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_gnp(n: int, p: float, seed=0) -> Graph:
     """Erdos-Renyi graph with unit weights, edges drawn on the upper triangle."""
     if n < 1:
         raise ValueError("need at least one node")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     rows, cols = np.triu_indices(n, k=1)
     keep = rng.random(rows.size) < p
     return Graph(n, columns=(rows[keep], cols[keep], np.ones(np.count_nonzero(keep))))
@@ -63,7 +56,7 @@ def random_gnm(n: int, m: int, seed=0) -> Graph:
     max_edges = n * (n - 1) // 2
     if not 0 <= m <= max_edges:
         raise ValueError(f"cannot place {m} edges on {n} nodes")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     keys = np.empty(0, dtype=np.int64)  # pair (i, j), i < j, as i * n + j, in draw order
     while keys.size < m:
         need = m - keys.size
@@ -77,15 +70,23 @@ def random_gnm(n: int, m: int, seed=0) -> Graph:
 
 
 def _is_connected(g: Graph) -> bool:
-    """Whether a breadth-first search from node 0 reaches every node: O(n + m)."""
-    adj = g.adjacency()
-    indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
-    seen, queue = {0}, [0]
-    for u in queue:  # the loop runs over the nodes that queue gains as it goes
-        fresh = set(indices[indptr[u]:indptr[u + 1]]) - seen
-        seen |= fresh
-        queue += fresh
-    return len(seen) == g.node_count
+    """Whether the edges join every node: union-find with path halving over the edge
+    arrays, near-linear in n + m."""
+    parent = list(range(g.node_count))
+
+    def root(u: int) -> int:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    parts = g.node_count
+    for i, j in zip(g.rows.tolist(), g.cols.tolist()):
+        a, b = root(i), root(j)
+        if a != b:
+            parent[a] = b
+            parts -= 1
+    return parts == 1
 
 
 def _connected(draw, what: str = "graph") -> Graph:
@@ -148,7 +149,7 @@ def gen_community_task(n: int = 200, intra_p: float = 0.08, inter_p: float = 0.0
         raise ValueError("seed_fraction must sit strictly between 0 and 1")
     if intra_p <= inter_p:
         raise ValueError("communities need intra_p > inter_p")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     half = n // 2
     rows, cols = np.triu_indices(n, k=1)
     same = (rows < half) == (cols < half)
@@ -188,7 +189,7 @@ def gen_contradiction_task(n: int = 200, base_p: float = 0.05, planted: int = 10
         raise ValueError("planted count must be in 0 .. n-1")
     if flip_magnitude < 0:
         raise ValueError("flip_magnitude cannot be negative")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     g = _connected(lambda: random_gnp(n, base_p, rng))
     lap = build_laplacian(g)
     background = ft.rational_apply(_SMOOTH_TAU, lap, rng.standard_normal(n))
@@ -225,7 +226,7 @@ def gen_chain_task(depth: int = 6, branching: int = 1, seed: int = 0) -> TaskIns
         raise ValueError("chain tasks need depth of at least 1")
     if branching < 1:
         raise ValueError("branching factor must be at least 1")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     if branching == 1:
         n = depth + 1
     else:
@@ -265,10 +266,6 @@ def task_to_json(instance: TaskInstance) -> str:
                     if instance.rulebase else None),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def save_task(instance: TaskInstance, path) -> None:
-    Path(path).write_text(task_to_json(instance), encoding="utf-8")
 
 
 _TASK = {"kind": Default(str, ""), "seed": Default(int, 0), "params": Default(Map(float), {}),
@@ -350,15 +347,29 @@ def model_label(model) -> str:
     return f"rules({len(model)})"
 
 
+class IntervalError(ValueError):
+    """A Chebyshev filter met a spectrum that reaches past its interval [0, lambda_max].
+    index is the position, in the set evaluate scores, of the task the spectrum is of."""
+
+    index = None
+
+
 def as_response(model, basis, x):
     """A model's response to beliefs x, filtered exactly through one eigenbasis.
 
     A model is an analytic response, a Chebyshev filter or a rule set (their weighted
-    mixture), each a function of the eigenvalues; anything else raises TypeError.
+    mixture), each a function of the eigenvalues; anything else raises TypeError. A
+    filter's series holds on [0, lambda_max] alone: a basis whose top eigenvalue lies
+    past it, beyond ``lambda_max_matches``' tolerance, raises IntervalError.
     """
-    if isinstance(model, (ft.AnalyticResponse, ft.ChebyshevFilter, RuleSet)):
-        return ft.dense_filter_apply(basis, model, x)
-    raise TypeError(f"cannot evaluate a {type(model).__name__}")
+    if not isinstance(model, (ft.AnalyticResponse, ft.ChebyshevFilter, RuleSet)):
+        raise TypeError(f"cannot evaluate a {type(model).__name__}")
+    if (isinstance(model, ft.ChebyshevFilter) and basis.lambda_max > model.lambda_max
+            and not ft.lambda_max_matches(model.lambda_max, basis.lambda_max)):
+        raise IntervalError(f"filter lambda_max {model.lambda_max} is below this graph's top "
+                            f"eigenvalue {basis.lambda_max}; refit the filter on a graph "
+                            "whose spectrum it covers")
+    return ft.dense_filter_apply(basis, model, x)
 
 
 def _score(y, inst: TaskInstance, threshold: float) -> float:
@@ -439,7 +450,14 @@ def evaluate(model, instances, config: EvalConfig | None = None) -> EvalReport:
             perturbed = _score(as_response(model, basis, x), inst, cfg.threshold)
         return times, _score(y, inst, cfg.threshold), perturbed, band_energy(basis, y, part)
 
-    times, scores, perturbed, reports = zip(*(run(inst) for inst in instances))
+    outcomes = []
+    for k, inst in enumerate(instances):
+        try:
+            outcomes.append(run(inst))
+        except IntervalError as exc:
+            exc.index = k
+            raise
+    times, scores, perturbed, reports = zip(*outcomes)
     accuracy = float(np.mean(scores))
     latency_ms = float(np.median(np.concatenate(times)) * 1000.0)
 

@@ -8,9 +8,8 @@ should transfer across graphs. A mixture pools its experts' coefficients
 through a softmax gate over five spectral features of its input.
 
 Cost: an example's recurrence trace b_0 .. b_K depends on the operator and
-the example, not on the coefficients. Training runs on a fixed operator: one
-K-step recurrence, O(K |E|), and one QR of the trace, O(K^2 n), once per
-example, and then O(K^2) per example per epoch.
+the example, not on the coefficients, so training takes the traces as its
+examples: one QR of each trace, O(K^2 n), and then O(K^2) per example per epoch.
 """
 
 from __future__ import annotations
@@ -198,24 +197,6 @@ class PenaltyWeights:
 
 
 @dataclass(frozen=True)
-class TrainExample:
-    """One graph signal and the output the model should give for it."""
-
-    x: np.ndarray
-    target: np.ndarray
-
-    def __post_init__(self):
-        x = np.array(self.x, dtype=float)
-        t = np.array(self.target, dtype=float)
-        if t.shape != x.shape:
-            raise ValueError("target must match x in shape")
-        x.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "target", t)
-
-
-@dataclass(frozen=True)
 class PenaltyContext:
     """Shared structures the penalties read: the basis and bands proof needs, and the
     output, one value per node, that transfer holds the model's outputs to."""
@@ -320,48 +301,44 @@ def _clipped(grad: np.ndarray, clip_norm: float | None) -> np.ndarray:
     return grad
 
 
-def train(model: ft.ChebyshevFilter, lt: ScaledLaplacian, data,
+def train(model: ft.ChebyshevFilter, traces, targets,
           penalties: PenaltyWeights | None = None,
           schedule: CurriculumSchedule | None = None,
           config: TrainConfig | None = None,
-          context: PenaltyContext | None = None,
-          traces: list[np.ndarray] | None = None) -> TrainResult:
+          context: PenaltyContext | None = None) -> TrainResult:
     """Full-batch gradient descent on a filter's coefficients.
 
-    Every epoch each example scores the coefficients on the QR factors of
-    its trace, built once before the first epoch. The data term is the mean
-    squared error to the examples' targets.
+    An example is its recurrence trace and its target: the trace b_0 .. b_K, row 0
+    the beliefs, as ``cheb_apply(..., keep_trace=True)`` returns it on the operator
+    the model is trained for, and the output the model should give there. Every
+    epoch each example scores the coefficients on the QR factors of its trace,
+    built once before the first epoch. The data term is the mean squared error to
+    the targets.
 
     Records one history row per epoch before the update; penalty columns
     hold raw (unweighted) values while the total applies the configured
-    weights. The operator lt stays fixed.
-
-    traces, when given, are the examples' recurrence traces on lt, one per
-    example and of the model's order, as ``cheb_apply(..., keep_trace=True)``
-    returns them; training then builds none.
+    weights.
     """
     cfg = config or TrainConfig()
     ctx = context or PenaltyContext()
     pw = penalties or PenaltyWeights()
-    data = list(data)
-    _require(bool(data), "training needs at least one example")
+    order = model.order
+    traces = [np.asarray(t, dtype=float) for t in traces]
+    targets = [np.asarray(t, dtype=float) for t in targets]
+    n = traces[0].shape[-1] if traces and traces[0].ndim else None
+    _require(bool(traces) and len(targets) == len(traces)
+             and all(t.shape == (order + 1, n) for t in traces)
+             and all(t.shape == (n,) for t in targets),
+             "training needs one or more traces, each of the model's order + 1 rows over "
+             "n nodes, and one target of n values per trace")
     _require(pw.proof == 0 or (ctx.basis is not None and ctx.partition is not None
                                and len(ctx.allowed_bands) > 0),
              "proof penalty needs a basis, partition, and allowed bands")
     _require(pw.proof == 0 or all(0 <= int(b) < ctx.partition.n_bands for b in ctx.allowed_bands),
              f"allowed bands {list(ctx.allowed_bands)} outside the partition")
-    _require(pw.transfer == 0 or np.shape(ctx.transfer_reference) == (lt.node_count,),
+    _require(pw.transfer == 0 or np.shape(ctx.transfer_reference) == (n,),
              "transfer penalty needs a reference output, one value per node")
-    order = model.order
-    _require(traces is None or (
-        len(traces) == len(data)
-        and all(len(t) - 1 == order and np.array_equal(t[0], ex.x)
-                for t, ex in zip(traces, data))),
-        "traces must hold one recurrence per example, from its beliefs, at the model's order")
 
-    if traces is None:  # a trace depends on the operator and the example, never on theta
-        probe = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=lt.lambda_max)
-        traces = [ft.cheb_apply(probe, lt, ex.x, keep_trace=True)[1] for ex in data]
     disallowed_rows = reference = None
     if pw.proof > 0:
         disallowed = ~np.isin(ctx.partition.band_of(ctx.basis.eigenvalues),
@@ -369,8 +346,8 @@ def train(model: ft.ChebyshevFilter, lt: ScaledLaplacian, data,
         disallowed_rows = ctx.basis.eigenvectors[:, disallowed].T
     if pw.transfer > 0:
         reference = np.asarray(ctx.transfer_reference, dtype=float)
-    losses = [_FactoredLoss(trace, ex.target, disallowed_rows, reference)
-              for trace, ex in zip(traces, data)]
+    losses = [_FactoredLoss(trace, target, disallowed_rows, reference)
+              for trace, target in zip(traces, targets)]
     term_weights = np.array([1.0, pw.proof, pw.transfer])
 
     theta, history = model.theta, []
@@ -383,10 +360,10 @@ def train(model: ft.ChebyshevFilter, lt: ScaledLaplacian, data,
                 values, grads = loss(theta)
                 sums += values
                 grad += term_weights @ grads
-            _record_epoch(history, epoch, pw, sums / len(data))
-            step = np.where(curriculum_mask(schedule, epoch, order), grad / len(data), 0.0)
+            _record_epoch(history, epoch, pw, sums / len(losses))
+            step = np.where(curriculum_mask(schedule, epoch, order), grad / len(losses), 0.0)
             theta = theta - cfg.learning_rate * _clipped(step, cfg.clip_norm)
             if not np.all(np.isfinite(theta)):
                 raise DivergenceError(epoch)
-    return TrainResult(model=ft.ChebyshevFilter(theta=theta, lambda_max=lt.lambda_max),
+    return TrainResult(model=ft.ChebyshevFilter(theta=theta, lambda_max=model.lambda_max),
                        history=tuple(history))

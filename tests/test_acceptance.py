@@ -339,10 +339,12 @@ def test_criterion_12_teacher_student_recovery():
     basis = gr.eigendecompose(lap)
     teacher = ft.diffusion(1.0)
     rng = np.random.default_rng(12)
-    data = [tr.TrainExample(x=x, target=np.asarray(ft.dense_filter_apply(basis, teacher, x)))
-            for x in rng.standard_normal((12, 16))]
+    xs = rng.standard_normal((12, 16))
+    targets = [np.asarray(ft.dense_filter_apply(basis, teacher, x)) for x in xs]
     student = ft.ChebyshevFilter(theta=np.zeros(9), lambda_max=lmax)
-    result = tr.train(student, lt, data, tr.PenaltyWeights(),
+    # an example's trace does not depend on the coefficients: the student's own serves
+    traces = [ft.cheb_apply(student, lt, x, keep_trace=True)[1] for x in xs]
+    result = tr.train(student, traces, targets, tr.PenaltyWeights(),
                       config=tr.TrainConfig(learning_rate=0.05, epochs=500))
     losses = [row[1] for row in result.history]
     resp_err = float(np.max(np.abs(ft.response_eval(result.model, basis.eigenvalues)
@@ -418,7 +420,7 @@ def test_criterion_14_cli_reproducibility(tmp_path, monkeypatch):
     assert cli.main(["fit", "--graph", "inputs/graph.txt", "--response", "diffusion",
                      "--tau", "1.0", "--order", "10", "--out-dir", "inputs/seedfit"]) == 0
     (inputs / "filter.json").write_bytes((inputs / "seedfit" / "filter.json").read_bytes())
-    tg.save_task(tg.gen_chain_task(depth=4, seed=3), inputs / "task.json")
+    (inputs / "task.json").write_text(tg.task_to_json(tg.gen_chain_task(depth=4, seed=3)))
 
     commands = [
         ["fit", "--graph", "inputs/graph.txt", "--response", "highpass",

@@ -1183,7 +1183,8 @@ class TestStoredBound:
         filt = self.fit()
         legacy = without_bound(filt, "legacy.json")
         assert json.loads((workdir / legacy).read_text()).keys() == {"lambda_max", "theta"}
-        run("gen", "--kind", "chain", "--depth", "3", "--out-dir", "task")
+        # a two-node chain: its spectrum, that of p2.txt, lies inside the filter's interval
+        run("gen", "--kind", "chain", "--depth", "1", "--out-dir", "task")
         for name, path in (("new", filt), ("old", legacy)):
             assert self.infer("p2.txt", path, "beliefs.txt", f"infer_{name}") == 0
             assert run("eval", "--tasks", "task/task.json", "--model-filter", path,
@@ -1198,6 +1199,58 @@ class TestStoredBound:
         for row in rows:
             del row["latency_ms"]
         assert rows[0] == rows[1]
+
+
+PATH_30 = "30 29\n" + "".join(f"{k} {k + 1} 1\n" for k in range(29))
+STAR_30 = "30 29\n" + "".join(f"0 {k} 1\n" for k in range(1, 30))
+
+
+class TestFilterInterval:
+    """A fitted filter is a series on [0, lambda_max] and is scored only on spectra inside
+    it: past it, T_k grows like (2 z)^k. The path's top eigenvalue is 3.99, the star's 30."""
+
+    @pytest.fixture
+    def fitted(self, workdir):
+        (workdir / "path.txt").write_text(PATH_30)
+        (workdir / "star.txt").write_text(STAR_30)
+        (workdir / "signs.txt").write_text("".join(f"{(-1) ** k}\n" for k in range(30)))
+        for graph in ("path", "star"):
+            assert run("fit", "--graph", f"{graph}.txt", "--response", "diffusion", "--tau", "1",
+                       "--order", "16", "--out-dir", f"{graph}-fit") == 0
+
+    def test_attribute_past_the_interval_is_refused(self, workdir, fitted, capsys):
+        capsys.readouterr()
+        assert run("attribute", "--graph", "star.txt", "--beliefs", "signs.txt",
+                   "--model-filter", "path-fit/filter.json", "--out-dir", "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: filter lambda_max 4.02") and err.count("\n") == 1
+        assert "top eigenvalue 30" in err
+        assert not (workdir / "out").exists()
+
+    def test_eval_past_the_interval_names_the_task(self, workdir, fitted, capsys):
+        assert run("gen", "--kind", "chain", "--depth", "29", "--out-dir", "chain") == 0
+        assert run("gen", "--kind", "community", "--n", "200", "--seed", "1",
+                   "--out-dir", "community") == 0
+        capsys.readouterr()
+        assert run("eval", "--tasks", "chain/task.json", "community/task.json",
+                   "--model-filter", "path-fit/filter.json", "--out-dir", "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: community/task.json: filter lambda_max 4.02")
+        assert err.count("\n") == 1
+        assert not (workdir / "out").exists()
+
+    def test_a_filter_inside_its_interval_is_scored_as_before(self, workdir, fitted):
+        # the star's filter on the path: digests taken before the check was made
+        assert run("gen", "--kind", "chain", "--depth", "29", "--out-dir", "chain") == 0
+        assert run("attribute", "--graph", "path.txt", "--beliefs", "signs.txt",
+                   "--model-filter", "star-fit/filter.json", "--out-dir", "attr") == 0
+        assert run("eval", "--tasks", "chain/task.json", "--model-filter", "star-fit/filter.json",
+                   "--perturb-magnitude", "0.5", "--latency-runs", "1", "--out-dir", "eval") == 0
+        rows = list(csv.reader((workdir / "eval" / "eval.csv").read_text().splitlines()))
+        k = rows[0].index("latency_ms")
+        scored = "\n".join(",".join(c for i, c in enumerate(row) if i != k) for row in rows)
+        assert [hashlib.sha256(text.encode()).hexdigest()[:16] for text in (
+            (workdir / "attr" / "attribution.csv").read_text(), scored)] == ["7f27805e62f596ed", "4590d6c21b280a32"]
 
 
 RING = "6 7\n0 1 1\n1 2 2\n2 3 1\n3 4 0.5\n4 5 1\n5 0 1\n0 3 1.5\n"
@@ -1519,8 +1572,10 @@ VARIANTS = {
     "gen": [["--kind", "community", "--n", "20", "--intra-p", "0.5", "--inter-p", "0.05"],
             ["--kind", "contradiction", "--n", "30", "--base-p", "0.3", "--planted", "3"],
             ["--kind", "chain", "--depth", "3"]],
+    # a filter is scored only on spectra inside its interval: the star's covers the chain's
     "eval": [["--tasks", "gen/task.json", "--latency-runs", "1", "--perturb-magnitude", "0.5",
-              *model] for model in MODELS],
+              *model] for model in RESPONSES + [["--model-filter", "star/filter.json"],
+                                                ["--rules", "t.json"]]],
     "attribute": [["--graph", "p2.txt", *BELIEFS, *model] for model in MODELS],
     "perturb": [["--graph", "p2.txt", *BELIEFS, "--band", "0"]],
     "transfer": [["--source-graph", "p2.txt", "--source-beliefs", "beliefs.txt",
@@ -1531,6 +1586,9 @@ VARIANTS = {
 
 def test_every_option_is_read(workdir, inputs):
     # an option no run of its command reads is one the command ignores
+    (workdir / "star.txt").write_text(STAR)
+    assert run("fit", "--graph", "star.txt", "--response", "identity", "--order", "2",
+               "--out-dir", "star") == 0
     commands = cli._build_parser()._subparsers._group_actions[0].choices
     assert commands.keys() == VARIANTS.keys()
     unread = {}

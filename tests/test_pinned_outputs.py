@@ -8,6 +8,7 @@ last bits and would need them taken again.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -34,12 +35,15 @@ def without_latency(csv_text: str) -> str:
 @pytest.fixture
 def inputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    tg.save_task(tg.gen_community_task(n=60, intra_p=0.25, inter_p=0.02, seed=4), "sbm.json")
-    tg.save_task(tg.gen_chain_task(depth=3, branching=2, seed=5), "chain.json")
-    rl.save_templates(rl.RuleSet(templates=(
-        rl.RuleTemplate("spread", ft.diffusion(2.0), 0.7),
-        rl.RuleTemplate("edge", ft.highpass(1.0), 0.3),
-        rl.RuleTemplate("mid", ft.gaussian_bandpass(1.5, 0.5), 0.2))), "templates.json")
+    (tmp_path / "sbm.json").write_text(tg.task_to_json(
+        tg.gen_community_task(n=60, intra_p=0.25, inter_p=0.02, seed=4)))
+    (tmp_path / "chain.json").write_text(tg.task_to_json(
+        tg.gen_chain_task(depth=3, branching=2, seed=5)))
+    templates = [{"name": "spread", "kind": "diffusion", "params": [2.0], "weight": 0.7},
+                 {"name": "edge", "kind": "highpass", "params": [1.0], "weight": 0.3},
+                 {"name": "mid", "kind": "gaussian_bandpass", "params": [1.5, 0.5], "weight": 0.2}]
+    (tmp_path / "templates.json").write_text(json.dumps(templates, indent=2, sort_keys=True)
+                                             + "\n")
     g = tg.random_gnm(12, 20, seed=0)
     lines = [f"{g.node_count} {g.edge_count}"] + [f"{i} {j} {w}" for i, j, w in g.edges]
     (tmp_path / "graph.txt").write_text("\n".join(lines) + "\n")
@@ -140,22 +144,22 @@ def penalised_problem():
     basis = gr.eigendecompose(lap)
     rng = np.random.default_rng(9)
     teacher = ft.fit_chebyshev(ft.diffusion(1.0), 5, lambda_max)
-    data = [tr.TrainExample(x=x, target=np.asarray(ft.cheb_apply(teacher, lt, x)))
-            for x in rng.standard_normal((4, 30))]
+    targets, traces = zip(*(ft.cheb_apply(teacher, lt, x, keep_trace=True)
+                            for x in rng.standard_normal((4, 30))))
     # the transfer reference is an output in node space
     reference = basis.eigenvectors @ (0.1 * rng.standard_normal(30))
     context = tr.PenaltyContext(basis=basis, partition=an.equal_bands(basis, 3),
                                 allowed_bands=(0,), transfer_reference=reference)
     penalties = tr.PenaltyWeights(proof=0.3, transfer=0.2)
-    return lap, lt, data, context, penalties
+    return lap, lt, traces, targets, context, penalties
 
 
 def test_penalised_training_history_pinned():
-    lap, lt, data, context, penalties = penalised_problem()
+    lap, lt, traces, targets, context, penalties = penalised_problem()
     student = ft.ChebyshevFilter(theta=np.zeros(6), lambda_max=lt.lambda_max)
     # a clip norm small enough that the gradients are clipped
     config = tr.TrainConfig(epochs=25, clip_norm=0.3)
-    result = tr.train(student, lt, data, penalties, config=config, context=context)
+    result = tr.train(student, traces, targets, penalties, config=config, context=context)
     assert digest(tr.history_to_csv(result.history)) == "619c0cc9c2f5d927"
 
 

