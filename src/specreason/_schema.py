@@ -1,4 +1,5 @@
-"""One strict reader for the package's JSON inputs, each declared by a schema: a kind.
+"""The package's one decode of input bytes, and its one strict reader of JSON inputs, each
+declared by a schema: a kind. The library parses bytes; only cli reads files.
 
 Kinds: int; float, any number (a lone one read as a float); str; bool, never a number (nor
 is 3.0 an int); object, any value, left to the type that reads it; [kind], a list;
@@ -9,9 +10,9 @@ that the defaults inside it fill in too. An object that repeats a key is refused
 level, naming the key.
 """
 
+import io
 import json
 from collections import namedtuple
-from pathlib import Path
 
 Map = namedtuple("Map", "kind")
 Nullable = namedtuple("Nullable", "kind")
@@ -22,14 +23,21 @@ _NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a boolea
           list: "a list", dict: "an object", Map: "an object"}
 
 
-def read_json(path, schema, build):
-    """build(document), the JSON at path once schema has checked it. Every ValueError names
-    path, and the schema's the key too: "task.json: graph.n must be an integer, got 4.7"."""
+def decode_text(raw: bytes) -> str:
+    """raw as UTF-8 text with universal newlines, as opening its file in text mode reads it:
+    the same line numbers, character offsets and decode error positions."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+
+
+def read_json(name, raw: bytes, schema, build):
+    """build(document), the JSON document raw holds once schema has checked it. Every
+    ValueError names the input, and the schema's the key too: "task.json: graph.n must be
+    an integer, got 4.7"."""
     try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique)
+        document = json.loads(decode_text(raw), object_pairs_hook=_unique)
         return build(_read(document, schema, ""))
     except (ValueError, OverflowError) as exc:  # OverflowError: an integer too big for a float
-        exc.args = (f"{path}: {exc}",)  # the same error raised on: InvalidEdgeError keeps its index
+        exc.args = (f"{name}: {exc}",)  # the same error raised on: InvalidEdgeError keeps its index
         raise
 
 

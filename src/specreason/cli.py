@@ -1,11 +1,12 @@
 """Command line front end.
 
-Every subcommand reads plain-text inputs and writes nothing: it returns its files
-(name to text, or to a function that writes bytes to an open binary file), its
-inputs (path to SHA-256 digest, or None) and a summary. main then hashes every input
-not yet hashed, makes --out-dir, so a refused run leaves none, replaces each file in
-it through a .tmp sibling, writes manifest.json (the arguments and input digests)
-last and prints the summary.
+This is the one module that reads files. Every subcommand reads each input once, as
+bytes, through _read_input, which records their SHA-256; the library parses those same
+bytes, so an input may be a pipe. A subcommand writes nothing: it returns its files
+(name to text, or to a function that writes bytes to an open binary file), its inputs
+(path to the digest of the bytes parsed) and a summary. main then makes --out-dir, so
+a refused run leaves none, replaces each file in it through a .tmp sibling, writes
+manifest.json (the arguments and input digests) last and prints the summary.
 Outputs are byte-identical across re-runs with the same inputs and seeds;
 wall-clock latency columns are the one documented exception.
 
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, filters as ft, graph as gr, rules as rl, taskgen as tg, training as tr
-from ._schema import Default, Nullable, read_json
+from ._schema import Default, Nullable, decode_text, read_json
 
 
 def _atomic_write(path: Path, content) -> None:
@@ -54,14 +55,6 @@ def _atomic_write(path: Path, content) -> None:
         raise
 
 
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: dict) -> None:
     """manifest.json; inputs maps each input path to its digest."""
     # out_dir stays out of the manifest so runs into different directories
@@ -75,16 +68,23 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: dict) -> No
     _atomic_write(out_dir / "manifest.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _read_beliefs(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def _read_input(path, inputs: dict) -> bytes:
+    """The bytes of the input file at path, read once; inputs[path] becomes their SHA-256,
+    so the digest a manifest records is that of the bytes parsed, a pipe's too."""
+    raw = Path(path).read_bytes()
+    inputs[path] = hashlib.sha256(raw).hexdigest()
+    return raw
+
+
+def _read_beliefs(name, raw: bytes) -> np.ndarray:
+    text = decode_text(raw)
     values = gr.loadtxt_ascii(text, ndmin=2, dtype=float)
     if values is not None and values.shape[1] == 1 and values.size and np.isfinite(values).all():
         return values[:, 0]
-    return _belief_lines(path, text)
+    return _belief_lines(name, text)
 
 
-def _belief_lines(path, text: str) -> np.ndarray:
+def _belief_lines(name, text: str) -> np.ndarray:
     """Beliefs read line by line, one float per line; names the first bad line."""
     values = []
     for no, raw in enumerate(io.StringIO(text), start=1):
@@ -94,12 +94,12 @@ def _belief_lines(path, text: str) -> np.ndarray:
         try:
             value = float(line)
         except ValueError:
-            raise ValueError(f"{path}: line {no}: expected one float, got {line!r}") from None
+            raise ValueError(f"{name}: line {no}: expected one float, got {line!r}") from None
         if not math.isfinite(value):
-            raise ValueError(f"{path}: line {no}: belief {line!r} is not finite")
+            raise ValueError(f"{name}: line {no}: belief {line!r} is not finite")
         values.append(value)
     if not values:
-        raise ValueError(f"{path}: no belief values found")
+        raise ValueError(f"{name}: no belief values found")
     return np.asarray(values, dtype=float)
 
 
@@ -153,25 +153,19 @@ def _response_from_args(args) -> ft.AnalyticResponse:
     return ft.polynomial(*coeffs)
 
 
-def _load_model(args):
+def _load_model(args, inputs: dict):
+    """The model --model-filter, --rules or --response names; a file read enters inputs."""
     if args.model_filter:
-        return ft.load_filter(args.model_filter), [args.model_filter]
+        return ft.load_filter(args.model_filter, _read_input(args.model_filter, inputs))
     if args.rules:
-        return rl.load_templates(args.rules), [args.rules]
-    return _response_from_args(args), []
+        return rl.load_templates(args.rules, _read_input(args.rules, inputs))
+    return _response_from_args(args)
 
 
 def _load_operator(args, raw: bytes) -> gr.Laplacian:
     """The Laplacian of the graph file whose bytes are raw, as --graph-kind and --variant say."""
     g = gr.load_graph(raw, kind=args.graph_kind)
     return gr.build_laplacian(g, variant=args.variant)
-
-
-def _read_graph(path) -> tuple[bytes, str]:
-    """A graph file's bytes and their SHA-256: each graph is read and hashed once per
-    command, so the digest a manifest records is that of the bytes parsed."""
-    raw = Path(path).read_bytes()
-    return raw, hashlib.sha256(raw).hexdigest()
 
 
 _OPERATOR_FILE = "operator.npz"
@@ -231,8 +225,8 @@ def _stored_estimate(f: ft.ChebyshevFilter, lap: gr.Laplacian,
 
 
 def cmd_fit(args) -> tuple[dict, dict, str]:
-    raw, source = _read_graph(args.graph)
-    lap = _load_operator(args, raw)
+    inputs = {}
+    lap = _load_operator(args, _read_input(args.graph, inputs))
     estimate = _lambda_max(lap)
     response = _response_from_args(args)
     fitted = ft.fit_chebyshev(response, args.order, estimate.value)
@@ -240,36 +234,35 @@ def cmd_fit(args) -> tuple[dict, dict, str]:
     fitted = replace(fitted, bound=estimate,
                      graph_sha256=gr.graph_sha256(lap, args.graph_kind, estimate.value))
     return ({"filter.json": fitted.to_json() + "\n",
-             _OPERATOR_FILE: lambda file: _write_operator(file, lap, source)},
-            {args.graph: source},
+             _OPERATOR_FILE: lambda file: _write_operator(file, lap, inputs[args.graph])},
+            inputs,
             f"fit order={args.order} lambda_max={gr.float_text(estimate.value)} "
             f"lambda_bound={estimate.method} grid_error={error:.3e}")
 
 
 def cmd_infer(args) -> tuple[dict, dict, str]:
-    raw, source = _read_graph(args.graph)
+    inputs = {}
+    raw = _read_input(args.graph, inputs)
     try:
-        f = ft.load_filter(args.filter)
+        f = ft.load_filter(args.filter, _read_input(args.filter, inputs))
     except (OSError, ValueError, OverflowError):
         gr.load_graph(raw, kind=args.graph_kind)  # a bad graph is reported before a bad filter
         raise
     # the operator fit stored beside the filter serves when it is the one the filter was
     # bounded on; otherwise the graph is parsed and assembled
-    lap = _compiled_operator(Path(args.filter).with_name(_OPERATOR_FILE), source,
+    lap = _compiled_operator(Path(args.filter).with_name(_OPERATOR_FILE), inputs[args.graph],
                              args.variant) if f.bound is not None else None
     stored = None if lap is None else _stored_estimate(f, lap, args.graph_kind)
     if stored is None:
         lap = _load_operator(args, raw)
         stored = _stored_estimate(f, lap, args.graph_kind)
     n = lap.node_count
-    inputs = {args.graph: source, args.filter: None, args.beliefs: None}
     rb = None
     if args.rulebase:
-        rb = rl.load_rulebase(args.rulebase)
+        rb = rl.load_rulebase(args.rulebase, _read_input(args.rulebase, inputs))
         if len(rb.atoms) != n:
             raise ValueError(f"rulebase names {len(rb.atoms)} atoms but the graph has {n} nodes")
-        inputs[args.rulebase] = None
-    x = _read_beliefs(args.beliefs)
+    x = _read_beliefs(args.beliefs, _read_input(args.beliefs, inputs))
     estimate = _lambda_max(lap, stored)
     if not ft.lambda_max_matches(f.lambda_max, estimate.value):
         raise ValueError(
@@ -326,10 +319,10 @@ def _train_plan(config: dict) -> dict:
 
 
 def cmd_train(args) -> tuple[dict, dict, str]:
-    plan = read_json(args.config, _TRAIN, _train_plan)
+    inputs = {}
+    plan = read_json(args.config, _read_input(args.config, inputs), _TRAIN, _train_plan)
     order, penalties = plan["order"], plan["penalties"]
-    raw, source = _read_graph(args.graph)
-    lap = _load_operator(args, raw)
+    lap = _load_operator(args, _read_input(args.graph, inputs))
     estimate = _lambda_max(lap)
     lt = gr.scale_laplacian(lap, estimate.value)
     teacher = ft.fit_chebyshev(plan["teacher"], order, estimate.value)
@@ -357,8 +350,8 @@ def cmd_train(args) -> tuple[dict, dict, str]:
     first, last = result.history[0][1], result.history[-1][1]
     return ({"filter.json": model.to_json() + "\n",
              "history.csv": tr.history_to_csv(result.history),
-             _OPERATOR_FILE: lambda file: _write_operator(file, lap, source)},
-            {args.graph: source, args.config: None},
+             _OPERATOR_FILE: lambda file: _write_operator(file, lap, inputs[args.graph])},
+            inputs,
             f"train epochs={len(result.history)} initial_loss={first:.6e} final_loss={last:.6e}")
 
 
@@ -380,8 +373,9 @@ def cmd_gen(args) -> tuple[dict, dict, str]:
 
 
 def cmd_eval(args) -> tuple[dict, dict, str]:
-    model, extra_inputs = _load_model(args)
-    instances = [tg.load_task(p) for p in args.tasks]
+    inputs = {}
+    model = _load_model(args, inputs)
+    instances = [tg.load_task(path, _read_input(path, inputs)) for path in args.tasks]
     perturb = analysis.PerturbConfig(band=args.perturb_band, magnitude=args.perturb_magnitude,
                                      seed=args.perturb_seed)
     cfg = tg.EvalConfig(threshold=args.threshold, variant=args.variant,
@@ -390,18 +384,17 @@ def cmd_eval(args) -> tuple[dict, dict, str]:
         report = tg.evaluate(model, instances, cfg)
     except tg.IntervalError as exc:
         raise ValueError(f"{args.tasks[exc.index]}: {exc}") from None
-    return ({"eval.csv": report.to_csv()},
-            dict.fromkeys(list(args.tasks) + extra_inputs),
+    return ({"eval.csv": report.to_csv()}, inputs,
             f"eval model={report.model} accuracy={report.accuracy:.4f} "
             f"agreement={report.proof_band_agreement:.4f}")
 
 
 def cmd_attribute(args) -> tuple[dict, dict, str]:
-    raw, source = _read_graph(args.graph)
-    lap = _load_operator(args, raw)
-    model, extra_inputs = _load_model(args)
+    inputs = {}
+    lap = _load_operator(args, _read_input(args.graph, inputs))
+    model = _load_model(args, inputs)
     basis = gr.eigendecompose(lap)
-    x = _read_beliefs(args.beliefs)
+    x = _read_beliefs(args.beliefs, _read_input(args.beliefs, inputs))
     y = np.asarray(tg.as_response(model, basis, x), dtype=float)
     partition = analysis.equal_bands(basis, args.bands)
     report = analysis.band_energy(basis, y, partition)
@@ -412,15 +405,14 @@ def cmd_attribute(args) -> tuple[dict, dict, str]:
     header = ["instance", *(f"edge{b}" for b in edges), *(f"band{b}_energy" for b in bands),
               *(f"band{b}_fraction" for b in bands), "bound"]
     row = (0, *partition.edges, *report.energies, *report.fractions, bound)
-    return ({"attribution.csv": gr.csv_text(header, [row])},
-            {**dict.fromkeys([args.beliefs] + extra_inputs), args.graph: source},
+    return ({"attribution.csv": gr.csv_text(header, [row])}, inputs,
             f"attribute bands={partition.n_bands} bound={gr.float_text(bound)}")
 
 
 def cmd_perturb(args) -> tuple[dict, dict, str]:
-    raw, source = _read_graph(args.graph)
-    basis = gr.eigendecompose(_load_operator(args, raw))
-    x = _read_beliefs(args.beliefs)
+    inputs = {}
+    basis = gr.eigendecompose(_load_operator(args, _read_input(args.graph, inputs)))
+    x = _read_beliefs(args.beliefs, _read_input(args.beliefs, inputs))
     partition = analysis.equal_bands(basis, args.bands)
     perturbed = analysis.spectral_perturb(basis, x, args.band, args.magnitude,
                                           partition=partition, seed=args.seed)
@@ -429,24 +421,22 @@ def cmd_perturb(args) -> tuple[dict, dict, str]:
     rows = zip(range(partition.n_bands), before.energies, after.energies)
     return ({"perturbed.txt": "".join(gr.float_text(v) + "\n" for v in perturbed),
              "perturb.csv": gr.csv_text(("band", "clean_energy", "perturbed_energy"), rows)},
-            {args.beliefs: None, args.graph: source},
-            f"perturb band={args.band} magnitude={gr.float_text(args.magnitude)}")
+            inputs, f"perturb band={args.band} magnitude={gr.float_text(args.magnitude)}")
 
 
 def cmd_transfer(args) -> tuple[dict, dict, str]:
-    profiles, digests = [], {}
+    profiles, inputs = [], {}
     for graph_path, belief_path in ((args.source_graph, args.source_beliefs),
                                     (args.target_graph, args.target_beliefs)):
-        raw, digests[graph_path] = _read_graph(graph_path)
-        basis = gr.eigendecompose(_load_operator(args, raw))
-        x = _read_beliefs(belief_path)
+        basis = gr.eigendecompose(_load_operator(args, _read_input(graph_path, inputs)))
+        x = _read_beliefs(belief_path, _read_input(belief_path, inputs))
         xhat = np.asarray(gr.gft(basis, x), dtype=float)
         profiles.append(analysis.cospectral_profile(basis.eigenvalues, xhat, points=args.points))
     loss = analysis.cospectral_loss(profiles[0], profiles[1])
     rows = zip(range(args.points), *profiles)
     return ({"profiles.csv": gr.csv_text(("index", "source", "target"), rows),
              "transfer.csv": gr.csv_text(("points", "profile_loss"), [(args.points, loss)])},
-            {**dict.fromkeys([args.source_beliefs, args.target_beliefs]), **digests},
+            inputs,
             f"transfer points={args.points} loss={gr.float_text(loss)}")
 
 
@@ -570,8 +560,6 @@ def main(argv=None) -> int:
         # a value past the float range is refused where it would be written, in one line
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             files, inputs, summary = args.func(args)
-        # hashed before any write: an input that is also an output is recorded as it was read
-        inputs = {path: digest or _sha256(path) for path, digest in inputs.items()}
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for name, content in files.items():

@@ -13,13 +13,14 @@ from __future__ import annotations
 import hashlib
 import io
 import math
-import os
 import re
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from ._schema import decode_text
 
 LAMBDA_SAFETY_MARGIN = 1.01
 _LANCZOS_TOL = 1e-5  # relative Ritz residual at which the Lanczos value is taken
@@ -423,21 +424,16 @@ def loadtxt_ascii(text: str, **kwargs):
         return None
 
 
-def load_graph(source, kind: str = "unsigned") -> Graph:
-    """Parse the plain edge-list format.
+def load_graph(raw: bytes, kind: str = "unsigned") -> Graph:
+    """Parse the plain edge-list format from a file's bytes.
 
     The first significant line is "N M"; the next M significant lines are
     "i j w" with zero-based endpoints. Blank lines and lines starting with
-    '#' are skipped. ``source`` is a filesystem path or a file's bytes, decoded
-    as opening its path would; anything else raises TypeError. Errors report
-    1-based line numbers of the raw input; only input that fails to load is read
-    line by line, to find that line; only an input short of lines counts them all.
+    '#' are skipped. Errors report 1-based line numbers of the raw input; only
+    input that fails to load is read line by line, to find that line; only an
+    input short of lines counts them all.
     """
-    if isinstance(source, bytes):
-        text = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8").read()
-    else:
-        with open(os.fspath(source), "r", encoding="utf-8") as fh:  # no file descriptor
-            text = fh.read()
+    text = decode_text(raw)
     stream = io.StringIO(text)
     significant = ((no, stripped) for no, raw in enumerate(stream, start=1)
                    if (stripped := raw.strip()) and not stripped.startswith("#"))

@@ -39,14 +39,17 @@ from .rules import CLAUSE, HornClause, RuleBase, RuleSet, forward_chain, rulebas
 _SMOOTH_TAU = 2.0  # diffusion time of a contradiction task's background; task.json records it
 
 
-def random_gnp(n: int, p: float, seed=0) -> Graph:
-    """Erdos-Renyi graph with unit weights, edges drawn on the upper triangle."""
+def random_gnp(n: int, p, seed=0) -> Graph:
+    """Unit-weight graph whose edges are drawn on the upper triangle, pair (i, j) in
+    np.triu_indices order with probability p: one value, or one per pair."""
     if n < 1:
         raise ValueError("need at least one node")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    rng = np.random.default_rng(seed)
     rows, cols = np.triu_indices(n, k=1)
+    p = np.broadcast_to(np.asarray(p, dtype=float), rows.shape)
+    bad = ~((p >= 0.0) & (p <= 1.0))
+    if bad.any():
+        raise ValueError(f"edge probability must be in [0, 1], got {p[bad][0]}")
+    rng = np.random.default_rng(seed)
     keep = rng.random(rows.size) < p
     return Graph(n, columns=(rows[keep], cols[keep], np.ones(np.count_nonzero(keep))))
 
@@ -152,14 +155,8 @@ def gen_community_task(n: int = 200, intra_p: float = 0.08, inter_p: float = 0.0
     rng = np.random.default_rng(seed)
     half = n // 2
     rows, cols = np.triu_indices(n, k=1)
-    same = (rows < half) == (cols < half)
-    prob = np.where(same, intra_p, inter_p)
-
-    def draw() -> Graph:
-        keep = rng.random(rows.size) < prob
-        return Graph(n, columns=(rows[keep], cols[keep], np.ones(np.count_nonzero(keep))))
-
-    g = _connected(draw, "community graph")
+    prob = np.where((rows < half) == (cols < half), intra_p, inter_p)
+    g = _connected(lambda: random_gnp(n, prob, rng), "community graph")
 
     per_side = min(half, max(1, int(round(seed_fraction * n))))
     seeds_a = rng.choice(half, size=per_side, replace=False)
@@ -275,8 +272,8 @@ _TASK = {"kind": Default(str, ""), "seed": Default(int, 0), "params": Default(Ma
          "atoms": Default(Nullable([str]), None), "clauses": Default(Nullable([CLAUSE]), None)}
 
 
-def load_task(path) -> TaskInstance:
-    return read_json(path, _TASK, _task_from_dict)
+def load_task(name, raw: bytes) -> TaskInstance:
+    return read_json(name, raw, _TASK, _task_from_dict)
 
 
 def _task_from_dict(payload: dict) -> TaskInstance:
@@ -459,7 +456,7 @@ def evaluate(model, instances, config: EvalConfig | None = None) -> EvalReport:
             raise
     times, scores, perturbed, reports = zip(*outcomes)
     accuracy = float(np.mean(scores))
-    latency_ms = float(np.median(np.concatenate(times)) * 1000.0)
+    latency_ms = _median(np.concatenate(times)) * 1000.0
 
     energies = np.zeros(reports[0].partition.n_bands)
     for report in reports:
@@ -481,6 +478,14 @@ def evaluate(model, instances, config: EvalConfig | None = None) -> EvalReport:
                       robustness_drop=drop, proof_band_agreement=agreement,
                       band_energies=tuple(float(e) for e in energies),
                       band_fractions=tuple(float(f) for f in fractions))
+
+
+def _median(samples) -> float:
+    """The middle of the sorted samples, the mean of the two middle ones for an even count:
+    np.median's value, without the numpy.ma import it costs."""
+    ordered = sorted(map(float, samples))
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def timing_sweep(kind: str = "edges", base_edges: int = 4000, base_order: int = 8,
@@ -521,5 +526,5 @@ def timing_sweep(kind: str = "edges", base_edges: int = 4000, base_order: int = 
             start = time.perf_counter()
             ft.cheb_apply(f, lt, x)
             taken.append(time.perf_counter() - start)
-    return [(order, edges, float(np.median(taken)))
+    return [(order, edges, _median(taken))
             for (order, edges, _, _, _), taken in zip(points, samples)]
