@@ -1,30 +1,29 @@
 """Command line front end.
 
-This is the one module that reads files. Every subcommand reads each input once, as
-bytes, through _read_input, which records their SHA-256; the library parses those same
-bytes, so an input may be a pipe. A subcommand writes nothing: it returns its files
-(name to text, or to a function that writes bytes to an open binary file), its inputs
-(path to the digest of the bytes parsed) and a summary. main then makes --out-dir, so
-a refused run leaves none, replaces each file in it through a .tmp sibling, writes
-manifest.json (the arguments and input digests) last and prints the summary.
+This is the one module that reads files, and it parses none. A subcommand reads each
+input path once, as bytes, however often it names it, through _read_input, which records
+their SHA-256; the library parses those bytes, so an input may be a pipe. It writes
+nothing: it returns its files (name to text, or to a function that writes bytes to an open
+binary file), its inputs (path to the digest and the bytes parsed) and a summary. main
+then makes --out-dir, so a refused run leaves none, replaces each file in it through a
+.tmp sibling, writes manifest.json (the arguments and input digests) last and prints the
+summary.
 Outputs are byte-identical across re-runs with the same inputs and seeds;
 wall-clock latency columns are the one documented exception.
 
 fit and train also write operator.npz beside filter.json: the product layout
-build_laplacian assembled the Laplacian in, and the digest of the graph file. When that digest is the --graph file's and the filter's
-graph_sha256 fingerprints the stored layout, infer loads it in place of parsing
-the same graph again, scales it in place and runs its products on it. An older
-operator.npz, which held CSR arrays, names no layout: infer takes the text path
-and writes the same bytes.
+build_laplacian assembled the Laplacian in, and the digest of the graph file. When that
+digest is the --graph file's and the filter's graph_sha256 fingerprints the stored layout,
+infer loads it in place of parsing the same graph again, scales it in place and runs its
+products on it. An older operator.npz, which held CSR arrays, names no layout: infer takes
+the text path and writes the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
-import math
 import os
 import sys
 import zipfile
@@ -35,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, filters as ft, graph as gr, rules as rl, taskgen as tg, training as tr
-from ._schema import Default, Nullable, decode_text, read_json
+from ._schema import Default, Nullable, read_json
 
 
 def _atomic_write(path: Path, content) -> None:
@@ -56,51 +55,25 @@ def _atomic_write(path: Path, content) -> None:
 
 
 def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: dict) -> None:
-    """manifest.json; inputs maps each input path to its digest."""
+    """manifest.json; inputs maps each input path to (its digest, its bytes)."""
     # out_dir stays out of the manifest so runs into different directories
     # compare byte-identical
     arguments = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out_dir")}
     payload = {
         "command": args.command,
         "arguments": arguments,
-        "inputs": inputs,
+        "inputs": {path: digest for path, (digest, _) in inputs.items()},
     }
     _atomic_write(out_dir / "manifest.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _read_input(path, inputs: dict) -> bytes:
-    """The bytes of the input file at path, read once; inputs[path] becomes their SHA-256,
-    so the digest a manifest records is that of the bytes parsed, a pipe's too."""
-    raw = Path(path).read_bytes()
-    inputs[path] = hashlib.sha256(raw).hexdigest()
-    return raw
-
-
-def _read_beliefs(name, raw: bytes) -> np.ndarray:
-    text = decode_text(raw)
-    values = gr.loadtxt_ascii(text, ndmin=2, dtype=float)
-    if values is not None and values.shape[1] == 1 and values.size and np.isfinite(values).all():
-        return values[:, 0]
-    return _belief_lines(name, text)
-
-
-def _belief_lines(name, text: str) -> np.ndarray:
-    """Beliefs read line by line, one float per line; names the first bad line."""
-    values = []
-    for no, raw in enumerate(io.StringIO(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            value = float(line)
-        except ValueError:
-            raise ValueError(f"{name}: line {no}: expected one float, got {line!r}") from None
-        if not math.isfinite(value):
-            raise ValueError(f"{name}: line {no}: belief {line!r} is not finite")
-        values.append(value)
-    if not values:
-        raise ValueError(f"{name}: no belief values found")
-    return np.asarray(values, dtype=float)
+    """The bytes of the input file at path, read and hashed at a command's first naming of it:
+    inputs[path] keeps (their SHA-256, the bytes), so a path named again, a pipe too, gives them."""
+    if path not in inputs:
+        raw = Path(path).read_bytes()
+        inputs[path] = (hashlib.sha256(raw).hexdigest(), raw)
+    return inputs[path][1]
 
 
 def _predicates_text(y: np.ndarray, predicates: rl.PredicateVector) -> str:
@@ -234,7 +207,7 @@ def cmd_fit(args) -> tuple[dict, dict, str]:
     fitted = replace(fitted, bound=estimate,
                      graph_sha256=gr.graph_sha256(lap, args.graph_kind, estimate.value))
     return ({"filter.json": fitted.to_json() + "\n",
-             _OPERATOR_FILE: lambda file: _write_operator(file, lap, inputs[args.graph])},
+             _OPERATOR_FILE: lambda file: _write_operator(file, lap, inputs[args.graph][0])},
             inputs,
             f"fit order={args.order} lambda_max={gr.float_text(estimate.value)} "
             f"lambda_bound={estimate.method} grid_error={error:.3e}")
@@ -250,8 +223,8 @@ def cmd_infer(args) -> tuple[dict, dict, str]:
         raise
     # the operator fit stored beside the filter serves when it is the one the filter was
     # bounded on; otherwise the graph is parsed and assembled
-    lap = _compiled_operator(Path(args.filter).with_name(_OPERATOR_FILE), inputs[args.graph],
-                             args.variant) if f.bound is not None else None
+    lap = _compiled_operator(Path(args.filter).with_name(_OPERATOR_FILE),
+                             inputs[args.graph][0], args.variant) if f.bound is not None else None
     stored = None if lap is None else _stored_estimate(f, lap, args.graph_kind)
     if stored is None:
         lap = _load_operator(args, raw)
@@ -262,7 +235,7 @@ def cmd_infer(args) -> tuple[dict, dict, str]:
         rb = rl.load_rulebase(args.rulebase, _read_input(args.rulebase, inputs))
         if len(rb.atoms) != n:
             raise ValueError(f"rulebase names {len(rb.atoms)} atoms but the graph has {n} nodes")
-    x = _read_beliefs(args.beliefs, _read_input(args.beliefs, inputs))
+    x = gr.load_beliefs(args.beliefs, _read_input(args.beliefs, inputs))
     estimate = _lambda_max(lap, stored)
     if not ft.lambda_max_matches(f.lambda_max, estimate.value):
         raise ValueError(
@@ -350,7 +323,7 @@ def cmd_train(args) -> tuple[dict, dict, str]:
     first, last = result.history[0][1], result.history[-1][1]
     return ({"filter.json": model.to_json() + "\n",
              "history.csv": tr.history_to_csv(result.history),
-             _OPERATOR_FILE: lambda file: _write_operator(file, lap, inputs[args.graph])},
+             _OPERATOR_FILE: lambda file: _write_operator(file, lap, inputs[args.graph][0])},
             inputs,
             f"train epochs={len(result.history)} initial_loss={first:.6e} final_loss={last:.6e}")
 
@@ -394,7 +367,7 @@ def cmd_attribute(args) -> tuple[dict, dict, str]:
     lap = _load_operator(args, _read_input(args.graph, inputs))
     model = _load_model(args, inputs)
     basis = gr.eigendecompose(lap)
-    x = _read_beliefs(args.beliefs, _read_input(args.beliefs, inputs))
+    x = gr.load_beliefs(args.beliefs, _read_input(args.beliefs, inputs))
     y = np.asarray(tg.as_response(model, basis, x), dtype=float)
     partition = analysis.equal_bands(basis, args.bands)
     report = analysis.band_energy(basis, y, partition)
@@ -412,7 +385,7 @@ def cmd_attribute(args) -> tuple[dict, dict, str]:
 def cmd_perturb(args) -> tuple[dict, dict, str]:
     inputs = {}
     basis = gr.eigendecompose(_load_operator(args, _read_input(args.graph, inputs)))
-    x = _read_beliefs(args.beliefs, _read_input(args.beliefs, inputs))
+    x = gr.load_beliefs(args.beliefs, _read_input(args.beliefs, inputs))
     partition = analysis.equal_bands(basis, args.bands)
     perturbed = analysis.spectral_perturb(basis, x, args.band, args.magnitude,
                                           partition=partition, seed=args.seed)
@@ -429,7 +402,7 @@ def cmd_transfer(args) -> tuple[dict, dict, str]:
     for graph_path, belief_path in ((args.source_graph, args.source_beliefs),
                                     (args.target_graph, args.target_beliefs)):
         basis = gr.eigendecompose(_load_operator(args, _read_input(graph_path, inputs)))
-        x = _read_beliefs(belief_path, _read_input(belief_path, inputs))
+        x = gr.load_beliefs(belief_path, _read_input(belief_path, inputs))
         xhat = np.asarray(gr.gft(basis, x), dtype=float)
         profiles.append(analysis.cospectral_profile(basis.eigenvalues, xhat, points=args.points))
     loss = analysis.cospectral_loss(profiles[0], profiles[1])

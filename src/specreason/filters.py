@@ -232,10 +232,9 @@ def fit_chebyshev(response, order: int, lambda_max: float) -> ChebyshevFilter:
     return ChebyshevFilter(theta=theta, lambda_max=lambda_max)
 
 
-def fit_grid_error(f: ChebyshevFilter, response, lambda_max: float | None = None) -> float:
-    """Sup-norm fit error max |f - response| on a uniform grid of 1000 eigenvalues."""
-    top = f.lambda_max if lambda_max is None else float(lambda_max)
-    grid = np.linspace(0.0, top, 1000)
+def fit_grid_error(f: ChebyshevFilter, response) -> float:
+    """Sup-norm fit error max |f - response| on 1000 evenly spaced points of [0, lambda_max]."""
+    grid = np.linspace(0.0, f.lambda_max, 1000)
     return float(np.max(np.abs(response_eval(f, grid) - response_eval(response, grid))))
 
 

@@ -406,7 +406,7 @@ def csv_text(header, rows) -> str:
                    + "\n" for row in [header, *rows])
 
 
-def loadtxt_ascii(text: str, **kwargs):
+def _loadtxt_ascii(text: str, **kwargs):
     """``np.loadtxt`` over ``text`` in one pass, or None where only a line-by-line read can tell.
 
     loadtxt converts a field as int() and float() do, or refuses it; it misreads some
@@ -424,6 +424,12 @@ def loadtxt_ascii(text: str, **kwargs):
         return None
 
 
+def _significant_lines(stream: io.StringIO):
+    """(number from 1, stripped text) of each line of stream not blank nor a '#' comment."""
+    return ((no, stripped) for no, raw in enumerate(stream, start=1)
+            if (stripped := raw.strip()) and not stripped.startswith("#"))
+
+
 def load_graph(raw: bytes, kind: str = "unsigned") -> Graph:
     """Parse the plain edge-list format from a file's bytes.
 
@@ -435,8 +441,7 @@ def load_graph(raw: bytes, kind: str = "unsigned") -> Graph:
     """
     text = decode_text(raw)
     stream = io.StringIO(text)
-    significant = ((no, stripped) for no, raw in enumerate(stream, start=1)
-                   if (stripped := raw.strip()) and not stripped.startswith("#"))
+    significant = _significant_lines(stream)
     head_no, head = next(significant, (None, None))
     if head is None:
         raise EdgeListError(_last_line_no(text), "missing header line")
@@ -446,8 +451,8 @@ def load_graph(raw: bytes, kind: str = "unsigned") -> Graph:
         raise EdgeListError(head_no, f"header must be two integers 'N M', got {head!r}") from None
     if n < 1 or m < 0:
         raise EdgeListError(head_no, f"need N > 0 nodes and M >= 0 edges, got {head!r}")
-    columns = loadtxt_ascii(text[stream.tell():], ndmin=1, unpack=True,
-                            dtype=[("i", np.int64), ("j", np.int64), ("w", float)])
+    columns = _loadtxt_ascii(text[stream.tell():], ndmin=1, unpack=True,
+                             dtype=[("i", np.int64), ("j", np.int64), ("w", float)])
     if columns is not None and columns[0].size == m:
         try:
             return Graph(n, kind=kind, columns=columns)
@@ -473,6 +478,26 @@ def load_graph(raw: bytes, kind: str = "unsigned") -> Graph:
         no, line = lines[len(edges)]
         raise EdgeListError(no, f"could not parse edge line {line!r} as 'i j w'")
     return graph
+
+
+def load_beliefs(name, raw: bytes) -> np.ndarray:
+    """Parse a belief file's bytes: one finite float per significant line, as load_graph
+    counts lines. Only input that fails to load is read line by line, to name its bad line."""
+    text = decode_text(raw)
+    values = _loadtxt_ascii(text, ndmin=2, dtype=float)
+    if values is not None and values.shape[1] == 1 and values.size and np.isfinite(values).all():
+        return values[:, 0]
+    beliefs = []
+    for no, line in _significant_lines(io.StringIO(text)):
+        try:
+            beliefs.append(float(line))
+        except ValueError:
+            raise ValueError(f"{name}: line {no}: expected one float, got {line!r}") from None
+        if not math.isfinite(beliefs[-1]):
+            raise ValueError(f"{name}: line {no}: belief {line!r} is not finite")
+    if not beliefs:
+        raise ValueError(f"{name}: no belief values found")
+    return np.asarray(beliefs, dtype=float)
 
 
 def _last_line_no(text: str) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import filters as ft
 from .analysis import BandPartition, band_energy, equal_bands
-from .graph import ScaledLaplacian, SpectralBasis, belief_values, csv_text
+from .graph import DENSE_CAP, ScaledLaplacian, SpectralBasis, belief_values, csv_text
 
 GATING_FEATURES = ("total_energy", "low_band_fraction", "mid_band_fraction",
                    "high_band_fraction", "node_count")
@@ -35,12 +35,12 @@ class DivergenceError(RuntimeError):
 
 
 def grad_scaled_laplacian(dLdy, theta, trace: np.ndarray, lt: ScaledLaplacian) -> np.ndarray:
-    """Exact reverse-mode gradient of the loss w.r.t. the scaled operator.
+    """Exact reverse-mode gradient of the loss w.r.t. the scaled operator; refused past DENSE_CAP.
 
-    Walks the recurrence b_k = 2 Lt b_{k-1} - b_{k-2} backwards, pushing
-    adjoints down and accumulating outer products; the result is
-    symmetrized because the operator is constrained symmetric. trace holds
-    b_0 .. b_K as rows, as ``cheb_apply(..., keep_trace=True)`` returns it.
+    Walks the recurrence b_k = 2 Lt b_{k-1} - b_{k-2} backwards, pushing adjoints down;
+    the gradient is one product, adj_1 b_0^T + sum_{k >= 2} 2 adj_k b_{k-1}^T, symmetrized
+    as the operator is constrained symmetric. trace holds b_0 .. b_K as rows, as
+    ``cheb_apply(..., keep_trace=True)`` returns it.
     """
     g = belief_values(dLdy, trace.shape[1])
     theta = np.asarray(theta, dtype=float)
@@ -48,14 +48,15 @@ def grad_scaled_laplacian(dLdy, theta, trace: np.ndarray, lt: ScaledLaplacian) -
     if theta.size != order + 1:
         raise ValueError("theta length does not match the trace")
     n = g.size
+    if n > DENSE_CAP:
+        raise ValueError(f"dense operator gradient refused for {n} > {DENSE_CAP} nodes")
     adj = [theta[k] * g for k in range(order + 1)]
-    grad = np.zeros((n, n))
-    for k in range(order, 1, -1):
-        grad += 2.0 * np.outer(adj[k], trace[k - 1])
+    for k in range(order, 1, -1):  # adj_k is final once steps k + 1 and k + 2 have run
         adj[k - 1] = adj[k - 1] + 2.0 * (lt @ adj[k])
         adj[k - 2] = adj[k - 2] - adj[k]
-    if order >= 1:
-        grad += np.outer(adj[1], trace[0])
+    weighted = np.reshape(adj[1:], (order, n))
+    weighted[1:] *= 2.0
+    grad = weighted.T @ trace[:order]
     return 0.5 * (grad + grad.T)
 
 

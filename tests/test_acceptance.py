@@ -160,7 +160,7 @@ def test_criterion_04_chebyshev_convergence():
     errors = []
     for order in (2, 4, 8, 16):
         f = ft.fit_chebyshev(response, order, 2.0)
-        errors.append(ft.fit_grid_error(f, response, 2.0))
+        errors.append(ft.fit_grid_error(f, response))
     non_increasing = all(b <= a + 1e-15 for a, b in zip(errors, errors[1:]))
     verdict(4, "Chebyshev convergence for diffusion",
             errors[-1] <= 1e-6 and non_increasing,

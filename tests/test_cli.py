@@ -1453,7 +1453,7 @@ def line_loop_beliefs(path):
 
 def read_beliefs(path):
     """The belief file at path, parsed from its bytes as cli reads them."""
-    return cli._read_beliefs(path, Path(path).read_bytes())
+    return gr.load_beliefs(path, Path(path).read_bytes())
 
 
 def outcome(read, path):
@@ -1489,7 +1489,7 @@ class TestBeliefParse:
         expected = outcome(line_loop_beliefs, path)
         assert expected[0] == "ok"
         # the single pass reads it, not the line-by-line fallback
-        assert gr.loadtxt_ascii(path.read_text(encoding="utf-8"), ndmin=2, dtype=float) is not None
+        assert gr._loadtxt_ascii(path.read_text(encoding="utf-8"), ndmin=2, dtype=float) is not None
         assert outcome(read_beliefs, path) == expected
 
     @pytest.mark.parametrize("text", [
@@ -1650,6 +1650,48 @@ def test_a_piped_input_is_parsed_and_recorded_from_one_read(workdir, inputs, pip
     manifest = json.loads(Path("piped/manifest.json").read_text())
     assert manifest["inputs"][piped] == hashlib.sha256(data).hexdigest()
     assert manifest == json.loads(Path("file/manifest.json").read_text().replace(argv[k], piped))
+
+
+TRANSFER = ["transfer", "--source-graph", "p2.txt", "--source-beliefs", "beliefs.txt",
+            "--target-graph", "p2.txt", "--target-beliefs", "beliefs.txt"]
+REPEATED = {  # a command that names one input twice, and that input
+    "graphs": (TRANSFER, "p2.txt"),
+    "beliefs": (TRANSFER, "beliefs.txt"),
+    "tasks": (["eval", "--tasks", "gen/task.json", "gen/task.json", "--response", "identity",
+               "--latency-runs", "1"], "gen/task.json"),
+}
+
+
+@pytest.mark.parametrize("name", REPEATED)
+def test_a_pipe_named_twice_gives_both_namings_its_bytes(workdir, inputs, pipe, capsys, name):
+    # a second read of the pipe would get no bytes: "error: line 1: missing header line"
+    argv, path = REPEATED[name]
+    capsys.readouterr()
+    assert run(*argv, "--out-dir", "file") == 0
+    by_file = capsys.readouterr()
+    data = Path(path).read_bytes()
+    piped = pipe(data)
+    assert run(*[piped if arg == path else arg for arg in argv], "--out-dir", "piped") == 0
+    assert capsys.readouterr() == by_file
+    assert outputs("piped") == outputs("file")
+    manifest = json.loads(Path("piped/manifest.json").read_text())
+    assert manifest["inputs"][piped] == hashlib.sha256(data).hexdigest()
+    assert manifest == json.loads(Path("file/manifest.json").read_text().replace(path, piped))
+
+
+@pytest.mark.parametrize("name", REPEATED)
+def test_a_file_named_twice_is_read_once(workdir, inputs, monkeypatch, name):
+    argv, path = REPEATED[name]
+    reads = []
+    real = Path.read_bytes
+
+    def counted(self):
+        reads.append(str(self))
+        return real(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    assert run(*argv, "--out-dir", "out") == 0
+    assert reads.count(path) == 1
 
 
 def test_every_option_is_read(workdir, inputs):

@@ -1,5 +1,5 @@
-"""The committed sweep: a reduced record is reproducible, covers every command and every
-piped input option, and --compare names what differs."""
+"""The committed sweep: a reduced record is reproducible, covers every command, every group
+and every piped input option, and --compare names what differs."""
 
 import json
 import os
@@ -44,6 +44,9 @@ def test_reduced_sweep_runs_every_command(records):
     runs = json.loads(records[0].read_text())["runs"]
     every = next(a.choices for a in cli._build_parser()._actions if a.dest == "command")
     assert {run["argv"][0] for run in runs} == set(every)
+    groups = {group for group, _, _ in sweep.groups(reduced=True)}
+    assert {run["group"] for run in runs} == groups
+    assert {"large", "fallback", "refusals", "repeated"} <= groups
 
 
 def test_a_piped_run_differs_from_its_file_run_in_the_manifest_alone(records):

@@ -1,5 +1,6 @@
 """Gradients, penalties, expert mixtures, curricula, and the training loop."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -132,7 +133,68 @@ class TestGradTheta:
                 assert grad == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
+def outer_loop_grad(dLdy, theta, trace, lt):
+    """The operator gradient as it was formed before the single product, one n x n outer
+    product per step. Kept as the reference the product must agree with."""
+    g = np.asarray(dLdy, dtype=float)
+    order = len(trace) - 1
+    adj = [theta[k] * g for k in range(order + 1)]
+    grad = np.zeros((g.size, g.size))
+    for k in range(order, 1, -1):
+        grad += 2.0 * np.outer(adj[k], trace[k - 1])
+        adj[k - 1] = adj[k - 1] + 2.0 * (lt @ adj[k])
+        adj[k - 2] = adj[k - 2] - adj[k]
+    if order >= 1:
+        grad += np.outer(adj[1], trace[0])
+    return 0.5 * (grad + grad.T)
+
+
 class TestGradScaledLaplacian:
+    def test_one_product_matches_the_outer_product_loop(self):
+        # the graphs, orders and draws of acceptance criterion 03
+        rng = np.random.default_rng(33)
+        for seed in range(20):
+            n = int(rng.integers(6, 13))
+            lap = gr.build_laplacian(random_gnp(n, 0.5, seed=2000 + seed))
+            lmax = gr.estimate_lambda_max(lap).value
+            lt = gr.scale_laplacian(lap, lmax)
+            theta = rng.standard_normal(int(rng.integers(2, 9)) + 1)
+            x, target = rng.standard_normal(n), rng.standard_normal(n)
+            rng.standard_normal(n)  # the criterion's transfer reference
+            y, trace = ft.cheb_apply(ft.ChebyshevFilter(theta=theta, lambda_max=lmax), lt, x,
+                                     keep_trace=True)
+            _, dy = loss_and_grad_y(y, target)
+            reference = outer_loop_grad(dy, theta, trace, lt)
+            grad = tr.grad_scaled_laplacian(dy, theta, trace, lt)
+            assert np.max(np.abs(grad - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_low_orders_match_the_outer_product_loop(self, order):
+        lap, lt, lmax = operator(n=7, seed=3)
+        theta = np.arange(1.0, order + 2.0)
+        x, dy = np.linspace(-1.0, 1.0, 7), np.linspace(2.0, -0.5, 7)
+        _, trace = ft.cheb_apply(ft.ChebyshevFilter(theta=theta, lambda_max=lmax), lt, x,
+                                 keep_trace=True)
+        assert np.array_equal(tr.grad_scaled_laplacian(dy, theta, trace, lt),
+                              outer_loop_grad(dy, theta, trace, lt))
+
+    def test_refused_past_the_dense_cap_before_an_n_by_n_array(self):
+        n = gr.DENSE_CAP + 1
+        path = gr.Graph(n, columns=(np.arange(n - 1), np.arange(1, n), np.ones(n - 1)))
+        lt = gr.scale_laplacian(gr.build_laplacian(path), 4.0)
+        theta = np.ones(3)
+        _, trace = ft.cheb_apply(ft.ChebyshevFilter(theta=theta, lambda_max=4.0), lt,
+                                 np.ones(n), keep_trace=True)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^dense operator gradient refused for 2049 > "
+                                                 "2048 nodes$"):
+                tr.grad_scaled_laplacian(np.ones(n), theta, trace, lt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 // 100
+
     def test_matches_finite_differences_in_symmetric_directions(self):
         rng = np.random.default_rng(4)
         for seed in range(3):

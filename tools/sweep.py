@@ -12,8 +12,12 @@ tool records a parent and a change alike. The inputs are the awkward shapes of
 tools/awkward.py (both graph kinds, the three variants, the five responses, --rules and
 --model-filter models, beliefs of +-1.5^k and +-1e200), gen of the three kinds and eval
 of those tasks, train configs, bench, and one run per input option that reads its
-input from a pipe (/dev/fd/63) beside the same run reading the file. --reduced keeps
-two shapes and one of each of the rest: a few seconds.
+input from a pipe (/dev/fd/63) beside the same run reading the file. Four more groups
+reach what those leave out: a 1,100-node graph with a hub, whose products run both
+levels and the bincount tail (and infer's soft column); a 600-node unit path and a
+1,000-node path of mixed weights, on which lambda_max falls back to each bound; one
+refusal per message family of every input; and one path, then one pipe, named twice in
+one command. --reduced keeps two shapes and one of each of the rest: a few seconds.
 
 A record holds the BLAS thread settings and one entry per run: its group (the shape,
 or what the run covers), argv, exit code, stdout, stderr, the warnings it raised and
@@ -62,6 +66,53 @@ TRAIN_CONFIGS = {
 }
 STAR_FIT = ["fit", "--graph", "star.txt", "--response", "diffusion", "--tau", "0.01",
             "--out-dir", "star"]  # a filter whose interval covers every task's spectrum
+BIG_N = 1100  # past the 1,024 rows a level needs: three levels and, from the hub, a tail
+BIG = (f"{BIG_N} {BIG_N - 1 + len(range(10, BIG_N, 10))}\n"
+       + "".join(f"{k} {k + 1} {1 + k % 3}\n" for k in range(BIG_N - 1))
+       + "".join(f"0 {k} 1\n" for k in range(10, BIG_N, 10)))
+UNIT_PATH = "600 599\n" + "".join(f"{k} {k + 1} 1\n" for k in range(599))
+# unconverged too, but the Zhou-Li bound theta + beta lies below Gershgorin's
+MIXED_PATH = "1000 999\n" + "".join(f"{k} {k + 1} {1 + k % 3}\n" for k in range(999))
+LONG_PATH = "2049 2048\n" + "".join(f"{k} {k + 1} 1\n" for k in range(2048))
+TINY = "4 3\n0 1 0.01\n1 2 0.01\n2 3 0.01\n"  # lambda_max near 0.04: a filter for no other graph
+EDGE_LISTS = {  # name -> an edge list that load_graph refuses, or reads line by line
+    "empty": "", "comments-only": "# none\n\n", "header-words": "a b\n",
+    "header-zero": "0 0\n", "short": "3 2\n0 1 1\n", "trailing": "3 1\n0 1 1\n1 2 1\n",
+    "unparsable": "3 2\n0 1 1\n0 x 1\n", "past-int64": "3 1\n0 99999999999999999999 1\n",
+    "hash-after-data": "3 1\n0 1 1 # c\n", "invalid-before-unparsable": "3 2\n0 5 1\n0 x 1\n",
+    "self-loop": "3 1\n1 1 1\n", "out-of-range": "3 1\n0 3 1\n",
+    "duplicate": "3 2\n0 1 1\n1 0 2\n", "non-finite": "3 1\n0 1 inf\n",
+    "zero-weight": "3 1\n0 1 0\n", "negative": "3 1\n0 1 -1\n",
+    "arabic-digit": "# one edge\n3 1\n0 1 \u0661\n", "not-utf8": "3 1\n0 1 \udcff\n",
+}
+BELIEF_FILES = {  # name -> a 4-node belief file that load_beliefs refuses, or reads line by line
+    "not-a-float": "1\nx\n1\n1\n", "two-floats": "1 2\n3 4\n", "non-finite": "1\ninf\n1\n1\n",
+    "none": "# none\n\n", "too-few": "1\n2\n3\n", "hash-after-data": "1\n1.0 # c\n1\n1\n",
+    "arabic-digit": "\u0661\n2\n# c\n3\n4\n", "not-utf8": "1\n\udcff\n",
+}
+JSON_INPUTS = {  # name -> (option, document): one per refusal of the strict JSON reader
+    "truncated": ("--config", '{"order": 4'),
+    "wrong-type": ("--config", '{"epochs": "ten"}'),
+    "repeated": ("--config", '{"epochs": 20, "epochs": 0}'),
+    "nested-unknown": ("--config", '{"penalties": {"rule_consistency": 0}}'),
+    "negative-order": ("--config", '{"order": -1}'),
+    "no-examples": ("--config", '{"examples": 0}'),
+    "proof-bands": ("--config", '{"penalties": {"proof": 0.5}, "allowed_bands": [5]}'),
+    "missing-key": ("--rulebase", '{"atoms": ["n0", "n1", "n2", "n3"]}'),
+    "unknown-atom": ("--rulebase", '{"atoms": ["n0", "n1", "n2", "n3"], '
+                                   '"clauses": [{"body": ["n9"], "head": "n1"}]}'),
+    "few-atoms": ("--rulebase", '{"atoms": ["n0", "n1"], "clauses": []}'),
+    "not-a-list": ("--filter", '{"lambda_max": 2, "theta": 1}'),
+    "bad-template": ("--rules", '[{"name": "a", "kind": "nope", "params": []}]'),
+    "curriculum-entry": ("--config", '{"curriculum": [[0, "x"]]}'),
+    "task-edge": ("--tasks", '{"graph": {"n": 3, "edges": [[0, 1, 1], [1, 1, 1]]}, '
+                             '"beliefs": [1, 0, 0], "labels": [1, 0, 0]}'),
+    "task-endpoint": ("--tasks", '{"graph": {"n": 3, "edges": [[0, 1.5, 1]]}, '
+                                 '"beliefs": [1, 0, 0], "labels": [1, 0, 0]}'),
+    "task-no-nodes": ("--tasks", '{"graph": {"n": 0, "edges": []}, "beliefs": [], "labels": []}'),
+    "task-graph-kind": ("--tasks", '{"graph": {"n": 1, "edges": [], "kind": "odd"}, '
+                                   '"beliefs": [1], "labels": [1]}'),
+}
 GEN = {"community": ["--kind", "community", "--n", "40", "--intra-p", "0.4", "--inter-p", "0.02"],
        "contradiction": ["--kind", "contradiction", "--n", "40", "--base-p", "0.2",
                          "--planted", "4"],
@@ -125,9 +176,61 @@ def piped_runs() -> list[tuple[list[str], str]]:
     ]
 
 
+def large_runs() -> list[list[str]]:
+    """Every command that multiplies or decomposes the operator, on big.txt."""
+    graph = ["--graph", "big.txt"]
+    infer = ["infer", *graph, "--filter", "big/filter.json", "--beliefs", "big-x.txt",
+             "--temperature", "2"]
+    return [["fit", *graph, "--response", "diffusion", "--order", "12", "--out-dir", "big"],
+            [*infer, "--out-dir", "big-served"], [*infer, "--out-dir", "big-text"],
+            ["attribute", *graph, "--beliefs", "big-x.txt", "--response", "highpass",
+             "--out-dir", "big-attribute"],
+            ["perturb", *graph, "--beliefs", "big-x.txt", "--out-dir", "big-perturb"],
+            ["train", *graph, "--config", "train-small.json", "--out-dir", "big-train"]]
+
+
+def refusal_runs() -> list[list[str]]:
+    """One run per message family: of the edge lists, the belief files and the JSON
+    inputs; a missing file; fit without a response; a write that fails; a signed graph
+    under an unsigned variant; a rulebase of another size; a filter fit on another graph
+    and one past its interval; the dense cap; and infer past an operator.npz that names
+    other graph bytes or cannot be read, which takes the text path."""
+    infer = ["infer", "--graph", "g.txt", "--filter", "fit/filter.json", "--beliefs", "x.txt"]
+    runs = [["perturb", "--graph", "g.txt", "--beliefs", f"beliefs-{name}.txt",
+             "--out-dir", f"beliefs-{name}"] for name in BELIEF_FILES]
+    runs += [["fit", "--graph", f"edges-{name}.txt", "--response", "identity",
+              "--out-dir", f"edges-{name}"] for name in EDGE_LISTS]
+    runs += [["fit", "--graph", "g.txt", "--response", "diffusion", "--out-dir", "fit"],
+             ["fit", "--graph", "tiny.txt", "--response", "diffusion", "--out-dir", "tiny"],
+             ["gen", "--kind", "chain", "--depth", "3", "--out-dir", "task"]]
+    commands = {"--config": ["train", "--graph", "g.txt"], "--rulebase": infer,
+                "--filter": ["infer", "--graph", "g.txt", "--beliefs", "x.txt"],
+                "--rules": ["attribute", "--graph", "g.txt", "--beliefs", "x.txt"],
+                "--tasks": ["eval", "--response", "identity", "--latency-runs", "1"]}
+    for name, (option, _) in JSON_INPUTS.items():
+        runs.append([*commands[option], option, f"json-{name}.json", "--out-dir", f"json-{name}"])
+    return runs + [
+        ["fit", "--graph", "missing.txt", "--response", "identity", "--out-dir", "missing"],
+        ["fit", "--graph", "g.txt", "--out-dir", "no-response"],
+        ["fit", "--graph", "g.txt", "--response", "identity", "--out-dir", "taken"],
+        ["fit", "--graph", "signed.txt", "--graph-kind", "signed", "--variant", "normalized",
+         "--response", "identity", "--out-dir", "signed"],
+        ["infer", "--graph", "g.txt", "--filter", "tiny/filter.json", "--beliefs", "x.txt",
+         "--out-dir", "another-graph"],
+        ["attribute", "--graph", "g.txt", "--beliefs", "x.txt", "--model-filter",
+         "tiny/filter.json", "--out-dir", "past-interval"],
+        ["eval", "--tasks", "task/task.json", "--model-filter", "tiny/filter.json",
+         "--latency-runs", "1", "--out-dir", "eval-past-interval"],
+        ["attribute", "--graph", "long.txt", "--beliefs", "long-x.txt", "--response",
+         "identity", "--out-dir", "dense-cap"],
+        [*infer[:2], "commented.txt", *infer[3:], "--out-dir", "other-bytes"],
+        [*infer[:4], "corrupt/filter.json", *infer[5:], "--out-dir", "unreadable-operator"],
+    ]
+
+
 def groups(reduced: bool):
     """(group, write its inputs into the cwd, its runs); a run is argv, or (argv, option)
-    for a run whose option's file is read from a pipe."""
+    for a run that reads the file the option names from one pipe, each time it is named."""
     for shape in (REDUCED_SHAPES if reduced else AWKWARD):
         kind = AWKWARD[shape][1]
         yield shape, lambda shape=shape: write_inputs(Path.cwd(), shape), shape_runs(kind)
@@ -160,12 +263,57 @@ def groups(reduced: bool):
                  ([*option_argv, "--out-dir", f"piped-{name}"], option)]
     yield "pipes", pipe_inputs, runs
 
+    def large():
+        Path("big.txt").write_text(BIG)
+        Path("big-x.txt").write_text("".join(f"{(-1.5) ** (k % 5)}\n" for k in range(BIG_N)))
+
+    yield "large", large, large_runs()[:1] if reduced else large_runs()
+
+    def unit_path():
+        Path("g.txt").write_text(UNIT_PATH)
+        Path("x.txt").write_text("".join(f"{(-1) ** k}\n" for k in range(600)))
+        Path("mixed.txt").write_text(MIXED_PATH)
+
+    fallback = [["fit", "--graph", "g.txt", "--response", "diffusion", "--out-dir", "fit"],
+                ["infer", "--graph", "g.txt", "--filter", "fit/filter.json", "--beliefs", "x.txt",
+                 "--out-dir", "infer"],
+                ["fit", "--graph", "mixed.txt", "--response", "diffusion", "--out-dir", "mixed"]]
+    yield "fallback", unit_path, fallback[:1] if reduced else fallback
+
+    def refusal_inputs():
+        write_inputs(Path.cwd(), "path")
+        files = {"tiny.txt": TINY, "signed.txt": AWKWARD["signed path"][0], "long.txt": LONG_PATH,
+                 "long-x.txt": "1\n" * 2049, "commented.txt": "# the same graph\n" + PATH}
+        files.update((f"edges-{name}.txt", text) for name, text in EDGE_LISTS.items())
+        files.update((f"beliefs-{name}.txt", text) for name, text in BELIEF_FILES.items())
+        files.update((f"json-{name}.json", text) for name, (_, text) in JSON_INPUTS.items())
+        for name, text in files.items():  # a lone surrogate writes the byte it escapes
+            Path(name).write_bytes(text.encode("utf-8", "surrogateescape"))
+        # fit's filter beside an operator.npz that is no zip file
+        Path("corrupt").mkdir()
+        Path("corrupt/operator.npz").write_bytes(b"not a zip file")
+        Path("corrupt/filter.json").symlink_to(Path("..", "fit", "filter.json"))
+        Path("taken/filter.json").mkdir(parents=True)  # no file can replace a directory
+
+    runs = refusal_runs()
+    yield "refusals", refusal_inputs, runs[:1] if reduced else runs
+    transfer = ["transfer", "--source-graph", "g.txt", "--source-beliefs", "x.txt",
+                "--target-graph", "g.txt", "--target-beliefs", "x.txt", "--points", "8"]
+    tasks = ["eval", "--tasks", "task/task.json", "task/task.json", "--response", "identity",
+             "--latency-runs", "1"]
+    runs = [([*transfer, "--out-dir", "piped-graphs"], "--source-graph"),
+            ([*transfer, "--out-dir", "piped-beliefs"], "--source-beliefs"),
+            [*transfer, "--out-dir", "file-transfer"],
+            ["gen", "--kind", "chain", "--depth", "3", "--out-dir", "task"],
+            ([*tasks, "--out-dir", "piped-tasks"], "--tasks"), [*tasks, "--out-dir", "file-tasks"]]
+    yield "repeated", lambda: write_inputs(Path.cwd(), "path"), runs[:1] if reduced else runs
+
 
 def digests(out_dir: Path) -> dict:
     """The SHA-256 of each file in out_dir, its wall-clock columns left out."""
     found = {}
     if out_dir.is_dir():
-        for path in sorted(out_dir.iterdir()):
+        for path in sorted(p for p in out_dir.iterdir() if p.is_file()):
             data = path.read_bytes()
             if path.name in WALL_CLOCK:
                 rows = list(csv.reader(io.StringIO(data.decode("utf-8"))))
@@ -218,9 +366,10 @@ def sweep(reduced: bool) -> dict:
                 write_models(directory)
                 for item in runs:
                     argv, option = item if isinstance(item, tuple) else (item, None)
-                    if option is not None:
-                        k = argv.index(option) + 1
-                        argv = [*argv[:k], piped(Path(argv[k]).read_bytes()), *argv[k + 1:]]
+                    if option is not None:  # the option's path, wherever it is named
+                        path = argv[argv.index(option) + 1]
+                        fd = piped(Path(path).read_bytes())
+                        argv = [fd if arg == path else arg for arg in argv]
                     unserve(argv)
                     try:
                         record["runs"].append({"group": group, **run(main, argv)})
