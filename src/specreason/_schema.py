@@ -1,5 +1,6 @@
 """The package's one decode of input bytes, and its one strict reader of JSON inputs, each
-declared by a schema: a kind. The library parses bytes; only cli reads files.
+declared by a schema: a kind. The library parses bytes; only cli reads files, and only cli
+names them in a refusal.
 
 Kinds: int; float, any number (a lone one read as a float); str; bool, never a number (nor
 is 3.0 an int); object, any value, left to the type that reads it; [kind], a list;
@@ -29,16 +30,10 @@ def decode_text(raw: bytes) -> str:
     return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
 
 
-def read_json(name, raw: bytes, schema, build):
-    """build(document), the JSON document raw holds once schema has checked it. Every
-    ValueError names the input, and the schema's the key too: "task.json: graph.n must be
-    an integer, got 4.7"."""
-    try:
-        document = json.loads(decode_text(raw), object_pairs_hook=_unique)
-        return build(_read(document, schema, ""))
-    except (ValueError, OverflowError) as exc:  # OverflowError: an integer too big for a float
-        exc.args = (f"{name}: {exc}",)  # the same error raised on: InvalidEdgeError keeps its index
-        raise
+def read_json(raw: bytes, schema, build):
+    """build(document), the JSON document raw holds once schema has checked it. A refusal of
+    the schema names the key: "graph.n must be an integer, got 4.7"."""
+    return build(_read(json.loads(decode_text(raw), object_pairs_hook=_unique), schema, ""))
 
 
 def _unique(pairs: list) -> dict:

@@ -1,15 +1,16 @@
 """Command line front end.
 
-This is the one module that reads files, and it parses none. A subcommand reads each
-input path once, as bytes, however often it names it, through _read_input, which records
-their SHA-256; the library parses those bytes, so an input may be a pipe. It writes
-nothing: it returns its files (name to text, or to a function that writes bytes to an open
-binary file), its inputs (path to the digest and the bytes parsed) and a summary. main
-then makes --out-dir, so a refused run leaves none, replaces each file in it through a
-.tmp sibling, writes manifest.json (the arguments and input digests) last and prints the
-summary.
-Outputs are byte-identical across re-runs with the same inputs and seeds;
-wall-clock latency columns are the one documented exception.
+This is the one module that reads files and the one that names them. _read_input turns
+each input into a value: it reads the path once, as bytes, however often it is named,
+records their SHA-256 and parses them with a library loader of bytes (so an input may be
+a pipe) and any check against the operator the value feeds; a refusal, a decode error
+too, starts with the path and comes before the run's first eigendecomposition or Lanczos
+step. A subcommand writes nothing: it returns its files (name to text, or to a function
+that writes bytes to an open binary file), its inputs (path to the digest and the bytes
+parsed) and a summary. main then makes --out-dir, so a refused run leaves none, replaces
+each file in it through a .tmp sibling, writes manifest.json (the arguments and input
+digests) last and prints the summary. Outputs are byte-identical across re-runs with the
+same inputs and seeds; wall-clock latency columns are the one documented exception.
 
 fit and train also write operator.npz beside filter.json: the product layout
 build_laplacian assembled the Laplacian in, and the digest of the graph file. When that
@@ -67,13 +68,30 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs: dict) -> No
     _atomic_write(out_dir / "manifest.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _read_input(path, inputs: dict) -> bytes:
-    """The bytes of the input file at path, read and hashed at a command's first naming of it:
-    inputs[path] keeps (their SHA-256, the bytes), so a path named again, a pipe too, gives them."""
+def _read_input(path, inputs: dict, parse):
+    """parse(the bytes of the input file at path), read and hashed at a command's first naming
+    of path: inputs[path] keeps (their SHA-256, the bytes) for any later one, a pipe's too. A
+    ValueError or OverflowError of parse, a decode error too, is raised as one naming path."""
     if path not in inputs:
         raw = Path(path).read_bytes()
         inputs[path] = (hashlib.sha256(raw).hexdigest(), raw)
-    return inputs[path][1]
+    try:
+        return parse(inputs[path][1])
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _beliefs(n: int):
+    """The parse of a belief file for an operator of n nodes, its length checked as it is read."""
+    return lambda raw: gr.belief_values(gr.load_beliefs(raw), n)
+
+
+def _rulebase(raw: bytes, n: int) -> rl.RuleBase:
+    """The rulebase raw holds, refused unless it names one atom per node of a graph of n."""
+    rb = rl.load_rulebase(raw)
+    if len(rb.atoms) != n:
+        raise ValueError(f"rulebase names {len(rb.atoms)} atoms but the graph has {n} nodes")
+    return rb
 
 
 def _predicates_text(y: np.ndarray, predicates: rl.PredicateVector) -> str:
@@ -96,7 +114,7 @@ def _predicates_text(y: np.ndarray, predicates: rl.PredicateVector) -> str:
 def _add_response_args(parser: argparse.ArgumentParser, other_models: bool) -> None:
     """--response and its parameters; with other_models, --model-filter and --rules too,
     exclusive with --response: one model source per run."""
-    models = parser.add_mutually_exclusive_group()
+    models = parser.add_mutually_exclusive_group(required=True)
     if other_models:
         models.add_argument("--model-filter", default=None, help="filter JSON to evaluate")
         models.add_argument("--rules", default=None, help="rule template JSON to evaluate")
@@ -112,8 +130,6 @@ def _add_response_args(parser: argparse.ArgumentParser, other_models: bool) -> N
 
 def _response_from_args(args) -> ft.AnalyticResponse:
     kind = args.response
-    if kind is None:
-        raise ValueError("an analytic --response is required here")
     if kind == "diffusion":
         return ft.diffusion(args.tau)
     if kind == "highpass":
@@ -122,23 +138,22 @@ def _response_from_args(args) -> ft.AnalyticResponse:
         return ft.gaussian_bandpass(args.center, args.width)
     if kind == "identity":
         return ft.identity()
-    coeffs = [float(c) for c in args.coeffs.split(",") if c.strip()]
-    return ft.polynomial(*coeffs)
+    return ft.polynomial(*(float(c) for c in args.coeffs.split(",") if c.strip()))
 
 
 def _load_model(args, inputs: dict):
     """The model --model-filter, --rules or --response names; a file read enters inputs."""
     if args.model_filter:
-        return ft.load_filter(args.model_filter, _read_input(args.model_filter, inputs))
+        return _read_input(args.model_filter, inputs, ft.load_filter)
     if args.rules:
-        return rl.load_templates(args.rules, _read_input(args.rules, inputs))
+        return _read_input(args.rules, inputs, rl.load_templates)
     return _response_from_args(args)
 
 
-def _load_operator(args, raw: bytes) -> gr.Laplacian:
-    """The Laplacian of the graph file whose bytes are raw, as --graph-kind and --variant say."""
-    g = gr.load_graph(raw, kind=args.graph_kind)
-    return gr.build_laplacian(g, variant=args.variant)
+def _load_operator(args, path, inputs: dict) -> gr.Laplacian:
+    """The Laplacian of the graph file at path, as --graph-kind and --variant say."""
+    return _read_input(path, inputs, lambda raw: gr.build_laplacian(
+        gr.load_graph(raw, kind=args.graph_kind), variant=args.variant))
 
 
 _OPERATOR_FILE = "operator.npz"
@@ -199,7 +214,7 @@ def _stored_estimate(f: ft.ChebyshevFilter, lap: gr.Laplacian,
 
 def cmd_fit(args) -> tuple[dict, dict, str]:
     inputs = {}
-    lap = _load_operator(args, _read_input(args.graph, inputs))
+    lap = _load_operator(args, args.graph, inputs)
     estimate = _lambda_max(lap)
     response = _response_from_args(args)
     fitted = ft.fit_chebyshev(response, args.order, estimate.value)
@@ -215,11 +230,11 @@ def cmd_fit(args) -> tuple[dict, dict, str]:
 
 def cmd_infer(args) -> tuple[dict, dict, str]:
     inputs = {}
-    raw = _read_input(args.graph, inputs)
+    _read_input(args.graph, inputs, lambda raw: None)  # its digest names a stored operator
     try:
-        f = ft.load_filter(args.filter, _read_input(args.filter, inputs))
-    except (OSError, ValueError, OverflowError):
-        gr.load_graph(raw, kind=args.graph_kind)  # a bad graph is reported before a bad filter
+        f = _read_input(args.filter, inputs, ft.load_filter)
+    except (OSError, ValueError):  # a bad graph is reported before a bad filter
+        _read_input(args.graph, inputs, lambda raw: gr.load_graph(raw, kind=args.graph_kind))
         raise
     # the operator fit stored beside the filter serves when it is the one the filter was
     # bounded on; otherwise the graph is parsed and assembled
@@ -227,15 +242,12 @@ def cmd_infer(args) -> tuple[dict, dict, str]:
                              inputs[args.graph][0], args.variant) if f.bound is not None else None
     stored = None if lap is None else _stored_estimate(f, lap, args.graph_kind)
     if stored is None:
-        lap = _load_operator(args, raw)
+        lap = _load_operator(args, args.graph, inputs)
         stored = _stored_estimate(f, lap, args.graph_kind)
     n = lap.node_count
-    rb = None
-    if args.rulebase:
-        rb = rl.load_rulebase(args.rulebase, _read_input(args.rulebase, inputs))
-        if len(rb.atoms) != n:
-            raise ValueError(f"rulebase names {len(rb.atoms)} atoms but the graph has {n} nodes")
-    x = gr.load_beliefs(args.beliefs, _read_input(args.beliefs, inputs))
+    rb = (_read_input(args.rulebase, inputs, lambda raw: _rulebase(raw, n))
+          if args.rulebase else None)
+    x = _read_input(args.beliefs, inputs, _beliefs(n))
     estimate = _lambda_max(lap, stored)
     if not ft.lambda_max_matches(f.lambda_max, estimate.value):
         raise ValueError(
@@ -293,9 +305,9 @@ def _train_plan(config: dict) -> dict:
 
 def cmd_train(args) -> tuple[dict, dict, str]:
     inputs = {}
-    plan = read_json(args.config, _read_input(args.config, inputs), _TRAIN, _train_plan)
+    plan = _read_input(args.config, inputs, lambda raw: read_json(raw, _TRAIN, _train_plan))
     order, penalties = plan["order"], plan["penalties"]
-    lap = _load_operator(args, _read_input(args.graph, inputs))
+    lap = _load_operator(args, args.graph, inputs)
     estimate = _lambda_max(lap)
     lt = gr.scale_laplacian(lap, estimate.value)
     teacher = ft.fit_chebyshev(plan["teacher"], order, estimate.value)
@@ -348,7 +360,7 @@ def cmd_gen(args) -> tuple[dict, dict, str]:
 def cmd_eval(args) -> tuple[dict, dict, str]:
     inputs = {}
     model = _load_model(args, inputs)
-    instances = [tg.load_task(path, _read_input(path, inputs)) for path in args.tasks]
+    instances = [_read_input(path, inputs, tg.load_task) for path in args.tasks]
     perturb = analysis.PerturbConfig(band=args.perturb_band, magnitude=args.perturb_magnitude,
                                      seed=args.perturb_seed)
     cfg = tg.EvalConfig(threshold=args.threshold, variant=args.variant,
@@ -364,10 +376,10 @@ def cmd_eval(args) -> tuple[dict, dict, str]:
 
 def cmd_attribute(args) -> tuple[dict, dict, str]:
     inputs = {}
-    lap = _load_operator(args, _read_input(args.graph, inputs))
+    lap = _load_operator(args, args.graph, inputs)
     model = _load_model(args, inputs)
+    x = _read_input(args.beliefs, inputs, _beliefs(lap.node_count))
     basis = gr.eigendecompose(lap)
-    x = gr.load_beliefs(args.beliefs, _read_input(args.beliefs, inputs))
     y = np.asarray(tg.as_response(model, basis, x), dtype=float)
     partition = analysis.equal_bands(basis, args.bands)
     report = analysis.band_energy(basis, y, partition)
@@ -384,8 +396,9 @@ def cmd_attribute(args) -> tuple[dict, dict, str]:
 
 def cmd_perturb(args) -> tuple[dict, dict, str]:
     inputs = {}
-    basis = gr.eigendecompose(_load_operator(args, _read_input(args.graph, inputs)))
-    x = gr.load_beliefs(args.beliefs, _read_input(args.beliefs, inputs))
+    lap = _load_operator(args, args.graph, inputs)
+    x = _read_input(args.beliefs, inputs, _beliefs(lap.node_count))
+    basis = gr.eigendecompose(lap)
     partition = analysis.equal_bands(basis, args.bands)
     perturbed = analysis.spectral_perturb(basis, x, args.band, args.magnitude,
                                           partition=partition, seed=args.seed)
@@ -398,11 +411,13 @@ def cmd_perturb(args) -> tuple[dict, dict, str]:
 
 
 def cmd_transfer(args) -> tuple[dict, dict, str]:
-    profiles, inputs = [], {}
+    pairs, profiles, inputs = [], [], {}
     for graph_path, belief_path in ((args.source_graph, args.source_beliefs),
                                     (args.target_graph, args.target_beliefs)):
-        basis = gr.eigendecompose(_load_operator(args, _read_input(graph_path, inputs)))
-        x = gr.load_beliefs(belief_path, _read_input(belief_path, inputs))
+        lap = _load_operator(args, graph_path, inputs)
+        pairs.append((lap, _read_input(belief_path, inputs, _beliefs(lap.node_count))))
+    for lap, x in pairs:  # every input is read and checked before the first decomposition
+        basis = gr.eigendecompose(lap)
         xhat = np.asarray(gr.gft(basis, x), dtype=float)
         profiles.append(analysis.cospectral_profile(basis.eigenvalues, xhat, points=args.points))
     loss = analysis.cospectral_loss(profiles[0], profiles[1])

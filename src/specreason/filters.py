@@ -197,8 +197,8 @@ class ChebyshevFilter:
                 % (float_text(self.lambda_max), coeffs, bound))
 
 
-def load_filter(name, raw: bytes) -> ChebyshevFilter:
-    return read_json(name, raw, _FILTER, _filter_from_dict)
+def load_filter(raw: bytes) -> ChebyshevFilter:
+    return read_json(raw, _FILTER, _filter_from_dict)
 
 
 def _filter_from_dict(payload: dict) -> ChebyshevFilter:

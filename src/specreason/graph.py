@@ -480,7 +480,7 @@ def load_graph(raw: bytes, kind: str = "unsigned") -> Graph:
     return graph
 
 
-def load_beliefs(name, raw: bytes) -> np.ndarray:
+def load_beliefs(raw: bytes) -> np.ndarray:
     """Parse a belief file's bytes: one finite float per significant line, as load_graph
     counts lines. Only input that fails to load is read line by line, to name its bad line."""
     text = decode_text(raw)
@@ -492,11 +492,11 @@ def load_beliefs(name, raw: bytes) -> np.ndarray:
         try:
             beliefs.append(float(line))
         except ValueError:
-            raise ValueError(f"{name}: line {no}: expected one float, got {line!r}") from None
+            raise ValueError(f"line {no}: expected one float, got {line!r}") from None
         if not math.isfinite(beliefs[-1]):
-            raise ValueError(f"{name}: line {no}: belief {line!r} is not finite")
+            raise ValueError(f"line {no}: belief {line!r} is not finite")
     if not beliefs:
-        raise ValueError(f"{name}: no belief values found")
+        raise ValueError("no belief values found")
     return np.asarray(beliefs, dtype=float)
 
 

@@ -198,12 +198,12 @@ def rulebase_from_dict(payload: dict) -> RuleBase:
                                   for c in payload["clauses"] or ()))
 
 
-def load_rulebase(name, raw: bytes) -> RuleBase:
-    return read_json(name, raw, _RULEBASE, rulebase_from_dict)
+def load_rulebase(raw: bytes) -> RuleBase:
+    return read_json(raw, _RULEBASE, rulebase_from_dict)
 
 
-def load_templates(name, raw: bytes) -> RuleSet:
-    return read_json(name, raw, [_TEMPLATE], lambda payload: RuleSet(templates=tuple(
+def load_templates(raw: bytes) -> RuleSet:
+    return read_json(raw, [_TEMPLATE], lambda payload: RuleSet(templates=tuple(
         RuleTemplate(name=t["name"], weight=t["weight"],
                      response=ft.AnalyticResponse(kind=t["kind"], params=tuple(t["params"])))
         for t in payload)))

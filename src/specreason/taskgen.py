@@ -17,22 +17,10 @@ import numpy as np
 
 from . import filters as ft
 from ._schema import Default, Map, Nullable, read_json
-from .analysis import (
-    PerturbConfig,
-    band_energy,
-    equal_bands,
-    proof_band_agreement,
-    spectral_perturb,
-)
-from .graph import (
-    Graph,
-    InvalidEdgeError,
-    build_laplacian,
-    csv_text,
-    eigendecompose,
-    estimate_lambda_max,
-    scale_laplacian,
-)
+from .analysis import (PerturbConfig, band_energy, equal_bands, proof_band_agreement,
+                       spectral_perturb)
+from .graph import (Graph, InvalidEdgeError, build_laplacian, csv_text, eigendecompose,
+                    estimate_lambda_max, scale_laplacian)
 from .rules import CLAUSE, HornClause, RuleBase, RuleSet, forward_chain, rulebase_from_dict
 
 
@@ -272,16 +260,18 @@ _TASK = {"kind": Default(str, ""), "seed": Default(int, 0), "params": Default(Ma
          "atoms": Default(Nullable([str]), None), "clauses": Default(Nullable([CLAUSE]), None)}
 
 
-def load_task(name, raw: bytes) -> TaskInstance:
-    return read_json(name, raw, _TASK, _task_from_dict)
+def load_task(raw: bytes) -> TaskInstance:
+    return read_json(raw, _TASK, _task_from_dict)
 
 
 def _task_from_dict(payload: dict) -> TaskInstance:
     graph = payload["graph"]
     try:
         g = Graph(graph["n"], graph["edges"], graph["kind"])
-    except InvalidEdgeError as exc:  # the same error raised on, its index kept
-        exc.args = (f"graph.edges[{exc.index}]: {exc}",)
+    except ValueError as exc:  # named by its key; the same error raised on, an edge's index kept
+        key = (f"edges[{exc.index}]" if isinstance(exc, InvalidEdgeError)
+               else "kind" if str(exc).startswith("unknown graph kind") else "n")
+        exc.args = (f"graph.{key}: {exc}",)
         raise
     rulebase = rulebase_from_dict(payload) if payload["atoms"] else None
     return TaskInstance(graph=g, beliefs=payload["beliefs"], labels=payload["labels"],

@@ -25,6 +25,7 @@ from specreason.taskgen import random_gnm
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from awkward import AWKWARD, awkward_runs, unserve, write_inputs  # noqa: E402
+from sweep import BELIEF_FILES, EDGE_LISTS  # noqa: E402
 
 
 P2 = "2 1\n0 1 1.0\n"
@@ -44,7 +45,7 @@ def run(*argv):
 
 def read_filter(path):
     """The filter JSON at path, parsed from its bytes as cli reads them."""
-    return ft.load_filter(path, Path(path).read_bytes())
+    return ft.load_filter(Path(path).read_bytes())
 
 
 class TestFit:
@@ -407,7 +408,7 @@ class TestGen:
         code = run("gen", "--kind", "community", "--n", "20", "--intra-p", "0.5",
                    "--inter-p", "0.05", "--seed", "1", "--out-dir", "out")
         assert code == 0
-        inst = tg.load_task("task.json", (workdir / "out" / "task.json").read_bytes())
+        inst = tg.load_task((workdir / "out" / "task.json").read_bytes())
         assert inst.kind == "community"
         assert inst.graph.node_count == 20
 
@@ -561,6 +562,8 @@ BAD_TASKS = [
     ([(["graph", "edges", 1, 2], "2")], "graph.edges[1][2] must be a number, got '2'"),
     ([(["graph", "edges", 1], [0, 1])], "graph.edges[1] must be a list of 3 entries, got [0, 1]"),
     ([(["graph", "m"], 3)], "graph.m is an unknown key; known: n, edges, kind"),
+    ([(["graph", "n"], 0)], "graph.n: node_count must be a positive integer"),
+    ([(["graph", "kind"], "odd")], "graph.kind: unknown graph kind 'odd'"),
     ([(["graph", "edges"], DELETE)], "graph.edges is missing"),
     ([(["beliefs", 0], "1")], "beliefs[0] must be a number, got '1'"),
     ([(["beliefs", 0], True)], "beliefs[0] must be a number, got True"),
@@ -913,8 +916,8 @@ def test_transfer_reads_a_signed_graph(workdir, capsys):
             "--target-graph", "signed.txt", "--target-beliefs", "three.txt",
             "--variant", "signed"]
     assert run(*argv, "--out-dir", "unsigned") == 1
-    assert capsys.readouterr().err == ("error: line 3: negative weight on edge (1, 2) in an "
-                                       "unsigned graph\n")
+    assert capsys.readouterr().err == ("error: signed.txt: line 3: negative weight on edge "
+                                       "(1, 2) in an unsigned graph\n")
     assert not (workdir / "unsigned").exists()
     assert run(*argv, "--graph-kind", "signed", "--out-dir", "out") == 0
     assert capsys.readouterr().err == ""
@@ -1428,7 +1431,8 @@ class TestCompiledOperator:
         Path("ring.txt").write_text("6 1\n0 9 1\n")
         Path("fit/filter.json").write_text("{}")
         code, _, err, _ = self.infer(capsys, "fit/filter.json", "out")
-        assert code == 1 and err == "error: line 2: edge (0, 9) out of range for 6 nodes\n"
+        assert code == 1 and err == ("error: ring.txt: line 2: edge (0, 9) out of range "
+                                     "for 6 nodes\n")
 
 
 def line_loop_beliefs(path):
@@ -1452,8 +1456,8 @@ def line_loop_beliefs(path):
 
 
 def read_beliefs(path):
-    """The belief file at path, parsed from its bytes as cli reads them."""
-    return gr.load_beliefs(path, Path(path).read_bytes())
+    """The belief file at path, parsed from its bytes and named as cli reads it."""
+    return cli._read_input(path, {}, gr.load_beliefs)
 
 
 def outcome(read, path):
@@ -1664,7 +1668,7 @@ REPEATED = {  # a command that names one input twice, and that input
 
 @pytest.mark.parametrize("name", REPEATED)
 def test_a_pipe_named_twice_gives_both_namings_its_bytes(workdir, inputs, pipe, capsys, name):
-    # a second read of the pipe would get no bytes: "error: line 1: missing header line"
+    # a second read of the pipe would get no bytes: "line 1: missing header line"
     argv, path = REPEATED[name]
     capsys.readouterr()
     assert run(*argv, "--out-dir", "file") == 0
@@ -1710,3 +1714,86 @@ def test_every_option_is_read(workdir, inputs):
         if options - reads:
             unread[name] = sorted(options - reads)
     assert unread == {}
+
+
+G4 = "4 3\n0 1 1\n1 2 1\n2 3 1\n"
+REFUSED = "refused.txt"  # the one input each run below refuses
+INFER_G4 = ["infer", "--graph", "g4.txt", "--filter", "fit/filter.json"]
+SHORT = BELIEF_FILES["too-few"]
+NAMED = {  # a run that refuses the input REFUSED, and what that input holds
+    **{f"edges {name}": (["fit", "--graph", REFUSED, "--response", "identity"], text)
+       for name, text in EDGE_LISTS.items() if name != "arabic-digit"},
+    **{f"beliefs {name}": (["perturb", "--graph", "g4.txt", "--beliefs", REFUSED], text)
+       for name, text in BELIEF_FILES.items() if name not in ("too-few", "arabic-digit")},
+    "signed under normalized": (["fit", "--graph", REFUSED, "--graph-kind", "signed",
+                                 "--variant", "normalized", "--response", "identity"],
+                                "3 1\n0 1 -1\n"),
+    "config not utf-8": (["train", "--graph", "g4.txt", "--config", REFUSED],
+                         '{"order": 4}\udcff'),
+    "short beliefs infer": ([*INFER_G4, "--beliefs", REFUSED], SHORT),
+    "short beliefs attribute": (["attribute", "--graph", "g4.txt", "--beliefs", REFUSED,
+                                 "--response", "identity"], SHORT),
+    "short beliefs perturb": (["perturb", "--graph", "g4.txt", "--beliefs", REFUSED], SHORT),
+    "short beliefs transfer source": (["transfer", "--source-graph", "g4.txt",
+                                       "--source-beliefs", REFUSED, "--target-graph", "g4.txt",
+                                       "--target-beliefs", "x4.txt"], SHORT),
+    "short beliefs transfer target": (["transfer", "--source-graph", "g4.txt",
+                                       "--source-beliefs", "x4.txt", "--target-graph", "g4.txt",
+                                       "--target-beliefs", REFUSED], SHORT),
+    "transfer target graph": (["transfer", "--source-graph", "g4.txt", "--source-beliefs",
+                               "x4.txt", "--target-graph", REFUSED, "--target-beliefs",
+                               "x4.txt"], EDGE_LISTS["unparsable"]),
+    "rulebase of another size": ([*INFER_G4, "--beliefs", "x4.txt", "--rulebase", REFUSED],
+                                 '{"atoms": ["n0", "n1"], "clauses": []}'),
+}
+
+
+@pytest.fixture
+def refusal(workdir, request):
+    """The argv of the NAMED case request.param, its inputs written and fit's filter made."""
+    (workdir / "g4.txt").write_text(G4)
+    (workdir / "x4.txt").write_text("1\n-1\n1\n-1\n")
+    assert run("fit", "--graph", "g4.txt", "--response", "identity", "--order", "2",
+               "--out-dir", "fit") == 0
+    argv, text = NAMED[request.param]
+    (workdir / REFUSED).write_bytes(text.encode("utf-8", "surrogateescape"))
+    return [*argv, "--out-dir", "out"]
+
+
+@pytest.mark.parametrize("refusal", NAMED, indirect=True)
+def test_a_refused_input_is_named_first(workdir, capsys, refusal):
+    # cli is the one place a path enters a refusal: "error: line 3: ..." named no graph
+    capsys.readouterr()
+    assert run(*refusal) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {REFUSED}: ") and err.count("\n") == 1, err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("refusal", NAMED, indirect=True)
+def test_a_refused_input_is_refused_before_any_decomposition(monkeypatch, capsys, refusal):
+    # attribute once ran its O(n^3) eigh before it refused a short belief file
+    def unreached(*args, **kwargs):
+        raise AssertionError("an input refusal came after a decomposition")
+
+    monkeypatch.setattr(gr, "eigendecompose", unreached)
+    monkeypatch.setattr(gr, "estimate_lambda_max", unreached)
+    assert run(*refusal) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--graph", "missing.txt"],
+    ["attribute", "--graph", "missing.txt", "--beliefs", "missing.txt"],
+    ["eval", "--tasks", "missing.json"],
+])
+def test_a_run_without_a_model_is_refused_by_the_parser(workdir, monkeypatch, capsys, argv):
+    # fit once estimated lambda_max before it refused a missing --response
+    def unread(self):
+        raise AssertionError(f"{self} was read")
+
+    monkeypatch.setattr(Path, "read_bytes", unread)
+    with pytest.raises(SystemExit) as exit_:
+        run(*argv, "--out-dir", "out")
+    assert exit_.value.code == 2
+    assert "error: one of the arguments " in capsys.readouterr().err
+    assert not (workdir / "out").exists()

@@ -147,7 +147,7 @@ class TestFilterJson:
         f = ft.ChebyshevFilter(theta=theta, lambda_max=2.7182818284590451)
         path = tmp_path / "f.json"
         path.write_text(f.to_json() + "\n", encoding="utf-8")
-        g = ft.load_filter(path, path.read_bytes())
+        g = ft.load_filter(path.read_bytes())
         assert np.array_equal(g.theta, f.theta)
         assert g.lambda_max == f.lambda_max
 
@@ -159,7 +159,7 @@ class TestFilterJson:
         path = tmp_path / "bad.json"
         path.write_text('{"lambda_max": 2.0}', encoding="utf-8")
         with pytest.raises(ValueError):
-            ft.load_filter(path, path.read_bytes())
+            ft.load_filter(path.read_bytes())
 
     def test_json_without_bound_keeps_two_keys(self):
         f = ft.ChebyshevFilter(theta=np.array([1.0, -0.25]), lambda_max=2.0)
@@ -175,7 +175,7 @@ class TestFilterJson:
             '{"lambda_max": 3.25, "theta": [0.5, 0.10000000000000001], "bound": {')
         assert list(json.loads(text)["bound"].items()) == list(BOUND.items())
         (tmp_path / "f.json").write_text(text, encoding="utf-8")
-        g = ft.load_filter("f.json", (tmp_path / "f.json").read_bytes())
+        g = ft.load_filter((tmp_path / "f.json").read_bytes())
         assert g.bound == estimate and g.graph_sha256 == f.graph_sha256
         assert g.lambda_max == f.lambda_max
         assert g.to_json() == text
@@ -193,7 +193,7 @@ class TestFilterJson:
     def test_rejects_other_keys_and_malformed_bound(self, tmp_path, payload):
         (tmp_path / "f.json").write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValueError):
-            ft.load_filter("f.json", (tmp_path / "f.json").read_bytes())
+            ft.load_filter((tmp_path / "f.json").read_bytes())
 
 
 

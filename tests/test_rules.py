@@ -61,7 +61,7 @@ class TestTemplates:
         path.write_text(json.dumps([
             {"name": "spread", "kind": "diffusion", "params": [1.0], "weight": 0.6},
             {"name": "except", "kind": "highpass", "params": [1.0], "weight": 0.4}]))
-        back = rl.load_templates(path, path.read_bytes())
+        back = rl.load_templates(path.read_bytes())
         assert back == rs
         grid = np.linspace(0.0, 2.0, 5)
         assert np.array_equal(ft.response_eval(back, grid), ft.response_eval(rs, grid))
@@ -276,7 +276,7 @@ class TestRulebaseJson:
                          clauses=(rl.HornClause(body=frozenset({"a"}), head="b"),))
         path = tmp_path / "rb.json"
         path.write_text(rl.rulebase_to_json(rb), encoding="utf-8")
-        back = rl.load_rulebase(path, path.read_bytes())
+        back = rl.load_rulebase(path.read_bytes())
         assert back.atoms == rb.atoms and back.clauses == rb.clauses
 
     def test_serialization_is_stable(self):

@@ -103,7 +103,7 @@ class TestTaskInstance:
         payload["beliefs"][2] = float("nan")  # json writes and reads NaN
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="node 2 is not finite"):
-            tg.load_task(path, path.read_bytes())
+            tg.load_task(path.read_bytes())
 
     def test_non_integer_endpoint_refused(self, tmp_path):
         path = tmp_path / "task.json"
@@ -114,7 +114,7 @@ class TestTaskInstance:
             path.write_text(json.dumps(payload))
             with pytest.raises(gr.InvalidEdgeError,
                                match=r"graph\.edges\[2\]: non-integer endpoint") as err:
-                tg.load_task(path, path.read_bytes())
+                tg.load_task(path.read_bytes())
             assert err.value.index == 2
 
     def test_round_trip_through_disk(self, tmp_path):
@@ -122,7 +122,7 @@ class TestTaskInstance:
                                      seed_fraction=0.2, noise=0.1, seed=4)
         path = tmp_path / "task.json"
         path.write_text(tg.task_to_json(inst))
-        back = tg.load_task(path, path.read_bytes())
+        back = tg.load_task(path.read_bytes())
         assert back.kind == inst.kind
         assert back.graph.edges == inst.graph.edges
         assert np.array_equal(back.beliefs, inst.beliefs)
@@ -134,7 +134,7 @@ class TestTaskInstance:
         inst = tg.gen_chain_task(depth=3, seed=1)
         path = tmp_path / "chain.json"
         path.write_text(tg.task_to_json(inst))
-        back = tg.load_task(path, path.read_bytes())
+        back = tg.load_task(path.read_bytes())
         assert back.rulebase is not None
         assert len(back.rulebase.clauses) == len(inst.rulebase.clauses)
         assert back.rulebase.atoms == inst.rulebase.atoms

@@ -105,6 +105,7 @@ JSON_INPUTS = {  # name -> (option, document): one per refusal of the strict JSO
     "not-a-list": ("--filter", '{"lambda_max": 2, "theta": 1}'),
     "bad-template": ("--rules", '[{"name": "a", "kind": "nope", "params": []}]'),
     "curriculum-entry": ("--config", '{"curriculum": [[0, "x"]]}'),
+    "not-utf8": ("--config", '{"order": 4}\udcff'),
     "task-edge": ("--tasks", '{"graph": {"n": 3, "edges": [[0, 1, 1], [1, 1, 1]]}, '
                              '"beliefs": [1, 0, 0], "labels": [1, 0, 0]}'),
     "task-endpoint": ("--tasks", '{"graph": {"n": 3, "edges": [[0, 1.5, 1]]}, '
@@ -193,9 +194,13 @@ def refusal_runs() -> list[list[str]]:
     """One run per message family: of the edge lists, the belief files and the JSON
     inputs; a missing file; fit without a response; a write that fails; a signed graph
     under an unsigned variant; a rulebase of another size; a filter fit on another graph
-    and one past its interval; the dense cap; and infer past an operator.npz that names
-    other graph bytes or cannot be read, which takes the text path."""
+    and one past its interval; the dense cap; infer past an operator.npz that names
+    other graph bytes or cannot be read, which takes the text path; a graph that is no
+    UTF-8 in infer; a short belief file in attribute and on each side of transfer; and
+    transfer past a good source to a bad target graph."""
     infer = ["infer", "--graph", "g.txt", "--filter", "fit/filter.json", "--beliefs", "x.txt"]
+    transfer = ["transfer", "--source-graph", "g.txt", "--source-beliefs", "x.txt",
+                "--target-graph", "g.txt", "--target-beliefs", "x.txt"]
     runs = [["perturb", "--graph", "g.txt", "--beliefs", f"beliefs-{name}.txt",
              "--out-dir", f"beliefs-{name}"] for name in BELIEF_FILES]
     runs += [["fit", "--graph", f"edges-{name}.txt", "--response", "identity",
@@ -225,6 +230,12 @@ def refusal_runs() -> list[list[str]]:
          "identity", "--out-dir", "dense-cap"],
         [*infer[:2], "commented.txt", *infer[3:], "--out-dir", "other-bytes"],
         [*infer[:4], "corrupt/filter.json", *infer[5:], "--out-dir", "unreadable-operator"],
+        [*infer[:2], "edges-not-utf8.txt", *infer[3:], "--out-dir", "infer-not-utf8"],
+        ["attribute", "--graph", "g.txt", "--beliefs", "beliefs-too-few.txt", "--response",
+         "identity", "--out-dir", "attribute-too-few"],
+        [*transfer[:4], "beliefs-too-few.txt", *transfer[5:], "--out-dir", "source-too-few"],
+        [*transfer[:8], "beliefs-too-few.txt", "--out-dir", "target-too-few"],
+        [*transfer[:6], "edges-unparsable.txt", *transfer[7:], "--out-dir", "target-unparsable"],
     ]
 
 
