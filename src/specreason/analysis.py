@@ -129,6 +129,15 @@ def proof_band_agreement(pairs) -> float:
     return float(np.mean(scores))
 
 
+def disallowed_rows(basis: SpectralBasis, partition: BandPartition, allowed_bands) -> np.ndarray:
+    """U_dis^T: basis's eigenvectors whose eigenvalues lie outside partition's allowed_bands,
+    as rows; the proof penalty scores the share of an output's energy they hold."""
+    allowed = [int(b) for b in allowed_bands]
+    if any(b < 0 or b >= partition.n_bands for b in allowed):
+        raise ValueError(f"allowed bands {allowed} outside the partition")
+    return basis.eigenvectors[:, ~np.isin(partition.band_of(basis.eigenvalues), allowed)].T
+
+
 def robustness_certificate(response, lambda_max: float) -> float:
     """The bound ||h(L)||_2 <= sup |h| over [0, lambda_max], inflated by CERT_SLACK.
 
@@ -151,52 +160,45 @@ def robustness_certificate(response, lambda_max: float) -> float:
     return sup * CERT_SLACK
 
 
-def _check_magnitude(magnitude: float) -> None:
-    """Refuse a noise magnitude that is negative or not finite."""
-    if magnitude < 0 or not np.isfinite(magnitude):
-        raise ValueError(f"magnitude must be nonnegative, got {magnitude}")
-
-
 @dataclass(frozen=True)
 class PerturbConfig:
     """Band-limited spectral noise: which band, how strong, which stream. A zero
-    magnitude adds none."""
+    magnitude adds none; a negative or non-finite one is refused here, once."""
 
     band: int = 2
     magnitude: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        _check_magnitude(self.magnitude)
+        if self.magnitude < 0 or not np.isfinite(self.magnitude):
+            raise ValueError(f"magnitude must be nonnegative, got {self.magnitude}")
 
 
-def spectral_perturb(basis: SpectralBasis, x, band: int, magnitude: float,
-                     partition: BandPartition, seed: int = 0):
-    """Add seeded Gaussian noise confined to one band of partition.
+def spectral_perturb(basis: SpectralBasis, x, noise: PerturbConfig, partition: BandPartition):
+    """Add noise's seeded Gaussian noise, confined to its band of partition.
 
     The injected component is rescaled so its total norm equals
-    ``magnitude`` exactly; since the basis is orthonormal this is also
+    ``noise.magnitude`` exactly; since the basis is orthonormal this is also
     ||perturbed - x||. Energy in every other band is untouched because
     the noise is exactly band-supported.
     """
-    _check_magnitude(magnitude)
     values = belief_values(x, basis.node_count)
-    if not 0 <= band < partition.n_bands:
-        raise ValueError(f"band {band} outside partition with {partition.n_bands} bands")
+    if not 0 <= noise.band < partition.n_bands:
+        raise ValueError(f"band {noise.band} outside partition with {partition.n_bands} bands")
     if not partition.covers(basis.eigenvalues):
         raise ValueError("partition does not cover the spectrum")
-    mask = partition.band_of(basis.eigenvalues) == band
+    mask = partition.band_of(basis.eigenvalues) == noise.band
     if not np.any(mask):
-        raise ValueError(f"band {band} contains no eigenvalues; nothing to perturb")
-    if magnitude == 0.0:
+        raise ValueError(f"band {noise.band} contains no eigenvalues; nothing to perturb")
+    if noise.magnitude == 0.0:
         return values.copy()
-    rng = np.random.default_rng(seed)
-    noise = np.where(mask, rng.standard_normal(values.size), 0.0)
-    norm = float(np.linalg.norm(noise))
+    rng = np.random.default_rng(noise.seed)
+    draw = np.where(mask, rng.standard_normal(values.size), 0.0)
+    norm = float(np.linalg.norm(draw))
     while norm == 0.0:  # measure-zero, but keeps the scale exact
-        noise = np.where(mask, rng.standard_normal(values.size), 0.0)
-        norm = float(np.linalg.norm(noise))
-    delta_hat = (magnitude / norm) * noise
+        draw = np.where(mask, rng.standard_normal(values.size), 0.0)
+        norm = float(np.linalg.norm(draw))
+    delta_hat = (noise.magnitude / norm) * draw
     return values + basis.eigenvectors @ delta_hat
 
 

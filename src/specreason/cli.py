@@ -5,12 +5,14 @@ each input into a value: it reads the path once, as bytes, however often it is n
 records their SHA-256 and parses them with a library loader of bytes (so an input may be
 a pipe) and any check against the operator the value feeds; a refusal, a decode error
 too, starts with the path and comes before the run's first eigendecomposition or Lanczos
-step. A subcommand writes nothing: it returns its files (name to text, or to a function
-that writes bytes to an open binary file), its inputs (path to the digest and the bytes
-parsed) and a summary. main then makes --out-dir, so a refused run leaves none, replaces
-each file in it through a .tmp sibling, writes manifest.json (the arguments and input
-digests) last and prints the summary. Outputs are byte-identical across re-runs with the
-same inputs and seeds; wall-clock latency columns are the one documented exception.
+step. Options that make a library object (a response, a PerturbConfig, an EvalConfig)
+become it before any input is read. A subcommand writes nothing: it returns its files
+(name to text, or to a function that writes bytes to an open binary file), its inputs
+(path to the digest and the bytes parsed) and a summary. main then makes --out-dir, so a
+refused run leaves none, replaces each file in it through a .tmp sibling, writes
+manifest.json (the arguments and input digests) last and prints the summary. Outputs are
+byte-identical across re-runs with the same inputs and seeds; wall-clock latency columns
+are the one documented exception.
 
 fit and train also write operator.npz beside filter.json: the product layout
 build_laplacian assembled the Laplacian in, and the digest of the graph file. When that
@@ -138,7 +140,10 @@ def _response_from_args(args) -> ft.AnalyticResponse:
         return ft.gaussian_bandpass(args.center, args.width)
     if kind == "identity":
         return ft.identity()
-    return ft.polynomial(*(float(c) for c in args.coeffs.split(",") if c.strip()))
+    try:
+        return ft.polynomial(*(float(c) for c in args.coeffs.split(",") if c.strip()))
+    except ValueError as exc:
+        raise ValueError(f"--coeffs: {exc}") from None
 
 
 def _load_model(args, inputs: dict):
@@ -214,9 +219,9 @@ def _stored_estimate(f: ft.ChebyshevFilter, lap: gr.Laplacian,
 
 def cmd_fit(args) -> tuple[dict, dict, str]:
     inputs = {}
+    response = _response_from_args(args)
     lap = _load_operator(args, args.graph, inputs)
     estimate = _lambda_max(lap)
-    response = _response_from_args(args)
     fitted = ft.fit_chebyshev(response, args.order, estimate.value)
     error = ft.fit_grid_error(fitted, response)
     fitted = replace(fitted, bound=estimate,
@@ -251,8 +256,8 @@ def cmd_infer(args) -> tuple[dict, dict, str]:
     estimate = _lambda_max(lap, stored)
     if not ft.lambda_max_matches(f.lambda_max, estimate.value):
         raise ValueError(
-            f"filter lambda_max {f.lambda_max} does not match this graph's estimate "
-            f"{estimate.value}; refit the filter on this graph")
+            f"{args.filter}: on {args.graph}, filter lambda_max {f.lambda_max} does not match "
+            f"this graph's estimate {estimate.value}; refit the filter on this graph")
     lt = gr.scale_laplacian(lap, f.lambda_max)
     y = ft.cheb_apply(f, lt, x)
     predicates = rl.project_predicates(y, threshold=args.threshold, temperature=args.temperature)
@@ -318,17 +323,17 @@ def cmd_train(args) -> tuple[dict, dict, str]:
     targets, traces = zip(*(ft.cheb_apply(teacher, lt, rng.standard_normal(lap.node_count),
                                           keep_trace=True) for _ in range(plan["examples"])))
 
-    # transfer holds the outputs to an all-zero reference; only proof needs the basis
-    context = tr.PenaltyContext(transfer_reference=np.zeros(lap.node_count))
+    # only proof needs the basis; transfer holds the outputs to an all-zero reference
+    disallowed = None
     if penalties.proof > 0:
         basis = gr.eigendecompose(lap)
-        context = replace(context, basis=basis,
-                          partition=analysis.equal_bands(basis, 3),
-                          allowed_bands=tuple(plan["allowed_bands"]))
+        disallowed = analysis.disallowed_rows(basis, analysis.equal_bands(basis, 3),
+                                              plan["allowed_bands"])
 
     student = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=estimate.value)
     result = tr.train(student, traces, targets, penalties, schedule=plan["curriculum"],
-                      config=plan["train"], context=context)
+                      config=plan["train"], disallowed=disallowed,
+                      transfer_reference=np.zeros(lap.node_count))
 
     model = replace(result.model, bound=estimate,
                     graph_sha256=gr.graph_sha256(lap, args.graph_kind, estimate.value))
@@ -359,12 +364,12 @@ def cmd_gen(args) -> tuple[dict, dict, str]:
 
 def cmd_eval(args) -> tuple[dict, dict, str]:
     inputs = {}
-    model = _load_model(args, inputs)
-    instances = [_read_input(path, inputs, tg.load_task) for path in args.tasks]
     perturb = analysis.PerturbConfig(band=args.perturb_band, magnitude=args.perturb_magnitude,
                                      seed=args.perturb_seed)
     cfg = tg.EvalConfig(threshold=args.threshold, variant=args.variant,
                         latency_runs=args.latency_runs, perturb=perturb)
+    model = _load_model(args, inputs)
+    instances = [_read_input(path, inputs, tg.load_task) for path in args.tasks]
     try:
         report = tg.evaluate(model, instances, cfg)
     except tg.IntervalError as exc:
@@ -376,11 +381,14 @@ def cmd_eval(args) -> tuple[dict, dict, str]:
 
 def cmd_attribute(args) -> tuple[dict, dict, str]:
     inputs = {}
-    lap = _load_operator(args, args.graph, inputs)
     model = _load_model(args, inputs)
+    lap = _load_operator(args, args.graph, inputs)
     x = _read_input(args.beliefs, inputs, _beliefs(lap.node_count))
     basis = gr.eigendecompose(lap)
-    y = np.asarray(tg.as_response(model, basis, x), dtype=float)
+    try:
+        y = np.asarray(tg.as_response(model, basis, x), dtype=float)
+    except tg.IntervalError as exc:
+        raise ValueError(f"{args.model_filter}: on {args.graph}, {exc}") from None
     partition = analysis.equal_bands(basis, args.bands)
     report = analysis.band_energy(basis, y, partition)
     bound = analysis.robustness_certificate(model, partition.edges[-1])
@@ -396,12 +404,12 @@ def cmd_attribute(args) -> tuple[dict, dict, str]:
 
 def cmd_perturb(args) -> tuple[dict, dict, str]:
     inputs = {}
+    noise = analysis.PerturbConfig(band=args.band, magnitude=args.magnitude, seed=args.seed)
     lap = _load_operator(args, args.graph, inputs)
     x = _read_input(args.beliefs, inputs, _beliefs(lap.node_count))
     basis = gr.eigendecompose(lap)
     partition = analysis.equal_bands(basis, args.bands)
-    perturbed = analysis.spectral_perturb(basis, x, args.band, args.magnitude,
-                                          partition=partition, seed=args.seed)
+    perturbed = analysis.spectral_perturb(basis, x, noise, partition)
     before = analysis.band_energy(basis, x, partition)
     after = analysis.band_energy(basis, perturbed, partition)
     rows = zip(range(partition.n_bands), before.energies, after.energies)

@@ -432,8 +432,7 @@ def evaluate(model, instances, config: EvalConfig | None = None) -> EvalReport:
         part = equal_bands(basis, 3)
         perturbed = None
         if noisy:
-            x = spectral_perturb(basis, inst.beliefs, noise.band, noise.magnitude,
-                                 partition=part, seed=noise.seed)
+            x = spectral_perturb(basis, inst.beliefs, noise, part)
             perturbed = _score(as_response(model, basis, x), inst, cfg.threshold)
         return times, _score(y, inst, cfg.threshold), perturbed, band_energy(basis, y, part)
 

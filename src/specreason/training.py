@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import filters as ft
-from .analysis import BandPartition, band_energy, equal_bands
+from .analysis import band_energy, equal_bands
 from .graph import DENSE_CAP, ScaledLaplacian, SpectralBasis, belief_values, csv_text
 
 GATING_FEATURES = ("total_energy", "low_band_fraction", "mid_band_fraction",
@@ -198,17 +198,6 @@ class PenaltyWeights:
 
 
 @dataclass(frozen=True)
-class PenaltyContext:
-    """Shared structures the penalties read: the basis and bands proof needs, and the
-    output, one value per node, that transfer holds the model's outputs to."""
-
-    basis: SpectralBasis | None = None
-    partition: BandPartition | None = None
-    allowed_bands: tuple[int, ...] = ()
-    transfer_reference: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.05
     epochs: int = 100
@@ -236,11 +225,6 @@ HISTORY_COLUMNS = ("epoch", "total", "data_term", "proof_penalty", "transfer")
 def history_to_csv(history) -> str:
     """Render training history as CSV with full-precision floats."""
     return csv_text(HISTORY_COLUMNS, history)
-
-
-def _require(condition: bool, message: str):
-    if not condition:
-        raise ValueError(message)
 
 
 class _FactoredLoss:
@@ -306,7 +290,7 @@ def train(model: ft.ChebyshevFilter, traces, targets,
           penalties: PenaltyWeights | None = None,
           schedule: CurriculumSchedule | None = None,
           config: TrainConfig | None = None,
-          context: PenaltyContext | None = None) -> TrainResult:
+          disallowed=None, transfer_reference=None) -> TrainResult:
     """Full-batch gradient descent on a filter's coefficients.
 
     An example is its recurrence trace and its target: the trace b_0 .. b_K, row 0
@@ -314,40 +298,32 @@ def train(model: ft.ChebyshevFilter, traces, targets,
     the model is trained for, and the output the model should give there. Every
     epoch each example scores the coefficients on the QR factors of its trace,
     built once before the first epoch. The data term is the mean squared error to
-    the targets.
+    the targets. The proof penalty reads disallowed, U_dis^T as ``analysis.disallowed_rows``
+    cuts it; transfer holds the outputs to transfer_reference, one value per node.
 
     Records one history row per epoch before the update; penalty columns
     hold raw (unweighted) values while the total applies the configured
     weights.
     """
     cfg = config or TrainConfig()
-    ctx = context or PenaltyContext()
     pw = penalties or PenaltyWeights()
     order = model.order
     traces = [np.asarray(t, dtype=float) for t in traces]
     targets = [np.asarray(t, dtype=float) for t in targets]
     n = traces[0].shape[-1] if traces and traces[0].ndim else None
-    _require(bool(traces) and len(targets) == len(traces)
-             and all(t.shape == (order + 1, n) for t in traces)
-             and all(t.shape == (n,) for t in targets),
-             "training needs one or more traces, each of the model's order + 1 rows over "
-             "n nodes, and one target of n values per trace")
-    _require(pw.proof == 0 or (ctx.basis is not None and ctx.partition is not None
-                               and len(ctx.allowed_bands) > 0),
-             "proof penalty needs a basis, partition, and allowed bands")
-    _require(pw.proof == 0 or all(0 <= int(b) < ctx.partition.n_bands for b in ctx.allowed_bands),
-             f"allowed bands {list(ctx.allowed_bands)} outside the partition")
-    _require(pw.transfer == 0 or np.shape(ctx.transfer_reference) == (n,),
-             "transfer penalty needs a reference output, one value per node")
+    if not (traces and len(targets) == len(traces)
+            and all(t.shape == (order + 1, n) for t in traces)
+            and all(t.shape == (n,) for t in targets)):
+        raise ValueError("training needs one or more traces, each of the model's order + 1 "
+                         "rows over n nodes, and one target of n values per trace")
+    if pw.proof > 0 and not (np.ndim(disallowed) == 2 and np.shape(disallowed)[1] == n):
+        raise ValueError("proof penalty needs the disallowed eigenvectors as rows of n values")
+    if pw.transfer > 0 and np.shape(transfer_reference) != (n,):
+        raise ValueError("transfer penalty needs a reference output, one value per node")
 
-    disallowed_rows = reference = None
-    if pw.proof > 0:
-        disallowed = ~np.isin(ctx.partition.band_of(ctx.basis.eigenvalues),
-                              [int(b) for b in ctx.allowed_bands])
-        disallowed_rows = ctx.basis.eigenvectors[:, disallowed].T
-    if pw.transfer > 0:
-        reference = np.asarray(ctx.transfer_reference, dtype=float)
-    losses = [_FactoredLoss(trace, target, disallowed_rows, reference)
+    rows = np.asarray(disallowed, dtype=float) if pw.proof > 0 else None
+    reference = np.asarray(transfer_reference, dtype=float) if pw.transfer > 0 else None
+    losses = [_FactoredLoss(trace, target, rows, reference)
               for trace, target in zip(traces, targets)]
     term_weights = np.array([1.0, pw.proof, pw.transfer])
 

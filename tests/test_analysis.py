@@ -1,5 +1,7 @@
 """Band attribution, uncertainty, certificates, and spectral surgery."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,31 @@ class TestProofBandAgreement:
             an.proof_band_agreement([(report, (7,))])
 
 
+class TestDisallowedRows:
+    def test_rows_span_the_bands_outside_the_allowed(self):
+        basis = random_basis(seed=16)
+        part = an.equal_bands(basis, 3)
+        bands = part.band_of(basis.eigenvalues)
+        for allowed in ((0,), (1, 2), (0, 1, 2)):
+            rows = an.disallowed_rows(basis, part, allowed)
+            outside = ~np.isin(bands, allowed)
+            assert rows.shape == (int(outside.sum()), 20)
+            assert np.array_equal(rows, basis.eigenvectors[:, outside].T)
+
+    def test_p2_low_band_allowed_leaves_the_alternating_row(self):
+        basis = p2_basis()
+        rows = an.disallowed_rows(basis, an.equal_bands(basis, 3), [0])
+        assert rows.shape == (1, 2)
+        assert abs(rows[0] @ np.ones(2)) <= 1e-15
+
+    @pytest.mark.parametrize("allowed", [(3,), (0, -1)])
+    def test_band_outside_the_partition_refused(self, allowed):
+        basis = p2_basis()
+        message = f"allowed bands {list(allowed)} outside the partition"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            an.disallowed_rows(basis, an.equal_bands(basis, 3), allowed)
+
+
 class TestRobustnessCertificate:
     def test_diffusion_closed_form(self):
         bound = an.robustness_certificate(ft.diffusion(1.0), 2.0)
@@ -194,16 +221,16 @@ class TestSpectralPerturb:
         basis = random_basis(seed=11)
         x = np.random.default_rng(12).standard_normal(20)
         for magnitude in (0.1, 1.0, 7.5):
-            out = np.asarray(an.spectral_perturb(basis, x, band=1, magnitude=magnitude,
-                                                 partition=an.equal_bands(basis, 3), seed=3))
+            noise = an.PerturbConfig(band=1, magnitude=magnitude, seed=3)
+            out = np.asarray(an.spectral_perturb(basis, x, noise, an.equal_bands(basis, 3)))
             assert abs(np.linalg.norm(out - x) - magnitude) <= 1e-10
 
     def test_only_target_band_moves(self):
         basis = random_basis(seed=13)
         part = an.equal_bands(basis, 3)
         x = np.random.default_rng(14).standard_normal(20)
-        out = np.asarray(an.spectral_perturb(basis, x, band=0, magnitude=0.5,
-                                             partition=part, seed=4))
+        noise = an.PerturbConfig(band=0, magnitude=0.5, seed=4)
+        out = np.asarray(an.spectral_perturb(basis, x, noise, part))
         diff_hat = basis.eigenvectors.T @ (out - x)
         outside = part.band_of(basis.eigenvalues) != 0
         assert np.max(np.abs(diff_hat[outside])) <= 1e-12
@@ -211,8 +238,8 @@ class TestSpectralPerturb:
     def test_zero_magnitude_no_op(self):
         basis = p2_basis()
         x = np.array([0.3, -0.7])
-        out = np.asarray(an.spectral_perturb(basis, x, band=0, magnitude=0.0,
-                                             partition=an.equal_bands(basis, 3)))
+        out = np.asarray(an.spectral_perturb(basis, x, an.PerturbConfig(band=0),
+                                             an.equal_bands(basis, 3)))
         assert np.array_equal(out, x)
 
     def test_empty_band_errors_with_name(self):
@@ -220,14 +247,17 @@ class TestSpectralPerturb:
         # nothing lives in [3, 4)
         part = an.BandPartition(edges=np.array([0.0, 3.0, 4.0, 5.0]))
         with pytest.raises(ValueError, match="band 1"):
-            an.spectral_perturb(basis, np.ones(2), band=1, magnitude=0.1, partition=part)
+            an.spectral_perturb(basis, np.ones(2), an.PerturbConfig(band=1, magnitude=0.1), part)
 
     def test_seeded_and_deterministic(self):
         basis = random_basis(seed=15)
         x, part = np.zeros(20), an.equal_bands(basis, 3)
-        a = np.asarray(an.spectral_perturb(basis, x, band=2, magnitude=1.0, partition=part, seed=5))
-        b = np.asarray(an.spectral_perturb(basis, x, band=2, magnitude=1.0, partition=part, seed=5))
-        c = np.asarray(an.spectral_perturb(basis, x, band=2, magnitude=1.0, partition=part, seed=6))
+
+        def perturbed(seed):
+            noise = an.PerturbConfig(band=2, magnitude=1.0, seed=seed)
+            return np.asarray(an.spectral_perturb(basis, x, noise, part))
+
+        a, b, c = perturbed(5), perturbed(5), perturbed(6)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 

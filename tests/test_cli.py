@@ -1163,7 +1163,10 @@ class TestStoredBound:
             code = self.infer("star.txt", filt, "star_beliefs.txt", "out",
                               "--variant", "normalized")
         assert code == 1 and len(calls) == 1
-        assert "does not match this graph's estimate" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        graph = "p2.txt" if case == "other graph" else "star.txt"
+        assert err.startswith(f"error: {filt}: on {graph}, filter lambda_max ")
+        assert "does not match this graph's estimate" in err and err.count("\n") == 1
         assert not (workdir / "out" / "predicates.csv").exists()
 
     def test_lambda_max_edited_by_one_ulp_is_estimated(self, workdir, monkeypatch):
@@ -1219,8 +1222,8 @@ class TestFilterInterval:
         assert run("attribute", "--graph", "star.txt", "--beliefs", "signs.txt",
                    "--model-filter", "path-fit/filter.json", "--out-dir", "out") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: filter lambda_max 4.02") and err.count("\n") == 1
-        assert "top eigenvalue 30" in err
+        assert err.startswith("error: path-fit/filter.json: on star.txt, filter lambda_max 4.02")
+        assert "top eigenvalue 30" in err and err.count("\n") == 1
         assert not (workdir / "out").exists()
 
     def test_eval_past_the_interval_names_the_task(self, workdir, fitted, capsys):
@@ -1779,6 +1782,39 @@ def test_a_refused_input_is_refused_before_any_decomposition(monkeypatch, capsys
     monkeypatch.setattr(gr, "eigendecompose", unreached)
     monkeypatch.setattr(gr, "estimate_lambda_max", unreached)
     assert run(*refusal) == 1
+
+
+COEFFS_X = ["--response", "polynomial", "--coeffs", "1,x"]
+UNPARSABLE_COEFFS = "--coeffs: could not convert string to float: 'x'"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--graph", "missing.txt", "--response", "diffusion", "--tau", "-1"],
+     "diffusion takes a single positive tau"),
+    (["fit", "--graph", "missing.txt", *COEFFS_X], UNPARSABLE_COEFFS),
+    (["attribute", "--graph", "missing.txt", "--beliefs", "missing.txt", *COEFFS_X],
+     UNPARSABLE_COEFFS),
+    (["eval", "--tasks", "missing.json", *COEFFS_X], UNPARSABLE_COEFFS),
+    (["fit", "--graph", "missing.txt", "--response", "polynomial", "--coeffs", ","],
+     "--coeffs: polynomial needs at least one coefficient"),
+    (["perturb", "--graph", "missing.txt", "--beliefs", "missing.txt", "--magnitude", "-1"],
+     "magnitude must be nonnegative, got -1.0"),
+    (["eval", "--tasks", "missing.json", "--response", "identity", "--perturb-magnitude", "-1"],
+     "magnitude must be nonnegative, got -1.0"),
+    (["eval", "--tasks", "missing.json", "--response", "identity", "--perturb-band", "5"],
+     "band 5 outside partition with 3 bands"),
+], ids=["fit tau", "fit coeffs", "attribute coeffs", "eval coeffs", "fit no coeffs",
+        "perturb magnitude", "eval magnitude", "eval band"])
+def test_an_option_is_refused_before_any_input_is_read(workdir, monkeypatch, capsys, argv,
+                                                       message):
+    # fit once parsed its graph and ran the whole lambda_max estimate before it refused a tau
+    def unread(self):
+        raise AssertionError(f"{self} was read")
+
+    monkeypatch.setattr(Path, "read_bytes", unread)
+    assert run(*argv, "--out-dir", "out") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workdir / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -148,18 +148,18 @@ def penalised_problem():
                             for x in rng.standard_normal((4, 30))))
     # the transfer reference is an output in node space
     reference = basis.eigenvectors @ (0.1 * rng.standard_normal(30))
-    context = tr.PenaltyContext(basis=basis, partition=an.equal_bands(basis, 3),
-                                allowed_bands=(0,), transfer_reference=reference)
+    disallowed = an.disallowed_rows(basis, an.equal_bands(basis, 3), (0,))
     penalties = tr.PenaltyWeights(proof=0.3, transfer=0.2)
-    return lap, lt, traces, targets, context, penalties
+    return lap, lt, traces, targets, disallowed, reference, penalties
 
 
 def test_penalised_training_history_pinned():
-    lap, lt, traces, targets, context, penalties = penalised_problem()
+    lap, lt, traces, targets, disallowed, reference, penalties = penalised_problem()
     student = ft.ChebyshevFilter(theta=np.zeros(6), lambda_max=lt.lambda_max)
     # a clip norm small enough that the gradients are clipped
     config = tr.TrainConfig(epochs=25, clip_norm=0.3)
-    result = tr.train(student, traces, targets, penalties, config=config, context=context)
+    result = tr.train(student, traces, targets, penalties, config=config,
+                      disallowed=disallowed, transfer_reference=reference)
     assert digest(tr.history_to_csv(result.history)) == "619c0cc9c2f5d927"
 
 

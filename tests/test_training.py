@@ -1,6 +1,7 @@
 """Gradients, penalties, expert mixtures, curricula, and the training loop."""
 
 import tracemalloc
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,18 @@ def loss_and_grad_y(y, target):
 
 # The y-space training loop as it ran before training moved to coefficient space:
 # every epoch forms each output y = B^T c from its trace and pulls the gradient
-# back through B. Kept as the reference the factored loop must agree with.
+# back through B. Kept as the reference the factored loop must agree with. It reads
+# the basis, bands and reference output of a Setting.
+
+Setting = namedtuple("Setting", "basis partition allowed_bands reference",
+                     defaults=(None, None, (), None))
+
+
+def penalty_args(pw, ctx):
+    """train's penalty arguments for ctx: the rows proof projects on, and the reference."""
+    rows = an.disallowed_rows(ctx.basis, ctx.partition, ctx.allowed_bands) if pw.proof else None
+    return {"disallowed": rows, "transfer_reference": ctx.reference}
+
 
 def y_space_proof_penalty(basis, y, allowed_bands, partition):
     disallowed = ~np.isin(partition.band_of(basis.eigenvalues), sorted(set(allowed_bands)))
@@ -49,7 +61,7 @@ def y_space_terms(pw, ctx, y, target):
         proof, pen_grad = y_space_proof_penalty(ctx.basis, y, ctx.allowed_bands, ctx.partition)
         g_y = g_y + pw.proof * pen_grad
     if pw.transfer > 0:
-        spectral = ctx.basis.eigenvectors.T @ (y - ctx.transfer_reference)
+        spectral = ctx.basis.eigenvectors.T @ (y - ctx.reference)
         transfer = float(spectral @ spectral) / n
         g_y = g_y + pw.transfer * (2.0 / n) * (ctx.basis.eigenvectors @ spectral)
     return value, proof, transfer, g_y
@@ -81,7 +93,7 @@ def y_space_train(model, traces, targets, pw, schedule, cfg, ctx):
     return ft.ChebyshevFilter(theta=theta, lambda_max=model.lambda_max), history
 
 
-def y_space_loss(theta, lt, x, target, pw=tr.PenaltyWeights(), ctx=tr.PenaltyContext()):
+def y_space_loss(theta, lt, x, target, pw=tr.PenaltyWeights(), ctx=Setting()):
     """Weighted loss of one example, its output formed through cheb_apply."""
     y = np.asarray(ft.cheb_apply(ft.ChebyshevFilter(theta=theta, lambda_max=lt.lambda_max),
                                  lt, x))
@@ -89,17 +101,13 @@ def y_space_loss(theta, lt, x, target, pw=tr.PenaltyWeights(), ctx=tr.PenaltyCon
     return value + pw.proof * proof + pw.transfer * transfer
 
 
-def factored(lt, theta, x, target, pw=tr.PenaltyWeights(), ctx=tr.PenaltyContext()):
+def factored(lt, theta, x, target, pw=tr.PenaltyWeights(), ctx=Setting()):
     """train's raw loss terms of one example at theta, and each term's gradient."""
     probe = ft.ChebyshevFilter(theta=np.zeros(theta.size), lambda_max=lt.lambda_max)
     _, trace = ft.cheb_apply(probe, lt, x, keep_trace=True)
-    rows = reference = None
-    if pw.proof > 0:
-        rows = ctx.basis.eigenvectors[:, ~np.isin(ctx.partition.band_of(ctx.basis.eigenvalues),
-                                                  ctx.allowed_bands)].T
-    if pw.transfer > 0:
-        reference = ctx.transfer_reference
-    return tr._FactoredLoss(trace, target, rows, reference)(theta)
+    args = penalty_args(pw, ctx)
+    reference = args["transfer_reference"] if pw.transfer > 0 else None
+    return tr._FactoredLoss(trace, target, args["disallowed"], reference)(theta)
 
 
 def central_differences(fn, theta, step=1e-6):
@@ -119,9 +127,8 @@ class TestGradTheta:
         for seed in range(5):
             lap, lt, lmax = operator(n=10, seed=seed)
             basis = gr.eigendecompose(lap)
-            ctx = tr.PenaltyContext(basis=basis, partition=an.equal_bands(basis, 3),
-                                    allowed_bands=(0,),
-                                    transfer_reference=rng.standard_normal(10))
+            ctx = Setting(basis=basis, partition=an.equal_bands(basis, 3), allowed_bands=(0,),
+                          reference=rng.standard_normal(10))
             theta = rng.standard_normal(6)
             x = rng.standard_normal(10)
             target = rng.standard_normal(10)
@@ -235,7 +242,7 @@ class TestPenalties:
         return lt, basis, an.equal_bands(basis, 3)
 
     def proof(self, lt, basis, part, bands, theta, x):
-        ctx = tr.PenaltyContext(basis=basis, partition=part, allowed_bands=bands)
+        ctx = Setting(basis=basis, partition=part, allowed_bands=bands)
         values, grads = factored(lt, theta, x, np.zeros(x.size), tr.PenaltyWeights(proof=1.0), ctx)
         return values[1], grads[1]
 
@@ -256,11 +263,22 @@ class TestPenalties:
         assert p == pytest.approx(0.0, abs=1e-12) and np.allclose(grad, 0.0, atol=1e-12)
         p, grad = self.proof(lt, basis, part, (0,), np.zeros(5), x)
         assert p == 0.0 and not grad.any()  # a zero output scores 0
-        student = ft.ChebyshevFilter(theta=theta, lambda_max=lt.lambda_max)
-        context = tr.PenaltyContext(basis=basis, partition=part, allowed_bands=(3,))
         with pytest.raises(ValueError, match="outside the partition"):
-            tr.train(student, traces_of(student, lt, [x]), [np.zeros(12)],
-                     tr.PenaltyWeights(proof=1.0), context=context)
+            an.disallowed_rows(basis, part, (3,))
+
+    @pytest.mark.parametrize("case", ["none", "width", "vector"])
+    def test_proof_penalty_needs_rows_of_n_values(self, case):
+        lt, basis, part = self.proof_case()
+        rows = an.disallowed_rows(basis, part, (0,))
+        rows = {"none": None, "width": rows[:, :11], "vector": rows[0]}[case]
+        student = ft.ChebyshevFilter(theta=np.ones(5), lambda_max=lt.lambda_max)
+        traces = traces_of(student, lt, [np.ones(12)])
+        with pytest.raises(ValueError, match="disallowed eigenvectors as rows of n values"):
+            tr.train(student, traces, [np.zeros(12)], tr.PenaltyWeights(proof=1.0),
+                     disallowed=rows)
+        # without a proof weight the rows are not read
+        tr.train(student, traces, [np.zeros(12)], config=tr.TrainConfig(epochs=1),
+                 disallowed=rows)
 
     def test_transfer_reference_is_one_output_per_node(self):
         lap, lt, lmax = operator(n=10, seed=3)
@@ -269,11 +287,10 @@ class TestPenalties:
         transfer = tr.PenaltyWeights(transfer=0.5)
         for reference in (None, np.zeros(9)):
             with pytest.raises(ValueError, match="one value per node"):
-                tr.train(student, traces, targets, transfer,
-                         context=tr.PenaltyContext(transfer_reference=reference))
+                tr.train(student, traces, targets, transfer, transfer_reference=reference)
         # the penalty works in node space: it needs no basis
         result = tr.train(student, traces, targets, transfer, config=tr.TrainConfig(epochs=2),
-                          context=tr.PenaltyContext(transfer_reference=np.zeros(10)))
+                          transfer_reference=np.zeros(10))
         assert len(result.history) == 2 and result.history[-1][4] > 0
 
     def test_proof_penalty_pure_band_signal(self):
@@ -492,13 +509,12 @@ class TestTrain:
         xs, targets = zip(*(rng.standard_normal((2, 12)) for _ in range(6)))
         student = ft.ChebyshevFilter(theta=np.zeros(5), lambda_max=lmax)
         traces = traces_of(student, lt, xs)
-        context = tr.PenaltyContext(basis=basis, partition=part, allowed_bands=(0,))
         plain = tr.train(student, traces, targets, tr.PenaltyWeights(),
                          config=tr.TrainConfig(learning_rate=0.02, epochs=120))
         penalized = tr.train(student, traces, targets,
                              tr.PenaltyWeights(proof=5.0),
                              config=tr.TrainConfig(learning_rate=0.02, epochs=120),
-                             context=context)
+                             disallowed=an.disallowed_rows(basis, part, (0,)))
 
         def allowed_fraction(model):
             fracs = np.zeros(3)
@@ -551,16 +567,16 @@ class TestTrain:
         student = ft.ChebyshevFilter(theta=0.1 * rng.standard_normal(order + 1), lambda_max=lmax)
         traces = traces_of(student, lt, [trace[0] for trace in traces])
         pw, schedule, cfg = tr.PenaltyWeights(), None, tr.TrainConfig(epochs=30)
-        ctx = tr.PenaltyContext(basis=basis, partition=part)
+        ctx = Setting(basis=basis, partition=part)
         if case == "curriculum_clipped":
             schedule = tr.CurriculumSchedule(stages=((0, 1), (10, 3), (20, order)))
             cfg = tr.TrainConfig(epochs=30, clip_norm=0.05)
         elif case in ("proof_and_transfer", "fewer_nodes_than_columns"):
             pw = tr.PenaltyWeights(proof=0.4, transfer=0.3)
-            ctx = tr.PenaltyContext(basis=basis, partition=part, allowed_bands=(0, 1),
-                                    transfer_reference=basis.eigenvectors
-                                    @ (0.2 * rng.standard_normal(n)))
-        result = tr.train(student, traces, targets, pw, schedule=schedule, config=cfg, context=ctx)
+            ctx = Setting(basis=basis, partition=part, allowed_bands=(0, 1),
+                          reference=basis.eigenvectors @ (0.2 * rng.standard_normal(n)))
+        result = tr.train(student, traces, targets, pw, schedule=schedule, config=cfg,
+                          **penalty_args(pw, ctx))
         model, history = y_space_train(student, traces, targets, pw, schedule, cfg, ctx)
         np.testing.assert_allclose(np.array(result.history), np.array(history), rtol=1e-12, atol=0)
         np.testing.assert_allclose(result.model.theta, model.theta, rtol=1e-12, atol=0)
