@@ -6,13 +6,13 @@ records their SHA-256 and parses them with a library loader of bytes (so an inpu
 a pipe) and any check against the operator the value feeds; a refusal, a decode error
 too, starts with the path and comes before the run's first eigendecomposition or Lanczos
 step. Options that make a library object (a response, a PerturbConfig, an EvalConfig)
-become it before any input is read. A subcommand writes nothing: it returns its files
-(name to text, or to a function that writes bytes to an open binary file), its inputs
-(path to the digest and the bytes parsed) and a summary. main then makes --out-dir, so a
-refused run leaves none, replaces each file in it through a .tmp sibling, writes
-manifest.json (the arguments and input digests) last and prints the summary. Outputs are
-byte-identical across re-runs with the same inputs and seeds; wall-clock latency columns
-are the one documented exception.
+become it, and band and point counts are checked, before any input is read. A subcommand
+writes nothing: it returns its files (name to text, or to a function that writes bytes to
+an open binary file), its inputs (path to the digest and the bytes parsed) and a summary.
+main then makes --out-dir, so a refused run leaves none, replaces each file in it through
+a .tmp sibling, writes manifest.json (the arguments and input digests) last and prints the
+summary. Outputs are byte-identical across re-runs with the same inputs and seeds;
+wall-clock latency columns are the one documented exception.
 
 fit and train also write operator.npz beside filter.json: the product layout
 build_laplacian assembled the Laplacian in, and the digest of the graph file. When that
@@ -267,15 +267,7 @@ def cmd_infer(args) -> tuple[dict, dict, str]:
         facts = {rb.atoms[i] for i in range(n) if predicates.hard[i]}
         closure = rl.forward_chain(rb, facts)
         files["closure.txt"] = "\n".join(sorted(closure)) + "\n"
-
-    summary = ""
-    if n <= gr.DENSE_CAP:
-        basis = gr.eigendecompose(lap)
-        if basis.lambda_max > 0:
-            report = analysis.band_energy(basis, np.asarray(y, dtype=float),
-                                          analysis.equal_bands(basis, 3))
-            summary = "band_fractions=" + ",".join(map(gr.float_text, report.fractions)) + "\n"
-    return files, inputs, summary + f"infer nodes={n} facts={int(predicates.hard.sum())}"
+    return files, inputs, f"infer nodes={n} facts={int(predicates.hard.sum())}"
 
 
 _TRAIN = {"order": Default(int, 8), "examples": Default(int, 8),
@@ -381,6 +373,8 @@ def cmd_eval(args) -> tuple[dict, dict, str]:
 
 def cmd_attribute(args) -> tuple[dict, dict, str]:
     inputs = {}
+    if args.bands < 1:
+        raise ValueError("need at least one band")
     model = _load_model(args, inputs)
     lap = _load_operator(args, args.graph, inputs)
     x = _read_input(args.beliefs, inputs, _beliefs(lap.node_count))
@@ -405,6 +399,9 @@ def cmd_attribute(args) -> tuple[dict, dict, str]:
 def cmd_perturb(args) -> tuple[dict, dict, str]:
     inputs = {}
     noise = analysis.PerturbConfig(band=args.band, magnitude=args.magnitude, seed=args.seed)
+    if not 0 <= noise.band < args.bands:  # the band count first, as equal_bands refuses it
+        raise ValueError("need at least one band" if args.bands < 1
+                         else f"band {noise.band} outside partition with {args.bands} bands")
     lap = _load_operator(args, args.graph, inputs)
     x = _read_input(args.beliefs, inputs, _beliefs(lap.node_count))
     basis = gr.eigendecompose(lap)
@@ -419,6 +416,8 @@ def cmd_perturb(args) -> tuple[dict, dict, str]:
 
 
 def cmd_transfer(args) -> tuple[dict, dict, str]:
+    if args.points < 2:
+        raise ValueError("profile needs at least two points")
     pairs, profiles, inputs = [], [], {}
     for graph_path, belief_path in ((args.source_graph, args.source_beliefs),
                                     (args.target_graph, args.target_beliefs)):

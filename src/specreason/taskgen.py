@@ -25,6 +25,16 @@ from .rules import CLAUSE, HornClause, RuleBase, RuleSet, forward_chain, rulebas
 
 
 _SMOOTH_TAU = 2.0  # diffusion time of a contradiction task's background; task.json records it
+PAIR_CAP = 6000 * 5999 // 2  # the node pairs of 6,000 nodes, whose draw peaks near 0.9 GB
+
+
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, k=1), every node pair, refused before any array is made past
+    PAIR_CAP: a draw holds some 50 bytes per pair."""
+    if n * (n - 1) // 2 > PAIR_CAP:
+        raise ValueError(f"a draw on the {n * (n - 1) // 2} node pairs of {n} nodes passes "
+                         f"the cap of {PAIR_CAP} pairs (6,000 nodes)")
+    return np.triu_indices(n, k=1)
 
 
 def random_gnp(n: int, p, seed=0) -> Graph:
@@ -32,7 +42,7 @@ def random_gnp(n: int, p, seed=0) -> Graph:
     np.triu_indices order with probability p: one value, or one per pair."""
     if n < 1:
         raise ValueError("need at least one node")
-    rows, cols = np.triu_indices(n, k=1)
+    rows, cols = _pairs(n)
     p = np.broadcast_to(np.asarray(p, dtype=float), rows.shape)
     bad = ~((p >= 0.0) & (p <= 1.0))
     if bad.any():
@@ -142,7 +152,7 @@ def gen_community_task(n: int = 200, intra_p: float = 0.08, inter_p: float = 0.0
         raise ValueError("communities need intra_p > inter_p")
     rng = np.random.default_rng(seed)
     half = n // 2
-    rows, cols = np.triu_indices(n, k=1)
+    rows, cols = _pairs(n)
     prob = np.where((rows < half) == (cols < half), intra_p, inter_p)
     g = _connected(lambda: random_gnp(n, prob, rng), "community graph")
 

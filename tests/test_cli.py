@@ -238,8 +238,28 @@ class TestInfer:
         run("infer", "--graph", "p2.txt", "--filter", filt,
             "--beliefs", "beliefs.txt", "--threshold", "0.5", "--out-dir", "out")
         out = capsys.readouterr().out
-        assert "band_fractions=" in out
-        assert "infer nodes=2" in out
+        assert "band_fractions=" not in out
+        assert out == "infer nodes=2 facts=1\n"
+
+    def test_no_dense_step_below_the_dense_cap(self, workdir, capsys, monkeypatch):
+        # infer once ran an O(n^3) eigendecomposition at n <= 2,048 to print band_fractions=
+        def undecomposed(*args, **kwargs):
+            raise AssertionError("infer decomposed the operator")
+
+        monkeypatch.setattr(gr, "eigendecompose", undecomposed)
+        g = random_gnm(2000, 10000, seed=2)
+        (workdir / "g.txt").write_text(
+            f"{g.node_count} {g.edge_count}\n" + "".join(f"{i} {j} {w}\n" for i, j, w in g.edges))
+        (workdir / "x.txt").write_text("".join(f"{(-1) ** k}\n" for k in range(2000)))
+        assert run("fit", "--graph", "g.txt", "--response", "diffusion", "--order", "16",
+                   "--out-dir", "fit") == 0
+        capsys.readouterr()
+        assert run("infer", "--graph", "g.txt", "--filter", "fit/filter.json",
+                   "--beliefs", "x.txt", "--out-dir", "out") == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.startswith("infer nodes=2000 facts=")
+        rows = (workdir / "out" / "predicates.csv").read_text().splitlines()
+        assert len(rows) == 1 + 2000
 
     def test_bad_filter_json_rejected(self, workdir, capsys):
         (workdir / "bad.json").write_text(json.dumps({"kind": "diffusion"}))
@@ -426,6 +446,20 @@ class TestGen:
                    "--out-dir", "out") == 1
         err = capsys.readouterr().err
         assert err == f"error: edge probability must be in [0, 1], got {value}\n"
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["community", "contradiction"])
+    def test_a_pair_draw_past_the_cap_is_refused_before_any_array(self, workdir, capsys,
+                                                                    monkeypatch, kind):
+        # a draw on every node pair of 20,000 nodes would hold about 10 GB: none is made
+        def unmade(*args, **kwargs):
+            raise AssertionError("an array of node pairs was made")
+
+        monkeypatch.setattr(np, "triu_indices", unmade)
+        assert run("gen", "--kind", kind, "--n", "20000", "--out-dir", "out") == 1
+        assert capsys.readouterr().err == (
+            "error: a draw on the 199990000 node pairs of 20000 nodes passes the cap of "
+            "17997000 pairs (6,000 nodes)\n")
         assert not (workdir / "out").exists()
 
 
@@ -1803,15 +1837,30 @@ UNPARSABLE_COEFFS = "--coeffs: could not convert string to float: 'x'"
      "magnitude must be nonnegative, got -1.0"),
     (["eval", "--tasks", "missing.json", "--response", "identity", "--perturb-band", "5"],
      "band 5 outside partition with 3 bands"),
+    (["perturb", "--graph", "missing.txt", "--beliefs", "missing.txt", "--band", "5"],
+     "band 5 outside partition with 3 bands"),
+    (["perturb", "--graph", "missing.txt", "--beliefs", "missing.txt", "--bands", "0"],
+     "need at least one band"),
+    (["attribute", "--graph", "missing.txt", "--beliefs", "missing.txt", "--response",
+      "identity", "--bands", "0"], "need at least one band"),
+    (["transfer", "--source-graph", "missing.txt", "--source-beliefs", "missing.txt",
+      "--target-graph", "missing.txt", "--target-beliefs", "missing.txt", "--points", "1"],
+     "profile needs at least two points"),
 ], ids=["fit tau", "fit coeffs", "attribute coeffs", "eval coeffs", "fit no coeffs",
-        "perturb magnitude", "eval magnitude", "eval band"])
+        "perturb magnitude", "eval magnitude", "eval band", "perturb band", "perturb bands",
+        "attribute bands", "transfer points"])
 def test_an_option_is_refused_before_any_input_is_read(workdir, monkeypatch, capsys, argv,
                                                        message):
-    # fit once parsed its graph and ran the whole lambda_max estimate before it refused a tau
+    # fit once parsed its graph and ran the whole lambda_max estimate before it refused a tau;
+    # perturb, attribute and transfer decomposed a graph before they refused a band or a count
     def unread(self):
         raise AssertionError(f"{self} was read")
 
+    def undecomposed(*args, **kwargs):
+        raise AssertionError("a graph was decomposed")
+
     monkeypatch.setattr(Path, "read_bytes", unread)
+    monkeypatch.setattr(gr, "eigendecompose", undecomposed)
     assert run(*argv, "--out-dir", "out") == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (workdir / "out").exists()

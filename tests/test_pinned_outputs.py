@@ -86,13 +86,13 @@ def test_fit_filter_pinned(fitted):
     assert digests(fitted / "fit", ["filter.json"]) == {"filter.json": "85dace8ac7b85807"}
 
 
-# stdout is the band_fractions line and the summary
+# stdout is the one summary line
 @pytest.mark.parametrize("mode_args, expected", [
     ([], {"predicates.csv": "73255ef23717355e", "closure.txt": "b491a88855e70036",
-          "stdout": "d1bf8c8a568ddc6c"}),
+          "stdout": "8762471be27f3094"}),
     (["--temperature", "2"],
      {"predicates.csv": "691ed651996efb2f", "closure.txt": "b491a88855e70036",
-      "stdout": "d1bf8c8a568ddc6c"}),
+      "stdout": "8762471be27f3094"}),
 ])
 def test_infer_outputs_pinned(fitted, capsys, mode_args, expected):
     atoms = tuple(f"a{i}" for i in range(12))

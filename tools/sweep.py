@@ -192,13 +192,15 @@ def large_runs() -> list[list[str]]:
 
 def refusal_runs() -> list[list[str]]:
     """One run per message family: of the edge lists, the belief files and the JSON
-    inputs; a missing file; fit without a response; a bad --tau and a bad --magnitude on
-    a missing graph, refused before any file is read; an unparsable --coeffs; a write
-    that fails; a signed graph under an unsigned variant; a rulebase of another size; a
-    filter fit on another graph and one past its interval; the dense cap; infer past an
-    operator.npz that names other graph bytes or cannot be read, which takes the text
-    path; a graph that is no UTF-8 in infer; a short belief file in attribute and on each
-    side of transfer; and transfer past a good source to a bad target graph."""
+    inputs; a missing file; fit without a response; a bad --tau, a bad --magnitude, a
+    perturb --band outside its --bands, a --bands of 0 in perturb and attribute and a
+    transfer --points of 1 on missing files, refused before any file is read; an
+    unparsable --coeffs; a write that fails; a signed graph under an unsigned variant; a
+    rulebase of another size; a filter fit on another graph and one past its interval;
+    the dense cap; infer past an operator.npz that names other graph bytes or cannot be
+    read, which takes the text path; a graph that is no UTF-8 in infer; a short belief
+    file in attribute and on each side of transfer; and transfer past a good source to a
+    bad target graph."""
     infer = ["infer", "--graph", "g.txt", "--filter", "fit/filter.json", "--beliefs", "x.txt"]
     transfer = ["transfer", "--source-graph", "g.txt", "--source-beliefs", "x.txt",
                 "--target-graph", "g.txt", "--target-beliefs", "x.txt"]
@@ -222,6 +224,15 @@ def refusal_runs() -> list[list[str]]:
          "--out-dir", "negative-tau"],
         ["perturb", "--graph", "missing.txt", "--beliefs", "x.txt", "--magnitude", "-1",
          "--out-dir", "negative-magnitude"],
+        ["perturb", "--graph", "missing.txt", "--beliefs", "missing.txt", "--band", "5",
+         "--out-dir", "band-outside"],
+        ["perturb", "--graph", "missing.txt", "--beliefs", "missing.txt", "--bands", "0",
+         "--out-dir", "perturb-no-bands"],
+        ["attribute", "--graph", "missing.txt", "--beliefs", "missing.txt", "--response",
+         "identity", "--bands", "0", "--out-dir", "attribute-no-bands"],
+        ["transfer", "--source-graph", "missing.txt", "--source-beliefs", "missing.txt",
+         "--target-graph", "missing.txt", "--target-beliefs", "missing.txt", "--points", "1",
+         "--out-dir", "one-point"],
         ["fit", "--graph", "g.txt", "--response", "polynomial", "--coeffs", "1,x",
          "--out-dir", "unparsable-coeffs"],
         ["fit", "--graph", "g.txt", "--response", "identity", "--out-dir", "taken"],
