@@ -14,17 +14,18 @@ import numpy as np
 
 from . import filters as ft
 from .graph import SpectralBasis, belief_values, gft, lambda_max_value, scale_exponent
+from .rules import RuleSet
 
 CERT_SLACK = 1.05
-_COVER_TOL = 1e-9
+PROOF_BANDS = 3  # the bands allowed_bands, eval's --perturb-band and the gate's fractions name
 
 
 @dataclass(frozen=True)
 class BandPartition:
     """Contiguous spectral bands cut at ``edges``: [e0, e1), ..., [e_{B-1}, e_B].
 
-    Edges start at zero and increase strictly; the last band is closed so
-    the top eigenvalue always lands somewhere.
+    Edges start at zero and increase strictly; the last band is closed so the top
+    eigenvalue, which equal_bands cuts the partition at, always lands somewhere.
     """
 
     edges: np.ndarray
@@ -40,30 +41,18 @@ class BandPartition:
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
 
-    @property
-    def n_bands(self) -> int:
-        return self.edges.size - 1
-
     def band_of(self, lam) -> np.ndarray:
-        """Band index for each eigenvalue; callers check coverage first."""
-        lam = np.asarray(lam, dtype=float)
-        idx = np.searchsorted(self.edges[1:-1], lam, side="right")
-        return np.clip(idx, 0, self.n_bands - 1)
-
-    def covers(self, eigenvalues) -> bool:
-        lam = np.asarray(eigenvalues, dtype=float)
-        tol = _COVER_TOL * float(self.edges[-1])
-        return bool(lam.size == 0
-                    or (lam.min() >= self.edges[0] - tol and lam.max() <= self.edges[-1] + tol))
+        """Band index for each eigenvalue; one past either end falls in the band there."""
+        return np.searchsorted(self.edges[1:-1], np.asarray(lam, dtype=float), side="right")
 
 
-def equal_bands(basis: SpectralBasis, bands: int) -> BandPartition:
-    """bands equal bands over [0, top], top the basis's lambda_max or, when that is not
+def equal_bands(top: float, bands: int) -> BandPartition:
+    """bands equal bands over [0, top], top a spectrum's top eigenvalue or, when that is not
     positive, as an edgeless graph's is, 1.0. Edge k < bands is k (top / bands), then top:
     np.linspace's bits, with no edge past the float range."""
     if bands < 1:
         raise ValueError("need at least one band")
-    top = basis.lambda_max if basis.lambda_max > 0 else 1.0
+    top = top if top > 0 else 1.0
     return BandPartition(edges=np.append(np.arange(bands) * (top / bands), top))
 
 
@@ -83,8 +72,8 @@ class BandReport:
             object.__setattr__(self, name, arr)
 
 
-def band_energy(basis: SpectralBasis, y, partition: BandPartition) -> BandReport:
-    """Split ||y_hat||^2 across the partition's bands.
+def band_energy(basis: SpectralBasis, y, bands: int) -> BandReport:
+    """Split ||y_hat||^2 across bands equal bands of basis's spectrum.
 
     Parseval makes the energies sum to ||y||^2. A zero signal yields the
     degenerate report with all-zero fractions. y is transformed, and its
@@ -92,15 +81,13 @@ def band_energy(basis: SpectralBasis, y, partition: BandPartition) -> BandReport
     square leaves the float range; the fractions come from the scaled energies,
     and an energy beyond the float range reads inf.
     """
+    partition = equal_bands(basis.lambda_max, bands)
     values = belief_values(y)
     shift = scale_exponent(values)
     yhat = gft(basis, np.ldexp(values, -shift))
-    if not partition.covers(basis.eigenvalues):
-        raise ValueError("partition does not cover the spectrum")
-    bands = partition.band_of(basis.eigenvalues)
     exponent = scale_exponent(yhat)
-    scaled = np.bincount(bands, weights=np.ldexp(yhat, -exponent) ** 2,
-                         minlength=partition.n_bands)
+    scaled = np.bincount(partition.band_of(basis.eigenvalues),
+                         weights=np.ldexp(yhat, -exponent) ** 2, minlength=bands)
     total = float(scaled.sum())
     degenerate = total <= 0.0
     fractions = np.zeros_like(scaled) if degenerate else scaled / total
@@ -119,7 +106,7 @@ def proof_band_agreement(pairs) -> float:
     scores = []
     for report, allowed in pairs:
         allowed = sorted(set(int(b) for b in allowed))
-        if any(b < 0 or b >= report.partition.n_bands for b in allowed):
+        if any(b < 0 or b >= report.energies.size for b in allowed):
             raise ValueError(f"allowed bands {allowed} outside the partition")
         if report.degenerate:
             continue
@@ -129,11 +116,12 @@ def proof_band_agreement(pairs) -> float:
     return float(np.mean(scores))
 
 
-def disallowed_rows(basis: SpectralBasis, partition: BandPartition, allowed_bands) -> np.ndarray:
-    """U_dis^T: basis's eigenvectors whose eigenvalues lie outside partition's allowed_bands,
-    as rows; the proof penalty scores the share of an output's energy they hold."""
+def disallowed_rows(basis: SpectralBasis, bands: int, allowed_bands) -> np.ndarray:
+    """U_dis^T: basis's eigenvectors whose eigenvalues lie outside allowed_bands of bands equal
+    bands, as rows; the proof penalty scores the share of an output's energy they hold."""
+    partition = equal_bands(basis.lambda_max, bands)
     allowed = [int(b) for b in allowed_bands]
-    if any(b < 0 or b >= partition.n_bands for b in allowed):
+    if any(b < 0 or b >= bands for b in allowed):
         raise ValueError(f"allowed bands {allowed} outside the partition")
     return basis.eigenvectors[:, ~np.isin(partition.band_of(basis.eigenvalues), allowed)].T
 
@@ -143,10 +131,14 @@ def robustness_certificate(response, lambda_max: float) -> float:
 
     sup |h| is the largest |h| at 1001 evenly spaced points, both ends included, where
     the monotone diffusion, highpass and identity responses peak; a gaussian_bandpass
-    can peak between them and uses its closed form. The bound dominates
-    ||h(L) x - h(L) x'|| / ||x - x'|| for any PSD operator whose spectrum the range covers.
+    can peak between them and uses its closed form. A rule set's bound is its templates'
+    bounds times their weights, summed (the triangle inequality). The bound dominates
+    ||h(L) x - h(L) x'|| / ||x - x'|| for any PSD operator whose spectrum lies in the range.
     """
     lambda_max = lambda_max_value(lambda_max)
+    if isinstance(response, RuleSet):
+        return sum(t.weight * robustness_certificate(t.response, lambda_max)
+                   for t in response.templates)
     if isinstance(response, ft.AnalyticResponse) and response.kind == "gaussian_bandpass":
         center, width = response.params
         if 0.0 <= center <= lambda_max:
@@ -174,8 +166,8 @@ class PerturbConfig:
             raise ValueError(f"magnitude must be nonnegative, got {self.magnitude}")
 
 
-def spectral_perturb(basis: SpectralBasis, x, noise: PerturbConfig, partition: BandPartition):
-    """Add noise's seeded Gaussian noise, confined to its band of partition.
+def spectral_perturb(basis: SpectralBasis, x, noise: PerturbConfig, bands: int):
+    """Add noise's seeded Gaussian noise, confined to its band of bands equal bands.
 
     The injected component is rescaled so its total norm equals
     ``noise.magnitude`` exactly; since the basis is orthonormal this is also
@@ -183,10 +175,9 @@ def spectral_perturb(basis: SpectralBasis, x, noise: PerturbConfig, partition: B
     the noise is exactly band-supported.
     """
     values = belief_values(x, basis.node_count)
-    if not 0 <= noise.band < partition.n_bands:
-        raise ValueError(f"band {noise.band} outside partition with {partition.n_bands} bands")
-    if not partition.covers(basis.eigenvalues):
-        raise ValueError("partition does not cover the spectrum")
+    partition = equal_bands(basis.lambda_max, bands)
+    if not 0 <= noise.band < bands:
+        raise ValueError(f"band {noise.band} outside partition with {bands} bands")
     mask = partition.band_of(basis.eigenvalues) == noise.band
     if not np.any(mask):
         raise ValueError(f"band {noise.band} contains no eigenvalues; nothing to perturb")

@@ -6,13 +6,13 @@ records their SHA-256 and parses them with a library loader of bytes (so an inpu
 a pipe) and any check against the operator the value feeds; a refusal, a decode error
 too, starts with the path and comes before the run's first eigendecomposition or Lanczos
 step. Options that make a library object (a response, a PerturbConfig, an EvalConfig)
-become it, and band and point counts are checked, before any input is read. A subcommand
-writes nothing: it returns its files (name to text, or to a function that writes bytes to
-an open binary file), its inputs (path to the digest and the bytes parsed) and a summary.
-main then makes --out-dir, so a refused run leaves none, replaces each file in it through
-a .tmp sibling, writes manifest.json (the arguments and input digests) last and prints the
-summary. Outputs are byte-identical across re-runs with the same inputs and seeds;
-wall-clock latency columns are the one documented exception.
+become it, and any option that can be refused on its own is checked, before any input is
+read. A subcommand writes nothing: it returns its files (name to text, or to a function
+that writes bytes to an open binary file), its inputs (path to the digest and the bytes
+parsed) and a summary. main then makes --out-dir, so a refused run leaves none, replaces
+each file in it through a .tmp sibling, writes manifest.json (the arguments and input
+digests) last and prints the summary. Outputs are byte-identical across re-runs with the
+same inputs and seeds; wall-clock latency columns are the one documented exception.
 
 fit and train also write operator.npz beside filter.json: the product layout
 build_laplacian assembled the Laplacian in, and the digest of the graph file. When that
@@ -220,6 +220,7 @@ def _stored_estimate(f: ft.ChebyshevFilter, lap: gr.Laplacian,
 def cmd_fit(args) -> tuple[dict, dict, str]:
     inputs = {}
     response = _response_from_args(args)
+    ft.check_order(args.order)
     lap = _load_operator(args, args.graph, inputs)
     estimate = _lambda_max(lap)
     fitted = ft.fit_chebyshev(response, args.order, estimate.value)
@@ -235,6 +236,7 @@ def cmd_fit(args) -> tuple[dict, dict, str]:
 
 def cmd_infer(args) -> tuple[dict, dict, str]:
     inputs = {}
+    rl.check_projection(args.threshold, args.temperature)
     _read_input(args.graph, inputs, lambda raw: None)  # its digest names a stored operator
     try:
         f = _read_input(args.filter, inputs, ft.load_filter)
@@ -288,8 +290,8 @@ def _train_plan(config: dict) -> dict:
             raise ValueError(f"{key} must be at least {least}, got {config[key]!r}")
     weights, stages, teacher = config["penalties"], config["curriculum"], config["teacher"]
     penalties = tr.PenaltyWeights(proof=weights["proof"], transfer=weights["transfer"])
-    bands = config["allowed_bands"]  # read by the proof penalty alone, over three bands
-    if penalties.proof > 0 and not (bands and set(bands) <= {0, 1, 2}):
+    bands = config["allowed_bands"]  # read by the proof penalty alone
+    if penalties.proof > 0 and not (bands and set(bands) <= set(range(analysis.PROOF_BANDS))):
         raise ValueError("allowed_bands must name one or more of bands 0, 1 and 2 when "
                          f"penalties.proof > 0, got {bands}")
     return dict(config,
@@ -316,11 +318,8 @@ def cmd_train(args) -> tuple[dict, dict, str]:
                                           keep_trace=True) for _ in range(plan["examples"])))
 
     # only proof needs the basis; transfer holds the outputs to an all-zero reference
-    disallowed = None
-    if penalties.proof > 0:
-        basis = gr.eigendecompose(lap)
-        disallowed = analysis.disallowed_rows(basis, analysis.equal_bands(basis, 3),
-                                              plan["allowed_bands"])
+    disallowed = (analysis.disallowed_rows(gr.eigendecompose(lap), analysis.PROOF_BANDS,
+                                           plan["allowed_bands"]) if penalties.proof > 0 else None)
 
     student = ft.ChebyshevFilter(theta=np.zeros(order + 1), lambda_max=estimate.value)
     result = tr.train(student, traces, targets, penalties, schedule=plan["curriculum"],
@@ -383,33 +382,32 @@ def cmd_attribute(args) -> tuple[dict, dict, str]:
         y = np.asarray(tg.as_response(model, basis, x), dtype=float)
     except tg.IntervalError as exc:
         raise ValueError(f"{args.model_filter}: on {args.graph}, {exc}") from None
-    partition = analysis.equal_bands(basis, args.bands)
-    report = analysis.band_energy(basis, y, partition)
+    report = analysis.band_energy(basis, y, args.bands)
+    partition = report.partition
     bound = analysis.robustness_certificate(model, partition.edges[-1])
 
     # one row per instance: partition edges, then energies, fractions, bound
-    edges, bands = range(partition.edges.size), range(partition.n_bands)
+    edges, bands = range(partition.edges.size), range(args.bands)
     header = ["instance", *(f"edge{b}" for b in edges), *(f"band{b}_energy" for b in bands),
               *(f"band{b}_fraction" for b in bands), "bound"]
     row = (0, *partition.edges, *report.energies, *report.fractions, bound)
     return ({"attribution.csv": gr.csv_text(header, [row])}, inputs,
-            f"attribute bands={partition.n_bands} bound={gr.float_text(bound)}")
+            f"attribute bands={args.bands} bound={gr.float_text(bound)}")
 
 
 def cmd_perturb(args) -> tuple[dict, dict, str]:
     inputs = {}
     noise = analysis.PerturbConfig(band=args.band, magnitude=args.magnitude, seed=args.seed)
-    if not 0 <= noise.band < args.bands:  # the band count first, as equal_bands refuses it
+    if not 0 <= noise.band < args.bands:  # the band count first, as spectral_perturb refuses it
         raise ValueError("need at least one band" if args.bands < 1
                          else f"band {noise.band} outside partition with {args.bands} bands")
     lap = _load_operator(args, args.graph, inputs)
     x = _read_input(args.beliefs, inputs, _beliefs(lap.node_count))
     basis = gr.eigendecompose(lap)
-    partition = analysis.equal_bands(basis, args.bands)
-    perturbed = analysis.spectral_perturb(basis, x, noise, partition)
-    before = analysis.band_energy(basis, x, partition)
-    after = analysis.band_energy(basis, perturbed, partition)
-    rows = zip(range(partition.n_bands), before.energies, after.energies)
+    perturbed = analysis.spectral_perturb(basis, x, noise, args.bands)
+    before = analysis.band_energy(basis, x, args.bands)
+    after = analysis.band_energy(basis, perturbed, args.bands)
+    rows = zip(range(args.bands), before.energies, after.energies)
     return ({"perturbed.txt": "".join(gr.float_text(v) + "\n" for v in perturbed),
              "perturb.csv": gr.csv_text(("band", "clean_energy", "perturbed_energy"), rows)},
             inputs, f"perturb band={args.band} magnitude={gr.float_text(args.magnitude)}")

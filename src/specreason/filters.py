@@ -3,8 +3,8 @@
 A response is a scalar function of the Laplacian eigenvalue. Analytic
 templates are exact closed forms; ChebyshevFilter is a truncated series
 applied to sparse operators through the three-term recurrence without any
-eigendecomposition. The dense functional-calculus path is kept as the
-slow reference implementation.
+eigendecomposition. The dense functional-calculus path, exact and O(n^3) for its
+eigenbasis, serves eval and attribute and is the oracle the recurrence is held to.
 """
 
 from __future__ import annotations
@@ -208,11 +208,16 @@ def _filter_from_dict(payload: dict) -> ChebyshevFilter:
                            bound=LambdaMaxEstimate(value=lambda_max, **record) if record else None)
 
 
+def check_order(order: int) -> None:
+    """Refuse a negative series order, as fit_chebyshev does, before any lambda_max is known."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+
+
 def fit_chebyshev(response, order: int, lambda_max: float) -> ChebyshevFilter:
     """Project a response onto T_0 .. T_order by Chebyshev-Gauss quadrature
     on M = max(64, 4 (order + 1)) nodes."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    check_order(order)
     lambda_max = lambda_max_value(lambda_max)
     nodes = max(64, 4 * (order + 1))
     angles = np.pi * (np.arange(nodes) + 0.5) / nodes
@@ -283,7 +288,7 @@ def cheb_apply(f: ChebyshevFilter, lt: ScaledLaplacian, x, keep_trace: bool = Fa
 
 
 def dense_filter_apply(basis: SpectralBasis, response, x):
-    """Exact functional calculus U h(Lambda) U^T x. Reference path only.
+    """Exact functional calculus U h(Lambda) U^T x: eval's and attribute's path, and the oracle.
 
     The products h_k c_k are formed on h / 2^e, e its binary exponent (scale_exponent),
     so that none overflows where the output does not, and the output is scaled back by

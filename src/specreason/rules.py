@@ -87,6 +87,14 @@ class PredicateVector:
             object.__setattr__(self, "soft", soft)
 
 
+def check_projection(threshold: float, temperature: float | None = None) -> None:
+    """Refuse project_predicates' options, a non-finite threshold or a non-positive temperature."""
+    if not np.isfinite(threshold):
+        raise ValueError("threshold must be finite")
+    if temperature is not None and not (np.isfinite(temperature) and temperature > 0):
+        raise ValueError("soft projection requires a positive temperature")
+
+
 def project_predicates(y, threshold: float = 0.0,
                        temperature: float | None = None) -> PredicateVector:
     """Project beliefs to predicates.
@@ -96,13 +104,10 @@ def project_predicates(y, threshold: float = 0.0,
     sigmoid(temperature * (y_i - threshold)).
     """
     values = belief_values(y)
-    if not np.isfinite(threshold):
-        raise ValueError("threshold must be finite")
+    check_projection(threshold, temperature)
     hard = values > threshold
     soft = None
     if temperature is not None:
-        if not np.isfinite(temperature) or temperature <= 0:
-            raise ValueError("soft projection requires a positive temperature")
         with np.errstate(over="ignore"):  # exp overflows to inf for z below -709: p = 0
             soft = 1.0 / (1.0 + np.exp(-(temperature * (values - threshold))))
     return PredicateVector(hard=hard, soft=soft)

@@ -17,11 +17,12 @@ import numpy as np
 
 from . import filters as ft
 from ._schema import Default, Map, Nullable, read_json
-from .analysis import (PerturbConfig, band_energy, equal_bands, proof_band_agreement,
+from .analysis import (PROOF_BANDS, PerturbConfig, band_energy, proof_band_agreement,
                        spectral_perturb)
 from .graph import (Graph, InvalidEdgeError, build_laplacian, csv_text, eigendecompose,
                     estimate_lambda_max, scale_laplacian)
-from .rules import CLAUSE, HornClause, RuleBase, RuleSet, forward_chain, rulebase_from_dict
+from .rules import (CLAUSE, HornClause, RuleBase, RuleSet, check_projection, forward_chain,
+                    rulebase_from_dict)
 
 
 _SMOOTH_TAU = 2.0  # diffusion time of a contradiction task's background; task.json records it
@@ -128,7 +129,11 @@ class TaskInstance:
         labels.setflags(write=False)
         object.__setattr__(self, "beliefs", beliefs)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "allowed_bands", tuple(int(b) for b in self.allowed_bands))
+        allowed = tuple(int(b) for b in self.allowed_bands)
+        if not set(allowed) <= set(range(PROOF_BANDS)):
+            raise ValueError(f"allowed_bands {list(allowed)} outside partition with "
+                             f"{PROOF_BANDS} bands")
+        object.__setattr__(self, "allowed_bands", allowed)
         if self.rulebase is not None and len(self.rulebase.atoms) != self.graph.node_count:
             raise ValueError("the rulebase must name one atom per node")
 
@@ -318,7 +323,7 @@ def _midranks(s: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class EvalConfig:
     """How the evaluator reads beliefs off a model and scores them. perturb's band is one
-    of the three that evaluate cuts, whatever its magnitude."""
+    of the PROOF_BANDS that evaluate cuts, whatever its magnitude."""
 
     threshold: float = 0.0
     variant: str = "combinatorial"
@@ -326,12 +331,12 @@ class EvalConfig:
     perturb: PerturbConfig | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.threshold):
-            raise ValueError("threshold must be finite")
+        check_projection(self.threshold)
         if self.latency_runs < 1:
             raise ValueError(f"latency_runs must be at least 1, got {self.latency_runs}")
-        if self.perturb is not None and not 0 <= self.perturb.band < 3:
-            raise ValueError(f"band {self.perturb.band} outside partition with 3 bands")
+        if self.perturb is not None and not 0 <= self.perturb.band < PROOF_BANDS:
+            raise ValueError(f"band {self.perturb.band} outside partition with "
+                             f"{PROOF_BANDS} bands")
 
 
 def model_label(model) -> str:
@@ -418,7 +423,7 @@ def evaluate(model, instances, config: EvalConfig | None = None) -> EvalReport:
     Accuracy is the mean instance score. Latency is the median wall time
     of the model application alone, over latency_runs repeats per
     instance. Band columns attribute the output energy of every instance
-    to three equal bands of its spectrum (equal_bands); a sum past the float range
+    to PROOF_BANDS equal bands of its spectrum; a sum past the float range
     reads inf, which to_csv refuses. Robustness drop is the accuracy, in percentage
     points, lost to cfg.perturb's noise, cut at the same bands. Each instance
     is eigendecomposed once.
@@ -439,12 +444,12 @@ def evaluate(model, instances, config: EvalConfig | None = None) -> EvalReport:
             start = time.perf_counter()
             y = as_response(model, basis, inst.beliefs)
             times.append(time.perf_counter() - start)
-        part = equal_bands(basis, 3)
         perturbed = None
         if noisy:
-            x = spectral_perturb(basis, inst.beliefs, noise, part)
+            x = spectral_perturb(basis, inst.beliefs, noise, PROOF_BANDS)
             perturbed = _score(as_response(model, basis, x), inst, cfg.threshold)
-        return times, _score(y, inst, cfg.threshold), perturbed, band_energy(basis, y, part)
+        return (times, _score(y, inst, cfg.threshold), perturbed,
+                band_energy(basis, y, PROOF_BANDS))
 
     outcomes = []
     for k, inst in enumerate(instances):
@@ -457,9 +462,7 @@ def evaluate(model, instances, config: EvalConfig | None = None) -> EvalReport:
     accuracy = float(np.mean(scores))
     latency_ms = _median(np.concatenate(times)) * 1000.0
 
-    energies = np.zeros(reports[0].partition.n_bands)
-    for report in reports:
-        energies += report.energies
+    energies = sum(report.energies for report in reports)
     total = float(energies.sum())
     fractions = energies / total if total > 0 else np.zeros_like(energies)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import filters as ft
-from .analysis import band_energy, equal_bands
+from .analysis import PROOF_BANDS, band_energy
 from .graph import DENSE_CAP, ScaledLaplacian, SpectralBasis, belief_values, csv_text
 
 GATING_FEATURES = ("total_energy", "low_band_fraction", "mid_band_fraction",
@@ -61,12 +61,10 @@ def grad_scaled_laplacian(dLdy, theta, trace: np.ndarray, lt: ScaledLaplacian) -
 
 
 def gating_features(basis: SpectralBasis, x) -> np.ndarray:
-    """The five gating inputs: total energy, three band fractions, node count."""
-    report = band_energy(basis, x, equal_bands(basis, 3))
+    """The five gating inputs: total energy, the PROOF_BANDS band fractions, node count."""
+    report = band_energy(basis, x, PROOF_BANDS)
     values = belief_values(x)
-    return np.array([float(values @ values), report.fractions[0],
-                     report.fractions[1], report.fractions[2],
-                     float(basis.node_count)])
+    return np.array([float(values @ values), *report.fractions, float(basis.node_count)])
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import pytest
 from specreason import analysis as an
 from specreason import filters as ft
 from specreason import graph as gr
+from specreason import rules as rl
 from specreason.taskgen import random_gnp
 
 
@@ -26,6 +27,7 @@ class TestBandPartition:
         # half-open bands, last band closed on top
         assert part.band_of([0.5, 1.0, 3.0]).tolist() == [0, 1, 2]
         assert part.band_of([0.0, 2.0]).tolist() == [0, 2]
+        assert part.band_of([-1e-12, 4.0]).tolist() == [0, 2]  # past an end: the band there
 
     def test_edges_validated(self):
         with pytest.raises(ValueError, match="first edge"):
@@ -40,22 +42,20 @@ class TestBandPartition:
         # spectrum, all zeros, is cut over [0, 1]
         rng = np.random.default_rng(21)
         for top in 10.0 ** rng.uniform(-300.0, 307.0, 2000):
-            basis = gr.SpectralBasis(eigenvalues=[0.0, top], eigenvectors=np.eye(2))
             bands = int(rng.integers(1, 11))
-            edges = an.equal_bands(basis, bands).edges
+            edges = an.equal_bands(top, bands).edges
             assert edges.tobytes() == np.linspace(0.0, top, bands + 1).tobytes()
-            assert (an.equal_bands(basis, 3).edges.tobytes()
+            assert (an.equal_bands(top, 3).edges.tobytes()
                     == np.array([0.0, top / 3, 2 * (top / 3), top]).tobytes())
         edgeless = gr.eigendecompose(gr.build_laplacian(gr.Graph(3)))
-        assert an.equal_bands(edgeless, 3).edges.tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
+        assert an.equal_bands(edgeless.lambda_max, 3).edges.tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
         with pytest.raises(ValueError, match="at least one band"):
-            an.equal_bands(edgeless, 0)
+            an.equal_bands(edgeless.lambda_max, 0)
 
     def test_equal_bands_stop_at_the_float_maximum(self):
         top = float(np.finfo(float).max)
-        basis = gr.SpectralBasis(eigenvalues=[0.0, top], eigenvectors=np.eye(2))
         with np.errstate(all="raise"):
-            edges = an.equal_bands(basis, 7).edges
+            edges = an.equal_bands(top, 7).edges
         assert edges[-1] == top and np.all(np.isfinite(edges))
 
 
@@ -63,47 +63,36 @@ class TestBandEnergy:
     def test_parseval_split(self):
         basis = random_basis(seed=1)
         y = np.random.default_rng(2).standard_normal(20)
-        report = an.band_energy(basis, y, an.equal_bands(basis, 3))
+        report = an.band_energy(basis, y, 3)
         assert report.energies.sum() == pytest.approx(float(y @ y), rel=1e-12)
         assert report.fractions.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_p2_constant_is_pure_low(self):
         basis = p2_basis()
-        report = an.band_energy(basis, np.array([1.0, 1.0]),
-                                an.equal_bands(basis, 3))
+        report = an.band_energy(basis, np.array([1.0, 1.0]), 3)
         assert report.fractions.tolist() == [1.0, 0.0, 0.0]
 
     def test_p2_alternating_is_pure_high(self):
         basis = p2_basis()
-        report = an.band_energy(basis, np.array([1.0, -1.0]),
-                                an.equal_bands(basis, 3))
+        report = an.band_energy(basis, np.array([1.0, -1.0]), 3)
         assert report.fractions.tolist() == [0.0, 0.0, 1.0]
 
     def test_zero_signal_degenerate(self):
         basis = p2_basis()
-        report = an.band_energy(basis, np.zeros(2), an.equal_bands(basis, 3))
+        report = an.band_energy(basis, np.zeros(2), 3)
         assert report.degenerate and report.fractions.tolist() == [0.0, 0.0, 0.0]
 
     def test_outputs_near_the_float_range_keep_their_fractions(self):
         # unscaled, the squares of 2^-1000 y underflow to 0 and those of 2^1000 y overflow
         basis = random_basis(seed=3)
-        part = an.equal_bands(basis, 3)
         y = np.random.default_rng(4).standard_normal(20)
-        report = an.band_energy(basis, y, part)
+        report = an.band_energy(basis, y, 3)
         for k in (1000, -1000):
-            scaled = an.band_energy(basis, np.ldexp(y, k), part)
+            scaled = an.band_energy(basis, np.ldexp(y, k), 3)
             assert not scaled.degenerate
             assert scaled.fractions.tobytes() == report.fractions.tobytes()
-        tiny = an.band_energy(basis, np.ldexp(y, -500), part)
+        tiny = an.band_energy(basis, np.ldexp(y, -500), 3)
         assert tiny.energies.tobytes() == np.ldexp(report.energies, -1000).tobytes()
-
-    def test_partition_must_cover(self):
-        # at any scale: a spectrum twice the partition's top is not covered near 1e-12 either
-        for k in (0, -40):
-            basis = gr.SpectralBasis(np.ldexp(p2_basis().eigenvalues, k), p2_basis().eigenvectors)
-            partition = an.BandPartition(edges=np.ldexp([0.0, 1.0], k))
-            with pytest.raises(ValueError, match="cover"):
-                an.band_energy(basis, np.ones(2), partition)
 
 
 class TestDirichletEnergy:
@@ -132,24 +121,22 @@ class TestDirichletEnergy:
 class TestProofBandAgreement:
     def test_mean_allowed_fraction(self):
         basis = p2_basis()
-        part = an.equal_bands(basis, 3)
-        low = an.band_energy(basis, np.array([1.0, 1.0]), part)
-        high = an.band_energy(basis, np.array([1.0, -1.0]), part)
+        low = an.band_energy(basis, np.array([1.0, 1.0]), 3)
+        high = an.band_energy(basis, np.array([1.0, -1.0]), 3)
         assert an.proof_band_agreement([(low, (0,)), (high, (0,))]) == pytest.approx(0.5)
         assert an.proof_band_agreement([(low, (0,)), (high, (2,))]) == 1.0
 
     def test_degenerate_reports_skipped(self):
         basis = p2_basis()
-        part = an.equal_bands(basis, 3)
-        zero = an.band_energy(basis, np.zeros(2), part)
-        low = an.band_energy(basis, np.array([1.0, 1.0]), part)
+        zero = an.band_energy(basis, np.zeros(2), 3)
+        low = an.band_energy(basis, np.array([1.0, 1.0]), 3)
         assert an.proof_band_agreement([(zero, (0,)), (low, (0,))]) == 1.0
         with pytest.raises(ValueError):
             an.proof_band_agreement([(zero, (0,))])
 
     def test_bad_band_index(self):
         basis = p2_basis()
-        report = an.band_energy(basis, np.ones(2), an.equal_bands(basis, 3))
+        report = an.band_energy(basis, np.ones(2), 3)
         with pytest.raises(ValueError):
             an.proof_band_agreement([(report, (7,))])
 
@@ -157,17 +144,16 @@ class TestProofBandAgreement:
 class TestDisallowedRows:
     def test_rows_span_the_bands_outside_the_allowed(self):
         basis = random_basis(seed=16)
-        part = an.equal_bands(basis, 3)
-        bands = part.band_of(basis.eigenvalues)
+        bands = an.equal_bands(basis.lambda_max, 3).band_of(basis.eigenvalues)
         for allowed in ((0,), (1, 2), (0, 1, 2)):
-            rows = an.disallowed_rows(basis, part, allowed)
+            rows = an.disallowed_rows(basis, 3, allowed)
             outside = ~np.isin(bands, allowed)
             assert rows.shape == (int(outside.sum()), 20)
             assert np.array_equal(rows, basis.eigenvectors[:, outside].T)
 
     def test_p2_low_band_allowed_leaves_the_alternating_row(self):
         basis = p2_basis()
-        rows = an.disallowed_rows(basis, an.equal_bands(basis, 3), [0])
+        rows = an.disallowed_rows(basis, 3, [0])
         assert rows.shape == (1, 2)
         assert abs(rows[0] @ np.ones(2)) <= 1e-15
 
@@ -176,7 +162,7 @@ class TestDisallowedRows:
         basis = p2_basis()
         message = f"allowed bands {list(allowed)} outside the partition"
         with pytest.raises(ValueError, match=re.escape(message)):
-            an.disallowed_rows(basis, an.equal_bands(basis, 3), allowed)
+            an.disallowed_rows(basis, 3, allowed)
 
 
 class TestRobustnessCertificate:
@@ -200,6 +186,23 @@ class TestRobustnessCertificate:
                                   (ft.highpass(param), lmax / (lmax + param))):
                 assert an.robustness_certificate(response, lmax) == sup * an.CERT_SLACK
 
+    def test_rule_set_bound_holds_a_narrow_template(self):
+        # the mixture's 1001-point scan missed this peak at 2.002 and gave 1.45e-87
+        narrow = rl.RuleSet(templates=(
+            rl.RuleTemplate(name="narrow", response=ft.gaussian_bandpass(2.002, 1e-4)),))
+        assert an.robustness_certificate(narrow, 4.0) == an.CERT_SLACK
+
+    def test_rule_set_bound_is_the_weighted_sum_of_its_templates(self):
+        templates = (rl.RuleTemplate(name="spread", response=ft.diffusion(2.0), weight=0.7),
+                     rl.RuleTemplate(name="edge", response=ft.highpass(1.0), weight=0.3),
+                     rl.RuleTemplate(name="narrow", response=ft.gaussian_bandpass(1.3, 1e-3),
+                                     weight=0.5))
+        rules = rl.RuleSet(templates=templates)
+        bound = an.robustness_certificate(rules, 3.0)
+        assert bound == sum(t.weight * an.robustness_certificate(t.response, 3.0)
+                            for t in templates)
+        assert bound >= np.max(np.abs(rules(np.linspace(1.29, 1.31, 20001))))
+
     def test_grid_bound_dominates_grid_values(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
@@ -222,40 +225,37 @@ class TestSpectralPerturb:
         x = np.random.default_rng(12).standard_normal(20)
         for magnitude in (0.1, 1.0, 7.5):
             noise = an.PerturbConfig(band=1, magnitude=magnitude, seed=3)
-            out = np.asarray(an.spectral_perturb(basis, x, noise, an.equal_bands(basis, 3)))
+            out = np.asarray(an.spectral_perturb(basis, x, noise, 3))
             assert abs(np.linalg.norm(out - x) - magnitude) <= 1e-10
 
     def test_only_target_band_moves(self):
         basis = random_basis(seed=13)
-        part = an.equal_bands(basis, 3)
         x = np.random.default_rng(14).standard_normal(20)
         noise = an.PerturbConfig(band=0, magnitude=0.5, seed=4)
-        out = np.asarray(an.spectral_perturb(basis, x, noise, part))
+        out = np.asarray(an.spectral_perturb(basis, x, noise, 3))
         diff_hat = basis.eigenvectors.T @ (out - x)
-        outside = part.band_of(basis.eigenvalues) != 0
+        outside = an.equal_bands(basis.lambda_max, 3).band_of(basis.eigenvalues) != 0
         assert np.max(np.abs(diff_hat[outside])) <= 1e-12
 
     def test_zero_magnitude_no_op(self):
         basis = p2_basis()
         x = np.array([0.3, -0.7])
-        out = np.asarray(an.spectral_perturb(basis, x, an.PerturbConfig(band=0),
-                                             an.equal_bands(basis, 3)))
+        out = np.asarray(an.spectral_perturb(basis, x, an.PerturbConfig(band=0), 3))
         assert np.array_equal(out, x)
 
     def test_empty_band_errors_with_name(self):
         basis = p2_basis()
-        # nothing lives in [3, 4)
-        part = an.BandPartition(edges=np.array([0.0, 3.0, 4.0, 5.0]))
-        with pytest.raises(ValueError, match="band 1"):
-            an.spectral_perturb(basis, np.ones(2), an.PerturbConfig(band=1, magnitude=0.1), part)
+        # the eigenvalues are 0 and 2: nothing lives in [2/3, 4/3)
+        with pytest.raises(ValueError, match="band 1 contains no eigenvalues"):
+            an.spectral_perturb(basis, np.ones(2), an.PerturbConfig(band=1, magnitude=0.1), 3)
 
     def test_seeded_and_deterministic(self):
         basis = random_basis(seed=15)
-        x, part = np.zeros(20), an.equal_bands(basis, 3)
+        x = np.zeros(20)
 
         def perturbed(seed):
             noise = an.PerturbConfig(band=2, magnitude=1.0, seed=seed)
-            return np.asarray(an.spectral_perturb(basis, x, noise, part))
+            return np.asarray(an.spectral_perturb(basis, x, noise, 3))
 
         a, b, c = perturbed(5), perturbed(5), perturbed(6)
         assert np.array_equal(a, b)
@@ -266,36 +266,34 @@ class TestSpectralEdit:
     """Whole-band gains, applied as a piecewise response through dense_filter_apply."""
 
     @staticmethod
-    def band_gains(part, gains):
-        table = np.array([gains.get(b, 1.0) for b in range(part.n_bands)])
-        return lambda lam: table[part.band_of(lam)]
+    def band_gains(basis, gains):
+        """A response of gains.get(b, 1) on band b of three equal bands of basis's spectrum."""
+        table = np.array([gains.get(b, 1.0) for b in range(3)])
+        return lambda lam: table[an.equal_bands(basis.lambda_max, 3).band_of(lam)]
 
     def test_gain_two_quadruples_band_energy(self):
         basis = random_basis(seed=16)
-        part = an.equal_bands(basis, 3)
         x = np.random.default_rng(17).standard_normal(20)
-        before = an.band_energy(basis, x, part)
-        out = ft.dense_filter_apply(basis, self.band_gains(part, {1: 2.0}), x)
-        after = an.band_energy(basis, out, part)
+        before = an.band_energy(basis, x, 3)
+        out = ft.dense_filter_apply(basis, self.band_gains(basis, {1: 2.0}), x)
+        after = an.band_energy(basis, out, 3)
         assert after.energies[1] == pytest.approx(4.0 * before.energies[1], rel=1e-10)
         assert after.energies[0] == pytest.approx(before.energies[0], rel=1e-10)
         assert after.energies[2] == pytest.approx(before.energies[2], rel=1e-10)
 
     def test_edits_compose_multiplicatively(self):
         basis = random_basis(seed=18)
-        part = an.equal_bands(basis, 3)
         x = np.random.default_rng(19).standard_normal(20)
-        once = ft.dense_filter_apply(basis, self.band_gains(part, {0: 2.0}), x)
-        twice = ft.dense_filter_apply(basis, self.band_gains(part, {0: 3.0}), once)
-        combined = ft.dense_filter_apply(basis, self.band_gains(part, {0: 6.0}), x)
+        once = ft.dense_filter_apply(basis, self.band_gains(basis, {0: 2.0}), x)
+        twice = ft.dense_filter_apply(basis, self.band_gains(basis, {0: 3.0}), once)
+        combined = ft.dense_filter_apply(basis, self.band_gains(basis, {0: 6.0}), x)
         assert np.allclose(twice, combined, atol=1e-12)
 
     def test_zero_gain_silences_band(self):
         basis = random_basis(seed=20)
-        part = an.equal_bands(basis, 3)
         x = np.random.default_rng(21).standard_normal(20)
-        out = ft.dense_filter_apply(basis, self.band_gains(part, {2: 0.0}), x)
-        assert an.band_energy(basis, out, part).energies[2] == pytest.approx(0.0, abs=1e-20)
+        out = ft.dense_filter_apply(basis, self.band_gains(basis, {2: 0.0}), x)
+        assert an.band_energy(basis, out, 3).energies[2] == pytest.approx(0.0, abs=1e-20)
 
 
 class TestCospectral:

@@ -21,6 +21,7 @@ import pytest
 from specreason import cli
 from specreason import filters as ft
 from specreason import graph as gr
+from specreason import taskgen as tg
 from specreason.taskgen import random_gnm
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
@@ -424,7 +425,6 @@ class TestGen:
         assert len(rules["clauses"]) == 3
 
     def test_community_task_loads_back(self, workdir):
-        from specreason import taskgen as tg
         code = run("gen", "--kind", "community", "--n", "20", "--intra-p", "0.5",
                    "--inter-p", "0.05", "--seed", "1", "--out-dir", "out")
         assert code == 0
@@ -1819,6 +1819,8 @@ def test_a_refused_input_is_refused_before_any_decomposition(monkeypatch, capsys
 
 
 COEFFS_X = ["--response", "polynomial", "--coeffs", "1,x"]
+INFER_MISSING = ["infer", "--graph", "missing.txt", "--filter", "missing.json", "--beliefs",
+                 "missing.txt"]
 UNPARSABLE_COEFFS = "--coeffs: could not convert string to float: 'x'"
 
 
@@ -1846,9 +1848,14 @@ UNPARSABLE_COEFFS = "--coeffs: could not convert string to float: 'x'"
     (["transfer", "--source-graph", "missing.txt", "--source-beliefs", "missing.txt",
       "--target-graph", "missing.txt", "--target-beliefs", "missing.txt", "--points", "1"],
      "profile needs at least two points"),
+    (["fit", "--graph", "missing.txt", "--response", "identity", "--order", "-1"],
+     "order must be nonnegative"),
+    ([*INFER_MISSING, "--temperature", "0"], "soft projection requires a positive temperature"),
+    ([*INFER_MISSING, "--threshold", "nan"], "threshold must be finite"),
 ], ids=["fit tau", "fit coeffs", "attribute coeffs", "eval coeffs", "fit no coeffs",
         "perturb magnitude", "eval magnitude", "eval band", "perturb band", "perturb bands",
-        "attribute bands", "transfer points"])
+        "attribute bands", "transfer points", "fit order", "infer temperature",
+        "infer threshold"])
 def test_an_option_is_refused_before_any_input_is_read(workdir, monkeypatch, capsys, argv,
                                                        message):
     # fit once parsed its graph and ran the whole lambda_max estimate before it refused a tau;
@@ -1863,6 +1870,26 @@ def test_an_option_is_refused_before_any_input_is_read(workdir, monkeypatch, cap
     monkeypatch.setattr(gr, "eigendecompose", undecomposed)
     assert run(*argv, "--out-dir", "out") == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workdir / "out").exists()
+
+
+def test_a_task_naming_a_band_past_the_proof_bands_is_refused_when_read(workdir, monkeypatch,
+                                                                       capsys):
+    # eval once decomposed every task before proof_band_agreement refused the band, unnamed
+    assert run("gen", "--kind", "chain", "--depth", "3", "--out-dir", "chain") == 0
+    payload = json.loads((workdir / "chain" / "task.json").read_text())
+    payload["allowed_bands"] = [5]
+    (workdir / "bad.json").write_text(json.dumps(payload))
+
+    def undecomposed(*args, **kwargs):
+        raise AssertionError("a task was decomposed")
+
+    monkeypatch.setattr(tg, "eigendecompose", undecomposed)
+    capsys.readouterr()
+    assert run("eval", "--tasks", "chain/task.json", "bad.json", "--response", "identity",
+               "--out-dir", "out") == 1
+    assert capsys.readouterr().err == (
+        "error: bad.json: allowed_bands [5] outside partition with 3 bands\n")
     assert not (workdir / "out").exists()
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,15 @@ class TestTaskInstance:
         with pytest.raises(ValueError, match="cover every node"):
             tg.TaskInstance(graph=g, beliefs=np.zeros(3), labels=np.ones(6, dtype=bool),
                             allowed_bands=(0,), kind="community", seed=0, params=())
+
+    @pytest.mark.parametrize("allowed", [(5,), (-1,), (0, 3)])
+    def test_allowed_bands_outside_the_proof_bands_refused(self, allowed):
+        # evaluate reads allowed bands against the three it cuts; they are checked when made
+        inst = tg.gen_chain_task(depth=3, seed=0)
+        message = f"allowed_bands {list(allowed)} outside partition with 3 bands"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tg.TaskInstance(graph=inst.graph, beliefs=inst.beliefs, labels=inst.labels,
+                            allowed_bands=allowed)
 
     def test_non_finite_belief_rejected(self, tmp_path):
         inst = tg.gen_chain_task(depth=3, seed=0)

@@ -28,20 +28,20 @@ def loss_and_grad_y(y, target):
 # The y-space training loop as it ran before training moved to coefficient space:
 # every epoch forms each output y = B^T c from its trace and pulls the gradient
 # back through B. Kept as the reference the factored loop must agree with. It reads
-# the basis, bands and reference output of a Setting.
+# the basis, allowed bands of three and reference output of a Setting.
 
-Setting = namedtuple("Setting", "basis partition allowed_bands reference",
-                     defaults=(None, None, (), None))
+Setting = namedtuple("Setting", "basis allowed_bands reference", defaults=(None, (), None))
 
 
 def penalty_args(pw, ctx):
     """train's penalty arguments for ctx: the rows proof projects on, and the reference."""
-    rows = an.disallowed_rows(ctx.basis, ctx.partition, ctx.allowed_bands) if pw.proof else None
+    rows = an.disallowed_rows(ctx.basis, 3, ctx.allowed_bands) if pw.proof else None
     return {"disallowed": rows, "transfer_reference": ctx.reference}
 
 
-def y_space_proof_penalty(basis, y, allowed_bands, partition):
-    disallowed = ~np.isin(partition.band_of(basis.eigenvalues), sorted(set(allowed_bands)))
+def y_space_proof_penalty(basis, y, allowed_bands):
+    bands = an.equal_bands(basis.lambda_max, 3).band_of(basis.eigenvalues)
+    disallowed = ~np.isin(bands, sorted(set(allowed_bands)))
     yhat = basis.eigenvectors.T @ y
     total = float(yhat @ yhat)
     if total <= 0.0:
@@ -58,7 +58,7 @@ def y_space_terms(pw, ctx, y, target):
     value, g_y = float(diff @ diff) / n, (2.0 / n) * diff
     proof = transfer = 0.0
     if pw.proof > 0:
-        proof, pen_grad = y_space_proof_penalty(ctx.basis, y, ctx.allowed_bands, ctx.partition)
+        proof, pen_grad = y_space_proof_penalty(ctx.basis, y, ctx.allowed_bands)
         g_y = g_y + pw.proof * pen_grad
     if pw.transfer > 0:
         spectral = ctx.basis.eigenvectors.T @ (y - ctx.reference)
@@ -127,8 +127,7 @@ class TestGradTheta:
         for seed in range(5):
             lap, lt, lmax = operator(n=10, seed=seed)
             basis = gr.eigendecompose(lap)
-            ctx = Setting(basis=basis, partition=an.equal_bands(basis, 3), allowed_bands=(0,),
-                          reference=rng.standard_normal(10))
+            ctx = Setting(basis=basis, allowed_bands=(0,), reference=rng.standard_normal(10))
             theta = rng.standard_normal(6)
             x = rng.standard_normal(10)
             target = rng.standard_normal(10)
@@ -239,10 +238,10 @@ class TestPenalties:
     def proof_case(self, n=12, seed=8):
         lap, lt, lmax = operator(n=n, seed=seed)
         basis = gr.eigendecompose(lap)
-        return lt, basis, an.equal_bands(basis, 3)
+        return lt, basis
 
-    def proof(self, lt, basis, part, bands, theta, x):
-        ctx = Setting(basis=basis, partition=part, allowed_bands=bands)
+    def proof(self, lt, basis, allowed, theta, x):
+        ctx = Setting(basis=basis, allowed_bands=allowed)
         values, grads = factored(lt, theta, x, np.zeros(x.size), tr.PenaltyWeights(proof=1.0), ctx)
         return values[1], grads[1]
 
@@ -253,23 +252,23 @@ class TestPenalties:
             tr.PenaltyWeights(**weights)
 
     def test_proof_penalty_bounds(self):
-        lt, basis, part = self.proof_case()
+        lt, basis = self.proof_case()
         rng = np.random.default_rng(9)
         theta, x = rng.standard_normal(5), rng.standard_normal(12)
-        for bands in ((0,), (1,), (0, 1), (0, 1, 2)):
-            p, _ = self.proof(lt, basis, part, bands, theta, x)
+        for allowed in ((0,), (1,), (0, 1), (0, 1, 2)):
+            p, _ = self.proof(lt, basis, allowed, theta, x)
             assert 0.0 <= p <= 1.0
-        p, grad = self.proof(lt, basis, part, (0, 1, 2), theta, x)
+        p, grad = self.proof(lt, basis, (0, 1, 2), theta, x)
         assert p == pytest.approx(0.0, abs=1e-12) and np.allclose(grad, 0.0, atol=1e-12)
-        p, grad = self.proof(lt, basis, part, (0,), np.zeros(5), x)
+        p, grad = self.proof(lt, basis, (0,), np.zeros(5), x)
         assert p == 0.0 and not grad.any()  # a zero output scores 0
         with pytest.raises(ValueError, match="outside the partition"):
-            an.disallowed_rows(basis, part, (3,))
+            an.disallowed_rows(basis, 3, (3,))
 
     @pytest.mark.parametrize("case", ["none", "width", "vector"])
     def test_proof_penalty_needs_rows_of_n_values(self, case):
-        lt, basis, part = self.proof_case()
-        rows = an.disallowed_rows(basis, part, (0,))
+        lt, basis = self.proof_case()
+        rows = an.disallowed_rows(basis, 3, (0,))
         rows = {"none": None, "width": rows[:, :11], "vector": rows[0]}[case]
         student = ft.ChebyshevFilter(theta=np.ones(5), lambda_max=lt.lambda_max)
         traces = traces_of(student, lt, [np.ones(12)])
@@ -297,23 +296,21 @@ class TestPenalties:
         lap = gr.build_laplacian(gr.Graph(node_count=2, edges=((0, 1, 1.0),)))
         basis = gr.eigendecompose(lap)
         lt = gr.scale_laplacian(lap, basis.lambda_max)
-        part = an.equal_bands(basis, 3)
         constant = np.array([1.0, 1.0])  # pure low band
         identity = np.array([1.0, 0.0])
-        assert self.proof(lt, basis, part, (0,), identity, constant)[0] == 0.0
-        assert self.proof(lt, basis, part, (2,), identity, constant)[0] == pytest.approx(1.0,
-                                                                                        abs=1e-15)
+        assert self.proof(lt, basis, (0,), identity, constant)[0] == 0.0
+        assert self.proof(lt, basis, (2,), identity, constant)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_proof_penalty_gradient_matches_differences(self):
-        lt, basis, part = self.proof_case(n=10, seed=3)
+        lt, basis = self.proof_case(n=10, seed=3)
         rng = np.random.default_rng(4)
         theta, x = rng.standard_normal(6), rng.standard_normal(10)
-        _, grad = self.proof(lt, basis, part, (0,), theta, x)
+        _, grad = self.proof(lt, basis, (0,), theta, x)
 
         def penalty(th):
             y = np.asarray(ft.cheb_apply(ft.ChebyshevFilter(theta=th, lambda_max=lt.lambda_max),
                                          lt, x))
-            return y_space_proof_penalty(basis, y, (0,), part)[0]
+            return y_space_proof_penalty(basis, y, (0,))[0]
 
         assert grad == pytest.approx(central_differences(penalty, theta), abs=1e-8)
 
@@ -504,7 +501,6 @@ class TestTrain:
     def test_proof_penalty_steers_energy(self):
         lap, lt, lmax = operator(n=12, p=0.5, seed=28)
         basis = gr.eigendecompose(lap)
-        part = an.equal_bands(basis, 3)
         rng = np.random.default_rng(29)
         xs, targets = zip(*(rng.standard_normal((2, 12)) for _ in range(6)))
         student = ft.ChebyshevFilter(theta=np.zeros(5), lambda_max=lmax)
@@ -514,13 +510,13 @@ class TestTrain:
         penalized = tr.train(student, traces, targets,
                              tr.PenaltyWeights(proof=5.0),
                              config=tr.TrainConfig(learning_rate=0.02, epochs=120),
-                             disallowed=an.disallowed_rows(basis, part, (0,)))
+                             disallowed=an.disallowed_rows(basis, 3, (0,)))
 
         def allowed_fraction(model):
             fracs = np.zeros(3)
             for x in xs:
                 y = np.asarray(ft.cheb_apply(model, lt, x))
-                fracs += an.band_energy(basis, y, part).fractions
+                fracs += an.band_energy(basis, y, 3).fractions
             return fracs[0] / len(xs)
 
         assert allowed_fraction(penalized.model) >= allowed_fraction(plain.model)
@@ -560,20 +556,19 @@ class TestTrain:
         n = 6 if case == "fewer_nodes_than_columns" else 14
         lap, lt, lmax = operator(n=n, p=0.5, seed=50)
         basis = gr.eigendecompose(lap)
-        part = an.equal_bands(basis, 3)
         rng = np.random.default_rng(51)
         _, traces, targets = teacher_data(lt, lmax, 4, 5, seed=52)
         order = 8 if case == "fewer_nodes_than_columns" else 5
         student = ft.ChebyshevFilter(theta=0.1 * rng.standard_normal(order + 1), lambda_max=lmax)
         traces = traces_of(student, lt, [trace[0] for trace in traces])
         pw, schedule, cfg = tr.PenaltyWeights(), None, tr.TrainConfig(epochs=30)
-        ctx = Setting(basis=basis, partition=part)
+        ctx = Setting(basis=basis)
         if case == "curriculum_clipped":
             schedule = tr.CurriculumSchedule(stages=((0, 1), (10, 3), (20, order)))
             cfg = tr.TrainConfig(epochs=30, clip_norm=0.05)
         elif case in ("proof_and_transfer", "fewer_nodes_than_columns"):
             pw = tr.PenaltyWeights(proof=0.4, transfer=0.3)
-            ctx = Setting(basis=basis, partition=part, allowed_bands=(0, 1),
+            ctx = Setting(basis=basis, allowed_bands=(0, 1),
                           reference=basis.eigenvectors @ (0.2 * rng.standard_normal(n)))
         result = tr.train(student, traces, targets, pw, schedule=schedule, config=cfg,
                           **penalty_args(pw, ctx))

@@ -12,12 +12,14 @@ tool records a parent and a change alike. The inputs are the awkward shapes of
 tools/awkward.py (both graph kinds, the three variants, the five responses, --rules and
 --model-filter models, beliefs of +-1.5^k and +-1e200), gen of the three kinds and eval
 of those tasks, train configs, bench, and one run per input option that reads its
-input from a pipe (/dev/fd/63) beside the same run reading the file. Four more groups
+input from a pipe (/dev/fd/63) beside the same run reading the file. Five more groups
 reach what those leave out: a 1,100-node graph with a hub, whose products run both
 levels and the bincount tail (and infer's soft column); a 600-node unit path and a
 1,000-node path of mixed weights, on which lambda_max falls back to each bound; one
-refusal per message family of every input; and one path, then one pipe, named twice in
-one command. --reduced keeps two shapes and one of each of the rest: a few seconds.
+refusal per message family of every input; one path, then one pipe, named twice in
+one command; and attribute of a rule set whose one template peaks between the points
+of a 1001-point scan. --reduced keeps two shapes and one of each of the rest: a few
+seconds.
 
 A record holds the BLAS thread settings and one entry per run: its group (the shape,
 or what the run covers), argv, exit code, stdout, stderr, the warnings it raised and
@@ -57,6 +59,7 @@ REDUCED_SHAPES = ("path", "signed path")
 PATH = AWKWARD["path"][0]
 TEMPLATES = [{"name": "spread", "kind": "diffusion", "params": [2.0], "weight": 0.7},
              {"name": "edge", "kind": "highpass", "params": [1.0], "weight": 0.3}]
+NARROW = [{"name": "narrow", "kind": "gaussian_bandpass", "params": [2.002, 1e-4], "weight": 1.0}]
 TRAIN_CONFIGS = {
     "small": {"order": 4, "epochs": 5, "examples": 2},
     "penalised": {"order": 6, "epochs": 20, "examples": 3, "seed": 7,
@@ -113,6 +116,8 @@ JSON_INPUTS = {  # name -> (option, document): one per refusal of the strict JSO
     "task-no-nodes": ("--tasks", '{"graph": {"n": 0, "edges": []}, "beliefs": [], "labels": []}'),
     "task-graph-kind": ("--tasks", '{"graph": {"n": 1, "edges": [], "kind": "odd"}, '
                                    '"beliefs": [1], "labels": [1]}'),
+    "task-allowed-bands": ("--tasks", '{"graph": {"n": 2, "edges": [[0, 1, 1]]}, "beliefs": '
+                                      '[1, 0], "labels": [1, 0], "allowed_bands": [5]}'),
 }
 GEN = {"community": ["--kind", "community", "--n", "40", "--intra-p", "0.4", "--inter-p", "0.02"],
        "contradiction": ["--kind", "contradiction", "--n", "40", "--base-p", "0.2",
@@ -193,8 +198,9 @@ def large_runs() -> list[list[str]]:
 def refusal_runs() -> list[list[str]]:
     """One run per message family: of the edge lists, the belief files and the JSON
     inputs; a missing file; fit without a response; a bad --tau, a bad --magnitude, a
-    perturb --band outside its --bands, a --bands of 0 in perturb and attribute and a
-    transfer --points of 1 on missing files, refused before any file is read; an
+    perturb --band outside its --bands, a --bands of 0 in perturb and attribute, a
+    transfer --points of 1, a fit --order of -1 and an infer --temperature of 0 and
+    --threshold of nan on missing files, refused before any file is read; an
     unparsable --coeffs; a write that fails; a signed graph under an unsigned variant; a
     rulebase of another size; a filter fit on another graph and one past its interval;
     the dense cap; infer past an operator.npz that names other graph bytes or cannot be
@@ -204,6 +210,8 @@ def refusal_runs() -> list[list[str]]:
     infer = ["infer", "--graph", "g.txt", "--filter", "fit/filter.json", "--beliefs", "x.txt"]
     transfer = ["transfer", "--source-graph", "g.txt", "--source-beliefs", "x.txt",
                 "--target-graph", "g.txt", "--target-beliefs", "x.txt"]
+    missing_infer = ["infer", "--graph", "missing.txt", "--filter", "missing.json",
+                     "--beliefs", "missing.txt"]
     runs = [["perturb", "--graph", "g.txt", "--beliefs", f"beliefs-{name}.txt",
              "--out-dir", f"beliefs-{name}"] for name in BELIEF_FILES]
     runs += [["fit", "--graph", f"edges-{name}.txt", "--response", "identity",
@@ -233,6 +241,10 @@ def refusal_runs() -> list[list[str]]:
         ["transfer", "--source-graph", "missing.txt", "--source-beliefs", "missing.txt",
          "--target-graph", "missing.txt", "--target-beliefs", "missing.txt", "--points", "1",
          "--out-dir", "one-point"],
+        ["fit", "--graph", "missing.txt", "--response", "identity", "--order", "-1",
+         "--out-dir", "negative-order"],
+        [*missing_infer, "--temperature", "0", "--out-dir", "zero-temperature"],
+        [*missing_infer, "--threshold", "nan", "--out-dir", "nan-threshold"],
         ["fit", "--graph", "g.txt", "--response", "polynomial", "--coeffs", "1,x",
          "--out-dir", "unparsable-coeffs"],
         ["fit", "--graph", "g.txt", "--response", "identity", "--out-dir", "taken"],
@@ -336,6 +348,13 @@ def groups(reduced: bool):
             ["gen", "--kind", "chain", "--depth", "3", "--out-dir", "task"],
             ([*tasks, "--out-dir", "piped-tasks"], "--tasks"), [*tasks, "--out-dir", "file-tasks"]]
     yield "repeated", lambda: write_inputs(Path.cwd(), "path"), runs[:1] if reduced else runs
+
+    def narrow():
+        write_inputs(Path.cwd(), "path")
+        Path("narrow.json").write_text(json.dumps(NARROW))
+
+    yield "narrow template", narrow, [["attribute", "--graph", "g.txt", "--beliefs", "x.txt",
+                                       "--rules", "narrow.json", "--out-dir", "narrow"]]
 
 
 def digests(out_dir: Path) -> dict:
