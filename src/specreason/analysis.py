@@ -131,11 +131,14 @@ def robustness_certificate(response, lambda_max: float) -> float:
 
     sup |h| is the largest |h| at 1001 evenly spaced points, both ends included, where
     the monotone diffusion, highpass and identity responses peak; a gaussian_bandpass
-    can peak between them and uses its closed form. A rule set's bound is its templates'
-    bounds times their weights, summed (the triangle inequality). The bound dominates
+    can peak between them and uses its closed form; a Chebyshev filter's is at most
+    sum |theta_k|, as |T_k| <= 1 on the interval as_response holds the spectrum inside. A
+    rule set's bound is its templates' bounds times their weights, summed. The bound dominates
     ||h(L) x - h(L) x'|| / ||x - x'|| for any PSD operator whose spectrum lies in the range.
     """
     lambda_max = lambda_max_value(lambda_max)
+    if isinstance(response, ft.ChebyshevFilter):
+        return float(np.abs(response.theta).sum()) * CERT_SLACK
     if isinstance(response, RuleSet):
         return sum(t.weight * robustness_certificate(t.response, lambda_max)
                    for t in response.templates)
@@ -154,20 +157,26 @@ def robustness_certificate(response, lambda_max: float) -> float:
 
 @dataclass(frozen=True)
 class PerturbConfig:
-    """Band-limited spectral noise: which band, how strong, which stream. A zero
-    magnitude adds none; a negative or non-finite one is refused here, once."""
+    """Band-limited spectral noise: which band of how many equal bands, how strong, which
+    stream. A zero magnitude adds none. Refused here, once, in this order: a negative or
+    non-finite magnitude, fewer than one band, a band outside the bands."""
 
     band: int = 2
     magnitude: float = 0.0
     seed: int = 0
+    bands: int = PROOF_BANDS
 
     def __post_init__(self):
         if self.magnitude < 0 or not np.isfinite(self.magnitude):
             raise ValueError(f"magnitude must be nonnegative, got {self.magnitude}")
+        if self.bands < 1:
+            raise ValueError("need at least one band")
+        if not 0 <= self.band < self.bands:
+            raise ValueError(f"band {self.band} outside partition with {self.bands} bands")
 
 
-def spectral_perturb(basis: SpectralBasis, x, noise: PerturbConfig, bands: int):
-    """Add noise's seeded Gaussian noise, confined to its band of bands equal bands.
+def spectral_perturb(basis: SpectralBasis, x, noise: PerturbConfig):
+    """Add noise's seeded Gaussian noise, confined to its band of noise.bands equal bands.
 
     The injected component is rescaled so its total norm equals
     ``noise.magnitude`` exactly; since the basis is orthonormal this is also
@@ -175,9 +184,7 @@ def spectral_perturb(basis: SpectralBasis, x, noise: PerturbConfig, bands: int):
     the noise is exactly band-supported.
     """
     values = belief_values(x, basis.node_count)
-    partition = equal_bands(basis.lambda_max, bands)
-    if not 0 <= noise.band < bands:
-        raise ValueError(f"band {noise.band} outside partition with {bands} bands")
+    partition = equal_bands(basis.lambda_max, noise.bands)
     mask = partition.band_of(basis.eigenvalues) == noise.band
     if not np.any(mask):
         raise ValueError(f"band {noise.band} contains no eigenvalues; nothing to perturb")

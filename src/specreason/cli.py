@@ -7,8 +7,9 @@ a pipe) and any check against the operator the value feeds; a refusal, a decode 
 too, starts with the path and comes before the run's first eigendecomposition or Lanczos
 step. Options that make a library object (a response, a PerturbConfig, an EvalConfig)
 become it, and any option that can be refused on its own is checked, before any input is
-read. A subcommand writes nothing: it returns its files (name to text, or to a function
-that writes bytes to an open binary file), its inputs (path to the digest and the bytes
+read; a graph file is read as the kind of graph --variant takes (graph.graph_kind). A
+subcommand writes nothing: it returns its files (name to text, or to a function that
+writes bytes to an open binary file), its inputs (path to the digest and the bytes
 parsed) and a summary. main then makes --out-dir, so a refused run leaves none, replaces
 each file in it through a .tmp sibling, writes manifest.json (the arguments and input
 digests) last and prints the summary. Outputs are byte-identical across re-runs with the
@@ -156,9 +157,9 @@ def _load_model(args, inputs: dict):
 
 
 def _load_operator(args, path, inputs: dict) -> gr.Laplacian:
-    """The Laplacian of the graph file at path, as --graph-kind and --variant say."""
+    """The --variant Laplacian of the graph file at path, read as the kind of graph it takes."""
     return _read_input(path, inputs, lambda raw: gr.build_laplacian(
-        gr.load_graph(raw, kind=args.graph_kind), variant=args.variant))
+        gr.load_graph(raw, kind=gr.graph_kind(args.variant)), variant=args.variant))
 
 
 _OPERATOR_FILE = "operator.npz"
@@ -209,10 +210,9 @@ def _lambda_max(lap: gr.Laplacian,
     return estimate
 
 
-def _stored_estimate(f: ft.ChebyshevFilter, lap: gr.Laplacian,
-                     kind: str) -> gr.LambdaMaxEstimate | None:
+def _stored_estimate(f: ft.ChebyshevFilter, lap: gr.Laplacian) -> gr.LambdaMaxEstimate | None:
     """f's bound, the estimate its lambda_max came from, if its fingerprint names this operator."""
-    if f.bound is None or f.graph_sha256 != gr.graph_sha256(lap, kind, f.lambda_max):
+    if f.bound is None or f.graph_sha256 != gr.graph_sha256(lap, f.lambda_max):
         return None
     return f.bound
 
@@ -225,8 +225,7 @@ def cmd_fit(args) -> tuple[dict, dict, str]:
     estimate = _lambda_max(lap)
     fitted = ft.fit_chebyshev(response, args.order, estimate.value)
     error = ft.fit_grid_error(fitted, response)
-    fitted = replace(fitted, bound=estimate,
-                     graph_sha256=gr.graph_sha256(lap, args.graph_kind, estimate.value))
+    fitted = replace(fitted, bound=estimate, graph_sha256=gr.graph_sha256(lap, estimate.value))
     return ({"filter.json": fitted.to_json() + "\n",
              _OPERATOR_FILE: lambda file: _write_operator(file, lap, inputs[args.graph][0])},
             inputs,
@@ -241,16 +240,16 @@ def cmd_infer(args) -> tuple[dict, dict, str]:
     try:
         f = _read_input(args.filter, inputs, ft.load_filter)
     except (OSError, ValueError):  # a bad graph is reported before a bad filter
-        _read_input(args.graph, inputs, lambda raw: gr.load_graph(raw, kind=args.graph_kind))
+        _load_operator(args, args.graph, inputs)
         raise
     # the operator fit stored beside the filter serves when it is the one the filter was
     # bounded on; otherwise the graph is parsed and assembled
     lap = _compiled_operator(Path(args.filter).with_name(_OPERATOR_FILE),
                              inputs[args.graph][0], args.variant) if f.bound is not None else None
-    stored = None if lap is None else _stored_estimate(f, lap, args.graph_kind)
+    stored = None if lap is None else _stored_estimate(f, lap)
     if stored is None:
         lap = _load_operator(args, args.graph, inputs)
-        stored = _stored_estimate(f, lap, args.graph_kind)
+        stored = _stored_estimate(f, lap)
     n = lap.node_count
     rb = (_read_input(args.rulebase, inputs, lambda raw: _rulebase(raw, n))
           if args.rulebase else None)
@@ -326,8 +325,7 @@ def cmd_train(args) -> tuple[dict, dict, str]:
                       config=plan["train"], disallowed=disallowed,
                       transfer_reference=np.zeros(lap.node_count))
 
-    model = replace(result.model, bound=estimate,
-                    graph_sha256=gr.graph_sha256(lap, args.graph_kind, estimate.value))
+    model = replace(result.model, bound=estimate, graph_sha256=gr.graph_sha256(lap, estimate.value))
     first, last = result.history[0][1], result.history[-1][1]
     return ({"filter.json": model.to_json() + "\n",
              "history.csv": tr.history_to_csv(result.history),
@@ -363,8 +361,10 @@ def cmd_eval(args) -> tuple[dict, dict, str]:
     instances = [_read_input(path, inputs, tg.load_task) for path in args.tasks]
     try:
         report = tg.evaluate(model, instances, cfg)
-    except tg.IntervalError as exc:
-        raise ValueError(f"{args.tasks[exc.index]}: {exc}") from None
+    except ValueError as exc:
+        if not hasattr(exc, "task_index"):
+            raise
+        raise ValueError(f"{args.tasks[exc.task_index]}: {exc}") from None
     return ({"eval.csv": report.to_csv()}, inputs,
             f"eval model={report.model} accuracy={report.accuracy:.4f} "
             f"agreement={report.proof_band_agreement:.4f}")
@@ -380,7 +380,7 @@ def cmd_attribute(args) -> tuple[dict, dict, str]:
     basis = gr.eigendecompose(lap)
     try:
         y = np.asarray(tg.as_response(model, basis, x), dtype=float)
-    except tg.IntervalError as exc:
+    except ValueError as exc:  # only a filter is refused, past its interval
         raise ValueError(f"{args.model_filter}: on {args.graph}, {exc}") from None
     report = analysis.band_energy(basis, y, args.bands)
     partition = report.partition
@@ -397,14 +397,12 @@ def cmd_attribute(args) -> tuple[dict, dict, str]:
 
 def cmd_perturb(args) -> tuple[dict, dict, str]:
     inputs = {}
-    noise = analysis.PerturbConfig(band=args.band, magnitude=args.magnitude, seed=args.seed)
-    if not 0 <= noise.band < args.bands:  # the band count first, as spectral_perturb refuses it
-        raise ValueError("need at least one band" if args.bands < 1
-                         else f"band {noise.band} outside partition with {args.bands} bands")
+    noise = analysis.PerturbConfig(band=args.band, magnitude=args.magnitude, seed=args.seed,
+                                   bands=args.bands)
     lap = _load_operator(args, args.graph, inputs)
     x = _read_input(args.beliefs, inputs, _beliefs(lap.node_count))
     basis = gr.eigendecompose(lap)
-    perturbed = analysis.spectral_perturb(basis, x, noise, args.bands)
+    perturbed = analysis.spectral_perturb(basis, x, noise)
     before = analysis.band_energy(basis, x, args.bands)
     after = analysis.band_energy(basis, perturbed, args.bands)
     rows = zip(range(args.bands), before.energies, after.energies)
@@ -455,7 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if graph:
             p.add_argument("--graph", required=True, help="edge-list file")
             p.add_argument("--variant", default="combinatorial", choices=gr.VARIANTS)
-            p.add_argument("--graph-kind", default="unsigned", choices=gr.GRAPH_KINDS)
         p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("fit", help="fit a Chebyshev filter to an analytic response")
@@ -530,7 +527,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-beliefs", required=True)
     p.add_argument("--points", type=int, default=64)
     p.add_argument("--variant", default="combinatorial", choices=gr.VARIANTS)
-    p.add_argument("--graph-kind", default="unsigned", choices=gr.GRAPH_KINDS)
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("bench", help="timing sweep of the sparse recurrence")

@@ -310,6 +310,11 @@ def _variant(variant: str) -> str:
     return variant
 
 
+def graph_kind(variant: str) -> str:
+    """The kind of graph variant's Laplacian reads: signed (any sign) for signed, else unsigned."""
+    return "signed" if _variant(variant) == "signed" else "unsigned"
+
+
 def layout_arrays(lap: SparseOperator) -> dict:
     """lap's product layout as named arrays: what operator.npz stores."""
     return lap._levels._asdict()
@@ -590,19 +595,18 @@ def build_laplacian(g: Graph, variant: str = "combinatorial") -> Laplacian:
                      variant=variant)
 
 
-def graph_sha256(lap: Laplacian, kind: str, lambda_max: float) -> str:
-    """SHA-256 over an operator: a Laplacian, the graph kind it was built from and a
-    lambda_max bound taken together.
+def graph_sha256(lap: Laplacian, lambda_max: float) -> str:
+    """SHA-256 over an operator: a Laplacian and a lambda_max bound taken together.
 
-    Covers the graph kind, the variant, float_text(lambda_max), the length of each
-    array of the Laplacian's product layout, and those arrays (layout_arrays) in
-    order, as little-endian int64, or float64 for data, so the digest is the same on
-    every platform and changes when any of them does. Equal digests mean
+    Covers the graph kind the variant reads (graph_kind), the variant, float_text(lambda_max),
+    the length of each array of the Laplacian's product layout, and those arrays
+    (layout_arrays) in order, as little-endian int64, or float64 for data, so the digest is
+    the same on every platform and changes when any of them does. Equal digests mean
     bit-identical arrays: the header fixes every length.
     """
     arrays = layout_arrays(lap)
     sizes = " ".join(str(values.size) for values in arrays.values())
-    head = f"{kind} {lap.variant} {float_text(lambda_max)} {sizes}\n"
+    head = f"{graph_kind(lap.variant)} {lap.variant} {float_text(lambda_max)} {sizes}\n"
     digest = hashlib.sha256(head.encode("ascii"))
     for name, values in arrays.items():
         dtype = "<f8" if _LAYOUT_DTYPES[name] is float else "<i8"

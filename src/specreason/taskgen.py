@@ -322,21 +322,18 @@ def _midranks(s: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """How the evaluator reads beliefs off a model and scores them. perturb's band is one
-    of the PROOF_BANDS that evaluate cuts, whatever its magnitude."""
+    """How the evaluator reads beliefs off a model and scores them; the default perturb,
+    of magnitude 0, adds no noise."""
 
     threshold: float = 0.0
     variant: str = "combinatorial"
     latency_runs: int = 3
-    perturb: PerturbConfig | None = None
+    perturb: PerturbConfig = PerturbConfig()
 
     def __post_init__(self):
         check_projection(self.threshold)
         if self.latency_runs < 1:
             raise ValueError(f"latency_runs must be at least 1, got {self.latency_runs}")
-        if self.perturb is not None and not 0 <= self.perturb.band < PROOF_BANDS:
-            raise ValueError(f"band {self.perturb.band} outside partition with "
-                             f"{PROOF_BANDS} bands")
 
 
 def model_label(model) -> str:
@@ -349,26 +346,19 @@ def model_label(model) -> str:
     return f"rules({len(model)})"
 
 
-class IntervalError(ValueError):
-    """A Chebyshev filter met a spectrum that reaches past its interval [0, lambda_max].
-    index is the position, in the set evaluate scores, of the task the spectrum is of."""
-
-    index = None
-
-
 def as_response(model, basis, x):
     """A model's response to beliefs x, filtered exactly through one eigenbasis.
 
     A model is an analytic response, a Chebyshev filter or a rule set (their weighted
     mixture), each a function of the eigenvalues; anything else raises TypeError. A
     filter's series holds on [0, lambda_max] alone: a basis whose top eigenvalue lies
-    past it, beyond ``lambda_max_matches``' tolerance, raises IntervalError.
+    past it, beyond ``lambda_max_matches``' tolerance, raises ValueError.
     """
     if not isinstance(model, (ft.AnalyticResponse, ft.ChebyshevFilter, RuleSet)):
         raise TypeError(f"cannot evaluate a {type(model).__name__}")
     if (isinstance(model, ft.ChebyshevFilter) and basis.lambda_max > model.lambda_max
             and not ft.lambda_max_matches(model.lambda_max, basis.lambda_max)):
-        raise IntervalError(f"filter lambda_max {model.lambda_max} is below this graph's top "
+        raise ValueError(f"filter lambda_max {model.lambda_max} is below this graph's top "
                             f"eigenvalue {basis.lambda_max}; refit the filter on a graph "
                             "whose spectrum it covers")
     return ft.dense_filter_apply(basis, model, x)
@@ -425,20 +415,20 @@ def evaluate(model, instances, config: EvalConfig | None = None) -> EvalReport:
     instance. Band columns attribute the output energy of every instance
     to PROOF_BANDS equal bands of its spectrum; a sum past the float range
     reads inf, which to_csv refuses. Robustness drop is the accuracy, in percentage
-    points, lost to cfg.perturb's noise, cut at the same bands. Each instance
-    is eigendecomposed once.
+    points, lost to cfg.perturb's noise. Every instance's Laplacian is built before
+    the first is eigendecomposed, each once. A ValueError raised for one instance
+    carries its position in instances as task_index.
     """
     cfg = config or EvalConfig()
     instances = list(instances)
     if not instances:
         raise ValueError("evaluation needs at least one instance")
-    noise = cfg.perturb
-    noisy = noise is not None and noise.magnitude > 0
+    noisy = cfg.perturb.magnitude > 0
 
-    def run(inst: TaskInstance):
+    def run(inst: TaskInstance, lap):
         # one eigendecomposition gives the timed applications, the clean score,
-        # the score under cfg.perturb (None without one) and the clean band report
-        basis = eigendecompose(build_laplacian(inst.graph, cfg.variant))
+        # the score under cfg.perturb (None without noise) and the clean band report
+        basis = eigendecompose(lap)
         times = []
         for _ in range(cfg.latency_runs):
             start = time.perf_counter()
@@ -446,18 +436,20 @@ def evaluate(model, instances, config: EvalConfig | None = None) -> EvalReport:
             times.append(time.perf_counter() - start)
         perturbed = None
         if noisy:
-            x = spectral_perturb(basis, inst.beliefs, noise, PROOF_BANDS)
+            x = spectral_perturb(basis, inst.beliefs, cfg.perturb)
             perturbed = _score(as_response(model, basis, x), inst, cfg.threshold)
         return (times, _score(y, inst, cfg.threshold), perturbed,
                 band_energy(basis, y, PROOF_BANDS))
 
-    outcomes = []
-    for k, inst in enumerate(instances):
-        try:
-            outcomes.append(run(inst))
-        except IntervalError as exc:
-            exc.index = k
-            raise
+    laps, outcomes = [], []
+    try:
+        for k, inst in enumerate(instances):
+            laps.append(build_laplacian(inst.graph, cfg.variant))
+        for k, (inst, lap) in enumerate(zip(instances, laps)):
+            outcomes.append(run(inst, lap))
+    except ValueError as exc:
+        exc.task_index = k
+        raise
     times, scores, perturbed, reports = zip(*outcomes)
     accuracy = float(np.mean(scores))
     latency_ms = _median(np.concatenate(times)) * 1000.0

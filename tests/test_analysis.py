@@ -203,6 +203,13 @@ class TestRobustnessCertificate:
                             for t in templates)
         assert bound >= np.max(np.abs(rules(np.linspace(1.29, 1.31, 20001))))
 
+    def test_a_filter_bound_holds_between_the_scan_points(self):
+        # a 1001-point scan gave 28.99 for this filter, whose sup on a finer grid is 32.73
+        theta = np.random.default_rng(14).standard_normal(201)
+        f = ft.ChebyshevFilter(theta=theta, lambda_max=2.0)
+        sup = np.max(np.abs(ft.response_eval(f, np.linspace(0.0, 2.0, 200_001))))
+        assert an.robustness_certificate(f, 2.0) >= sup
+
     def test_grid_bound_dominates_grid_values(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
@@ -220,19 +227,29 @@ class TestSpectralPerturb:
         with pytest.raises(ValueError, match="magnitude must be nonnegative"):
             an.PerturbConfig(magnitude=magnitude)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"magnitude": -1.0, "bands": 0, "band": 5}, "magnitude must be nonnegative"),
+        ({"bands": 0, "band": 5}, "need at least one band"),
+        ({"band": 5}, "band 5 outside partition with 3 bands"),
+        ({"band": -1, "bands": 2}, "band -1 outside partition with 2 bands"),
+    ])
+    def test_config_refuses_in_order(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            an.PerturbConfig(**fields)
+
     def test_norm_equals_magnitude(self):
         basis = random_basis(seed=11)
         x = np.random.default_rng(12).standard_normal(20)
         for magnitude in (0.1, 1.0, 7.5):
-            noise = an.PerturbConfig(band=1, magnitude=magnitude, seed=3)
-            out = np.asarray(an.spectral_perturb(basis, x, noise, 3))
+            noise = an.PerturbConfig(band=1, magnitude=magnitude, seed=3, bands=3)
+            out = np.asarray(an.spectral_perturb(basis, x, noise))
             assert abs(np.linalg.norm(out - x) - magnitude) <= 1e-10
 
     def test_only_target_band_moves(self):
         basis = random_basis(seed=13)
         x = np.random.default_rng(14).standard_normal(20)
-        noise = an.PerturbConfig(band=0, magnitude=0.5, seed=4)
-        out = np.asarray(an.spectral_perturb(basis, x, noise, 3))
+        noise = an.PerturbConfig(band=0, magnitude=0.5, seed=4, bands=3)
+        out = np.asarray(an.spectral_perturb(basis, x, noise))
         diff_hat = basis.eigenvectors.T @ (out - x)
         outside = an.equal_bands(basis.lambda_max, 3).band_of(basis.eigenvalues) != 0
         assert np.max(np.abs(diff_hat[outside])) <= 1e-12
@@ -240,22 +257,23 @@ class TestSpectralPerturb:
     def test_zero_magnitude_no_op(self):
         basis = p2_basis()
         x = np.array([0.3, -0.7])
-        out = np.asarray(an.spectral_perturb(basis, x, an.PerturbConfig(band=0), 3))
+        out = np.asarray(an.spectral_perturb(basis, x, an.PerturbConfig(band=0, bands=3)))
         assert np.array_equal(out, x)
 
     def test_empty_band_errors_with_name(self):
         basis = p2_basis()
         # the eigenvalues are 0 and 2: nothing lives in [2/3, 4/3)
         with pytest.raises(ValueError, match="band 1 contains no eigenvalues"):
-            an.spectral_perturb(basis, np.ones(2), an.PerturbConfig(band=1, magnitude=0.1), 3)
+            an.spectral_perturb(basis, np.ones(2),
+                                an.PerturbConfig(band=1, magnitude=0.1, bands=3))
 
     def test_seeded_and_deterministic(self):
         basis = random_basis(seed=15)
         x = np.zeros(20)
 
         def perturbed(seed):
-            noise = an.PerturbConfig(band=2, magnitude=1.0, seed=seed)
-            return np.asarray(an.spectral_perturb(basis, x, noise, 3))
+            noise = an.PerturbConfig(band=2, magnitude=1.0, seed=seed, bands=3)
+            return np.asarray(an.spectral_perturb(basis, x, noise))
 
         a, b, c = perturbed(5), perturbed(5), perturbed(6)
         assert np.array_equal(a, b)

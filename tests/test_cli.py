@@ -26,7 +26,7 @@ from specreason.taskgen import random_gnm
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from awkward import AWKWARD, awkward_runs, unserve, write_inputs  # noqa: E402
-from sweep import BELIEF_FILES, EDGE_LISTS  # noqa: E402
+from sweep import BELIEF_FILES, EDGE_LISTS, P2_TASK, SIGNED_TASK  # noqa: E402
 
 
 P2 = "2 1\n0 1 1.0\n"
@@ -921,8 +921,7 @@ NEAR_THE_FLOAT_RANGE = {
     "1e300": ("4 3\n0 1 1e300\n1 2 1e300\n2 3 1e300\n", ()),
     "5e307": ("2 1\n0 1 5e307\n", ()),
     "mixed": ("4 3\n0 1 1e-300\n1 2 1e300\n2 3 1e-300\n", ()),
-    "signed-1e300": ("4 3\n0 1 1e300\n1 2 -1e300\n2 3 1e300\n",
-                     ("--graph-kind", "signed", "--variant", "signed")),
+    "signed-1e300": ("4 3\n0 1 1e300\n1 2 -1e300\n2 3 1e300\n", ("--variant", "signed")),
 }
 
 
@@ -946,14 +945,14 @@ def test_responses_near_the_float_range_raise_no_warning(workdir, capsys, graph,
 def test_transfer_reads_a_signed_graph(workdir, capsys):
     (workdir / "signed.txt").write_text("3 2\n0 1 1\n1 2 -2\n")
     (workdir / "three.txt").write_text("1\n0\n-1\n")
+    # the variant says which weights a graph may hold: signed ones under signed alone
     argv = ["transfer", "--source-graph", "signed.txt", "--source-beliefs", "three.txt",
-            "--target-graph", "signed.txt", "--target-beliefs", "three.txt",
-            "--variant", "signed"]
+            "--target-graph", "signed.txt", "--target-beliefs", "three.txt"]
     assert run(*argv, "--out-dir", "unsigned") == 1
     assert capsys.readouterr().err == ("error: signed.txt: line 3: negative weight on edge "
                                        "(1, 2) in an unsigned graph\n")
     assert not (workdir / "unsigned").exists()
-    assert run(*argv, "--graph-kind", "signed", "--out-dir", "out") == 0
+    assert run(*argv, "--variant", "signed", "--out-dir", "out") == 0
     assert capsys.readouterr().err == ""
     assert (workdir / "out" / "transfer.csv").read_text() == "points,profile_loss\n64,0\n"
 
@@ -1146,7 +1145,7 @@ class TestStoredBound:
         (workdir / "train.json").write_text(json.dumps({"order": 4, "epochs": 3, "examples": 2}))
         assert run("train", "--graph", "p2.txt", "--config", "train.json",
                    "--out-dir", "trainout") == 0
-        digest = gr.graph_sha256(gr.build_laplacian(gr.load_graph(P2.encode())), "unsigned",
+        digest = gr.graph_sha256(gr.build_laplacian(gr.load_graph(P2.encode())),
                                  read_filter("fitout/filter.json").lambda_max)
         for path in ("fitout/filter.json", "trainout/filter.json"):
             bound = json.loads((workdir / path).read_text())["bound"]
@@ -1338,6 +1337,19 @@ class TestCompiledOperator:
         # one operator, one file: no timestamp or other run-dependent byte
         assert (workdir / "train" / "operator.npz").read_bytes() == fitted.read_bytes()
 
+    def test_a_signed_fit_is_served_under_the_signed_variant_alone(self, workdir, monkeypatch,
+                                                                    capsys):
+        # fit once refused a negative weight unless a second option named the graph signed
+        (workdir / "ring.txt").write_text(RING.replace("3 4 0.5", "3 4 -0.5"))
+        (workdir / "ring_beliefs.txt").write_text("1\n0\n-1\n0.5\n0\n2\n")
+        assert run("fit", "--graph", "ring.txt", "--variant", "signed", "--response",
+                   "diffusion", "--order", "8", "--out-dir", "fit") == 0
+        assert capsys.readouterr().err == ""
+        calls = counted_graph_calls(monkeypatch, "load_graph", "estimate_lambda_max")
+        served = self.infer(capsys, "fit/filter.json", "served", "--variant", "signed")
+        assert served[0] == 0 and served[2] == ""
+        assert calls == {"load_graph": 0, "estimate_lambda_max": 0}
+
     def test_a_match_serves_without_parse_assembly_or_estimate(self, fitted, monkeypatch,
                                                                capsys):
         calls = counted_graph_calls(monkeypatch, "load_graph", "build_laplacian",
@@ -1350,7 +1362,7 @@ class TestCompiledOperator:
         assert calls == {"load_graph": 1, "build_laplacian": 1, "estimate_lambda_max": 0}
 
     @pytest.mark.parametrize("case", [
-        "edited graph", "other variant", "other graph kind", "truncated file",
+        "edited graph", "other variant", "truncated file",
         "data permuted", "data swapped in the file", "filter without bound", "no file"])
     def test_anything_else_takes_the_text_path(self, workdir, fitted, monkeypatch, capsys,
                                                case):
@@ -1359,8 +1371,6 @@ class TestCompiledOperator:
             (workdir / "ring.txt").write_text(RING.replace("3 4 0.5", "3 4 0.75"))
         elif case == "other variant":  # the same arrays as combinatorial on this graph
             extra = ("--variant", "signed")
-        elif case == "other graph kind":
-            extra = ("--graph-kind", "signed")
         elif case == "truncated file":
             fitted.write_bytes(fitted.read_bytes()[: fitted.stat().st_size // 2])
         elif case == "data permuted":  # a well-formed file: only the fingerprint tells
@@ -1443,7 +1453,7 @@ class TestCompiledOperator:
             degrees = lap.toarray().diagonal()[:size]
             d = float(degrees[(2.0 / (2.0 * degrees)) * degrees == 1.0][0])
             f = replace(f, lambda_max=2.0 * d,
-                        graph_sha256=gr.graph_sha256(lap, "unsigned", 2.0 * d))
+                        graph_sha256=gr.graph_sha256(lap, 2.0 * d))
             Path("fit/filter.json").write_text(f.to_json() + "\n")
         layout = gr.scale_laplacian(lap, f.lambda_max)._levels
         if case == "hub past the last level":
@@ -1762,9 +1772,11 @@ NAMED = {  # a run that refuses the input REFUSED, and what that input holds
        for name, text in EDGE_LISTS.items() if name != "arabic-digit"},
     **{f"beliefs {name}": (["perturb", "--graph", "g4.txt", "--beliefs", REFUSED], text)
        for name, text in BELIEF_FILES.items() if name not in ("too-few", "arabic-digit")},
-    "signed under normalized": (["fit", "--graph", REFUSED, "--graph-kind", "signed",
-                                 "--variant", "normalized", "--response", "identity"],
-                                "3 1\n0 1 -1\n"),
+    "signed under normalized": (["fit", "--graph", REFUSED, "--variant", "normalized",
+                                 "--response", "identity"], "3 1\n0 1 -1\n"),
+    "signed task under combinatorial": (["eval", "--tasks", "t4.json", REFUSED,
+                                         "--response", "identity", "--latency-runs", "1"],
+                                        SIGNED_TASK),
     "config not utf-8": (["train", "--graph", "g4.txt", "--config", REFUSED],
                          '{"order": 4}\udcff'),
     "short beliefs infer": ([*INFER_G4, "--beliefs", REFUSED], SHORT),
@@ -1790,6 +1802,9 @@ def refusal(workdir, request):
     """The argv of the NAMED case request.param, its inputs written and fit's filter made."""
     (workdir / "g4.txt").write_text(G4)
     (workdir / "x4.txt").write_text("1\n-1\n1\n-1\n")
+    (workdir / "t4.json").write_text(json.dumps({"graph": {"n": 4, "edges": [[0, 1, 1]]},
+                                                "beliefs": [1, 0, 0, 0],
+                                                "labels": [1, 0, 0, 0]}))
     assert run("fit", "--graph", "g4.txt", "--response", "identity", "--order", "2",
                "--out-dir", "fit") == 0
     argv, text = NAMED[request.param]
@@ -1814,8 +1829,22 @@ def test_a_refused_input_is_refused_before_any_decomposition(monkeypatch, capsys
         raise AssertionError("an input refusal came after a decomposition")
 
     monkeypatch.setattr(gr, "eigendecompose", unreached)
+    monkeypatch.setattr(tg, "eigendecompose", unreached)
     monkeypatch.setattr(gr, "estimate_lambda_max", unreached)
     assert run(*refusal) == 1
+
+
+def test_an_eval_refusal_of_one_task_names_it(workdir, capsys):
+    # a band of p2-task.json holds no eigenvalue: the refusal once named no file
+    Path("p2-task.json").write_text(P2_TASK)
+    assert run("gen", "--kind", "chain", "--depth", "5", "--seed", "3", "--out-dir", "chain") == 0
+    capsys.readouterr()
+    assert run("eval", "--tasks", "chain/task.json", "p2-task.json", "--response", "diffusion",
+               "--perturb-band", "1", "--perturb-magnitude", "0.5", "--latency-runs", "1",
+               "--out-dir", "out") == 1
+    assert capsys.readouterr().err == ("error: p2-task.json: band 1 contains no eigenvalues; "
+                                       "nothing to perturb\n")
+    assert not (workdir / "out").exists()
 
 
 COEFFS_X = ["--response", "polynomial", "--coeffs", "1,x"]

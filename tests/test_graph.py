@@ -675,40 +675,52 @@ class TestGraphSha256:
         a = gr.Graph(node_count=4, edges=((0, 1, 1.0), (2, 1, 0.5), (3, 0, 2.0)))
         b = gr.Graph(node_count=4, edges=((0, 3, 2.0), (1, 2, 0.5), (1, 0, 1.0)))
         lap = gr.build_laplacian(a)
-        base = gr.graph_sha256(lap, "unsigned", 3.5)
-        assert gr.graph_sha256(gr.build_laplacian(b), "unsigned", 3.5) == base
+        base = gr.graph_sha256(lap, 3.5)
+        assert gr.graph_sha256(gr.build_laplacian(b), 3.5) == base
         # the arrays count by value: narrower integer arrays give the same digest
         narrow = gr.Laplacian.from_layout(
             {name: values if name == "data" else values.astype(np.int32)
              for name, values in gr.layout_arrays(lap).items()}, lap.variant)
-        assert gr.graph_sha256(narrow, "unsigned", 3.5) == base
+        assert gr.graph_sha256(narrow, 3.5) == base
 
     def test_each_part_changes_the_digest(self):
         g = gr.Graph(node_count=4, edges=((0, 1, 1.0), (1, 2, 0.5)))
         lap = gr.build_laplacian(g)
-        base = gr.graph_sha256(lap, "unsigned", 3.5)
+        base = gr.graph_sha256(lap, 3.5)
         # the same bytes split otherwise between the layout's indices and data
         layout = gr.layout_arrays(lap)
         shifted = gr.Laplacian.from_layout(
             {**layout, "indices": np.append(layout["indices"], layout["data"][:1].view(np.int64)),
              "data": layout["data"][1:]}, lap.variant)
         others = [
-            gr.graph_sha256(gr.build_laplacian(gr.Graph(node_count=5, edges=g.edges)),
-                            "unsigned", 3.5),
-            gr.graph_sha256(lap, "signed", 3.5),
-            gr.graph_sha256(gr.build_laplacian(g, "normalized"), "unsigned", 3.5),
+            gr.graph_sha256(gr.build_laplacian(gr.Graph(node_count=5, edges=g.edges)), 3.5),
+            gr.graph_sha256(gr.build_laplacian(g, "normalized"), 3.5),
             # the same arrays under another variant
-            gr.graph_sha256(gr.build_laplacian(g, "signed"), "unsigned", 3.5),
-            gr.graph_sha256(lap, "unsigned", np.nextafter(3.5, 4.0)),
+            gr.graph_sha256(gr.build_laplacian(g, "signed"), 3.5),
+            gr.graph_sha256(lap, np.nextafter(3.5, 4.0)),
             gr.graph_sha256(gr.build_laplacian(
-                gr.Graph(node_count=4, edges=((0, 1, 1.0), (1, 2, 0.25)))), "unsigned", 3.5),
+                gr.Graph(node_count=4, edges=((0, 1, 1.0), (1, 2, 0.25)))), 3.5),
             gr.graph_sha256(gr.build_laplacian(
-                gr.Graph(node_count=4, edges=((0, 1, 1.0), (1, 3, 0.5)))), "unsigned", 3.5),
-            gr.graph_sha256(shifted, "unsigned", 3.5),
+                gr.Graph(node_count=4, edges=((0, 1, 1.0), (1, 3, 0.5)))), 3.5),
+            gr.graph_sha256(shifted, 3.5),
         ]
         assert np.array_equal(csr_arrays(gr.build_laplacian(g, "signed")).data,
                               csr_arrays(lap).data)
         assert len({base, *others}) == len(others) + 1
+
+    @pytest.mark.parametrize("variant, kind", [("combinatorial", "unsigned"),
+                                               ("normalized", "unsigned"), ("signed", "signed")])
+    def test_the_header_names_the_kind_the_variant_reads(self, variant, kind):
+        # the digest a filter.json stores was taken with the graph kind first in its header
+        lap = gr.build_laplacian(gr.Graph(node_count=3, edges=((0, 1, 1.0), (1, 2, 0.5))),
+                                 variant)
+        arrays = gr.layout_arrays(lap)
+        sizes = " ".join(str(values.size) for values in arrays.values())
+        digest = hashlib.sha256(f"{kind} {variant} 3.5 {sizes}\n".encode("ascii"))
+        for name, values in arrays.items():
+            digest.update(np.ascontiguousarray(values, dtype="<f8" if name == "data" else "<i8"))
+        assert gr.graph_kind(variant) == kind
+        assert gr.graph_sha256(lap, 3.5) == digest.hexdigest()
 
 
 class TestScaledLaplacian:

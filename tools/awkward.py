@@ -8,7 +8,7 @@ tools/sweep.py records what each run gives. Both take the inputs and the runs fr
 from pathlib import Path
 
 STAR_400 = "401 400\n" + "".join(f"0 {k} 1\n" for k in range(1, 401))
-AWKWARD = {  # name -> (edge list, graph kind)
+AWKWARD = {  # name -> (edge list, graph kind: signed runs under the signed variant alone)
     "single node": ("1 0\n", "unsigned"),
     "isolated nodes": ("5 2\n0 1 1\n1 2 1\n", "unsigned"),
     "disconnected parts": ("6 4\n0 1 1\n1 2 1\n3 4 2\n4 5 2\n", "unsigned"),
@@ -39,13 +39,12 @@ def write_inputs(directory: Path, shape: str) -> str:
 
 
 def awkward_runs(kind: str) -> list[list[str]]:
-    """Every command on g.txt, of that kind, under each of its variants and responses, with
-    each belief file. Infer runs served from the operator.npz fit wrote, then parsed from
-    the text: call unserve(argv) before each run."""
-    graph = ["--graph", "g.txt", "--graph-kind", kind]
+    """Every command on g.txt, of that kind, under each variant that reads it and each
+    response, with each belief file. Infer runs served from the operator.npz fit wrote,
+    then parsed from the text: call unserve(argv) before each run."""
     runs = []
     for variant in (("signed",) if kind == "signed" else ("combinatorial", "normalized")):
-        graph_args = [*graph, "--variant", variant]
+        graph_args = ["--graph", "g.txt", "--variant", variant]
         for response, params in AWKWARD_RESPONSES.items():
             model = ["--response", response, *params]
             fit = f"fit-{variant}-{response}"
@@ -59,8 +58,8 @@ def awkward_runs(kind: str) -> list[list[str]]:
             runs += [["perturb", *graph_args, "--beliefs", x,
                       "--out-dir", f"perturb-{variant}-{x}"],
                      ["transfer", "--source-graph", "g.txt", "--source-beliefs", x,
-                      "--target-graph", "g.txt", "--target-beliefs", x, "--graph-kind", kind,
-                      "--variant", variant, "--out-dir", f"transfer-{variant}-{x}"]]
+                      "--target-graph", "g.txt", "--target-beliefs", x, "--variant", variant,
+                      "--out-dir", f"transfer-{variant}-{x}"]]
     return runs
 
 

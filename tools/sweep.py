@@ -119,6 +119,9 @@ JSON_INPUTS = {  # name -> (option, document): one per refusal of the strict JSO
     "task-allowed-bands": ("--tasks", '{"graph": {"n": 2, "edges": [[0, 1, 1]]}, "beliefs": '
                                       '[1, 0], "labels": [1, 0], "allowed_bands": [5]}'),
 }
+SIGNED_TASK = ('{"graph": {"n": 2, "edges": [[0, 1, -1]], "kind": "signed"}, "beliefs": [1, 0], '
+               '"labels": [1, 0]}')
+P2_TASK = '{"graph": {"n": 2, "edges": [[0, 1, 1]]}, "beliefs": [1, -1], "labels": [1, 0]}'
 GEN = {"community": ["--kind", "community", "--n", "40", "--intra-p", "0.4", "--inter-p", "0.02"],
        "contradiction": ["--kind", "contradiction", "--n", "40", "--base-p", "0.2",
                          "--planted", "4"],
@@ -136,7 +139,7 @@ def shape_runs(kind: str) -> list[list[str]]:
     """awkward_runs, then per variant attribute with each file model, and train."""
     runs = awkward_runs(kind)
     for variant in (("signed",) if kind == "signed" else ("combinatorial", "normalized")):
-        graph = ["--graph", "g.txt", "--graph-kind", kind, "--variant", variant]
+        graph = ["--graph", "g.txt", "--variant", variant]
         for x in BELIEFS:
             runs += [["attribute", *graph, "--beliefs", x, "--rules", "t.json",
                       "--out-dir", f"attribute-{variant}-rules-{x}"],
@@ -201,12 +204,13 @@ def refusal_runs() -> list[list[str]]:
     perturb --band outside its --bands, a --bands of 0 in perturb and attribute, a
     transfer --points of 1, a fit --order of -1 and an infer --temperature of 0 and
     --threshold of nan on missing files, refused before any file is read; an
-    unparsable --coeffs; a write that fails; a signed graph under an unsigned variant; a
-    rulebase of another size; a filter fit on another graph and one past its interval;
-    the dense cap; infer past an operator.npz that names other graph bytes or cannot be
-    read, which takes the text path; a graph that is no UTF-8 in infer; a short belief
-    file in attribute and on each side of transfer; and transfer past a good source to a
-    bad target graph."""
+    unparsable --coeffs; a write that fails; a signed graph under an unsigned variant, and
+    eval of a signed task under one, after a task it takes; eval perturbing a band of a
+    task that holds no eigenvalue there, after a task that has some; a rulebase of another
+    size; a filter fit on another graph and one past its interval; the dense cap; infer
+    past an operator.npz that names other graph bytes or cannot be read, which takes the
+    text path; a graph that is no UTF-8 in infer; a short belief file in attribute and on
+    each side of transfer; and transfer past a good source to a bad target graph."""
     infer = ["infer", "--graph", "g.txt", "--filter", "fit/filter.json", "--beliefs", "x.txt"]
     transfer = ["transfer", "--source-graph", "g.txt", "--source-beliefs", "x.txt",
                 "--target-graph", "g.txt", "--target-beliefs", "x.txt"]
@@ -248,8 +252,13 @@ def refusal_runs() -> list[list[str]]:
         ["fit", "--graph", "g.txt", "--response", "polynomial", "--coeffs", "1,x",
          "--out-dir", "unparsable-coeffs"],
         ["fit", "--graph", "g.txt", "--response", "identity", "--out-dir", "taken"],
-        ["fit", "--graph", "signed.txt", "--graph-kind", "signed", "--variant", "normalized",
-         "--response", "identity", "--out-dir", "signed"],
+        ["fit", "--graph", "signed.txt", "--variant", "normalized", "--response", "identity",
+         "--out-dir", "signed"],
+        ["eval", "--tasks", "task/task.json", "signed-task.json", "--response", "diffusion",
+         "--latency-runs", "1", "--out-dir", "eval-signed-task"],
+        ["eval", "--tasks", "task/task.json", "p2-task.json", "--response", "diffusion",
+         "--perturb-band", "1", "--perturb-magnitude", "0.5", "--latency-runs", "1",
+         "--out-dir", "eval-empty-band"],
         ["infer", "--graph", "g.txt", "--filter", "tiny/filter.json", "--beliefs", "x.txt",
          "--out-dir", "another-graph"],
         ["attribute", "--graph", "g.txt", "--beliefs", "x.txt", "--model-filter",
@@ -324,6 +333,7 @@ def groups(reduced: bool):
     def refusal_inputs():
         write_inputs(Path.cwd(), "path")
         files = {"tiny.txt": TINY, "signed.txt": AWKWARD["signed path"][0], "long.txt": LONG_PATH,
+                 "signed-task.json": SIGNED_TASK, "p2-task.json": P2_TASK,
                  "long-x.txt": "1\n" * 2049, "commented.txt": "# the same graph\n" + PATH}
         files.update((f"edges-{name}.txt", text) for name, text in EDGE_LISTS.items())
         files.update((f"beliefs-{name}.txt", text) for name, text in BELIEF_FILES.items())
