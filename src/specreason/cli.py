@@ -7,9 +7,8 @@ a pipe) and any check against the operator the value feeds; a refusal, a decode 
 too, starts with the path and comes before the run's first eigendecomposition or Lanczos
 step. Options that make a library object (a response, a PerturbConfig, an EvalConfig)
 become it, and any option that can be refused on its own is checked, before any input is
-read; a graph file is read as the kind of graph --variant takes (graph.graph_kind). A
-subcommand writes nothing: it returns its files (name to text, or to a function that
-writes bytes to an open binary file), its inputs (path to the digest and the bytes
+read. A subcommand writes nothing: it returns its files (name to text, or to a function
+that writes bytes to an open binary file), its inputs (path to the digest and the bytes
 parsed) and a summary. main then makes --out-dir, so a refused run leaves none, replaces
 each file in it through a .tmp sibling, writes manifest.json (the arguments and input
 digests) last and prints the summary. Outputs are byte-identical across re-runs with the
@@ -157,9 +156,9 @@ def _load_model(args, inputs: dict):
 
 
 def _load_operator(args, path, inputs: dict) -> gr.Laplacian:
-    """The --variant Laplacian of the graph file at path, read as the kind of graph it takes."""
-    return _read_input(path, inputs, lambda raw: gr.build_laplacian(
-        gr.load_graph(raw, kind=gr.graph_kind(args.variant)), variant=args.variant))
+    """The --variant Laplacian of the graph file at path: build_laplacian checks its signs."""
+    return _read_input(path, inputs,
+                       lambda raw: gr.build_laplacian(gr.load_graph(raw), args.variant))
 
 
 _OPERATOR_FILE = "operator.npz"

@@ -34,7 +34,6 @@ _MAX_NODES = 3_037_000_499  # largest n with n * n < 2**63: the pair key i * n +
 _HASH_AFTER_DATA = re.compile(r"^[^\S\n]*[^#\s][^\n]*#", re.MULTILINE)
 
 VARIANTS = ("combinatorial", "normalized", "signed")
-GRAPH_KINDS = ("unsigned", "signed")
 
 
 class EdgeListError(ValueError):
@@ -67,21 +66,19 @@ class Graph:
     orientation; kept as read-only arrays ``rows``, ``cols``, ``weights`` sorted by (i, j).
     The first edge in input order that breaks a rule raises InvalidEdgeError, naming the
     first it breaks of: integer endpoints (a float, even 1.0, or a bool is refused), no
-    self-loop, endpoints in range, no repeated pair, a finite and non-zero weight, and no
-    negative weight unless the graph is signed.
+    self-loop, endpoints in range, no repeated pair, and a finite and non-zero weight. A
+    weight may take either sign: the Laplacian variant decides which signs it reads
+    (build_laplacian).
     """
 
     node_count: int
     rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
-    kind: str
 
-    def __init__(self, node_count: int, edges=(), kind: str = "unsigned", *, columns=None):
+    def __init__(self, node_count: int, edges=(), *, columns=None):
         if type(node_count) is not int or not 1 <= node_count <= _MAX_NODES:  # a bool is no count
             raise ValueError(f"node_count must be a positive integer, at most {_MAX_NODES}")
-        if kind not in GRAPH_KINDS:
-            raise ValueError(f"unknown graph kind {kind!r}")
         raw = columns if columns is not None else (tuple(zip(*edges)) or ((), (), ()))
         (i, odd_i), (j, odd_j) = _endpoints(raw[0]), _endpoints(raw[1])
         w = np.asarray(raw[2], dtype=float)
@@ -100,9 +97,7 @@ class Graph:
                  ((lo < 0) | (hi >= node_count), "edge ({i}, {j}) out of range for {n} nodes"),
                  (repeat, "duplicate edge ({lo}, {hi})"),
                  (~np.isfinite(w), "non-finite weight on edge ({lo}, {hi})"),
-                 (w == 0.0, "zero weight on edge ({lo}, {hi})"),
-                 ((w < 0.0) & (kind == "unsigned"),
-                  "negative weight on edge ({lo}, {hi}) in an unsigned graph"))
+                 (w == 0.0, "zero weight on edge ({lo}, {hi})"))
         bad = np.logical_or.reduce([broken for broken, _ in rules])
         if bad.any():
             k = int(np.argmax(bad))
@@ -112,7 +107,7 @@ class Graph:
         rows, cols, weights = lo[order], hi[order], w[order]
         for arr in (rows, cols, weights):
             arr.setflags(write=False)
-        vars(self).update(node_count=node_count, kind=kind, rows=rows, cols=cols, weights=weights)
+        vars(self).update(node_count=node_count, rows=rows, cols=cols, weights=weights)
 
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -310,11 +305,6 @@ def _variant(variant: str) -> str:
     return variant
 
 
-def graph_kind(variant: str) -> str:
-    """The kind of graph variant's Laplacian reads: signed (any sign) for signed, else unsigned."""
-    return "signed" if _variant(variant) == "signed" else "unsigned"
-
-
 def layout_arrays(lap: SparseOperator) -> dict:
     """lap's product layout as named arrays: what operator.npz stores."""
     return lap._levels._asdict()
@@ -435,7 +425,7 @@ def _significant_lines(stream: io.StringIO):
             if (stripped := raw.strip()) and not stripped.startswith("#"))
 
 
-def load_graph(raw: bytes, kind: str = "unsigned") -> Graph:
+def load_graph(raw: bytes) -> Graph:
     """Parse the plain edge-list format from a file's bytes.
 
     The first significant line is "N M"; the next M significant lines are
@@ -460,7 +450,7 @@ def load_graph(raw: bytes, kind: str = "unsigned") -> Graph:
                              dtype=[("i", np.int64), ("j", np.int64), ("w", float)])
     if columns is not None and columns[0].size == m:
         try:
-            return Graph(n, kind=kind, columns=columns)
+            return Graph(n, columns=columns)
         except InvalidEdgeError:
             pass  # an invalid edge, found line by line below
     lines = list(significant)
@@ -476,7 +466,7 @@ def load_graph(raw: bytes, kind: str = "unsigned") -> Graph:
         except (ValueError, OverflowError):
             break
     try:  # an invalid edge above the first malformed line comes first
-        graph = Graph(n, edges, kind)
+        graph = Graph(n, edges)
     except InvalidEdgeError as exc:
         raise EdgeListError(lines[exc.index][0], str(exc)) from None
     if len(edges) < m:
@@ -598,15 +588,16 @@ def build_laplacian(g: Graph, variant: str = "combinatorial") -> Laplacian:
 def graph_sha256(lap: Laplacian, lambda_max: float) -> str:
     """SHA-256 over an operator: a Laplacian and a lambda_max bound taken together.
 
-    Covers the graph kind the variant reads (graph_kind), the variant, float_text(lambda_max),
-    the length of each array of the Laplacian's product layout, and those arrays
-    (layout_arrays) in order, as little-endian int64, or float64 for data, so the digest is
-    the same on every platform and changes when any of them does. Equal digests mean
-    bit-identical arrays: the header fixes every length.
+    Covers the signs the variant reads ("signed" for signed, else "unsigned"), the variant,
+    float_text(lambda_max), the length of each array of the Laplacian's product layout, and
+    those arrays (layout_arrays) in order, as little-endian int64, or float64 for data, so
+    the digest is the same on every platform and changes when any of them does. Equal
+    digests mean bit-identical arrays: the header fixes every length.
     """
     arrays = layout_arrays(lap)
     sizes = " ".join(str(values.size) for values in arrays.values())
-    head = f"{graph_kind(lap.variant)} {lap.variant} {float_text(lambda_max)} {sizes}\n"
+    signs = "signed" if lap.variant == "signed" else "unsigned"
+    head = f"{signs} {lap.variant} {float_text(lambda_max)} {sizes}\n"
     digest = hashlib.sha256(head.encode("ascii"))
     for name, values in arrays.items():
         dtype = "<f8" if _LAYOUT_DTYPES[name] is float else "<i8"

@@ -256,8 +256,7 @@ def task_to_json(instance: TaskInstance) -> str:
         "seed": instance.seed,
         "params": {k: v for k, v in instance.params},
         "graph": {"n": instance.graph.node_count,
-                  "edges": [[i, j, w] for i, j, w in instance.graph.edges],
-                  "kind": instance.graph.kind},
+                  "edges": [[i, j, w] for i, j, w in instance.graph.edges]},
         "beliefs": [float(v) for v in instance.beliefs],
         "labels": [int(v) for v in instance.labels],
         "allowed_bands": list(instance.allowed_bands),
@@ -269,7 +268,7 @@ def task_to_json(instance: TaskInstance) -> str:
 
 
 _TASK = {"kind": Default(str, ""), "seed": Default(int, 0), "params": Default(Map(float), {}),
-         # Graph checks the endpoints, in one vectorised pass
+         # Graph checks the endpoints, in one vectorised pass; kind, of older files, decides nothing
          "graph": {"n": int, "edges": [(object, object, float)], "kind": Default(str, "unsigned")},
          "beliefs": [float], "labels": [int], "allowed_bands": Default([int], []),
          "atoms": Default(Nullable([str]), None), "clauses": Default(Nullable([CLAUSE]), None)}
@@ -281,11 +280,12 @@ def load_task(raw: bytes) -> TaskInstance:
 
 def _task_from_dict(payload: dict) -> TaskInstance:
     graph = payload["graph"]
+    if graph["kind"] not in ("unsigned", "signed"):
+        raise ValueError(f"graph.kind: unknown graph kind {graph['kind']!r}")
     try:
-        g = Graph(graph["n"], graph["edges"], graph["kind"])
+        g = Graph(graph["n"], graph["edges"])
     except ValueError as exc:  # named by its key; the same error raised on, an edge's index kept
-        key = (f"edges[{exc.index}]" if isinstance(exc, InvalidEdgeError)
-               else "kind" if str(exc).startswith("unknown graph kind") else "n")
+        key = f"edges[{exc.index}]" if isinstance(exc, InvalidEdgeError) else "n"
         exc.args = (f"graph.{key}: {exc}",)
         raise
     rulebase = rulebase_from_dict(payload) if payload["atoms"] else None

@@ -424,6 +424,29 @@ class TestGen:
         rules = json.loads((workdir / "out" / "rules.json").read_text())
         assert len(rules["clauses"]) == 3
 
+    @pytest.mark.parametrize("kind", ["community", "contradiction", "chain"])
+    def test_task_json_names_no_graph_kind_and_loads_back(self, workdir, kind):
+        assert run("gen", "--kind", kind, "--seed", "2", "--out-dir", "out") == 0
+        raw = (workdir / "out" / "task.json").read_bytes()
+        assert sorted(json.loads(raw)["graph"]) == ["edges", "n"]
+        assert tg.task_to_json(tg.load_task(raw)).encode() == raw
+
+    @pytest.mark.parametrize("graph_kind", ["unsigned", "signed"])
+    def test_a_task_with_an_old_graph_kind_scores_as_without(self, workdir, capsys,
+                                                             graph_kind):
+        # older gen output and perfbench's task files carry "kind": "unsigned"
+        assert run("gen", "--kind", "community", "--seed", "2", "--out-dir", "gen") == 0
+        task = json.loads((workdir / "gen" / "task.json").read_text())
+        task["graph"]["kind"] = graph_kind
+        (workdir / "old.json").write_text(json.dumps(task))
+        assert tg.load_task((workdir / "old.json").read_bytes()).graph.edges == \
+            tg.load_task((workdir / "gen" / "task.json").read_bytes()).graph.edges
+        for name, path in (("old", "old.json"), ("new", "gen/task.json")):
+            assert run("eval", "--tasks", path, "--response", "diffusion", "--perturb-magnitude",
+                       "0.5", "--latency-runs", "1", "--out-dir", name) == 0
+        assert capsys.readouterr().err == ""
+        assert outputs("old") == outputs("new")
+
     def test_community_task_loads_back(self, workdir):
         code = run("gen", "--kind", "community", "--n", "20", "--intra-p", "0.5",
                    "--inter-p", "0.05", "--seed", "1", "--out-dir", "out")
@@ -949,12 +972,44 @@ def test_transfer_reads_a_signed_graph(workdir, capsys):
     argv = ["transfer", "--source-graph", "signed.txt", "--source-beliefs", "three.txt",
             "--target-graph", "signed.txt", "--target-beliefs", "three.txt"]
     assert run(*argv, "--out-dir", "unsigned") == 1
-    assert capsys.readouterr().err == ("error: signed.txt: line 3: negative weight on edge "
-                                       "(1, 2) in an unsigned graph\n")
+    assert capsys.readouterr().err == ("error: signed.txt: combinatorial Laplacian requires "
+                                       "nonnegative weights; use 'signed'\n")
     assert not (workdir / "unsigned").exists()
     assert run(*argv, "--variant", "signed", "--out-dir", "out") == 0
     assert capsys.readouterr().err == ""
     assert (workdir / "out" / "transfer.csv").read_text() == "points,profile_loss\n64,0\n"
+
+
+NEGATIVE_TASK = {"graph": {"n": 2, "edges": [[0, 1, -1]]}, "beliefs": [1, 0], "labels": [1, 0]}
+
+
+@pytest.mark.parametrize("variant", ["combinatorial", "normalized"])
+def test_a_negative_weight_gets_one_refusal_from_either_input(workdir, capsys, variant):
+    # an edge list once got a parse-time "line 2: negative weight on edge (0, 1) in an
+    # unsigned graph" and a task the Laplacian's text: one condition, two refusals
+    (workdir / "g.txt").write_text("2 1\n0 1 -1\n")
+    (workdir / "t.json").write_text(json.dumps(NEGATIVE_TASK))
+    refusal = f"{variant} Laplacian requires nonnegative weights; use 'signed'\n"
+    assert run("fit", "--graph", "g.txt", "--variant", variant, "--response", "identity",
+               "--out-dir", "fit") == 1
+    assert capsys.readouterr().err == f"error: g.txt: {refusal}"
+    assert run("eval", "--tasks", "t.json", "--variant", variant, "--response", "identity",
+               "--out-dir", "eval") == 1
+    assert capsys.readouterr().err == f"error: t.json: {refusal}"
+    assert not (workdir / "fit").exists() and not (workdir / "eval").exists()
+
+
+def test_a_task_holds_any_sign_its_graph_kind_names_or_not(workdir, capsys):
+    # graph.kind, which gen once wrote, decides nothing: a task with a negative weight and
+    # no "kind": "signed" was refused under --variant signed at parse time
+    for kind in ({}, {"kind": "unsigned"}, {"kind": "signed"}):
+        task = {**NEGATIVE_TASK, "graph": {**NEGATIVE_TASK["graph"], **kind}}
+        (workdir / "t.json").write_text(json.dumps(task))
+        out = f"out-{kind.get('kind', 'none')}"
+        assert run("eval", "--tasks", "t.json", "--variant", "signed", "--response", "identity",
+                   "--latency-runs", "1", "--out-dir", out) == 0
+        assert capsys.readouterr().err == ""
+        assert outputs(out) == outputs("out-none")
 
 
 @pytest.mark.parametrize("shape", AWKWARD)

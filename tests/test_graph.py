@@ -85,10 +85,13 @@ class TestGraph:
             gr.Graph(node_count=2, edges=((0, 1, 1.0), (1, 0, 2.0)))
 
     def test_rejects_negative_weight_unless_signed(self):
-        with pytest.raises(ValueError, match="negative"):
-            gr.Graph(node_count=2, edges=((0, 1, -1.0),))
-        g = gr.Graph(node_count=2, edges=((0, 1, -1.0),), kind="signed")
-        assert g.edges[0][2] == -1.0
+        g = gr.Graph(node_count=2, edges=((0, 1, -1.0),))
+        assert g.edges[0][2] == -1.0 and not hasattr(g, "kind")
+        for variant in ("combinatorial", "normalized"):
+            with pytest.raises(ValueError, match=rf"^{variant} Laplacian requires nonnegative "
+                                                 r"weights; use 'signed'$"):
+                gr.build_laplacian(g, variant)
+        assert gr.build_laplacian(g, "signed").toarray().tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
     def test_adjacency_symmetric(self):
         g = random_gnp(20, 0.3, seed=1)
@@ -160,7 +163,6 @@ class TestLoadGraph:
             ("2 1\n0 0 1.0\n", 2, "self-loop"),
             ("3 2\n0 1 1.0\n0 1 2.0\n", 3, "duplicate"),
             ("2 1\n0 5 1.0\n", 2, "out of range"),
-            ("2 1\n0 1 -1.0\n", 2, "negative"),
             ("2 1\n0 1 nope\n", 2, "could not parse"),
             ("2 1\n", 1, "expected 1 edge"),
             ("2 2\n0 1 1\n\n# c", 4, "expected 2 edge"),
@@ -186,10 +188,15 @@ class TestLoadGraph:
         with pytest.raises(gr.EdgeListError, match="trailing"):
             gr.load_graph(path.read_bytes())
 
-    def test_signed_kind_allows_negative(self, tmp_path):
+    def test_loads_a_negative_weight_that_only_signed_reads(self, tmp_path):
         path = write_edges(tmp_path, "2 1\n0 1 -2.0\n")
-        g = gr.load_graph(path.read_bytes(), kind="signed")
+        g = gr.load_graph(path.read_bytes())
         assert g.edges == ((0, 1, -2.0),)
+        for variant in ("combinatorial", "normalized"):
+            with pytest.raises(ValueError, match=rf"^{variant} Laplacian requires nonnegative "
+                                                 r"weights; use 'signed'$"):
+                gr.build_laplacian(g, variant)
+        assert gr.build_laplacian(g, "signed").toarray().tolist() == [[2.0, 2.0], [2.0, 2.0]]
 
     LITERALS = ["1", "+1", "-1", "01", "1_0", "0x10", "1.5", "1.", ".5", "1e3", "1E-3", "nan",
                 "-inf", "Infinity", "1e400", "1e-400", "1e", "--1", "1d0", "1,5", "\u0661",
@@ -234,12 +241,12 @@ class TestLoadGraph:
         rng = np.random.default_rng(2025)
         for trial in range(20):
             n = int(rng.integers(2, 60))
-            kind = ("unsigned", "signed")[trial % 2]
+            signed = trial % 2 == 1
             base = random_gnp(n, float(rng.uniform(0.05, 0.5)), seed=rng)
             triples = []
             for i, j, _ in base.edges:
                 w = float(rng.choice([1, 3])) if rng.random() < 0.3 else float(rng.uniform(0.1, 2))
-                if kind == "signed" and rng.random() < 0.5:
+                if signed and rng.random() < 0.5:
                     w = -w
                 triples.append((j, i, w) if rng.random() < 0.5 else (i, j, w))
             triples = [triples[k] for k in rng.permutation(len(triples))]
@@ -249,10 +256,10 @@ class TestLoadGraph:
                 literal = str(int(w)) if w == int(w) else repr(w)
                 lines.append(f"{' ' * int(rng.integers(0, 3))}{i}\t{j} {literal}")
             path = write_edges(tmp_path, "\n".join(lines) + "\n")
-            expected = gr.Graph(node_count=n, edges=tuple(triples), kind=kind)
-            loaded = gr.load_graph(path.read_bytes(), kind=kind)
+            expected = gr.Graph(node_count=n, edges=tuple(triples))
+            loaded = gr.load_graph(path.read_bytes())
             assert loaded.node_count == n and loaded.edges == expected.edges
-            for variant in (("signed",) if kind == "signed" else ("combinatorial", "normalized")):
+            for variant in (("signed",) if signed else ("combinatorial", "normalized")):
                 a = gr.build_laplacian(loaded, variant)
                 b = gr.build_laplacian(expected, variant)
                 for attr in ("indptr", "indices", "data"):
@@ -293,27 +300,29 @@ class TestLoadGraph:
 
 def reference_graphs():
     """300 seeded random graphs, unit, moderate and extreme weights, half of them signed,
-    plus edgeless, isolated-node and under/overflow edge cases."""
+    plus edgeless, isolated-node and under/overflow edge cases; each with the variants it
+    is read under: signed alone for a signed graph, else all three."""
     rng = np.random.default_rng(2024)
-    graphs = [gr.Graph(1), gr.Graph(1, kind="signed"), gr.Graph(6),
-              gr.Graph(4, edges=((0, 1, 1e300), (0, 2, 1e-300), (2, 3, 1e-300))),
-              gr.Graph(5, edges=((3, 1, 2.0),), kind="signed")]
+    every, signed = gr.VARIANTS, ("signed",)
+    graphs = [(gr.Graph(1), every), (gr.Graph(1), signed), (gr.Graph(6), every),
+              (gr.Graph(4, edges=((0, 1, 1e300), (0, 2, 1e-300), (2, 3, 1e-300))), every),
+              (gr.Graph(5, edges=((3, 1, 2.0),)), signed)]
     for trial in range(300):
         n = int(rng.integers(1, 40))
         base = random_gnp(n, float(rng.uniform(0.0, 0.5)), seed=rng)
         weights = (np.ones(base.edge_count), rng.uniform(0.1, 3.0, base.edge_count),
                    np.exp(rng.uniform(-690.0, 690.0, base.edge_count)))[trial % 3]
-        kind = ("unsigned", "signed")[trial % 2]
-        if kind == "signed":
+        if trial % 2:
             weights = weights * rng.choice([-1.0, 1.0], base.edge_count)
-        graphs.append(gr.Graph(n, kind=kind, columns=(base.rows, base.cols, weights)))
+        graphs.append((gr.Graph(n, columns=(base.rows, base.cols, weights)),
+                       signed if trial % 2 else every))
     return graphs
 
 
 def reference_laplacians():
     """Every variant's Laplacian of each reference graph, with the graph."""
-    for g in reference_graphs():
-        for variant in (("signed",) if g.kind == "signed" else gr.VARIANTS):
+    for g, variants in reference_graphs():
+        for variant in variants:
             yield g, gr.build_laplacian(g, variant)
 
 
@@ -361,9 +370,8 @@ def assert_same_csr(ours, theirs):
 class TestLaplacian:
     def test_assembly_matches_scipy_reference_bit_for_bit(self):
         graphs = reference_graphs()
-        assert sum(g.edge_count == 0 for g in graphs) >= 5
-        for g in graphs:
-            variants = ("signed",) if g.kind == "signed" else gr.VARIANTS
+        assert sum(g.edge_count == 0 for g, _ in graphs) >= 5
+        for g, variants in graphs:
             for variant in variants:
                 lap = gr.build_laplacian(g, variant)
                 reference, adj = scipy_laplacian(g, variant)
@@ -471,7 +479,7 @@ class TestLaplacian:
         assert np.all(dense[2] == 0.0) and np.all(dense[:, 2] == 0.0)
 
     def test_signed_uses_absolute_degree(self):
-        g = gr.Graph(node_count=2, edges=((0, 1, -1.0),), kind="signed")
+        g = gr.Graph(node_count=2, edges=((0, 1, -1.0),))
         dense = gr.build_laplacian(g, "signed").toarray()
         # d = |w| on the diagonal, -A off it
         assert dense.tolist() == [[1.0, 1.0], [1.0, 1.0]]
@@ -481,12 +489,12 @@ class TestLaplacian:
         for _ in range(10):
             base = random_gnp(12, 0.4, seed=rng)
             edges = tuple((i, j, float(w * rng.choice([-1.0, 1.0]))) for i, j, w in base.edges)
-            g = gr.Graph(node_count=12, edges=edges, kind="signed")
+            g = gr.Graph(node_count=12, edges=edges)
             vals = np.linalg.eigvalsh(gr.build_laplacian(g, "signed").toarray())
             assert vals.min() > -1e-10
 
     def test_psd_variants_reject_negative_weights(self):
-        g = gr.Graph(node_count=2, edges=((0, 1, -1.0),), kind="signed")
+        g = gr.Graph(node_count=2, edges=((0, 1, -1.0),))
         for variant in ("combinatorial", "normalized"):
             with pytest.raises(ValueError):
                 gr.build_laplacian(g, variant)
@@ -514,7 +522,7 @@ class TestLambdaMax:
         assert len(graphs) >= 600
         for g, n, p, seed in graphs:
             signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=g.edge_count)
-            signed = gr.Graph(n, kind="signed", columns=(g.rows, g.cols, g.weights * signs))
+            signed = gr.Graph(n, columns=(g.rows, g.cols, g.weights * signs))
             for graph, variant in ((g, "combinatorial"), (g, "normalized"), (signed, "signed")):
                 lap = gr.build_laplacian(graph, variant)
                 est = gr.estimate_lambda_max(lap)
@@ -535,7 +543,7 @@ class TestLambdaMax:
         for n, p, seed in cases:
             g = random_gnp(n, p, seed=seed)
             signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=g.edge_count)
-            signed = gr.Graph(n, kind="signed", columns=(g.rows, g.cols, g.weights * signs))
+            signed = gr.Graph(n, columns=(g.rows, g.cols, g.weights * signs))
             for graph, variant in ((g, "combinatorial"), (g, "normalized"), (signed, "signed")):
                 lap = gr.build_laplacian(graph, variant)
                 est = gr.estimate_lambda_max(lap)
@@ -596,7 +604,7 @@ class TestLambdaMax:
         g = random_gnp(60, 0.1, seed=3)
         signs = np.random.default_rng(3).choice([-1.0, 1.0], size=g.edge_count)
         scaled = gr.Graph(60, columns=(g.rows, g.cols, g.weights * weight))
-        signed = gr.Graph(60, kind="signed", columns=(g.rows, g.cols, g.weights * signs * weight))
+        signed = gr.Graph(60, columns=(g.rows, g.cols, g.weights * signs * weight))
         for graph, variant in ((ring, "combinatorial"), (path, "combinatorial"),
                                (scaled, "combinatorial"), (scaled, "normalized"),
                                (signed, "signed")):
@@ -711,7 +719,8 @@ class TestGraphSha256:
     @pytest.mark.parametrize("variant, kind", [("combinatorial", "unsigned"),
                                                ("normalized", "unsigned"), ("signed", "signed")])
     def test_the_header_names_the_kind_the_variant_reads(self, variant, kind):
-        # the digest a filter.json stores was taken with the graph kind first in its header
+        # the digest a filter.json stores was taken with a graph kind first in its header,
+        # written inline: signed for the signed variant, unsigned for the other two
         lap = gr.build_laplacian(gr.Graph(node_count=3, edges=((0, 1, 1.0), (1, 2, 0.5))),
                                  variant)
         arrays = gr.layout_arrays(lap)
@@ -719,7 +728,6 @@ class TestGraphSha256:
         digest = hashlib.sha256(f"{kind} {variant} 3.5 {sizes}\n".encode("ascii"))
         for name, values in arrays.items():
             digest.update(np.ascontiguousarray(values, dtype="<f8" if name == "data" else "<i8"))
-        assert gr.graph_kind(variant) == kind
         assert gr.graph_sha256(lap, 3.5) == digest.hexdigest()
 
 

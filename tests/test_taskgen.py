@@ -69,7 +69,7 @@ class TestConnectivity:
         graphs = [gr.Graph(1), gr.Graph(6), gr.Graph(2, edges=((0, 1, 1.0),)),
                   gr.Graph(4, edges=((0, 1, 1.0), (2, 3, 1.0))),
                   gr.Graph(4, edges=((1, 2, 1.0), (2, 3, 1.0))),
-                  gr.Graph(3, edges=((0, 1, -1.0), (1, 2, 2.0)), kind="signed")]
+                  gr.Graph(3, edges=((0, 1, -1.0), (1, 2, 2.0)))]
         for _ in range(3000):
             n = int(rng.integers(1, 30))
             graphs.append(tg.random_gnp(n, float(rng.uniform(0.0, 0.4)), seed=rng))

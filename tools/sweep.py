@@ -9,9 +9,9 @@ Usage:
 The commands run in process, in a temporary directory, on the specreason that the
 import path finds: PYTHONPATH=<checkout>/src sweeps that checkout, so one copy of this
 tool records a parent and a change alike. The inputs are the awkward shapes of
-tools/awkward.py (both graph kinds, the three variants, the five responses, --rules and
---model-filter models, beliefs of +-1.5^k and +-1e200), gen of the three kinds and eval
-of those tasks, train configs, bench, and one run per input option that reads its
+tools/awkward.py (signed and unsigned graphs, the three variants, the five responses,
+--rules and --model-filter models, beliefs of +-1.5^k and +-1e200), gen of the three kinds
+and eval of those tasks, train configs, bench, and one run per input option that reads its
 input from a pipe (/dev/fd/63) beside the same run reading the file. Five more groups
 reach what those leave out: a 1,100-node graph with a hub, whose products run both
 levels and the bincount tail (and infer's soft column); a 600-node unit path and a
@@ -78,7 +78,7 @@ UNIT_PATH = "600 599\n" + "".join(f"{k} {k + 1} 1\n" for k in range(599))
 MIXED_PATH = "1000 999\n" + "".join(f"{k} {k + 1} {1 + k % 3}\n" for k in range(999))
 LONG_PATH = "2049 2048\n" + "".join(f"{k} {k + 1} 1\n" for k in range(2048))
 TINY = "4 3\n0 1 0.01\n1 2 0.01\n2 3 0.01\n"  # lambda_max near 0.04: a filter for no other graph
-EDGE_LISTS = {  # name -> an edge list that load_graph refuses, or reads line by line
+EDGE_LISTS = {  # name -> an edge list that fit refuses, or that load_graph reads line by line
     "empty": "", "comments-only": "# none\n\n", "header-words": "a b\n",
     "header-zero": "0 0\n", "short": "3 2\n0 1 1\n", "trailing": "3 1\n0 1 1\n1 2 1\n",
     "unparsable": "3 2\n0 1 1\n0 x 1\n", "past-int64": "3 1\n0 99999999999999999999 1\n",
@@ -121,6 +121,7 @@ JSON_INPUTS = {  # name -> (option, document): one per refusal of the strict JSO
 }
 SIGNED_TASK = ('{"graph": {"n": 2, "edges": [[0, 1, -1]], "kind": "signed"}, "beliefs": [1, 0], '
                '"labels": [1, 0]}')
+KINDLESS_SIGNED_TASK = SIGNED_TASK.replace(', "kind": "signed"', "")
 P2_TASK = '{"graph": {"n": 2, "edges": [[0, 1, 1]]}, "beliefs": [1, -1], "labels": [1, 0]}'
 GEN = {"community": ["--kind", "community", "--n", "40", "--intra-p", "0.4", "--inter-p", "0.02"],
        "contradiction": ["--kind", "contradiction", "--n", "40", "--base-p", "0.2",
@@ -135,10 +136,10 @@ def write_models(directory: Path) -> None:
         (directory / f"train-{name}.json").write_text(json.dumps(config))
 
 
-def shape_runs(kind: str) -> list[list[str]]:
+def shape_runs(variants: tuple[str, ...]) -> list[list[str]]:
     """awkward_runs, then per variant attribute with each file model, and train."""
-    runs = awkward_runs(kind)
-    for variant in (("signed",) if kind == "signed" else ("combinatorial", "normalized")):
+    runs = awkward_runs(variants)
+    for variant in variants:
         graph = ["--graph", "g.txt", "--variant", variant]
         for x in BELIEFS:
             runs += [["attribute", *graph, "--beliefs", x, "--rules", "t.json",
@@ -256,6 +257,8 @@ def refusal_runs() -> list[list[str]]:
          "--out-dir", "signed"],
         ["eval", "--tasks", "task/task.json", "signed-task.json", "--response", "diffusion",
          "--latency-runs", "1", "--out-dir", "eval-signed-task"],
+        ["eval", "--tasks", "kindless-signed-task.json", "--variant", "signed", "--response",
+         "identity", "--latency-runs", "1", "--out-dir", "eval-kindless-signed-task"],
         ["eval", "--tasks", "task/task.json", "p2-task.json", "--response", "diffusion",
          "--perturb-band", "1", "--perturb-magnitude", "0.5", "--latency-runs", "1",
          "--out-dir", "eval-empty-band"],
@@ -282,8 +285,8 @@ def groups(reduced: bool):
     """(group, write its inputs into the cwd, its runs); a run is argv, or (argv, option)
     for a run that reads the file the option names from one pipe, each time it is named."""
     for shape in (REDUCED_SHAPES if reduced else AWKWARD):
-        kind = AWKWARD[shape][1]
-        yield shape, lambda shape=shape: write_inputs(Path.cwd(), shape), shape_runs(kind)
+        yield (shape, lambda shape=shape: write_inputs(Path.cwd(), shape),
+               shape_runs(AWKWARD[shape][1]))
 
     def star():
         Path("star.txt").write_text(STAR_400)
@@ -333,7 +336,8 @@ def groups(reduced: bool):
     def refusal_inputs():
         write_inputs(Path.cwd(), "path")
         files = {"tiny.txt": TINY, "signed.txt": AWKWARD["signed path"][0], "long.txt": LONG_PATH,
-                 "signed-task.json": SIGNED_TASK, "p2-task.json": P2_TASK,
+                 "signed-task.json": SIGNED_TASK, "kindless-signed-task.json": KINDLESS_SIGNED_TASK,
+                 "p2-task.json": P2_TASK,
                  "long-x.txt": "1\n" * 2049, "commented.txt": "# the same graph\n" + PATH}
         files.update((f"edges-{name}.txt", text) for name, text in EDGE_LISTS.items())
         files.update((f"beliefs-{name}.txt", text) for name, text in BELIEF_FILES.items())
